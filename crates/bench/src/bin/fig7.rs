@@ -115,7 +115,7 @@ fn main() {
             attribution
                 .entry(step)
                 .or_default()
-                .merge(&report.attribution);
+                .merge(&report.ledger.attribution());
         }
         if (idx + 1) % 20 == 0 {
             eprintln!("  …{}/{} workloads", idx + 1, suite.len());

@@ -13,8 +13,8 @@
 //! waiting on, segmented into fill/steady/drain phases. `--json` emits the
 //! canonical document instead (to stdout, or to `--out <path>`); it is
 //! byte-identical for any `--jobs` count and with fast-forward on or off,
-//! which CI exploits as a determinism gate. Every run is re-checked against
-//! the blame conservation contract; a violation exits non-zero.
+//! which CI exploits as a determinism gate. Every run's causal ledger is
+//! re-checked against the run's cycle counters; a violation exits non-zero.
 //!
 //! `diff` compares two documents — typically adjacent ablation steps — and
 //! names the dominant blame shift. The canonical demonstration is FIMA

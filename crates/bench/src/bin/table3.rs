@@ -85,7 +85,7 @@ fn main() {
                 .unwrap_or_else(|e| panic!("writing metrics line: {e}"));
             ideal += report.ideal_cycles * u64::from(layer.repeat);
             total += report.total_cycles() * u64::from(layer.repeat);
-            attribution.merge(&report.attribution);
+            attribution.merge(&report.ledger.attribution());
             eprintln!(
                 "  {:<12} {:<28} {:>8.2}%  ({} runs)",
                 model.name,

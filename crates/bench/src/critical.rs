@@ -12,17 +12,14 @@
 //! latency 16 — which *is* the Fig. 7(a) explanation.
 //!
 //! Every run is re-checked against the critical-path contract in release
-//! builds: the composition must refine the [`StallAttribution`] class by
-//! class and the path length must equal the compute cycle count. A
-//! violation is a hard error (non-zero exit from the CLI), not a warning —
-//! an analyzer that loses path cycles is lying.
+//! builds: the path length must equal the compute cycle count and fit in
+//! the run's total cycles. A violation is a hard error (non-zero exit from
+//! the CLI), not a warning — an analyzer that loses path cycles is lying.
 //!
 //! The document deliberately excludes anything host- or scheduling-
 //! dependent: the same step analyzed with any `--jobs` count and with
 //! fast-forward on or off is byte-identical, which CI exploits as a
 //! determinism gate.
-//!
-//! [`StallAttribution`]: dm_sim::StallAttribution
 
 use std::fmt;
 
@@ -99,11 +96,10 @@ impl CriticalOptions {
     }
 }
 
-/// Release-build re-check of the critical-path contract on one run: the
-/// composition refines the stall attribution class by class
-/// ([`CriticalProfile::conserves`]), the path length equals the compute
-/// cycle count (single-issue in-order execution puts every compute cycle on
-/// the path), and the path never exceeds the run's total cycle count.
+/// Release-build re-check of the critical-path contract on one run against
+/// the run's own counters: the path length equals the compute cycle count
+/// (single-issue in-order execution puts every compute cycle on the path),
+/// and the path never exceeds the run's total cycle count.
 ///
 /// # Errors
 ///
@@ -111,14 +107,6 @@ impl CriticalOptions {
 /// invariant.
 pub fn check_path(label: &str, report: &RunReport) -> Result<(), CriticalError> {
     let crit = &report.critical;
-    if !crit.conserves(&report.attribution) {
-        return Err(CriticalError::Contract(format!(
-            "{label}: the path composition does not refine the stall \
-             attribution (path {} vs {} attributed cycles)",
-            crit.path_length(),
-            report.attribution.total_cycles()
-        )));
-    }
     if crit.path_length() != report.compute_cycles {
         return Err(CriticalError::Contract(format!(
             "{label}: path length is {} but the run had {} compute cycles",

@@ -1,7 +1,7 @@
 //! The causal bottleneck profiler behind the `dm-profile` binary.
 //!
 //! `profile run` simulates the Fig. 7 ablation slice at one feature step,
-//! merges every run's [`BlameProfile`] and emits one canonical profile
+//! merges every run's [`CausalLedger`] and emits one canonical profile
 //! document: which *component instances* (banks, AGUs, sync gates, the
 //! writeback flush) the machine spent its stalled cycles waiting on, split
 //! by fill/steady/drain phase. `profile diff` compares two documents —
@@ -9,11 +9,11 @@
 //! the collapse of bank-conflict blame when going from FIMA placement
 //! (step ⑤) to bank-aware remapping (step ⑥).
 //!
-//! Every run is re-checked against the conservation contract in release
-//! builds: the blame tree must charge exactly the stalls the
-//! [`dm_sim::StallAttribution`] counted, per cause and per port, and the fire count
-//! must match `active_cycles`. A violation is a hard error (non-zero exit
-//! from the CLI), not a warning — a profiler that loses cycles is lying.
+//! Every run's ledger is re-checked in release builds against the run's
+//! own counters: its fires must match `active_cycles` and its fires plus
+//! stalls must match `compute_cycles`. A violation is a hard error
+//! (non-zero exit from the CLI), not a warning — a profiler that loses
+//! cycles is lying.
 //!
 //! The document deliberately excludes anything host- or scheduling-
 //! dependent: the same step profiled with any `--jobs` count and with
@@ -22,7 +22,7 @@
 use std::fmt;
 
 use dm_compiler::FeatureSet;
-use dm_sim::{BlamePhase, BlameProfile, JsonValue, OperandPort, StallCause};
+use dm_sim::{BlamePhase, CausalLedger, JsonValue};
 use dm_system::{RunReport, SystemConfig, SystemError};
 use dm_workloads::{synthetic_suite, Workload};
 
@@ -37,8 +37,8 @@ pub const TOP_ROWS: usize = 12;
 pub enum ProfileError {
     /// A simulated run failed outright.
     Sim(SystemError),
-    /// A run violated the blame conservation contract (a profiler bug; the
-    /// message names the run and the first broken invariant).
+    /// A run's ledger disagrees with its cycle counters (a simulator bug;
+    /// the message names the run and the first broken invariant).
     Conservation(String),
 }
 
@@ -97,60 +97,29 @@ impl ProfileOptions {
     }
 }
 
-/// Release-build re-check of the conservation contract on one run: the
-/// blame tree charges exactly the stalls the attribution counted (per
-/// cause), per-port blame totals match the coarse [`StallBreakdown`]
-/// counters, and every fire landed in exactly one phase.
-///
-/// [`StallBreakdown`]: dm_system::StallBreakdown
+/// Release-build re-check of one run's ledger against the run's own
+/// counters: the ledger's fires equal `active_cycles` and its fires plus
+/// stalls equal `compute_cycles`. The views the document prints are
+/// marginals of the ledger, so they agree with each other by construction.
 ///
 /// # Errors
 ///
 /// Returns [`ProfileError::Conservation`] naming `label` and the first
 /// broken invariant.
 pub fn check_conservation(label: &str, report: &RunReport) -> Result<(), ProfileError> {
-    let at = &report.attribution;
-    let blame = &report.blame;
-    if !blame.conserves(at) {
+    let ledger = &report.ledger;
+    if ledger.fired() != report.active_cycles {
         return Err(ProfileError::Conservation(format!(
-            "{label}: blame totals diverge from the stall attribution \
-             (blame {} stalled / {} fired vs attribution {} / {})",
-            blame.stalled(),
-            blame.fired(),
-            at.stalled(),
-            at.fired()
-        )));
-    }
-    let ports = [
-        (OperandPort::A, report.stalls.a),
-        (OperandPort::B, report.stalls.b),
-        (OperandPort::C, report.stalls.c),
-    ];
-    for (port, coarse) in ports {
-        let fine = blame.cause_total(StallCause::NoOperand(port))
-            + blame.cause_total(StallCause::BankConflict(port));
-        if fine != coarse {
-            return Err(ProfileError::Conservation(format!(
-                "{label}: port {} blame is {fine} cycles but the coarse \
-                 stall counter says {coarse}",
-                port.label()
-            )));
-        }
-    }
-    let out_fine =
-        blame.cause_total(StallCause::WritebackBackpressure) + blame.cause_total(StallCause::Drain);
-    if out_fine != report.stalls.out {
-        return Err(ProfileError::Conservation(format!(
-            "{label}: port OUT blame is {out_fine} cycles but the coarse \
-             stall counter says {}",
-            report.stalls.out
-        )));
-    }
-    if blame.fired() != report.active_cycles {
-        return Err(ProfileError::Conservation(format!(
-            "{label}: blame counted {} fires but the run had {} active cycles",
-            blame.fired(),
+            "{label}: the ledger counted {} fires but the run had {} active cycles",
+            ledger.fired(),
             report.active_cycles
+        )));
+    }
+    if ledger.total() != report.compute_cycles {
+        return Err(ProfileError::Conservation(format!(
+            "{label}: the ledger covers {} cycles but the run had {} compute cycles",
+            ledger.total(),
+            report.compute_cycles
         )));
     }
     Ok(())
@@ -176,11 +145,11 @@ pub fn document_for_workloads(
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
 
-    let mut blame = BlameProfile::new(cfg.mem.num_banks());
+    let mut ledger = CausalLedger::new(cfg.mem.num_banks());
     let (mut prepass, mut compute, mut ideal) = (0u64, 0u64, 0u64);
     for ((label, _, _), report) in items.iter().zip(&reports) {
         check_conservation(label, report)?;
-        blame.merge(&report.blame);
+        ledger.merge(&report.ledger);
         prepass += report.prepass_cycles;
         compute += report.compute_cycles;
         ideal += report.ideal_cycles;
@@ -203,11 +172,11 @@ pub fn document_for_workloads(
                 ("prepass".to_owned(), JsonValue::from(prepass)),
                 ("compute".to_owned(), JsonValue::from(compute)),
                 ("ideal".to_owned(), JsonValue::from(ideal)),
-                ("fired".to_owned(), JsonValue::from(blame.fired())),
-                ("stalled".to_owned(), JsonValue::from(blame.stalled())),
+                ("fired".to_owned(), JsonValue::from(ledger.fired())),
+                ("stalled".to_owned(), JsonValue::from(ledger.stalled())),
             ]),
         ),
-        ("blame".to_owned(), blame.to_json()),
+        ("blame".to_owned(), ledger.to_json()),
     ]))
 }
 
@@ -591,6 +560,7 @@ pub fn render_diff(d: &ProfileDiff, old_label: &str, new_label: &str) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dm_sim::{Port, StallCause};
     use dm_workloads::{ConvSpec, GemmSpec};
 
     fn doc_for_step(step: usize) -> JsonValue {
@@ -717,8 +687,7 @@ mod tests {
     }
 
     /// A run that flushes the write path after its last fire: the drain
-    /// cycles sit on the OUT port in both the blame tree and the coarse
-    /// stall counters.
+    /// cycles sit on the OUT port in the per-port view.
     #[test]
     fn drain_cycles_conserve_on_the_write_port() {
         let opts = ProfileOptions {
@@ -727,9 +696,11 @@ mod tests {
         };
         let conv = ConvSpec::new(24, 24, 8, 16, 1, 1, 1);
         let report = crate::measure(&opts.config(), conv.into(), 1).unwrap();
-        let drain = report.blame.cause_total(StallCause::Drain);
+        let drain = report.ledger.cause_total(StallCause::Drain);
         assert!(drain > 0, "the shape must drain");
-        assert!(report.stalls.out >= drain);
+        let (port, out) = report.ledger.port_stalls()[3];
+        assert_eq!(port, Port::Out);
+        assert!(out >= drain);
         check_conservation("conv24", &report).unwrap();
     }
 

@@ -94,7 +94,7 @@ pub fn entry_json(label: &str, report: &RunReport) -> JsonValue {
             "fifo_high_water".to_owned(),
             JsonValue::from(fifo_high_water(report)),
         ),
-        ("blame".to_owned(), report.blame.to_json()),
+        ("blame".to_owned(), report.ledger.to_json()),
         ("critical".to_owned(), report.critical.to_json()),
     ])
 }

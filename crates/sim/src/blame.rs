@@ -1,30 +1,25 @@
-//! Causal blame-chain attribution.
+//! Causal blame-chain taxonomy.
 //!
-//! [`StallAttribution`] (PR 1) classifies every non-firing PE cycle at the
-//! PE boundary: *which* operand was missing, or whether writeback pushed
-//! back. This module goes one level deeper: for every stalled cycle the
-//! system walks the dependency chain backwards — empty operand FIFO → which
-//! streamer stage was blocked → AGU cadence vs. lost arbitration vs.
-//! in-flight memory latency vs. the coarse-grained sync gate — and charges
-//! the cycle to a single *component instance* leaf ([`BlameLeaf`]), e.g.
-//! `bank[3]` or `streamer.B.agu`, nested under the cause bucket.
+//! [`StallAttribution`](crate::StallAttribution) classifies every
+//! non-firing PE cycle at the PE boundary: *which* operand was missing, or
+//! whether writeback pushed back. The blame walk goes one level deeper: for
+//! every stalled cycle the system walks the dependency chain backwards —
+//! empty operand FIFO → which streamer stage was blocked → AGU cadence vs.
+//! lost arbitration vs. in-flight memory latency vs. the coarse-grained sync
+//! gate — and names a single *component instance* leaf ([`BlameLeaf`]),
+//! e.g. `bank[3]` or `streamer.B.agu`, nested under the cause bucket.
 //!
-//! The contract is conservation, exactly like PR 1's
-//! `fired + Σ stalls == compute cycles`: for every cause,
-//! `Σ blame leaves == attribution count`, per phase and in total
-//! ([`BlameProfile::conserves`]). The system asserts it at the end of every
-//! run and (cheaply) per cycle in debug builds.
+//! Runs are segmented into fill / steady / drain phases ([`BlamePhase`]):
+//! fill is every cycle before the first PE fire, drain is every cycle after
+//! the last compute step issued, steady is the rest.
 //!
-//! Runs are additionally segmented into fill / steady / drain phases
-//! ([`BlamePhase`]): fill is every cycle before the first PE fire, drain is
-//! every cycle after the last compute step issued, steady is the rest.
-//! Blame is recorded per phase so a profile can distinguish a pipeline that
-//! fills slowly from one that bottlenecks mid-flight.
+//! The system charges each stalled cycle once, as `(phase, cause, leaf)`, to
+//! the [`CausalLedger`](crate::CausalLedger); the per-phase blame tree is
+//! one of the ledger's views.
 
 use std::fmt;
 
-use crate::json::JsonValue;
-use crate::stall::{StallAttribution, StallCause};
+use crate::stall::StallCause;
 
 /// Which part of a run a cycle belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,7 +46,7 @@ impl BlamePhase {
         }
     }
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             BlamePhase::Fill => 0,
             BlamePhase::Steady => 1,
@@ -104,316 +99,6 @@ impl BlameLeaf {
     }
 }
 
-/// Number of non-bank leaf slots per cause row.
-const FIXED_LEAVES: usize = 4;
-
-/// Per-cause × per-leaf stall counts: the hierarchical half of a profile.
-///
-/// Storage is a flat `causes × (4 + banks)` table so recording is one
-/// add — cheap enough for the per-cycle hot loop and for the O(1)
-/// fast-forward span replay ([`record_n`](Self::record_n)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlameTree {
-    banks: usize,
-    counts: Vec<u64>,
-}
-
-impl BlameTree {
-    /// An empty tree for a machine with `banks` scratchpad banks.
-    #[must_use]
-    pub fn new(banks: usize) -> Self {
-        BlameTree {
-            banks,
-            counts: vec![0; StallCause::ALL.len() * (FIXED_LEAVES + banks)],
-        }
-    }
-
-    fn row(&self) -> usize {
-        FIXED_LEAVES + self.banks
-    }
-
-    fn slot(&self, cause: StallCause, leaf: BlameLeaf) -> usize {
-        let leaf_slot = match leaf {
-            BlameLeaf::Agu => 0,
-            BlameLeaf::Gate => 1,
-            BlameLeaf::Flush => 2,
-            BlameLeaf::Unattributed => 3,
-            BlameLeaf::Bank(i) => {
-                assert!(
-                    i < self.banks,
-                    "bank {i} out of range ({} banks)",
-                    self.banks
-                );
-                FIXED_LEAVES + i
-            }
-        };
-        cause.index() * self.row() + leaf_slot
-    }
-
-    /// Charges one stalled cycle to `leaf` under `cause`.
-    pub fn record(&mut self, cause: StallCause, leaf: BlameLeaf) {
-        let slot = self.slot(cause, leaf);
-        self.counts[slot] += 1;
-    }
-
-    /// Charges `n` cycles in O(1) — the fast-forward span replay. The
-    /// result is bit-identical to `n` calls to [`record`](Self::record).
-    pub fn record_n(&mut self, cause: StallCause, leaf: BlameLeaf, n: u64) {
-        let slot = self.slot(cause, leaf);
-        self.counts[slot] += n;
-    }
-
-    /// Cycles charged to `leaf` under `cause`.
-    #[must_use]
-    pub fn count(&self, cause: StallCause, leaf: BlameLeaf) -> u64 {
-        self.counts[self.slot(cause, leaf)]
-    }
-
-    /// Total cycles charged under `cause`, across all leaves.
-    #[must_use]
-    pub fn cause_total(&self, cause: StallCause) -> u64 {
-        let row = self.row();
-        self.counts[cause.index() * row..(cause.index() + 1) * row]
-            .iter()
-            .sum()
-    }
-
-    /// Total cycles in the tree.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// `(cause, leaf, cycles)` for every nonzero slot, in reporting order.
-    #[must_use]
-    pub fn leaves(&self) -> Vec<(StallCause, BlameLeaf, u64)> {
-        let mut out = Vec::new();
-        for &cause in &StallCause::ALL {
-            for leaf in self.leaf_order() {
-                let n = self.count(cause, leaf);
-                if n > 0 {
-                    out.push((cause, leaf, n));
-                }
-            }
-        }
-        out
-    }
-
-    fn leaf_order(&self) -> impl Iterator<Item = BlameLeaf> + '_ {
-        [
-            BlameLeaf::Agu,
-            BlameLeaf::Gate,
-            BlameLeaf::Flush,
-            BlameLeaf::Unattributed,
-        ]
-        .into_iter()
-        .chain((0..self.banks).map(BlameLeaf::Bank))
-    }
-
-    /// Merges another tree into this one (phase → total aggregation).
-    ///
-    /// # Panics
-    /// If the trees were built for different bank counts.
-    pub fn merge(&mut self, other: &BlameTree) {
-        assert_eq!(self.banks, other.banks, "bank count mismatch in merge");
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-    }
-
-    /// The tree as nested JSON: `{cause label: {leaf label: cycles}}`,
-    /// nonzero entries only, reporting order.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        let mut causes = Vec::new();
-        for &cause in &StallCause::ALL {
-            let leaves: Vec<(String, JsonValue)> = self
-                .leaf_order()
-                .filter_map(|leaf| {
-                    let n = self.count(cause, leaf);
-                    (n > 0).then(|| (leaf.label(cause), JsonValue::from(n)))
-                })
-                .collect();
-            if !leaves.is_empty() {
-                causes.push((cause.label().to_owned(), JsonValue::Object(leaves)));
-            }
-        }
-        JsonValue::Object(causes)
-    }
-}
-
-/// The full causal profile of one run: a [`BlameTree`] per phase plus the
-/// fire counts and phase boundaries needed to segment and cross-check it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlameProfile {
-    banks: usize,
-    phases: [BlameTree; 3],
-    fired: [u64; 3],
-    first_fire: Option<u64>,
-    last_fire: Option<u64>,
-}
-
-impl BlameProfile {
-    /// An empty profile for a machine with `banks` scratchpad banks.
-    #[must_use]
-    pub fn new(banks: usize) -> Self {
-        BlameProfile {
-            banks,
-            phases: [
-                BlameTree::new(banks),
-                BlameTree::new(banks),
-                BlameTree::new(banks),
-            ],
-            fired: [0; 3],
-            first_fire: None,
-            last_fire: None,
-        }
-    }
-
-    /// Records a firing cycle in `phase` at cycle `now`.
-    pub fn record_fire(&mut self, phase: BlamePhase, now: u64) {
-        self.fired[phase.index()] += 1;
-        if self.first_fire.is_none() {
-            self.first_fire = Some(now);
-        }
-        self.last_fire = Some(now);
-    }
-
-    /// Charges one stalled cycle in `phase` to `leaf` under `cause`.
-    pub fn record(&mut self, phase: BlamePhase, cause: StallCause, leaf: BlameLeaf) {
-        self.phases[phase.index()].record(cause, leaf);
-    }
-
-    /// Charges `n` stalled cycles in O(1) (fast-forward span replay);
-    /// bit-identical to `n` calls to [`record`](Self::record).
-    pub fn record_n(&mut self, phase: BlamePhase, cause: StallCause, leaf: BlameLeaf, n: u64) {
-        self.phases[phase.index()].record_n(cause, leaf, n);
-    }
-
-    /// The blame tree of one phase.
-    #[must_use]
-    pub fn phase(&self, phase: BlamePhase) -> &BlameTree {
-        &self.phases[phase.index()]
-    }
-
-    /// Cycles the PE fired during `phase`.
-    #[must_use]
-    pub fn fired_in(&self, phase: BlamePhase) -> u64 {
-        self.fired[phase.index()]
-    }
-
-    /// Cycles the PE fired, all phases.
-    #[must_use]
-    pub fn fired(&self) -> u64 {
-        self.fired.iter().sum()
-    }
-
-    /// Total stalled cycles charged, all phases.
-    #[must_use]
-    pub fn stalled(&self) -> u64 {
-        self.phases.iter().map(BlameTree::total).sum()
-    }
-
-    /// Cycle of the first PE fire, if any.
-    #[must_use]
-    pub fn first_fire(&self) -> Option<u64> {
-        self.first_fire
-    }
-
-    /// Cycle of the last PE fire, if any.
-    #[must_use]
-    pub fn last_fire(&self) -> Option<u64> {
-        self.last_fire
-    }
-
-    /// All phases merged into one tree.
-    #[must_use]
-    pub fn total(&self) -> BlameTree {
-        let mut tree = self.phases[0].clone();
-        tree.merge(&self.phases[1]);
-        tree.merge(&self.phases[2]);
-        tree
-    }
-
-    /// Cycles charged under `cause`, all phases.
-    #[must_use]
-    pub fn cause_total(&self, cause: StallCause) -> u64 {
-        self.phases.iter().map(|t| t.cause_total(cause)).sum()
-    }
-
-    /// The conservation contract: every stall the attribution counted is
-    /// charged to exactly one leaf under the *same* cause, and every fire
-    /// is counted in exactly one phase. Holds per cause (hence per port)
-    /// and in total.
-    #[must_use]
-    pub fn conserves(&self, attribution: &StallAttribution) -> bool {
-        StallCause::ALL
-            .iter()
-            .all(|&cause| self.cause_total(cause) == attribution.count(cause))
-            && self.fired() == attribution.fired()
-    }
-
-    /// Merges another profile (suite-level aggregation). Phase boundaries
-    /// keep the earliest first-fire and latest last-fire.
-    ///
-    /// # Panics
-    /// If the profiles were built for different bank counts.
-    pub fn merge(&mut self, other: &BlameProfile) {
-        assert_eq!(self.banks, other.banks, "bank count mismatch in merge");
-        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
-            mine.merge(theirs);
-        }
-        for (mine, theirs) in self.fired.iter_mut().zip(&other.fired) {
-            *mine += theirs;
-        }
-        self.first_fire = match (self.first_fire, other.first_fire) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.last_fire = match (self.last_fire, other.last_fire) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
-    /// The profile as canonical JSON: per-phase cycle counts and cause →
-    /// leaf trees, plus the merged total. Key order is fixed (phases in run
-    /// order, causes and leaves in reporting order) so equal profiles
-    /// serialize byte-identically.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        let phase_json = |phase: BlamePhase| {
-            let tree = self.phase(phase);
-            JsonValue::object([
-                (
-                    "cycles".to_owned(),
-                    JsonValue::from(self.fired_in(phase) + tree.total()),
-                ),
-                ("fired".to_owned(), JsonValue::from(self.fired_in(phase))),
-                ("stalled".to_owned(), JsonValue::from(tree.total())),
-                ("causes".to_owned(), tree.to_json()),
-            ])
-        };
-        let bound = |cycle: Option<u64>| match cycle {
-            Some(c) => JsonValue::from(c),
-            None => JsonValue::Null,
-        };
-        JsonValue::object([
-            ("first_fire".to_owned(), bound(self.first_fire)),
-            ("last_fire".to_owned(), bound(self.last_fire)),
-            (
-                "phases".to_owned(),
-                JsonValue::object(
-                    BlamePhase::ALL
-                        .iter()
-                        .map(|&p| (p.label().to_owned(), phase_json(p))),
-                ),
-            ),
-            ("total".to_owned(), self.total().to_json()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,38 +106,6 @@ mod tests {
 
     const NO_B: StallCause = StallCause::NoOperand(OperandPort::B);
     const BC_A: StallCause = StallCause::BankConflict(OperandPort::A);
-
-    #[test]
-    fn record_n_matches_repeated_records() {
-        let mut bulk = BlameTree::new(4);
-        let mut single = BlameTree::new(4);
-        bulk.record_n(BC_A, BlameLeaf::Bank(2), 9);
-        bulk.record_n(NO_B, BlameLeaf::Agu, 0);
-        for _ in 0..9 {
-            single.record(BC_A, BlameLeaf::Bank(2));
-        }
-        assert_eq!(bulk, single);
-        assert_eq!(bulk.total(), 9);
-        assert_eq!(bulk.cause_total(BC_A), 9);
-        assert_eq!(bulk.count(BC_A, BlameLeaf::Bank(2)), 9);
-    }
-
-    #[test]
-    fn leaves_report_nonzero_slots_in_order() {
-        let mut tree = BlameTree::new(2);
-        tree.record(NO_B, BlameLeaf::Bank(1));
-        tree.record(NO_B, BlameLeaf::Agu);
-        tree.record(StallCause::Drain, BlameLeaf::Flush);
-        let got = tree.leaves();
-        assert_eq!(
-            got,
-            vec![
-                (NO_B, BlameLeaf::Agu, 1),
-                (NO_B, BlameLeaf::Bank(1), 1),
-                (StallCause::Drain, BlameLeaf::Flush, 1),
-            ]
-        );
-    }
 
     #[test]
     fn leaf_labels_render_relative_to_cause() {
@@ -468,87 +121,5 @@ mod tests {
             "streamer.OUT.agu"
         );
         assert_eq!(BlameLeaf::Unattributed.label(NO_B), "unattributed");
-    }
-
-    #[test]
-    fn profile_conserves_against_matching_attribution() {
-        let mut att = StallAttribution::new();
-        let mut blame = BlameProfile::new(8);
-        blame.record(BlamePhase::Fill, NO_B, BlameLeaf::Agu);
-        att.record_stall(NO_B);
-        blame.record_n(BlamePhase::Steady, BC_A, BlameLeaf::Bank(5), 3);
-        att.record_stall_n(BC_A, 3);
-        for cycle in 4..7 {
-            blame.record_fire(BlamePhase::Steady, cycle);
-            att.record_fire();
-        }
-        blame.record(BlamePhase::Drain, StallCause::Drain, BlameLeaf::Flush);
-        att.record_stall(StallCause::Drain);
-        assert!(blame.conserves(&att));
-        assert_eq!(blame.first_fire(), Some(4));
-        assert_eq!(blame.last_fire(), Some(6));
-        assert_eq!(blame.stalled(), att.stalled());
-
-        // Any mismatch breaks it: same totals, different cause.
-        let mut skewed = blame.clone();
-        skewed.record(BlamePhase::Steady, NO_B, BlameLeaf::Agu);
-        let mut att2 = att;
-        att2.record_stall(BC_A);
-        assert!(!skewed.conserves(&att2));
-    }
-
-    #[test]
-    fn merge_accumulates_and_widens_bounds() {
-        let mut a = BlameProfile::new(4);
-        a.record_fire(BlamePhase::Steady, 10);
-        a.record(BlamePhase::Steady, NO_B, BlameLeaf::Agu);
-        let mut b = BlameProfile::new(4);
-        b.record_fire(BlamePhase::Steady, 3);
-        b.record_fire(BlamePhase::Steady, 20);
-        a.merge(&b);
-        assert_eq!(a.fired(), 3);
-        assert_eq!(a.first_fire(), Some(3));
-        assert_eq!(a.last_fire(), Some(20));
-        assert_eq!(a.total().total(), 1);
-    }
-
-    #[test]
-    fn json_is_deterministic_and_nests_causes() {
-        let mut blame = BlameProfile::new(4);
-        blame.record_fire(BlamePhase::Steady, 2);
-        blame.record(BlamePhase::Steady, BC_A, BlameLeaf::Bank(1));
-        blame.record(BlamePhase::Drain, StallCause::Drain, BlameLeaf::Flush);
-        let json = blame.to_json();
-        assert_eq!(json.to_json(), blame.clone().to_json().to_json());
-        let steady = json.get("phases").unwrap().get("steady").unwrap();
-        assert_eq!(steady.get("cycles").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            steady
-                .get("causes")
-                .unwrap()
-                .get("bank-conflict(A)")
-                .unwrap()
-                .get("bank[1]")
-                .unwrap()
-                .as_u64(),
-            Some(1)
-        );
-        let total = json.get("total").unwrap();
-        assert_eq!(
-            total
-                .get("drain")
-                .unwrap()
-                .get("streamer.OUT.flush")
-                .unwrap()
-                .as_u64(),
-            Some(1)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_bank_panics() {
-        let mut tree = BlameTree::new(2);
-        tree.record(BC_A, BlameLeaf::Bank(2));
     }
 }

@@ -8,21 +8,20 @@
 //! per-token storage to materialize. We never build it. The accelerator is
 //! single-issue and in-order: on every compute cycle exactly one edge of
 //! that DAG is *binding* (the last writer into the blocked PE handshake),
-//! and every compute cycle lies on the critical path. So the path folds
-//! online into O(1) state: classify each cycle's binding edge into a
-//! [`CritClass`] and count. The blame-chain walk already resolves the last
+//! and every compute cycle lies on the critical path. So the path reduces
+//! to O(1) state: classify each cycle's binding edge into a [`CritClass`]
+//! and count. The blame-chain walk already resolves the last
 //! writer (which component instance the stall is waiting on), which is why
 //! [`CritClass::for_stall`] is a pure function of `(StallCause, BlameLeaf)`
 //! — the sparse last-writer state is exactly the O(ports + banks) state the
 //! walk maintains, and no per-token allocation ever happens.
 //!
-//! The contract mirrors blame's conservation: the per-class on-path
-//! composition sums to the path length, the path length equals the compute
-//! cycle count, and the composition refines [`StallAttribution`] class by
-//! class ([`CriticalProfile::conserves`]). Because the binding edge is a
-//! pure function of state a fast-forward span check proves frozen, elided
-//! spans replay in O(1) ([`CriticalProfile::record_stall_n`]) bit-identically
-//! to lockstep.
+//! The composition is a view of the [`CausalLedger`](crate::CausalLedger)
+//! ([`CausalLedger::critical`](crate::CausalLedger::critical)): fires on
+//! [`CritClass::PeIssue`], every charged `(cause, leaf)` on its
+//! [`CritClass::for_stall`]. So it refines the stall attribution class by
+//! class and sums to the compute cycle count by construction, and elided
+//! fast-forward spans, one ledger charge each, need no replay of their own.
 //!
 //! [`CriticalProfile::what_ifs`] turns the composition into projections:
 //! predicted total-cycle deltas for "read latency → 1", "conflicts free"
@@ -45,7 +44,7 @@ use std::fmt;
 
 use crate::blame::BlameLeaf;
 use crate::json::JsonValue;
-use crate::stall::{StallAttribution, StallCause};
+use crate::stall::StallCause;
 
 /// The resource whose dependency edge binds one on-path cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -162,28 +161,32 @@ impl WhatIf {
 }
 
 /// The critical-path composition of one run: every compute cycle charged to
-/// the [`CritClass`] whose dependency edge bound it.
+/// the [`CritClass`] whose dependency edge bound it. Built by
+/// [`CausalLedger::critical`](crate::CausalLedger::critical).
 ///
 /// # Examples
 ///
 /// ```
-/// use dm_sim::{BlameLeaf, CritClass, CriticalProfile, OperandPort, StallCause};
+/// use dm_sim::{BlameLeaf, BlamePhase, CausalLedger, CritClass, OperandPort, StallCause};
 ///
-/// let mut crit = CriticalProfile::new(4);
-/// crit.record_fire();
-/// crit.record_stall(StallCause::NoOperand(OperandPort::A), BlameLeaf::Bank(2));
+/// let mut ledger = CausalLedger::new(4);
+/// ledger.fire(0);
+/// let cause = StallCause::NoOperand(OperandPort::A);
+/// ledger.charge(BlamePhase::Steady, cause, BlameLeaf::Bank(2), 1);
+/// let crit = ledger.critical(4);
 /// assert_eq!(crit.path_length(), 2);
 /// assert_eq!(crit.on_path(CritClass::MemLatency), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CriticalProfile {
     read_latency: u64,
-    counts: [u64; CritClass::ALL.len()],
+    pub(crate) counts: [u64; CritClass::ALL.len()],
 }
 
 impl CriticalProfile {
     /// An empty profile for a system with the given bank read latency (the
-    /// latency is what the `"read-latency->1"` projection rescales by).
+    /// latency is what the `"read-latency->1"` projection rescales by); the
+    /// identity of [`merge`](Self::merge).
     ///
     /// # Panics
     /// If `read_latency` is zero (combinational reads are not modelled).
@@ -200,28 +203,6 @@ impl CriticalProfile {
     #[must_use]
     pub fn read_latency(&self) -> u64 {
         self.read_latency
-    }
-
-    /// Records one firing cycle (the binding edge is PE issue itself).
-    pub fn record_fire(&mut self) {
-        self.counts[CritClass::PeIssue.index()] += 1;
-    }
-
-    /// Records `n` firing cycles in O(1); bit-identical to `n` calls to
-    /// [`record_fire`](Self::record_fire).
-    pub fn record_fire_n(&mut self, n: u64) {
-        self.counts[CritClass::PeIssue.index()] += n;
-    }
-
-    /// Charges one stalled cycle to the class binding it.
-    pub fn record_stall(&mut self, cause: StallCause, leaf: BlameLeaf) {
-        self.counts[CritClass::for_stall(cause, leaf).index()] += 1;
-    }
-
-    /// Charges `n` stalled cycles in O(1) (fast-forward span replay);
-    /// bit-identical to `n` calls to [`record_stall`](Self::record_stall).
-    pub fn record_stall_n(&mut self, cause: StallCause, leaf: BlameLeaf, n: u64) {
-        self.counts[CritClass::for_stall(cause, leaf).index()] += n;
     }
 
     /// On-path cycles bound by `class`.
@@ -247,35 +228,6 @@ impl CriticalProfile {
             .map(|&c| (c, self.on_path(c)))
             .filter(|&(_, n)| n > 0)
             .collect()
-    }
-
-    /// The conservation contract against the per-cycle stall attribution:
-    /// the composition is a *refinement* of [`StallAttribution`], so every
-    /// class total is pinned by the attribution counts it partitions —
-    /// fires land on [`CritClass::PeIssue`], bank-conflict stalls on
-    /// [`CritClass::BankConflict`], writeback back-pressure on
-    /// [`CritClass::FifoCapacity`], and the no-operand + drain cycles split
-    /// across memory latency, AGU throughput and writeback flush without
-    /// loss. Implies `path_length == attribution.total_cycles()`.
-    #[must_use]
-    pub fn conserves(&self, attribution: &StallAttribution) -> bool {
-        let no_operand: u64 = crate::stall::OperandPort::ALL
-            .iter()
-            .map(|&p| attribution.count(StallCause::NoOperand(p)))
-            .sum();
-        let conflicts: u64 = crate::stall::OperandPort::ALL
-            .iter()
-            .map(|&p| attribution.count(StallCause::BankConflict(p)))
-            .sum();
-        self.on_path(CritClass::PeIssue) == attribution.fired()
-            && self.on_path(CritClass::BankConflict) == conflicts
-            && self.on_path(CritClass::FifoCapacity)
-                == attribution.count(StallCause::WritebackBackpressure)
-            && self.on_path(CritClass::MemLatency)
-                + self.on_path(CritClass::AguThroughput)
-                + self.on_path(CritClass::WritebackFlush)
-                == no_operand + attribution.count(StallCause::Drain)
-            && self.path_length() == attribution.total_cycles()
     }
 
     /// Merges another profile (suite-level aggregation).
@@ -366,7 +318,26 @@ impl CriticalProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blame::BlamePhase;
+    use crate::ledger::CausalLedger;
     use crate::stall::OperandPort;
+
+    /// A profile under `read_latency` with `fired` fires and the given
+    /// `(cause, leaf, cycles)` stalls.
+    fn profile(
+        read_latency: u64,
+        fired: u64,
+        stalls: &[(StallCause, BlameLeaf, u64)],
+    ) -> CriticalProfile {
+        let mut ledger = CausalLedger::new(4);
+        for now in 0..fired {
+            ledger.fire(now);
+        }
+        for &(cause, leaf, n) in stalls {
+            ledger.charge(BlamePhase::Steady, cause, leaf, n);
+        }
+        ledger.critical(read_latency)
+    }
 
     const NO_B: StallCause = StallCause::NoOperand(OperandPort::B);
     const BC_A: StallCause = StallCause::BankConflict(OperandPort::A);
@@ -411,56 +382,9 @@ mod tests {
     }
 
     #[test]
-    fn record_n_matches_repeated_records() {
-        let mut bulk = CriticalProfile::new(4);
-        let mut single = CriticalProfile::new(4);
-        bulk.record_stall_n(NO_B, BlameLeaf::Bank(1), 9);
-        bulk.record_fire_n(3);
-        bulk.record_stall_n(BC_A, BlameLeaf::Bank(0), 0);
-        for _ in 0..9 {
-            single.record_stall(NO_B, BlameLeaf::Bank(1));
-        }
-        for _ in 0..3 {
-            single.record_fire();
-        }
-        assert_eq!(bulk, single);
-        assert_eq!(bulk.path_length(), 12);
-        assert_eq!(bulk.on_path(CritClass::MemLatency), 9);
-    }
-
-    #[test]
-    fn conserves_against_matching_attribution() {
-        let mut att = StallAttribution::new();
-        let mut crit = CriticalProfile::new(4);
-        for _ in 0..5 {
-            att.record_fire();
-            crit.record_fire();
-        }
-        att.record_stall_n(NO_B, 3);
-        crit.record_stall_n(NO_B, BlameLeaf::Bank(2), 2);
-        crit.record_stall(NO_B, BlameLeaf::Agu);
-        att.record_stall(BC_A);
-        crit.record_stall(BC_A, BlameLeaf::Bank(0));
-        att.record_stall(StallCause::Drain);
-        crit.record_stall(StallCause::Drain, BlameLeaf::Flush);
-        assert!(crit.conserves(&att));
-        assert_eq!(crit.path_length(), att.total_cycles());
-
-        // A cycle charged under the wrong class breaks the refinement even
-        // when the totals still agree.
-        let mut skewed = crit.clone();
-        skewed.counts[CritClass::MemLatency.index()] -= 1;
-        skewed.counts[CritClass::BankConflict.index()] += 1;
-        assert!(!skewed.conserves(&att));
-    }
-
-    #[test]
     fn merge_requires_matching_latency_and_accumulates() {
-        let mut a = CriticalProfile::new(4);
-        a.record_fire();
-        let mut b = CriticalProfile::new(4);
-        b.record_stall(NO_B, BlameLeaf::Bank(0));
-        a.merge(&b);
+        let mut a = profile(4, 1, &[]);
+        a.merge(&profile(4, 0, &[(NO_B, BlameLeaf::Bank(0), 1)]));
         assert_eq!(a.path_length(), 2);
         assert_eq!(a.on_path(CritClass::MemLatency), 1);
     }
@@ -474,14 +398,18 @@ mod tests {
 
     #[test]
     fn what_ifs_project_from_the_composition() {
-        let mut crit = CriticalProfile::new(16);
-        crit.record_fire_n(100);
-        crit.record_stall_n(NO_B, BlameLeaf::Bank(0), 160);
-        crit.record_stall_n(BC_A, BlameLeaf::Bank(1), 7);
-        crit.record_stall_n(
-            StallCause::WritebackBackpressure,
-            BlameLeaf::Unattributed,
-            5,
+        let crit = profile(
+            16,
+            100,
+            &[
+                (NO_B, BlameLeaf::Bank(0), 160),
+                (BC_A, BlameLeaf::Bank(1), 7),
+                (
+                    StallCause::WritebackBackpressure,
+                    BlameLeaf::Unattributed,
+                    5,
+                ),
+            ],
         );
         let what_ifs = crit.what_ifs();
         let by_name = |name: &str| {
@@ -511,8 +439,7 @@ mod tests {
 
     #[test]
     fn latency_one_projection_is_a_noop() {
-        let mut crit = CriticalProfile::new(1);
-        crit.record_stall_n(NO_B, BlameLeaf::Bank(0), 40);
+        let crit = profile(1, 0, &[(NO_B, BlameLeaf::Bank(0), 40)]);
         let latency = crit.what_ifs()[0];
         assert_eq!(latency.name, "read-latency->1");
         assert_eq!(latency.delta, 0);
@@ -521,9 +448,7 @@ mod tests {
 
     #[test]
     fn json_is_deterministic_and_carries_all_classes() {
-        let mut crit = CriticalProfile::new(4);
-        crit.record_fire();
-        crit.record_stall(NO_B, BlameLeaf::Bank(1));
+        let crit = profile(4, 1, &[(NO_B, BlameLeaf::Bank(1), 1)]);
         let json = crit.to_json();
         assert_eq!(json.to_json(), crit.clone().to_json().to_json());
         assert_eq!(json.get("path").unwrap().as_u64(), Some(2));

@@ -19,12 +19,15 @@
 //! * [`trace`] — an optional, cheap typed event trace for pipelines;
 //! * [`stall`] — the per-cycle stall-cause taxonomy and attribution used to
 //!   explain the paper's ablation deltas;
-//! * [`blame`] — the causal blame-chain profile nested under that taxonomy:
-//!   per-phase, per-component-instance charging of every stalled cycle with
-//!   an exact conservation contract against [`StallAttribution`];
+//! * [`blame`] — the blame-chain taxonomy nested under it: run phases and
+//!   the component-instance leaves a stalled cycle is charged to;
+//! * [`ledger`] — the [`CausalLedger`], the one per-cycle record of fires
+//!   and `(phase, cause, leaf)` stalls, and the views derived from it
+//!   (per-cause [`StallAttribution`], per-port split, blame tree, critical
+//!   path);
 //! * [`critical`] — critical-path extraction over the token-level causal
-//!   DAG, folded online into O(1) state: per-resource on-path composition
-//!   and validated what-if projections;
+//!   DAG, folded into a per-resource on-path composition with validated
+//!   what-if projections;
 //! * [`forward`] — the deterministic fast-forward scheduler: conservative
 //!   [`NextActivity`] horizons, span folding, and the debug-build
 //!   [`SpanCheck`] that catches optimistic horizons;
@@ -58,6 +61,7 @@ pub mod forward;
 pub mod hash;
 pub mod histogram;
 pub mod json;
+pub mod ledger;
 pub mod metrics;
 pub mod perfetto;
 pub mod period;
@@ -67,7 +71,7 @@ pub mod stats;
 pub mod trace;
 
 pub use arbiter::RoundRobinArbiter;
-pub use blame::{BlameLeaf, BlamePhase, BlameProfile, BlameTree};
+pub use blame::{BlameLeaf, BlamePhase};
 pub use critical::{CritClass, CriticalProfile, WhatIf};
 pub use cycle::Cycle;
 pub use fifo::{Fifo, ReservedSlot};
@@ -75,6 +79,7 @@ pub use forward::{FastForward, NextActivity, SpanCheck};
 pub use hash::StableHasher;
 pub use histogram::LatencyHistogram;
 pub use json::{JsonError, JsonValue};
+pub use ledger::CausalLedger;
 pub use metrics::{Instrumented, MetricValue, MetricsRegistry};
 pub use period::{is_periodic_with, minimal_period};
 pub use rng::SplitMix64;

@@ -5,7 +5,8 @@
 //! round-trip is exposed, requests losing bank arbitration, the writeback
 //! path pushing back, or the tail-end drain after the last compute step.
 //! [`StallAttribution`] classifies every non-firing cycle into that taxonomy
-//! so a run can report `fired + Σ stalls == total cycles` exactly.
+//! so a run can report `fired + Σ stalls == total cycles` exactly. It is the
+//! per-cause view of the [`CausalLedger`](crate::CausalLedger).
 
 use std::fmt;
 
@@ -25,6 +26,20 @@ pub enum Port {
 }
 
 impl Port {
+    /// Every port, in reporting order.
+    pub const ALL: [Port; 4] = [Port::A, Port::B, Port::C, Port::Out];
+
+    /// The read operand port this is, or `None` for the writeback port.
+    #[must_use]
+    pub fn operand(self) -> Option<OperandPort> {
+        match self {
+            Port::A => Some(OperandPort::A),
+            Port::B => Some(OperandPort::B),
+            Port::C => Some(OperandPort::C),
+            Port::Out => None,
+        }
+    }
+
     /// Short label (`"A"`, `"B"`, `"C"`, `"OUT"`).
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -59,6 +74,12 @@ impl OperandPort {
     #[must_use]
     pub fn label(self) -> &'static str {
         self.port().label()
+    }
+
+    /// Dense index in [`OperandPort::ALL`] order, for port-indexed arrays.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
     }
 
     /// The corresponding general [`Port`].
@@ -153,51 +174,34 @@ impl fmt::Display for StallCause {
 }
 
 /// Classification of every cycle of a compute phase: fired, or stalled for
-/// exactly one [`StallCause`].
+/// exactly one [`StallCause`]. Built by
+/// [`CausalLedger::attribution`](crate::CausalLedger::attribution).
 ///
 /// # Examples
 ///
 /// ```
-/// use dm_sim::{OperandPort, StallAttribution, StallCause};
+/// use dm_sim::{BlameLeaf, BlamePhase, CausalLedger, OperandPort, StallCause};
 ///
-/// let mut att = StallAttribution::new();
-/// att.record_fire();
-/// att.record_stall(StallCause::NoOperand(OperandPort::A));
-/// att.record_stall(StallCause::Drain);
+/// let mut ledger = CausalLedger::new(4);
+/// ledger.fire(0);
+/// ledger.charge(BlamePhase::Steady, StallCause::NoOperand(OperandPort::A), BlameLeaf::Agu, 1);
+/// ledger.charge(BlamePhase::Drain, StallCause::Drain, BlameLeaf::Flush, 1);
+/// let att = ledger.attribution();
 /// assert_eq!(att.total_cycles(), 3);
 /// assert_eq!(att.stalled(), 2);
 /// assert_eq!(att.count(StallCause::Drain), 1);
 /// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StallAttribution {
-    fired: u64,
-    counts: [u64; StallCause::ALL.len()],
+    pub(crate) fired: u64,
+    pub(crate) counts: [u64; StallCause::ALL.len()],
 }
 
 impl StallAttribution {
-    /// Creates an empty attribution.
+    /// Creates an empty attribution (the identity of [`merge`](Self::merge)).
     #[must_use]
     pub fn new() -> Self {
         StallAttribution::default()
-    }
-
-    /// Records one firing cycle.
-    pub fn record_fire(&mut self) {
-        self.fired += 1;
-    }
-
-    /// Records one stalled cycle with its cause.
-    pub fn record_stall(&mut self, cause: StallCause) {
-        self.counts[cause.index()] += 1;
-    }
-
-    /// Records `n` stalled cycles sharing one cause in O(1).
-    ///
-    /// The fast-forward engine proves the stall cause is constant across a
-    /// skipped span and attributes the whole span at once; the result is
-    /// bit-identical to `n` calls to [`record_stall`](Self::record_stall).
-    pub fn record_stall_n(&mut self, cause: StallCause, n: u64) {
-        self.counts[cause.index()] += n;
     }
 
     /// Cycles the PE array fired.
@@ -296,16 +300,30 @@ impl fmt::Display for StallAttribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blame::{BlameLeaf, BlamePhase};
+    use crate::ledger::CausalLedger;
+
+    /// An attribution with `fired` fires and the given per-cause stalls.
+    fn attribution(fired: u64, stalls: &[(StallCause, u64)]) -> StallAttribution {
+        let mut ledger = CausalLedger::new(1);
+        for now in 0..fired {
+            ledger.fire(now);
+        }
+        for &(cause, n) in stalls {
+            ledger.charge(BlamePhase::Steady, cause, BlameLeaf::Unattributed, n);
+        }
+        ledger.attribution()
+    }
 
     #[test]
     fn accounting_is_exact() {
-        let mut att = StallAttribution::new();
-        for _ in 0..10 {
-            att.record_fire();
-        }
-        att.record_stall(StallCause::BankConflict(OperandPort::B));
-        att.record_stall(StallCause::BankConflict(OperandPort::B));
-        att.record_stall(StallCause::WritebackBackpressure);
+        let att = attribution(
+            10,
+            &[
+                (StallCause::BankConflict(OperandPort::B), 2),
+                (StallCause::WritebackBackpressure, 1),
+            ],
+        );
         assert_eq!(att.fired(), 10);
         assert_eq!(att.stalled(), 3);
         assert_eq!(att.total_cycles(), 13);
@@ -315,23 +333,14 @@ mod tests {
     }
 
     #[test]
-    fn bulk_stall_recording_matches_repeated_single_records() {
-        let mut bulk = StallAttribution::new();
-        let mut single = StallAttribution::new();
-        bulk.record_stall_n(StallCause::NoOperand(OperandPort::B), 17);
-        bulk.record_stall_n(StallCause::Drain, 0);
-        for _ in 0..17 {
-            single.record_stall(StallCause::NoOperand(OperandPort::B));
-        }
-        assert_eq!(bulk, single);
-        assert_eq!(bulk.total_cycles(), 17);
-    }
-
-    #[test]
     fn breakdown_lists_nonzero_causes_in_order() {
-        let mut att = StallAttribution::new();
-        att.record_stall(StallCause::Drain);
-        att.record_stall(StallCause::NoOperand(OperandPort::A));
+        let att = attribution(
+            0,
+            &[
+                (StallCause::Drain, 1),
+                (StallCause::NoOperand(OperandPort::A), 1),
+            ],
+        );
         let causes: Vec<_> = att.breakdown().into_iter().map(|(c, _)| c).collect();
         assert_eq!(
             causes,
@@ -341,12 +350,8 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = StallAttribution::new();
-        a.record_fire();
-        a.record_stall(StallCause::Drain);
-        let mut b = StallAttribution::new();
-        b.record_stall(StallCause::Drain);
-        a.merge(&b);
+        let mut a = attribution(1, &[(StallCause::Drain, 1)]);
+        a.merge(&attribution(0, &[(StallCause::Drain, 1)]));
         assert_eq!(a.count(StallCause::Drain), 2);
         assert_eq!(a.total_cycles(), 3);
     }
@@ -378,11 +383,17 @@ mod tests {
     }
 
     #[test]
+    fn ports_round_trip_through_operand_ports() {
+        for (i, p) in OperandPort::ALL.iter().enumerate() {
+            assert_eq!(p.index(), i);
+            assert_eq!(p.port().operand(), Some(*p));
+        }
+        assert_eq!(Port::Out.operand(), None);
+    }
+
+    #[test]
     fn json_reports_all_causes() {
-        let mut att = StallAttribution::new();
-        att.record_fire();
-        att.record_stall(StallCause::Drain);
-        let json = att.to_json();
+        let json = attribution(1, &[(StallCause::Drain, 1)]).to_json();
         assert_eq!(json.get("fired").unwrap().as_u64(), Some(1));
         assert_eq!(json.get("drain").unwrap().as_u64(), Some(1));
         assert_eq!(json.get("no-operand(A)").unwrap().as_u64(), Some(0));
@@ -390,10 +401,7 @@ mod tests {
 
     #[test]
     fn display_mentions_every_nonzero_cause() {
-        let mut att = StallAttribution::new();
-        att.record_fire();
-        att.record_stall(StallCause::BankConflict(OperandPort::A));
-        let text = att.to_string();
+        let text = attribution(1, &[(StallCause::BankConflict(OperandPort::A), 1)]).to_string();
         assert!(text.contains("bank-conflict(A)"));
         assert!(!text.contains("drain"));
     }

@@ -40,9 +40,7 @@ pub use copy_engine::{CopyEngine, CopyStats};
 pub use error::SystemError;
 pub use pool::{run_pool, PoolReport};
 pub use provenance::Provenance;
-pub use system::{
-    run_compiled, run_workload, HostTimings, RunReport, StallBreakdown, SystemConfig,
-};
+pub use system::{run_compiled, run_workload, HostTimings, RunReport, SystemConfig};
 
 #[cfg(test)]
 mod tests {
@@ -182,7 +180,7 @@ mod tests {
         let report = run_workload(&small_system(), &data).unwrap();
         assert_eq!(
             report.compute_cycles,
-            report.active_cycles + report.stalls.total()
+            report.active_cycles + report.ledger.stalled()
         );
         assert_eq!(
             report.total_cycles(),

@@ -7,9 +7,8 @@ use dm_accel::{GemmArrayConfig, GemmDatapath, Quantizer};
 use dm_compiler::{compile, BufferDepths, CompiledWorkload, FeatureSet};
 use dm_mem::{Addr, AddressRemapper, MemConfig, MemorySubsystem};
 use dm_sim::{
-    BlameLeaf, BlamePhase, BlameProfile, CriticalProfile, FastForward, Instrumented,
-    MetricsRegistry, NextActivity, OperandPort, Port, StallAttribution, StallCause, Trace,
-    TraceEventKind, TraceMode,
+    BlameLeaf, BlamePhase, CausalLedger, CriticalProfile, FastForward, Instrumented,
+    MetricsRegistry, NextActivity, OperandPort, Port, StallCause, Trace, TraceEventKind, TraceMode,
 };
 use dm_workloads::{Workload, WorkloadData};
 use std::time::Instant;
@@ -96,40 +95,6 @@ impl SystemConfig {
     pub fn with_features(mut self, features: FeatureSet) -> Self {
         self.features = features;
         self
-    }
-}
-
-/// Why the accelerator could not fire on a given cycle.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StallBreakdown {
-    /// A operand not ready.
-    pub a: u64,
-    /// B operand not ready (A was).
-    pub b: u64,
-    /// C operand not ready (A and B were).
-    pub c: u64,
-    /// Output port back-pressured (everything else ready), or the write
-    /// path still flushing after the last fire (drain).
-    pub out: u64,
-}
-
-impl StallBreakdown {
-    /// Charges `n` stalled cycles to the port the handshake blocked on.
-    /// Drain cycles belong to the write path whichever port blocked, as in
-    /// the blame profile.
-    fn charge(&mut self, port: Port, drained: bool, n: u64) {
-        match if drained { Port::Out } else { port } {
-            Port::A => self.a += n,
-            Port::B => self.b += n,
-            Port::C => self.c += n,
-            Port::Out => self.out += n,
-        }
-    }
-
-    /// Total stall cycles.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.a + self.b + self.c + self.out
     }
 }
 
@@ -244,8 +209,6 @@ pub struct RunReport {
     pub compute_cycles: u64,
     /// Cycles the PE array actually fired.
     pub active_cycles: u64,
-    /// Why it did not fire on the other cycles.
-    pub stalls: StallBreakdown,
     /// Granted word reads.
     pub mem_reads: u64,
     /// Granted word writes.
@@ -258,18 +221,19 @@ pub struct RunReport {
     pub per_bank_accesses: Vec<u64>,
     /// Whether the output was verified against the golden reference.
     pub checked: bool,
-    /// Classification of every compute-phase cycle: fired or stalled, with
-    /// the stall cause taxonomy (`fired + stalled == compute_cycles`).
-    pub attribution: StallAttribution,
-    /// Causal blame profile: every stalled cycle charged to one component
-    /// instance (bank, AGU, sync gate, flush) under its [`StallCause`],
-    /// segmented into fill/steady/drain phases. Conserves [`Self::attribution`]
-    /// exactly: per cause, `Σ blame leaves == attribution count`.
-    pub blame: BlameProfile,
+    /// Why the PE array did or did not fire on each compute cycle: fires,
+    /// plus every stalled cycle charged to one component instance (bank,
+    /// AGU, sync gate, flush) under its [`StallCause`] and fill/steady/drain
+    /// phase (`fired + stalled == compute_cycles`). The per-cause
+    /// ([`CausalLedger::attribution`]) and per-port
+    /// ([`CausalLedger::port_stalls`]) splits and the blame tree
+    /// ([`CausalLedger::to_json`]) are views of it.
+    pub ledger: CausalLedger,
     /// Critical-path composition: every compute cycle charged to the
     /// resource whose dependency edge bound it, plus what-if projections.
-    /// Path length equals [`Self::compute_cycles`] and the composition
-    /// refines [`Self::attribution`] ([`CriticalProfile::conserves`]).
+    /// Derived once from [`Self::ledger`] at the end of the run
+    /// ([`CausalLedger::critical`]); its path length equals
+    /// [`Self::compute_cycles`].
     pub critical: CriticalProfile,
     /// Snapshot of every instrumented component's metrics, keyed by dotted
     /// component path (`mem.conflicts`, `streamer.A.ch0.granted`, …).
@@ -311,47 +275,32 @@ impl RunReport {
     }
 }
 
-/// Read-only mirror of the compute loop's PE handshake: the port that would
-/// block this cycle and the stall cause that would be recorded, or `None`
-/// if the array would fire. Must stay in exact lockstep with the handshake
-/// chain in [`run_compiled`]; the fast-forward engine uses it to prove that
-/// a span of cycles would all stall identically before folding them.
-fn pe_would_stall(
-    a: &ReadStreamer,
-    b: &ReadStreamer,
-    c: &ReadStreamer,
+/// Perfetto track names of the operand readers, in [`OperandPort`] order.
+const READER_TRACKS: [&str; 3] = ["streamer-A", "streamer-B", "streamer-C"];
+
+/// The PE handshake: the port that blocks this cycle and the stall cause it
+/// records, or `None` if the array fires. The array fires when every
+/// operand port it needs is valid and, on tile-completing steps, the output
+/// port is ready. The lockstep iteration and the fast-forward span proof
+/// both ask this one function.
+fn handshake(
+    readers: &[ReadStreamer; 3],
     out: &WriteStreamer,
     needs_c: bool,
     produces: bool,
     drained: bool,
 ) -> Option<(Port, StallCause)> {
-    let operand_cause = |blocked: &ReadStreamer, port: OperandPort| {
-        if drained {
-            StallCause::Drain
-        } else if blocked.lost_arbitration() {
-            StallCause::BankConflict(port)
-        } else {
-            StallCause::NoOperand(port)
-        }
+    let blocked = OperandPort::ALL
+        .into_iter()
+        .filter(|&port| port != OperandPort::C || needs_c)
+        .find(|&port| !readers[port.index()].can_pop_wide());
+    let (port, cause) = match blocked {
+        Some(p) if readers[p.index()].lost_arbitration() => (p.port(), StallCause::BankConflict(p)),
+        Some(p) => (p.port(), StallCause::NoOperand(p)),
+        None if produces && !out.can_push_wide() => (Port::Out, StallCause::WritebackBackpressure),
+        None => return None,
     };
-    if !a.can_pop_wide() {
-        Some((Port::A, operand_cause(a, OperandPort::A)))
-    } else if !b.can_pop_wide() {
-        Some((Port::B, operand_cause(b, OperandPort::B)))
-    } else if needs_c && !c.can_pop_wide() {
-        Some((Port::C, operand_cause(c, OperandPort::C)))
-    } else if produces && !out.can_push_wide() {
-        Some((
-            Port::Out,
-            if drained {
-                StallCause::Drain
-            } else {
-                StallCause::WritebackBackpressure
-            },
-        ))
-    } else {
-        None
-    }
+    Some((port, if drained { StallCause::Drain } else { cause }))
 }
 
 /// Resolves the component-instance blame leaf for one stalled cycle by
@@ -363,30 +312,43 @@ fn pe_would_stall(
 /// tail flush otherwise.
 fn blame_leaf_for(
     cause: StallCause,
-    a: &ReadStreamer,
-    b: &ReadStreamer,
-    c: &ReadStreamer,
+    readers: &[ReadStreamer; 3],
     out: &WriteStreamer,
     mem: &MemorySubsystem,
 ) -> BlameLeaf {
     match cause {
-        StallCause::NoOperand(p) | StallCause::BankConflict(p) => match p {
-            OperandPort::A => a.blame_leaf(mem),
-            OperandPort::B => b.blame_leaf(mem),
-            OperandPort::C => c.blame_leaf(mem),
-        },
-        StallCause::WritebackBackpressure => out.blame_leaf(),
-        StallCause::Drain => {
-            if out.can_push_wide() {
-                BlameLeaf::Flush
-            } else {
-                match out.blame_leaf() {
-                    BlameLeaf::Unattributed => BlameLeaf::Flush,
-                    leaf => leaf,
-                }
-            }
+        StallCause::NoOperand(p) | StallCause::BankConflict(p) => {
+            readers[p.index()].blame_leaf(mem)
         }
+        StallCause::WritebackBackpressure => out.blame_leaf(),
+        StallCause::Drain if out.can_push_wide() => BlameLeaf::Flush,
+        StallCause::Drain => match out.blame_leaf() {
+            BlameLeaf::Unattributed => BlameLeaf::Flush,
+            leaf => leaf,
+        },
     }
+}
+
+/// Activity digests of every component a fast-forward span must leave
+/// frozen, for the debug-build [`dm_sim::SpanCheck`].
+#[cfg(debug_assertions)]
+fn activity_digests(
+    readers: &[ReadStreamer; 3],
+    out: &WriteStreamer,
+    mem: &MemorySubsystem,
+    datapath: &GemmDatapath,
+    quant: &Quantizer,
+) -> Vec<(&'static str, u64)> {
+    READER_TRACKS
+        .into_iter()
+        .zip(readers.iter().map(NextActivity::activity_digest))
+        .chain([
+            ("streamer-OUT", out.activity_digest()),
+            ("mem", mem.activity_digest()),
+            ("datapath", datapath.activity_digest()),
+            ("quantizer", quant.activity_digest()),
+        ])
+        .collect()
 }
 
 /// Compiles and runs one workload on the configured system.
@@ -442,37 +404,27 @@ pub fn run_compiled(
     mem.set_read_latency(config.read_latency.max(1));
     let mut copier = CopyEngine::new(&mut mem, 4);
     copier.set_fast_forward(config.fast_forward);
-    let mut a = ReadStreamer::new(&program.a.design, &program.a.runtime, &mut mem)?;
-    let mut b = ReadStreamer::new(&program.b.design, &program.b.runtime, &mut mem)?;
-    let mut c = ReadStreamer::new(&program.c.design, &program.c.runtime, &mut mem)?;
+    // The operand readers, indexed by `OperandPort`, plus the one writer.
+    let [plan_a, plan_b, plan_c] = [&program.a, &program.b, &program.c]
+        .map(|plan| ReadStreamer::new(&plan.design, &plan.runtime, &mut mem));
+    let mut readers = [plan_a?, plan_b?, plan_c?];
     let mut out = WriteStreamer::new(&program.out.design, &program.out.runtime, &mut mem)?;
     let mut sys_trace = config.trace.build();
     if config.trace != TraceMode::Off {
         mem.set_trace_mode(config.trace);
         mem.set_flow_events(config.flow_events);
-        a.set_trace_mode(config.trace);
-        b.set_trace_mode(config.trace);
-        c.set_trace_mode(config.trace);
+        for reader in &mut readers {
+            reader.set_trace_mode(config.trace);
+        }
         out.set_trace_mode(config.trace);
     }
 
     // Response routing table: requester index → consuming reader.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Route {
-        None,
-        A,
-        B,
-        C,
-    }
-    let mut routes = vec![Route::None; mem.num_requesters()];
-    for id in a.channel_requesters() {
-        routes[id.index()] = Route::A;
-    }
-    for id in b.channel_requesters() {
-        routes[id.index()] = Route::B;
-    }
-    for id in c.channel_requesters() {
-        routes[id.index()] = Route::C;
+    let mut routes: Vec<Option<OperandPort>> = vec![None; mem.num_requesters()];
+    for port in OperandPort::ALL {
+        for id in readers[port.index()].channel_requesters() {
+            routes[id.index()] = Some(port);
+        }
     }
 
     // Host preload (not simulated; the paper's utilization metric covers
@@ -509,10 +461,7 @@ pub fn run_compiled(
         config.array.n_unroll,
         program.rescale,
     );
-    let mut stalls = StallBreakdown::default();
-    let mut attribution = StallAttribution::new();
-    let mut blame = BlameProfile::new(config.mem.num_banks());
-    let mut critical = CriticalProfile::new(config.read_latency.max(1));
+    let mut ledger = CausalLedger::new(config.mem.num_banks());
     let mut compute_cycles = 0u64;
     let mut active_cycles = 0u64;
     let mut fire_cycles = Vec::new();
@@ -526,26 +475,38 @@ pub fn run_compiled(
     let loop_start = config.time_phases.then(Instant::now);
     // Tracing needs every per-cycle timestamp, so traced runs stay lockstep.
     let ff_active = config.fast_forward && config.trace == TraceMode::Off;
-    while !(a.is_done() && b.is_done() && c.is_done() && out.is_done()) {
+    while !(readers.iter().all(ReadStreamer::is_done) && out.is_done()) {
         clock.start();
+        // Once every compute step has fired, remaining cycles only flush the
+        // write path: the input FIFOs are legitimately empty, not starved.
+        let drained = active_cycles == program.total_steps();
+        // Phase segmentation: fill until the first fire, drain once every
+        // compute step has issued, steady in between. Derived from loop
+        // state only, so fast-forwarded and lockstep runs agree exactly.
+        let phase = if ledger.fired() == 0 {
+            BlamePhase::Fill
+        } else if drained {
+            BlamePhase::Drain
+        } else {
+            BlamePhase::Steady
+        };
         if ff_active {
             let now = mem.cycle();
             // A cycle is skippable iff no streamer can act on its own, the
             // PE handshake would stall, and no memory response lands this
             // cycle. In that state the whole iteration reduces to occupancy
-            // sampling plus one stall tally — replayable in O(1) for the
+            // sampling plus one ledger charge — replayable in O(1) for the
             // entire span up to the next response's due cycle.
-            let all_idle = a.next_activity(now).is_none()
-                && b.next_activity(now).is_none()
-                && c.next_activity(now).is_none()
+            let all_idle = readers.iter().all(|r| r.next_activity(now).is_none())
                 && out.next_activity(now).is_none();
             if all_idle {
-                let needs_c = datapath.needs_c();
-                let produces = datapath.produces_d();
-                let drained = active_cycles == program.total_steps();
-                if let Some((port, cause)) =
-                    pe_would_stall(&a, &b, &c, &out, needs_c, produces, drained)
-                {
+                if let Some((_, cause)) = handshake(
+                    &readers,
+                    &out,
+                    datapath.needs_c(),
+                    datapath.produces_d(),
+                    drained,
+                ) {
                     // Cap so a wedged system fast-forwards to the exact
                     // deadlock diagnostic lockstep would produce.
                     let cap = budget + 1 - compute_cycles;
@@ -553,64 +514,26 @@ pub fn run_compiled(
                     // A span of one saves nothing over a lockstep iteration.
                     if span >= 2 {
                         #[cfg(debug_assertions)]
-                        let check = dm_sim::SpanCheck::capture([
-                            ("streamer-A", a.activity_digest()),
-                            ("streamer-B", b.activity_digest()),
-                            ("streamer-C", c.activity_digest()),
-                            ("streamer-OUT", out.activity_digest()),
-                            ("mem", mem.activity_digest()),
-                            ("datapath", datapath.activity_digest()),
-                            ("quantizer", quant.activity_digest()),
-                        ]);
-                        a.sample_occupancy_span(span);
-                        b.sample_occupancy_span(span);
-                        c.sample_occupancy_span(span);
+                        let check = dm_sim::SpanCheck::capture(activity_digests(
+                            &readers, &out, &mem, &datapath, &quant,
+                        ));
+                        for reader in &mut readers {
+                            reader.sample_occupancy_span(span);
+                        }
                         out.sample_occupancy_span(span);
-                        stalls.charge(port, drained, span);
-                        attribution.record_stall_n(cause, span);
                         // The blame walk reads only state the span check
                         // proves frozen (and the due-ordered in-flight
                         // queue, untouched until after the span), so the
-                        // leaf is constant across the span: one O(1)
-                        // replay is bit-identical to per-cycle recording.
-                        let phase = if attribution.fired() == 0 {
-                            BlamePhase::Fill
-                        } else if drained {
-                            BlamePhase::Drain
-                        } else {
-                            BlamePhase::Steady
-                        };
-                        let leaf = blame_leaf_for(cause, &a, &b, &c, &out, &mem);
-                        blame.record_n(phase, cause, leaf, span);
-                        // Same frozen-state argument: the binding critical
-                        // edge is a pure function of (cause, leaf), so the
-                        // whole span charges one class in O(1).
-                        critical.record_stall_n(cause, leaf, span);
+                        // leaf is constant across the span: one charge is
+                        // bit-identical to per-cycle charging.
+                        let leaf = blame_leaf_for(cause, &readers, &out, &mem);
+                        ledger.charge(phase, cause, leaf, span);
                         mem.advance_idle(span);
                         compute_cycles += span;
                         #[cfg(debug_assertions)]
-                        check.assert_unchanged([
-                            ("streamer-A", a.activity_digest()),
-                            ("streamer-B", b.activity_digest()),
-                            ("streamer-C", c.activity_digest()),
-                            ("streamer-OUT", out.activity_digest()),
-                            ("mem", mem.activity_digest()),
-                            ("datapath", datapath.activity_digest()),
-                            ("quantizer", quant.activity_digest()),
-                        ]);
-                        debug_assert_eq!(
-                            attribution.total_cycles(),
-                            compute_cycles,
-                            "stall attribution must classify every compute cycle"
-                        );
-                        debug_assert!(
-                            blame.conserves(&attribution),
-                            "blame profile must conserve the stall attribution"
-                        );
-                        debug_assert!(
-                            critical.conserves(&attribution),
-                            "critical-path composition must refine the stall attribution"
-                        );
+                        check.assert_unchanged(activity_digests(
+                            &readers, &out, &mem, &datapath, &quant,
+                        ));
                         clock.lap(Phase::Fastforward);
                         if compute_cycles > budget {
                             return Err(SystemError::Deadlock {
@@ -626,130 +549,62 @@ pub fn run_compiled(
             // overhead, not streamer/memory/PE work.
             clock.lap(Phase::Fastforward);
         }
-        a.begin_cycle();
-        b.begin_cycle();
-        c.begin_cycle();
+        for reader in &mut readers {
+            reader.begin_cycle();
+        }
         clock.lap(Phase::Streamers);
         mem.drain_responses(|resp| match routes[resp.requester.index()] {
-            Route::A => a.accept_response(resp),
-            Route::B => b.accept_response(resp),
-            Route::C => c.accept_response(resp),
-            Route::None => unreachable!("response for a write/copy port"),
+            Some(port) => readers[port.index()].accept_response(resp),
+            None => unreachable!("response for a write/copy port"),
         });
         clock.lap(Phase::Memory);
-        // The accelerator handshake: fire when all operand ports are valid
-        // and the output port is ready (on tile-completing steps).
         let needs_c = datapath.needs_c();
-        let produces = datapath.produces_d();
         let now = mem.cycle();
-        // Once every compute step has fired, remaining cycles only flush the
-        // write path: the input FIFOs are legitimately empty, not starved.
-        let drained = active_cycles == program.total_steps();
-        // Phase segmentation: fill until the first fire, drain once every
-        // compute step has issued, steady in between. Derived from loop
-        // state only, so fast-forwarded and lockstep runs agree exactly.
-        let blame_phase = if attribution.fired() == 0 {
-            BlamePhase::Fill
-        } else if drained {
-            BlamePhase::Drain
-        } else {
-            BlamePhase::Steady
-        };
-        let operand_cause = |blocked: &ReadStreamer, port: OperandPort| {
-            if drained {
-                StallCause::Drain
-            } else if blocked.lost_arbitration() {
-                StallCause::BankConflict(port)
-            } else {
-                StallCause::NoOperand(port)
+        match handshake(&readers, &out, needs_c, datapath.produces_d(), drained) {
+            None => {
+                ledger.fire(now.get());
+                if config.record_fire_cycles {
+                    fire_cycles.push(now.get());
+                }
+                sys_trace.emit(now, "pe", TraceEventKind::PeFire);
+                let [op_a, op_b, op_c] = &mut readers;
+                let (a_word, b_word) = (op_a.pop_wide(), op_b.pop_wide());
+                let c_word = needs_c.then(|| op_c.pop_wide());
+                if let Some(d_tile) = datapath.step(a_word, b_word, c_word) {
+                    let out_word = if config.quantized {
+                        quant.process(d_tile)
+                    } else {
+                        d_tile
+                    };
+                    out.push_wide(out_word);
+                    tiles_done += 1;
+                }
+                active_cycles += 1;
             }
-        };
-        let mut cause = None;
-        let fire = if !a.can_pop_wide() {
-            stalls.charge(Port::A, drained, 1);
-            cause = Some(operand_cause(&a, OperandPort::A));
-            a.note_consumer_blocked(now);
-            false
-        } else if !b.can_pop_wide() {
-            stalls.charge(Port::B, drained, 1);
-            cause = Some(operand_cause(&b, OperandPort::B));
-            b.note_consumer_blocked(now);
-            false
-        } else if needs_c && !c.can_pop_wide() {
-            stalls.charge(Port::C, drained, 1);
-            cause = Some(operand_cause(&c, OperandPort::C));
-            c.note_consumer_blocked(now);
-            false
-        } else if produces && !out.can_push_wide() {
-            stalls.charge(Port::Out, drained, 1);
-            cause = Some(if drained {
-                StallCause::Drain
-            } else {
-                StallCause::WritebackBackpressure
-            });
-            out.note_producer_blocked(now);
-            false
-        } else {
-            true
-        };
-        if fire {
-            attribution.record_fire();
-            // A firing cycle is steady by definition: the first fire ends
-            // the fill phase, and no fire can happen after drain begins.
-            blame.record_fire(BlamePhase::Steady, now.get());
-            critical.record_fire();
-            if config.record_fire_cycles {
-                fire_cycles.push(now.get());
+            Some((port, cause)) => {
+                match port.operand() {
+                    Some(p) => readers[p.index()].note_consumer_blocked(now),
+                    None => out.note_producer_blocked(now),
+                }
+                let leaf = blame_leaf_for(cause, &readers, &out, &mem);
+                ledger.charge(phase, cause, leaf, 1);
+                sys_trace.emit(now, "pe", TraceEventKind::PeStall { cause });
             }
-            sys_trace.emit(now, "pe", TraceEventKind::PeFire);
-            let a_word = a.pop_wide();
-            let b_word = b.pop_wide();
-            let c_word = needs_c.then(|| c.pop_wide());
-            if let Some(d_tile) = datapath.step(a_word, b_word, c_word) {
-                let out_word = if config.quantized {
-                    quant.process(d_tile)
-                } else {
-                    d_tile
-                };
-                out.push_wide(out_word);
-                tiles_done += 1;
-            }
-            active_cycles += 1;
-        } else {
-            let cause = cause.expect("every non-firing cycle has a stall cause");
-            attribution.record_stall(cause);
-            let leaf = blame_leaf_for(cause, &a, &b, &c, &out, &mem);
-            blame.record(blame_phase, cause, leaf);
-            critical.record_stall(cause, leaf);
-            sys_trace.emit(now, "pe", TraceEventKind::PeStall { cause });
         }
         clock.lap(Phase::Pe);
-        a.generate_and_issue(&mut mem);
-        b.generate_and_issue(&mut mem);
-        c.generate_and_issue(&mut mem);
+        for reader in &mut readers {
+            reader.generate_and_issue(&mut mem);
+        }
         out.generate_and_issue(&mut mem);
         clock.lap(Phase::Streamers);
         let grants = mem.arbitrate();
         clock.lap(Phase::Memory);
-        a.handle_grants(grants);
-        b.handle_grants(grants);
-        c.handle_grants(grants);
+        for reader in &mut readers {
+            reader.handle_grants(grants);
+        }
         out.handle_grants(grants);
         clock.lap(Phase::Streamers);
         compute_cycles += 1;
-        debug_assert_eq!(
-            attribution.total_cycles(),
-            compute_cycles,
-            "stall attribution must classify every compute cycle"
-        );
-        debug_assert!(
-            blame.conserves(&attribution),
-            "blame profile must conserve the stall attribution"
-        );
-        debug_assert!(
-            critical.conserves(&attribution),
-            "critical-path composition must refine the stall attribution"
-        );
         if compute_cycles > budget {
             return Err(SystemError::Deadlock {
                 phase: "compute",
@@ -764,25 +619,16 @@ pub fn run_compiled(
     debug_assert_eq!(tiles_done, program.total_output_tiles);
     debug_assert_eq!(active_cycles, program.total_steps());
     assert_eq!(
-        attribution.fired(),
+        ledger.fired(),
         active_cycles,
-        "attributed fires must match active cycles"
+        "ledger fires must match active cycles"
     );
     assert_eq!(
-        attribution.total_cycles(),
+        ledger.total(),
         compute_cycles,
-        "fired + attributed stalls must cover every compute cycle"
+        "fires plus charged stalls must cover every compute cycle"
     );
-    assert!(
-        blame.conserves(&attribution),
-        "blame profile must charge every attributed stall to exactly one \
-         component leaf under the same cause"
-    );
-    assert!(
-        critical.conserves(&attribution),
-        "critical-path composition must refine the stall attribution class \
-         by class"
-    );
+    let critical = ledger.critical(config.read_latency.max(1));
     assert_eq!(
         critical.path_length(),
         compute_cycles,
@@ -844,6 +690,7 @@ pub fn run_compiled(
                 );
             }
             r.with_scope("stall", |r| {
+                let attribution = ledger.attribution();
                 r.set_counter("fired", attribution.fired());
                 for cause in StallCause::ALL {
                     r.set_counter(cause.label(), attribution.count(cause));
@@ -852,9 +699,9 @@ pub fn run_compiled(
         });
         registry.with_scope("mem", |r| mem.register_metrics(r));
         registry.with_scope("streamer", |r| {
-            r.with_scope("A", |r| a.register_metrics(r));
-            r.with_scope("B", |r| b.register_metrics(r));
-            r.with_scope("C", |r| c.register_metrics(r));
+            for port in OperandPort::ALL {
+                r.with_scope(port.label(), |r| readers[port.index()].register_metrics(r));
+            }
             r.with_scope("OUT", |r| out.register_metrics(r));
         });
     };
@@ -875,14 +722,15 @@ pub fn run_compiled(
     let traces = if config.trace == TraceMode::Off {
         Vec::new()
     } else {
-        vec![
+        let mut traces = vec![
             ("system".to_owned(), sys_trace),
             ("mem".to_owned(), mem.take_trace()),
-            ("streamer-A".to_owned(), a.take_trace()),
-            ("streamer-B".to_owned(), b.take_trace()),
-            ("streamer-C".to_owned(), c.take_trace()),
-            ("streamer-OUT".to_owned(), out.take_trace()),
-        ]
+        ];
+        for (name, reader) in READER_TRACKS.into_iter().zip(&mut readers) {
+            traces.push((name.to_owned(), reader.take_trace()));
+        }
+        traces.push(("streamer-OUT".to_owned(), out.take_trace()));
+        traces
     };
 
     let stats = mem.stats();
@@ -891,6 +739,7 @@ pub fn run_compiled(
         stats.reads.get() + stats.writes.get(),
         "every unique submission must retire exactly once by drain"
     );
+    let [stats_a, stats_b, stats_c] = readers.each_ref().map(|r| *r.stats());
     Ok(RunReport {
         workload: program.workload,
         features: program.features,
@@ -898,14 +747,12 @@ pub fn run_compiled(
         prepass_cycles,
         compute_cycles,
         active_cycles,
-        stalls,
-        attribution,
-        blame,
+        ledger,
         critical,
         mem_reads: stats.reads.get(),
         mem_writes: stats.writes.get(),
         conflicts: stats.conflicts.get(),
-        streamer_stats: [*a.stats(), *b.stats(), *c.stats(), *out.stats()],
+        streamer_stats: [stats_a, stats_b, stats_c, *out.stats()],
         per_bank_accesses: mem.per_bank_accesses().to_vec(),
         metrics,
         traces,

@@ -53,13 +53,14 @@ fn path_invariants_hold_across_groups_steps_and_latencies() {
                 // every fired cycle is on it.
                 assert!(path >= report.active_cycles, "{label}: path < fires");
 
-                // The per-class composition is exhaustive and refines the
-                // stall attribution.
+                // The per-class composition is exhaustive, and exactly the
+                // fired cycles are PE issue.
                 let sum: u64 = CritClass::ALL.iter().map(|&c| crit.on_path(c)).sum();
                 assert_eq!(sum, path, "{label}: composition does not sum to path");
-                assert!(
-                    crit.conserves(&report.attribution),
-                    "{label}: composition does not refine the attribution"
+                assert_eq!(
+                    crit.on_path(CritClass::PeIssue),
+                    report.active_cycles,
+                    "{label}: PE issue != fires"
                 );
                 assert_eq!(crit.read_latency(), latency, "{label}: recorded latency");
 

@@ -15,9 +15,7 @@ fn assert_identical(ff: &RunReport, ls: &RunReport, label: &str) {
     assert_eq!(ff.prepass_cycles, ls.prepass_cycles, "{label}: prepass");
     assert_eq!(ff.compute_cycles, ls.compute_cycles, "{label}: compute");
     assert_eq!(ff.active_cycles, ls.active_cycles, "{label}: active");
-    assert_eq!(ff.stalls, ls.stalls, "{label}: stall breakdown");
-    assert_eq!(ff.attribution, ls.attribution, "{label}: attribution");
-    assert_eq!(ff.blame, ls.blame, "{label}: blame profile");
+    assert_eq!(ff.ledger, ls.ledger, "{label}: causal ledger");
     assert_eq!(ff.critical, ls.critical, "{label}: critical path");
     assert_eq!(
         ff.critical.to_json().to_json(),
@@ -25,9 +23,9 @@ fn assert_identical(ff: &RunReport, ls: &RunReport, label: &str) {
         "{label}: critical JSON bytes"
     );
     assert_eq!(
-        ff.blame.to_json().to_json(),
-        ls.blame.to_json().to_json(),
-        "{label}: blame JSON bytes"
+        ff.ledger.to_json().to_json(),
+        ls.ledger.to_json().to_json(),
+        "{label}: ledger JSON bytes"
     );
     assert_eq!(ff.mem_reads, ls.mem_reads, "{label}: reads");
     assert_eq!(ff.mem_writes, ls.mem_writes, "{label}: writes");
@@ -90,8 +88,7 @@ fn traced_runs_match_untraced_fast_forwarded_runs() {
     )
     .unwrap();
     assert_eq!(ff.compute_cycles, traced.compute_cycles);
-    assert_eq!(ff.stalls, traced.stalls);
-    assert_eq!(ff.attribution, traced.attribution);
+    assert_eq!(ff.ledger, traced.ledger);
     assert!(ff.traces.is_empty());
     assert!(!traced.traces.is_empty());
 }

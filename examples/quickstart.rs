@@ -30,10 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("memory reads        : {} words", report.mem_reads);
     println!("memory writes       : {} words", report.mem_writes);
     println!("bank conflicts      : {}", report.conflicts);
-    println!(
-        "stalls (A/B/C/out)  : {}/{}/{}/{}",
-        report.stalls.a, report.stalls.b, report.stalls.c, report.stalls.out
-    );
+    let [a, b, c, out] = report.ledger.port_stalls().map(|(_, n)| n);
+    println!("stalls (A/B/C/out)  : {a}/{b}/{c}/{out}");
     println!(
         "output verified against the scalar golden model: {}",
         report.checked

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.total_cycles(),
             report.ideal_cycles,
             report.conflicts,
-            report.stalls.a,
+            report.ledger.port_stalls()[0].1,
         );
     }
     println!(

@@ -1,8 +1,8 @@
-//! Cross-crate tests of the causal blame profiler: conservation against
-//! the stall attribution across workload groups, ablation steps and read
-//! latencies; phase segmentation consistency; byte-identical profiles with
-//! fast-forward on and off; and the analyzer cross-check (a configuration
-//! proven conflict-free must carry zero bank-conflict blame).
+//! Cross-crate tests of the causal ledger and its blame view: conservation
+//! against the run's own cycle counters across workload groups, ablation
+//! steps and read latencies; phase segmentation consistency; byte-identical
+//! ledgers with fast-forward on and off; and bank-conflict blame naming
+//! banks.
 
 use datamaestro_repro::compiler::FeatureSet;
 use datamaestro_repro::sim::{BlamePhase, OperandPort, StallCause};
@@ -24,10 +24,10 @@ fn run(cfg: &SystemConfig, workload: Workload, seed: u64) -> RunReport {
 }
 
 /// The acceptance invariant, exhaustively: for every workload group ×
-/// ablation step × read latency, the blame profile charges exactly the
-/// stalls the attribution counted — per cause, hence per port — and counts
-/// exactly the fires, with fast-forward on and off producing byte-identical
-/// profiles.
+/// ablation step × read latency, the ledger counts exactly the fires and
+/// charges exactly the stalled compute cycles, its per-cause and per-port
+/// views cover the same stalls, and fast-forward on and off produce
+/// byte-identical ledgers.
 #[test]
 fn blame_conserves_across_zoo_steps_and_latencies() {
     for step in 1..=6 {
@@ -43,29 +43,26 @@ fn blame_conserves_across_zoo_steps_and_latencies() {
                 let ls = run(&config(false), workload, seed);
                 let label = format!("step {step}, latency {latency}, {workload}");
                 for report in [&ff, &ls] {
-                    assert!(
-                        report.blame.conserves(&report.attribution),
-                        "{label}: conservation"
-                    );
-                    for &cause in &StallCause::ALL {
-                        assert_eq!(
-                            report.blame.cause_total(cause),
-                            report.attribution.count(cause),
-                            "{label}: cause {cause}"
-                        );
-                    }
-                    assert_eq!(report.blame.fired(), report.active_cycles, "{label}: fires");
+                    let ledger = &report.ledger;
+                    assert_eq!(ledger.fired(), report.active_cycles, "{label}: fires");
                     assert_eq!(
-                        report.blame.stalled(),
-                        report.stalls.total(),
+                        ledger.stalled(),
+                        report.compute_cycles - report.active_cycles,
                         "{label}: stalls"
                     );
+                    let per_port: u64 = ledger.port_stalls().iter().map(|&(_, n)| n).sum();
+                    assert_eq!(per_port, ledger.stalled(), "{label}: per-port view");
+                    assert_eq!(
+                        ledger.attribution().stalled(),
+                        ledger.stalled(),
+                        "{label}: per-cause view"
+                    );
                 }
-                assert_eq!(ff.blame, ls.blame, "{label}: profiles");
+                assert_eq!(ff.ledger, ls.ledger, "{label}: ledgers");
                 assert_eq!(
-                    ff.blame.to_json().to_json(),
-                    ls.blame.to_json().to_json(),
-                    "{label}: profile JSON bytes"
+                    ff.ledger.to_json().to_json(),
+                    ls.ledger.to_json().to_json(),
+                    "{label}: ledger JSON bytes"
                 );
             }
         }
@@ -81,7 +78,7 @@ fn phase_segmentation_is_consistent() {
     for step in [1, 5, 6] {
         let cfg = SystemConfig::default().with_features(FeatureSet::ablation_step(step));
         let report = run(&cfg, GemmSpec::new(32, 32, 32).into(), 600);
-        let blame = &report.blame;
+        let blame = &report.ledger;
         assert_eq!(
             blame.fired_in(BlamePhase::Fill),
             0,
@@ -99,7 +96,7 @@ fn phase_segmentation_is_consistent() {
         );
         let phase_cycles: u64 = BlamePhase::ALL
             .iter()
-            .map(|&p| blame.fired_in(p) + blame.phase(p).total())
+            .map(|&p| blame.fired_in(p) + blame.stalled_in(p))
             .sum();
         assert_eq!(
             phase_cycles, report.compute_cycles,
@@ -111,7 +108,7 @@ fn phase_segmentation_is_consistent() {
         // Fill stalled at least one cycle (operands take >= 1 cycle to
         // arrive) and everything the fill phase charged is a stall.
         assert!(
-            blame.phase(BlamePhase::Fill).total() >= 1,
+            blame.stalled_in(BlamePhase::Fill) >= 1,
             "step {step}: fill is nonempty"
         );
     }
@@ -131,13 +128,12 @@ fn bank_conflict_blame_names_banks_and_collapses_at_step_6() {
     );
     let conflict_blame: u64 = OperandPort::ALL
         .iter()
-        .map(|&p| fima.blame.cause_total(StallCause::BankConflict(p)))
+        .map(|&p| fima.ledger.cause_total(StallCause::BankConflict(p)))
         .sum();
     assert!(conflict_blame > 0, "step 5 must see bank-conflict stalls");
     // Every bank-conflict cycle is charged to a concrete bank instance.
     let named: u64 = fima
-        .blame
-        .total()
+        .ledger
         .leaves()
         .iter()
         .filter(|(cause, leaf, _)| {
@@ -158,7 +154,7 @@ fn bank_conflict_blame_names_banks_and_collapses_at_step_6() {
     );
     let after: u64 = OperandPort::ALL
         .iter()
-        .map(|&p| remapped.blame.cause_total(StallCause::BankConflict(p)))
+        .map(|&p| remapped.ledger.cause_total(StallCause::BankConflict(p)))
         .sum();
     assert!(
         after < conflict_blame / 10,
@@ -168,7 +164,8 @@ fn bank_conflict_blame_names_banks_and_collapses_at_step_6() {
 }
 
 /// Blame rides the RunReport JSON surface consumed by the harnesses: the
-/// regress entry carries the subtree and its totals agree with the report.
+/// regress entry carries the subtree and its totals agree with the report's
+/// cycle counters.
 #[test]
 fn blame_json_totals_agree_with_report() {
     let report = run(
@@ -176,7 +173,8 @@ fn blame_json_totals_agree_with_report() {
         GemmSpec::new(32, 32, 32).into(),
         602,
     );
-    let json = report.blame.to_json();
+    let json = report.ledger.to_json();
+    let stalled_cycles = report.compute_cycles - report.active_cycles;
     let stalled: u64 = BlamePhase::ALL
         .iter()
         .map(|&p| {
@@ -187,7 +185,7 @@ fn blame_json_totals_agree_with_report() {
                 .unwrap_or(0)
         })
         .sum();
-    assert_eq!(stalled, report.stalls.total());
+    assert_eq!(stalled, stalled_cycles);
     let total = json.get("total").expect("total subtree");
     let mut total_cycles = 0u64;
     if let datamaestro_repro::sim::JsonValue::Object(causes) = total {
@@ -199,5 +197,5 @@ fn blame_json_totals_agree_with_report() {
             }
         }
     }
-    assert_eq!(total_cycles, report.stalls.total());
+    assert_eq!(total_cycles, stalled_cycles);
 }

@@ -118,7 +118,7 @@ fn determinism_same_seed_same_report() {
     assert_eq!(a.conflicts, b.conflicts);
     assert_eq!(a.mem_reads, b.mem_reads);
     assert_eq!(a.mem_writes, b.mem_writes);
-    assert_eq!(a.stalls, b.stalls);
+    assert_eq!(a.ledger, b.ledger);
 }
 
 #[test]

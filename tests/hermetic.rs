@@ -1,7 +1,8 @@
 //! The workspace builds from a clean checkout with no network and an empty
 //! Cargo registry: every dependency of every workspace manifest is a path
 //! dependency, directly or through `workspace = true`, and the committed
-//! lockfile names no package outside the workspace.
+//! lockfile names no package outside the workspace. A bare `cargo test`
+//! covers the whole workspace, not just the root package.
 //!
 //! Manifests are read line by line (section headers and `key = value`
 //! lines), which covers the inline-table style this workspace uses.
@@ -95,6 +96,22 @@ fn every_dependency_is_a_path_dependency() {
         "non-path dependencies:\n{}",
         offenders.join("\n")
     );
+}
+
+#[test]
+fn default_members_cover_the_root_and_every_crate() {
+    let root_text = std::fs::read_to_string(root().join("Cargo.toml")).unwrap();
+    let members = key_values(&root_text)
+        .into_iter()
+        .find(|(section, key, _)| section == "workspace" && key == "default-members")
+        .map(|(_, _, value)| value)
+        .expect("[workspace] sets default-members");
+    for entry in ["\".\"", "\"crates/*\""] {
+        assert!(
+            members.contains(entry),
+            "default-members = {members} lacks {entry}"
+        );
+    }
 }
 
 #[test]

@@ -62,7 +62,7 @@ const EXPECTED: [(usize, usize, u64, u64); 18] = [
 fn digest(report: &RunReport) -> u64 {
     let mut h = StableHasher::new();
     h.write_str(&report.metrics.to_json().to_json());
-    h.write_str(&report.blame.to_json().to_json());
+    h.write_str(&report.ledger.to_json().to_json());
     h.write_str(&report.critical.to_json().to_json());
     for stats in &report.streamer_stats {
         h.write_u64(stats.granted.get());

@@ -25,25 +25,22 @@ fn run(cfg: &SystemConfig, workload: Workload, seed: u64) -> RunReport {
 
 /// The acceptance invariant: fired cycles plus attributed stall cycles
 /// account for every compute cycle, on every workload and feature step,
-/// and the coarse per-port stall counters agree with the cause taxonomy.
+/// and the per-port split covers the same stalls as the cause taxonomy.
 #[test]
 fn attribution_covers_every_cycle_across_zoo_and_features() {
     for step in 1..=6 {
         let cfg = SystemConfig::default().with_features(FeatureSet::ablation_step(step));
         for (i, workload) in workload_zoo().into_iter().enumerate() {
             let report = run(&cfg, workload, 400 + i as u64);
-            let at = &report.attribution;
+            let at = report.ledger.attribution();
             assert_eq!(
                 at.total_cycles(),
                 report.compute_cycles,
                 "step {step}, {workload}"
             );
             assert_eq!(at.fired(), report.active_cycles, "step {step}, {workload}");
-            assert_eq!(
-                at.stalled(),
-                report.stalls.total(),
-                "step {step}, {workload}"
-            );
+            let per_port: u64 = report.ledger.port_stalls().iter().map(|&(_, n)| n).sum();
+            assert_eq!(at.stalled(), per_port, "step {step}, {workload}");
         }
     }
 }
@@ -199,11 +196,10 @@ fn instrumentation_is_deterministic_and_nonperturbing() {
     let r1 = run(&traced, workload, 11);
     let r2 = run(&traced, workload, 11);
     assert_eq!(r1.metrics, r2.metrics);
-    assert_eq!(r1.attribution, r2.attribution);
+    assert_eq!(r1.ledger, r2.ledger);
     let off = run(&plain, workload, 11);
     assert_eq!(off.compute_cycles, r1.compute_cycles);
-    assert_eq!(off.stalls, r1.stalls);
-    assert_eq!(off.attribution, r1.attribution);
+    assert_eq!(off.ledger, r1.ledger);
     assert_eq!(off.metrics, r1.metrics);
     assert!(off.traces.is_empty());
     assert!(r1.traces.iter().any(|(_, t)| !t.is_empty()));

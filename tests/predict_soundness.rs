@@ -86,7 +86,7 @@ fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
 fn no_operand_total(report: &RunReport) -> u64 {
     [OperandPort::A, OperandPort::B, OperandPort::C]
         .into_iter()
-        .map(|p| report.blame.cause_total(StallCause::NoOperand(p)))
+        .map(|p| report.ledger.cause_total(StallCause::NoOperand(p)))
         .sum()
 }
 
@@ -94,7 +94,7 @@ fn no_operand_total(report: &RunReport) -> u64 {
 fn bank_conflict_total(report: &RunReport) -> u64 {
     [OperandPort::A, OperandPort::B, OperandPort::C]
         .into_iter()
-        .map(|p| report.blame.cause_total(StallCause::BankConflict(p)))
+        .map(|p| report.ledger.cause_total(StallCause::BankConflict(p)))
         .sum()
 }
 
@@ -137,7 +137,7 @@ fn roofline_is_sound_tight_and_rank_faithful() {
                     let bank = bank_conflict_total(&report);
                     match p.bottleneck {
                         CritClass::PeIssue => assert!(
-                            report.blame.fired() >= report.blame.stalled(),
+                            report.ledger.fired() >= report.ledger.stalled(),
                             "{label}: predicted pe-issue but the run stalled \
                              more than it fired"
                         ),

@@ -39,7 +39,7 @@ fn analyze_and_run(
 fn bank_conflict_blame(report: &RunReport) -> u64 {
     OperandPort::ALL
         .iter()
-        .map(|&p| report.blame.cause_total(StallCause::BankConflict(p)))
+        .map(|&p| report.ledger.cause_total(StallCause::BankConflict(p)))
         .sum()
 }
 
