@@ -2,6 +2,9 @@
 
 use dm_sim::{Cycle, NextActivity, StableHasher};
 
+/// Output columns per MAC-kernel lane group.
+const LANES: usize = 8;
+
 /// Spatial unrolling of the 3-D PE array (`Mu × Nu × Ku` MACs per cycle).
 ///
 /// The evaluation system uses 8×8×8 = 512 PEs.
@@ -141,17 +144,18 @@ impl GemmDatapath {
     /// [`needs_c`](Self::needs_c); returns the finished D tile when
     /// [`produces_d`](Self::produces_d).
     ///
-    /// The accumulator is updated in place (k outer, n inner) with wrapping
-    /// i32 addition, which is associative, so the result is bit-equal to
-    /// summing each dot product first. The returned D tile borrows an
-    /// internal buffer that the next tile overwrites; nothing is allocated.
+    /// One kernel serves every array shape: k in pairs, output columns in
+    /// fixed-width lane groups of 16-bit products widened into `i32` adds
+    /// (see `mac_tile` in the source). Wrapping `i32` addition is
+    /// associative, so the result is bit-equal to summing each dot product
+    /// first. The returned D tile borrows an internal
+    /// buffer that the next tile overwrites; nothing is allocated.
     ///
     /// # Panics
     ///
     /// Panics if the tile widths mismatch the configuration or `c` is
     /// missing on the first step of a tile.
     pub fn step(&mut self, a_tile: &[u8], b_tile: &[u8], c_tile: Option<&[u8]>) -> Option<&[u8]> {
-        let (nu, ku) = (self.config.n_unroll, self.config.k_unroll);
         assert_eq!(a_tile.len(), self.config.a_tile_bytes(), "A tile width");
         assert_eq!(b_tile.len(), self.config.b_tile_bytes(), "B tile width");
         if self.needs_c() {
@@ -161,14 +165,7 @@ impl GemmDatapath {
                 *acc = i32::from_le_bytes([c[0], c[1], c[2], c[3]]);
             }
         }
-        for (acc_row, a_row) in self.acc.chunks_exact_mut(nu).zip(a_tile.chunks_exact(ku)) {
-            for (&a, b_row) in a_row.iter().zip(b_tile.chunks_exact(nu)) {
-                let a = i32::from(a as i8);
-                for (acc, &b) in acc_row.iter_mut().zip(b_row) {
-                    *acc = acc.wrapping_add(a * i32::from(b as i8));
-                }
-            }
-        }
+        mac_tile(&mut self.acc, a_tile, b_tile, self.config);
         self.macs += self.config.num_pes() as u64;
         self.k_counter += 1;
         if self.k_counter == self.k_steps {
@@ -206,6 +203,72 @@ impl GemmDatapath {
         self.k_counter = 0;
         self.acc.fill(0);
     }
+}
+
+/// `acc += A×B` for one tile: `acc[m][n] += Σ_k a[m][k]·b[k][n]`, reading
+/// the int8 tiles in place.
+///
+/// k advances in pairs. For each pair and each group of [`LANES`] output
+/// columns, the two B rows are widened to `i16` once, then every output row
+/// adds `a[m][k]·b[k][n] + a[m][k+1]·b[k+1][n]` to its lane group. An int8
+/// product is exact in `i16` and the pair sum in `i32`, so a group is
+/// fixed-width 16-bit multiplies widened into `i32` adds, which baseline
+/// x86-64 vectorizes (SSE2 `pmullw`, `paddd`). The last `n_unroll % LANES`
+/// columns take the same sums one at a time. For odd `k_unroll` the last pair is
+/// row `k` with itself under a zero factor. Rows are addressed by
+/// multiplication, never by a runtime division.
+#[inline]
+fn mac_tile(acc: &mut [i32], a_tile: &[u8], b_tile: &[u8], config: GemmArrayConfig) {
+    let GemmArrayConfig {
+        m_unroll: mu,
+        n_unroll: nu,
+        k_unroll: ku,
+    } = config;
+    let groups = nu / LANES;
+    let wide = |b: u8| i16::from(b as i8);
+    for k0 in (0..ku).step_by(2) {
+        let k1 = (k0 + 1).min(ku - 1);
+        let has_k1 = i16::from(k0 + 1 < ku);
+        let a_pair = |m: usize| {
+            (
+                wide(a_tile[m * ku + k0]),
+                wide(a_tile[m * ku + k1]) * has_k1,
+            )
+        };
+        for g in 0..groups {
+            let lanes = |k: usize| -> [i16; LANES] {
+                let row: &[u8; LANES] = b_tile[k * nu + g * LANES..][..LANES]
+                    .try_into()
+                    .expect("a whole lane group");
+                row.map(wide)
+            };
+            let (b0, b1) = (lanes(k0), lanes(k1));
+            for m in 0..mu {
+                let (a0, a1) = a_pair(m);
+                let acc: &mut [i32; LANES] = (&mut acc[m * nu + g * LANES..][..LANES])
+                    .try_into()
+                    .expect("a whole lane group");
+                for lane in 0..LANES {
+                    acc[lane] = acc[lane].wrapping_add(mac_pair(a0, a1, b0[lane], b1[lane]));
+                }
+            }
+        }
+        for n in groups * LANES..nu {
+            let (b0, b1) = (wide(b_tile[k0 * nu + n]), wide(b_tile[k1 * nu + n]));
+            for m in 0..mu {
+                let (a0, a1) = a_pair(m);
+                let acc = &mut acc[m * nu + n];
+                *acc = acc.wrapping_add(mac_pair(a0, a1, b0, b1));
+            }
+        }
+    }
+}
+
+/// `a0·b0 + a1·b1` for int8-range factors: each product is exact in
+/// `i16`, their sum in `i32`.
+#[inline(always)]
+fn mac_pair(a0: i16, a1: i16, b0: i16, b1: i16) -> i32 {
+    i32::from(a0 * b0) + i32::from(a1 * b1)
 }
 
 impl NextActivity for GemmDatapath {

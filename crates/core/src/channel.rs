@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use dm_mem::{BankLocation, MemOp, MemRequest, MemResponse, MemorySubsystem, RequesterId, Word};
-use dm_sim::{Counter, Fifo, LatencyHistogram, ReservedSlot, StableHasher};
+use dm_sim::{Counter, Fifo, LatencyHistogram, StableHasher};
 
 /// Per-channel event counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +58,23 @@ impl OccupancySampler {
 #[derive(Debug)]
 pub struct ReadChannel {
     requester: RequesterId,
-    fifo: Fifo<Word>,
+    /// The ORM's view of the data FIFO: capacity, reservations and their
+    /// fill order. The words themselves are in `words`.
+    fifo: Fifo<()>,
+    /// The data FIFO's words, one bank word (`width` bytes) per slot. A
+    /// read channel fills its reservations in order and never pushes
+    /// directly, so the k-th word filled is the k-th popped: fills and pops
+    /// each walk the ring with their own cursor.
+    words: Vec<u8>,
+    width: usize,
+    fill_slot: usize,
+    pop_slot: usize,
     addr_queue: VecDeque<u64>,
     addr_capacity: usize,
-    /// Request accepted by the RSC but not yet granted by the crossbar.
+    /// Request accepted by the RSC but not yet granted by the crossbar. Its
+    /// landing slot, like those of the in-flight requests, is a pending
+    /// reservation of `fifo`, filled in issue order.
     pending: Option<(BankLocation, u64)>,
-    /// Reserved FIFO slots for the pending + in-flight requests, issue order.
-    slots: VecDeque<ReservedSlot>,
     next_tag: u64,
     expected_tag: u64,
     stats: ChannelStats,
@@ -74,16 +84,25 @@ pub struct ReadChannel {
 
 impl ReadChannel {
     /// Creates a read channel with the given FIFO depth and address-buffer
-    /// depth, bound to a registered crossbar requester.
+    /// depth, bound to a registered crossbar requester, for `word_width`-byte
+    /// bank words.
     #[must_use]
-    pub fn new(requester: RequesterId, fifo_depth: usize, addr_depth: usize) -> Self {
+    pub fn new(
+        requester: RequesterId,
+        fifo_depth: usize,
+        addr_depth: usize,
+        word_width: usize,
+    ) -> Self {
         ReadChannel {
             requester,
             fifo: Fifo::new(fifo_depth),
+            words: vec![0; fifo_depth * word_width],
+            width: word_width,
+            fill_slot: 0,
+            pop_slot: 0,
             addr_queue: VecDeque::with_capacity(addr_depth),
             addr_capacity: addr_depth,
             pending: None,
-            slots: VecDeque::new(),
             next_tag: 0,
             expected_tag: 0,
             stats: ChannelStats::default(),
@@ -124,7 +143,7 @@ impl ReadChannel {
     /// pending request if any.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.slots.len()
+        self.fifo.outstanding()
     }
 
     /// The bank the pending (not-yet-granted) request targets, if any —
@@ -155,44 +174,36 @@ impl ReadChannel {
         self.fifo.committed() == 0 && self.pending.is_none()
     }
 
-    /// `true` when [`try_start_request`](Self::try_start_request) would
-    /// start a request: no request pending, an address queued and an ORM
-    /// landing slot reservable. Read-only mirror of that gate, used by the
-    /// fast-forward horizon to prove a channel inert.
+    /// `true` when [`issue`](Self::issue) may start a request: no request
+    /// pending, an address queued and an ORM landing slot reservable.
+    /// Read-only mirror of that gate, used by the fast-forward horizon to
+    /// prove a channel inert.
     #[must_use]
     pub fn can_start_request(&self) -> bool {
         self.pending.is_none() && !self.addr_queue.is_empty() && self.fifo.has_free_slot()
     }
 
-    /// RSC step: if allowed, convert the next queued address into a pending
-    /// request, reserving a FIFO slot through the ORM. Returns `true` if a
-    /// new request was started.
-    pub fn try_start_request(&mut self, map: impl FnOnce(u64) -> BankLocation) -> bool {
-        if self.pending.is_some() {
-            return false;
-        }
-        let Some(&addr) = self.addr_queue.front() else {
-            return false;
-        };
-        let Some(slot) = self.fifo.try_reserve() else {
-            return false; // ORM throttles: no landing slot available.
-        };
-        self.addr_queue.pop_front();
-        self.slots.push_back(slot);
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.pending = Some((map(addr), tag));
-        true
-    }
-
-    /// Submits the pending request (new or retried) to the crossbar.
+    /// RSC step: if `may_start` and
+    /// [`can_start_request`](Self::can_start_request), convert the next
+    /// queued address into a pending request, reserving a FIFO slot through
+    /// the ORM; then submit the pending request (new or retried) to the
+    /// crossbar. Returns `true` if a new request was started.
     ///
     /// # Panics
     ///
     /// Panics on subsystem protocol violations (unknown requester, double
     /// submission), which indicate simulator bugs.
-    pub fn submit(&mut self, mem: &mut MemorySubsystem) {
-        if let Some((loc, tag)) = self.pending {
+    #[inline]
+    pub fn issue(
+        &mut self,
+        mem: &mut MemorySubsystem,
+        may_start: bool,
+        map: impl FnOnce(u64) -> BankLocation,
+    ) -> bool {
+        let started = if may_start { self.start(map) } else { None };
+        // A new request is submitted from the values just computed rather
+        // than re-read from `pending`.
+        if let Some((loc, tag)) = started.or(self.pending) {
             mem.submit(MemRequest {
                 requester: self.requester,
                 loc,
@@ -201,9 +212,29 @@ impl ReadChannel {
             })
             .expect("read channel submission accepted");
         }
+        started.is_some()
+    }
+
+    /// Starts a request if the gate allows, returning it.
+    #[inline]
+    fn start(&mut self, map: impl FnOnce(u64) -> BankLocation) -> Option<(BankLocation, u64)> {
+        if self.pending.is_some() {
+            return None;
+        }
+        let &addr = self.addr_queue.front()?;
+        if !self.fifo.try_reserve() {
+            return None; // ORM throttles: no landing slot available.
+        }
+        self.addr_queue.pop_front();
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        let request = (map(addr), tag);
+        self.pending = Some(request);
+        Some(request)
     }
 
     /// Consumes the grant flag for this channel after arbitration.
+    #[inline]
     pub fn handle_grant(&mut self, granted: bool) {
         if self.pending.is_none() {
             return;
@@ -216,25 +247,35 @@ impl ReadChannel {
         }
     }
 
-    /// Lands a memory response into the reserved FIFO slot.
+    /// Lands a memory response into the oldest reserved FIFO slot.
     ///
     /// # Panics
     ///
     /// Panics if responses arrive out of order or without a reservation —
     /// both would be simulator bugs given the in-order memory model.
-    pub fn handle_response(&mut self, response: MemResponse) {
+    #[inline]
+    pub fn handle_response(&mut self, response: MemResponse<'_>) {
         assert_eq!(response.requester, self.requester, "misrouted response");
         assert_eq!(
             response.tag, self.expected_tag,
             "read response out of order"
         );
         self.expected_tag += 1;
-        let slot = self
-            .slots
-            .pop_front()
-            .expect("response without reserved slot");
-        self.fifo.fill_reserved(slot, response.data);
+        self.fifo.fill_reserved(());
+        let width = self.width;
+        self.words[self.fill_slot * width..][..width].copy_from_slice(response.data);
+        self.fill_slot = self.next_slot(self.fill_slot);
         self.stats.responses.inc();
+    }
+
+    /// The ring slot after `slot`.
+    #[inline]
+    fn next_slot(&self, slot: usize) -> usize {
+        if slot + 1 == self.fifo.capacity() {
+            0
+        } else {
+            slot + 1
+        }
     }
 
     /// `true` if a word is ready at the FIFO head.
@@ -243,10 +284,16 @@ impl ReadChannel {
         !self.fifo.is_empty()
     }
 
-    /// Pops the word at the FIFO head.
-    #[must_use]
-    pub fn pop(&mut self) -> Option<Word> {
-        self.fifo.pop()
+    /// Appends the word at the FIFO head to `out` and pops it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no word is ready ([`has_data`](Self::has_data) is false).
+    #[inline]
+    pub fn pop_into(&mut self, out: &mut Vec<u8>) {
+        assert!(self.fifo.pop().is_some(), "channel has data");
+        out.extend_from_slice(&self.words[self.pop_slot * self.width..][..self.width]);
+        self.pop_slot = self.next_slot(self.pop_slot);
     }
 
     /// Channel statistics.
@@ -292,7 +339,7 @@ impl ReadChannel {
         hasher.write_usize(self.fifo.len());
         hasher.write_usize(self.addr_queue.len());
         hasher.write_bool(self.pending.is_some());
-        hasher.write_usize(self.slots.len());
+        hasher.write_usize(self.fifo.outstanding());
         hasher.write_u64(self.next_tag);
         hasher.write_u64(self.expected_tag);
         hasher.write_u64(self.stats.granted.get());
@@ -308,6 +355,8 @@ pub struct WriteChannel {
     fifo: Fifo<(BankLocation, Word)>,
     addr_queue: VecDeque<u64>,
     addr_capacity: usize,
+    /// Whether the head word is staged as the crossbar write payload.
+    head_staged: bool,
     stats: ChannelStats,
     /// Once-per-cycle samples of FIFO backlog (in words).
     occupancy: OccupancySampler,
@@ -322,6 +371,7 @@ impl WriteChannel {
             fifo: Fifo::new(fifo_depth),
             addr_queue: VecDeque::with_capacity(addr_depth),
             addr_capacity: addr_depth,
+            head_staged: false,
             stats: ChannelStats::default(),
             occupancy: OccupancySampler::default(),
         }
@@ -397,30 +447,39 @@ impl WriteChannel {
         self.fifo.is_empty()
     }
 
-    /// Submits the head word as a write request, if any.
+    /// Submits the head word as a write request, if any. The payload is
+    /// staged on the first submit; a retry resubmits the header only.
     ///
     /// # Panics
     ///
     /// Panics on subsystem protocol violations (simulator bugs).
+    #[inline]
     pub fn submit(&mut self, mem: &mut MemorySubsystem) {
-        if let Some(&(loc, data)) = self.fifo.peek() {
+        if let Some((loc, data)) = self.fifo.peek() {
+            if !self.head_staged {
+                mem.stage_write(self.requester, data)
+                    .expect("write channel requester registered");
+                self.head_staged = true;
+            }
             mem.submit(MemRequest {
                 requester: self.requester,
-                loc,
+                loc: *loc,
                 tag: 0,
-                op: MemOp::Write { data },
+                op: MemOp::Write,
             })
             .expect("write channel submission accepted");
         }
     }
 
     /// Consumes the grant flag: a granted write retires the head word.
+    #[inline]
     pub fn handle_grant(&mut self, granted: bool) {
         if self.fifo.is_empty() {
             return;
         }
         if granted {
             let _ = self.fifo.pop();
+            self.head_staged = false;
             self.stats.granted.inc();
         } else {
             self.stats.retries.inc();
@@ -488,32 +547,62 @@ mod tests {
         let (mut mem, ids) = mem_with(1);
         mem.scratchpad_mut()
             .write_row_full(BankLocation { bank: 1, row: 0 }, &[42; 8]);
-        let mut ch = ReadChannel::new(ids[0], 4, 4);
+        let mut ch = ReadChannel::new(ids[0], 4, 4, 8);
         ch.push_addr(8); // word 1 → bank 1 under FIMA
-        assert!(ch.try_start_request(|a| BankLocation {
+        assert!(ch.issue(&mut mem, true, |a| BankLocation {
             bank: (a / 8 % 4) as usize,
             row: (a / 8 / 4) as usize
         }));
         assert!(ch.has_pending());
-        ch.submit(&mut mem);
         let grants = mem.arbitrate().to_vec();
         ch.handle_grant(grants[ids[0].index()]);
         assert!(!ch.has_pending());
         assert_eq!(ch.outstanding(), 1);
-        for resp in mem.take_responses() {
-            ch.handle_response(resp);
-        }
+        mem.drain_responses(|resp| ch.handle_response(resp));
         assert!(ch.has_data());
-        assert_eq!(ch.pop().unwrap(), vec![42; 8]);
+        let mut word = Vec::new();
+        ch.pop_into(&mut word);
+        assert_eq!(word, vec![42; 8]);
         assert_eq!(ch.stats().granted.get(), 1);
         assert_eq!(ch.stats().responses.get(), 1);
         assert!(ch.is_drained());
     }
 
+    /// Words keep their order through many wraps of a depth-2 data ring,
+    /// with fills running ahead of pops.
+    #[test]
+    fn read_channel_words_wrap_the_ring_in_order() {
+        let (mut mem, ids) = mem_with(1);
+        for row in 0..7 {
+            mem.scratchpad_mut()
+                .write_row_full(BankLocation { bank: 0, row }, &[row as u8; 8]);
+        }
+        let mut ch = ReadChannel::new(ids[0], 2, 8, 8);
+        for i in 0..7 {
+            ch.push_addr(i);
+        }
+        let map = |a: u64| BankLocation {
+            bank: 0,
+            row: a as usize,
+        };
+        let mut popped = Vec::new();
+        for cycle in 0..40 {
+            mem.drain_responses(|resp| ch.handle_response(resp));
+            if cycle % 3 == 0 && ch.has_data() {
+                ch.pop_into(&mut popped);
+            }
+            ch.issue(&mut mem, true, map);
+            ch.handle_grant(mem.arbitrate()[ids[0].index()]);
+        }
+        let expected: Vec<u8> = (0..7u8).flat_map(|row| [row; 8]).collect();
+        assert_eq!(popped, expected);
+        assert!(ch.is_drained());
+    }
+
     #[test]
     fn orm_throttles_when_fifo_reserved_out() {
-        let (_, ids) = mem_with(1);
-        let mut ch = ReadChannel::new(ids[0], 2, 8);
+        let (mut mem, ids) = mem_with(1);
+        let mut ch = ReadChannel::new(ids[0], 2, 8, 8);
         for i in 0..4 {
             ch.push_addr(i * 8);
         }
@@ -521,31 +610,30 @@ mod tests {
             bank: (a / 8 % 4) as usize,
             row: 0,
         };
-        assert!(ch.try_start_request(map));
+        assert!(ch.issue(&mut mem, true, map));
         // Pending occupies one reservation; channel can't start another
         // while one is pending…
-        assert!(!ch.try_start_request(map));
-        // …simulate the grant, then a second can start (second slot)…
-        ch.handle_grant(true);
-        assert!(ch.try_start_request(map));
-        ch.handle_grant(true);
+        assert!(!ch.can_start_request());
+        // …after the grant a second can start (second slot)…
+        ch.handle_grant(mem.arbitrate()[ids[0].index()]);
+        assert!(ch.issue(&mut mem, true, map));
+        ch.handle_grant(mem.arbitrate()[ids[0].index()]);
         // …but the third is throttled by the ORM: both slots reserved.
-        assert!(!ch.try_start_request(map));
+        assert!(!ch.can_start_request());
+        assert!(!ch.issue(&mut mem, true, map));
         assert_eq!(ch.outstanding(), 2);
     }
 
     #[test]
     fn retry_counts_conflicts() {
         let (mut mem, ids) = mem_with(2);
-        let mut a = ReadChannel::new(ids[0], 4, 4);
-        let mut b = ReadChannel::new(ids[1], 4, 4);
+        let mut a = ReadChannel::new(ids[0], 4, 4, 8);
+        let mut b = ReadChannel::new(ids[1], 4, 4, 8);
         let map = |_| BankLocation { bank: 0, row: 0 };
         a.push_addr(0);
         b.push_addr(0);
-        a.try_start_request(map);
-        b.try_start_request(map);
-        a.submit(&mut mem);
-        b.submit(&mut mem);
+        a.issue(&mut mem, true, map);
+        b.issue(&mut mem, true, map);
         let grants = mem.arbitrate().to_vec();
         a.handle_grant(grants[ids[0].index()]);
         b.handle_grant(grants[ids[1].index()]);
@@ -559,7 +647,7 @@ mod tests {
     #[should_panic(expected = "address buffer overflow")]
     fn addr_overflow_panics() {
         let (_, ids) = mem_with(1);
-        let mut ch = ReadChannel::new(ids[0], 2, 1);
+        let mut ch = ReadChannel::new(ids[0], 2, 1, 8);
         ch.push_addr(0);
         ch.push_addr(8);
     }
@@ -603,17 +691,14 @@ mod tests {
     #[test]
     fn occupancy_sampling_tracks_fifo_fill() {
         let (mut mem, ids) = mem_with(1);
-        let mut ch = ReadChannel::new(ids[0], 4, 4);
+        let mut ch = ReadChannel::new(ids[0], 4, 4, 8);
         ch.sample_occupancy(); // empty
         ch.push_addr(0);
         let map = |_| BankLocation { bank: 0, row: 0 };
-        ch.try_start_request(map);
-        ch.submit(&mut mem);
+        ch.issue(&mut mem, true, map);
         let grants = mem.arbitrate().to_vec();
         ch.handle_grant(grants[ids[0].index()]);
-        for resp in mem.take_responses() {
-            ch.handle_response(resp);
-        }
+        mem.drain_responses(|resp| ch.handle_response(resp));
         ch.sample_occupancy(); // one committed word
         let occ = ch.fifo_occupancy();
         assert_eq!(occ.count(), 2);

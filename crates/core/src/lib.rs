@@ -48,9 +48,7 @@
 //! let mut words = Vec::new();
 //! while !streamer.is_done() {
 //!     streamer.begin_cycle();
-//!     for resp in mem.take_responses() {
-//!         streamer.accept_response(resp);
-//!     }
+//!     mem.drain_responses(|resp| streamer.accept_response(resp));
 //!     if streamer.can_pop_wide() {
 //!         words.push(streamer.pop_wide().to_vec());
 //!     }

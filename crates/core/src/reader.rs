@@ -146,7 +146,12 @@ impl ReadStreamer {
         let channels = (0..design.num_channels())
             .map(|c| {
                 let id = mem.register_requester(format!("{}/ch{c}", design.name()));
-                ReadChannel::new(id, design.data_buffer_depth(), design.addr_buffer_depth())
+                ReadChannel::new(
+                    id,
+                    design.data_buffer_depth(),
+                    design.addr_buffer_depth(),
+                    mem_cfg.bank_width_bytes(),
+                )
             })
             .collect::<Vec<_>>();
         let n = channels.len();
@@ -231,7 +236,8 @@ impl ReadStreamer {
     /// # Panics
     ///
     /// Panics if the response belongs to no channel of this streamer.
-    pub fn accept_response(&mut self, response: MemResponse) {
+    #[inline]
+    pub fn accept_response(&mut self, response: MemResponse<'_>) {
         let channel = response
             .requester
             .index()
@@ -275,13 +281,10 @@ impl ReadStreamer {
         let remapper = &self.remapper;
         for (c, channel) in self.channels.iter_mut().enumerate() {
             let may_start = self.fine_grained || (self.coarse_open && !self.coarse_started[c]);
-            if may_start {
-                let started = channel.try_start_request(|addr| map_checked(remapper, addr));
-                if started && !self.fine_grained {
-                    self.coarse_started[c] = true;
-                }
+            let started = channel.issue(mem, may_start, |addr| map_checked(remapper, addr));
+            if started && !self.fine_grained {
+                self.coarse_started[c] = true;
             }
-            channel.submit(mem);
         }
         if !self.fine_grained && self.coarse_open && self.coarse_started.iter().all(|&s| s) {
             self.coarse_open = false;
@@ -382,8 +385,7 @@ impl ReadStreamer {
         assert!(self.can_pop_wide(), "wide pop without data in all channels");
         self.gather.clear();
         for channel in &mut self.channels {
-            self.gather
-                .extend_from_slice(&channel.pop().expect("channel has data"));
+            channel.pop_into(&mut self.gather);
         }
         self.stats.wide_words.inc();
         self.chain.process_into(&self.gather, &mut self.ext_scratch)
@@ -565,9 +567,7 @@ mod tests {
     /// Drives the streamer alone for one cycle against the memory.
     fn tick(streamer: &mut ReadStreamer, mem: &mut MemorySubsystem) {
         streamer.begin_cycle();
-        for resp in mem.take_responses() {
-            streamer.accept_response(resp);
-        }
+        mem.drain_responses(|resp| streamer.accept_response(resp));
         streamer.generate_and_issue(mem);
         let grants = mem.arbitrate().to_vec();
         streamer.handle_grants(&grants);

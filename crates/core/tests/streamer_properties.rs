@@ -109,9 +109,7 @@ fn read_stream_matches_reference() {
         let mut guard = 0;
         while !streamer.is_done() {
             streamer.begin_cycle();
-            for resp in mem.take_responses() {
-                streamer.accept_response(resp);
-            }
+            mem.drain_responses(|resp| streamer.accept_response(resp));
             if streamer.can_pop_wide() {
                 got.push(streamer.pop_wide().to_vec());
             }

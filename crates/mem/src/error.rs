@@ -15,8 +15,8 @@ pub enum MemError {
         /// The offending value.
         value: usize,
     },
-    /// The bank word width exceeds the fixed inline [`Word`] capacity the
-    /// allocation-free response path relies on.
+    /// The bank word width exceeds the fixed inline [`Word`] capacity that
+    /// write FIFOs and owned responses rely on.
     ///
     /// [`Word`]: crate::Word
     WordTooWide {
@@ -56,6 +56,11 @@ pub enum MemError {
         /// The offending requester index.
         requester: usize,
     },
+    /// A requester submitted a write without staging its payload first.
+    UnstagedWrite {
+        /// The offending requester index.
+        requester: usize,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -84,6 +89,12 @@ impl fmt::Display for MemError {
             }
             MemError::DuplicateRequest { requester } => {
                 write!(f, "requester {requester} submitted twice in one cycle")
+            }
+            MemError::UnstagedWrite { requester } => {
+                write!(
+                    f,
+                    "requester {requester} submitted a write with no staged payload"
+                )
             }
         }
     }

@@ -40,6 +40,7 @@ pub use error::MemError;
 pub use remap::{AddressRemapper, AddressingMode};
 pub use scratchpad::{MemConfig, Scratchpad};
 pub use subsystem::{
-    LatencyTelemetry, MemOp, MemRequest, MemResponse, MemStats, MemorySubsystem, RequesterId,
+    LatencyTelemetry, MemOp, MemRequest, MemResponse, MemStats, MemorySubsystem, OwnedResponse,
+    RequesterId,
 };
 pub use word::Word;

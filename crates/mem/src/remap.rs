@@ -161,6 +161,8 @@ pub struct AddressRemapper {
     row_shift: u32,
     group_mask: u64,
     row_mask: u64,
+    /// `log2(word_bytes)`: byte addresses become word indices by a shift.
+    word_shift: u32,
 }
 
 impl AddressRemapper {
@@ -198,6 +200,7 @@ impl AddressRemapper {
             row_shift: config.rows_per_bank().trailing_zeros(),
             group_mask: group_banks as u64 - 1,
             row_mask: config.rows_per_bank() as u64 - 1,
+            word_shift: config.bank_width_bytes().trailing_zeros(),
         })
     }
 
@@ -254,13 +257,13 @@ impl AddressRemapper {
     /// [`MemError::OutOfBounds`] for an address beyond capacity.
     #[inline]
     pub fn map_byte(&self, addr: Addr) -> Result<BankLocation, MemError> {
-        if !addr.is_aligned(self.word_bytes) {
+        if addr.get() & (self.word_bytes - 1) != 0 {
             return Err(MemError::Misaligned {
                 addr: addr.get(),
                 alignment: self.word_bytes,
             });
         }
-        let word = addr.word_index(self.word_bytes);
+        let word = addr.get() >> self.word_shift;
         if word >= self.capacity_words() {
             return Err(MemError::OutOfBounds {
                 addr: addr.get(),

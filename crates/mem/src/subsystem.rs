@@ -13,6 +13,14 @@
 //!    dropped — the requester observes the missing grant and retries, which
 //!    is precisely how bank conflicts turn into stall cycles.
 //!
+//! Requests and in-flight reads are header-only records. A write's payload
+//! is staged once per requester ([`MemorySubsystem::stage_write`]) and a
+//! retry resubmits only the header. A granted read copies its bank word into
+//! a capture slab at the grant, so a write granted while the read is in
+//! flight cannot change the data it returns. The word is handed out once,
+//! as a borrowed `&[u8]` in the [`MemResponse`] of
+//! [`MemorySubsystem::drain_responses`].
+//!
 //! The subsystem counts granted reads/writes (the paper's "data access
 //! counts"), submissions and conflict events, and stamps every request's
 //! lifetime — issue, arbitration grant, response delivery — into per-bank
@@ -20,6 +28,15 @@
 //! (issue → grant) measures arbitration pressure; service latency (grant →
 //! delivery) the bank pipeline; their sum is the end-to-end latency the
 //! streamer FIFOs must hide for the PE array to run stall-free.
+//!
+//! The lifetimes are folded, not recorded sample by sample. A read drained
+//! on its due cycle has service equal to the read latency, and a write has
+//! service zero, so either lifetime is fixed by its queueing delay alone:
+//! it costs one counter bump per bank and per requester, keyed by that
+//! delay. Late deliveries and delays of at least
+//! [`LatencyHistogram::EXACT_LIMIT`] take the per-sample path. The
+//! histograms are built from both when they are read, and equal the
+//! per-sample ones exactly.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -57,11 +74,9 @@ impl fmt::Display for RequesterId {
 pub enum MemOp {
     /// Read one full word.
     Read,
-    /// Write one full word.
-    Write {
-        /// The word to store; must be exactly one bank word wide.
-        data: Word,
-    },
+    /// Write one full word: the requester's payload staged with
+    /// [`MemorySubsystem::stage_write`].
+    Write,
 }
 
 impl MemOp {
@@ -88,10 +103,22 @@ pub struct MemRequest {
 
 /// A read response delivered after the bank latency.
 ///
-/// `Copy`: the payload is an inline [`Word`], so handing a response to a
-/// channel is a fixed-size move with no heap traffic.
+/// The data borrows the word captured at the grant; the receiver copies it
+/// once, into its landing slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemResponse {
+pub struct MemResponse<'a> {
+    /// The requester the data belongs to.
+    pub requester: RequesterId,
+    /// Tag of the originating request.
+    pub tag: u64,
+    /// The full word read.
+    pub data: &'a [u8],
+}
+
+/// A read response with its own copy of the data, as returned by
+/// [`MemorySubsystem::take_responses`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OwnedResponse {
     /// The requester the data belongs to.
     pub requester: RequesterId,
     /// Tag of the originating request.
@@ -158,6 +185,13 @@ impl LatencyTelemetry {
     pub fn is_empty(&self) -> bool {
         self.end_to_end.is_empty()
     }
+
+    /// Records one request lifetime.
+    fn record(&mut self, queueing: u64, service: u64) {
+        self.queueing.record(queueing);
+        self.service.record(service);
+        self.end_to_end.record(queueing + service);
+    }
 }
 
 impl Instrumented for LatencyTelemetry {
@@ -168,16 +202,118 @@ impl Instrumented for LatencyTelemetry {
     }
 }
 
-/// A read response scheduled for delivery, with its lifetime stamps.
+/// Queueing delays below this are folded into counters.
+const FOLDED: usize = LatencyHistogram::EXACT_LIMIT as usize;
+
+/// One bank's or one requester's request lifetimes, folded (see the module
+/// docs).
+#[derive(Debug, Clone, Default)]
+struct LifetimeFold {
+    /// Reads drained on their due cycle, by queueing delay `q`: each one is
+    /// the lifetime `(q, read latency)`.
+    on_time_reads: [u64; FOLDED],
+    /// Writes, by queueing delay `q`: each one is the lifetime `(q, 0)`.
+    writes: [u64; FOLDED],
+    /// Every other completed lifetime, recorded sample by sample.
+    slow: LatencyTelemetry,
+}
+
+impl LifetimeFold {
+    /// Folds a write granted after `queueing` cycles.
+    #[inline]
+    fn write(&mut self, queueing: u64) {
+        match self.writes.get_mut(queueing as usize) {
+            Some(n) => *n += 1,
+            None => self.slow.record(queueing, 0),
+        }
+    }
+
+    /// The histograms this fold stands for.
+    fn telemetry(&self, read_latency: u64) -> LatencyTelemetry {
+        let mut tel = self.slow.clone();
+        for (q, (&reads, &writes)) in (0u64..).zip(self.on_time_reads.iter().zip(&self.writes)) {
+            tel.queueing.record_n(q, reads + writes);
+            tel.service.record_n(read_latency, reads);
+            tel.service.record_n(0, writes);
+            tel.end_to_end.record_n(q + read_latency, reads);
+            tel.end_to_end.record_n(q, writes);
+        }
+        tel
+    }
+}
+
+/// A granted read awaiting delivery: a header only. Its bank word waits in
+/// the capture slab, at the same position in issue order.
 #[derive(Debug)]
 struct InFlightRead {
     due: Cycle,
     issued: Cycle,
-    granted: Cycle,
+    requester: RequesterId,
     bank: usize,
+    tag: u64,
     /// Causal flow token id stamped at the request's first submit.
     flow: u64,
-    response: MemResponse,
+}
+
+/// Bank words captured at read grants: one bank-width slot per in-flight
+/// read, in issue order, as a ring that doubles when full.
+#[derive(Debug)]
+struct CaptureSlab {
+    bytes: Vec<u8>,
+    width: usize,
+    /// Ring capacity in words (`bytes.len() / width`, kept to avoid a
+    /// division per access).
+    slots: usize,
+    /// Slot of the oldest word.
+    head: usize,
+    len: usize,
+}
+
+impl CaptureSlab {
+    fn new(width: usize) -> Self {
+        CaptureSlab {
+            bytes: Vec::new(),
+            width,
+            slots: 0,
+            head: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends a copy of `word`.
+    #[inline]
+    fn push(&mut self, word: &[u8]) {
+        if self.len == self.slots {
+            self.grow();
+        }
+        let mut slot = self.head + self.len;
+        if slot >= self.slots {
+            slot -= self.slots;
+        }
+        self.bytes[slot * self.width..][..self.width].copy_from_slice(word);
+        self.len += 1;
+    }
+
+    /// Removes the oldest word and returns it (valid until the next push).
+    #[inline]
+    fn pop_front(&mut self) -> &[u8] {
+        debug_assert!(self.len > 0, "capture slab underflow");
+        let slot = self.head;
+        self.head += 1;
+        if self.head == self.slots {
+            self.head = 0;
+        }
+        self.len -= 1;
+        &self.bytes[slot * self.width..][..self.width]
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        self.bytes.rotate_left(self.head * self.width);
+        self.head = 0;
+        self.slots = (2 * self.slots).max(8);
+        self.bytes.resize(self.slots * self.width, 0);
+    }
 }
 
 /// One bank's arbitration state within a cycle: how many submissions
@@ -201,8 +337,19 @@ pub struct MemorySubsystem {
     /// Requests submitted in the current cycle.
     submissions: Vec<MemRequest>,
     submitted: Vec<bool>,
+    /// Each requester's staged write payload, one bank word per requester.
+    write_payloads: Vec<u8>,
+    /// Whether each requester has a staged payload its next granted write
+    /// commits.
+    staged: Vec<bool>,
     /// Read responses in flight, stamped for latency attribution.
     in_flight: VecDeque<InFlightRead>,
+    /// The in-flight reads' bank words, captured at the grant.
+    captured: CaptureSlab,
+    /// How many of the oldest in-flight reads were granted before the last
+    /// [`reset_stats`](Self::reset_stats): their queueing delay was
+    /// recorded, then cleared, so their delivery records service only.
+    reset_in_flight: usize,
     /// Grant flags from the last arbitration, indexed by requester.
     grants: Vec<bool>,
     /// Per-bank arbitration slots of the current cycle, valid for the
@@ -228,8 +375,8 @@ pub struct MemorySubsystem {
     /// Emit `FlowIssue`/`FlowGrant`/`FlowDeliver` trace stamps (opt-in on
     /// top of tracing: flow events inflate traces).
     flow_events: bool,
-    per_bank_latency: Vec<LatencyTelemetry>,
-    per_requester_latency: Vec<LatencyTelemetry>,
+    per_bank_lifetimes: Vec<LifetimeFold>,
+    per_requester_lifetimes: Vec<LifetimeFold>,
     stats: MemStats,
     cycle: Cycle,
     traffic_started: bool,
@@ -250,6 +397,7 @@ impl MemorySubsystem {
     #[must_use]
     pub fn with_scratchpad(scratchpad: Scratchpad) -> Self {
         let banks = scratchpad.config().num_banks();
+        let width = scratchpad.config().bank_width_bytes();
         MemorySubsystem {
             scratchpad,
             read_latency: Self::DEFAULT_READ_LATENCY,
@@ -257,7 +405,11 @@ impl MemorySubsystem {
             requester_names: Vec::new(),
             submissions: Vec::new(),
             submitted: Vec::new(),
+            write_payloads: Vec::new(),
+            staged: Vec::new(),
             in_flight: VecDeque::new(),
+            captured: CaptureSlab::new(width),
+            reset_in_flight: 0,
             grants: Vec::new(),
             bank_slots: vec![BankSlot::default(); banks],
             touched_banks: vec![0; banks.div_ceil(64)],
@@ -266,8 +418,8 @@ impl MemorySubsystem {
             pending_flow: Vec::new(),
             next_flow_id: 0,
             flow_events: false,
-            per_bank_latency: vec![LatencyTelemetry::default(); banks],
-            per_requester_latency: Vec::new(),
+            per_bank_lifetimes: vec![LifetimeFold::default(); banks],
+            per_requester_lifetimes: Vec::new(),
             stats: MemStats::default(),
             cycle: Cycle::ZERO,
             traffic_started: false,
@@ -373,57 +525,79 @@ impl MemorySubsystem {
     }
 
     /// Request-lifetime histograms per bank (indexed by bank number).
+    /// Reads still in flight count in `queueing` only, as they were
+    /// stamped at the grant.
     #[must_use]
-    pub fn latency_by_bank(&self) -> &[LatencyTelemetry] {
-        &self.per_bank_latency
+    pub fn latency_by_bank(&self) -> Vec<LatencyTelemetry> {
+        self.build_telemetry(&self.per_bank_lifetimes, |read| read.bank)
     }
 
     /// Request-lifetime histograms per requester (indexed by
     /// [`RequesterId::index`]). Empty until traffic starts.
     #[must_use]
-    pub fn latency_by_requester(&self) -> &[LatencyTelemetry] {
-        &self.per_requester_latency
+    pub fn latency_by_requester(&self) -> Vec<LatencyTelemetry> {
+        self.build_telemetry(&self.per_requester_lifetimes, |read| read.requester.index())
     }
 
     /// Request-lifetime histograms merged over all banks.
     #[must_use]
     pub fn latency_totals(&self) -> LatencyTelemetry {
-        let mut total = LatencyTelemetry::default();
-        for tel in &self.per_bank_latency {
-            total.merge(tel);
+        merged(&self.latency_by_bank())
+    }
+
+    /// Builds the histograms of `folds`, adding the queueing delay of every
+    /// read granted since the last reset and still in flight to the table
+    /// `key` picks.
+    fn build_telemetry(
+        &self,
+        folds: &[LifetimeFold],
+        key: impl Fn(&InFlightRead) -> usize,
+    ) -> Vec<LatencyTelemetry> {
+        let mut tables: Vec<LatencyTelemetry> = folds
+            .iter()
+            .map(|fold| fold.telemetry(self.read_latency))
+            .collect();
+        for read in self.in_flight.iter().skip(self.reset_in_flight) {
+            tables[key(read)].queueing.record(self.queueing(read));
         }
-        total
+        tables
+    }
+
+    /// Issue → grant delay of an in-flight read.
+    fn queueing(&self, read: &InFlightRead) -> u64 {
+        (read.due.get() - self.read_latency).saturating_sub(read.issued.get())
     }
 
     /// Resets statistics (not memory contents or cycle count).
     pub fn reset_stats(&mut self) {
         self.stats = MemStats::default();
         self.per_bank_accesses.fill(0);
-        self.per_bank_latency.fill(LatencyTelemetry::default());
-        self.per_requester_latency.fill(LatencyTelemetry::default());
+        self.per_bank_lifetimes.fill(LifetimeFold::default());
+        self.per_requester_lifetimes.fill(LifetimeFold::default());
+        self.reset_in_flight = self.in_flight.len();
     }
 
     /// Step 1 of a cycle: deliver read responses whose latency has elapsed,
     /// in issue order, to `deliver` — the allocation-free drain used by the
     /// tick kernel.
     ///
-    /// Responses are `Copy`, so the callback receives each one by value.
-    pub fn drain_responses(&mut self, mut deliver: impl FnMut(MemResponse)) {
+    /// Each response borrows its captured word for the duration of the
+    /// callback.
+    pub fn drain_responses(&mut self, mut deliver: impl FnMut(MemResponse<'_>)) {
         while let Some(front) = self.in_flight.front() {
             if front.due > self.cycle {
                 break;
             }
             let read = self.in_flight.pop_front().expect("front exists");
             // Delivery stamp: the response leaves the subsystem now.
-            let service = self.cycle.saturating_sub(read.granted).get();
-            let end_to_end = self.cycle.saturating_sub(read.issued).get();
-            self.per_bank_latency[read.bank].service.record(service);
-            self.per_bank_latency[read.bank]
-                .end_to_end
-                .record(end_to_end);
-            let requester = &mut self.per_requester_latency[read.response.requester.0];
-            requester.service.record(service);
-            requester.end_to_end.record(end_to_end);
+            let queueing = self.queueing(&read);
+            let q = queueing as usize;
+            if read.due == self.cycle && self.reset_in_flight == 0 && q < FOLDED {
+                self.per_bank_lifetimes[read.bank].on_time_reads[q] += 1;
+                self.per_requester_lifetimes[read.requester.0].on_time_reads[q] += 1;
+            } else {
+                self.record_slow_delivery(&read, queueing);
+            }
             if self.flow_events {
                 self.trace.emit(
                     self.cycle,
@@ -431,19 +605,74 @@ impl MemorySubsystem {
                     TraceEventKind::FlowDeliver { id: read.flow },
                 );
             }
-            deliver(read.response);
+            deliver(MemResponse {
+                requester: read.requester,
+                tag: read.tag,
+                data: self.captured.pop_front(),
+            });
+        }
+    }
+
+    /// Records a delivered read's lifetime sample by sample: it came late,
+    /// queued for at least [`FOLDED`] cycles, or was granted before the
+    /// last reset (then only its service is recorded now).
+    #[cold]
+    fn record_slow_delivery(&mut self, read: &InFlightRead, queueing: u64) {
+        let service = self.cycle.get() - (read.due.get() - self.read_latency);
+        let granted_before_reset = self.reset_in_flight > 0;
+        self.reset_in_flight = self.reset_in_flight.saturating_sub(1);
+        for tel in [
+            &mut self.per_bank_lifetimes[read.bank].slow,
+            &mut self.per_requester_lifetimes[read.requester.0].slow,
+        ] {
+            if granted_before_reset {
+                tel.service.record(service);
+                tel.end_to_end.record(queueing + service);
+            } else {
+                tel.record(queueing, service);
+            }
         }
     }
 
     /// Step 1 of a cycle: collect read responses whose latency has elapsed.
     ///
     /// Convenience wrapper over [`drain_responses`](Self::drain_responses)
-    /// that allocates a fresh `Vec`; tests and one-shot tools use it, the
-    /// tick kernel drains in place.
-    pub fn take_responses(&mut self) -> Vec<MemResponse> {
+    /// that copies each word out; tests and one-shot tools use it, the tick
+    /// kernel drains in place.
+    pub fn take_responses(&mut self) -> Vec<OwnedResponse> {
         let mut out = Vec::new();
-        self.drain_responses(|response| out.push(response));
+        self.drain_responses(|response| {
+            out.push(OwnedResponse {
+                requester: response.requester,
+                tag: response.tag,
+                data: Word::from_slice(response.data),
+            });
+        });
         out
+    }
+
+    /// Stages `data` as `requester`'s write payload: its next granted
+    /// [`MemOp::Write`] commits it. Stage once per write; a retry after a
+    /// lost arbitration resubmits only the header.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::UnknownRequester`] for an unregistered id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not exactly one bank word wide.
+    pub fn stage_write(&mut self, requester: RequesterId, data: &[u8]) -> Result<(), MemError> {
+        let idx = requester.0;
+        if idx >= self.requester_names.len() {
+            return Err(MemError::UnknownRequester { requester: idx });
+        }
+        self.ensure_traffic_started();
+        let width = self.captured.width;
+        assert_eq!(data.len(), width, "write data must be one full word");
+        self.write_payloads[idx * width..][..width].copy_from_slice(data);
+        self.staged[idx] = true;
+        Ok(())
     }
 
     /// Step 2 of a cycle: submit one request for a requester.
@@ -452,7 +681,9 @@ impl MemorySubsystem {
     ///
     /// [`MemError::UnknownRequester`] for an unregistered id,
     /// [`MemError::DuplicateRequest`] if this requester already submitted in
-    /// the current cycle.
+    /// the current cycle, [`MemError::UnstagedWrite`] for a write with no
+    /// staged payload.
+    #[inline]
     pub fn submit(&mut self, request: MemRequest) -> Result<(), MemError> {
         let idx = request.requester.0;
         if idx >= self.requester_names.len() {
@@ -461,6 +692,9 @@ impl MemorySubsystem {
         self.ensure_traffic_started();
         if self.submitted[idx] {
             return Err(MemError::DuplicateRequest { requester: idx });
+        }
+        if request.op == MemOp::Write && !self.staged[idx] {
+            return Err(MemError::UnstagedWrite { requester: idx });
         }
         debug_assert!(
             request.loc.bank < self.scratchpad.config().num_banks()
@@ -481,20 +715,25 @@ impl MemorySubsystem {
             self.next_flow_id += 1;
             self.stats.submissions.inc();
             if self.flow_events {
-                self.trace.emit(
-                    self.cycle,
-                    "xbar",
-                    TraceEventKind::FlowIssue {
-                        id: self.pending_flow[idx],
-                        bank: request.loc.bank,
-                    },
-                );
+                self.emit_flow_issue(idx, request.loc.bank);
             }
         } else {
             self.stats.resubmissions.inc();
         }
         self.submissions.push(request);
         Ok(())
+    }
+
+    #[cold]
+    fn emit_flow_issue(&mut self, idx: usize, bank: usize) {
+        self.trace.emit(
+            self.cycle,
+            "xbar",
+            TraceEventKind::FlowIssue {
+                id: self.pending_flow[idx],
+                bank,
+            },
+        );
     }
 
     /// Step 3 of a cycle: arbitrate all submissions, perform granted
@@ -578,27 +817,23 @@ impl MemorySubsystem {
                 TraceEventKind::FlowGrant { id: flow, bank },
             );
         }
-        let queueing = self.cycle.saturating_sub(issued).get();
-        self.per_bank_latency[bank].queueing.record(queueing);
-        self.per_requester_latency[winner].queueing.record(queueing);
         match request.op {
             MemOp::Read => {
                 self.stats.reads.inc();
-                let data = Word::from_slice(self.scratchpad.read_row(request.loc));
+                // Grant-time capture: the word leaves the bank now, so a
+                // write granted before the delivery cannot change it. The
+                // lifetime is recorded at the delivery.
+                self.captured.push(self.scratchpad.read_row(request.loc));
                 self.in_flight.push_back(InFlightRead {
                     due: self.cycle + self.read_latency,
                     issued,
-                    granted: self.cycle,
+                    requester: request.requester,
                     bank,
+                    tag: request.tag,
                     flow,
-                    response: MemResponse {
-                        requester: request.requester,
-                        tag: request.tag,
-                        data,
-                    },
                 });
             }
-            MemOp::Write { data } => {
+            MemOp::Write => {
                 self.stats.writes.inc();
                 // A write's token retires at its grant: the commit *is*
                 // the delivery, so the flow closes here.
@@ -608,13 +843,13 @@ impl MemorySubsystem {
                 }
                 // Writes commit at the grant: service is zero and the
                 // request's whole lifetime is its queueing delay.
-                self.per_bank_latency[bank].service.record(0);
-                self.per_bank_latency[bank].end_to_end.record(queueing);
-                self.per_requester_latency[winner].service.record(0);
-                self.per_requester_latency[winner]
-                    .end_to_end
-                    .record(queueing);
-                self.scratchpad.write_row_full(request.loc, &data);
+                let queueing = self.cycle.saturating_sub(issued).get();
+                self.per_bank_lifetimes[bank].write(queueing);
+                self.per_requester_lifetimes[winner].write(queueing);
+                let width = self.captured.width;
+                self.scratchpad
+                    .write_row_full(request.loc, &self.write_payloads[winner * width..][..width]);
+                self.staged[winner] = false;
             }
         }
     }
@@ -634,7 +869,7 @@ impl MemorySubsystem {
     pub fn oldest_inflight_bank(&self, requester: RequesterId) -> Option<usize> {
         self.in_flight
             .iter()
-            .find(|read| read.response.requester == requester)
+            .find(|read| read.requester == requester)
             .map(|read| read.bank)
     }
 
@@ -677,7 +912,10 @@ impl MemorySubsystem {
         self.grants = vec![false; self.requester_names.len()];
         self.issue_cycle = vec![None; self.requester_names.len()];
         self.pending_flow = vec![0; self.requester_names.len()];
-        self.per_requester_latency = vec![LatencyTelemetry::default(); self.requester_names.len()];
+        self.write_payloads =
+            vec![0; self.requester_names.len() * self.scratchpad.config().bank_width_bytes()];
+        self.staged = vec![false; self.requester_names.len()];
+        self.per_requester_lifetimes = vec![LifetimeFold::default(); self.requester_names.len()];
     }
 }
 
@@ -743,15 +981,16 @@ impl Instrumented for MemorySubsystem {
             let d: Distribution = self.per_bank_accesses.iter().map(|&n| n as f64).collect();
             registry.set_summary("bank_accesses", &d.summary());
         }
-        registry.with_scope("latency", |r| self.latency_totals().register_metrics(r));
-        for (bank, tel) in self.per_bank_latency.iter().enumerate() {
+        let by_bank = self.latency_by_bank();
+        registry.with_scope("latency", |r| merged(&by_bank).register_metrics(r));
+        for (bank, tel) in by_bank.iter().enumerate() {
             if !tel.is_empty() || !tel.queueing.is_empty() {
                 registry.with_scope(&format!("bank{bank}"), |r| {
                     r.with_scope("latency", |r| tel.register_metrics(r));
                 });
             }
         }
-        for (idx, tel) in self.per_requester_latency.iter().enumerate() {
+        for (idx, tel) in self.latency_by_requester().iter().enumerate() {
             if tel.is_empty() && tel.queueing.is_empty() {
                 continue;
             }
@@ -765,6 +1004,15 @@ impl Instrumented for MemorySubsystem {
             });
         }
     }
+}
+
+/// `tables` merged into one.
+fn merged(tables: &[LatencyTelemetry]) -> LatencyTelemetry {
+    let mut total = LatencyTelemetry::default();
+    for tel in tables {
+        total.merge(tel);
+    }
+    total
 }
 
 #[cfg(test)]
@@ -784,18 +1032,22 @@ mod tests {
         }
     }
 
+    fn write(requester: RequesterId, bank: usize, row: usize) -> MemRequest {
+        MemRequest {
+            requester,
+            loc: BankLocation { bank, row },
+            tag: 0,
+            op: MemOp::Write,
+        }
+    }
+
     #[test]
     fn read_after_write_roundtrip() {
         let mut mem = subsystem();
         let r = mem.register_requester("t");
         let word = Word::from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        mem.submit(MemRequest {
-            requester: r,
-            loc: BankLocation { bank: 1, row: 2 },
-            tag: 0,
-            op: MemOp::Write { data: word },
-        })
-        .unwrap();
+        mem.stage_write(r, &word).unwrap();
+        mem.submit(write(r, 1, 2)).unwrap();
         let grants = mem.arbitrate();
         assert!(grants[r.index()]);
         mem.submit(read(r, 1, 2, 1)).unwrap();
@@ -1043,15 +1295,8 @@ mod tests {
         let r = mem.register_requester("t");
         mem.set_trace_mode(TraceMode::Full);
         mem.set_flow_events(true);
-        mem.submit(MemRequest {
-            requester: r,
-            loc: BankLocation { bank: 0, row: 0 },
-            tag: 0,
-            op: MemOp::Write {
-                data: Word::from_slice(&[1; 8]),
-            },
-        })
-        .unwrap();
+        mem.stage_write(r, &[1; 8]).unwrap();
+        mem.submit(write(r, 0, 0)).unwrap();
         mem.arbitrate();
         let kinds: Vec<_> = mem.take_trace().iter().map(|e| e.kind.clone()).collect();
         assert_eq!(
@@ -1134,7 +1379,7 @@ mod tests {
         mem.submit(read(r, 0, 0, 0)).unwrap();
         mem.arbitrate();
         assert_eq!(mem.take_responses().len(), 1);
-        let tel = &mem.latency_by_requester()[r.index()];
+        let tel = &mem.latency_by_requester()[r.index()].clone();
         // Granted in the issue cycle, delivered after the 1-cycle latency.
         assert_eq!(tel.queueing.max(), 0);
         assert_eq!(tel.service.max(), MemorySubsystem::DEFAULT_READ_LATENCY);
@@ -1157,7 +1402,7 @@ mod tests {
             .unwrap();
         assert!(mem.arbitrate()[loser.index()]);
         mem.take_responses();
-        let tel = &mem.latency_by_requester()[loser.index()];
+        let tel = &mem.latency_by_requester()[loser.index()].clone();
         assert_eq!(tel.queueing.max(), 1, "one lost arbitration = one cycle");
         assert_eq!(
             tel.end_to_end.max(),
@@ -1172,17 +1417,10 @@ mod tests {
     fn write_lifetime_has_zero_service() {
         let mut mem = subsystem();
         let r = mem.register_requester("t");
-        mem.submit(MemRequest {
-            requester: r,
-            loc: BankLocation { bank: 3, row: 0 },
-            tag: 0,
-            op: MemOp::Write {
-                data: Word::zeroed(8),
-            },
-        })
-        .unwrap();
+        mem.stage_write(r, &[0; 8]).unwrap();
+        mem.submit(write(r, 3, 0)).unwrap();
         mem.arbitrate();
-        let tel = &mem.latency_by_bank()[3];
+        let tel = &mem.latency_by_bank()[3].clone();
         assert_eq!(tel.service.max(), 0);
         assert_eq!(tel.queueing.count(), 1);
         assert_eq!(tel.end_to_end.count(), 1);
@@ -1206,14 +1444,8 @@ mod tests {
                 if slot.is_none() && issued[i] < 5 {
                     issued[i] += 1;
                     *slot = Some(if (cycle + i) % 3 == 0 {
-                        MemRequest {
-                            requester: ids[i],
-                            loc: BankLocation { bank: 0, row: i },
-                            tag: 0,
-                            op: MemOp::Write {
-                                data: Word::from_slice(&[i as u8; 8]),
-                            },
-                        }
+                        mem.stage_write(ids[i], &[i as u8; 8]).unwrap();
+                        write(ids[i], 0, i)
                     } else {
                         read(ids[i], 0, i, 0)
                     });
@@ -1293,9 +1525,285 @@ mod tests {
             .all(LatencyTelemetry::is_empty));
     }
 
+    /// A read's data is captured at its grant: a write to the same row
+    /// granted while the read is in flight does not reach the response.
+    #[test]
+    fn read_returns_the_row_as_of_its_grant() {
+        let mut mem = subsystem();
+        mem.set_read_latency(4);
+        let reader = mem.register_requester("reader");
+        let writer = mem.register_requester("writer");
+        let row = BankLocation { bank: 2, row: 5 };
+        mem.scratchpad_mut().write_row_full(row, &[0xaa; 8]);
+        mem.submit(read(reader, row.bank, row.row, 0)).unwrap();
+        assert!(mem.arbitrate()[reader.index()], "read granted at cycle 0");
+        mem.stage_write(writer, &[0x55; 8]).unwrap();
+        mem.submit(write(writer, row.bank, row.row)).unwrap();
+        assert!(mem.arbitrate()[writer.index()], "write granted at cycle 1");
+        assert_eq!(mem.scratchpad().read_row(row), &[0x55; 8]);
+        mem.arbitrate();
+        assert!(mem.take_responses().is_empty(), "due at cycle 4");
+        mem.arbitrate();
+        let responses = mem.take_responses();
+        assert_eq!(responses.len(), 1);
+        assert_eq!(&responses[0].data[..], &[0xaa; 8], "value before the write");
+    }
+
+    #[test]
+    fn write_without_staged_payload_is_rejected() {
+        let mut mem = subsystem();
+        let r = mem.register_requester("t");
+        assert_eq!(
+            mem.submit(write(r, 0, 0)),
+            Err(MemError::UnstagedWrite { requester: 0 })
+        );
+        mem.stage_write(r, &[3; 8]).unwrap();
+        mem.submit(write(r, 0, 0)).unwrap();
+        mem.arbitrate();
+        // The grant consumed the payload; the next write must stage again.
+        assert!(matches!(
+            mem.submit(write(r, 0, 1)),
+            Err(MemError::UnstagedWrite { .. })
+        ));
+    }
+
+    /// The request-lifetime telemetry before the fold, kept as the
+    /// reference: six histogram records per request. Queueing is recorded
+    /// per bank and per requester at the grant; service and end-to-end per
+    /// bank and per requester at the delivery (at the grant, for writes).
+    struct SixRecordTelemetry {
+        by_bank: Vec<LatencyTelemetry>,
+        by_requester: Vec<LatencyTelemetry>,
+    }
+
+    impl SixRecordTelemetry {
+        fn new(banks: usize, requesters: usize) -> Self {
+            SixRecordTelemetry {
+                by_bank: vec![LatencyTelemetry::default(); banks],
+                by_requester: vec![LatencyTelemetry::default(); requesters],
+            }
+        }
+
+        fn grant(&mut self, bank: usize, requester: usize, queueing: u64) {
+            self.by_bank[bank].queueing.record(queueing);
+            self.by_requester[requester].queueing.record(queueing);
+        }
+
+        fn complete(&mut self, bank: usize, requester: usize, service: u64, end_to_end: u64) {
+            for tel in [&mut self.by_bank[bank], &mut self.by_requester[requester]] {
+                tel.service.record(service);
+                tel.end_to_end.record(end_to_end);
+            }
+        }
+
+        /// The latency metrics `MemorySubsystem::register_metrics`
+        /// publishes, from this reference.
+        fn registry(&self, names: &[String]) -> MetricsRegistry {
+            let mut registry = MetricsRegistry::new();
+            registry.with_scope("latency", |r| merged(&self.by_bank).register_metrics(r));
+            for (bank, tel) in self.by_bank.iter().enumerate() {
+                if !tel.queueing.is_empty() {
+                    registry.with_scope(&format!("bank{bank}"), |r| {
+                        r.with_scope("latency", |r| tel.register_metrics(r));
+                    });
+                }
+            }
+            for (tel, name) in self.by_requester.iter().zip(names) {
+                if !tel.queueing.is_empty() {
+                    registry.with_scope("requester", |r| {
+                        r.with_scope(name, |r| {
+                            r.with_scope("latency", |r| tel.register_metrics(r));
+                        });
+                    });
+                }
+            }
+            registry
+        }
+    }
+
+    /// A request a test requester has issued and not yet seen complete.
+    #[derive(Clone, Copy)]
+    struct Issued {
+        request: MemRequest,
+        issued: u64,
+    }
+
+    fn assert_telemetry_matches(
+        mem: &MemorySubsystem,
+        reference: &SixRecordTelemetry,
+        names: &[String],
+        label: &str,
+    ) {
+        assert_eq!(mem.latency_by_bank(), reference.by_bank, "{label}: by bank");
+        assert_eq!(
+            mem.latency_by_requester(),
+            reference.by_requester,
+            "{label}: by requester"
+        );
+        assert_eq!(
+            mem.latency_totals(),
+            merged(&reference.by_bank),
+            "{label}: totals"
+        );
+        let mut registry = MetricsRegistry::new();
+        mem.register_metrics(&mut registry);
+        let latency: Vec<_> = registry
+            .iter()
+            .filter(|(path, _)| path.contains("latency"))
+            .collect();
+        let expected = reference.registry(names);
+        assert_eq!(
+            latency,
+            expected.iter().collect::<Vec<_>>(),
+            "{label}: registry"
+        );
+    }
+
+    /// The folded lifetime telemetry equals the six-record reference under
+    /// seeded traffic: read latencies 1, 2, 4 and 16; conflict-heavy
+    /// retries; mixed reads and writes; drains skipped for a few cycles, so
+    /// responses arrive after their due cycle; queueing delays of at least
+    /// `EXACT_LIMIT`; and snapshots taken while reads are in flight.
+    #[test]
+    fn lifetime_fold_matches_six_record_reference() {
+        const BANKS: usize = 8;
+        const REQUESTERS: usize = 24;
+        for latency in [1u64, 2, 4, 16] {
+            let mut rng = dm_sim::SplitMix64::new(0xf01d ^ latency);
+            let mut mem = MemorySubsystem::new(MemConfig::new(BANKS, 8, 16).unwrap());
+            mem.set_read_latency(latency);
+            let names: Vec<String> = (0..REQUESTERS).map(|i| format!("port{i}/ch0")).collect();
+            let ids: Vec<RequesterId> = names
+                .iter()
+                .map(|name| mem.register_requester(name.as_str()))
+                .collect();
+            let metric_names: Vec<String> = names.iter().map(|n| n.replace('/', ".")).collect();
+            let mut reference = SixRecordTelemetry::new(BANKS, REQUESTERS);
+            let mut pending: Vec<Option<Issued>> = vec![None; REQUESTERS];
+            // Granted reads per requester, oldest first: (bank, issued, granted).
+            let mut in_flight: Vec<VecDeque<(usize, u64, u64)>> = vec![VecDeque::new(); REQUESTERS];
+            let (mut skip, mut max_queueing, mut late, mut snapshots_in_flight) = (0, 0, 0, 0);
+            for cycle in 0..3_000u64 {
+                let label = format!("latency {latency}, cycle {cycle}");
+                if skip > 0 {
+                    skip -= 1;
+                } else {
+                    if rng.below(16) == 0 {
+                        skip = rng.between(1, 4);
+                    }
+                    let now = mem.cycle().get();
+                    for response in mem.take_responses() {
+                        let r = response.requester.index();
+                        let (bank, issued, granted) = in_flight[r]
+                            .pop_front()
+                            .expect("response for a granted read");
+                        late += u64::from(now > granted + latency);
+                        reference.complete(bank, r, now - granted, now - issued);
+                    }
+                }
+                // Every 256 cycles, a burst on one bank builds queueing
+                // delays past EXACT_LIMIT; otherwise half the traffic
+                // crowds two hot banks.
+                let burst = cycle % 256 < 24;
+                for (r, &id) in ids.iter().enumerate() {
+                    if pending[r].is_none() && rng.below(3) > 0 {
+                        let bank = match (burst, rng.below(2)) {
+                            (true, _) => 0,
+                            (false, 0) => rng.below(2) as usize,
+                            (false, _) => rng.below(BANKS as u64) as usize,
+                        };
+                        let row = rng.below(16) as usize;
+                        let request = if rng.below(4) == 0 {
+                            mem.stage_write(id, &rng.next_u64().to_le_bytes()).unwrap();
+                            write(id, bank, row)
+                        } else {
+                            read(id, bank, row, 0)
+                        };
+                        pending[r] = Some(Issued {
+                            request,
+                            issued: mem.cycle().get(),
+                        });
+                    }
+                    if let Some(issued) = pending[r] {
+                        mem.submit(issued.request).unwrap();
+                    }
+                }
+                let now = mem.cycle().get();
+                let grants = mem.arbitrate().to_vec();
+                for (r, slot) in pending.iter_mut().enumerate() {
+                    let Some(Issued { request, issued }) = *slot else {
+                        continue;
+                    };
+                    if !grants[r] {
+                        continue;
+                    }
+                    *slot = None;
+                    let queueing = now - issued;
+                    max_queueing = max_queueing.max(queueing);
+                    reference.grant(request.loc.bank, r, queueing);
+                    match request.op {
+                        MemOp::Read => in_flight[r].push_back((request.loc.bank, issued, now)),
+                        MemOp::Write => reference.complete(request.loc.bank, r, 0, queueing),
+                    }
+                }
+                if rng.below(64) == 0 {
+                    snapshots_in_flight += u64::from(!mem.is_idle());
+                    assert_telemetry_matches(&mem, &reference, &metric_names, &label);
+                }
+            }
+            for _ in 0..latency + 4 {
+                mem.arbitrate();
+            }
+            let now = mem.cycle().get();
+            for response in mem.take_responses() {
+                let r = response.requester.index();
+                let (bank, issued, granted) = in_flight[r].pop_front().unwrap();
+                reference.complete(bank, r, now - granted, now - issued);
+            }
+            assert!(in_flight.iter().all(VecDeque::is_empty));
+            assert_telemetry_matches(&mem, &reference, &metric_names, "drained");
+            assert!(mem.stats().conflicts.get() > 1_000, "traffic must conflict");
+            assert!(mem.stats().writes.get() > 100, "traffic must mix in writes");
+            assert!(
+                max_queueing >= LatencyHistogram::EXACT_LIMIT,
+                "latency {latency}: queueing must reach the per-sample path"
+            );
+            assert!(late > 0, "latency {latency}: some deliveries must be late");
+            assert!(
+                snapshots_in_flight > 0,
+                "snapshots must see reads in flight"
+            );
+        }
+    }
+
+    /// `reset_stats` with reads in flight: their queueing delay was
+    /// recorded and cleared, so only their service and end-to-end latency
+    /// appear after the reset, as with per-sample recording.
+    #[test]
+    fn reset_with_reads_in_flight_keeps_their_delivery_samples() {
+        let mut mem = subsystem();
+        mem.set_read_latency(4);
+        let r = mem.register_requester("t");
+        mem.submit(read(r, 0, 0, 0)).unwrap();
+        mem.arbitrate();
+        mem.reset_stats();
+        assert!(mem.latency_totals().queueing.is_empty());
+        for _ in 0..3 {
+            mem.arbitrate();
+        }
+        assert_eq!(mem.take_responses().len(), 1);
+        let total = mem.latency_totals();
+        assert!(total.queueing.is_empty());
+        assert_eq!(total.service.count(), 1);
+        assert_eq!(total.service.max(), 4);
+        assert_eq!(total.end_to_end.max(), 4);
+    }
+
     /// Drives one subsystem with a conflict-heavy mixed workload and
     /// returns the `(tag, data)` stream a given drain strategy delivers.
-    fn run_scripted(drain: impl Fn(&mut MemorySubsystem) -> Vec<MemResponse>) -> Vec<(u64, Word)> {
+    fn run_scripted(
+        drain: impl Fn(&mut MemorySubsystem) -> Vec<OwnedResponse>,
+    ) -> Vec<(u64, Word)> {
         let mut mem = subsystem();
         let ids: Vec<_> = (0..3)
             .map(|i| mem.register_requester(format!("r{i}")))
@@ -1338,7 +1846,13 @@ mod tests {
         let via_take = run_scripted(MemorySubsystem::take_responses);
         let via_drain = run_scripted(|mem| {
             let mut out = Vec::new();
-            mem.drain_responses(|response| out.push(response));
+            mem.drain_responses(|response| {
+                out.push(OwnedResponse {
+                    requester: response.requester,
+                    tag: response.tag,
+                    data: Word::from_slice(response.data),
+                });
+            });
             out
         });
         assert!(!via_take.is_empty(), "workload must deliver responses");

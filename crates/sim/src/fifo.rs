@@ -8,29 +8,11 @@
 //! that: capacity is shared between occupied slots and reservations, and
 //! reservations are filled strictly in the order they were made (memory
 //! responses per channel arrive in order because requests issue in order and
-//! the banks have a fixed latency).
+//! the banks have a fixed latency). A fill always lands in the oldest
+//! pending reservation, so the FIFO itself is the record of reservation
+//! order; callers keep no slot tokens.
 
 use std::fmt;
-
-/// Token for a reserved FIFO slot.
-///
-/// Produced by [`Fifo::try_reserve`] and consumed by [`Fifo::fill_reserved`].
-/// The token carries the reservation sequence number so that out-of-order
-/// fills — a protocol violation in the modelled hardware — are caught
-/// immediately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[must_use = "a reserved slot must eventually be filled"]
-pub struct ReservedSlot {
-    seq: u64,
-}
-
-impl ReservedSlot {
-    /// Returns the reservation sequence number (monotonically increasing per
-    /// FIFO).
-    pub fn sequence(self) -> u64 {
-        self.seq
-    }
-}
 
 /// A bounded FIFO queue with slot reservation.
 ///
@@ -41,13 +23,13 @@ impl ReservedSlot {
 ///
 /// let mut fifo: Fifo<&str> = Fifo::new(2);
 /// assert!(fifo.has_free_slot());
-/// let slot = fifo.try_reserve().expect("space available");
+/// assert!(fifo.try_reserve(), "space available");
 /// // One slot left: it can still be used by a direct push.
 /// fifo.push("direct").expect("one slot remains");
 /// assert!(!fifo.has_free_slot());
 /// // The reserved slot is filled later (e.g. by a memory response) and the
 /// // element lands *in front of* later pushes, preserving request order.
-/// fifo.fill_reserved(slot, "response");
+/// fifo.fill_reserved("response");
 /// assert_eq!(fifo.pop(), Some("response"));
 /// assert_eq!(fifo.pop(), Some("direct"));
 /// ```
@@ -156,33 +138,27 @@ impl<T> Fifo<T> {
 
     /// Attempts to reserve a slot for a future fill.
     ///
-    /// Returns `None` when the FIFO (including reservations) is full — the
+    /// Returns `false` when the FIFO (including reservations) is full — the
     /// modelled ORM then throttles the request side.
     #[inline]
-    pub fn try_reserve(&mut self) -> Option<ReservedSlot> {
+    #[must_use = "a failed reservation must throttle the caller"]
+    pub fn try_reserve(&mut self) -> bool {
         if !self.has_free_slot() {
-            return None;
+            return false;
         }
-        let seq = self.next_reserve_seq;
         self.next_reserve_seq += 1;
         self.committed += 1;
         self.note_watermark();
-        Some(ReservedSlot { seq })
+        true
     }
 
-    /// Fills a previously reserved slot.
+    /// Fills the oldest pending reservation.
     ///
     /// # Panics
     ///
-    /// Panics if slots are filled out of reservation order; the simulated
-    /// memory system guarantees in-order responses per channel, so an
-    /// out-of-order fill indicates a modelling bug.
+    /// Panics if no reservation is pending.
     #[inline]
-    pub fn fill_reserved(&mut self, slot: ReservedSlot, value: T) {
-        assert_eq!(
-            slot.seq, self.next_fill_seq,
-            "fifo reservation filled out of order"
-        );
+    pub fn fill_reserved(&mut self, value: T) {
         assert!(
             self.ready < self.committed,
             "fill without outstanding reservation"
@@ -322,9 +298,9 @@ mod tests {
     #[test]
     fn reservation_consumes_capacity() {
         let mut fifo: Fifo<u8> = Fifo::new(2);
-        let _a = fifo.try_reserve().unwrap();
-        let _b = fifo.try_reserve().unwrap();
-        assert!(fifo.try_reserve().is_none());
+        assert!(fifo.try_reserve());
+        assert!(fifo.try_reserve());
+        assert!(!fifo.try_reserve());
         assert_eq!(fifo.push(9), Err(9));
         assert_eq!(fifo.outstanding(), 2);
     }
@@ -332,30 +308,30 @@ mod tests {
     #[test]
     fn fill_order_is_reservation_order() {
         let mut fifo = Fifo::new(4);
-        let a = fifo.try_reserve().unwrap();
-        let b = fifo.try_reserve().unwrap();
-        fifo.fill_reserved(a, 10);
-        fifo.fill_reserved(b, 20);
+        assert!(fifo.try_reserve());
+        assert!(fifo.try_reserve());
+        fifo.fill_reserved(10);
+        fifo.fill_reserved(20);
         assert_eq!(fifo.pop(), Some(10));
         assert_eq!(fifo.pop(), Some(20));
     }
 
     #[test]
-    #[should_panic(expected = "out of order")]
-    fn out_of_order_fill_panics() {
+    #[should_panic(expected = "without outstanding reservation")]
+    fn fill_without_reservation_panics() {
         let mut fifo = Fifo::new(4);
-        let _a = fifo.try_reserve().unwrap();
-        let b = fifo.try_reserve().unwrap();
-        fifo.fill_reserved(b, 20);
+        assert!(fifo.try_reserve());
+        fifo.fill_reserved(10);
+        fifo.fill_reserved(20);
     }
 
     #[test]
     fn direct_push_stays_behind_reservations() {
         let mut fifo = Fifo::new(4);
-        let a = fifo.try_reserve().unwrap();
+        assert!(fifo.try_reserve());
         fifo.push(99).unwrap();
         assert_eq!(fifo.pop(), None, "reservation blocks later pushes");
-        fifo.fill_reserved(a, 1);
+        fifo.fill_reserved(1);
         assert_eq!(fifo.pop(), Some(1));
         assert_eq!(fifo.pop(), Some(99));
     }
@@ -363,11 +339,11 @@ mod tests {
     #[test]
     fn watermark_tracks_peak_commitment() {
         let mut fifo = Fifo::new(4);
-        let a = fifo.try_reserve().unwrap();
+        assert!(fifo.try_reserve());
         fifo.push(1).unwrap();
         fifo.push(2).unwrap();
         assert_eq!(fifo.high_watermark(), 3);
-        fifo.fill_reserved(a, 0);
+        fifo.fill_reserved(0);
         fifo.pop();
         fifo.pop();
         fifo.pop();
@@ -377,13 +353,13 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let mut fifo = Fifo::new(2);
-        let _ = fifo.try_reserve().unwrap();
+        assert!(fifo.try_reserve());
         fifo.clear();
         assert_eq!(fifo.len(), 0);
         assert_eq!(fifo.outstanding(), 0);
-        let a = fifo.try_reserve().unwrap();
-        assert_eq!(a.sequence(), 0, "sequence numbering restarts after clear");
-        fifo.fill_reserved(a, 5);
+        assert!(fifo.try_reserve());
+        assert!(fifo.try_reserve(), "a cleared fifo has its full capacity");
+        fifo.fill_reserved(5);
         assert_eq!(fifo.pop(), Some(5));
     }
 
@@ -412,8 +388,9 @@ mod tests {
         let mut rng = SplitMix64::new(0xf1f0);
         for case in 0..256 {
             let mut fifo: Fifo<u32> = Fifo::new(8);
-            let mut pending: std::collections::VecDeque<ReservedSlot> =
-                std::collections::VecDeque::new();
+            // Sequence numbers of the pending reservations, oldest first.
+            let mut pending: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
+            let mut next_reserve = 0u32;
             let mut next_push = 1_000_000u32;
             // Shadow model: values in the order they committed a slot.
             // Reserved slots carry their sequence number; direct pushes carry
@@ -423,14 +400,15 @@ mod tests {
             for _ in 0..1 + rng.below(127) {
                 match rng.below(3) {
                     0 => {
-                        if let Some(slot) = fifo.try_reserve() {
-                            commit_order.push(slot.sequence() as u32);
-                            pending.push_back(slot);
+                        if fifo.try_reserve() {
+                            commit_order.push(next_reserve);
+                            pending.push_back(next_reserve);
+                            next_reserve += 1;
                         }
                     }
                     1 => {
-                        if let Some(slot) = pending.pop_front() {
-                            fifo.fill_reserved(slot, slot.sequence() as u32);
+                        if let Some(seq) = pending.pop_front() {
+                            fifo.fill_reserved(seq);
                         }
                     }
                     _ => {
@@ -446,8 +424,8 @@ mod tests {
                 }
             }
             // Fill every remaining reservation and drain.
-            while let Some(slot) = pending.pop_front() {
-                fifo.fill_reserved(slot, slot.sequence() as u32);
+            while let Some(seq) = pending.pop_front() {
+                fifo.fill_reserved(seq);
             }
             while let Some(v) = fifo.pop() {
                 popped.push(v);
@@ -549,24 +527,22 @@ mod tests {
             let mut rng = SplitMix64::new(seed);
             let mut fifo: Fifo<u32> = Fifo::new(6);
             let mut reference = Reference::new(6);
-            let mut pending: std::collections::VecDeque<ReservedSlot> =
-                std::collections::VecDeque::new();
+            // Sequence numbers of the pending reservations, oldest first.
+            let mut pending: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
             let mut next_value = 0u32;
             for _ in 0..256 {
                 match rng.below(5) {
                     0 => {
-                        let slot = fifo.try_reserve();
+                        let reserved = fifo.try_reserve();
                         let ref_seq = reference.try_reserve();
-                        assert_eq!(slot.map(ReservedSlot::sequence), ref_seq);
-                        if let Some(slot) = slot {
-                            pending.push_back(slot);
-                        }
+                        assert_eq!(reserved, ref_seq.is_some());
+                        pending.extend(ref_seq);
                     }
                     1 => {
-                        if let Some(slot) = pending.pop_front() {
+                        if let Some(seq) = pending.pop_front() {
                             next_value += 1;
-                            fifo.fill_reserved(slot, next_value);
-                            reference.fill_reserved(slot.sequence(), next_value);
+                            fifo.fill_reserved(next_value);
+                            reference.fill_reserved(seq, next_value);
                         }
                     }
                     2 => {

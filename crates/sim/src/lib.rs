@@ -44,8 +44,8 @@
 //! use dm_sim::{Cycle, Fifo};
 //!
 //! let mut fifo: Fifo<u32> = Fifo::new(2);
-//! let slot = fifo.try_reserve().expect("empty fifo has space");
-//! fifo.fill_reserved(slot, 7);
+//! assert!(fifo.try_reserve(), "empty fifo has space");
+//! fifo.fill_reserved(7);
 //! assert_eq!(fifo.pop(), Some(7));
 //! assert_eq!(Cycle::ZERO + 3, Cycle::new(3));
 //! ```
@@ -74,7 +74,7 @@ pub use arbiter::RoundRobinArbiter;
 pub use blame::{BlameLeaf, BlamePhase};
 pub use critical::{CritClass, CriticalProfile, WhatIf};
 pub use cycle::Cycle;
-pub use fifo::{Fifo, ReservedSlot};
+pub use fifo::Fifo;
 pub use forward::{FastForward, NextActivity, SpanCheck};
 pub use hash::StableHasher;
 pub use histogram::LatencyHistogram;

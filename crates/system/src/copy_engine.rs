@@ -93,7 +93,9 @@ impl CopyEngine {
         let mut read_data: Vec<Option<Word>> = vec![None; plan.reads.len()];
         // Per-channel pending request: Some(read index) awaiting grant.
         let mut read_pending: Vec<Option<usize>> = vec![None; self.read_ports.len()];
-        let mut write_pending: Vec<Option<(u64, Word)>> = vec![None; self.write_ports.len()];
+        // Per-channel pending write: Some(address) awaiting grant, its
+        // payload staged with the crossbar.
+        let mut write_pending: Vec<Option<u64>> = vec![None; self.write_ports.len()];
         let mut next_read = 0usize;
         let mut next_write = 0usize;
         let mut writes_done = 0usize;
@@ -102,7 +104,9 @@ impl CopyEngine {
 
         while writes_done < plan.writes.len() || next_read < plan.reads.len() {
             // Land responses.
-            mem.drain_responses(|resp| read_data[resp.tag as usize] = Some(resp.data));
+            mem.drain_responses(|resp| {
+                read_data[resp.tag as usize] = Some(Word::from_slice(resp.data))
+            });
             let mut submitted_any = false;
             // Issue reads in order.
             for (ch, port) in self.read_ports.iter().enumerate() {
@@ -126,17 +130,18 @@ impl CopyEngine {
                 if write_pending[ch].is_none() && next_write < plan.writes.len() {
                     let (addr, source) = &plan.writes[next_write];
                     if let Some(data) = materialize(source, &read_data, word) {
-                        write_pending[ch] = Some((*addr, data));
+                        mem.stage_write(*port, &data)?;
+                        write_pending[ch] = Some(*addr);
                         next_write += 1;
                     }
                 }
-                if let Some((addr, data)) = write_pending[ch] {
+                if let Some(addr) = write_pending[ch] {
                     let loc = write_remap.map_byte(Addr::new(addr))?;
                     mem.submit(MemRequest {
                         requester: *port,
                         loc,
                         tag: 0,
-                        op: MemOp::Write { data },
+                        op: MemOp::Write,
                     })?;
                     submitted_any = true;
                 }
@@ -187,7 +192,9 @@ impl CopyEngine {
         }
         // Drain the last in-flight read responses (cheap, no extra cycles:
         // they overlap with whatever runs next).
-        mem.drain_responses(|resp| read_data[resp.tag as usize] = Some(resp.data));
+        mem.drain_responses(|resp| {
+            read_data[resp.tag as usize] = Some(Word::from_slice(resp.data))
+        });
         Ok(CopyStats {
             cycles,
             words_read: plan.reads.len() as u64,

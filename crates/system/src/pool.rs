@@ -127,9 +127,7 @@ pub fn run_pool(
     let budget = ideal * 64 + 100_000;
     while !(a.is_done() && out.is_done()) {
         a.begin_cycle();
-        for resp in mem.take_responses() {
-            a.accept_response(resp);
-        }
+        mem.drain_responses(|resp| a.accept_response(resp));
         let produces = unit.k_counter == unit.k_steps - 1;
         if a.can_pop_wide() && (!produces || out.can_push_wide()) {
             let tile = a.pop_wide();

@@ -50,9 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cycles = 0;
     while !streamer.is_done() {
         streamer.begin_cycle();
-        for resp in mem.take_responses() {
-            streamer.accept_response(resp);
-        }
+        mem.drain_responses(|resp| streamer.accept_response(resp));
         if streamer.can_pop_wide() {
             words.push(streamer.pop_wide().to_vec());
         }
