@@ -145,7 +145,7 @@ impl Diagnostic {
         }
     }
 
-    /// JSON form (used by `dm-lint --json`).
+    /// JSON form (used by `dm lint --json`).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object([

@@ -1,7 +1,7 @@
 //! Known-bad configurations for exercising the analyzer.
 //!
 //! Each fixture is a deliberately broken system that the linter must
-//! reject with a specific code; they double as `dm-lint --demo` subjects
+//! reject with a specific code; they double as `dm lint --demo` subjects
 //! and as regression anchors for the differential tests.
 
 use datamaestro::{DesignConfig, RuntimeConfig, StreamerMode};

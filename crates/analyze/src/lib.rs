@@ -23,10 +23,10 @@
 //!   per-period request counts, then derives a sound FIFO-depth- and
 //!   conflict-adjusted roofline whose min over ports is a proven upper
 //!   bound on PE utilization, classified in the critical-path taxonomy
-//!   (`dm-predict`, validated by the differential soundness suite).
+//!   (`dm predict`, validated by the differential soundness suite).
 //!
 //! The [`system`] module ties these together for a [`dm_compiler`]
-//! program; the `dm-lint` binary exposes them on the command line with
+//! program; `dm lint` exposes them on the command line with
 //! JSON output and a `--deny-warnings` CI gate.
 //!
 //! ## Soundness

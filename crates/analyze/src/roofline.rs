@@ -210,7 +210,7 @@ pub fn prepass_lower_bound(plan: &CopyPlan, mem: &MemConfig) -> u64 {
         .max(write_bank)
 }
 
-/// Renders the prediction as `DM-PERF-*` diagnostics for `dm-lint`:
+/// Renders the prediction as `DM-PERF-*` diagnostics for `dm lint`:
 /// an info when the proven roofline is below near-peak (the configuration
 /// *cannot* reach full utilization, with the predicted bottleneck), and an
 /// info when the period proof had to cap its walk.

@@ -1,4 +1,4 @@
-//! The critical-path analyzer behind the `dm-critical` binary.
+//! The critical-path analyzer behind `dm critical`.
 //!
 //! `critical run` simulates the Fig. 7 ablation slice at one feature step,
 //! merges every run's [`CriticalProfile`] and emits one canonical document:
@@ -21,80 +21,18 @@
 //! fast-forward on or off is byte-identical, which CI exploits as a
 //! determinism gate.
 
-use std::fmt;
-
-use dm_compiler::FeatureSet;
 use dm_sim::{CritClass, CriticalProfile, JsonValue};
-use dm_system::{RunReport, SystemConfig, SystemError};
-use dm_workloads::{synthetic_suite, Workload};
+use dm_system::RunReport;
 
-/// Document format identifier; `diff` refuses to compare across schemas.
-pub const SCHEMA: &str = "datamaestro-critical-v1";
+use crate::cli::{DocKind, HarnessError, Item, Pair, RunFlags};
 
-/// What went wrong while building a critical-path document.
-#[derive(Debug)]
-pub enum CriticalError {
-    /// A simulated run failed outright.
-    Sim(SystemError),
-    /// A run violated the critical-path contract (an analyzer bug; the
-    /// message names the run and the first broken invariant).
-    Contract(String),
-}
-
-impl fmt::Display for CriticalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CriticalError::Sim(e) => write!(f, "simulation failed: {e}"),
-            CriticalError::Contract(msg) => write!(f, "critical-path contract violated: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for CriticalError {}
-
-impl From<SystemError> for CriticalError {
-    fn from(e: SystemError) -> Self {
-        CriticalError::Sim(e)
-    }
-}
-
-/// Options of one `critical run`.
-#[derive(Debug, Clone, Copy)]
-pub struct CriticalOptions {
-    /// Ablation step (1 = baseline … 6 = fully featured).
-    pub step: usize,
-    /// Run the complete Fig. 7 suite instead of the every-5th slice.
-    pub full: bool,
-    /// Worker threads for the independent runs (output is byte-identical
-    /// for any value).
-    pub jobs: usize,
-    /// Idle-cycle elision (output is byte-identical either way).
-    pub fast_forward: bool,
-    /// Scratchpad bank read latency in cycles.
-    pub read_latency: u64,
-}
-
-impl Default for CriticalOptions {
-    fn default() -> Self {
-        CriticalOptions {
-            step: 6,
-            full: false,
-            jobs: 1,
-            fast_forward: true,
-            read_latency: SystemConfig::default().read_latency,
-        }
-    }
-}
-
-impl CriticalOptions {
-    fn config(&self) -> SystemConfig {
-        SystemConfig {
-            fast_forward: self.fast_forward,
-            read_latency: self.read_latency,
-            ..SystemConfig::default().with_features(FeatureSet::ablation_step(self.step))
-        }
-    }
-}
+/// The critical-path document kind; `diff` refuses to compare across
+/// schemas.
+pub const KIND: DocKind = DocKind {
+    tool: "dm-critical",
+    schema: "datamaestro-critical-v1",
+    deltas: Some("deltas"),
+};
 
 /// Release-build re-check of the critical-path contract on one run against
 /// the run's own counters: the path length equals the compute cycle count
@@ -103,21 +41,23 @@ impl CriticalOptions {
 ///
 /// # Errors
 ///
-/// Returns [`CriticalError::Contract`] naming `label` and the first broken
+/// Returns [`HarnessError::Contract`] naming `label` and the first broken
 /// invariant.
-pub fn check_path(label: &str, report: &RunReport) -> Result<(), CriticalError> {
+pub fn check_path(label: &str, report: &RunReport) -> Result<(), HarnessError> {
     let crit = &report.critical;
     if crit.path_length() != report.compute_cycles {
-        return Err(CriticalError::Contract(format!(
-            "{label}: path length is {} but the run had {} compute cycles",
+        return Err(HarnessError::Contract(format!(
+            "critical-path contract violated: {label}: path length is {} but the run had {} \
+             compute cycles",
             crit.path_length(),
             report.compute_cycles
         )));
     }
     let total = report.prepass_cycles + report.compute_cycles;
     if crit.path_length() > total {
-        return Err(CriticalError::Contract(format!(
-            "{label}: path length {} exceeds the total cycle count {total}",
+        return Err(HarnessError::Contract(format!(
+            "critical-path contract violated: {label}: path length {} exceeds the total cycle \
+             count {total}",
             crit.path_length()
         )));
     }
@@ -125,97 +65,22 @@ pub fn check_path(label: &str, report: &RunReport) -> Result<(), CriticalError> 
 }
 
 /// Builds a critical-path document from explicit `(label, workload, seed)`
-/// runs.
-///
-/// This is the core `critical_document` delegates to; tests and callers
-/// with their own workload selection use it directly.
+/// runs (`dm critical run` passes [`RunFlags::items`]).
 ///
 /// # Errors
 ///
-/// Propagates the first [`SystemError`], or a [`CriticalError::Contract`]
-/// if any run breaks the contract.
-pub fn document_for_workloads(
-    opts: &CriticalOptions,
-    items: &[(String, Workload, u64)],
-) -> Result<JsonValue, CriticalError> {
-    let cfg = opts.config();
-    let reports = crate::run_ordered(items, opts.jobs, |_, (_, workload, seed)| {
-        crate::measure(&cfg, *workload, *seed)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-
-    let mut critical = CriticalProfile::new(cfg.read_latency.max(1));
-    let (mut prepass, mut compute, mut ideal) = (0u64, 0u64, 0u64);
-    for ((label, _, _), report) in items.iter().zip(&reports) {
-        check_path(label, report)?;
+/// Propagates the first [`HarnessError::Sim`], or a
+/// [`HarnessError::Contract`] if any run breaks the contract.
+pub fn document_for_workloads(flags: &RunFlags, items: &[Item]) -> Result<JsonValue, HarnessError> {
+    let (reports, cycles) = crate::cli::simulate(flags, items, check_path)?;
+    let mut critical = CriticalProfile::new(flags.read_latency);
+    for report in &reports {
         critical.merge(&report.critical);
-        prepass += report.prepass_cycles;
-        compute += report.compute_cycles;
-        ideal += report.ideal_cycles;
     }
-    Ok(JsonValue::object([
-        ("schema".to_owned(), JsonValue::from(SCHEMA)),
-        ("step".to_owned(), JsonValue::from(opts.step as u64)),
-        (
-            "mode".to_owned(),
-            JsonValue::from(if opts.full { "full" } else { "quick" }),
-        ),
-        (
-            "read_latency".to_owned(),
-            JsonValue::from(opts.read_latency),
-        ),
-        ("workloads".to_owned(), JsonValue::from(items.len() as u64)),
-        (
-            "cycles".to_owned(),
-            JsonValue::object([
-                ("prepass".to_owned(), JsonValue::from(prepass)),
-                ("compute".to_owned(), JsonValue::from(compute)),
-                ("ideal".to_owned(), JsonValue::from(ideal)),
-            ]),
-        ),
-        ("critical".to_owned(), critical.to_json()),
-    ]))
-}
-
-/// Analyzes the Fig. 7 ablation slice at `opts.step` and returns the
-/// canonical document. Workload labels and seeds match `regress run` and
-/// `dm-profile`, so a critical-path document is directly relatable to the
-/// benchmark baselines and blame profiles.
-///
-/// # Errors
-///
-/// Propagates the first [`SystemError`], or a [`CriticalError::Contract`]
-/// if any run breaks the contract.
-pub fn critical_document(
-    opts: &CriticalOptions,
-    mut progress: impl FnMut(&str),
-) -> Result<JsonValue, CriticalError> {
-    let suite = synthetic_suite();
-    let items: Vec<(String, Workload, u64)> = suite
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| opts.full || i % 5 == 0)
-        .map(|(i, w)| (format!("{w}|step{}", opts.step), *w, i as u64))
-        .collect();
-    progress(&format!(
-        "tracing {} workloads at ablation step {} ({} jobs)",
-        items.len(),
-        opts.step,
-        opts.jobs
-    ));
-    document_for_workloads(opts, &items)
-}
-
-fn doc_u64(doc: &JsonValue, path: &[&str]) -> u64 {
-    let mut value = doc;
-    for key in path {
-        match value.get(key) {
-            Some(v) => value = v,
-            None => return 0,
-        }
-    }
-    value.as_u64().unwrap_or(0)
+    let mut fields = flags.header(KIND.schema, items.len());
+    fields.push(("cycles".to_owned(), JsonValue::Object(cycles)));
+    fields.push(("critical".to_owned(), critical.to_json()));
+    Ok(JsonValue::Object(fields))
 }
 
 /// The six-class path composition of a document, in reporting order.
@@ -226,7 +91,7 @@ pub fn composition(doc: &JsonValue) -> Vec<(&'static str, u64)> {
         .map(|&c| {
             (
                 c.label(),
-                doc_u64(doc, &["critical", "composition", c.label()]),
+                doc.u64_at(&["critical", "composition", c.label()]),
             )
         })
         .collect()
@@ -239,16 +104,13 @@ pub fn composition(doc: &JsonValue) -> Vec<(&'static str, u64)> {
 pub fn render(doc: &JsonValue) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let step = doc_u64(doc, &["step"]);
-    let mode = doc
-        .get("mode")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("quick");
-    let latency = doc_u64(doc, &["read_latency"]);
-    let workloads = doc_u64(doc, &["workloads"]);
-    let compute = doc_u64(doc, &["cycles", "compute"]);
-    let ideal = doc_u64(doc, &["cycles", "ideal"]);
-    let path = doc_u64(doc, &["critical", "path"]);
+    let step = doc.u64_at(&["step"]);
+    let mode = doc.str_at(&["mode"]);
+    let latency = doc.u64_at(&["read_latency"]);
+    let workloads = doc.u64_at(&["workloads"]);
+    let compute = doc.u64_at(&["cycles", "compute"]);
+    let ideal = doc.u64_at(&["cycles", "ideal"]);
+    let path = doc.u64_at(&["critical", "path"]);
     let _ = writeln!(
         out,
         "dm-critical: ablation step {step} ({mode}, read latency {latency}) — \
@@ -268,17 +130,16 @@ pub fn render(doc: &JsonValue) -> String {
         };
         let _ = writeln!(out, "    {label:<18} {cycles:>12} {share:>6.1}%");
     }
-    let Some(JsonValue::Array(what_ifs)) = doc.get("critical").and_then(|c| c.get("what_ifs"))
-    else {
+    let Some(JsonValue::Array(what_ifs)) = doc.at(&["critical", "what_ifs"]) else {
         return out;
     };
     let mut ranked: Vec<(&str, u64, u64, bool)> = what_ifs
         .iter()
         .map(|w| {
             (
-                w.get("name").and_then(JsonValue::as_str).unwrap_or("?"),
-                w.get("delta").and_then(JsonValue::as_u64).unwrap_or(0),
-                w.get("projected").and_then(JsonValue::as_u64).unwrap_or(0),
+                w.at(&["name"]).and_then(JsonValue::as_str).unwrap_or("?"),
+                w.u64_at(&["delta"]),
+                w.u64_at(&["projected"]),
                 matches!(w.get("simulable"), Some(JsonValue::Bool(true))),
             )
         })
@@ -326,10 +187,8 @@ pub struct CriticalDiff {
     pub old_path: u64,
     /// Critical path length on the new side.
     pub new_path: u64,
-    /// Read latency of the old document.
-    pub old_latency: u64,
-    /// Read latency of the new document.
-    pub new_latency: u64,
+    /// Read latency of the old and the new document.
+    pub latencies: (u64, u64),
 }
 
 impl CriticalDiff {
@@ -345,45 +204,11 @@ impl CriticalDiff {
     }
 }
 
-/// Compares two critical-path documents.
-///
-/// # Errors
-///
-/// Refuses (with a descriptive message) to compare documents whose schema
-/// is not exactly [`SCHEMA`], or — unless `allow_mismatch` — that were
-/// recorded under different read latencies. A cross-latency comparison is
-/// sometimes exactly the question (the Fig. 7(a) axis), so
-/// `--allow-mismatch` proceeds, and [`render_diff`] prints a loud warning
-/// banner in that case.
-pub fn diff(
-    old: &JsonValue,
-    new: &JsonValue,
-    allow_mismatch: bool,
-) -> Result<CriticalDiff, String> {
-    let schema = |doc: &JsonValue| {
-        doc.get("schema")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("<missing>")
-            .to_owned()
-    };
-    let (old_schema, new_schema) = (schema(old), schema(new));
-    if old_schema != SCHEMA || new_schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: old '{old_schema}', new '{new_schema}', expected '{SCHEMA}'; \
-             regenerate both documents with this dm-critical"
-        ));
-    }
-    let (old_latency, new_latency) = (
-        doc_u64(old, &["read_latency"]),
-        doc_u64(new, &["read_latency"]),
-    );
-    if old_latency != new_latency && !allow_mismatch {
-        return Err(format!(
-            "read latency differs ({old_latency} vs {new_latency}); path deltas across \
-             latencies conflate physics with configuration (pass --allow-mismatch to \
-             compare anyway)"
-        ));
-    }
+/// Compares two critical-path documents that passed the diff prologue
+/// ([`DocKind::pair`]): per-class on-path cycle deltas.
+#[must_use]
+pub fn diff(pair: &Pair) -> CriticalDiff {
+    let (old, new) = (&pair.old, &pair.new);
     let (old_comp, new_comp) = (composition(old), composition(new));
     let mut rows: Vec<ClassDelta> = old_comp
         .iter()
@@ -396,13 +221,12 @@ pub fn diff(
             .cmp(&a.delta().abs())
             .then_with(|| a.class.cmp(b.class))
     });
-    Ok(CriticalDiff {
+    CriticalDiff {
         rows,
-        old_path: doc_u64(old, &["critical", "path"]),
-        new_path: doc_u64(new, &["critical", "path"]),
-        old_latency,
-        new_latency,
-    })
+        old_path: old.u64_at(&["critical", "path"]),
+        new_path: new.u64_at(&["critical", "path"]),
+        latencies: pair.latencies,
+    }
 }
 
 /// Renders a diff: path-length movement, per-class deltas and the dominant
@@ -410,19 +234,7 @@ pub fn diff(
 #[must_use]
 pub fn render_diff(d: &CriticalDiff, old_label: &str, new_label: &str) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "dm-critical diff: {old_label} -> {new_label}");
-    if d.old_latency != d.new_latency {
-        let _ = writeln!(out, "  {}", "=".repeat(68));
-        let _ = writeln!(
-            out,
-            "  WARNING: read latency differs ({} vs {}) — the deltas below\n\
-             \x20 conflate memory physics with configuration changes; proceeding\n\
-             \x20 because --allow-mismatch was given",
-            d.old_latency, d.new_latency
-        );
-        let _ = writeln!(out, "  {}", "=".repeat(68));
-    }
+    let mut out = KIND.diff_header(old_label, new_label, d.latencies);
     let path_delta = d.new_path as i64 - d.old_path as i64;
     let _ = writeln!(
         out,
@@ -460,57 +272,27 @@ pub fn render_diff(d: &CriticalDiff, old_label: &str, new_label: &str) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_workloads::GemmSpec;
+    use dm_workloads::{GemmSpec, Workload};
 
     fn doc_for(step: usize, read_latency: u64) -> JsonValue {
-        let opts = CriticalOptions {
+        let flags = RunFlags {
             step,
             read_latency,
-            ..CriticalOptions::default()
+            ..RunFlags::default()
         };
         let items = vec![(
             format!("GeMM-64|step{step}"),
             Workload::from(GemmSpec::new(64, 64, 64)),
             1,
         )];
-        document_for_workloads(&opts, &items).unwrap()
-    }
-
-    #[test]
-    fn document_is_deterministic_across_jobs_and_fast_forward() {
-        let items: Vec<(String, Workload, u64)> = (0..3)
-            .map(|i| {
-                (
-                    format!("g{i}"),
-                    Workload::from(GemmSpec::new(32, 32, 32)),
-                    i,
-                )
-            })
-            .collect();
-        let doc = |jobs: usize, fast_forward: bool| {
-            let opts = CriticalOptions {
-                step: 5,
-                jobs,
-                fast_forward,
-                read_latency: 4,
-                ..CriticalOptions::default()
-            };
-            document_for_workloads(&opts, &items).unwrap().to_json()
-        };
-        let canonical = doc(1, true);
-        assert_eq!(canonical, doc(4, true), "jobs must not change the bytes");
-        assert_eq!(
-            canonical,
-            doc(1, false),
-            "fast-forward must not change the bytes"
-        );
+        document_for_workloads(&flags, &items).unwrap()
     }
 
     #[test]
     fn composition_sums_to_the_path_and_path_matches_compute() {
         let doc = doc_for(1, 16);
-        let path = doc_u64(&doc, &["critical", "path"]);
-        let compute = doc_u64(&doc, &["cycles", "compute"]);
+        let path = doc.u64_at(&["critical", "path"]);
+        let compute = doc.u64_at(&["cycles", "compute"]);
         assert_eq!(path, compute, "every compute cycle lies on the path");
         let total: u64 = composition(&doc).iter().map(|&(_, n)| n).sum();
         assert_eq!(total, path, "composition must sum to the path length");
@@ -522,9 +304,7 @@ mod tests {
         // read round trip on the critical path; full decoupling (step 6)
         // hides it behind prefetch. The analyzer must name memory latency
         // as the dominant path shift.
-        let old = doc_for(1, 16);
-        let new = doc_for(6, 16);
-        let d = diff(&old, &new, false).unwrap();
+        let d = diff(&KIND.pair(doc_for(1, 16), doc_for(6, 16), false).unwrap());
         let (class, delta) = d.dominant().expect("the path must have moved");
         assert_eq!(class, "memory-latency", "rows: {:?}", d.rows);
         assert!(
@@ -537,39 +317,66 @@ mod tests {
     }
 
     #[test]
+    fn document_is_deterministic_across_jobs_and_fast_forward() {
+        let items: Vec<Item> = (0..3)
+            .map(|i| (format!("g{i}"), GemmSpec::new(32, 32, 32).into(), i))
+            .collect();
+        let doc = |jobs: usize, fast_forward: bool| {
+            let flags = RunFlags {
+                step: 5,
+                jobs,
+                fast_forward,
+                read_latency: 4,
+                ..RunFlags::default()
+            };
+            document_for_workloads(&flags, &items).unwrap().to_json()
+        };
+        let canonical = doc(1, true);
+        assert_eq!(canonical, doc(4, true), "jobs must not change the bytes");
+        assert_eq!(
+            canonical,
+            doc(1, false),
+            "fast-forward must not change the bytes"
+        );
+    }
+
+    #[test]
     fn diff_refuses_mismatches_unless_allowed() {
         let doc = doc_for(6, 4);
         let bogus = JsonValue::object([(
             "schema".to_owned(),
             JsonValue::from("datamaestro-critical-v0"),
         )]);
-        let err = diff(&bogus, &doc, false).unwrap_err();
+        let err = KIND.pair(bogus.clone(), doc.clone(), false).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
 
         let slow = doc_for(6, 16);
-        let err = diff(&doc, &slow, false).unwrap_err();
+        let err = KIND.pair(doc.clone(), slow.clone(), false).unwrap_err();
         assert!(err.contains("read latency differs"), "{err}");
 
         // --allow-mismatch proceeds, and the rendering carries the banner.
-        let d = diff(&doc, &slow, true).unwrap();
-        assert_eq!((d.old_latency, d.new_latency), (4, 16));
+        let d = diff(&KIND.pair(doc.clone(), slow, true).unwrap());
+        assert_eq!(d.latencies, (4, 16));
         let rendered = render_diff(&d, "fast", "slow");
         assert!(rendered.contains("WARNING: read latency differs (4 vs 16)"));
+        // The schema refusal is never relaxed.
+        let err = KIND.pair(bogus, doc, true).unwrap_err();
+        assert!(err.contains("schema mismatch"), "{err}");
     }
 
     #[test]
     fn contract_check_accepts_real_runs_and_rejects_forgeries() {
-        let opts = CriticalOptions {
+        let cfg = RunFlags {
             step: 5,
-            ..CriticalOptions::default()
-        };
-        let mut report =
-            crate::measure(&opts.config(), GemmSpec::new(32, 32, 32).into(), 1).unwrap();
+            ..RunFlags::default()
+        }
+        .config();
+        let mut report = crate::measure(&cfg, GemmSpec::new(32, 32, 32).into(), 1).unwrap();
         check_path("g32", &report).unwrap();
         // Forge one extra compute cycle: the path-length cross-check fires.
         report.compute_cycles += 1;
         let err = check_path("g32", &report).unwrap_err();
-        assert!(matches!(err, CriticalError::Contract(_)), "{err}");
+        assert!(matches!(err, HarnessError::Contract(_)), "{err}");
     }
 
     #[test]

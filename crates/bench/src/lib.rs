@@ -13,13 +13,18 @@
 //! | `table3` | Table III — real-network GeMM-core utilization |
 //! | `fig10`  | Fig. 10 — normalized throughput + data-movement cost vs SotA |
 //!
-//! Run them with `cargo run -p dm-bench --release --bin <name>`. The
-//! harness binaries ride along: `regress` (benchmark regression gate, see
-//! [`regress`]), `dm-profile` (causal bottleneck profiler, see
-//! [`profile`]), `dm-critical` (critical-path analyzer, see [`critical`]),
-//! `dm-predict` (static performance prover, see [`predict`]) and `dm-lint`
-//! (static configuration linter, see [`lint`]); their shared `run`/`diff`
-//! flag dialect lives in [`cli`].
+//! Run them with `cargo run -p dm-bench --release --bin <name>`. The one
+//! harness binary `dm` rides along, with one subcommand per tool:
+//!
+//! | subcommand    | tool |
+//! |---------------|------|
+//! | `dm profile`  | causal bottleneck profiler ([`profile`]) |
+//! | `dm critical` | critical-path analyzer ([`critical`]) |
+//! | `dm predict`  | static performance prover ([`predict`]) |
+//! | `dm lint`     | static configuration linter ([`lint`]) |
+//! | `dm regress`  | benchmark regression gate ([`regress`]) |
+//!
+//! Their shared options, document header and diff driver live in [`cli`].
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};

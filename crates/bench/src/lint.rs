@@ -1,6 +1,6 @@
-//! The static-lint document behind the `dm-lint` binary.
+//! The static-lint document behind `dm lint`.
 //!
-//! `dm-lint` compiles the committed workload suites onto the paper's
+//! `dm lint` compiles the committed workload suites onto the paper's
 //! evaluation geometry and runs the full static analysis — bank conflicts,
 //! footprint bounds, hazards, deadlock, and the performance proofs
 //! (`DM-PERF-*`, see [`dm_analyze::roofline`]) — on each program,
@@ -9,14 +9,21 @@
 //! it for humans, and diffs two documents by lint-code counts, refusing
 //! cross-schema comparisons.
 
-use dm_analyze::{analyze_program, Report, Severity};
+use dm_analyze::{analyze_program, analyze_streams, fixtures, Report, Severity, StreamInput};
 use dm_mem::MemConfig;
 use dm_sim::JsonValue;
 use dm_system::SystemConfig;
-use dm_workloads::{synthetic_suite, table3_models, Workload, WorkloadData};
+use dm_workloads::{table3_models, Workload, WorkloadData};
 
-/// Document format identifier; `diff` refuses to compare across schemas.
-pub const SCHEMA: &str = "datamaestro-lint-v1";
+use crate::cli::{DocKind, Pair};
+
+/// The lint document kind; `diff` refuses to compare across schemas (there
+/// is no `--allow-mismatch`: a format mismatch is never a lint insight).
+pub const KIND: DocKind = DocKind {
+    tool: "dm-lint",
+    schema: "datamaestro-lint-v1",
+    deltas: None,
+};
 
 /// The committed workloads of one suite, labelled. Returns `None` for an
 /// unknown suite name.
@@ -27,10 +34,8 @@ pub fn suite_workloads(suite: &str, quick: bool) -> Option<Vec<(String, Workload
     }
     let mut out = Vec::new();
     if suite == "fig7" || suite == "all" {
-        for (i, w) in synthetic_suite().into_iter().enumerate() {
-            if !quick || i % 5 == 0 {
-                out.push((format!("fig7[{i}] {w}"), w));
-            }
+        for (i, w) in crate::cli::fig7_slice(!quick) {
+            out.push((format!("fig7[{i}] {w}"), w));
         }
     }
     if suite == "table3" || suite == "all" {
@@ -103,7 +108,7 @@ pub fn document_for_report(
 ) -> JsonValue {
     let passed = report.passes(deny_warnings);
     JsonValue::object([
-        ("schema".to_owned(), JsonValue::from(SCHEMA)),
+        ("schema".to_owned(), JsonValue::from(KIND.schema)),
         ("analyzed".to_owned(), JsonValue::from(analyzed as u64)),
         (
             "proven_conflict_free".to_owned(),
@@ -131,17 +136,6 @@ pub fn document_for_report(
     ])
 }
 
-fn doc_u64(doc: &JsonValue, path: &[&str]) -> u64 {
-    let mut value = doc;
-    for key in path {
-        match value.get(key) {
-            Some(v) => value = v,
-            None => return 0,
-        }
-    }
-    value.as_u64().unwrap_or(0)
-}
-
 fn diagnostics(doc: &JsonValue) -> Vec<String> {
     let Some(JsonValue::Array(items)) = doc.get("diagnostics") else {
         return Vec::new();
@@ -149,7 +143,7 @@ fn diagnostics(doc: &JsonValue) -> Vec<String> {
     items
         .iter()
         .map(|d| {
-            let field = |k: &str| d.get(k).and_then(JsonValue::as_str).unwrap_or("");
+            let field = |k: &str| d.str_at(&[k]);
             format!(
                 "{}[{}] {}: {}",
                 field("severity"),
@@ -195,11 +189,11 @@ pub fn render(doc: &JsonValue) -> String {
         out,
         "dm-lint: {} configuration(s) analyzed, {} proven conflict-free; \
          {} error(s), {} warning(s), {} note(s) — {}",
-        doc_u64(doc, &["analyzed"]),
-        doc_u64(doc, &["proven_conflict_free"]),
-        doc_u64(doc, &["counts", "error"]),
-        doc_u64(doc, &["counts", "warning"]),
-        doc_u64(doc, &["counts", "info"]),
+        doc.u64_at(&["analyzed"]),
+        doc.u64_at(&["proven_conflict_free"]),
+        doc.u64_at(&["counts", "error"]),
+        doc.u64_at(&["counts", "warning"]),
+        doc.u64_at(&["counts", "info"]),
         if passed { "PASS" } else { "FAIL" }
     );
     out
@@ -220,28 +214,11 @@ pub struct LintDiff {
     pub new_passed: bool,
 }
 
-/// Compares two lint documents by code counts and diagnostic set.
-///
-/// # Errors
-///
-/// Refuses to compare documents whose schema is not exactly [`SCHEMA`]
-/// (pre-schema documents report `<missing>`); there is no
-/// `--allow-mismatch` escape — a format mismatch is never a lint insight.
-pub fn diff(old: &JsonValue, new: &JsonValue) -> Result<LintDiff, String> {
-    let schema = |doc: &JsonValue| {
-        doc.get("schema")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("<missing>")
-            .to_owned()
-    };
-    let (old_schema, new_schema) = (schema(old), schema(new));
-    if old_schema != SCHEMA || new_schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: old '{old_schema}', new '{new_schema}', expected '{SCHEMA}'; \
-             regenerate both documents with this dm-lint"
-        ));
-    }
-
+/// Compares two lint documents that passed the diff prologue
+/// ([`DocKind::pair`]) by code counts and diagnostic set.
+#[must_use]
+pub fn diff(pair: &Pair) -> LintDiff {
+    let (old, new) = (&pair.old, &pair.new);
     let mut codes: Vec<String> = Vec::new();
     for (code, _) in code_counts(old).into_iter().chain(code_counts(new)) {
         if !codes.contains(&code) {
@@ -275,13 +252,13 @@ pub fn diff(old: &JsonValue, new: &JsonValue) -> Result<LintDiff, String> {
         .cloned()
         .collect();
 
-    Ok(LintDiff {
+    LintDiff {
         code_rows,
         added,
         removed,
         old_passed: matches!(old.get("passed"), Some(JsonValue::Bool(true))),
         new_passed: matches!(new.get("passed"), Some(JsonValue::Bool(true))),
-    })
+    }
 }
 
 /// Renders a diff: gate movement, per-code count deltas, and the added and
@@ -290,8 +267,7 @@ pub fn diff(old: &JsonValue, new: &JsonValue) -> Result<LintDiff, String> {
 pub fn render_diff(d: &LintDiff, old_label: &str, new_label: &str) -> String {
     use std::fmt::Write as _;
     let gate = |passed: bool| if passed { "PASS" } else { "FAIL" };
-    let mut out = String::new();
-    let _ = writeln!(out, "dm-lint diff: {old_label} -> {new_label}");
+    let mut out = KIND.diff_header(old_label, new_label, (0, 0));
     let _ = writeln!(
         out,
         "  gate: {} -> {}",
@@ -317,6 +293,31 @@ pub fn render_diff(d: &LintDiff, old_label: &str, new_label: &str) -> String {
         let _ = writeln!(out, "  - {line}");
     }
     out
+}
+
+/// The report of one known-bad demo fixture (`oob`, `zero-fifo`,
+/// `nima-clash`), or `None` for an unknown name.
+#[must_use]
+pub fn demo_report(name: &str) -> Option<Report> {
+    let (design, runtime, mem) = match name {
+        "oob" => fixtures::oob_pattern(),
+        // The clash is a property of the evaluation geometry.
+        "nima-clash" => {
+            let (design, runtime, _) = fixtures::nima_gemm_clash();
+            (design, runtime, MemConfig::default())
+        }
+        "zero-fifo" => {
+            let mut report = Report::new();
+            report.extend(fixtures::zero_capacity_fifo().analyze());
+            return Some(report);
+        }
+        _ => return None,
+    };
+    let input = StreamInput {
+        design: &design,
+        runtime: &runtime,
+    };
+    Some(analyze_streams(&[input], &mem, 0).report)
 }
 
 #[cfg(test)]
@@ -362,11 +363,11 @@ mod tests {
     #[test]
     fn document_carries_schema_and_counts() {
         let doc = document_for_workloads(&golden_workloads(), false);
-        assert_eq!(doc.get("schema").and_then(JsonValue::as_str), Some(SCHEMA));
-        assert_eq!(doc_u64(&doc, &["analyzed"]), 2);
-        let total = doc_u64(&doc, &["counts", "error"])
-            + doc_u64(&doc, &["counts", "warning"])
-            + doc_u64(&doc, &["counts", "info"]);
+        assert_eq!(doc.str_at(&["schema"]), KIND.schema);
+        assert_eq!(doc.u64_at(&["analyzed"]), 2);
+        let total = doc.u64_at(&["counts", "error"])
+            + doc.u64_at(&["counts", "warning"])
+            + doc.u64_at(&["counts", "info"]);
         assert_eq!(total, diagnostics(&doc).len() as u64);
         assert!(matches!(doc.get("passed"), Some(JsonValue::Bool(true))));
     }
@@ -379,10 +380,10 @@ mod tests {
             ("analyzed".to_owned(), JsonValue::from(1u64)),
             ("passed".to_owned(), JsonValue::Bool(true)),
         ]);
-        let err = diff(&legacy, &doc).unwrap_err();
+        let err = KIND.pair(legacy, doc.clone(), false).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
         assert!(err.contains("<missing>"), "{err}");
-        assert!(diff(&doc, &doc).is_ok());
+        assert!(KIND.pair(doc.clone(), doc, false).is_ok());
     }
 
     #[test]
@@ -393,7 +394,7 @@ mod tests {
         dirty.push(Diagnostic::warning(LintCode::ModeMismatch, "B", "slow"));
         let old = document_for_report(&clean, 1, 1, true);
         let new = document_for_report(&dirty, 1, 1, true);
-        let d = diff(&old, &new).unwrap();
+        let d = diff(&KIND.pair(old, new, false).unwrap());
         assert!(d.old_passed && !d.new_passed);
         assert_eq!(d.added.len(), 1);
         assert!(d.added[0].contains("DM-MODE-MISMATCH"));

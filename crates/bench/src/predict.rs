@@ -1,4 +1,4 @@
-//! The static performance prover behind the `dm-predict` binary.
+//! The static performance prover behind `dm predict`.
 //!
 //! `predict run` compiles the Fig. 7 ablation slice at one feature step —
 //! exactly as the simulator would — and, **without simulating**, proves
@@ -16,52 +16,19 @@
 
 use dm_sim::{CritClass, JsonValue};
 use dm_system::SystemConfig;
-use dm_workloads::{synthetic_suite, Workload, WorkloadData};
+use dm_workloads::{Workload, WorkloadData};
 
-/// Document format identifier; `diff` refuses to compare across schemas.
-pub const SCHEMA: &str = "datamaestro-predict-v1";
+use crate::cli::{DocKind, HarnessError, Item, Pair, RunFlags};
+
+/// The prediction document kind; `diff` refuses to compare across schemas.
+pub const KIND: DocKind = DocKind {
+    tool: "dm-predict",
+    schema: "datamaestro-predict-v1",
+    deltas: Some("bound deltas"),
+};
 
 /// How many workload rows the rendered diff shows.
 pub const TOP_ROWS: usize = 12;
-
-/// Options of one `predict run`.
-#[derive(Debug, Clone)]
-pub struct PredictOptions {
-    /// Ablation step (1 = baseline … 6 = fully featured).
-    pub step: usize,
-    /// Prove the complete Fig. 7 suite instead of the every-5th slice.
-    pub full: bool,
-    /// Worker threads for the independent proofs (output is byte-identical
-    /// for any value).
-    pub jobs: usize,
-    /// Scratchpad bank read latency in cycles.
-    pub read_latency: u64,
-}
-
-impl Default for PredictOptions {
-    fn default() -> Self {
-        PredictOptions {
-            step: 6,
-            full: false,
-            jobs: 1,
-            read_latency: SystemConfig::default().read_latency,
-        }
-    }
-}
-
-impl PredictOptions {
-    /// The system configuration whose runs this prediction bounds — the
-    /// same lowering `run_workload` performs, so predicted and observed
-    /// numbers describe the identical program.
-    #[must_use]
-    pub fn config(&self) -> SystemConfig {
-        SystemConfig {
-            read_latency: self.read_latency,
-            ..SystemConfig::default()
-                .with_features(dm_compiler::FeatureSet::ablation_step(self.step))
-        }
-    }
-}
 
 /// Proves one workload under the given system configuration: compiles it
 /// exactly as the simulator would, then derives the period proof and
@@ -138,19 +105,20 @@ fn entry_json(label: &str, p: &dm_analyze::Prediction) -> JsonValue {
 }
 
 /// Builds a prediction document from explicit `(label, workload, seed)`
-/// items. This is the core `predict_document` delegates to; tests and
-/// callers with their own workload selection use it directly.
+/// items (`dm predict run` passes [`RunFlags::items`]). The system
+/// configuration is [`RunFlags::config`] — the same lowering
+/// `run_workload` performs, so predicted and observed numbers describe the
+/// identical program.
 ///
 /// # Errors
 ///
-/// Returns the first proof failure, prefixed with its workload label.
-pub fn document_for_workloads(
-    opts: &PredictOptions,
-    items: &[(String, Workload, u64)],
-) -> Result<JsonValue, String> {
-    let cfg = opts.config();
-    let predictions = crate::run_ordered(items, opts.jobs, |_, (label, workload, seed)| {
-        prove_workload(&cfg, *workload, *seed).map_err(|e| format!("{label}: {e}"))
+/// Returns the first proof failure as a [`HarnessError::Contract`],
+/// prefixed with its workload label.
+pub fn document_for_workloads(flags: &RunFlags, items: &[Item]) -> Result<JsonValue, HarnessError> {
+    let cfg = flags.config();
+    let predictions = crate::run_ordered(items, flags.jobs, |_, (label, workload, seed)| {
+        prove_workload(&cfg, *workload, *seed)
+            .map_err(|e| HarnessError::Contract(format!("{label}: {e}")))
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
@@ -184,89 +152,18 @@ pub fn document_for_workloads(
         .zip(&predictions)
         .map(|((label, _, _), p)| entry_json(label, p))
         .collect();
-    Ok(JsonValue::object([
-        ("schema".to_owned(), JsonValue::from(SCHEMA)),
-        ("step".to_owned(), JsonValue::from(opts.step as u64)),
-        (
-            "mode".to_owned(),
-            JsonValue::from(if opts.full { "full" } else { "quick" }),
-        ),
-        (
-            "read_latency".to_owned(),
-            JsonValue::from(opts.read_latency),
-        ),
-        ("workloads".to_owned(), JsonValue::from(items.len() as u64)),
-        (
-            "aggregate".to_owned(),
-            JsonValue::object([
-                ("ideal".to_owned(), JsonValue::from(ideal)),
-                ("cycles_lb".to_owned(), JsonValue::from(cycles_lb)),
-                ("bound".to_owned(), JsonValue::from(bound)),
-                ("bottleneck".to_owned(), JsonValue::from(dominant.label())),
-            ]),
-        ),
-        ("entries".to_owned(), JsonValue::Array(entries)),
-    ]))
-}
-
-/// Proves the Fig. 7 ablation slice at `opts.step` and returns the
-/// canonical document. Workload labels and seeds match `profile run` and
-/// `regress run`, so predictions are directly relatable to measurements.
-///
-/// # Errors
-///
-/// Returns the first proof failure, prefixed with its workload label.
-pub fn predict_document(
-    opts: &PredictOptions,
-    mut progress: impl FnMut(&str),
-) -> Result<JsonValue, String> {
-    let suite = synthetic_suite();
-    let items: Vec<(String, Workload, u64)> = suite
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| opts.full || i % 5 == 0)
-        .map(|(i, w)| (format!("{w}|step{}", opts.step), *w, i as u64))
-        .collect();
-    progress(&format!(
-        "proving {} workloads at ablation step {} ({} jobs)",
-        items.len(),
-        opts.step,
-        opts.jobs
+    let mut fields = flags.header(KIND.schema, items.len());
+    fields.push((
+        "aggregate".to_owned(),
+        JsonValue::object([
+            ("ideal".to_owned(), JsonValue::from(ideal)),
+            ("cycles_lb".to_owned(), JsonValue::from(cycles_lb)),
+            ("bound".to_owned(), JsonValue::from(bound)),
+            ("bottleneck".to_owned(), JsonValue::from(dominant.label())),
+        ]),
     ));
-    document_for_workloads(opts, &items)
-}
-
-fn doc_u64(doc: &JsonValue, path: &[&str]) -> u64 {
-    let mut value = doc;
-    for key in path {
-        match value.get(key) {
-            Some(v) => value = v,
-            None => return 0,
-        }
-    }
-    value.as_u64().unwrap_or(0)
-}
-
-fn doc_f64(doc: &JsonValue, path: &[&str]) -> f64 {
-    let mut value = doc;
-    for key in path {
-        match value.get(key) {
-            Some(v) => value = v,
-            None => return 0.0,
-        }
-    }
-    value.as_f64().unwrap_or(0.0)
-}
-
-fn doc_str<'a>(doc: &'a JsonValue, path: &[&str]) -> &'a str {
-    let mut value = doc;
-    for key in path {
-        match value.get(key) {
-            Some(v) => value = v,
-            None => return "",
-        }
-    }
-    value.as_str().unwrap_or("")
+    fields.push(("entries".to_owned(), JsonValue::Array(entries)));
+    Ok(JsonValue::Object(fields))
 }
 
 fn entries(doc: &JsonValue) -> &[JsonValue] {
@@ -286,18 +183,18 @@ pub fn render(doc: &JsonValue) -> String {
     let _ = writeln!(
         out,
         "dm-predict: ablation step {} ({}, read latency {}) — {} workload(s)",
-        doc_u64(doc, &["step"]),
-        doc_str(doc, &["mode"]),
-        doc_u64(doc, &["read_latency"]),
-        doc_u64(doc, &["workloads"])
+        doc.u64_at(&["step"]),
+        doc.str_at(&["mode"]),
+        doc.u64_at(&["read_latency"]),
+        doc.u64_at(&["workloads"])
     );
     let _ = writeln!(
         out,
         "  proven utilization ≤ {:.3} (ideal {} / ≥{} cycles; predicted bottleneck: {})",
-        doc_f64(doc, &["aggregate", "bound"]),
-        doc_u64(doc, &["aggregate", "ideal"]),
-        doc_u64(doc, &["aggregate", "cycles_lb"]),
-        doc_str(doc, &["aggregate", "bottleneck"])
+        doc.f64_at(&["aggregate", "bound"]),
+        doc.u64_at(&["aggregate", "ideal"]),
+        doc.u64_at(&["aggregate", "cycles_lb"]),
+        doc.str_at(&["aggregate", "bottleneck"])
     );
     let _ = writeln!(
         out,
@@ -305,17 +202,17 @@ pub fn render(doc: &JsonValue) -> String {
         "workload", "ideal", "cycles≥", "bound", "bottleneck", "period"
     );
     for e in entries(doc) {
-        let lb = doc_u64(e, &["prepass_lb"]) + doc_u64(e, &["compute_lb"]);
+        let lb = e.u64_at(&["prepass_lb"]) + e.u64_at(&["compute_lb"]);
         let exhaustive = matches!(e.get("exhaustive"), Some(JsonValue::Bool(true)));
         let _ = writeln!(
             out,
             "  {:<34} {:>8} {:>9} {:>7.3}  {:<16} {:>9}{}",
-            doc_str(e, &["label"]),
-            doc_u64(e, &["ideal"]),
+            e.str_at(&["label"]),
+            e.u64_at(&["ideal"]),
             lb,
-            doc_f64(e, &["bound"]),
-            doc_str(e, &["bottleneck"]),
-            doc_u64(e, &["fire_period"]),
+            e.f64_at(&["bound"]),
+            e.str_at(&["bottleneck"]),
+            e.u64_at(&["fire_period"]),
             if exhaustive { "" } else { "*" }
         );
     }
@@ -368,46 +265,15 @@ pub struct PredictDiff {
     pub old_bottleneck: String,
     /// Aggregate predicted bottleneck on the new side.
     pub new_bottleneck: String,
-    /// Read latency of the old document.
-    pub old_latency: u64,
-    /// Read latency of the new document.
-    pub new_latency: u64,
+    /// Read latency of the old and the new document.
+    pub latencies: (u64, u64),
 }
 
-/// Compares two prediction documents.
-///
-/// # Errors
-///
-/// Refuses to compare documents whose schema is not exactly [`SCHEMA`],
-/// or — unless `allow_mismatch` — that predicted different read latencies
-/// (a latency change moves every bound for physical reasons;
-/// [`render_diff`] prints a warning banner when the comparison proceeds).
-pub fn diff(old: &JsonValue, new: &JsonValue, allow_mismatch: bool) -> Result<PredictDiff, String> {
-    let schema = |doc: &JsonValue| {
-        doc.get("schema")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("<missing>")
-            .to_owned()
-    };
-    let (old_schema, new_schema) = (schema(old), schema(new));
-    if old_schema != SCHEMA || new_schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: old '{old_schema}', new '{new_schema}', expected '{SCHEMA}'; \
-             regenerate both documents with this dm-predict"
-        ));
-    }
-    let (old_lat, new_lat) = (
-        doc_u64(old, &["read_latency"]),
-        doc_u64(new, &["read_latency"]),
-    );
-    if old_lat != new_lat && !allow_mismatch {
-        return Err(format!(
-            "read latency differs ({old_lat} vs {new_lat}); bound deltas across \
-             latencies conflate physics with configuration (pass --allow-mismatch \
-             to compare anyway)"
-        ));
-    }
-
+/// Compares two prediction documents that passed the diff prologue
+/// ([`DocKind::pair`]): per-workload bound and bottleneck changes.
+#[must_use]
+pub fn diff(pair: &Pair) -> PredictDiff {
+    let (old, new) = (&pair.old, &pair.new);
     // Workload labels embed the ablation step (`…|step5`); pair rows on
     // the step-stripped base so a cross-step diff compares each workload
     // against itself instead of producing one-sided rows.
@@ -423,16 +289,13 @@ pub fn diff(old: &JsonValue, new: &JsonValue, allow_mismatch: bool) -> Result<Pr
     let mut side = |doc: &JsonValue| {
         let mut map = std::collections::BTreeMap::new();
         for e in entries(doc) {
-            let label = base_label(doc_str(e, &["label"]));
+            let label = base_label(e.str_at(&["label"]));
             if !labels.contains(&label) {
                 labels.push(label.clone());
             }
             map.insert(
                 label,
-                (
-                    doc_f64(e, &["bound"]),
-                    doc_str(e, &["bottleneck"]).to_owned(),
-                ),
+                (e.f64_at(&["bound"]), e.str_at(&["bottleneck"]).to_owned()),
             );
         }
         map
@@ -461,15 +324,14 @@ pub fn diff(old: &JsonValue, new: &JsonValue, allow_mismatch: bool) -> Result<Pr
             .then_with(|| a.label.cmp(&b.label))
     });
 
-    Ok(PredictDiff {
+    PredictDiff {
         rows,
-        old_bound: doc_f64(old, &["aggregate", "bound"]),
-        new_bound: doc_f64(new, &["aggregate", "bound"]),
-        old_bottleneck: doc_str(old, &["aggregate", "bottleneck"]).to_owned(),
-        new_bottleneck: doc_str(new, &["aggregate", "bottleneck"]).to_owned(),
-        old_latency: old_lat,
-        new_latency: new_lat,
-    })
+        old_bound: old.f64_at(&["aggregate", "bound"]),
+        new_bound: new.f64_at(&["aggregate", "bound"]),
+        old_bottleneck: old.str_at(&["aggregate", "bottleneck"]).to_owned(),
+        new_bottleneck: new.str_at(&["aggregate", "bottleneck"]).to_owned(),
+        latencies: pair.latencies,
+    }
 }
 
 /// Renders a diff: aggregate bound movement, the predicted-bottleneck
@@ -479,19 +341,7 @@ pub fn diff(old: &JsonValue, new: &JsonValue, allow_mismatch: bool) -> Result<Pr
 #[must_use]
 pub fn render_diff(d: &PredictDiff, old_label: &str, new_label: &str) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "dm-predict diff: {old_label} -> {new_label}");
-    if d.old_latency != d.new_latency {
-        let _ = writeln!(out, "  {}", "=".repeat(68));
-        let _ = writeln!(
-            out,
-            "  WARNING: read latency differs ({} vs {}) — the bound deltas below\n\
-             \x20 conflate memory physics with configuration changes; proceeding\n\
-             \x20 because --allow-mismatch was given",
-            d.old_latency, d.new_latency
-        );
-        let _ = writeln!(out, "  {}", "=".repeat(68));
-    }
+    let mut out = KIND.diff_header(old_label, new_label, d.latencies);
     let _ = writeln!(
         out,
         "  proven utilization bound: {:.3} -> {:.3} ({:+.3})",
@@ -550,47 +400,25 @@ mod tests {
     use dm_workloads::GemmSpec;
 
     fn doc_for_step(step: usize) -> JsonValue {
-        let opts = PredictOptions {
+        let flags = RunFlags {
             step,
-            ..PredictOptions::default()
+            ..RunFlags::default()
         };
         let items = vec![(
             format!("GeMM-64|step{step}"),
             Workload::from(GemmSpec::new(64, 64, 64)),
             1,
         )];
-        document_for_workloads(&opts, &items).unwrap()
-    }
-
-    #[test]
-    fn document_is_byte_identical_across_jobs() {
-        let items: Vec<(String, Workload, u64)> = (0..3)
-            .map(|i| {
-                (
-                    format!("g{i}"),
-                    Workload::from(GemmSpec::new(32, 32, 32)),
-                    i,
-                )
-            })
-            .collect();
-        let doc = |jobs: usize| {
-            let opts = PredictOptions {
-                step: 5,
-                jobs,
-                ..PredictOptions::default()
-            };
-            document_for_workloads(&opts, &items).unwrap().to_json()
-        };
-        assert_eq!(doc(1), doc(4), "jobs must not change the bytes");
+        document_for_workloads(&flags, &items).unwrap()
     }
 
     #[test]
     fn full_features_are_predicted_near_peak() {
         let doc = doc_for_step(6);
-        assert!(doc_f64(&doc, &["aggregate", "bound"]) >= 0.99);
-        assert_eq!(doc_str(&doc, &["aggregate", "bottleneck"]), "pe-issue");
+        assert!(doc.f64_at(&["aggregate", "bound"]) >= 0.99);
+        assert_eq!(doc.str_at(&["aggregate", "bottleneck"]), "pe-issue");
         let e = &entries(&doc)[0];
-        assert_eq!(doc_u64(e, &["prepass_lb"]), 0, "no pre-passes at step 6");
+        assert_eq!(e.u64_at(&["prepass_lb"]), 0, "no pre-passes at step 6");
         assert!(
             matches!(e.get("exhaustive"), Some(JsonValue::Bool(true))),
             "GeMM-64 nests are small enough to walk exhaustively"
@@ -607,10 +435,10 @@ mod tests {
         // the roofline back to near-peak.
         let old = doc_for_step(5);
         let new = doc_for_step(6);
-        let b5 = doc_f64(&old, &["aggregate", "bound"]);
-        let b6 = doc_f64(&new, &["aggregate", "bound"]);
+        let b5 = old.f64_at(&["aggregate", "bound"]);
+        let b6 = new.f64_at(&["aggregate", "bound"]);
         assert!(b6 >= b5, "step 6 must not be predicted worse: {b5} vs {b6}");
-        let d = diff(&old, &new, false).unwrap();
+        let d = diff(&KIND.pair(old, new, false).unwrap());
         assert_eq!(d.new_bottleneck, "pe-issue");
         // Step-suffixed labels must pair across steps: every row carries
         // both sides, none is one-sided.
@@ -627,36 +455,52 @@ mod tests {
     }
 
     #[test]
+    fn document_is_byte_identical_across_jobs() {
+        let items: Vec<Item> = (0..3)
+            .map(|i| (format!("g{i}"), GemmSpec::new(32, 32, 32).into(), i))
+            .collect();
+        let doc = |jobs: usize| {
+            let flags = RunFlags {
+                step: 5,
+                jobs,
+                ..RunFlags::default()
+            };
+            document_for_workloads(&flags, &items).unwrap().to_json()
+        };
+        assert_eq!(doc(1), doc(4), "jobs must not change the bytes");
+    }
+
+    #[test]
     fn diff_refuses_schema_and_latency_mismatches() {
         let doc = doc_for_step(6);
         let bogus = JsonValue::object([(
             "schema".to_owned(),
             JsonValue::from("datamaestro-predict-v0"),
         )]);
-        let err = diff(&bogus, &doc, false).unwrap_err();
+        let err = KIND.pair(bogus.clone(), doc.clone(), false).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
 
         let slow = {
-            let opts = PredictOptions {
+            let flags = RunFlags {
                 step: 6,
                 read_latency: 4,
-                ..PredictOptions::default()
+                ..RunFlags::default()
             };
             let items = vec![(
                 "GeMM-64|step6".to_owned(),
                 Workload::from(GemmSpec::new(64, 64, 64)),
                 1,
             )];
-            document_for_workloads(&opts, &items).unwrap()
+            document_for_workloads(&flags, &items).unwrap()
         };
-        let err = diff(&doc, &slow, false).unwrap_err();
+        let err = KIND.pair(doc.clone(), slow.clone(), false).unwrap_err();
         assert!(err.contains("read latency differs"), "{err}");
-        let d = diff(&doc, &slow, true).unwrap();
-        assert_eq!((d.old_latency, d.new_latency), (1, 4));
+        let d = diff(&KIND.pair(doc.clone(), slow, true).unwrap());
+        assert_eq!(d.latencies, (1, 4));
         let rendered = render_diff(&d, "fast", "slow");
         assert!(rendered.contains("WARNING: read latency differs (1 vs 4)"));
         // The schema refusal is never relaxed.
-        let err = diff(&bogus, &doc, true).unwrap_err();
+        let err = KIND.pair(bogus, doc, true).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
     }
 
@@ -669,7 +513,7 @@ mod tests {
         };
         assert_eq!(ports.len(), 4, "A, B, C, OUT");
         for port in ports {
-            let period = doc_u64(port, &["period"]);
+            let period = port.u64_at(&["period"]);
             assert!(period >= 1);
             let Some(JsonValue::Array(per_bank)) = port.get("per_bank_per_period") else {
                 panic!("port has no per_bank_per_period");
@@ -677,7 +521,7 @@ mod tests {
             let total: u64 = per_bank.iter().map(|v| v.as_u64().unwrap_or(0)).sum();
             assert_eq!(
                 total,
-                doc_u64(port, &["requests_per_period"]),
+                port.u64_at(&["requests_per_period"]),
                 "per-bank counts must sum to the per-period request count"
             );
         }

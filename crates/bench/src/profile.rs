@@ -1,4 +1,4 @@
-//! The causal bottleneck profiler behind the `dm-profile` binary.
+//! The causal bottleneck profiler behind `dm profile`.
 //!
 //! `profile run` simulates the Fig. 7 ablation slice at one feature step,
 //! merges every run's [`CausalLedger`] and emits one canonical profile
@@ -19,83 +19,20 @@
 //! dependent: the same step profiled with any `--jobs` count and with
 //! fast-forward on or off is byte-identical.
 
-use std::fmt;
-
-use dm_compiler::FeatureSet;
 use dm_sim::{BlamePhase, CausalLedger, JsonValue};
-use dm_system::{RunReport, SystemConfig, SystemError};
-use dm_workloads::{synthetic_suite, Workload};
+use dm_system::RunReport;
 
-/// Document format identifier; `diff` refuses to compare across schemas.
-pub const SCHEMA: &str = "datamaestro-profile-v1";
+use crate::cli::{DocKind, HarnessError, Item, Pair, RunFlags};
+
+/// The profile document kind; `diff` refuses to compare across schemas.
+pub const KIND: DocKind = DocKind {
+    tool: "dm-profile",
+    schema: "datamaestro-profile-v1",
+    deltas: Some("deltas"),
+};
 
 /// How many component rows the rendered table and diff show.
 pub const TOP_ROWS: usize = 12;
-
-/// What went wrong while building a profile.
-#[derive(Debug)]
-pub enum ProfileError {
-    /// A simulated run failed outright.
-    Sim(SystemError),
-    /// A run's ledger disagrees with its cycle counters (a simulator bug;
-    /// the message names the run and the first broken invariant).
-    Conservation(String),
-}
-
-impl fmt::Display for ProfileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProfileError::Sim(e) => write!(f, "simulation failed: {e}"),
-            ProfileError::Conservation(msg) => write!(f, "conservation violated: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ProfileError {}
-
-impl From<SystemError> for ProfileError {
-    fn from(e: SystemError) -> Self {
-        ProfileError::Sim(e)
-    }
-}
-
-/// Options of one `profile run`.
-#[derive(Debug, Clone, Copy)]
-pub struct ProfileOptions {
-    /// Ablation step (1 = baseline … 6 = fully featured).
-    pub step: usize,
-    /// Run the complete Fig. 7 suite instead of the every-5th slice.
-    pub full: bool,
-    /// Worker threads for the independent runs (output is byte-identical
-    /// for any value).
-    pub jobs: usize,
-    /// Idle-cycle elision (output is byte-identical either way).
-    pub fast_forward: bool,
-    /// Scratchpad bank read latency in cycles.
-    pub read_latency: u64,
-}
-
-impl Default for ProfileOptions {
-    fn default() -> Self {
-        ProfileOptions {
-            step: 6,
-            full: false,
-            jobs: 1,
-            fast_forward: true,
-            read_latency: SystemConfig::default().read_latency,
-        }
-    }
-}
-
-impl ProfileOptions {
-    fn config(&self) -> SystemConfig {
-        SystemConfig {
-            fast_forward: self.fast_forward,
-            read_latency: self.read_latency,
-            ..SystemConfig::default().with_features(FeatureSet::ablation_step(self.step))
-        }
-    }
-}
 
 /// Release-build re-check of one run's ledger against the run's own
 /// counters: the ledger's fires equal `active_cycles` and its fires plus
@@ -104,20 +41,22 @@ impl ProfileOptions {
 ///
 /// # Errors
 ///
-/// Returns [`ProfileError::Conservation`] naming `label` and the first
-/// broken invariant.
-pub fn check_conservation(label: &str, report: &RunReport) -> Result<(), ProfileError> {
+/// Returns [`HarnessError::Contract`] naming `label` and the first broken
+/// invariant.
+pub fn check_conservation(label: &str, report: &RunReport) -> Result<(), HarnessError> {
     let ledger = &report.ledger;
     if ledger.fired() != report.active_cycles {
-        return Err(ProfileError::Conservation(format!(
-            "{label}: the ledger counted {} fires but the run had {} active cycles",
+        return Err(HarnessError::Contract(format!(
+            "conservation violated: {label}: the ledger counted {} fires but the run had {} \
+             active cycles",
             ledger.fired(),
             report.active_cycles
         )));
     }
     if ledger.total() != report.compute_cycles {
-        return Err(ProfileError::Conservation(format!(
-            "{label}: the ledger covers {} cycles but the run had {} compute cycles",
+        return Err(HarnessError::Contract(format!(
+            "conservation violated: {label}: the ledger covers {} cycles but the run had {} \
+             compute cycles",
             ledger.total(),
             report.compute_cycles
         )));
@@ -125,87 +64,25 @@ pub fn check_conservation(label: &str, report: &RunReport) -> Result<(), Profile
     Ok(())
 }
 
-/// Builds a profile document from explicit `(label, workload, seed)` runs.
-///
-/// This is the core `profile_document` delegates to; tests and callers
-/// with their own workload selection use it directly.
+/// Builds a profile document from explicit `(label, workload, seed)` runs
+/// (`dm profile run` passes [`RunFlags::items`]).
 ///
 /// # Errors
 ///
-/// Propagates the first [`SystemError`], or a
-/// [`ProfileError::Conservation`] if any run breaks the contract.
-pub fn document_for_workloads(
-    opts: &ProfileOptions,
-    items: &[(String, Workload, u64)],
-) -> Result<JsonValue, ProfileError> {
-    let cfg = opts.config();
-    let reports = crate::run_ordered(items, opts.jobs, |_, (_, workload, seed)| {
-        crate::measure(&cfg, *workload, *seed)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-
-    let mut ledger = CausalLedger::new(cfg.mem.num_banks());
-    let (mut prepass, mut compute, mut ideal) = (0u64, 0u64, 0u64);
-    for ((label, _, _), report) in items.iter().zip(&reports) {
-        check_conservation(label, report)?;
+/// Propagates the first [`HarnessError::Sim`], or a
+/// [`HarnessError::Contract`] if any run breaks conservation.
+pub fn document_for_workloads(flags: &RunFlags, items: &[Item]) -> Result<JsonValue, HarnessError> {
+    let (reports, mut cycles) = crate::cli::simulate(flags, items, check_conservation)?;
+    let mut ledger = CausalLedger::new(flags.config().mem.num_banks());
+    for report in &reports {
         ledger.merge(&report.ledger);
-        prepass += report.prepass_cycles;
-        compute += report.compute_cycles;
-        ideal += report.ideal_cycles;
     }
-    Ok(JsonValue::object([
-        ("schema".to_owned(), JsonValue::from(SCHEMA)),
-        ("step".to_owned(), JsonValue::from(opts.step as u64)),
-        (
-            "mode".to_owned(),
-            JsonValue::from(if opts.full { "full" } else { "quick" }),
-        ),
-        (
-            "read_latency".to_owned(),
-            JsonValue::from(opts.read_latency),
-        ),
-        ("workloads".to_owned(), JsonValue::from(items.len() as u64)),
-        (
-            "cycles".to_owned(),
-            JsonValue::object([
-                ("prepass".to_owned(), JsonValue::from(prepass)),
-                ("compute".to_owned(), JsonValue::from(compute)),
-                ("ideal".to_owned(), JsonValue::from(ideal)),
-                ("fired".to_owned(), JsonValue::from(ledger.fired())),
-                ("stalled".to_owned(), JsonValue::from(ledger.stalled())),
-            ]),
-        ),
-        ("blame".to_owned(), ledger.to_json()),
-    ]))
-}
-
-/// Profiles the Fig. 7 ablation slice at `opts.step` and returns the
-/// canonical document. Workload labels and seeds match `regress run`, so a
-/// profile is directly relatable to the benchmark baselines.
-///
-/// # Errors
-///
-/// Propagates the first [`SystemError`], or a
-/// [`ProfileError::Conservation`] if any run breaks the contract.
-pub fn profile_document(
-    opts: &ProfileOptions,
-    mut progress: impl FnMut(&str),
-) -> Result<JsonValue, ProfileError> {
-    let suite = synthetic_suite();
-    let items: Vec<(String, Workload, u64)> = suite
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| opts.full || i % 5 == 0)
-        .map(|(i, w)| (format!("{w}|step{}", opts.step), *w, i as u64))
-        .collect();
-    progress(&format!(
-        "profiling {} workloads at ablation step {} ({} jobs)",
-        items.len(),
-        opts.step,
-        opts.jobs
-    ));
-    document_for_workloads(opts, &items)
+    cycles.push(("fired".to_owned(), JsonValue::from(ledger.fired())));
+    cycles.push(("stalled".to_owned(), JsonValue::from(ledger.stalled())));
+    let mut fields = flags.header(KIND.schema, items.len());
+    fields.push(("cycles".to_owned(), JsonValue::Object(cycles)));
+    fields.push(("blame".to_owned(), ledger.to_json()));
+    Ok(JsonValue::Object(fields))
 }
 
 /// One row of the top-bottlenecks table: a component instance, the cause it
@@ -226,7 +103,7 @@ pub struct Row {
 /// triples in the document's (deterministic) order.
 fn flatten_total(doc: &JsonValue) -> Vec<(String, String, u64)> {
     let mut out = Vec::new();
-    let Some(JsonValue::Object(causes)) = doc.get("blame").and_then(|b| b.get("total")) else {
+    let Some(JsonValue::Object(causes)) = doc.at(&["blame", "total"]) else {
         return out;
     };
     for (cause, leaves) in causes {
@@ -268,17 +145,6 @@ pub fn top_rows(doc: &JsonValue, limit: usize) -> Vec<Row> {
     rows
 }
 
-fn doc_u64(doc: &JsonValue, path: &[&str]) -> u64 {
-    let mut value = doc;
-    for key in path {
-        match value.get(key) {
-            Some(v) => value = v,
-            None => return 0,
-        }
-    }
-    value.as_u64().unwrap_or(0)
-}
-
 /// Renders the human-readable profile: headline cycle counts, the
 /// copy-engine prepass occupancy, the phase segmentation, and the
 /// top-bottlenecks table.
@@ -286,17 +152,14 @@ fn doc_u64(doc: &JsonValue, path: &[&str]) -> u64 {
 pub fn render(doc: &JsonValue) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let step = doc_u64(doc, &["step"]);
-    let mode = doc
-        .get("mode")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("quick");
-    let latency = doc_u64(doc, &["read_latency"]);
-    let workloads = doc_u64(doc, &["workloads"]);
-    let prepass = doc_u64(doc, &["cycles", "prepass"]);
-    let compute = doc_u64(doc, &["cycles", "compute"]);
-    let fired = doc_u64(doc, &["cycles", "fired"]);
-    let stalled = doc_u64(doc, &["cycles", "stalled"]);
+    let step = doc.u64_at(&["step"]);
+    let mode = doc.str_at(&["mode"]);
+    let latency = doc.u64_at(&["read_latency"]);
+    let workloads = doc.u64_at(&["workloads"]);
+    let prepass = doc.u64_at(&["cycles", "prepass"]);
+    let compute = doc.u64_at(&["cycles", "compute"]);
+    let fired = doc.u64_at(&["cycles", "fired"]);
+    let stalled = doc.u64_at(&["cycles", "stalled"]);
     let fired_pct = if compute == 0 {
         0.0
     } else {
@@ -317,10 +180,8 @@ pub fn render(doc: &JsonValue) -> String {
     );
     let _ = writeln!(out, "  phases:");
     for phase in BlamePhase::ALL {
-        let base = ["blame", "phases", phase.label()];
-        let cycles = doc_u64(doc, &[base[0], base[1], base[2], "cycles"]);
-        let fired = doc_u64(doc, &[base[0], base[1], base[2], "fired"]);
-        let stalled = doc_u64(doc, &[base[0], base[1], base[2], "stalled"]);
+        let at = |field| doc.u64_at(&["blame", "phases", phase.label(), field]);
+        let (cycles, fired, stalled) = (at("cycles"), at("fired"), at("stalled"));
         let _ = writeln!(
             out,
             "    {:<6} {cycles:>10} cycles  (fired {fired}, stalled {stalled})",
@@ -392,10 +253,8 @@ pub struct ProfileDiff {
     pub old_stalled: u64,
     /// Total stalled cycles on the new side.
     pub new_stalled: u64,
-    /// Read latency of the old document.
-    pub old_latency: u64,
-    /// Read latency of the new document.
-    pub new_latency: u64,
+    /// Read latency of the old and the new document.
+    pub latencies: (u64, u64),
 }
 
 impl ProfileDiff {
@@ -410,43 +269,11 @@ impl ProfileDiff {
     }
 }
 
-/// Compares two profile documents.
-///
-/// # Errors
-///
-/// Refuses (with a descriptive message) to compare documents whose schema
-/// is not exactly [`SCHEMA`], or — unless `allow_mismatch` — that profiled
-/// different read latencies: a latency change moves blame for physical
-/// reasons and would masquerade as a configuration insight. Latency-sweep
-/// comparisons (the Fig. 7(a) axis) are sometimes exactly the question,
-/// so `--allow-mismatch` proceeds, and [`render_diff`] prints a loud
-/// warning banner in that case.
-pub fn diff(old: &JsonValue, new: &JsonValue, allow_mismatch: bool) -> Result<ProfileDiff, String> {
-    let schema = |doc: &JsonValue| {
-        doc.get("schema")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("<missing>")
-            .to_owned()
-    };
-    let (old_schema, new_schema) = (schema(old), schema(new));
-    if old_schema != SCHEMA || new_schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: old '{old_schema}', new '{new_schema}', expected '{SCHEMA}'; \
-             regenerate both documents with this dm-profile"
-        ));
-    }
-    let (old_lat, new_lat) = (
-        doc_u64(old, &["read_latency"]),
-        doc_u64(new, &["read_latency"]),
-    );
-    if old_lat != new_lat && !allow_mismatch {
-        return Err(format!(
-            "read latency differs ({old_lat} vs {new_lat}); profile deltas across \
-             latencies conflate physics with configuration (pass --allow-mismatch \
-             to compare anyway)"
-        ));
-    }
-
+/// Compares two profile documents that passed the diff prologue
+/// ([`DocKind::pair`]): per-(cause, component) and per-cause-family deltas.
+#[must_use]
+pub fn diff(pair: &Pair) -> ProfileDiff {
+    let (old, new) = (&pair.old, &pair.new);
     let mut keys: Vec<(String, String)> = Vec::new();
     let mut side = |doc: &JsonValue| {
         let mut map = std::collections::BTreeMap::new();
@@ -488,14 +315,13 @@ pub fn diff(old: &JsonValue, new: &JsonValue, allow_mismatch: bool) -> Result<Pr
     }
     families.sort_by(|a, b| b.1.abs().cmp(&a.1.abs()).then_with(|| a.0.cmp(&b.0)));
 
-    Ok(ProfileDiff {
+    ProfileDiff {
         rows,
         family_deltas: families,
-        old_stalled: doc_u64(old, &["cycles", "stalled"]),
-        new_stalled: doc_u64(new, &["cycles", "stalled"]),
-        old_latency: old_lat,
-        new_latency: new_lat,
-    })
+        old_stalled: old.u64_at(&["cycles", "stalled"]),
+        new_stalled: new.u64_at(&["cycles", "stalled"]),
+        latencies: pair.latencies,
+    }
 }
 
 /// Renders a diff: stalled-cycle movement, cause-family deltas, the
@@ -505,20 +331,8 @@ pub fn diff(old: &JsonValue, new: &JsonValue, allow_mismatch: bool) -> Result<Pr
 #[must_use]
 pub fn render_diff(d: &ProfileDiff, old_label: &str, new_label: &str) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
+    let mut out = KIND.diff_header(old_label, new_label, d.latencies);
     let total_delta = d.new_stalled as i64 - d.old_stalled as i64;
-    let _ = writeln!(out, "dm-profile diff: {old_label} -> {new_label}");
-    if d.old_latency != d.new_latency {
-        let _ = writeln!(out, "  {}", "=".repeat(68));
-        let _ = writeln!(
-            out,
-            "  WARNING: read latency differs ({} vs {}) — the deltas below\n\
-             \x20 conflate memory physics with configuration changes; proceeding\n\
-             \x20 because --allow-mismatch was given",
-            d.old_latency, d.new_latency
-        );
-        let _ = writeln!(out, "  {}", "=".repeat(68));
-    }
     let _ = writeln!(
         out,
         "  stalled cycles: {} -> {} ({total_delta:+})",
@@ -561,48 +375,22 @@ pub fn render_diff(d: &ProfileDiff, old_label: &str, new_label: &str) -> String 
 mod tests {
     use super::*;
     use dm_sim::{Port, StallCause};
-    use dm_workloads::{ConvSpec, GemmSpec};
+    use dm_workloads::{ConvSpec, GemmSpec, Workload};
 
-    fn doc_for_step(step: usize) -> JsonValue {
-        let opts = ProfileOptions {
+    fn step(step: usize) -> RunFlags {
+        RunFlags {
             step,
-            ..ProfileOptions::default()
-        };
+            ..RunFlags::default()
+        }
+    }
+
+    fn doc_for_step(s: usize) -> JsonValue {
         let items = vec![(
-            format!("GeMM-64|step{step}"),
+            format!("GeMM-64|step{s}"),
             Workload::from(GemmSpec::new(64, 64, 64)),
             1,
         )];
-        document_for_workloads(&opts, &items).unwrap()
-    }
-
-    #[test]
-    fn document_is_deterministic_across_jobs_and_fast_forward() {
-        let items: Vec<(String, Workload, u64)> = (0..3)
-            .map(|i| {
-                (
-                    format!("g{i}"),
-                    Workload::from(GemmSpec::new(32, 32, 32)),
-                    i,
-                )
-            })
-            .collect();
-        let doc = |jobs: usize, fast_forward: bool| {
-            let opts = ProfileOptions {
-                step: 5,
-                jobs,
-                fast_forward,
-                ..ProfileOptions::default()
-            };
-            document_for_workloads(&opts, &items).unwrap().to_json()
-        };
-        let canonical = doc(1, true);
-        assert_eq!(canonical, doc(4, true), "jobs must not change the bytes");
-        assert_eq!(
-            canonical,
-            doc(1, false),
-            "fast-forward must not change the bytes"
-        );
+        document_for_workloads(&step(s), &items).unwrap()
     }
 
     #[test]
@@ -610,9 +398,8 @@ mod tests {
         // The Fig. 7(a) story: FIMA placement (step 5) drowns in bank
         // conflicts; bank-aware remapping (step 6) makes them vanish. The
         // profiler must name that as the dominant shift.
-        let old = doc_for_step(5);
-        let new = doc_for_step(6);
-        let d = diff(&old, &new, false).unwrap();
+        let pair = KIND.pair(doc_for_step(5), doc_for_step(6), false).unwrap();
+        let d = diff(&pair);
         let (family, delta) = d.dominant().expect("blame must have moved");
         assert_eq!(family, "bank-conflict", "rows: {:?}", d.family_deltas);
         assert!(
@@ -639,63 +426,80 @@ mod tests {
     }
 
     #[test]
+    fn document_is_deterministic_across_jobs_and_fast_forward() {
+        let items: Vec<Item> = (0..3)
+            .map(|i| (format!("g{i}"), GemmSpec::new(32, 32, 32).into(), i))
+            .collect();
+        let doc = |jobs: usize, fast_forward: bool| {
+            let flags = RunFlags {
+                jobs,
+                fast_forward,
+                ..step(5)
+            };
+            document_for_workloads(&flags, &items).unwrap().to_json()
+        };
+        let canonical = doc(1, true);
+        assert_eq!(canonical, doc(4, true), "jobs must not change the bytes");
+        assert_eq!(
+            canonical,
+            doc(1, false),
+            "fast-forward must not change the bytes"
+        );
+    }
+
+    #[test]
     fn diff_refuses_schema_and_latency_mismatches() {
         let doc = doc_for_step(6);
         let bogus = JsonValue::object([(
             "schema".to_owned(),
             JsonValue::from("datamaestro-profile-v0"),
         )]);
-        let err = diff(&bogus, &doc, false).unwrap_err();
+        let err = KIND.pair(bogus.clone(), doc.clone(), false).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
 
         let slow = {
-            let opts = ProfileOptions {
-                step: 6,
+            let flags = RunFlags {
                 read_latency: 4,
-                ..ProfileOptions::default()
+                ..step(6)
             };
             let items = vec![("g".to_owned(), Workload::from(GemmSpec::new(32, 32, 32)), 1)];
-            document_for_workloads(&opts, &items).unwrap()
+            document_for_workloads(&flags, &items).unwrap()
         };
-        let err = diff(&doc, &slow, false).unwrap_err();
+        let err = KIND.pair(doc.clone(), slow.clone(), false).unwrap_err();
         assert!(err.contains("read latency differs"), "{err}");
 
         // --allow-mismatch proceeds (the Fig. 7(a) axis), and the rendered
         // diff leads with the warning banner. The schema refusal is not
         // relaxed — a format mismatch is never a physics question.
-        let d = diff(&doc, &slow, true).unwrap();
-        assert_eq!((d.old_latency, d.new_latency), (1, 4));
+        let d = diff(&KIND.pair(doc.clone(), slow, true).unwrap());
+        assert_eq!(d.latencies, (1, 4));
         let rendered = render_diff(&d, "fast", "slow");
         assert!(rendered.contains("WARNING: read latency differs (1 vs 4)"));
-        let err = diff(&bogus, &doc, true).unwrap_err();
+        let err = KIND.pair(bogus, doc, true).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
     }
 
     #[test]
     fn conservation_check_accepts_real_runs_and_rejects_forgeries() {
-        let opts = ProfileOptions {
-            step: 5,
-            ..ProfileOptions::default()
-        };
-        let mut report =
-            crate::measure(&opts.config(), GemmSpec::new(32, 32, 32).into(), 1).unwrap();
+        let cfg = step(5).config();
+        let mut report = crate::measure(&cfg, GemmSpec::new(32, 32, 32).into(), 1).unwrap();
         check_conservation("g32", &report).unwrap();
         // Forge one extra active cycle: the fire-count cross-check fires.
         report.active_cycles += 1;
         let err = check_conservation("g32", &report).unwrap_err();
-        assert!(matches!(err, ProfileError::Conservation(_)), "{err}");
+        assert!(matches!(err, HarnessError::Contract(_)), "{err}");
+        assert!(
+            err.to_string().starts_with("conservation violated: g32"),
+            "{err}"
+        );
     }
 
     /// A run that flushes the write path after its last fire: the drain
     /// cycles sit on the OUT port in the per-port view.
     #[test]
     fn drain_cycles_conserve_on_the_write_port() {
-        let opts = ProfileOptions {
-            step: 5,
-            ..ProfileOptions::default()
-        };
         let conv = ConvSpec::new(24, 24, 8, 16, 1, 1, 1);
-        let report = crate::measure(&opts.config(), conv.into(), 1).unwrap();
+        let report = crate::measure(&step(5).config(), conv.into(), 1).unwrap();
         let drain = report.ledger.cause_total(StallCause::Drain);
         assert!(drain > 0, "the shape must drain");
         let (port, out) = report.ledger.port_stalls()[3];

@@ -1,13 +1,13 @@
-//! The benchmark regression harness behind the `regress` binary.
+//! The benchmark regression harness behind `dm regress`.
 //!
-//! `regress run` executes a fixed suite of simulated workloads (a subset of
+//! `dm regress run` executes a fixed suite of simulated workloads (a subset of
 //! the Fig. 7 ablation plus the Table III ResNet-18 layers by default) and
 //! emits one canonical `BENCH_<name>.json` document. The `suites` subtree
 //! is fully deterministic — identical code and configuration produce a
 //! byte-identical subtree — while the `host` section carries wall-clock
 //! throughput of the simulator itself and is ignored by comparisons.
 //!
-//! `regress diff old.json new.json` compares two documents entry by entry
+//! `dm regress diff old.json new.json` compares two documents entry by entry
 //! and exits non-zero when utilization drops or tail latency inflates
 //! beyond the tolerance, making it suitable as a CI gate against a
 //! committed baseline (`BENCH_seed.json`).
@@ -15,17 +15,24 @@
 use dm_compiler::FeatureSet;
 use dm_sim::{JsonValue, MetricValue};
 use dm_system::{RunReport, SystemConfig, SystemError};
-use dm_workloads::{synthetic_suite, table3_models};
+use dm_workloads::{table3_models, Workload};
 
-/// Document format identifier; bumped when the layout changes
-/// incompatibly. `diff` refuses to compare documents across schemas.
+use crate::cli::{fig7_slice, DocKind, Pair, RunFlags};
+
+/// The benchmark document kind; the schema is bumped when the layout
+/// changes incompatibly, and `diff`/`guard` refuse to compare documents
+/// across schemas.
 ///
 /// History: `v1` carried label/fingerprint/utilization/cycles/conflicts/
 /// accesses/latency/fifo_high_water per entry; `v2` added the causal
 /// `blame` subtree (per-phase, per-cause, per-component stall charges);
 /// `v3` added the `critical` subtree (critical-path composition and
 /// what-if projections).
-pub const SCHEMA: &str = "datamaestro-bench-v3";
+pub const KIND: DocKind = DocKind {
+    tool: "regress",
+    schema: "datamaestro-bench-v3",
+    deltas: None,
+};
 
 /// Relative tolerance used by `diff` when none is given: 1 %.
 pub const DEFAULT_THRESHOLD: f64 = 0.01;
@@ -146,102 +153,93 @@ fn suite_cycles(entries: &[JsonValue]) -> u64 {
         .sum()
 }
 
+/// One simulated benchmark run: entry label, system, workload and seed.
+type Run = (String, SystemConfig, Workload, u64);
+
+/// The suites `regress run` simulates, in document order. The default
+/// (quick) selection keeps a CI pass under a minute: the every-5th Fig. 7
+/// slice through all six ablation steps, plus the ResNet-18 layers on the
+/// fully featured system. `flags.full` runs the complete Fig. 7 suite and
+/// all Table III models.
+fn suite_plan(flags: &RunFlags) -> [(&'static str, Vec<Run>); 2] {
+    let system = |step| SystemConfig {
+        fast_forward: flags.fast_forward,
+        ..SystemConfig::default().with_features(FeatureSet::ablation_step(step))
+    };
+    let mut fig7 = Vec::new();
+    for (i, workload) in fig7_slice(flags.full) {
+        for step in 1..=6 {
+            fig7.push((
+                format!("{workload}|step{step}"),
+                system(step),
+                workload,
+                i as u64,
+            ));
+        }
+    }
+    let mut table3 = Vec::new();
+    for model in table3_models() {
+        if flags.full || model.name == "ResNet-18" {
+            for (i, layer) in model.layers.iter().enumerate() {
+                let label = format!("{}/{}", model.name, layer.name);
+                table3.push((label, system(6), layer.workload, i as u64));
+            }
+        }
+    }
+    [("fig7", fig7), ("table3", table3)]
+}
+
 /// Runs the benchmark suites and returns `(suite name, entries)` pairs plus
 /// per-suite host throughput figures.
 ///
-/// The default (quick) selection keeps a CI pass under a minute: every 5th
-/// synthetic workload through all six ablation steps, plus the ResNet-18
-/// layers. `full` runs the complete Fig. 7 suite and all Table III models.
-///
-/// `jobs` spreads the independent runs over that many worker threads; the
-/// suite entries are committed in input order, so the resulting document is
-/// byte-identical regardless of the thread count. `fast_forward` toggles
-/// idle-cycle elision; by construction it cannot change any entry, only the
-/// host throughput.
+/// `flags.jobs` spreads the independent runs over that many worker
+/// threads; the suite entries are committed in input order, so the
+/// resulting document is byte-identical regardless of the thread count.
+/// `flags.fast_forward` toggles idle-cycle elision; by construction it
+/// cannot change any entry, only the host throughput.
 ///
 /// # Errors
 ///
 /// Propagates the first (in suite order) [`SystemError`] from any run.
 #[allow(clippy::type_complexity)]
 pub fn run_suites(
-    full: bool,
-    jobs: usize,
-    fast_forward: bool,
+    flags: &RunFlags,
     mut progress: impl FnMut(&str),
 ) -> Result<(Vec<(String, Vec<JsonValue>)>, Vec<SuiteHost>), SystemError> {
-    // Fig. 7 ablation slice: label and seed derive from the position in the
-    // *unfiltered* suite so quick and full runs agree on shared entries.
-    let suite = synthetic_suite();
-    let picked: Vec<_> = suite
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| full || i % 5 == 0)
-        .collect();
-    progress(&format!(
-        "fig7: {} workloads x 6 ablation steps ({jobs} jobs)",
-        picked.len()
-    ));
-    // One work item = one workload through all six ablation steps.
-    let fig7_start = std::time::Instant::now();
-    let fig7: Vec<JsonValue> = crate::run_ordered(&picked, jobs, |_, (idx, workload)| {
-        (1..=6)
-            .map(|step| {
-                let cfg = SystemConfig {
-                    fast_forward,
-                    ..SystemConfig::default().with_features(FeatureSet::ablation_step(step))
-                };
-                let report = crate::measure(&cfg, **workload, *idx as u64)?;
-                Ok(entry_json(&format!("{workload}|step{step}"), &report))
-            })
-            .collect::<Result<Vec<_>, SystemError>>()
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?
-    .into_iter()
-    .flatten()
-    .collect();
-    let fig7_wall_ns = u64::try_from(fig7_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-    // Table III layer sweep on the fully featured system.
-    let mut layers = Vec::new();
-    for model in table3_models() {
-        if !full && model.name != "ResNet-18" {
-            continue;
-        }
-        progress(&format!("table3: {}", model.name));
-        for (i, layer) in model.layers.iter().enumerate() {
-            layers.push((format!("{}/{}", model.name, layer.name), layer.workload, i));
-        }
+    let (mut suites, mut host) = (Vec::new(), Vec::new());
+    for (name, runs) in suite_plan(flags) {
+        progress(&format!(
+            "{name}: {} runs ({} jobs)",
+            runs.len(),
+            flags.jobs
+        ));
+        let start = std::time::Instant::now();
+        let entries = crate::run_ordered(&runs, flags.jobs, |_, (label, cfg, workload, seed)| {
+            crate::measure(cfg, *workload, *seed).map(|report| entry_json(label, &report))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        host.push(SuiteHost {
+            suite: name.to_owned(),
+            cycles: suite_cycles(&entries),
+            wall_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        });
+        suites.push((name.to_owned(), entries));
     }
-    let table3_start = std::time::Instant::now();
-    let table3: Vec<JsonValue> = crate::run_ordered(&layers, jobs, |_, (label, workload, seed)| {
-        let cfg = SystemConfig {
-            fast_forward,
-            ..SystemConfig::default()
-        };
-        let report = crate::measure(&cfg, *workload, *seed as u64)?;
-        Ok::<_, SystemError>(entry_json(label, &report))
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    let table3_wall_ns = u64::try_from(table3_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    Ok((suites, host))
+}
 
-    let host = vec![
-        SuiteHost {
-            suite: "fig7".to_owned(),
-            cycles: suite_cycles(&fig7),
-            wall_ns: fig7_wall_ns,
-        },
-        SuiteHost {
-            suite: "table3".to_owned(),
-            cycles: suite_cycles(&table3),
-            wall_ns: table3_wall_ns,
-        },
-    ];
-    Ok((
-        vec![("fig7".to_owned(), fig7), ("table3".to_owned(), table3)],
-        host,
-    ))
+/// The `(label, features, workload)` configurations `regress run` will
+/// simulate, for the `--lint` pre-flight.
+#[must_use]
+pub fn lint_items(full: bool) -> Vec<(String, FeatureSet, Workload)> {
+    let flags = RunFlags {
+        full,
+        ..RunFlags::default()
+    };
+    let plan = suite_plan(&flags).into_iter().flat_map(|(_, runs)| runs);
+    plan.map(|(label, cfg, workload, _)| (label, cfg.features, workload))
+        .collect()
 }
 
 /// Deep-dive telemetry of one representative run (fully featured GeMM-64):
@@ -329,23 +327,21 @@ pub fn host_json(fast_forward: bool, suites: &[SuiteHost]) -> Result<JsonValue, 
 
 /// Builds the complete benchmark document.
 ///
-/// With `with_host` false the whole document is deterministic and
-/// byte-for-byte reproducible — for any `jobs` count — which is how
+/// Without `flags.host` (`--no-host`) the whole document is deterministic
+/// and byte-for-byte reproducible — for any `jobs` count — which is how
 /// `BENCH_seed.json` baselines are generated.
 ///
 /// # Errors
 ///
 /// Propagates the first [`SystemError`] from any run.
 pub fn bench_document(
-    full: bool,
-    with_host: bool,
-    jobs: usize,
-    fast_forward: bool,
+    flags: &RunFlags,
     progress: impl FnMut(&str),
 ) -> Result<JsonValue, SystemError> {
-    let (suites, suite_host) = run_suites(full, jobs, fast_forward, progress)?;
+    let (full, fast_forward) = (flags.full, flags.fast_forward);
+    let (suites, suite_host) = run_suites(flags, progress)?;
     let mut fields = vec![
-        ("schema".to_owned(), JsonValue::from(SCHEMA)),
+        ("schema".to_owned(), JsonValue::from(KIND.schema)),
         (
             "crate_version".to_owned(),
             JsonValue::from(env!("CARGO_PKG_VERSION")),
@@ -364,24 +360,25 @@ pub fn bench_document(
         ),
         ("detail".to_owned(), detail_json(fast_forward)?),
     ];
-    if with_host {
+    if flags.host {
         fields.push(("host".to_owned(), host_json(fast_forward, &suite_host)?));
     }
     Ok(JsonValue::object(fields))
 }
 
-/// The outcome of comparing two benchmark documents.
+/// The outcome of a benchmark gate (`diff` or `guard`).
 #[derive(Debug, Default)]
-pub struct DiffOutcome {
-    /// Entries compared across both documents.
+pub struct GateOutcome {
+    /// `diff`: entries compared across both documents.
     pub compared: usize,
-    /// Human-readable regression descriptions; empty means the new run is
-    /// within tolerance of the old one.
+    /// `guard`: per-suite throughput ratio (fast-forward / lockstep).
+    pub ratios: Vec<(String, f64)>,
+    /// Human-readable violations; empty means the gate passed.
     pub failures: Vec<String>,
 }
 
-impl DiffOutcome {
-    /// `true` when no regression was detected.
+impl GateOutcome {
+    /// `true` when no violation was found.
     #[must_use]
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
@@ -395,20 +392,12 @@ fn entry_label(entry: &JsonValue) -> &str {
         .unwrap_or("<unlabelled>")
 }
 
-fn entry_f64(entry: &JsonValue, key: &str) -> f64 {
-    entry.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0)
-}
-
 fn entry_p99(entry: &JsonValue, component: &str) -> u64 {
-    entry
-        .get("latency")
-        .and_then(|l| l.get(component))
-        .and_then(|c| c.get("p99"))
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0)
+    entry.u64_at(&["latency", component, "p99"])
 }
 
-/// Compares `new` against the `old` baseline with a relative `threshold`
+/// Compares the new document of `pair` against its old baseline, both past
+/// the diff prologue ([`DocKind::pair`]), with a relative `threshold`
 /// (fraction, e.g. `0.01` for 1 %).
 ///
 /// Checks, per suite entry matched by label:
@@ -422,32 +411,12 @@ fn entry_p99(entry: &JsonValue, component: &str) -> u64 {
 /// Entries present on only one side fail the diff (suite drift requires a
 /// baseline refresh). The `host` section is never compared.
 #[must_use]
-pub fn diff(old: &JsonValue, new: &JsonValue, threshold: f64) -> DiffOutcome {
-    let mut out = DiffOutcome::default();
-    let schema = |doc: &JsonValue| {
-        doc.get("schema")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("<missing>")
-            .to_owned()
-    };
-    let (old_schema, new_schema) = (schema(old), schema(new));
-    if old_schema != SCHEMA || new_schema != SCHEMA {
-        out.failures.push(format!(
-            "schema mismatch: baseline '{old_schema}', new '{new_schema}', expected '{SCHEMA}'; \
-             regenerate the baseline with `regress run --no-host` after a deliberate format bump"
-        ));
-        return out;
-    }
-
-    let empty: &[(String, JsonValue)] = &[];
-    let old_suites = old
-        .get("suites")
-        .and_then(JsonValue::as_object)
-        .unwrap_or(empty);
-    let new_suites = new
-        .get("suites")
-        .and_then(JsonValue::as_object)
-        .unwrap_or(empty);
+pub fn diff(pair: &Pair, threshold: f64) -> GateOutcome {
+    let (old, new) = (&pair.old, &pair.new);
+    let mut out = GateOutcome::default();
+    let old_suites = old.at(&["suites"]).and_then(JsonValue::as_object);
+    let new_suites = new.at(&["suites"]).and_then(JsonValue::as_object);
+    let (old_suites, new_suites) = (old_suites.unwrap_or(&[]), new_suites.unwrap_or(&[]));
     for (suite, old_entries) in old_suites {
         let Some(new_entries) = new_suites
             .iter()
@@ -488,7 +457,7 @@ fn compare_entry(
     old: &JsonValue,
     new: &JsonValue,
     threshold: f64,
-    out: &mut DiffOutcome,
+    out: &mut GateOutcome,
 ) {
     let old_fp = old.get("fingerprint").and_then(JsonValue::as_str);
     let new_fp = new.get("fingerprint").and_then(JsonValue::as_str);
@@ -501,8 +470,8 @@ fn compare_entry(
         ));
         return;
     }
-    let old_util = entry_f64(old, "utilization");
-    let new_util = entry_f64(new, "utilization");
+    let old_util = old.f64_at(&["utilization"]);
+    let new_util = new.f64_at(&["utilization"]);
     if new_util < old_util * (1.0 - threshold) {
         out.failures.push(format!(
             "{suite}/{label}: utilization dropped {:.4} -> {:.4} ({:.2}% > {:.2}% tolerance)",
@@ -525,28 +494,8 @@ fn compare_entry(
     }
 }
 
-/// The outcome of `regress guard`: the fast-forward engine must change no
-/// simulated number and must not make the simulator meaningfully slower.
-#[derive(Debug, Default)]
-pub struct GuardOutcome {
-    /// Per-suite throughput ratio (fast-forward / lockstep).
-    pub ratios: Vec<(String, f64)>,
-    /// Human-readable violations; empty means the guard passed.
-    pub failures: Vec<String>,
-}
-
-impl GuardOutcome {
-    /// `true` when the fast-forward run is both bit-identical and fast
-    /// enough.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
 fn host_suites(doc: &JsonValue) -> Vec<(String, f64)> {
-    doc.get("host")
-        .and_then(|h| h.get("suites"))
+    doc.at(&["host", "suites"])
         .and_then(JsonValue::as_array)
         .map(|arr| {
             arr.iter()
@@ -561,7 +510,8 @@ fn host_suites(doc: &JsonValue) -> Vec<(String, f64)> {
         .unwrap_or_default()
 }
 
-/// Compares a fast-forward benchmark document against a lockstep one.
+/// Compares a fast-forward benchmark document (`pair.old`) against a
+/// lockstep one (`pair.new`), both past the diff prologue.
 ///
 /// Two gates:
 ///
@@ -572,8 +522,9 @@ fn host_suites(doc: &JsonValue) -> Vec<(String, f64)> {
 ///   be at least `min_ratio` times the lockstep run's (the engine must not
 ///   cost more than it saves, even on workloads with nothing to elide).
 #[must_use]
-pub fn guard(ff: &JsonValue, lockstep: &JsonValue, min_ratio: f64) -> GuardOutcome {
-    let mut out = GuardOutcome::default();
+pub fn guard(pair: &Pair, min_ratio: f64) -> GateOutcome {
+    let (ff, lockstep) = (&pair.old, &pair.new);
+    let mut out = GateOutcome::default();
     for key in ["suites", "detail"] {
         let a = ff.get(key).map(JsonValue::to_json);
         let b = lockstep.get(key).map(JsonValue::to_json);
@@ -617,12 +568,23 @@ mod tests {
 
     fn doc_with(entries: Vec<JsonValue>) -> JsonValue {
         JsonValue::object([
-            ("schema".to_owned(), JsonValue::from(SCHEMA)),
+            ("schema".to_owned(), JsonValue::from(KIND.schema)),
             (
                 "suites".to_owned(),
                 JsonValue::object([("s".to_owned(), JsonValue::Array(entries))]),
             ),
         ])
+    }
+
+    fn compare(old: JsonValue, new: JsonValue) -> GateOutcome {
+        diff(&KIND.pair(old, new, false).unwrap(), DEFAULT_THRESHOLD)
+    }
+
+    fn guarded(ff: JsonValue, lockstep: JsonValue) -> GateOutcome {
+        guard(
+            &KIND.pair(ff, lockstep, false).unwrap(),
+            DEFAULT_GUARD_RATIO,
+        )
     }
 
     fn measured(step: usize) -> RunReport {
@@ -634,28 +596,20 @@ mod tests {
     fn entry_captures_headline_numbers_and_provenance() {
         let report = measured(6);
         let entry = entry_json("g64", &report);
-        assert_eq!(entry.get("label").unwrap().as_str().unwrap(), "g64");
+        assert_eq!(entry.str_at(&["label"]), "g64");
         assert_eq!(
-            entry.get("fingerprint").unwrap().as_str().unwrap(),
+            entry.str_at(&["fingerprint"]),
             report.provenance.fingerprint
         );
-        assert!(entry.get("utilization").unwrap().as_f64().unwrap() > 0.9);
-        assert!(entry.get("fifo_high_water").unwrap().as_u64().unwrap() > 0);
+        assert!(entry.f64_at(&["utilization"]) > 0.9);
+        assert!(entry.u64_at(&["fifo_high_water"]) > 0);
         let blame = entry.get("blame").expect("v2 entries carry blame");
         assert!(blame.get("phases").is_some());
         assert!(blame.get("total").is_some());
         let critical = entry.get("critical").expect("v3 entries carry critical");
         assert!(critical.get("composition").is_some());
         assert!(critical.get("what_ifs").is_some());
-        let p99 = entry
-            .get("latency")
-            .unwrap()
-            .get("end_to_end")
-            .unwrap()
-            .get("p99")
-            .unwrap()
-            .as_u64()
-            .unwrap();
+        let p99 = entry.u64_at(&["latency", "end_to_end", "p99"]);
         assert!(p99 >= 1, "reads take at least one cycle, got {p99}");
     }
 
@@ -670,8 +624,7 @@ mod tests {
         let text = std::fs::read_to_string(path).expect("committed baseline");
         let baseline = JsonValue::parse(&text).expect("valid JSON");
         let expected = baseline
-            .get("suites")
-            .and_then(|s| s.get("fig7"))
+            .at(&["suites", "fig7"])
             .and_then(JsonValue::as_array)
             .and_then(<[_]>::first)
             .expect("fig7 suite has entries");
@@ -707,28 +660,18 @@ mod tests {
         let a = entry_json("g64", &measured(6));
         let b = entry_json("g64", &measured(6));
         assert_eq!(a.to_json(), b.to_json(), "suite entries are deterministic");
-        let outcome = diff(&doc_with(vec![a]), &doc_with(vec![b]), DEFAULT_THRESHOLD);
+        let outcome = compare(doc_with(vec![a]), doc_with(vec![b]));
         assert!(outcome.passed(), "{:?}", outcome.failures);
         assert_eq!(outcome.compared, 1);
     }
 
     /// Replaces one top-level field of an entry object.
     fn with_field(entry: &JsonValue, key: &str, value: JsonValue) -> JsonValue {
-        let JsonValue::Object(pairs) = entry else {
-            panic!()
+        let JsonValue::Object(mut pairs) = entry.clone() else {
+            panic!("entries are objects")
         };
-        JsonValue::Object(
-            pairs
-                .iter()
-                .map(|(k, v)| {
-                    if k == key {
-                        (k.clone(), value.clone())
-                    } else {
-                        (k.clone(), v.clone())
-                    }
-                })
-                .collect(),
-        )
+        pairs.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+        JsonValue::Object(pairs)
     }
 
     #[test]
@@ -739,21 +682,13 @@ mod tests {
         // fingerprint forged equal, the utilization gate fires.
         let good = entry_json("g64", &measured(6));
         let bad = entry_json("g64", &measured(5));
-        let outcome = diff(
-            &doc_with(vec![good.clone()]),
-            &doc_with(vec![bad.clone()]),
-            DEFAULT_THRESHOLD,
-        );
+        let outcome = compare(doc_with(vec![good.clone()]), doc_with(vec![bad.clone()]));
         assert!(!outcome.passed());
         assert!(outcome.failures[0].contains("fingerprint"));
 
         let fp = good.get("fingerprint").unwrap().clone();
         let forged = with_field(&bad, "fingerprint", fp);
-        let outcome = diff(
-            &doc_with(vec![good]),
-            &doc_with(vec![forged]),
-            DEFAULT_THRESHOLD,
-        );
+        let outcome = compare(doc_with(vec![good]), doc_with(vec![forged]));
         assert!(!outcome.passed());
         assert!(
             outcome.failures.iter().any(|f| f.contains("utilization")),
@@ -771,22 +706,14 @@ mod tests {
             (
                 c.to_owned(),
                 JsonValue::object(["p50", "p90", "p99", "max"].map(|p| {
-                    let old = good
-                        .get("latency")
-                        .and_then(|l| l.get(c))
-                        .and_then(|v| v.get(p))
-                        .and_then(JsonValue::as_u64)
-                        .unwrap();
+                    let old = good.at(&["latency", c, p]).and_then(JsonValue::as_u64);
+                    let old = old.unwrap();
                     (p.to_owned(), JsonValue::from(old * 10 + 100))
                 })),
             )
         }));
         let bad = with_field(&good, "latency", inflated);
-        let outcome = diff(
-            &doc_with(vec![good]),
-            &doc_with(vec![bad]),
-            DEFAULT_THRESHOLD,
-        );
+        let outcome = compare(doc_with(vec![good]), doc_with(vec![bad]));
         assert!(!outcome.passed());
         assert!(
             outcome.failures.iter().any(|f| f.contains("p99")),
@@ -799,11 +726,7 @@ mod tests {
     fn label_drift_fails_both_directions() {
         let entry = entry_json("g64", &measured(6));
         let renamed = entry_json("other", &measured(6));
-        let outcome = diff(
-            &doc_with(vec![entry]),
-            &doc_with(vec![renamed]),
-            DEFAULT_THRESHOLD,
-        );
+        let outcome = compare(doc_with(vec![entry]), doc_with(vec![renamed]));
         assert_eq!(outcome.failures.len(), 2, "{:?}", outcome.failures);
         assert!(outcome.failures[0].contains("missing from new document"));
         assert!(outcome.failures[1].contains("not present in baseline"));
@@ -820,7 +743,7 @@ mod tests {
             wall_ns: (1e9 * 1_000_000.0 / cps) as u64,
         };
         JsonValue::object([
-            ("schema".to_owned(), JsonValue::from(SCHEMA)),
+            ("schema".to_owned(), JsonValue::from(KIND.schema)),
             (
                 "suites".to_owned(),
                 JsonValue::object([("s".to_owned(), JsonValue::Array(vec![entry]))]),
@@ -837,11 +760,7 @@ mod tests {
 
     #[test]
     fn guard_accepts_identical_results_at_equal_speed() {
-        let outcome = guard(
-            &guard_doc(0.9, 4e6),
-            &guard_doc(0.9, 4e6),
-            DEFAULT_GUARD_RATIO,
-        );
+        let outcome = guarded(guard_doc(0.9, 4e6), guard_doc(0.9, 4e6));
         assert!(outcome.passed(), "{:?}", outcome.failures);
         assert_eq!(outcome.ratios, vec![("s".to_owned(), 1.0)]);
     }
@@ -850,22 +769,14 @@ mod tests {
     fn guard_rejects_simulated_drift() {
         // A fast-forward run that changes any simulated number is a
         // correctness bug regardless of how fast it is.
-        let outcome = guard(
-            &guard_doc(0.8, 8e6),
-            &guard_doc(0.9, 4e6),
-            DEFAULT_GUARD_RATIO,
-        );
+        let outcome = guarded(guard_doc(0.8, 8e6), guard_doc(0.9, 4e6));
         assert!(!outcome.passed());
         assert!(outcome.failures[0].contains("'suites' subtree differs"));
     }
 
     #[test]
     fn guard_rejects_a_slowdown_below_the_floor() {
-        let outcome = guard(
-            &guard_doc(0.9, 2e6),
-            &guard_doc(0.9, 4e6),
-            DEFAULT_GUARD_RATIO,
-        );
+        let outcome = guarded(guard_doc(0.9, 2e6), guard_doc(0.9, 4e6));
         assert!(!outcome.passed());
         assert!(
             outcome.failures.iter().any(|f| f.contains("floor")),
@@ -881,7 +792,7 @@ mod tests {
         if let JsonValue::Object(fields) = &mut no_host {
             fields.retain(|(k, _)| k != "host");
         }
-        let outcome = guard(&no_host, &guard_doc(0.9, 4e6), DEFAULT_GUARD_RATIO);
+        let outcome = guarded(no_host, guard_doc(0.9, 4e6));
         assert!(!outcome.passed());
         assert!(outcome.failures[0].contains("host.suites"));
     }
@@ -890,8 +801,9 @@ mod tests {
     fn schema_mismatch_refuses_comparison() {
         let doc = doc_with(vec![]);
         let bogus = JsonValue::object([("schema".to_owned(), JsonValue::from("v0"))]);
-        let outcome = diff(&bogus, &doc, DEFAULT_THRESHOLD);
-        assert!(!outcome.passed());
-        assert!(outcome.failures[0].contains("schema mismatch"));
+        for allow_mismatch in [false, true] {
+            let err = KIND.pair(bogus.clone(), doc.clone(), allow_mismatch);
+            assert!(err.is_err_and(|e| e.contains("schema mismatch")));
+        }
     }
 }

@@ -93,6 +93,30 @@ impl JsonValue {
         }
     }
 
+    /// Walks a path of object keys; `None` if any key is missing.
+    #[must_use]
+    pub fn at(&self, path: &[&str]) -> Option<&JsonValue> {
+        path.iter().try_fold(self, |value, key| value.get(key))
+    }
+
+    /// The unsigned integer at `path`, or 0 when it is absent or not one.
+    #[must_use]
+    pub fn u64_at(&self, path: &[&str]) -> u64 {
+        self.at(path).and_then(JsonValue::as_u64).unwrap_or(0)
+    }
+
+    /// The number at `path`, or 0.0 when it is absent or not a number.
+    #[must_use]
+    pub fn f64_at(&self, path: &[&str]) -> f64 {
+        self.at(path).and_then(JsonValue::as_f64).unwrap_or(0.0)
+    }
+
+    /// The string at `path`, or `""` when it is absent or not a string.
+    #[must_use]
+    pub fn str_at(&self, path: &[&str]) -> &str {
+        self.at(path).and_then(JsonValue::as_str).unwrap_or("")
+    }
+
     /// The numeric value, if this is a number.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
@@ -441,6 +465,18 @@ mod tests {
         ]);
         let text = v.to_json();
         assert_eq!(JsonValue::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn path_reader_walks_objects_and_defaults_when_absent() {
+        let v = JsonValue::parse(r#"{"a":{"b":7,"f":0.5,"s":"x"},"n":null}"#).unwrap();
+        assert_eq!(v.at(&[]), Some(&v));
+        assert_eq!(v.u64_at(&["a", "b"]), 7);
+        assert_eq!(v.f64_at(&["a", "f"]), 0.5);
+        assert_eq!(v.str_at(&["a", "s"]), "x");
+        assert!(v.at(&["a", "missing"]).is_none());
+        assert_eq!(v.u64_at(&["a", "f"]), 0, "non-integers read as 0");
+        assert_eq!(v.str_at(&["n", "deeper"]), "");
     }
 
     #[test]

@@ -17,6 +17,14 @@ pub enum SystemError {
     Config(ConfigError),
     /// The memory subsystem rejected an operation.
     Mem(MemError),
+    /// The system configuration asks for something the simulator does not
+    /// model.
+    Unsupported {
+        /// The offending [`SystemConfig`](crate::SystemConfig) field.
+        field: &'static str,
+        /// Why the value is rejected.
+        reason: String,
+    },
     /// The simulation made no forward progress within its cycle budget —
     /// always a modelling bug, never a legitimate outcome.
     Deadlock {
@@ -42,6 +50,9 @@ impl fmt::Display for SystemError {
             SystemError::Compile(e) => write!(f, "compile error: {e}"),
             SystemError::Config(e) => write!(f, "configuration error: {e}"),
             SystemError::Mem(e) => write!(f, "memory error: {e}"),
+            SystemError::Unsupported { field, reason } => {
+                write!(f, "unsupported configuration: {field}: {reason}")
+            }
             SystemError::Deadlock { phase, cycles } => {
                 write!(f, "simulation deadlock in {phase} after {cycles} cycles")
             }

@@ -189,4 +189,45 @@ mod tests {
         assert!(report.utilization() <= 1.0 + 1e-9);
         assert!(report.accesses() > 0);
     }
+
+    fn rejected_field(cfg: &SystemConfig) -> &'static str {
+        let data = WorkloadData::generate(GemmSpec::new(16, 16, 16).into(), 1);
+        match run_workload(cfg, &data) {
+            Err(SystemError::Unsupported { field, .. }) => field,
+            other => panic!("expected a typed rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_paper_arrays_are_rejected_not_panicked() {
+        for (m, n, k) in [(4, 8, 8), (16, 16, 16), (0, 8, 8)] {
+            let cfg = SystemConfig {
+                array: dm_accel::GemmArrayConfig {
+                    m_unroll: m,
+                    n_unroll: n,
+                    k_unroll: k,
+                },
+                ..small_system()
+            };
+            assert_eq!(rejected_field(&cfg), "array", "{m}x{n}x{k}");
+        }
+    }
+
+    #[test]
+    fn banks_narrower_than_the_tile_geometry_are_rejected_not_panicked() {
+        let cfg = SystemConfig {
+            mem: dm_mem::MemConfig::new(32, 4, 4096).unwrap(),
+            ..small_system()
+        };
+        assert_eq!(rejected_field(&cfg), "mem");
+    }
+
+    #[test]
+    fn zero_read_latency_is_rejected_not_clamped() {
+        let cfg = SystemConfig {
+            read_latency: 0,
+            ..small_system()
+        };
+        assert_eq!(rejected_field(&cfg), "read_latency");
+    }
 }

@@ -7,7 +7,7 @@
 //! a deterministic fingerprint of the behaviour-relevant system
 //! configuration, the workload identity and the crate version. Two reports
 //! with equal fingerprints measured the same simulated system on the same
-//! workload; `regress diff` refuses to compare entries whose fingerprints
+//! workload; `dm regress diff` refuses to compare entries whose fingerprints
 //! were produced by different configurations.
 //!
 //! The fingerprint deliberately EXCLUDES settings that cannot change

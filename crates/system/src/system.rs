@@ -391,17 +391,24 @@ pub fn run_compiled(
     data: &WorkloadData,
     program: &CompiledWorkload,
 ) -> Result<RunReport, SystemError> {
-    assert_eq!(
-        (
-            config.array.m_unroll,
-            config.array.n_unroll,
-            config.array.k_unroll
-        ),
-        (8, 8, 8),
-        "the compiler targets the paper's 8x8x8 array"
-    );
+    let array = config.array;
+    if (array.m_unroll, array.n_unroll, array.k_unroll) != (8, 8, 8) {
+        return Err(SystemError::Unsupported {
+            field: "array",
+            reason: format!(
+                "the compiler targets the paper's 8x8x8 array, not {}x{}x{}",
+                array.m_unroll, array.n_unroll, array.k_unroll
+            ),
+        });
+    }
+    if config.read_latency == 0 {
+        return Err(SystemError::Unsupported {
+            field: "read_latency",
+            reason: "a bank read takes at least one cycle".to_owned(),
+        });
+    }
     let mut mem = MemorySubsystem::new(config.mem);
-    mem.set_read_latency(config.read_latency.max(1));
+    mem.set_read_latency(config.read_latency);
     let mut copier = CopyEngine::new(&mut mem, 4);
     copier.set_fast_forward(config.fast_forward);
     // The operand readers, indexed by `OperandPort`, plus the one writer.
@@ -409,6 +416,30 @@ pub fn run_compiled(
         .map(|plan| ReadStreamer::new(&plan.design, &plan.runtime, &mut mem));
     let mut readers = [plan_a?, plan_b?, plan_c?];
     let mut out = WriteStreamer::new(&program.out.design, &program.out.runtime, &mut mem)?;
+    // The compiled streamers gather `channels × bank width` bytes per wide
+    // word; a bank geometry that breaks the array's tile widths is refused
+    // here rather than in the datapath.
+    let out_tile = if config.quantized {
+        array.e_tile_bytes()
+    } else {
+        array.cd_tile_bytes()
+    };
+    let widths = [
+        ("A", readers[0].output_width(), array.a_tile_bytes()),
+        ("B", readers[1].output_width(), array.b_tile_bytes()),
+        ("C", readers[2].output_width(), array.cd_tile_bytes()),
+        ("OUT", out.input_width(), out_tile),
+    ];
+    if let Some((port, width, tile)) = widths.into_iter().find(|(_, w, t)| w != t) {
+        return Err(SystemError::Unsupported {
+            field: "mem",
+            reason: format!(
+                "{}-byte banks give the {port} streamer {width}-byte words, \
+                 but the array exchanges {tile}-byte tiles",
+                config.mem.bank_width_bytes()
+            ),
+        });
+    }
     let mut sys_trace = config.trace.build();
     if config.trace != TraceMode::Off {
         mem.set_trace_mode(config.trace);
@@ -628,7 +659,7 @@ pub fn run_compiled(
         compute_cycles,
         "fires plus charged stalls must cover every compute cycle"
     );
-    let critical = ledger.critical(config.read_latency.max(1));
+    let critical = ledger.critical(config.read_latency);
     assert_eq!(
         critical.path_length(),
         compute_cycles,

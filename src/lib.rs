@@ -16,7 +16,7 @@
 //! * [`workloads`] — workload specs, layouts, the 260-workload suite and
 //!   the four Table III networks;
 //! * [`compiler`] — workload lowering (configs, placement, pre-passes);
-//! * [`analyze`] — static configuration analysis (`dm-lint`): bank-conflict
+//! * [`analyze`] — static configuration analysis (`dm lint`): bank-conflict
 //!   proofs, footprint/hazard checks, deadlock detection, mode advice;
 //! * [`system`] — the assembled evaluation system and its cycle loop;
 //! * [`baselines`] — analytic models of the SotA comparison points;
