@@ -1,7 +1,5 @@
 //! The Tensor-Core-like GeMM accelerator datapath.
 
-use dm_sim::{Cycle, NextActivity, StableHasher};
-
 /// Output columns per MAC-kernel lane group.
 const LANES: usize = 8;
 
@@ -269,23 +267,6 @@ fn mac_tile(acc: &mut [i32], a_tile: &[u8], b_tile: &[u8], config: GemmArrayConf
 #[inline(always)]
 fn mac_pair(a0: i16, a1: i16, b0: i16, b1: i16) -> i32 {
     i32::from(a0 * b0) + i32::from(a1 * b1)
-}
-
-impl NextActivity for GemmDatapath {
-    /// The datapath is purely reactive: it only advances when the system
-    /// fires [`step`](Self::step), and firing cycles are never skipped, so
-    /// it imposes no horizon of its own.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    fn activity_digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.k_counter);
-        h.write_u64(self.tiles_completed);
-        h.write_u64(self.macs);
-        h.finish()
-    }
 }
 
 #[cfg(test)]

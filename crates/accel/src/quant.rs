@@ -6,8 +6,6 @@
 //! the same family of operations TFLite-style integer inference uses and
 //! what the paper's `Rescale` denotes.
 
-use dm_sim::{Cycle, NextActivity, StableHasher};
-
 /// Fixed-point rescale parameters for one output channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RescaleParams {
@@ -165,22 +163,6 @@ fn rescale_into(params: &[RescaleParams], d_tile: &[u8], e_tile: &mut [u8]) {
         for ((d, e), p) in d_row.chunks_exact(4).zip(e_row).zip(params) {
             *e = p.apply(i32::from_le_bytes([d[0], d[1], d[2], d[3]])) as u8;
         }
-    }
-}
-
-impl NextActivity for Quantizer {
-    /// Purely reactive (see [`GemmDatapath::next_activity`]): it only runs
-    /// inside a firing cycle, and firing cycles are never skipped.
-    ///
-    /// [`GemmDatapath::next_activity`]: crate::GemmDatapath#method.next_activity
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    fn activity_digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.tiles_processed);
-        h.finish()
     }
 }
 

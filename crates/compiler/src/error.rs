@@ -22,6 +22,14 @@ pub enum CompileError {
     },
     /// A generated streamer configuration was rejected downstream.
     Config(ConfigError),
+    /// An input tensor does not hold the number of values its workload
+    /// shape needs.
+    InputLength {
+        /// Values the shape needs.
+        expected: usize,
+        /// Values given.
+        got: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -30,6 +38,9 @@ impl fmt::Display for CompileError {
             CompileError::Placement { reason } => write!(f, "placement failed: {reason}"),
             CompileError::Unsupported { reason } => write!(f, "unsupported workload: {reason}"),
             CompileError::Config(e) => write!(f, "configuration rejected: {e}"),
+            CompileError::InputLength { expected, got } => {
+                write!(f, "input holds {got} values, the shape needs {expected}")
+            }
         }
     }
 }

@@ -61,11 +61,8 @@ impl CompiledPool {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] on placement failure or unmappable geometry.
-///
-/// # Panics
-///
-/// Panics if `input.len() != h·w·c`.
+/// Returns [`CompileError::InputLength`] if `input.len() != h·w·c`, and
+/// [`CompileError`] on placement failure or unmappable geometry.
 pub fn compile_pool(
     spec: PoolSpec,
     input: &[i8],
@@ -73,7 +70,13 @@ pub fn compile_pool(
     mem: &MemConfig,
     depths: BufferDepths,
 ) -> Result<CompiledPool, CompileError> {
-    assert_eq!(input.len(), spec.h * spec.w * spec.c, "input geometry");
+    let expected = spec.h * spec.w * spec.c;
+    if input.len() != expected {
+        return Err(CompileError::InputLength {
+            expected,
+            got: input.len(),
+        });
+    }
     let group_banks = if features.addr_mode_switching {
         (mem.num_banks() / 4).max(1)
     } else {

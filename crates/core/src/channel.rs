@@ -7,10 +7,15 @@
 //! plus the data FIFO itself. Channels run ahead of each other freely; this
 //! *fine-grained prefetch* is what hides bank-conflict and latency stalls
 //! from the accelerator.
+//!
+//! Channels are timing models: they carry request headers and the byte
+//! address of every word in flight, never the word itself. The bytes are
+//! produced by the system's functional executor, which walks the same
+//! patterns in program order.
 
 use std::collections::VecDeque;
 
-use dm_mem::{BankLocation, MemOp, MemRequest, MemResponse, MemorySubsystem, RequesterId, Word};
+use dm_mem::{BankLocation, MemOp, MemRequest, MemResponse, MemorySubsystem, RequesterId};
 use dm_sim::{Counter, Fifo, LatencyHistogram, StableHasher};
 
 /// Per-channel event counters.
@@ -59,16 +64,13 @@ impl OccupancySampler {
 pub struct ReadChannel {
     requester: RequesterId,
     /// The ORM's view of the data FIFO: capacity, reservations and their
-    /// fill order. The words themselves are in `words`.
+    /// fill order.
     fifo: Fifo<()>,
-    /// The data FIFO's words, one bank word (`width` bytes) per slot. A
-    /// read channel fills its reservations in order and never pushes
-    /// directly, so the k-th word filled is the k-th popped: fills and pops
-    /// each walk the ring with their own cursor.
-    words: Vec<u8>,
-    width: usize,
-    fill_slot: usize,
-    pop_slot: usize,
+    /// Byte address of the word behind every reserved or filled FIFO slot,
+    /// in reservation order. A read channel fills its reservations in order
+    /// and never pushes directly, so the k-th address reserved is the k-th
+    /// word popped.
+    landing: VecDeque<u64>,
     addr_queue: VecDeque<u64>,
     addr_capacity: usize,
     /// Request accepted by the RSC but not yet granted by the crossbar. Its
@@ -84,22 +86,13 @@ pub struct ReadChannel {
 
 impl ReadChannel {
     /// Creates a read channel with the given FIFO depth and address-buffer
-    /// depth, bound to a registered crossbar requester, for `word_width`-byte
-    /// bank words.
+    /// depth, bound to a registered crossbar requester.
     #[must_use]
-    pub fn new(
-        requester: RequesterId,
-        fifo_depth: usize,
-        addr_depth: usize,
-        word_width: usize,
-    ) -> Self {
+    pub fn new(requester: RequesterId, fifo_depth: usize, addr_depth: usize) -> Self {
         ReadChannel {
             requester,
             fifo: Fifo::new(fifo_depth),
-            words: vec![0; fifo_depth * word_width],
-            width: word_width,
-            fill_slot: 0,
-            pop_slot: 0,
+            landing: VecDeque::with_capacity(fifo_depth),
             addr_queue: VecDeque::with_capacity(addr_depth),
             addr_capacity: addr_depth,
             pending: None,
@@ -226,6 +219,7 @@ impl ReadChannel {
             return None; // ORM throttles: no landing slot available.
         }
         self.addr_queue.pop_front();
+        self.landing.push_back(addr);
         let tag = self.next_tag;
         self.next_tag += 1;
         let request = (map(addr), tag);
@@ -247,14 +241,15 @@ impl ReadChannel {
         }
     }
 
-    /// Lands a memory response into the oldest reserved FIFO slot.
+    /// Lands a memory response into the oldest reserved FIFO slot. The
+    /// response must echo the tag of the oldest outstanding request.
     ///
     /// # Panics
     ///
     /// Panics if responses arrive out of order or without a reservation —
     /// both would be simulator bugs given the in-order memory model.
     #[inline]
-    pub fn handle_response(&mut self, response: MemResponse<'_>) {
+    pub fn handle_response(&mut self, response: MemResponse) {
         assert_eq!(response.requester, self.requester, "misrouted response");
         assert_eq!(
             response.tag, self.expected_tag,
@@ -262,20 +257,7 @@ impl ReadChannel {
         );
         self.expected_tag += 1;
         self.fifo.fill_reserved(());
-        let width = self.width;
-        self.words[self.fill_slot * width..][..width].copy_from_slice(response.data);
-        self.fill_slot = self.next_slot(self.fill_slot);
         self.stats.responses.inc();
-    }
-
-    /// The ring slot after `slot`.
-    #[inline]
-    fn next_slot(&self, slot: usize) -> usize {
-        if slot + 1 == self.fifo.capacity() {
-            0
-        } else {
-            slot + 1
-        }
     }
 
     /// `true` if a word is ready at the FIFO head.
@@ -284,16 +266,17 @@ impl ReadChannel {
         !self.fifo.is_empty()
     }
 
-    /// Appends the word at the FIFO head to `out` and pops it.
+    /// Pops the word at the FIFO head, returning its byte address.
     ///
     /// # Panics
     ///
     /// Panics if no word is ready ([`has_data`](Self::has_data) is false).
     #[inline]
-    pub fn pop_into(&mut self, out: &mut Vec<u8>) {
+    pub fn pop(&mut self) -> u64 {
         assert!(self.fifo.pop().is_some(), "channel has data");
-        out.extend_from_slice(&self.words[self.pop_slot * self.width..][..self.width]);
-        self.pop_slot = self.next_slot(self.pop_slot);
+        self.landing
+            .pop_front()
+            .expect("a popped word was reserved")
     }
 
     /// Channel statistics.
@@ -352,11 +335,10 @@ impl ReadChannel {
 #[derive(Debug)]
 pub struct WriteChannel {
     requester: RequesterId,
-    fifo: Fifo<(BankLocation, Word)>,
+    /// Destinations of the words waiting to drain.
+    fifo: Fifo<BankLocation>,
     addr_queue: VecDeque<u64>,
     addr_capacity: usize,
-    /// Whether the head word is staged as the crossbar write payload.
-    head_staged: bool,
     stats: ChannelStats,
     /// Once-per-cycle samples of FIFO backlog (in words).
     occupancy: OccupancySampler,
@@ -371,7 +353,6 @@ impl WriteChannel {
             fifo: Fifo::new(fifo_depth),
             addr_queue: VecDeque::with_capacity(addr_depth),
             addr_capacity: addr_depth,
-            head_staged: false,
             stats: ChannelStats::default(),
             occupancy: OccupancySampler::default(),
         }
@@ -406,20 +387,21 @@ impl WriteChannel {
         self.fifo.has_free_slot() && !self.addr_queue.is_empty()
     }
 
-    /// Accepts one data word, pairing it with the next queued address.
+    /// Accepts one data word, pairing it with the next queued address,
+    /// which it returns.
     ///
     /// # Panics
     ///
     /// Panics if [`can_accept`](Self::can_accept) is false.
-    pub fn accept(&mut self, data: Word, map: impl FnOnce(u64) -> BankLocation) {
+    pub fn accept(&mut self, map: impl FnOnce(u64) -> BankLocation) -> u64 {
         let addr = self
             .addr_queue
             .pop_front()
             .expect("write accept without queued address");
-        let loc = map(addr);
         self.fifo
-            .push((loc, data))
+            .push(map(addr))
             .unwrap_or_else(|_| panic!("write fifo overflow"));
+        addr
     }
 
     /// Number of words waiting to drain.
@@ -432,7 +414,7 @@ impl WriteChannel {
     /// component the blame walk charges a blocked writeback to.
     #[must_use]
     pub fn head_bank(&self) -> Option<usize> {
-        self.fifo.peek().map(|&(loc, _)| loc.bank)
+        self.fifo.peek().map(|loc| loc.bank)
     }
 
     /// `true` if the channel holds no data and no queued addresses.
@@ -447,20 +429,14 @@ impl WriteChannel {
         self.fifo.is_empty()
     }
 
-    /// Submits the head word as a write request, if any. The payload is
-    /// staged on the first submit; a retry resubmits the header only.
+    /// Submits the head word as a write request, if any.
     ///
     /// # Panics
     ///
     /// Panics on subsystem protocol violations (simulator bugs).
     #[inline]
     pub fn submit(&mut self, mem: &mut MemorySubsystem) {
-        if let Some((loc, data)) = self.fifo.peek() {
-            if !self.head_staged {
-                mem.stage_write(self.requester, data)
-                    .expect("write channel requester registered");
-                self.head_staged = true;
-            }
+        if let Some(loc) = self.fifo.peek() {
             mem.submit(MemRequest {
                 requester: self.requester,
                 loc: *loc,
@@ -479,7 +455,6 @@ impl WriteChannel {
         }
         if granted {
             let _ = self.fifo.pop();
-            self.head_staged = false;
             self.stats.granted.inc();
         } else {
             self.stats.retries.inc();
@@ -545,9 +520,7 @@ mod tests {
     #[test]
     fn read_channel_full_request_lifecycle() {
         let (mut mem, ids) = mem_with(1);
-        mem.scratchpad_mut()
-            .write_row_full(BankLocation { bank: 1, row: 0 }, &[42; 8]);
-        let mut ch = ReadChannel::new(ids[0], 4, 4, 8);
+        let mut ch = ReadChannel::new(ids[0], 4, 4);
         ch.push_addr(8); // word 1 → bank 1 under FIMA
         assert!(ch.issue(&mut mem, true, |a| BankLocation {
             bank: (a / 8 % 4) as usize,
@@ -560,24 +533,18 @@ mod tests {
         assert_eq!(ch.outstanding(), 1);
         mem.drain_responses(|resp| ch.handle_response(resp));
         assert!(ch.has_data());
-        let mut word = Vec::new();
-        ch.pop_into(&mut word);
-        assert_eq!(word, vec![42; 8]);
+        assert_eq!(ch.pop(), 8, "the popped word is the one requested");
         assert_eq!(ch.stats().granted.get(), 1);
         assert_eq!(ch.stats().responses.get(), 1);
         assert!(ch.is_drained());
     }
 
-    /// Words keep their order through many wraps of a depth-2 data ring,
+    /// Words keep their order through many wraps of a depth-2 data FIFO,
     /// with fills running ahead of pops.
     #[test]
     fn read_channel_words_wrap_the_ring_in_order() {
         let (mut mem, ids) = mem_with(1);
-        for row in 0..7 {
-            mem.scratchpad_mut()
-                .write_row_full(BankLocation { bank: 0, row }, &[row as u8; 8]);
-        }
-        let mut ch = ReadChannel::new(ids[0], 2, 8, 8);
+        let mut ch = ReadChannel::new(ids[0], 2, 8);
         for i in 0..7 {
             ch.push_addr(i);
         }
@@ -589,20 +556,19 @@ mod tests {
         for cycle in 0..40 {
             mem.drain_responses(|resp| ch.handle_response(resp));
             if cycle % 3 == 0 && ch.has_data() {
-                ch.pop_into(&mut popped);
+                popped.push(ch.pop());
             }
             ch.issue(&mut mem, true, map);
             ch.handle_grant(mem.arbitrate()[ids[0].index()]);
         }
-        let expected: Vec<u8> = (0..7u8).flat_map(|row| [row; 8]).collect();
-        assert_eq!(popped, expected);
+        assert_eq!(popped, (0..7).collect::<Vec<u64>>());
         assert!(ch.is_drained());
     }
 
     #[test]
     fn orm_throttles_when_fifo_reserved_out() {
         let (mut mem, ids) = mem_with(1);
-        let mut ch = ReadChannel::new(ids[0], 2, 8, 8);
+        let mut ch = ReadChannel::new(ids[0], 2, 8);
         for i in 0..4 {
             ch.push_addr(i * 8);
         }
@@ -627,8 +593,8 @@ mod tests {
     #[test]
     fn retry_counts_conflicts() {
         let (mut mem, ids) = mem_with(2);
-        let mut a = ReadChannel::new(ids[0], 4, 4, 8);
-        let mut b = ReadChannel::new(ids[1], 4, 4, 8);
+        let mut a = ReadChannel::new(ids[0], 4, 4);
+        let mut b = ReadChannel::new(ids[1], 4, 4);
         let map = |_| BankLocation { bank: 0, row: 0 };
         a.push_addr(0);
         b.push_addr(0);
@@ -647,7 +613,7 @@ mod tests {
     #[should_panic(expected = "address buffer overflow")]
     fn addr_overflow_panics() {
         let (_, ids) = mem_with(1);
-        let mut ch = ReadChannel::new(ids[0], 2, 1, 8);
+        let mut ch = ReadChannel::new(ids[0], 2, 1);
         ch.push_addr(0);
         ch.push_addr(8);
     }
@@ -658,19 +624,19 @@ mod tests {
         let mut ch = WriteChannel::new(ids[0], 2, 2);
         ch.push_addr(16);
         assert!(ch.can_accept());
-        ch.accept(Word::from_slice(&[7; 8]), |a| BankLocation {
+        let addr = ch.accept(|a| BankLocation {
             bank: (a / 8 % 4) as usize,
             row: (a / 8 / 4) as usize,
         });
+        assert_eq!(addr, 16);
         assert_eq!(ch.backlog(), 1);
+        assert_eq!(ch.head_bank(), Some(2));
         ch.submit(&mut mem);
         let grants = mem.arbitrate().to_vec();
         ch.handle_grant(grants[ids[0].index()]);
         assert!(ch.is_drained());
-        assert_eq!(
-            mem.scratchpad().read_row(BankLocation { bank: 2, row: 0 }),
-            &[7; 8]
-        );
+        assert_eq!(mem.per_bank_accesses(), &[0, 0, 1, 0]);
+        assert_eq!(mem.stats().writes.get(), 1);
     }
 
     #[test]
@@ -681,17 +647,14 @@ mod tests {
         ch.push_addr(0);
         ch.push_addr(8);
         assert!(ch.can_accept());
-        ch.accept(Word::from_slice(&[1; 8]), |_| BankLocation {
-            bank: 0,
-            row: 0,
-        });
+        ch.accept(|_| BankLocation { bank: 0, row: 0 });
         assert!(!ch.can_accept(), "fifo full at depth 1");
     }
 
     #[test]
     fn occupancy_sampling_tracks_fifo_fill() {
         let (mut mem, ids) = mem_with(1);
-        let mut ch = ReadChannel::new(ids[0], 4, 4, 8);
+        let mut ch = ReadChannel::new(ids[0], 4, 4);
         ch.sample_occupancy(); // empty
         ch.push_addr(0);
         let map = |_| BankLocation { bank: 0, row: 0 };
@@ -708,7 +671,7 @@ mod tests {
         let mut wch = WriteChannel::new(ids[0], 2, 2);
         wch.sample_occupancy();
         wch.push_addr(0);
-        wch.accept(Word::from_slice(&[1; 8]), map);
+        wch.accept(map);
         wch.sample_occupancy();
         assert_eq!(wch.fifo_occupancy().max(), 1);
     }
@@ -720,10 +683,7 @@ mod tests {
         let mut b = WriteChannel::new(ids[1], 2, 2);
         for ch in [&mut a, &mut b] {
             ch.push_addr(0);
-            ch.accept(Word::from_slice(&[9; 8]), |_| BankLocation {
-                bank: 3,
-                row: 1,
-            });
+            ch.accept(|_| BankLocation { bank: 3, row: 1 });
         }
         a.submit(&mut mem);
         b.submit(&mut mem);

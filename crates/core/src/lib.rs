@@ -20,21 +20,22 @@
 //! Addressing-mode remapping (§III-D) lives in the [`dm_mem`] crate and is
 //! selected per streamer through [`RuntimeConfig::addressing_mode`].
 //!
+//! Streamers model timing: simulated timing never depends on data, so the
+//! crossbar and the channel FIFOs carry request headers and word addresses
+//! only. The bytes come from walking the same [`StreamBinding`] in program
+//! order over a [`Scratchpad`](dm_mem::Scratchpad), as the system's
+//! functional executor does.
+//!
 //! # Examples
 //!
-//! Stream four 32-byte wide words out of a banked scratchpad:
+//! Time a stream of four 32-byte wide words, then read the same words
+//! functionally:
 //!
 //! ```
-//! use datamaestro::{DesignConfig, ReadStreamer, RuntimeConfig, StreamerMode};
-//! use dm_mem::{Addr, AddressRemapper, AddressingMode, MemConfig, MemorySubsystem};
+//! use datamaestro::{bind_pattern, DesignConfig, ReadStreamer, RuntimeConfig, StreamerMode};
+//! use dm_mem::{Addr, MemConfig, MemorySubsystem, Scratchpad};
 //!
 //! let mem_cfg = MemConfig::new(8, 8, 64)?;
-//! let mut mem = MemorySubsystem::new(mem_cfg);
-//! // Preload 128 bytes of ascending values.
-//! let view = AddressRemapper::new(&mem_cfg, AddressingMode::FullyInterleaved)?;
-//! let data: Vec<u8> = (0..128).map(|i| i as u8).collect();
-//! mem.scratchpad_mut().host_write(&view, Addr::ZERO, &data)?;
-//!
 //! let design = DesignConfig::builder("A", StreamerMode::Read)
 //!     .spatial_bounds([4])
 //!     .temporal_dims(1)
@@ -43,20 +44,42 @@
 //!     .temporal([4], [32])
 //!     .spatial_strides([8])
 //!     .build();
-//! let mut streamer = ReadStreamer::new(&design, &runtime, &mut mem)?;
 //!
-//! let mut words = Vec::new();
+//! // Timing: the cycle loop moves headers and records the word addresses
+//! // each wide pop consumes.
+//! let mut mem = MemorySubsystem::new(mem_cfg);
+//! let mut streamer = ReadStreamer::new(&design, &runtime, &mut mem)?;
+//! let mut popped = Vec::new();
 //! while !streamer.is_done() {
 //!     streamer.begin_cycle();
 //!     mem.drain_responses(|resp| streamer.accept_response(resp));
 //!     if streamer.can_pop_wide() {
-//!         words.push(streamer.pop_wide().to_vec());
+//!         streamer.pop_wide(|addr| popped.push(addr));
 //!     }
 //!     streamer.generate_and_issue(&mut mem);
-//!     let grants = mem.arbitrate().to_vec();
-//!     streamer.handle_grants(&grants);
+//!     let grants = mem.arbitrate();
+//!     streamer.handle_grants(grants);
 //! }
-//! assert_eq!(words.len(), 4);
+//! assert_eq!(mem.stats().reads.get(), 16);
+//!
+//! // Data: the same binding walked in program order over a scratchpad
+//! // preloaded with 128 ascending bytes.
+//! let mut pad = Scratchpad::new(mem_cfg);
+//! let mut binding = bind_pattern(&design, &runtime, &mem_cfg)?;
+//! let data: Vec<u8> = (0..128).map(|i| i as u8).collect();
+//! pad.host_write(&binding.remapper, Addr::ZERO, &data)?;
+//! let mut walked = Vec::new();
+//! let mut words = Vec::new();
+//! while let Some(ta) = binding.temporal.next_address() {
+//!     let mut word = Vec::new();
+//!     for c in 0..binding.spatial.num_channels() {
+//!         let addr = binding.spatial.channel_address(ta, c);
+//!         walked.push(addr);
+//!         word.extend_from_slice(pad.read_row(binding.remapper.map_byte(Addr::new(addr))?));
+//!     }
+//!     words.push(binding.chain.process(&word));
+//! }
+//! assert_eq!(popped, walked, "the loop consumed the words the walk reads");
 //! assert_eq!(words[0], data[0..32]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -78,5 +101,5 @@ pub use config::{
 pub use csr::{decode_runtime, encode_runtime, CsrMap};
 pub use error::ConfigError;
 pub use extension::{ExtensionChain, ExtensionKind, ExtensionScratch};
-pub use reader::{ReadStreamer, StreamerStats};
+pub use reader::{bind_pattern, ReadStreamer, StreamBinding, StreamerStats};
 pub use writer::WriteStreamer;

@@ -12,6 +12,11 @@
 //!    one wide word, pushed through the datapath-extension cascade and
 //!    handed to the accelerator.
 //!
+//! The streamer models the timing of these steps: its FIFOs hold the byte
+//! address of each word, not the word. The bytes of a stream come from the
+//! same [`StreamBinding`] walked in program order by the system's
+//! functional executor.
+//!
 //! With fine-grained prefetch disabled the streamer degrades into a plain
 //! data-movement unit: one wide request at a time and no overlap between the
 //! memory round-trip and consumption (the ablation baseline ①).
@@ -28,7 +33,7 @@ use crate::agu::{SpatialAgu, TemporalAgu};
 use crate::channel::ReadChannel;
 use crate::config::{DesignConfig, RuntimeConfig, StreamerMode};
 use crate::error::ConfigError;
-use crate::extension::{ExtensionChain, ExtensionScratch};
+use crate::extension::ExtensionChain;
 
 /// Aggregated statistics for one streamer.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -44,13 +49,36 @@ pub struct StreamerStats {
     pub temporal_addresses: Counter,
 }
 
-/// Validates that a runtime pattern is word-aligned and in bounds, returning
-/// the constructed remapper.
-pub(crate) fn bind_pattern(
+/// A stream pattern bound to a memory geometry: the remapper, the temporal
+/// and spatial AGUs and the extension cascade that serve it. The timing
+/// streamers and the system's functional executor are both built from one.
+#[derive(Debug, Clone)]
+pub struct StreamBinding {
+    /// Byte address → physical location under the stream's addressing mode.
+    pub remapper: AddressRemapper,
+    /// The temporal loop nest.
+    pub temporal: TemporalAgu,
+    /// The per-channel fan-out.
+    pub spatial: SpatialAgu,
+    /// The extension cascade: applied after the channel gather on a read
+    /// stream, before the channel split on a write stream.
+    pub chain: ExtensionChain,
+}
+
+/// Validates a runtime pattern against its design and the memory geometry
+/// — word-aligned, in bounds, with an extension cascade whose widths fit
+/// the channel array — and binds it.
+///
+/// # Errors
+///
+/// Returns [`ConfigError`] if the runtime configuration is inconsistent
+/// with the design, the pattern is unaligned or out of bounds, or an
+/// extension's geometry mismatches the wide word.
+pub fn bind_pattern(
     design: &DesignConfig,
     runtime: &RuntimeConfig,
     mem: &MemConfig,
-) -> Result<(AddressRemapper, TemporalAgu, SpatialAgu), ConfigError> {
+) -> Result<StreamBinding, ConfigError> {
     runtime.validate(design)?;
     let remapper = AddressRemapper::new(mem, runtime.addressing_mode)?;
     let word = mem.bank_width_bytes() as u64;
@@ -86,7 +114,39 @@ pub(crate) fn bind_pattern(
             capacity,
         });
     }
-    Ok((remapper, tagu, sagu))
+    let split_width = design.num_channels() * mem.bank_width_bytes();
+    let chain = match design.mode() {
+        StreamerMode::Read => {
+            ExtensionChain::new(design.extensions(), &runtime.extension_bypass, split_width)?
+        }
+        StreamerMode::Write => {
+            // The accelerator-facing width is whatever the chain maps onto
+            // the split width: invert the width transform stage by stage
+            // (exact division is validated by the chain).
+            let mut input_width = split_width;
+            for kind in design.extensions().iter().rev() {
+                input_width /= kind.output_width(1);
+            }
+            let chain =
+                ExtensionChain::new(design.extensions(), &runtime.extension_bypass, input_width)?;
+            if chain.output_width() != split_width {
+                return Err(ConfigError::InvalidParameter {
+                    parameter: "extensions",
+                    reason: format!(
+                        "write cascade produces {}B, channel array needs {split_width}B",
+                        chain.output_width()
+                    ),
+                });
+            }
+            chain
+        }
+    };
+    Ok(StreamBinding {
+        remapper,
+        temporal: tagu,
+        spatial: sagu,
+        chain,
+    })
 }
 
 /// A read-mode DataMaestro.
@@ -96,15 +156,12 @@ pub struct ReadStreamer {
     tagu: TemporalAgu,
     sagu: SpatialAgu,
     channels: Vec<ReadChannel>,
-    chain: ExtensionChain,
+    /// Width of the accelerator-facing wide word (after extensions).
+    output_width: usize,
     /// Requester index of channel 0; channels register contiguously, so a
     /// response's channel is `requester.index() - requester_base` (a direct
     /// route-table lookup instead of a linear scan).
     requester_base: usize,
-    /// Reusable gather buffer for [`pop_wide`](Self::pop_wide).
-    gather: Vec<u8>,
-    /// Reusable extension-cascade buffers for [`pop_wide`](Self::pop_wide).
-    ext_scratch: ExtensionScratch,
     fine_grained: bool,
     /// Coarse mode: gate is open while the current wide request may issue.
     coarse_open: bool,
@@ -138,20 +195,11 @@ impl ReadStreamer {
                 reason: "ReadStreamer requires a read-mode design".into(),
             });
         }
-        let mem_cfg = *mem.scratchpad().config();
-        let (remapper, tagu, sagu) = bind_pattern(design, runtime, &mem_cfg)?;
-        let input_width = design.num_channels() * mem_cfg.bank_width_bytes();
-        let chain =
-            ExtensionChain::new(design.extensions(), &runtime.extension_bypass, input_width)?;
+        let binding = bind_pattern(design, runtime, mem.config())?;
         let channels = (0..design.num_channels())
             .map(|c| {
                 let id = mem.register_requester(format!("{}/ch{c}", design.name()));
-                ReadChannel::new(
-                    id,
-                    design.data_buffer_depth(),
-                    design.addr_buffer_depth(),
-                    mem_cfg.bank_width_bytes(),
-                )
+                ReadChannel::new(id, design.data_buffer_depth(), design.addr_buffer_depth())
             })
             .collect::<Vec<_>>();
         let n = channels.len();
@@ -160,14 +208,12 @@ impl ReadStreamer {
             .map_or(0, |c: &ReadChannel| c.requester().index());
         Ok(ReadStreamer {
             name: design.name().to_owned(),
-            remapper,
-            tagu,
-            sagu,
+            remapper: binding.remapper,
+            tagu: binding.temporal,
+            sagu: binding.spatial,
             channels,
-            chain,
+            output_width: binding.chain.output_width(),
             requester_base,
-            gather: Vec::new(),
-            ext_scratch: ExtensionScratch::default(),
             fine_grained: design.fine_grained_prefetch(),
             coarse_open: false,
             coarse_started: vec![false; n],
@@ -204,7 +250,7 @@ impl ReadStreamer {
     /// extensions).
     #[must_use]
     pub fn output_width(&self) -> usize {
-        self.chain.output_width()
+        self.output_width
     }
 
     /// Requester ids of this streamer's channels, in channel order.
@@ -237,7 +283,7 @@ impl ReadStreamer {
     ///
     /// Panics if the response belongs to no channel of this streamer.
     #[inline]
-    pub fn accept_response(&mut self, response: MemResponse<'_>) {
+    pub fn accept_response(&mut self, response: MemResponse) {
         let channel = response
             .requester
             .index()
@@ -370,25 +416,20 @@ impl ReadStreamer {
         }
     }
 
-    /// Gathers one word from every channel, applies the extension cascade
-    /// and returns the accelerator-facing wide word.
-    ///
-    /// The returned slice borrows internal scratch buffers and is valid
-    /// until the next `pop_wide`; callers that need to keep the word copy it
-    /// out (`.to_vec()` or into their own buffer). Gathering and the cascade
-    /// reuse warm buffers, so steady-state pops are allocation-free.
+    /// Pops one word from every channel — the wide word the accelerator
+    /// consumes — handing each word's byte address to `consumed`, in
+    /// channel order.
     ///
     /// # Panics
     ///
     /// Panics if [`can_pop_wide`](Self::can_pop_wide) is false.
-    pub fn pop_wide(&mut self) -> &[u8] {
+    #[inline]
+    pub fn pop_wide(&mut self, mut consumed: impl FnMut(u64)) {
         assert!(self.can_pop_wide(), "wide pop without data in all channels");
-        self.gather.clear();
         for channel in &mut self.channels {
-            channel.pop_into(&mut self.gather);
+            consumed(channel.pop());
         }
         self.stats.wide_words.inc();
-        self.chain.process_into(&self.gather, &mut self.ext_scratch)
     }
 
     /// `true` once the pattern is exhausted and all data has been consumed.
@@ -576,22 +617,15 @@ mod tests {
     #[test]
     fn streams_the_configured_pattern() {
         let mut mem = mem();
-        // Preload: word i (8 bytes) holds value i at every byte.
-        let remap =
-            AddressRemapper::new(mem.scratchpad().config(), AddressingMode::FullyInterleaved)
-                .unwrap();
-        for w in 0..64u64 {
-            mem.scratchpad_mut()
-                .host_write(&remap, Addr::new(w * 8), &[w as u8; 8])
-                .unwrap();
-        }
         let mut s = ReadStreamer::new(&design(), &runtime(0), &mut mem).unwrap();
         assert_eq!(s.output_width(), 32);
         let mut words = Vec::new();
         for _ in 0..40 {
             tick(&mut s, &mut mem);
             if s.can_pop_wide() {
-                words.push(s.pop_wide().to_vec());
+                let mut word = Vec::new();
+                s.pop_wide(|addr| word.push(addr));
+                words.push(word);
             }
             if s.is_done() {
                 break;
@@ -601,7 +635,7 @@ mod tests {
         assert_eq!(words.len(), 4);
         // Temporal step t starts at word 4t; channels read words 4t..4t+4.
         for (t, word) in words.iter().enumerate() {
-            let expected: Vec<u8> = (0..4).flat_map(|c| [(4 * t + c) as u8; 8]).collect();
+            let expected: Vec<u64> = (0..4).map(|c| 8 * (4 * t + c) as u64).collect();
             assert_eq!(word, &expected, "wide word {t}");
         }
         assert_eq!(s.stats().granted.get(), 16);
@@ -620,7 +654,7 @@ mod tests {
             tick(&mut s, &mut mem);
             cycles += 1;
             if s.can_pop_wide() {
-                let _ = s.pop_wide();
+                s.pop_wide(|_| {});
                 pops += 1;
             }
         }
@@ -645,7 +679,7 @@ mod tests {
             tick(&mut s, &mut mem);
             cycles += 1;
             if s.can_pop_wide() {
-                let _ = s.pop_wide();
+                s.pop_wide(|_| {});
                 pops += 1;
             }
         }
@@ -682,7 +716,7 @@ mod tests {
     #[test]
     fn rejects_out_of_bounds_pattern() {
         let mut mem = mem();
-        let capacity = mem.scratchpad().config().capacity_bytes();
+        let capacity = mem.config().capacity_bytes();
         let err = ReadStreamer::new(&design(), &runtime(capacity - 32), &mut mem).unwrap_err();
         assert!(matches!(err, ConfigError::PatternOutOfBounds { .. }));
     }
@@ -699,7 +733,7 @@ mod tests {
             tick(&mut s, &mut mem);
             cycles += 1;
             if s.can_pop_wide() {
-                let _ = s.pop_wide();
+                s.pop_wide(|_| {});
             }
         }
         assert!(s.is_done());
@@ -744,7 +778,7 @@ mod tests {
             digest,
             "an idle-horizon tick must not move observable state"
         );
-        let _ = s.pop_wide();
+        s.pop_wide(|_| {});
         assert!(
             s.next_activity(mem.cycle()).is_some(),
             "a pop frees an ORM slot; the channel can start a request again"
@@ -761,13 +795,13 @@ mod tests {
         // AGU exhausted but FIFOs full: not done until the accelerator pops.
         assert!(!s.is_done());
         while s.can_pop_wide() {
-            let _ = s.pop_wide();
+            s.pop_wide(|_| {});
             tick(&mut s, &mut mem);
         }
         for _ in 0..10 {
             tick(&mut s, &mut mem);
             while s.can_pop_wide() {
-                let _ = s.pop_wide();
+                s.pop_wide(|_| {});
             }
         }
         assert!(s.is_done());

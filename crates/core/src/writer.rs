@@ -5,8 +5,12 @@
 //! word is split across the per-channel FIFOs, each paired with a
 //! destination address from the AGU; the channel MICs drain the FIFOs
 //! through the crossbar, retrying on bank conflicts.
+//!
+//! Like the read side, the streamer models timing only: a pushed wide word
+//! is its destination addresses, and the bytes are written by the system's
+//! functional executor.
 
-use dm_mem::{MemorySubsystem, RequesterId, Word};
+use dm_mem::{MemorySubsystem, RequesterId};
 use dm_sim::{
     BlameLeaf, Cycle, Instrumented, MetricsRegistry, NextActivity, StableHasher, Trace,
     TraceEventKind, TraceMode,
@@ -16,7 +20,6 @@ use crate::agu::{SpatialAgu, TemporalAgu};
 use crate::channel::WriteChannel;
 use crate::config::{DesignConfig, RuntimeConfig, StreamerMode};
 use crate::error::ConfigError;
-use crate::extension::{ExtensionChain, ExtensionScratch};
 use crate::reader::{bind_pattern, map_checked, StreamerStats};
 use dm_mem::AddressRemapper;
 
@@ -27,10 +30,8 @@ pub struct WriteStreamer {
     tagu: TemporalAgu,
     sagu: SpatialAgu,
     channels: Vec<WriteChannel>,
-    chain: ExtensionChain,
-    /// Reusable extension-cascade buffers for [`push_wide`](Self::push_wide).
-    ext_scratch: ExtensionScratch,
-    word_bytes: usize,
+    /// Width of the wide word the accelerator pushes (before extensions).
+    input_width: usize,
     fine_grained: bool,
     stats: StreamerStats,
     trace: Trace,
@@ -65,29 +66,7 @@ impl WriteStreamer {
                 reason: "WriteStreamer requires a write-mode design".into(),
             });
         }
-        let mem_cfg = *mem.scratchpad().config();
-        let (remapper, tagu, sagu) = bind_pattern(design, runtime, &mem_cfg)?;
-        let word_bytes = mem_cfg.bank_width_bytes();
-        let split_width = design.num_channels() * word_bytes;
-        // The accelerator-facing width is whatever the chain maps onto the
-        // split width; with no extensions the two coincide.
-        let mut input_width = split_width;
-        for kind in design.extensions().iter().rev() {
-            // Invert the width transform stage by stage (exact division is
-            // validated by the chain below).
-            input_width /= kind.output_width(1);
-        }
-        let chain =
-            ExtensionChain::new(design.extensions(), &runtime.extension_bypass, input_width)?;
-        if chain.output_width() != split_width {
-            return Err(ConfigError::InvalidParameter {
-                parameter: "extensions",
-                reason: format!(
-                    "write cascade produces {}B, channel array needs {split_width}B",
-                    chain.output_width()
-                ),
-            });
-        }
+        let binding = bind_pattern(design, runtime, mem.config())?;
         let channels = (0..design.num_channels())
             .map(|c| {
                 let id = mem.register_requester(format!("{}/ch{c}", design.name()));
@@ -96,13 +75,11 @@ impl WriteStreamer {
             .collect();
         Ok(WriteStreamer {
             name: design.name().to_owned(),
-            remapper,
-            tagu,
-            sagu,
+            remapper: binding.remapper,
+            tagu: binding.temporal,
+            sagu: binding.spatial,
             channels,
-            chain,
-            ext_scratch: ExtensionScratch::default(),
-            word_bytes,
+            input_width: binding.chain.input_width(),
             fine_grained: design.fine_grained_prefetch(),
             stats: StreamerStats::default(),
             trace: Trace::new(),
@@ -136,7 +113,7 @@ impl WriteStreamer {
     /// Width in bytes of the wide word the accelerator pushes.
     #[must_use]
     pub fn input_width(&self) -> usize {
-        self.chain.input_width()
+        self.input_width
     }
 
     /// Requester ids of this streamer's channels, in channel order.
@@ -264,27 +241,19 @@ impl WriteStreamer {
         }
     }
 
-    /// Accepts one wide word from the accelerator.
+    /// Accepts one wide word from the accelerator: every channel pairs one
+    /// word with its next queued address, handed to `produced` in channel
+    /// order.
     ///
     /// # Panics
     ///
-    /// Panics if [`can_push_wide`](Self::can_push_wide) is false or the word
-    /// width mismatches.
-    pub fn push_wide(&mut self, word: &[u8]) {
+    /// Panics if [`can_push_wide`](Self::can_push_wide) is false.
+    #[inline]
+    pub fn push_wide(&mut self, mut produced: impl FnMut(u64)) {
         assert!(self.can_push_wide(), "wide push without space");
-        let transformed = self.chain.process_into(word, &mut self.ext_scratch);
-        assert_eq!(
-            transformed.len(),
-            self.channels.len() * self.word_bytes,
-            "cascade output width mismatch"
-        );
         let remapper = &self.remapper;
-        for (channel, chunk) in self
-            .channels
-            .iter_mut()
-            .zip(transformed.chunks(self.word_bytes))
-        {
-            channel.accept(Word::from_slice(chunk), |addr| map_checked(remapper, addr));
+        for channel in &mut self.channels {
+            produced(channel.accept(|addr| map_checked(remapper, addr)));
         }
         self.stats.wide_words.inc();
     }
@@ -408,7 +377,7 @@ impl std::fmt::Debug for WriteStreamer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_mem::{Addr, AddressingMode, MemConfig};
+    use dm_mem::{AddressingMode, MemConfig};
 
     fn mem() -> MemorySubsystem {
         MemorySubsystem::new(MemConfig::new(8, 8, 64).unwrap())
@@ -442,25 +411,23 @@ mod tests {
         let mut mem = mem();
         let mut s = WriteStreamer::new(&design(), &runtime(), &mut mem).unwrap();
         assert_eq!(s.input_width(), 32);
-        let mut pushed = 0u8;
+        let mut pushed = 0;
+        let mut addrs = Vec::new();
         let mut cycles = 0;
         while !s.is_done() && cycles < 100 {
             // Generate addresses first so can_push_wide sees them.
             if pushed < 4 && s.can_push_wide() {
-                let word: Vec<u8> = (0..32).map(|i| pushed * 32 + i).collect();
-                s.push_wide(&word);
+                s.push_wide(|addr| addrs.push(addr));
                 pushed += 1;
             }
             tick(&mut s, &mut mem);
             cycles += 1;
         }
         assert!(s.is_done(), "writer drained");
-        let remap =
-            AddressRemapper::new(mem.scratchpad().config(), AddressingMode::FullyInterleaved)
-                .unwrap();
-        let out = mem.scratchpad().host_read(&remap, Addr::ZERO, 128).unwrap();
-        let expected: Vec<u8> = (0..128).map(|i| i as u8).collect();
-        assert_eq!(out, expected);
+        // The four wide words cover words 0..16 in order; under FIMA over
+        // eight banks each bank takes two of them.
+        assert_eq!(addrs, (0..16).map(|w| 8 * w).collect::<Vec<u64>>());
+        assert_eq!(mem.per_bank_accesses(), &[2; 8]);
         assert_eq!(s.stats().granted.get(), 16);
         assert_eq!(s.stats().wide_words.get(), 4);
     }
@@ -485,7 +452,7 @@ mod tests {
         // Prime the address queues.
         tick(&mut s, &mut mem);
         assert!(s.can_push_wide());
-        s.push_wide(&[0; 32]);
+        s.push_wide(|_| {});
         // Before draining, a second push is refused in coarse mode.
         assert!(!s.can_push_wide());
         tick(&mut s, &mut mem);
@@ -515,7 +482,7 @@ mod tests {
         let mut cycles = 0;
         while !s.is_done() && cycles < 50 {
             if s.can_push_wide() {
-                s.push_wide(&[1; 32]);
+                s.push_wide(|_| {});
             }
             tick(&mut s, &mut mem);
             cycles += 1;

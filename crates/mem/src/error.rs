@@ -15,16 +15,6 @@ pub enum MemError {
         /// The offending value.
         value: usize,
     },
-    /// The bank word width exceeds the fixed inline [`Word`] capacity that
-    /// write FIFOs and owned responses rely on.
-    ///
-    /// [`Word`]: crate::Word
-    WordTooWide {
-        /// Requested bank width in bytes.
-        width: usize,
-        /// Maximum supported width ([`crate::Word::CAPACITY`]).
-        max: usize,
-    },
     /// The GIMA group size must divide the total bank count.
     GroupTooLarge {
         /// Banks per group requested.
@@ -56,11 +46,6 @@ pub enum MemError {
         /// The offending requester index.
         requester: usize,
     },
-    /// A requester submitted a write without staging its payload first.
-    UnstagedWrite {
-        /// The offending requester index.
-        requester: usize,
-    },
 }
 
 impl fmt::Display for MemError {
@@ -71,9 +56,6 @@ impl fmt::Display for MemError {
                     f,
                     "{parameter} must be a non-zero power of two, got {value}"
                 )
-            }
-            MemError::WordTooWide { width, max } => {
-                write!(f, "bank width of {width} bytes exceeds the {max}-byte word")
             }
             MemError::GroupTooLarge { group, banks } => {
                 write!(f, "bank group of {group} does not divide {banks} banks")
@@ -89,12 +71,6 @@ impl fmt::Display for MemError {
             }
             MemError::DuplicateRequest { requester } => {
                 write!(f, "requester {requester} submitted twice in one cycle")
-            }
-            MemError::UnstagedWrite { requester } => {
-                write!(
-                    f,
-                    "requester {requester} submitted a write with no staged payload"
-                )
             }
         }
     }

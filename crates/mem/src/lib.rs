@@ -33,14 +33,11 @@ pub mod error;
 pub mod remap;
 pub mod scratchpad;
 pub mod subsystem;
-pub mod word;
 
 pub use addr::{Addr, BankLocation};
 pub use error::MemError;
 pub use remap::{AddressRemapper, AddressingMode};
 pub use scratchpad::{MemConfig, Scratchpad};
 pub use subsystem::{
-    LatencyTelemetry, MemOp, MemRequest, MemResponse, MemStats, MemorySubsystem, OwnedResponse,
-    RequesterId,
+    LatencyTelemetry, MemOp, MemRequest, MemResponse, MemStats, MemorySubsystem, RequesterId,
 };
-pub use word::Word;

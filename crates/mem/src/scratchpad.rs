@@ -31,9 +31,7 @@ impl MemConfig {
     ///
     /// Returns [`MemError::NotPowerOfTwo`] if any dimension is not a
     /// non-zero power of two (the address remapper's bit permutation
-    /// requires power-of-two geometry), or [`MemError::WordTooWide`] if the
-    /// bank width exceeds [`Word::CAPACITY`](crate::Word::CAPACITY) — the
-    /// crossbar carries words inline, never on the heap.
+    /// requires power-of-two geometry).
     pub fn new(
         num_banks: usize,
         bank_width_bytes: usize,
@@ -50,12 +48,6 @@ impl MemConfig {
                     value,
                 });
             }
-        }
-        if bank_width_bytes > crate::word::Word::CAPACITY {
-            return Err(MemError::WordTooWide {
-                width: bank_width_bytes,
-                max: crate::word::Word::CAPACITY,
-            });
         }
         Ok(MemConfig {
             num_banks,
@@ -264,13 +256,15 @@ mod tests {
         ));
     }
 
+    /// The crossbar moves headers only, so no inline word capacity caps the
+    /// bank width: any power of two is a valid geometry.
     #[test]
-    fn config_rejects_word_wider_than_inline_capacity() {
-        assert!(MemConfig::new(4, crate::word::Word::CAPACITY, 16).is_ok());
-        assert!(matches!(
-            MemConfig::new(4, 2 * crate::word::Word::CAPACITY, 16),
-            Err(MemError::WordTooWide { .. })
-        ));
+    fn config_accepts_wide_power_of_two_banks() {
+        let cfg = MemConfig::new(4, 128, 16).unwrap();
+        let mut sp = Scratchpad::new(cfg);
+        let loc = BankLocation { bank: 3, row: 15 };
+        sp.write_row_full(loc, &[9; 128]);
+        assert_eq!(sp.read_row(loc), &[9; 128]);
     }
 
     #[test]

@@ -3,23 +3,22 @@
 //! Every DataMaestro channel (and the DMA engine used for explicit
 //! pre-passes) registers as a *requester*. Each simulated cycle proceeds as:
 //!
-//! 1. [`MemorySubsystem::take_responses`] — collect read data whose latency
-//!    elapsed (fixed single-cycle bank latency by default);
+//! 1. [`MemorySubsystem::drain_responses`] — deliver the read responses whose
+//!    latency elapsed (fixed single-cycle bank latency by default);
 //! 2. requesters [`submit`](MemorySubsystem::submit) at most one request
 //!    each;
 //! 3. [`MemorySubsystem::arbitrate`] — per bank, a round-robin arbiter
-//!    grants exactly one request; granted writes commit immediately, granted
-//!    reads capture data and schedule a response. Losing requests are simply
+//!    grants exactly one request; granted writes retire immediately, granted
+//!    reads schedule a response. Losing requests are simply
 //!    dropped — the requester observes the missing grant and retries, which
 //!    is precisely how bank conflicts turn into stall cycles.
 //!
-//! Requests and in-flight reads are header-only records. A write's payload
-//! is staged once per requester ([`MemorySubsystem::stage_write`]) and a
-//! retry resubmits only the header. A granted read copies its bank word into
-//! a capture slab at the grant, so a write granted while the read is in
-//! flight cannot change the data it returns. The word is handed out once,
-//! as a borrowed `&[u8]` in the [`MemResponse`] of
-//! [`MemorySubsystem::drain_responses`].
+//! The crossbar is a timing model: requests, in-flight reads and responses
+//! are header-only records, and no bank word moves through it. Simulated
+//! timing never depends on data, so the bytes are produced separately, by
+//! the system's program-order functional executor over a [`Scratchpad`].
+//!
+//! [`Scratchpad`]: crate::Scratchpad
 //!
 //! The subsystem counts granted reads/writes (the paper's "data access
 //! counts"), submissions and conflict events, and stamps every request's
@@ -48,8 +47,7 @@ use dm_sim::{
 
 use crate::addr::BankLocation;
 use crate::error::MemError;
-use crate::scratchpad::{MemConfig, Scratchpad};
-use crate::word::Word;
+use crate::scratchpad::MemConfig;
 
 /// Identifier of a registered requester (one per streamer channel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -74,8 +72,7 @@ impl fmt::Display for RequesterId {
 pub enum MemOp {
     /// Read one full word.
     Read,
-    /// Write one full word: the requester's payload staged with
-    /// [`MemorySubsystem::stage_write`].
+    /// Write one full word.
     Write,
 }
 
@@ -101,30 +98,14 @@ pub struct MemRequest {
     pub op: MemOp,
 }
 
-/// A read response delivered after the bank latency.
-///
-/// The data borrows the word captured at the grant; the receiver copies it
-/// once, into its landing slot.
+/// A read response delivered after the bank latency: a header naming the
+/// requester and echoing the request's tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemResponse<'a> {
-    /// The requester the data belongs to.
+pub struct MemResponse {
+    /// The requester the response belongs to.
     pub requester: RequesterId,
     /// Tag of the originating request.
     pub tag: u64,
-    /// The full word read.
-    pub data: &'a [u8],
-}
-
-/// A read response with its own copy of the data, as returned by
-/// [`MemorySubsystem::take_responses`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OwnedResponse {
-    /// The requester the data belongs to.
-    pub requester: RequesterId,
-    /// Tag of the originating request.
-    pub tag: u64,
-    /// The full word read.
-    pub data: Word,
 }
 
 /// Access statistics maintained by the subsystem.
@@ -242,8 +223,7 @@ impl LifetimeFold {
     }
 }
 
-/// A granted read awaiting delivery: a header only. Its bank word waits in
-/// the capture slab, at the same position in issue order.
+/// A granted read awaiting delivery.
 #[derive(Debug)]
 struct InFlightRead {
     due: Cycle,
@@ -253,67 +233,6 @@ struct InFlightRead {
     tag: u64,
     /// Causal flow token id stamped at the request's first submit.
     flow: u64,
-}
-
-/// Bank words captured at read grants: one bank-width slot per in-flight
-/// read, in issue order, as a ring that doubles when full.
-#[derive(Debug)]
-struct CaptureSlab {
-    bytes: Vec<u8>,
-    width: usize,
-    /// Ring capacity in words (`bytes.len() / width`, kept to avoid a
-    /// division per access).
-    slots: usize,
-    /// Slot of the oldest word.
-    head: usize,
-    len: usize,
-}
-
-impl CaptureSlab {
-    fn new(width: usize) -> Self {
-        CaptureSlab {
-            bytes: Vec::new(),
-            width,
-            slots: 0,
-            head: 0,
-            len: 0,
-        }
-    }
-
-    /// Appends a copy of `word`.
-    #[inline]
-    fn push(&mut self, word: &[u8]) {
-        if self.len == self.slots {
-            self.grow();
-        }
-        let mut slot = self.head + self.len;
-        if slot >= self.slots {
-            slot -= self.slots;
-        }
-        self.bytes[slot * self.width..][..self.width].copy_from_slice(word);
-        self.len += 1;
-    }
-
-    /// Removes the oldest word and returns it (valid until the next push).
-    #[inline]
-    fn pop_front(&mut self) -> &[u8] {
-        debug_assert!(self.len > 0, "capture slab underflow");
-        let slot = self.head;
-        self.head += 1;
-        if self.head == self.slots {
-            self.head = 0;
-        }
-        self.len -= 1;
-        &self.bytes[slot * self.width..][..self.width]
-    }
-
-    #[cold]
-    fn grow(&mut self) {
-        self.bytes.rotate_left(self.head * self.width);
-        self.head = 0;
-        self.slots = (2 * self.slots).max(8);
-        self.bytes.resize(self.slots * self.width, 0);
-    }
 }
 
 /// One bank's arbitration state within a cycle: how many submissions
@@ -330,22 +249,15 @@ struct BankSlot {
 
 /// The banked scratchpad behind an interleaved crossbar.
 pub struct MemorySubsystem {
-    scratchpad: Scratchpad,
+    config: MemConfig,
     read_latency: u64,
     arbiters: Vec<RoundRobinArbiter>,
     requester_names: Vec<String>,
     /// Requests submitted in the current cycle.
     submissions: Vec<MemRequest>,
     submitted: Vec<bool>,
-    /// Each requester's staged write payload, one bank word per requester.
-    write_payloads: Vec<u8>,
-    /// Whether each requester has a staged payload its next granted write
-    /// commits.
-    staged: Vec<bool>,
     /// Read responses in flight, stamped for latency attribution.
     in_flight: VecDeque<InFlightRead>,
-    /// The in-flight reads' bank words, captured at the grant.
-    captured: CaptureSlab,
     /// How many of the oldest in-flight reads were granted before the last
     /// [`reset_stats`](Self::reset_stats): their queueing delay was
     /// recorded, then cleared, so their delivery records service only.
@@ -387,28 +299,18 @@ impl MemorySubsystem {
     /// Default single-cycle bank read latency.
     pub const DEFAULT_READ_LATENCY: u64 = 1;
 
-    /// Creates a subsystem over a fresh zeroed scratchpad.
+    /// Creates the crossbar of a scratchpad with the given geometry.
     #[must_use]
     pub fn new(config: MemConfig) -> Self {
-        Self::with_scratchpad(Scratchpad::new(config))
-    }
-
-    /// Creates a subsystem over an existing (possibly preloaded) scratchpad.
-    #[must_use]
-    pub fn with_scratchpad(scratchpad: Scratchpad) -> Self {
-        let banks = scratchpad.config().num_banks();
-        let width = scratchpad.config().bank_width_bytes();
+        let banks = config.num_banks();
         MemorySubsystem {
-            scratchpad,
+            config,
             read_latency: Self::DEFAULT_READ_LATENCY,
             arbiters: vec![RoundRobinArbiter::new(1); banks],
             requester_names: Vec::new(),
             submissions: Vec::new(),
             submitted: Vec::new(),
-            write_payloads: Vec::new(),
-            staged: Vec::new(),
             in_flight: VecDeque::new(),
-            captured: CaptureSlab::new(width),
             reset_in_flight: 0,
             grants: Vec::new(),
             bank_slots: vec![BankSlot::default(); banks],
@@ -493,15 +395,10 @@ impl MemorySubsystem {
         self.read_latency = latency;
     }
 
-    /// Access to the scratchpad (host preload / result inspection).
+    /// The scratchpad geometry behind the crossbar.
     #[must_use]
-    pub fn scratchpad(&self) -> &Scratchpad {
-        &self.scratchpad
-    }
-
-    /// Mutable access to the scratchpad for host-side preloading.
-    pub fn scratchpad_mut(&mut self) -> &mut Scratchpad {
-        &mut self.scratchpad
+    pub fn config(&self) -> &MemConfig {
+        &self.config
     }
 
     /// Current simulated cycle (advances once per [`arbitrate`]).
@@ -580,10 +477,7 @@ impl MemorySubsystem {
     /// Step 1 of a cycle: deliver read responses whose latency has elapsed,
     /// in issue order, to `deliver` — the allocation-free drain used by the
     /// tick kernel.
-    ///
-    /// Each response borrows its captured word for the duration of the
-    /// callback.
-    pub fn drain_responses(&mut self, mut deliver: impl FnMut(MemResponse<'_>)) {
+    pub fn drain_responses(&mut self, mut deliver: impl FnMut(MemResponse)) {
         while let Some(front) = self.in_flight.front() {
             if front.due > self.cycle {
                 break;
@@ -608,7 +502,6 @@ impl MemorySubsystem {
             deliver(MemResponse {
                 requester: read.requester,
                 tag: read.tag,
-                data: self.captured.pop_front(),
             });
         }
     }
@@ -634,45 +527,14 @@ impl MemorySubsystem {
         }
     }
 
-    /// Step 1 of a cycle: collect read responses whose latency has elapsed.
-    ///
-    /// Convenience wrapper over [`drain_responses`](Self::drain_responses)
-    /// that copies each word out; tests and one-shot tools use it, the tick
-    /// kernel drains in place.
-    pub fn take_responses(&mut self) -> Vec<OwnedResponse> {
+    /// Step 1 of a cycle: collect the read responses whose latency has
+    /// elapsed. Convenience wrapper over
+    /// [`drain_responses`](Self::drain_responses) for tests and one-shot
+    /// tools; the tick kernel drains in place.
+    pub fn take_responses(&mut self) -> Vec<MemResponse> {
         let mut out = Vec::new();
-        self.drain_responses(|response| {
-            out.push(OwnedResponse {
-                requester: response.requester,
-                tag: response.tag,
-                data: Word::from_slice(response.data),
-            });
-        });
+        self.drain_responses(|response| out.push(response));
         out
-    }
-
-    /// Stages `data` as `requester`'s write payload: its next granted
-    /// [`MemOp::Write`] commits it. Stage once per write; a retry after a
-    /// lost arbitration resubmits only the header.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::UnknownRequester`] for an unregistered id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly one bank word wide.
-    pub fn stage_write(&mut self, requester: RequesterId, data: &[u8]) -> Result<(), MemError> {
-        let idx = requester.0;
-        if idx >= self.requester_names.len() {
-            return Err(MemError::UnknownRequester { requester: idx });
-        }
-        self.ensure_traffic_started();
-        let width = self.captured.width;
-        assert_eq!(data.len(), width, "write data must be one full word");
-        self.write_payloads[idx * width..][..width].copy_from_slice(data);
-        self.staged[idx] = true;
-        Ok(())
     }
 
     /// Step 2 of a cycle: submit one request for a requester.
@@ -681,8 +543,7 @@ impl MemorySubsystem {
     ///
     /// [`MemError::UnknownRequester`] for an unregistered id,
     /// [`MemError::DuplicateRequest`] if this requester already submitted in
-    /// the current cycle, [`MemError::UnstagedWrite`] for a write with no
-    /// staged payload.
+    /// the current cycle.
     #[inline]
     pub fn submit(&mut self, request: MemRequest) -> Result<(), MemError> {
         let idx = request.requester.0;
@@ -693,12 +554,9 @@ impl MemorySubsystem {
         if self.submitted[idx] {
             return Err(MemError::DuplicateRequest { requester: idx });
         }
-        if request.op == MemOp::Write && !self.staged[idx] {
-            return Err(MemError::UnstagedWrite { requester: idx });
-        }
         debug_assert!(
-            request.loc.bank < self.scratchpad.config().num_banks()
-                && request.loc.row < self.scratchpad.config().rows_per_bank(),
+            request.loc.bank < self.config.num_banks()
+                && request.loc.row < self.config.rows_per_bank(),
             "request target outside memory geometry"
         );
         self.submitted[idx] = true;
@@ -820,10 +678,7 @@ impl MemorySubsystem {
         match request.op {
             MemOp::Read => {
                 self.stats.reads.inc();
-                // Grant-time capture: the word leaves the bank now, so a
-                // write granted before the delivery cannot change it. The
-                // lifetime is recorded at the delivery.
-                self.captured.push(self.scratchpad.read_row(request.loc));
+                // The lifetime is recorded at the delivery.
                 self.in_flight.push_back(InFlightRead {
                     due: self.cycle + self.read_latency,
                     issued,
@@ -846,10 +701,6 @@ impl MemorySubsystem {
                 let queueing = self.cycle.saturating_sub(issued).get();
                 self.per_bank_lifetimes[bank].write(queueing);
                 self.per_requester_lifetimes[winner].write(queueing);
-                let width = self.captured.width;
-                self.scratchpad
-                    .write_row_full(request.loc, &self.write_payloads[winner * width..][..width]);
-                self.staged[winner] = false;
             }
         }
     }
@@ -907,14 +758,11 @@ impl MemorySubsystem {
     fn start_traffic(&mut self) {
         self.traffic_started = true;
         let n = self.requester_names.len().max(1);
-        self.arbiters = vec![RoundRobinArbiter::new(n); self.scratchpad.config().num_banks()];
+        self.arbiters = vec![RoundRobinArbiter::new(n); self.config.num_banks()];
         self.submitted = vec![false; self.requester_names.len()];
         self.grants = vec![false; self.requester_names.len()];
         self.issue_cycle = vec![None; self.requester_names.len()];
         self.pending_flow = vec![0; self.requester_names.len()];
-        self.write_payloads =
-            vec![0; self.requester_names.len() * self.scratchpad.config().bank_width_bytes()];
-        self.staged = vec![false; self.requester_names.len()];
         self.per_requester_lifetimes = vec![LifetimeFold::default(); self.requester_names.len()];
     }
 }
@@ -952,7 +800,7 @@ impl NextActivity for MemorySubsystem {
 impl fmt::Debug for MemorySubsystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemorySubsystem")
-            .field("config", self.scratchpad.config())
+            .field("config", &self.config)
             .field("requesters", &self.requester_names.len())
             .field("cycle", &self.cycle)
             .field("stats", &self.stats)
@@ -1045,17 +893,20 @@ mod tests {
     fn read_after_write_roundtrip() {
         let mut mem = subsystem();
         let r = mem.register_requester("t");
-        let word = Word::from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        mem.stage_write(r, &word).unwrap();
         mem.submit(write(r, 1, 2)).unwrap();
         let grants = mem.arbitrate();
         assert!(grants[r.index()]);
+        assert!(mem.take_responses().is_empty(), "writes deliver nothing");
         mem.submit(read(r, 1, 2, 1)).unwrap();
         mem.arbitrate();
         let responses = mem.take_responses();
-        assert_eq!(responses.len(), 1);
-        assert_eq!(responses[0].data, word);
-        assert_eq!(responses[0].tag, 1);
+        assert_eq!(
+            responses,
+            vec![MemResponse {
+                requester: r,
+                tag: 1
+            }]
+        );
         assert_eq!(mem.stats().reads.get(), 1);
         assert_eq!(mem.stats().writes.get(), 1);
     }
@@ -1187,10 +1038,6 @@ mod tests {
         let mut mem = subsystem();
         let r = mem.register_requester("t");
         // Two reads to different banks in consecutive cycles.
-        mem.scratchpad_mut()
-            .write_row_full(BankLocation { bank: 0, row: 0 }, &[1; 8]);
-        mem.scratchpad_mut()
-            .write_row_full(BankLocation { bank: 1, row: 0 }, &[2; 8]);
         mem.submit(read(r, 0, 0, 100)).unwrap();
         mem.arbitrate();
         mem.submit(read(r, 1, 0, 101)).unwrap();
@@ -1295,7 +1142,6 @@ mod tests {
         let r = mem.register_requester("t");
         mem.set_trace_mode(TraceMode::Full);
         mem.set_flow_events(true);
-        mem.stage_write(r, &[1; 8]).unwrap();
         mem.submit(write(r, 0, 0)).unwrap();
         mem.arbitrate();
         let kinds: Vec<_> = mem.take_trace().iter().map(|e| e.kind.clone()).collect();
@@ -1417,7 +1263,6 @@ mod tests {
     fn write_lifetime_has_zero_service() {
         let mut mem = subsystem();
         let r = mem.register_requester("t");
-        mem.stage_write(r, &[0; 8]).unwrap();
         mem.submit(write(r, 3, 0)).unwrap();
         mem.arbitrate();
         let tel = &mem.latency_by_bank()[3].clone();
@@ -1444,7 +1289,6 @@ mod tests {
                 if slot.is_none() && issued[i] < 5 {
                     issued[i] += 1;
                     *slot = Some(if (cycle + i) % 3 == 0 {
-                        mem.stage_write(ids[i], &[i as u8; 8]).unwrap();
                         write(ids[i], 0, i)
                     } else {
                         read(ids[i], 0, i, 0)
@@ -1525,46 +1369,20 @@ mod tests {
             .all(LatencyTelemetry::is_empty));
     }
 
-    /// A read's data is captured at its grant: a write to the same row
-    /// granted while the read is in flight does not reach the response.
+    /// A write is a header like a read: it needs no payload, retires at
+    /// its grant and delivers no response.
     #[test]
-    fn read_returns_the_row_as_of_its_grant() {
-        let mut mem = subsystem();
-        mem.set_read_latency(4);
-        let reader = mem.register_requester("reader");
-        let writer = mem.register_requester("writer");
-        let row = BankLocation { bank: 2, row: 5 };
-        mem.scratchpad_mut().write_row_full(row, &[0xaa; 8]);
-        mem.submit(read(reader, row.bank, row.row, 0)).unwrap();
-        assert!(mem.arbitrate()[reader.index()], "read granted at cycle 0");
-        mem.stage_write(writer, &[0x55; 8]).unwrap();
-        mem.submit(write(writer, row.bank, row.row)).unwrap();
-        assert!(mem.arbitrate()[writer.index()], "write granted at cycle 1");
-        assert_eq!(mem.scratchpad().read_row(row), &[0x55; 8]);
-        mem.arbitrate();
-        assert!(mem.take_responses().is_empty(), "due at cycle 4");
-        mem.arbitrate();
-        let responses = mem.take_responses();
-        assert_eq!(responses.len(), 1);
-        assert_eq!(&responses[0].data[..], &[0xaa; 8], "value before the write");
-    }
-
-    #[test]
-    fn write_without_staged_payload_is_rejected() {
+    fn writes_are_header_only_requests() {
         let mut mem = subsystem();
         let r = mem.register_requester("t");
-        assert_eq!(
-            mem.submit(write(r, 0, 0)),
-            Err(MemError::UnstagedWrite { requester: 0 })
-        );
-        mem.stage_write(r, &[3; 8]).unwrap();
         mem.submit(write(r, 0, 0)).unwrap();
-        mem.arbitrate();
-        // The grant consumed the payload; the next write must stage again.
-        assert!(matches!(
-            mem.submit(write(r, 0, 1)),
-            Err(MemError::UnstagedWrite { .. })
-        ));
+        assert!(mem.arbitrate()[r.index()]);
+        mem.submit(write(r, 0, 1)).unwrap();
+        assert!(mem.arbitrate()[r.index()]);
+        assert!(mem.take_responses().is_empty());
+        assert!(mem.is_idle());
+        assert_eq!(mem.stats().writes.get(), 2);
+        assert_eq!(mem.per_bank_accesses(), &[2, 0, 0, 0]);
     }
 
     /// The request-lifetime telemetry before the fold, kept as the
@@ -1714,7 +1532,6 @@ mod tests {
                         };
                         let row = rng.below(16) as usize;
                         let request = if rng.below(4) == 0 {
-                            mem.stage_write(id, &rng.next_u64().to_le_bytes()).unwrap();
                             write(id, bank, row)
                         } else {
                             read(id, bank, row, 0)
@@ -1799,19 +1616,13 @@ mod tests {
         assert_eq!(total.end_to_end.max(), 4);
     }
 
-    /// Drives one subsystem with a conflict-heavy mixed workload and
-    /// returns the `(tag, data)` stream a given drain strategy delivers.
-    fn run_scripted(
-        drain: impl Fn(&mut MemorySubsystem) -> Vec<OwnedResponse>,
-    ) -> Vec<(u64, Word)> {
+    /// Drives one subsystem with a conflict-heavy workload and returns the
+    /// response stream a given drain strategy delivers.
+    fn run_scripted(drain: impl Fn(&mut MemorySubsystem) -> Vec<MemResponse>) -> Vec<MemResponse> {
         let mut mem = subsystem();
         let ids: Vec<_> = (0..3)
             .map(|i| mem.register_requester(format!("r{i}")))
             .collect();
-        for (bank, value) in [(0usize, 11u8), (1, 22), (2, 33)] {
-            mem.scratchpad_mut()
-                .write_row_full(BankLocation { bank, row: 0 }, &[value; 8]);
-        }
         let mut delivered = Vec::new();
         let mut pending: Vec<Option<MemRequest>> = ids
             .iter()
@@ -1820,7 +1631,7 @@ mod tests {
             .collect();
         let mut issued = [1u64; 3];
         for _ in 0..30 {
-            delivered.extend(drain(&mut mem).into_iter().map(|r| (r.tag, r.data)));
+            delivered.extend(drain(&mut mem));
             for (i, slot) in pending.iter_mut().enumerate() {
                 if slot.is_none() && issued[i] < 6 {
                     issued[i] += 1;
@@ -1837,7 +1648,7 @@ mod tests {
                 }
             }
         }
-        delivered.extend(drain(&mut mem).into_iter().map(|r| (r.tag, r.data)));
+        delivered.extend(drain(&mut mem));
         delivered
     }
 
@@ -1846,13 +1657,7 @@ mod tests {
         let via_take = run_scripted(MemorySubsystem::take_responses);
         let via_drain = run_scripted(|mem| {
             let mut out = Vec::new();
-            mem.drain_responses(|response| {
-                out.push(OwnedResponse {
-                    requester: response.requester,
-                    tag: response.tag,
-                    data: Word::from_slice(response.data),
-                });
-            });
+            mem.drain_responses(|response| out.push(response));
             out
         });
         assert!(!via_take.is_empty(), "workload must deliver responses");

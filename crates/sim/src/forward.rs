@@ -32,9 +32,9 @@ use crate::cycle::Cycle;
 
 /// A conservative activity horizon for one ticked component.
 ///
-/// Implemented by everything the system loop ticks: read/write streamers,
-/// the memory subsystem, the copy engine, the GeMM datapath and the
-/// quantizer.
+/// Implemented by everything the system loop ticks: the read/write
+/// streamers and the memory subsystem. The loop carries timing tokens only,
+/// so no datapath state can change inside a skipped span.
 pub trait NextActivity {
     /// Earliest cycle at which this component's observable state can change
     /// *without external input*.

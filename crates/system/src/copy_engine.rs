@@ -11,12 +11,15 @@
 //!
 //! The engine has `channels` read and `channels` write ports. Reads issue
 //! in plan order; a write may issue once every read it depends on has
-//! completed (a scoreboard, not a full barrier, so reads and writes
-//! overlap).
+//! landed (a scoreboard, not a full barrier, so reads and writes overlap).
+//!
+//! Like the rest of the cycle loop, the engine models timing only. The
+//! words a plan moves are computed by the functional executor, which
+//! applies the plan in program order.
 
 use dm_compiler::{CopyPlan, WriteSource};
-use dm_mem::{Addr, AddressRemapper, MemOp, MemRequest, MemorySubsystem, RequesterId, Word};
-use dm_sim::{Cycle, NextActivity, StableHasher};
+use dm_mem::{Addr, AddressRemapper, MemOp, MemRequest, MemorySubsystem, RequesterId};
+use dm_sim::NextActivity;
 
 use crate::error::SystemError;
 
@@ -85,16 +88,16 @@ impl CopyEngine {
         mem: &mut MemorySubsystem,
         plan: &CopyPlan,
     ) -> Result<CopyStats, SystemError> {
-        let mem_cfg = *mem.scratchpad().config();
+        let mem_cfg = *mem.config();
         let read_remap = AddressRemapper::new(&mem_cfg, plan.read_mode)?;
         let write_remap = AddressRemapper::new(&mem_cfg, plan.write_mode)?;
         let word = mem_cfg.bank_width_bytes();
 
-        let mut read_data: Vec<Option<Word>> = vec![None; plan.reads.len()];
+        // Which reads have delivered their response.
+        let mut landed = vec![false; plan.reads.len()];
         // Per-channel pending request: Some(read index) awaiting grant.
         let mut read_pending: Vec<Option<usize>> = vec![None; self.read_ports.len()];
-        // Per-channel pending write: Some(address) awaiting grant, its
-        // payload staged with the crossbar.
+        // Per-channel pending write: Some(address) awaiting grant.
         let mut write_pending: Vec<Option<u64>> = vec![None; self.write_ports.len()];
         let mut next_read = 0usize;
         let mut next_write = 0usize;
@@ -104,9 +107,7 @@ impl CopyEngine {
 
         while writes_done < plan.writes.len() || next_read < plan.reads.len() {
             // Land responses.
-            mem.drain_responses(|resp| {
-                read_data[resp.tag as usize] = Some(Word::from_slice(resp.data))
-            });
+            mem.drain_responses(|resp| landed[resp.tag as usize] = true);
             let mut submitted_any = false;
             // Issue reads in order.
             for (ch, port) in self.read_ports.iter().enumerate() {
@@ -129,8 +130,7 @@ impl CopyEngine {
             for (ch, port) in self.write_ports.iter().enumerate() {
                 if write_pending[ch].is_none() && next_write < plan.writes.len() {
                     let (addr, source) = &plan.writes[next_write];
-                    if let Some(data) = materialize(source, &read_data, word) {
-                        mem.stage_write(*port, &data)?;
+                    if sources_landed(source, &landed, word) {
                         write_pending[ch] = Some(*addr);
                         next_write += 1;
                     }
@@ -192,9 +192,7 @@ impl CopyEngine {
         }
         // Drain the last in-flight read responses (cheap, no extra cycles:
         // they overlap with whatever runs next).
-        mem.drain_responses(|resp| {
-            read_data[resp.tag as usize] = Some(Word::from_slice(resp.data))
-        });
+        mem.drain_responses(|_| {});
         Ok(CopyStats {
             cycles,
             words_read: plan.reads.len() as u64,
@@ -203,47 +201,37 @@ impl CopyEngine {
     }
 }
 
-impl NextActivity for CopyEngine {
-    /// Between [`run`](Self::run) calls the engine holds no work; within a
-    /// run it drives the clock itself, so it never constrains the system
-    /// scheduler.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    fn activity_digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_usize(self.read_ports.len());
-        h.write_usize(self.write_ports.len());
-        h.finish()
-    }
-}
-
-/// Builds a write word from completed reads, or `None` if a dependency is
-/// still in flight.
-fn materialize(source: &WriteSource, read_data: &[Option<Word>], word: usize) -> Option<Word> {
+/// `true` once every read a write word is built from has landed.
+fn sources_landed(source: &WriteSource, landed: &[bool], word: usize) -> bool {
     match source {
-        WriteSource::Word(i) => read_data[*i],
-        WriteSource::Gather(offsets) => {
-            let mut out = Word::zeroed(offsets.len());
-            for (i, &off) in offsets.iter().enumerate() {
-                let data = read_data[off / word].as_ref()?;
-                out[i] = data[off % word];
-            }
-            Some(out)
-        }
+        WriteSource::Word(i) => landed[*i],
+        WriteSource::Gather(offsets) => offsets.iter().all(|&off| landed[off / word]),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_mem::{AddressingMode, MemConfig};
+    use crate::executor::apply_copy;
+    use dm_mem::{AddressingMode, MemConfig, Scratchpad};
 
-    fn setup() -> (MemorySubsystem, CopyEngine) {
-        let mut mem = MemorySubsystem::new(MemConfig::new(8, 8, 128).unwrap());
+    fn setup() -> (MemorySubsystem, CopyEngine, Scratchpad) {
+        let cfg = MemConfig::new(8, 8, 128).unwrap();
+        let mut mem = MemorySubsystem::new(cfg);
         let engine = CopyEngine::new(&mut mem, 4);
-        (mem, engine)
+        (mem, engine, Scratchpad::new(cfg))
+    }
+
+    /// Times `plan` on the engine and applies it functionally to `pad`.
+    fn run(
+        mem: &mut MemorySubsystem,
+        engine: &mut CopyEngine,
+        pad: &mut Scratchpad,
+        plan: &CopyPlan,
+    ) -> CopyStats {
+        let stats = engine.run(mem, plan).unwrap();
+        apply_copy(pad, plan).unwrap();
+        stats
     }
 
     fn fima() -> AddressingMode {
@@ -252,12 +240,10 @@ mod tests {
 
     #[test]
     fn word_copy_moves_data() {
-        let (mut mem, mut engine) = setup();
-        let remap = AddressRemapper::new(mem.scratchpad().config(), fima()).unwrap();
+        let (mut mem, mut engine, mut pad) = setup();
+        let remap = AddressRemapper::new(mem.config(), fima()).unwrap();
         let src: Vec<u8> = (0..32).collect();
-        mem.scratchpad_mut()
-            .host_write(&remap, Addr::ZERO, &src)
-            .unwrap();
+        pad.host_write(&remap, Addr::ZERO, &src).unwrap();
         let plan = CopyPlan {
             name: "copy".into(),
             read_mode: fima(),
@@ -267,28 +253,24 @@ mod tests {
                 .map(|i| (1024 + i * 8, WriteSource::Word(i as usize)))
                 .collect(),
         };
-        let stats = engine.run(&mut mem, &plan).unwrap();
+        let stats = run(&mut mem, &mut engine, &mut pad, &plan);
         assert_eq!(stats.words_read, 4);
         assert_eq!(stats.words_written, 4);
         assert!(stats.cycles >= 2, "read → write takes at least two cycles");
-        let out = mem
-            .scratchpad()
-            .host_read(&remap, Addr::new(1024), 32)
-            .unwrap();
+        let out = pad.host_read(&remap, Addr::new(1024), 32).unwrap();
         assert_eq!(out, src);
     }
 
     #[test]
     fn gather_shuffles_bytes() {
-        let (mut mem, mut engine) = setup();
-        let remap = AddressRemapper::new(mem.scratchpad().config(), fima()).unwrap();
-        mem.scratchpad_mut()
-            .host_write(
-                &remap,
-                Addr::ZERO,
-                &[0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17],
-            )
-            .unwrap();
+        let (mut mem, mut engine, mut pad) = setup();
+        let remap = AddressRemapper::new(mem.config(), fima()).unwrap();
+        pad.host_write(
+            &remap,
+            Addr::ZERO,
+            &[0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17],
+        )
+        .unwrap();
         // Interleave bytes of the two source words.
         let gather: Vec<usize> = vec![0, 8, 1, 9, 2, 10, 3, 11];
         let plan = CopyPlan {
@@ -298,21 +280,16 @@ mod tests {
             reads: vec![0, 8],
             writes: vec![(512, WriteSource::Gather(gather))],
         };
-        engine.run(&mut mem, &plan).unwrap();
-        let out = mem
-            .scratchpad()
-            .host_read(&remap, Addr::new(512), 8)
-            .unwrap();
+        run(&mut mem, &mut engine, &mut pad, &plan);
+        let out = pad.host_read(&remap, Addr::new(512), 8).unwrap();
         assert_eq!(out, vec![0, 10, 1, 11, 2, 12, 3, 13]);
     }
 
     #[test]
     fn replication_reads_once_writes_many() {
-        let (mut mem, mut engine) = setup();
-        let remap = AddressRemapper::new(mem.scratchpad().config(), fima()).unwrap();
-        mem.scratchpad_mut()
-            .host_write(&remap, Addr::ZERO, &[9; 8])
-            .unwrap();
+        let (mut mem, mut engine, mut pad) = setup();
+        let remap = AddressRemapper::new(mem.config(), fima()).unwrap();
+        pad.host_write(&remap, Addr::ZERO, &[9; 8]).unwrap();
         let plan = CopyPlan {
             name: "replicate".into(),
             read_mode: fima(),
@@ -322,25 +299,20 @@ mod tests {
                 .map(|i| (256 + i * 8, WriteSource::Word(0)))
                 .collect(),
         };
-        let stats = engine.run(&mut mem, &plan).unwrap();
+        let stats = run(&mut mem, &mut engine, &mut pad, &plan);
         assert_eq!(stats.words_read, 1);
         assert_eq!(stats.words_written, 16);
-        let out = mem
-            .scratchpad()
-            .host_read(&remap, Addr::new(256), 128)
-            .unwrap();
+        let out = pad.host_read(&remap, Addr::new(256), 128).unwrap();
         assert_eq!(out, vec![9; 128]);
     }
 
     #[test]
     fn cross_view_copy_translates_addresses() {
-        let (mut mem, mut engine) = setup();
+        let (mut mem, mut engine, mut pad) = setup();
         let nima = AddressingMode::NonInterleaved;
-        let remap_fima = AddressRemapper::new(mem.scratchpad().config(), fima()).unwrap();
-        let remap_nima = AddressRemapper::new(mem.scratchpad().config(), nima).unwrap();
-        mem.scratchpad_mut()
-            .host_write(&remap_fima, Addr::ZERO, &[5; 8])
-            .unwrap();
+        let remap_fima = AddressRemapper::new(mem.config(), fima()).unwrap();
+        let remap_nima = AddressRemapper::new(mem.config(), nima).unwrap();
+        pad.host_write(&remap_fima, Addr::ZERO, &[5; 8]).unwrap();
         let plan = CopyPlan {
             name: "cross".into(),
             read_mode: fima(),
@@ -348,17 +320,14 @@ mod tests {
             reads: vec![0],
             writes: vec![(2048, WriteSource::Word(0))],
         };
-        engine.run(&mut mem, &plan).unwrap();
-        let out = mem
-            .scratchpad()
-            .host_read(&remap_nima, Addr::new(2048), 8)
-            .unwrap();
+        run(&mut mem, &mut engine, &mut pad, &plan);
+        let out = pad.host_read(&remap_nima, Addr::new(2048), 8).unwrap();
         assert_eq!(out, vec![5; 8]);
     }
 
     #[test]
     fn empty_plan_is_free() {
-        let (mut mem, mut engine) = setup();
+        let (mut mem, mut engine, _) = setup();
         let plan = CopyPlan {
             name: "noop".into(),
             read_mode: fima(),
@@ -402,7 +371,7 @@ mod tests {
 
     #[test]
     fn conflicting_plan_still_completes() {
-        let (mut mem, mut engine) = setup();
+        let (mut mem, mut engine, _) = setup();
         // All reads and writes hammer bank 0 (NIMA view, one bank's rows).
         let nima = AddressingMode::NonInterleaved;
         let plan = CopyPlan {

@@ -33,6 +33,25 @@ pub enum SystemError {
         /// Cycles executed before giving up.
         cycles: u64,
     },
+    /// A phase of the program writes a word it also reads. The functional
+    /// executor reads each word in program order, not at its grant, which
+    /// is only sound when every phase's read and write footprints are
+    /// disjoint.
+    FootprintOverlap {
+        /// The phase: `compute`, `pool` or `prepass:<name>`.
+        phase: String,
+        /// Bank of the first word both read and written.
+        bank: usize,
+        /// Row of that word.
+        row: usize,
+    },
+    /// The cycle loop's PE fires for an output tile consumed or produced
+    /// different words than the functional executor's fires for that tile
+    /// — always a modelling bug.
+    StreamMismatch {
+        /// Index of the first mismatching output tile.
+        tile: u64,
+    },
     /// The simulated output did not match the golden reference.
     OutputMismatch {
         /// Byte offset of the first difference within the output region.
@@ -56,6 +75,16 @@ impl fmt::Display for SystemError {
             SystemError::Deadlock { phase, cycles } => {
                 write!(f, "simulation deadlock in {phase} after {cycles} cycles")
             }
+            SystemError::FootprintOverlap { phase, bank, row } => write!(
+                f,
+                "{phase} reads and writes bank {bank} row {row}: \
+                 read and write footprints must be disjoint"
+            ),
+            SystemError::StreamMismatch { tile } => write!(
+                f,
+                "the PE fires of output tile {tile} moved other words than \
+                 the functional executor"
+            ),
             SystemError::OutputMismatch {
                 first_diff,
                 expected,

@@ -8,10 +8,13 @@
 //! on-the-fly features during the ablation study.
 //!
 //! The main entry point is [`run_workload`]: compile a [`WorkloadData`]
-//! onto the configured system, execute it cycle by cycle, verify the output
+//! onto the configured system, time it cycle by cycle, verify the output
 //! against the golden reference and return a [`RunReport`] with the
 //! utilization, stall and memory-access statistics the paper's figures are
-//! built from.
+//! built from. The cycle loop carries header tokens only; with
+//! [`SystemConfig::check_output`] set, a functional executor walks the
+//! program in program order to produce the output image the golden check
+//! reads.
 //!
 //! # Examples
 //!
@@ -32,6 +35,7 @@
 
 pub mod copy_engine;
 pub mod error;
+mod executor;
 pub mod pool;
 pub mod provenance;
 pub mod system;

@@ -4,51 +4,19 @@
 //! One read streamer walks the pooling windows with the N-D AGU (the same
 //! pattern family the convolution A stream uses), an elementwise-max unit
 //! reduces `k²` window tiles, and one write streamer scatters the pooled
-//! tiles back. Nothing inside the streamers changes; only the ~40-line
-//! reduction unit and the pool lowering in `dm-compiler` are new.
+//! tiles back. Nothing inside the streamers changes; only the elementwise
+//! max of the functional executor and the pool lowering in `dm-compiler`
+//! are new.
 
 use datamaestro::{ReadStreamer, WriteStreamer};
+use dm_accel::GemmArrayConfig;
 use dm_compiler::{compile_pool, BufferDepths, FeatureSet};
 use dm_mem::{Addr, AddressRemapper, MemConfig, MemorySubsystem};
 use dm_workloads::PoolSpec;
 
 use crate::error::SystemError;
-
-/// The elementwise-max reduction unit: accumulates `k_steps` tiles.
-#[derive(Debug, Clone)]
-struct MaxUnit {
-    k_steps: u64,
-    k_counter: u64,
-    acc: Vec<i8>,
-}
-
-impl MaxUnit {
-    fn new(width: usize, k_steps: u64) -> Self {
-        MaxUnit {
-            k_steps,
-            k_counter: 0,
-            acc: vec![i8::MIN; width],
-        }
-    }
-
-    /// Folds one tile in; returns the finished tile on the last step.
-    fn step(&mut self, tile: &[u8]) -> Option<Vec<u8>> {
-        assert_eq!(tile.len(), self.acc.len(), "tile width");
-        if self.k_counter == 0 {
-            self.acc.fill(i8::MIN);
-        }
-        for (acc, &b) in self.acc.iter_mut().zip(tile) {
-            *acc = (*acc).max(b as i8);
-        }
-        self.k_counter += 1;
-        if self.k_counter == self.k_steps {
-            self.k_counter = 0;
-            Some(self.acc.iter().map(|&v| v as u8).collect())
-        } else {
-            None
-        }
-    }
-}
+use crate::executor::{self, TileDigest};
+use crate::system::check_tile_widths;
 
 /// Outcome of a pooling run.
 #[derive(Debug, Clone)]
@@ -77,14 +45,14 @@ impl PoolReport {
 
 /// Runs a max-pooling workload on the streamer-built pooling system.
 ///
+/// The max unit reduces 8-pixel × 8-channel int8 tiles, so the streamers
+/// must move 64-byte wide words.
+///
 /// # Errors
 ///
-/// Returns [`SystemError`] on lowering failure, deadlock or output
-/// mismatch.
-///
-/// # Panics
-///
-/// Panics if `input.len() != h·w·c`.
+/// Returns [`SystemError`] on lowering failure (including an `input` that
+/// is not `h·w·c` values), a bank width that breaks the 64-byte tile
+/// ([`SystemError::Unsupported`]), deadlock or output mismatch.
 ///
 /// # Examples
 ///
@@ -115,31 +83,43 @@ pub fn run_pool(
     let mut mem = MemorySubsystem::new(*mem_cfg);
     let mut a = ReadStreamer::new(&program.a.design, &program.a.runtime, &mut mem)?;
     let mut out = WriteStreamer::new(&program.out.design, &program.out.runtime, &mut mem)?;
-    for image in &program.images {
-        let remap = AddressRemapper::new(mem_cfg, image.region.mode)?;
-        mem.scratchpad_mut()
-            .host_write(&remap, Addr::new(image.region.base), &image.bytes)?;
-    }
+    let tile = GemmArrayConfig::paper().e_tile_bytes();
+    check_tile_widths(
+        mem_cfg,
+        [
+            ("A", a.output_width(), tile),
+            ("OUT", out.input_width(), tile),
+        ],
+    )?;
+    let execution = executor::execute_pool(mem_cfg, &program)?;
 
-    let mut unit = MaxUnit::new(a.output_width(), program.k_steps);
-    let ideal = program.k_steps * program.total_output_tiles;
+    let k_steps = program.k_steps;
+    let ideal = k_steps * program.total_output_tiles;
+    let mut fires = 0u64;
+    let mut digest = TileDigest::EMPTY;
     let mut cycles = 0u64;
     let budget = ideal * 64 + 100_000;
     while !(a.is_done() && out.is_done()) {
         a.begin_cycle();
         mem.drain_responses(|resp| a.accept_response(resp));
-        let produces = unit.k_counter == unit.k_steps - 1;
+        let k_step = fires % k_steps;
+        let produces = k_step == k_steps - 1;
         if a.can_pop_wide() && (!produces || out.can_push_wide()) {
-            let tile = a.pop_wide();
-            if let Some(pooled) = unit.step(tile) {
-                out.push_wide(&pooled);
+            if k_step == 0 {
+                digest = TileDigest::EMPTY;
             }
+            a.pop_wide(|addr| digest.fold(addr));
+            if produces {
+                out.push_wide(|addr| digest.fold(addr));
+                executor::check_tile(&execution.tiles, fires / k_steps, digest)?;
+            }
+            fires += 1;
         }
         a.generate_and_issue(&mut mem);
         out.generate_and_issue(&mut mem);
-        let grants = mem.arbitrate().to_vec();
-        a.handle_grants(&grants);
-        out.handle_grants(&grants);
+        let grants = mem.arbitrate();
+        a.handle_grants(grants);
+        out.handle_grants(grants);
         cycles += 1;
         if cycles > budget {
             return Err(SystemError::Deadlock {
@@ -150,7 +130,7 @@ pub fn run_pool(
     }
 
     let remap = AddressRemapper::new(mem_cfg, program.output_region.mode)?;
-    let got = mem.scratchpad().host_read(
+    let got = execution.pad.host_read(
         &remap,
         Addr::new(program.output_region.base),
         program.output_region.len as usize,

@@ -1,9 +1,14 @@
 //! The full evaluation system (Fig. 6): five DataMaestros, the GeMM and
 //! quantization accelerators, and the banked scratchpad, ticked cycle by
 //! cycle.
+//!
+//! The cycle loop is a timing model: streamers, crossbar and copy engine
+//! move header tokens, and a PE fire only pops and pushes word addresses.
+//! The data comes from the functional executor, which runs when
+//! [`SystemConfig::check_output`] is set.
 
 use datamaestro::{ReadStreamer, StreamerStats, WriteStreamer};
-use dm_accel::{GemmArrayConfig, GemmDatapath, Quantizer};
+use dm_accel::GemmArrayConfig;
 use dm_compiler::{compile, BufferDepths, CompiledWorkload, FeatureSet};
 use dm_mem::{Addr, AddressRemapper, MemConfig, MemorySubsystem};
 use dm_sim::{
@@ -15,6 +20,7 @@ use std::time::Instant;
 
 use crate::copy_engine::CopyEngine;
 use crate::error::SystemError;
+use crate::executor::{self, TileDigest};
 use crate::provenance::Provenance;
 
 /// Configuration of the evaluation system build.
@@ -31,7 +37,9 @@ pub struct SystemConfig {
     /// Route results through the quantization accelerator (E stream, int8)
     /// instead of the raw D stream (int32).
     pub quantized: bool,
-    /// Verify the output region against the golden reference after the run.
+    /// Produce the output image with the functional executor and verify it
+    /// against the golden reference after the run. The cycle loop itself
+    /// moves no data, so with this off the run is timing only.
     pub check_output: bool,
     /// Scratchpad bank read latency in cycles (≥ 1). The DAE architecture's
     /// whole point is tolerating this; see the latency sweep bench.
@@ -117,8 +125,9 @@ pub struct HostTimings {
     pub streamers_ns: u64,
     /// Nanoseconds in the memory subsystem (response routing, arbitration).
     pub memory_ns: u64,
-    /// Nanoseconds in the PE array (handshake decision, datapath step,
-    /// quantization).
+    /// Nanoseconds in the PE handshake: the fire-or-stall decision, the
+    /// operand pops and result push of a fire, and the stall charge. The
+    /// datapath itself runs in the functional executor, outside the loop.
     pub pe_ns: u64,
     /// Nanoseconds in the fast-forward engine: horizon evaluation (whether
     /// or not a skip happened) and the O(1) replay of skipped spans.
@@ -336,8 +345,6 @@ fn activity_digests(
     readers: &[ReadStreamer; 3],
     out: &WriteStreamer,
     mem: &MemorySubsystem,
-    datapath: &GemmDatapath,
-    quant: &Quantizer,
 ) -> Vec<(&'static str, u64)> {
     READER_TRACKS
         .into_iter()
@@ -345,10 +352,28 @@ fn activity_digests(
         .chain([
             ("streamer-OUT", out.activity_digest()),
             ("mem", mem.activity_digest()),
-            ("datapath", datapath.activity_digest()),
-            ("quantizer", quant.activity_digest()),
         ])
         .collect()
+}
+
+/// Refuses a bank geometry under which a port's wide word is not the tile
+/// the accelerator exchanges: `ports` lists `(port, streamer width, tile
+/// width)`.
+pub(crate) fn check_tile_widths(
+    mem: &MemConfig,
+    ports: impl IntoIterator<Item = (&'static str, usize, usize)>,
+) -> Result<(), SystemError> {
+    match ports.into_iter().find(|(_, width, tile)| width != tile) {
+        None => Ok(()),
+        Some((port, width, tile)) => Err(SystemError::Unsupported {
+            field: "mem",
+            reason: format!(
+                "{}-byte banks give the {port} streamer {width}-byte words, \
+                 but the array exchanges {tile}-byte tiles",
+                mem.bank_width_bytes()
+            ),
+        }),
+    }
 }
 
 /// Compiles and runs one workload on the configured system.
@@ -424,22 +449,22 @@ pub fn run_compiled(
     } else {
         array.cd_tile_bytes()
     };
-    let widths = [
-        ("A", readers[0].output_width(), array.a_tile_bytes()),
-        ("B", readers[1].output_width(), array.b_tile_bytes()),
-        ("C", readers[2].output_width(), array.cd_tile_bytes()),
-        ("OUT", out.input_width(), out_tile),
-    ];
-    if let Some((port, width, tile)) = widths.into_iter().find(|(_, w, t)| w != t) {
-        return Err(SystemError::Unsupported {
-            field: "mem",
-            reason: format!(
-                "{}-byte banks give the {port} streamer {width}-byte words, \
-                 but the array exchanges {tile}-byte tiles",
-                config.mem.bank_width_bytes()
-            ),
-        });
-    }
+    check_tile_widths(
+        &config.mem,
+        [
+            ("A", readers[0].output_width(), array.a_tile_bytes()),
+            ("B", readers[1].output_width(), array.b_tile_bytes()),
+            ("C", readers[2].output_width(), array.cd_tile_bytes()),
+            ("OUT", out.input_width(), out_tile),
+        ],
+    )?;
+    // The data half of the run, in program order. It rejects a program
+    // whose read and write footprints overlap before any cycle is timed.
+    let execution = if config.check_output {
+        Some(executor::execute(config, program)?)
+    } else {
+        None
+    };
     let mut sys_trace = config.trace.build();
     if config.trace != TraceMode::Off {
         mem.set_trace_mode(config.trace);
@@ -458,15 +483,9 @@ pub fn run_compiled(
         }
     }
 
-    // Host preload (not simulated; the paper's utilization metric covers
-    // DataMaestro-active cycles only).
-    for image in &program.images {
-        let remap = AddressRemapper::new(&config.mem, image.region.mode)?;
-        mem.scratchpad_mut()
-            .host_write(&remap, Addr::new(image.region.base), &image.bytes)?;
-    }
-
-    // Explicit pre-passes.
+    // Explicit pre-passes. The operand images are host-preloaded, which
+    // costs no simulated cycles: the paper's utilization metric covers
+    // DataMaestro-active cycles only.
     let mut prepass_cycles = 0u64;
     for plan in &program.prepasses {
         sys_trace.emit_with(mem.cycle(), "system", || TraceEventKind::SpanBegin {
@@ -485,13 +504,11 @@ pub fn run_compiled(
         });
     }
 
-    // Compute phase.
-    let mut datapath = GemmDatapath::new(config.array, program.k_steps);
-    let mut quant = Quantizer::uniform(
-        config.array.m_unroll,
-        config.array.n_unroll,
-        program.rescale,
-    );
+    // Compute phase. Fire `f` reads the C operand on the first of its
+    // tile's `k_steps` and produces the output tile on the last.
+    let k_steps = program.k_steps;
+    let expected_tiles = execution.as_ref().map(|e| e.tiles.as_slice());
+    let mut digest = TileDigest::EMPTY;
     let mut ledger = CausalLedger::new(config.mem.num_banks());
     let mut compute_cycles = 0u64;
     let mut active_cycles = 0u64;
@@ -511,6 +528,8 @@ pub fn run_compiled(
         // Once every compute step has fired, remaining cycles only flush the
         // write path: the input FIFOs are legitimately empty, not starved.
         let drained = active_cycles == program.total_steps();
+        let k_step = active_cycles % k_steps;
+        let (needs_c, produces) = (k_step == 0, k_step == k_steps - 1);
         // Phase segmentation: fill until the first fire, drain once every
         // compute step has issued, steady in between. Derived from loop
         // state only, so fast-forwarded and lockstep runs agree exactly.
@@ -531,13 +550,7 @@ pub fn run_compiled(
             let all_idle = readers.iter().all(|r| r.next_activity(now).is_none())
                 && out.next_activity(now).is_none();
             if all_idle {
-                if let Some((_, cause)) = handshake(
-                    &readers,
-                    &out,
-                    datapath.needs_c(),
-                    datapath.produces_d(),
-                    drained,
-                ) {
+                if let Some((_, cause)) = handshake(&readers, &out, needs_c, produces, drained) {
                     // Cap so a wedged system fast-forwards to the exact
                     // deadlock diagnostic lockstep would produce.
                     let cap = budget + 1 - compute_cycles;
@@ -545,9 +558,8 @@ pub fn run_compiled(
                     // A span of one saves nothing over a lockstep iteration.
                     if span >= 2 {
                         #[cfg(debug_assertions)]
-                        let check = dm_sim::SpanCheck::capture(activity_digests(
-                            &readers, &out, &mem, &datapath, &quant,
-                        ));
+                        let check =
+                            dm_sim::SpanCheck::capture(activity_digests(&readers, &out, &mem));
                         for reader in &mut readers {
                             reader.sample_occupancy_span(span);
                         }
@@ -562,9 +574,7 @@ pub fn run_compiled(
                         mem.advance_idle(span);
                         compute_cycles += span;
                         #[cfg(debug_assertions)]
-                        check.assert_unchanged(activity_digests(
-                            &readers, &out, &mem, &datapath, &quant,
-                        ));
+                        check.assert_unchanged(activity_digests(&readers, &out, &mem));
                         clock.lap(Phase::Fastforward);
                         if compute_cycles > budget {
                             return Err(SystemError::Deadlock {
@@ -589,25 +599,28 @@ pub fn run_compiled(
             None => unreachable!("response for a write/copy port"),
         });
         clock.lap(Phase::Memory);
-        let needs_c = datapath.needs_c();
         let now = mem.cycle();
-        match handshake(&readers, &out, needs_c, datapath.produces_d(), drained) {
+        match handshake(&readers, &out, needs_c, produces, drained) {
             None => {
                 ledger.fire(now.get());
                 if config.record_fire_cycles {
                     fire_cycles.push(now.get());
                 }
                 sys_trace.emit(now, "pe", TraceEventKind::PeFire);
+                if needs_c {
+                    digest = TileDigest::EMPTY;
+                }
                 let [op_a, op_b, op_c] = &mut readers;
-                let (a_word, b_word) = (op_a.pop_wide(), op_b.pop_wide());
-                let c_word = needs_c.then(|| op_c.pop_wide());
-                if let Some(d_tile) = datapath.step(a_word, b_word, c_word) {
-                    let out_word = if config.quantized {
-                        quant.process(d_tile)
-                    } else {
-                        d_tile
-                    };
-                    out.push_wide(out_word);
+                op_a.pop_wide(|addr| digest.fold(addr));
+                op_b.pop_wide(|addr| digest.fold(addr));
+                if needs_c {
+                    op_c.pop_wide(|addr| digest.fold(addr));
+                }
+                if produces {
+                    out.push_wide(|addr| digest.fold(addr));
+                    if let Some(expected) = expected_tiles {
+                        executor::check_tile(expected, tiles_done, digest)?;
+                    }
                     tiles_done += 1;
                 }
                 active_cycles += 1;
@@ -666,12 +679,13 @@ pub fn run_compiled(
         "every compute cycle lies on the critical path"
     );
 
-    // Golden verification.
-    let mut checked = false;
-    if config.check_output {
+    // Golden verification of the executor's output image.
+    let checked = execution.is_some();
+    if let Some(execution) = &execution {
+        let pad = &execution.pad;
         if program.output_slices.is_empty() {
             let remap = AddressRemapper::new(&config.mem, program.output_region.mode)?;
-            let got = mem.scratchpad().host_read(
+            let got = pad.host_read(
                 &remap,
                 Addr::new(program.output_region.base),
                 program.output_region.len as usize,
@@ -689,11 +703,7 @@ pub fn run_compiled(
             let expected_slices = program.expected_output_slice_images(data);
             for (region, expected) in program.output_slices.iter().zip(&expected_slices) {
                 let remap = AddressRemapper::new(&config.mem, region.mode)?;
-                let got = mem.scratchpad().host_read(
-                    &remap,
-                    Addr::new(region.base),
-                    region.len as usize,
-                )?;
+                let got = pad.host_read(&remap, Addr::new(region.base), region.len as usize)?;
                 if let Some(first_diff) = got.iter().zip(expected).position(|(g, e)| g != e) {
                     return Err(SystemError::OutputMismatch {
                         first_diff,
@@ -703,7 +713,6 @@ pub fn run_compiled(
                 }
             }
         }
-        checked = true;
     }
 
     let total_cycles = prepass_cycles + compute_cycles;

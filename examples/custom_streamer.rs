@@ -6,23 +6,23 @@
 //! out of a matrix — the kind of access a pooling or stencil accelerator
 //! would need. No code in the streamer knows anything about GeMM.
 //!
+//! The run has the simulator's two halves. The timing loop moves request
+//! headers through the crossbar and records the word address of every
+//! wide pop; the functional walk binds the same pattern and reads the
+//! bytes in program order. The two must agree word for word.
+//!
 //! ```text
 //! cargo run --release --example custom_streamer
 //! ```
 
-use datamaestro_repro::mem::{Addr, AddressRemapper, AddressingMode, MemConfig, MemorySubsystem};
-use datamaestro_repro::streamer::{DesignConfig, ReadStreamer, RuntimeConfig, StreamerMode};
+use datamaestro_repro::mem::{Addr, MemConfig, MemorySubsystem, Scratchpad};
+use datamaestro_repro::streamer::{
+    bind_pattern, DesignConfig, ReadStreamer, RuntimeConfig, StreamerMode,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small memory: 8 banks × 64 bit.
     let mem_cfg = MemConfig::new(8, 8, 1024)?;
-    let mut mem = MemorySubsystem::new(mem_cfg);
-
-    // Host-side preload: a 16×16 byte matrix, row-major, value = r*16 + c.
-    let view = AddressRemapper::new(&mem_cfg, AddressingMode::FullyInterleaved)?;
-    let matrix: Vec<u8> = (0..256).map(|i| i as u8).collect();
-    mem.scratchpad_mut()
-        .host_write(&view, Addr::ZERO, &matrix)?;
 
     // Design time: a 4-channel reader with a 2-D temporal AGU.
     let design = DesignConfig::builder("stencil", StreamerMode::Read)
@@ -37,29 +37,52 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .base(0)
         .temporal([8], [32]) // 8 steps of 2 row-pairs (2 rows × 16 B)
         .spatial_strides([8, 16]) // channel grid: col halves × row pair
-        .addressing_mode(AddressingMode::FullyInterleaved)
         .build();
-    let mut streamer = ReadStreamer::new(&design, &runtime, &mut mem)?;
 
+    // Timing: one streamer against the crossbar.
+    let mut mem = MemorySubsystem::new(mem_cfg);
+    let mut streamer = ReadStreamer::new(&design, &runtime, &mut mem)?;
     println!(
         "streaming {} wide words of {} bytes each…",
         streamer.total_wide_words(),
         streamer.output_width()
     );
-    let mut words = Vec::new();
+    let mut popped = Vec::new();
     let mut cycles = 0;
     while !streamer.is_done() {
         streamer.begin_cycle();
         mem.drain_responses(|resp| streamer.accept_response(resp));
         if streamer.can_pop_wide() {
-            words.push(streamer.pop_wide().to_vec());
+            let mut word = Vec::new();
+            streamer.pop_wide(|addr| word.push(addr));
+            popped.push(word);
         }
         streamer.generate_and_issue(&mut mem);
-        let grants = mem.arbitrate().to_vec();
-        streamer.handle_grants(&grants);
+        let grants = mem.arbitrate();
+        streamer.handle_grants(grants);
         cycles += 1;
     }
-    println!("done in {cycles} cycles ({} words)", words.len());
+    println!("timed in {cycles} cycles ({} wide words)", popped.len());
+
+    // Data: host-preload a 16×16 byte matrix, row-major, value = r*16 + c,
+    // then walk the same binding in program order.
+    let mut binding = bind_pattern(&design, &runtime, &mem_cfg)?;
+    let mut pad = Scratchpad::new(mem_cfg);
+    let matrix: Vec<u8> = (0..256).map(|i| i as u8).collect();
+    pad.host_write(&binding.remapper, Addr::ZERO, &matrix)?;
+    let mut words = Vec::new();
+    while let Some(ta) = binding.temporal.next_address() {
+        let channels = binding.spatial.num_channels();
+        let addrs: Vec<u64> = (0..channels)
+            .map(|c| binding.spatial.channel_address(ta, c))
+            .collect();
+        assert_eq!(addrs, popped[words.len()], "timing and data walk agree");
+        let mut word = Vec::new();
+        for &addr in &addrs {
+            word.extend_from_slice(pad.read_row(binding.remapper.map_byte(Addr::new(addr))?));
+        }
+        words.push(binding.chain.process(&word));
+    }
     for (i, word) in words.iter().take(3).enumerate() {
         println!("word {i}: first bytes {:?}…", &word[..8]);
     }
