@@ -1,12 +1,20 @@
 //! Per-channel Memory Interface Controllers (§III-C, Fig. 2b).
 //!
 //! A DataMaestro splits one wide accelerator word across `N_C` independent
-//! channels. Each read channel owns a MIC — an Outstanding Request Manager
-//! (ORM) that reserves a data-FIFO slot before the Request Side Controller
-//! (RSC) may issue, guaranteeing every in-flight response a landing slot —
-//! plus the data FIFO itself. Channels run ahead of each other freely; this
-//! *fine-grained prefetch* is what hides bank-conflict and latency stalls
-//! from the accelerator.
+//! channels. Each channel queues the addresses the spatial AGU fans out to
+//! it, keeps a data FIFO and offers the crossbar at most one request per
+//! cycle. That much is one [`Channel`] for both directions; its
+//! [`ChannelFifo`] ([`fifo`](crate::fifo)) says what the FIFO holds and
+//! which request it offers:
+//!
+//! * a read channel's FIFO ([`Landing`]) is kept by its Outstanding Request
+//!   Manager (ORM), which reserves a slot before the Request Side Controller
+//!   (RSC) may issue, guaranteeing every in-flight response a landing slot;
+//! * a write channel's FIFO is a queue, bounded by the channel depth, of
+//!   the destinations of the words waiting to drain.
+//!
+//! Channels run ahead of each other freely; this *fine-grained prefetch* is
+//! what hides bank-conflict and latency stalls from the accelerator.
 //!
 //! Channels are timing models: they carry request headers and the byte
 //! address of every word in flight, never the word itself. The bytes are
@@ -15,8 +23,10 @@
 
 use std::collections::VecDeque;
 
-use dm_mem::{BankLocation, MemOp, MemRequest, MemResponse, MemorySubsystem, RequesterId};
-use dm_sim::{Counter, Fifo, LatencyHistogram, StableHasher};
+use dm_mem::{BankLocation, MemRequest, MemResponse, MemorySubsystem, RequesterId};
+use dm_sim::{Counter, LatencyHistogram, MetricsRegistry, StableHasher};
+
+pub use crate::fifo::{ChannelFifo, Landing};
 
 /// Per-channel event counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -25,8 +35,6 @@ pub struct ChannelStats {
     pub granted: Counter,
     /// Cycles a request was submitted but lost arbitration (bank conflict).
     pub retries: Counter,
-    /// Responses received (read channels only).
-    pub responses: Counter,
 }
 
 /// Once-per-cycle FIFO occupancy samples, run-length encoded: consecutive
@@ -59,45 +67,46 @@ impl OccupancySampler {
     }
 }
 
-/// A read channel: MIC + data FIFO.
+/// One channel's MIC: the address queue the spatial AGU fills, the data
+/// FIFO `F`, and the request it offers the crossbar.
 #[derive(Debug)]
-pub struct ReadChannel {
+pub struct Channel<F> {
     requester: RequesterId,
-    /// The ORM's view of the data FIFO: capacity, reservations and their
-    /// fill order.
-    fifo: Fifo<()>,
-    /// Byte address of the word behind every reserved or filled FIFO slot,
-    /// in reservation order. A read channel fills its reservations in order
-    /// and never pushes directly, so the k-th address reserved is the k-th
-    /// word popped.
-    landing: VecDeque<u64>,
     addr_queue: VecDeque<u64>,
     addr_capacity: usize,
-    /// Request accepted by the RSC but not yet granted by the crossbar. Its
-    /// landing slot, like those of the in-flight requests, is a pending
-    /// reservation of `fifo`, filled in issue order.
-    pending: Option<(BankLocation, u64)>,
-    next_tag: u64,
-    expected_tag: u64,
+    /// FIFO depth in words: the bound on [`ChannelFifo::level`].
+    depth: usize,
+    fifo: F,
+    high_watermark: usize,
     stats: ChannelStats,
-    /// Once-per-cycle samples of committed FIFO occupancy (in words).
+    /// Once-per-cycle samples of the FIFO level (in words).
     occupancy: OccupancySampler,
 }
 
-impl ReadChannel {
-    /// Creates a read channel with the given FIFO depth and address-buffer
+/// A read channel: MIC with Outstanding Request Manager.
+pub type ReadChannel = Channel<Landing>;
+
+/// A write channel: address/data pairing FIFO plus the write-side MIC.
+pub type WriteChannel = Channel<VecDeque<BankLocation>>;
+
+impl<F: ChannelFifo> Channel<F> {
+    /// Creates a channel with the given FIFO depth and address-buffer
     /// depth, bound to a registered crossbar requester.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fifo_depth` is zero: a zero-depth FIFO cannot decouple
+    /// anything and always indicates a configuration bug.
     #[must_use]
     pub fn new(requester: RequesterId, fifo_depth: usize, addr_depth: usize) -> Self {
-        ReadChannel {
+        assert!(fifo_depth > 0, "fifo capacity must be non-zero");
+        Channel {
             requester,
-            fifo: Fifo::new(fifo_depth),
-            landing: VecDeque::with_capacity(fifo_depth),
             addr_queue: VecDeque::with_capacity(addr_depth),
             addr_capacity: addr_depth,
-            pending: None,
-            next_tag: 0,
-            expected_tag: 0,
+            depth: fifo_depth,
+            fifo: F::default(),
+            high_watermark: 0,
             stats: ChannelStats::default(),
             occupancy: OccupancySampler::default(),
         }
@@ -126,157 +135,83 @@ impl ReadChannel {
         self.addr_queue.push_back(addr);
     }
 
-    /// `true` while a request is waiting for a grant.
-    #[must_use]
-    pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Requests granted but whose responses are still in flight, plus the
-    /// pending request if any.
-    #[must_use]
-    pub fn outstanding(&self) -> usize {
-        self.fifo.outstanding()
-    }
-
-    /// The bank the pending (not-yet-granted) request targets, if any —
-    /// the component the blame walk charges a lost arbitration round to.
-    #[must_use]
-    pub fn pending_bank(&self) -> Option<usize> {
-        self.pending.map(|(loc, _)| loc.bank)
-    }
-
-    /// Addresses queued but not yet turned into requests — nonzero while
-    /// the coarse-grained sync gate (not the AGU) withholds the channel.
+    /// Addresses queued but not yet taken into the FIFO.
     #[must_use]
     pub fn addr_backlog(&self) -> usize {
         self.addr_queue.len()
     }
 
-    /// `true` if the channel holds no data, no reservations and no pending
-    /// or queued work.
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        self.fifo.committed() == 0 && self.pending.is_none() && self.addr_queue.is_empty()
+    /// `true` if the FIFO has a slot to reserve or fill.
+    #[inline]
+    fn has_free_slot(&self) -> bool {
+        self.fifo.level() < self.depth
     }
 
-    /// `true` if the channel holds no data and no in-flight requests (its
+    /// Takes the next queued address into the FIFO and returns it.
+    #[inline]
+    fn admit(&mut self, map: impl FnOnce(u64) -> BankLocation) -> u64 {
+        let addr = self
+            .addr_queue
+            .pop_front()
+            .expect("admit without a queued address");
+        self.fifo.admit(addr, map(addr));
+        self.high_watermark = self.high_watermark.max(self.fifo.level());
+        addr
+    }
+
+    /// `true` if the channel holds no data, no reservations and no queued
+    /// addresses.
+    #[must_use]
+    pub fn is_drained(&self) -> bool {
+        self.is_quiescent() && self.addr_queue.is_empty()
+    }
+
+    /// `true` if the FIFO is empty: no data and no requests in flight (the
     /// address queue may still hold future work).
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.fifo.committed() == 0 && self.pending.is_none()
+        self.fifo.level() == 0
     }
 
-    /// `true` when [`issue`](Self::issue) may start a request: no request
-    /// pending, an address queued and an ORM landing slot reservable.
-    /// Read-only mirror of that gate, used by the fast-forward horizon to
-    /// prove a channel inert.
+    /// `true` while a request is waiting for a grant.
     #[must_use]
-    pub fn can_start_request(&self) -> bool {
-        self.pending.is_none() && !self.addr_queue.is_empty() && self.fifo.has_free_slot()
+    pub fn has_pending(&self) -> bool {
+        self.fifo.request().is_some()
     }
 
-    /// RSC step: if `may_start` and
-    /// [`can_start_request`](Self::can_start_request), convert the next
-    /// queued address into a pending request, reserving a FIFO slot through
-    /// the ORM; then submit the pending request (new or retried) to the
-    /// crossbar. Returns `true` if a new request was started.
+    /// Submits the request awaiting a grant, if any.
     ///
     /// # Panics
     ///
     /// Panics on subsystem protocol violations (unknown requester, double
     /// submission), which indicate simulator bugs.
     #[inline]
-    pub fn issue(
-        &mut self,
-        mem: &mut MemorySubsystem,
-        may_start: bool,
-        map: impl FnOnce(u64) -> BankLocation,
-    ) -> bool {
-        let started = if may_start { self.start(map) } else { None };
-        // A new request is submitted from the values just computed rather
-        // than re-read from `pending`.
-        if let Some((loc, tag)) = started.or(self.pending) {
+    pub fn submit(&self, mem: &mut MemorySubsystem) {
+        if let Some((loc, tag)) = self.fifo.request() {
             mem.submit(MemRequest {
                 requester: self.requester,
                 loc,
                 tag,
-                op: MemOp::Read,
+                op: F::OP,
             })
-            .expect("read channel submission accepted");
+            .expect("channel submission accepted");
         }
-        started.is_some()
     }
 
-    /// Starts a request if the gate allows, returning it.
+    /// Consumes the grant flag for this channel after arbitration: a
+    /// granted request retires. Returns whether a request was waiting.
     #[inline]
-    fn start(&mut self, map: impl FnOnce(u64) -> BankLocation) -> Option<(BankLocation, u64)> {
-        if self.pending.is_some() {
-            return None;
-        }
-        let &addr = self.addr_queue.front()?;
-        if !self.fifo.try_reserve() {
-            return None; // ORM throttles: no landing slot available.
-        }
-        self.addr_queue.pop_front();
-        self.landing.push_back(addr);
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        let request = (map(addr), tag);
-        self.pending = Some(request);
-        Some(request)
-    }
-
-    /// Consumes the grant flag for this channel after arbitration.
-    #[inline]
-    pub fn handle_grant(&mut self, granted: bool) {
-        if self.pending.is_none() {
-            return;
+    pub fn handle_grant(&mut self, granted: bool) -> bool {
+        if !self.has_pending() {
+            return false;
         }
         if granted {
-            self.pending = None;
+            self.fifo.retire();
             self.stats.granted.inc();
         } else {
             self.stats.retries.inc();
         }
-    }
-
-    /// Lands a memory response into the oldest reserved FIFO slot. The
-    /// response must echo the tag of the oldest outstanding request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if responses arrive out of order or without a reservation —
-    /// both would be simulator bugs given the in-order memory model.
-    #[inline]
-    pub fn handle_response(&mut self, response: MemResponse) {
-        assert_eq!(response.requester, self.requester, "misrouted response");
-        assert_eq!(
-            response.tag, self.expected_tag,
-            "read response out of order"
-        );
-        self.expected_tag += 1;
-        self.fifo.fill_reserved(());
-        self.stats.responses.inc();
-    }
-
-    /// `true` if a word is ready at the FIFO head.
-    #[must_use]
-    pub fn has_data(&self) -> bool {
-        !self.fifo.is_empty()
-    }
-
-    /// Pops the word at the FIFO head, returning its byte address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no word is ready ([`has_data`](Self::has_data) is false).
-    #[inline]
-    pub fn pop(&mut self) -> u64 {
-        assert!(self.fifo.pop().is_some(), "channel has data");
-        self.landing
-            .pop_front()
-            .expect("a popped word was reserved")
+        true
     }
 
     /// Channel statistics.
@@ -285,27 +220,19 @@ impl ReadChannel {
         &self.stats
     }
 
-    /// Peak FIFO occupancy observed.
+    /// Peak FIFO level observed.
     #[must_use]
     pub fn fifo_high_watermark(&self) -> usize {
-        self.fifo.high_watermark()
+        self.high_watermark
     }
 
-    /// Records one occupancy sample (committed data words, including
-    /// filled-but-blocked slots). The owning streamer calls this once per
-    /// simulated cycle, giving a time-weighted occupancy distribution.
-    #[inline]
-    pub fn sample_occupancy(&mut self) {
-        self.sample_occupancy_span(1);
-    }
-
-    /// Records `span` occupancy samples at once. The fast-forward engine
-    /// proves the FIFO is frozen across a skipped span, so the replay is
-    /// bit-identical to `span` calls to
-    /// [`sample_occupancy`](Self::sample_occupancy).
+    /// Records `span` occupancy samples of the FIFO level. The owning
+    /// streamer samples once per simulated cycle, giving a time-weighted
+    /// occupancy distribution; the fast-forward engine replays a skipped
+    /// span, across which it proves the FIFO frozen, in one call.
     #[inline]
     pub fn sample_occupancy_span(&mut self, span: u64) {
-        self.occupancy.sample_n(self.fifo.committed() as u64, span);
+        self.occupancy.sample_n(self.fifo.level() as u64, span);
     }
 
     /// The sampled occupancy distribution.
@@ -318,73 +245,112 @@ impl ReadChannel {
     /// not to disturb into `hasher` (occupancy samples are excluded: they
     /// are deliberately replayed across a skipped span).
     pub fn hash_state(&self, hasher: &mut StableHasher) {
-        hasher.write_usize(self.fifo.committed());
-        hasher.write_usize(self.fifo.len());
+        hasher.write_usize(self.fifo.level());
         hasher.write_usize(self.addr_queue.len());
-        hasher.write_bool(self.pending.is_some());
-        hasher.write_usize(self.fifo.outstanding());
-        hasher.write_u64(self.next_tag);
-        hasher.write_u64(self.expected_tag);
         hasher.write_u64(self.stats.granted.get());
         hasher.write_u64(self.stats.retries.get());
-        hasher.write_u64(self.stats.responses.get());
+        self.fifo.hash_state(hasher);
+    }
+
+    /// Registers the channel's counters, high watermark and `occupancy`
+    /// histogram.
+    pub(crate) fn register_metrics(
+        &self,
+        registry: &mut MetricsRegistry,
+        occupancy: &LatencyHistogram,
+    ) {
+        registry.set_counter("granted", self.stats.granted.get());
+        registry.set_counter("retries", self.stats.retries.get());
+        registry.set_counter("fifo_high_watermark", self.high_watermark as u64);
+        registry.set_histogram("fifo_occupancy", occupancy);
+        self.fifo.register_metrics(registry);
     }
 }
 
-/// A write channel: address/data pairing FIFO plus the write-side MIC.
-#[derive(Debug)]
-pub struct WriteChannel {
-    requester: RequesterId,
-    /// Destinations of the words waiting to drain.
-    fifo: Fifo<BankLocation>,
-    addr_queue: VecDeque<u64>,
-    addr_capacity: usize,
-    stats: ChannelStats,
-    /// Once-per-cycle samples of FIFO backlog (in words).
-    occupancy: OccupancySampler,
-}
-
-impl WriteChannel {
-    /// Creates a write channel.
+impl ReadChannel {
+    /// Reserved slots whose response has not landed: requests granted and
+    /// in flight, plus the pending request if any.
     #[must_use]
-    pub fn new(requester: RequesterId, fifo_depth: usize, addr_depth: usize) -> Self {
-        WriteChannel {
-            requester,
-            fifo: Fifo::new(fifo_depth),
-            addr_queue: VecDeque::with_capacity(addr_depth),
-            addr_capacity: addr_depth,
-            stats: ChannelStats::default(),
-            occupancy: OccupancySampler::default(),
-        }
+    pub fn outstanding(&self) -> usize {
+        self.fifo.outstanding()
     }
 
-    /// The channel's crossbar requester id.
+    /// The bank the pending (not-yet-granted) request targets, if any —
+    /// the component the blame walk charges a lost arbitration round to.
     #[must_use]
-    pub fn requester(&self) -> RequesterId {
-        self.requester
+    pub fn pending_bank(&self) -> Option<usize> {
+        self.fifo.pending_bank()
     }
 
-    /// `true` if the address buffer can take another address.
+    /// `true` when [`issue`](Self::issue) may start a request: no request
+    /// pending, an address queued and an ORM landing slot reservable.
+    /// Read-only mirror of that gate, used by the fast-forward horizon to
+    /// prove a channel inert.
     #[must_use]
-    pub fn has_addr_space(&self) -> bool {
-        self.addr_queue.len() < self.addr_capacity
+    pub fn can_start_request(&self) -> bool {
+        !self.has_pending() && !self.addr_queue.is_empty() && self.has_free_slot()
     }
 
-    /// Enqueues a destination address produced by the AGU.
+    /// RSC step: if `may_start` and
+    /// [`can_start_request`](Self::can_start_request), convert the next
+    /// queued address into a pending request, reserving a FIFO slot through
+    /// the ORM; then submit the pending request (new or retried) to the
+    /// crossbar. Returns `true` if a new request was started.
     ///
     /// # Panics
     ///
-    /// Panics if the address buffer is full.
-    pub fn push_addr(&mut self, addr: u64) {
-        assert!(self.has_addr_space(), "address buffer overflow");
-        self.addr_queue.push_back(addr);
+    /// Panics on subsystem protocol violations (simulator bugs).
+    #[inline]
+    pub fn issue(
+        &mut self,
+        mem: &mut MemorySubsystem,
+        may_start: bool,
+        map: impl FnOnce(u64) -> BankLocation,
+    ) -> bool {
+        let started = may_start && self.can_start_request();
+        if started {
+            self.admit(map);
+        }
+        self.submit(mem);
+        started
     }
 
+    /// Lands a memory response in the oldest unfilled reservation. The
+    /// response must echo the tag of the oldest outstanding request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if responses arrive out of order or without an outstanding
+    /// request — simulator bugs given the in-order memory model.
+    #[inline]
+    pub fn handle_response(&mut self, response: MemResponse) {
+        assert_eq!(response.requester, self.requester, "misrouted response");
+        self.fifo.land(response.tag);
+    }
+
+    /// `true` if a word is ready at the FIFO head.
+    #[must_use]
+    pub fn has_data(&self) -> bool {
+        self.fifo.has_data()
+    }
+
+    /// Pops the word at the FIFO head, returning its byte address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no word is ready ([`has_data`](Self::has_data) is false).
+    #[inline]
+    pub fn pop(&mut self) -> u64 {
+        self.fifo.pop().expect("channel has data")
+    }
+}
+
+impl WriteChannel {
     /// `true` if the channel can accept one more data word (needs both a
     /// FIFO slot and a queued destination address).
     #[must_use]
     pub fn can_accept(&self) -> bool {
-        self.fifo.has_free_slot() && !self.addr_queue.is_empty()
+        self.has_free_slot() && !self.addr_queue.is_empty()
     }
 
     /// Accepts one data word, pairing it with the next queued address,
@@ -394,14 +360,8 @@ impl WriteChannel {
     ///
     /// Panics if [`can_accept`](Self::can_accept) is false.
     pub fn accept(&mut self, map: impl FnOnce(u64) -> BankLocation) -> u64 {
-        let addr = self
-            .addr_queue
-            .pop_front()
-            .expect("write accept without queued address");
-        self.fifo
-            .push(map(addr))
-            .unwrap_or_else(|_| panic!("write fifo overflow"));
-        addr
+        assert!(self.has_free_slot(), "write fifo overflow");
+        self.admit(map)
     }
 
     /// Number of words waiting to drain.
@@ -414,93 +374,7 @@ impl WriteChannel {
     /// component the blame walk charges a blocked writeback to.
     #[must_use]
     pub fn head_bank(&self) -> Option<usize> {
-        self.fifo.peek().map(|loc| loc.bank)
-    }
-
-    /// `true` if the channel holds no data and no queued addresses.
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        self.fifo.is_empty() && self.addr_queue.is_empty()
-    }
-
-    /// `true` if the channel holds no data (addresses may remain queued).
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.fifo.is_empty()
-    }
-
-    /// Submits the head word as a write request, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics on subsystem protocol violations (simulator bugs).
-    #[inline]
-    pub fn submit(&mut self, mem: &mut MemorySubsystem) {
-        if let Some(loc) = self.fifo.peek() {
-            mem.submit(MemRequest {
-                requester: self.requester,
-                loc: *loc,
-                tag: 0,
-                op: MemOp::Write,
-            })
-            .expect("write channel submission accepted");
-        }
-    }
-
-    /// Consumes the grant flag: a granted write retires the head word.
-    #[inline]
-    pub fn handle_grant(&mut self, granted: bool) {
-        if self.fifo.is_empty() {
-            return;
-        }
-        if granted {
-            let _ = self.fifo.pop();
-            self.stats.granted.inc();
-        } else {
-            self.stats.retries.inc();
-        }
-    }
-
-    /// Channel statistics.
-    #[must_use]
-    pub fn stats(&self) -> &ChannelStats {
-        &self.stats
-    }
-
-    /// Peak FIFO occupancy observed.
-    #[must_use]
-    pub fn fifo_high_watermark(&self) -> usize {
-        self.fifo.high_watermark()
-    }
-
-    /// Records one occupancy sample (backlog words waiting to drain). The
-    /// owning streamer calls this once per simulated cycle.
-    #[inline]
-    pub fn sample_occupancy(&mut self) {
-        self.sample_occupancy_span(1);
-    }
-
-    /// Records `span` backlog samples at once (fast-forward replay; the
-    /// backlog is provably frozen across the span).
-    #[inline]
-    pub fn sample_occupancy_span(&mut self, span: u64) {
-        self.occupancy.sample_n(self.fifo.len() as u64, span);
-    }
-
-    /// The sampled occupancy distribution.
-    #[must_use]
-    pub fn fifo_occupancy(&self) -> LatencyHistogram {
-        self.occupancy.histogram()
-    }
-
-    /// Folds every piece of channel state the fast-forward engine promises
-    /// not to disturb into `hasher` (occupancy samples excluded; see
-    /// [`ReadChannel::hash_state`]).
-    pub fn hash_state(&self, hasher: &mut StableHasher) {
-        hasher.write_usize(self.fifo.len());
-        hasher.write_usize(self.addr_queue.len());
-        hasher.write_u64(self.stats.granted.get());
-        hasher.write_u64(self.stats.retries.get());
+        self.fifo.front().map(|loc| loc.bank)
     }
 }
 
@@ -508,6 +382,7 @@ impl WriteChannel {
 mod tests {
     use super::*;
     use dm_mem::MemConfig;
+    use dm_sim::SplitMix64;
 
     fn mem_with(n: usize) -> (MemorySubsystem, Vec<RequesterId>) {
         let mut mem = MemorySubsystem::new(MemConfig::new(4, 8, 64).unwrap());
@@ -535,7 +410,9 @@ mod tests {
         assert!(ch.has_data());
         assert_eq!(ch.pop(), 8, "the popped word is the one requested");
         assert_eq!(ch.stats().granted.get(), 1);
-        assert_eq!(ch.stats().responses.get(), 1);
+        let mut reg = MetricsRegistry::new();
+        ch.register_metrics(&mut reg, &ch.fifo_occupancy());
+        assert_eq!(reg.get("responses").unwrap().as_f64(), 1.0);
         assert!(ch.is_drained());
     }
 
@@ -610,6 +487,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fifo capacity must be non-zero")]
+    fn zero_depth_panics() {
+        let (_, ids) = mem_with(1);
+        let _ = ReadChannel::new(ids[0], 0, 1);
+    }
+
+    #[test]
     #[should_panic(expected = "address buffer overflow")]
     fn addr_overflow_panics() {
         let (_, ids) = mem_with(1);
@@ -655,24 +539,24 @@ mod tests {
     fn occupancy_sampling_tracks_fifo_fill() {
         let (mut mem, ids) = mem_with(1);
         let mut ch = ReadChannel::new(ids[0], 4, 4);
-        ch.sample_occupancy(); // empty
+        ch.sample_occupancy_span(1); // empty
         ch.push_addr(0);
         let map = |_| BankLocation { bank: 0, row: 0 };
         ch.issue(&mut mem, true, map);
         let grants = mem.arbitrate().to_vec();
         ch.handle_grant(grants[ids[0].index()]);
         mem.drain_responses(|resp| ch.handle_response(resp));
-        ch.sample_occupancy(); // one committed word
+        ch.sample_occupancy_span(1); // one committed word
         let occ = ch.fifo_occupancy();
         assert_eq!(occ.count(), 2);
         assert_eq!(occ.min(), 0);
         assert_eq!(occ.max(), 1);
 
         let mut wch = WriteChannel::new(ids[0], 2, 2);
-        wch.sample_occupancy();
+        wch.sample_occupancy_span(1);
         wch.push_addr(0);
         wch.accept(map);
-        wch.sample_occupancy();
+        wch.sample_occupancy_span(1);
         assert_eq!(wch.fifo_occupancy().max(), 1);
     }
 
@@ -691,5 +575,110 @@ mod tests {
         a.handle_grant(grants[ids[0].index()]);
         b.handle_grant(grants[ids[1].index()]);
         assert_eq!(a.backlog() + b.backlog(), 1, "exactly one retired");
+    }
+
+    /// Random reserve / grant-or-retry / response / pop traffic against a
+    /// naive model of the read FIFO: a `Vec` of `(address, landed)` slots in
+    /// reservation order. The crossbar only absorbs submissions here; the
+    /// test decides every grant and delivers every response itself.
+    #[test]
+    fn read_channel_matches_a_naive_reference() {
+        let mut rng = SplitMix64::new(0x0e11);
+        for case in 0..64 {
+            let (mut mem, ids) = mem_with(1);
+            let depth = 1 + rng.below(4) as usize;
+            let addr_depth = 1 + rng.below(4) as usize;
+            let mut ch = ReadChannel::new(ids[0], depth, addr_depth);
+            let map = |a: u64| BankLocation {
+                bank: (a / 8 % 4) as usize,
+                row: 0,
+            };
+            let mut queued = Vec::new();
+            let mut slots: Vec<(u64, bool)> = Vec::new();
+            let mut pending = false;
+            let (mut next_addr, mut next_response) = (0u64, 0u64);
+            let (mut high, mut popped, mut expected_pops) = (0, Vec::new(), Vec::new());
+            let mut samples = LatencyHistogram::new();
+            for step in 0..400 {
+                let ctx = format!("case {case} step {step}");
+                if rng.below(2) == 0 && queued.len() < addr_depth {
+                    ch.push_addr(8 * next_addr);
+                    queued.push(8 * next_addr);
+                    next_addr += 1;
+                }
+                let may_start = rng.below(4) != 0;
+                let can_start = !pending && !queued.is_empty() && slots.len() < depth;
+                assert_eq!(ch.can_start_request(), can_start, "{ctx}");
+                assert_eq!(ch.issue(&mut mem, may_start, map), may_start && can_start);
+                if may_start && can_start {
+                    slots.push((queued.remove(0), false));
+                    pending = true;
+                    high = high.max(slots.len());
+                }
+                mem.arbitrate();
+                mem.drain_responses(|_| {});
+                let granted = rng.below(3) != 0;
+                assert_eq!(ch.handle_grant(granted), pending, "{ctx}");
+                pending &= !granted;
+                let in_flight = slots.iter().filter(|s| !s.1).count() - usize::from(pending);
+                if in_flight > 0 && rng.below(2) == 0 {
+                    ch.handle_response(MemResponse {
+                        requester: ids[0],
+                        tag: next_response,
+                    });
+                    next_response += 1;
+                    slots.iter_mut().find(|s| !s.1).unwrap().1 = true;
+                }
+                let landed = slots.first().is_some_and(|s| s.1);
+                assert_eq!(ch.has_data(), landed, "{ctx}");
+                if landed && rng.below(2) == 0 {
+                    popped.push(ch.pop());
+                    expected_pops.push(slots.remove(0).0);
+                }
+                ch.sample_occupancy_span(1);
+                samples.record(slots.len() as u64);
+                let unfilled = slots.iter().filter(|s| !s.1).count();
+                assert_eq!(ch.outstanding(), unfilled, "{ctx}");
+                assert_eq!(ch.has_pending(), pending, "{ctx}");
+                assert_eq!(ch.is_quiescent(), slots.is_empty(), "{ctx}");
+            }
+            assert_eq!(popped, expected_pops, "case {case}");
+            assert!(popped.len() > 20, "case {case}: traffic too thin");
+            assert_eq!(ch.fifo_high_watermark(), high, "case {case}");
+            assert_eq!(ch.fifo_occupancy(), samples, "case {case}");
+        }
+    }
+
+    /// A write channel drains its backlog oldest first whatever the grant
+    /// pattern, and never holds more than its depth.
+    #[test]
+    fn write_channel_drains_in_acceptance_order() {
+        let mut rng = SplitMix64::new(0x3d7a);
+        let (mut mem, ids) = mem_with(1);
+        let mut ch = WriteChannel::new(ids[0], 3, 2);
+        let map = |a: u64| BankLocation {
+            bank: (a / 8 % 4) as usize,
+            row: 0,
+        };
+        let (mut next_addr, mut accepted, mut retired) = (0u64, Vec::new(), Vec::new());
+        for _ in 0..500 {
+            if ch.has_addr_space() && rng.below(2) == 0 {
+                ch.push_addr(8 * next_addr);
+                next_addr += 1;
+            }
+            if ch.can_accept() && rng.below(2) == 0 {
+                accepted.push(map(ch.accept(map)).bank);
+            }
+            assert!(ch.backlog() <= 3);
+            ch.submit(&mut mem);
+            mem.arbitrate();
+            let (head, granted) = (ch.head_bank(), rng.below(2) == 0);
+            if ch.handle_grant(granted) && granted {
+                retired.push(head.unwrap());
+            }
+        }
+        assert!(retired.len() > 100);
+        assert_eq!(retired, accepted[..retired.len()]);
+        assert_eq!(ch.fifo_high_watermark(), 3);
     }
 }

@@ -9,9 +9,12 @@
 //!   microarchitecture: programmable temporal loop nests plus a
 //!   multi-channel spatial fan-out (§III-B);
 //! * per-channel **Memory Interface Controllers** with outstanding-request
-//!   management for fine-grained prefetch ([`channel`], §III-C);
+//!   management for fine-grained prefetch ([`channel`], §III-C), whose
+//!   data FIFOs are in [`fifo`];
 //! * **read and write streamers** ([`ReadStreamer`], [`WriteStreamer`])
-//!   gathering channel FIFOs into wide accelerator words and back (Fig. 2);
+//!   gathering channel FIFOs into wide accelerator words and back (Fig. 2):
+//!   two sides of one [`Streamer`] front end ([`streamer`]) that owns the
+//!   pattern binding, the AGU fan-out, the grant tally and the metrics;
 //! * cascadable **datapath extensions** — Transposer and Broadcaster — with
 //!   runtime bypass ([`extension`], §III-E);
 //! * the **design-time / runtime configuration split** of Table II
@@ -92,7 +95,9 @@ pub mod config;
 pub mod csr;
 pub mod error;
 pub mod extension;
+pub mod fifo;
 pub mod reader;
+pub mod streamer;
 pub mod writer;
 
 pub use config::{
@@ -101,5 +106,6 @@ pub use config::{
 pub use csr::{decode_runtime, encode_runtime, CsrMap};
 pub use error::ConfigError;
 pub use extension::{ExtensionChain, ExtensionKind, ExtensionScratch};
-pub use reader::{bind_pattern, ReadStreamer, StreamBinding, StreamerStats};
-pub use writer::WriteStreamer;
+pub use reader::{ReadSide, ReadStreamer};
+pub use streamer::{bind_pattern, Side, StreamBinding, Streamer, StreamerStats};
+pub use writer::{WriteSide, WriteStreamer};

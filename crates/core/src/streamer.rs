@@ -1,0 +1,405 @@
+//! The front end both DataMaestro directions share (Fig. 2a).
+//!
+//! A read and a write DataMaestro are one block structure used in two
+//! directions: an N-D AGU fans addresses out to per-channel MICs. A
+//! [`Streamer`] is that structure — the bound pattern, the AGU fan-out
+//! into the channel address queues, the grant tally, tracing, the
+//! activity digest and the metrics — and its [`Side`] supplies what the
+//! direction adds. [`ReadStreamer`](crate::ReadStreamer) and
+//! [`WriteStreamer`](crate::WriteStreamer) are its two instances; their
+//! direction-specific halves live in [`reader`](crate::reader) and
+//! [`writer`](crate::writer). Nothing here branches on the direction.
+
+use dm_mem::{Addr, AddressRemapper, BankLocation, MemConfig, MemorySubsystem, RequesterId};
+use dm_sim::{
+    Counter, Cycle, Instrumented, LatencyHistogram, MetricsRegistry, StableHasher, Trace,
+    TraceEventKind, TraceMode,
+};
+
+use crate::agu::{SpatialAgu, TemporalAgu};
+use crate::channel::{Channel, ChannelFifo};
+use crate::config::{DesignConfig, RuntimeConfig, StreamerMode};
+use crate::error::ConfigError;
+use crate::extension::ExtensionChain;
+
+/// Aggregated statistics for one streamer.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StreamerStats {
+    /// Memory requests granted across all channels.
+    pub granted: Counter,
+    /// Request cycles lost to arbitration (bank conflicts).
+    pub retries: Counter,
+    /// Wide words delivered to (read) or accepted from (write) the
+    /// accelerator.
+    pub wide_words: Counter,
+    /// Temporal addresses generated.
+    pub temporal_addresses: Counter,
+}
+
+/// A stream pattern bound to a memory geometry: the remapper, the temporal
+/// and spatial AGUs and the extension cascade that serve it. The timing
+/// streamers and the system's functional executor are both built from one.
+#[derive(Debug, Clone)]
+pub struct StreamBinding {
+    /// Byte address → physical location under the stream's addressing mode.
+    pub remapper: AddressRemapper,
+    /// The temporal loop nest.
+    pub temporal: TemporalAgu,
+    /// The per-channel fan-out.
+    pub spatial: SpatialAgu,
+    /// The extension cascade: applied after the channel gather on a read
+    /// stream, before the channel split on a write stream.
+    pub chain: ExtensionChain,
+}
+
+/// Validates a runtime pattern against its design and the memory geometry
+/// — word-aligned, in bounds, with an extension cascade whose widths fit
+/// the channel array — and binds it.
+///
+/// # Errors
+///
+/// Returns [`ConfigError`] if the runtime configuration is inconsistent
+/// with the design, the pattern is unaligned or out of bounds, or an
+/// extension's geometry mismatches the wide word.
+pub fn bind_pattern(
+    design: &DesignConfig,
+    runtime: &RuntimeConfig,
+    mem: &MemConfig,
+) -> Result<StreamBinding, ConfigError> {
+    runtime.validate(design)?;
+    let remapper = AddressRemapper::new(mem, runtime.addressing_mode)?;
+    let word = mem.bank_width_bytes() as u64;
+    // All strides and the base must be word multiples so every generated
+    // address is word aligned.
+    let aligned = runtime.base.is_multiple_of(word)
+        && runtime
+            .temporal_strides
+            .iter()
+            .chain(runtime.spatial_strides.iter())
+            .all(|s| s.unsigned_abs() % word == 0);
+    if !aligned {
+        return Err(ConfigError::UnalignedPattern {
+            addr: runtime.base,
+            alignment: word,
+        });
+    }
+    let tagu = TemporalAgu::new(
+        runtime.base,
+        &runtime.temporal_bounds,
+        &runtime.temporal_strides,
+    );
+    let sagu = SpatialAgu::new(design.spatial_bounds(), &runtime.spatial_strides);
+    let (t_min, t_max) = tagu.address_range();
+    let (s_min, s_max) = sagu.offset_range();
+    let min = t_min as i64 + s_min;
+    let max = t_max as i64 + s_max + word as i64 - 1;
+    let capacity = mem.capacity_bytes();
+    if min < 0 || max as u64 >= capacity {
+        return Err(ConfigError::PatternOutOfBounds {
+            min_addr: min.max(0) as u64,
+            max_addr: max as u64,
+            capacity,
+        });
+    }
+    let split_width = design.num_channels() * mem.bank_width_bytes();
+    let chain = match design.mode() {
+        StreamerMode::Read => {
+            ExtensionChain::new(design.extensions(), &runtime.extension_bypass, split_width)?
+        }
+        StreamerMode::Write => {
+            // The accelerator-facing width is whatever the chain maps onto
+            // the split width: invert the width transform stage by stage
+            // (exact division is validated by the chain).
+            let mut input_width = split_width;
+            for kind in design.extensions().iter().rev() {
+                input_width /= kind.output_width(1);
+            }
+            let chain =
+                ExtensionChain::new(design.extensions(), &runtime.extension_bypass, input_width)?;
+            if chain.output_width() != split_width {
+                return Err(ConfigError::InvalidParameter {
+                    parameter: "extensions",
+                    reason: format!(
+                        "write cascade produces {}B, channel array needs {split_width}B",
+                        chain.output_width()
+                    ),
+                });
+            }
+            chain
+        }
+    };
+    Ok(StreamBinding {
+        remapper,
+        temporal: tagu,
+        spatial: sagu,
+        chain,
+    })
+}
+
+/// What one direction adds to the shared front end.
+pub trait Side: Sized {
+    /// The mode a design must declare to build this side.
+    const MODE: StreamerMode;
+    /// The channels' data FIFO.
+    type Fifo: ChannelFifo;
+    /// The side's state for `channels` channels serving `binding`.
+    fn new(binding: &StreamBinding, channels: usize) -> Self;
+    /// Folds the side's state into the activity digest.
+    fn hash_state(&self, _hasher: &mut StableHasher) {}
+}
+
+/// One DataMaestro: the shared front end over the channels of side `S`.
+pub struct Streamer<S: Side> {
+    name: String,
+    pub(crate) remapper: AddressRemapper,
+    tagu: TemporalAgu,
+    sagu: SpatialAgu,
+    pub(crate) channels: Vec<Channel<S::Fifo>>,
+    pub(crate) fine_grained: bool,
+    pub(crate) stats: StreamerStats,
+    trace: Trace,
+    /// Whether any channel lost crossbar arbitration in the most recent
+    /// grant phase; the system uses this to attribute stalls to bank
+    /// conflicts rather than plain latency.
+    pub(crate) lost_arbitration: bool,
+    pub(crate) side: S,
+}
+
+impl<S: Side> Streamer<S> {
+    /// Builds a streamer, registering one crossbar requester per channel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if the design is not of this side's mode, or
+    /// [`bind_pattern`] refuses the pattern.
+    pub fn new(
+        design: &DesignConfig,
+        runtime: &RuntimeConfig,
+        mem: &mut MemorySubsystem,
+    ) -> Result<Self, ConfigError> {
+        if design.mode() != S::MODE {
+            return Err(ConfigError::InvalidParameter {
+                parameter: "mode",
+                reason: format!("a {} streamer requires a {0}-mode design", S::MODE),
+            });
+        }
+        let binding = bind_pattern(design, runtime, mem.config())?;
+        let channels: Vec<_> = (0..design.num_channels())
+            .map(|c| {
+                let id = mem.register_requester(format!("{}/ch{c}", design.name()));
+                Channel::new(id, design.data_buffer_depth(), design.addr_buffer_depth())
+            })
+            .collect();
+        Ok(Streamer {
+            name: design.name().to_owned(),
+            side: S::new(&binding, channels.len()),
+            remapper: binding.remapper,
+            tagu: binding.temporal,
+            sagu: binding.spatial,
+            channels,
+            fine_grained: design.fine_grained_prefetch(),
+            stats: StreamerStats::default(),
+            trace: Trace::new(),
+            lost_arbitration: false,
+        })
+    }
+
+    /// Configures event tracing (disabled by default).
+    pub fn set_trace_mode(&mut self, mode: TraceMode) {
+        self.trace = mode.build();
+    }
+
+    /// Takes the captured event trace, leaving a disabled one behind.
+    pub fn take_trace(&mut self) -> Trace {
+        std::mem::take(&mut self.trace)
+    }
+
+    /// Records in the trace that a stage found the stream blocked at
+    /// `cycle`: `event` names the first channel that is not `ready`.
+    pub(crate) fn note_blocked(
+        &mut self,
+        cycle: Cycle,
+        ready: impl Fn(&Channel<S::Fifo>) -> bool,
+        event: impl FnOnce(usize) -> TraceEventKind,
+    ) {
+        if !self.trace.is_enabled() {
+            return;
+        }
+        if let Some(channel) = self.channels.iter().position(|ch| !ready(ch)) {
+            self.trace.emit(cycle, &self.name, event(channel));
+        }
+    }
+
+    /// `true` if any channel lost crossbar arbitration in the most recent
+    /// grant phase.
+    #[must_use]
+    pub fn lost_arbitration(&self) -> bool {
+        self.lost_arbitration
+    }
+
+    /// Streamer name.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Requester ids of this streamer's channels, in channel order.
+    #[must_use]
+    pub fn channel_requesters(&self) -> Vec<RequesterId> {
+        self.channels.iter().map(Channel::requester).collect()
+    }
+
+    /// `true` when the AGU emits this cycle: the pattern is unfinished and
+    /// every channel's address buffer has room (channels consume the same
+    /// temporal cadence).
+    fn can_generate(&self) -> bool {
+        !self.tagu.is_done() && self.channels.iter().all(Channel::has_addr_space)
+    }
+
+    /// `true` when the AGU can emit or some channel has a request waiting
+    /// for a grant — either way the streamer acts this cycle.
+    pub(crate) fn busy(&self) -> bool {
+        self.can_generate() || self.channels.iter().any(Channel::has_pending)
+    }
+
+    /// The AGU step: emits the next temporal address, fanned out to every
+    /// channel's address queue, if [`can_generate`](Self::can_generate).
+    pub(crate) fn generate(&mut self, cycle: Cycle) {
+        if self.can_generate() {
+            if let Some(ta) = self.tagu.next_address() {
+                self.stats.temporal_addresses.inc();
+                for (c, channel) in self.channels.iter_mut().enumerate() {
+                    channel.push_addr(self.sagu.channel_address(ta, c));
+                }
+                if let Some(dim) = self.tagu.last_wrap() {
+                    self.trace
+                        .emit(cycle, &self.name, TraceEventKind::AguWrap { dim });
+                }
+            }
+        } else if !self.tagu.is_done() {
+            self.note_blocked(cycle, Channel::has_addr_space, |channel| {
+                TraceEventKind::FifoFull { channel }
+            });
+        }
+    }
+
+    /// Phase 5: consume the grant flags after crossbar arbitration.
+    pub fn handle_grants(&mut self, grants: &[bool]) {
+        self.lost_arbitration = false;
+        for channel in &mut self.channels {
+            let flag = grants[channel.requester().index()];
+            if channel.handle_grant(flag) {
+                if flag {
+                    self.stats.granted.inc();
+                } else {
+                    self.stats.retries.inc();
+                    self.lost_arbitration = true;
+                }
+            }
+        }
+    }
+
+    /// `true` once the pattern is exhausted and every channel has drained.
+    #[must_use]
+    pub fn is_done(&self) -> bool {
+        self.tagu.is_done() && self.channels.iter().all(Channel::is_drained)
+    }
+
+    /// `true` when every channel FIFO is empty (the pattern may be
+    /// unfinished).
+    #[must_use]
+    pub fn is_quiescent(&self) -> bool {
+        self.channels.iter().all(Channel::is_quiescent)
+    }
+
+    /// Total wide words this pattern moves.
+    #[must_use]
+    pub fn total_wide_words(&self) -> u64 {
+        self.tagu.total()
+    }
+
+    /// Aggregated statistics.
+    #[must_use]
+    pub fn stats(&self) -> &StreamerStats {
+        &self.stats
+    }
+
+    /// Peak per-channel FIFO level across channels.
+    #[must_use]
+    pub fn fifo_high_watermark(&self) -> usize {
+        self.channels
+            .iter()
+            .map(Channel::fifo_high_watermark)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Records `span` per-channel occupancy samples at once: the side's
+    /// once-per-cycle sample, or the fast-forward replay of a span in which
+    /// every FIFO is provably frozen.
+    pub fn sample_occupancy_span(&mut self, span: u64) {
+        for channel in &mut self.channels {
+            channel.sample_occupancy_span(span);
+        }
+    }
+
+    /// Digest of every piece of state the fast-forward engine promises not
+    /// to disturb: the [`NextActivity::activity_digest`] of either side.
+    ///
+    /// [`NextActivity::activity_digest`]: dm_sim::NextActivity::activity_digest
+    pub(crate) fn digest(&self) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_u64(self.stats.granted.get());
+        h.write_u64(self.stats.retries.get());
+        h.write_u64(self.stats.wide_words.get());
+        h.write_u64(self.stats.temporal_addresses.get());
+        h.write_bool(self.lost_arbitration);
+        h.write_bool(self.tagu.is_done());
+        h.write_u64(self.tagu.wraps());
+        self.side.hash_state(&mut h);
+        for channel in &self.channels {
+            channel.hash_state(&mut h);
+        }
+        h.finish()
+    }
+}
+
+impl<S: Side> Instrumented for Streamer<S> {
+    fn register_metrics(&self, registry: &mut MetricsRegistry) {
+        registry.set_counter("granted", self.stats.granted.get());
+        registry.set_counter("retries", self.stats.retries.get());
+        registry.set_counter("wide_words", self.stats.wide_words.get());
+        registry.set_counter("temporal_addresses", self.stats.temporal_addresses.get());
+        registry.set_counter("agu_wraps", self.tagu.wraps());
+        registry.set_counter("fifo_high_watermark", self.fifo_high_watermark() as u64);
+        let occupancy: Vec<_> = self.channels.iter().map(Channel::fifo_occupancy).collect();
+        registry.set_histogram("fifo_occupancy", &LatencyHistogram::merged(&occupancy));
+        for (c, (channel, occupancy)) in self.channels.iter().zip(&occupancy).enumerate() {
+            registry.with_scope(&format!("ch{c}"), |r| {
+                channel.register_metrics(r, occupancy)
+            });
+        }
+    }
+}
+
+impl<S: Side> std::fmt::Debug for Streamer<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Streamer")
+            .field("mode", &S::MODE)
+            .field("name", &self.name)
+            .field("channels", &self.channels.len())
+            .field("fine_grained", &self.fine_grained)
+            .field("stats", &self.stats)
+            .finish()
+    }
+}
+
+/// Maps a validated byte address to its physical location.
+///
+/// Bounds and alignment were proven at configuration time, so failures here
+/// are simulator bugs and panic.
+pub(crate) fn map_checked(remapper: &AddressRemapper, addr: u64) -> BankLocation {
+    remapper
+        .map_byte(Addr::new(addr))
+        .expect("pattern address validated at configuration time")
+}

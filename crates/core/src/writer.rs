@@ -6,120 +6,52 @@
 //! destination address from the AGU; the channel MICs drain the FIFOs
 //! through the crossbar, retrying on bank conflicts.
 //!
-//! Like the read side, the streamer models timing only: a pushed wide word
-//! is its destination addresses, and the bytes are written by the system's
-//! functional executor.
+//! The AGU fan-out and the grant tally are the shared [`Streamer`] front
+//! end; this module adds the write side: accept, submit and retire, the
+//! coarse quiescence rule and the write blame walk. Like the read side, the
+//! streamer models timing only: a pushed wide word is its destination
+//! addresses, and the bytes are written by the system's functional
+//! executor.
 
-use dm_mem::{MemorySubsystem, RequesterId};
-use dm_sim::{
-    BlameLeaf, Cycle, Instrumented, MetricsRegistry, NextActivity, StableHasher, Trace,
-    TraceEventKind, TraceMode,
-};
+use std::collections::VecDeque;
 
-use crate::agu::{SpatialAgu, TemporalAgu};
+use dm_mem::{BankLocation, MemorySubsystem};
+use dm_sim::{BlameLeaf, Cycle, NextActivity, TraceEventKind};
+
 use crate::channel::WriteChannel;
-use crate::config::{DesignConfig, RuntimeConfig, StreamerMode};
-use crate::error::ConfigError;
-use crate::reader::{bind_pattern, map_checked, StreamerStats};
-use dm_mem::AddressRemapper;
+use crate::config::StreamerMode;
+use crate::streamer::{map_checked, Side, StreamBinding, Streamer};
 
-/// A write-mode DataMaestro.
-pub struct WriteStreamer {
-    name: String,
-    remapper: AddressRemapper,
-    tagu: TemporalAgu,
-    sagu: SpatialAgu,
-    channels: Vec<WriteChannel>,
+/// The write side's streamer state.
+#[derive(Debug)]
+pub struct WriteSide {
     /// Width of the wide word the accelerator pushes (before extensions).
     input_width: usize,
-    fine_grained: bool,
-    stats: StreamerStats,
-    trace: Trace,
-    /// Whether any channel lost crossbar arbitration in the most recent
-    /// grant phase (see [`ReadStreamer::lost_arbitration`]).
-    ///
-    /// [`ReadStreamer::lost_arbitration`]: crate::ReadStreamer::lost_arbitration
-    lost_arbitration: bool,
 }
 
-impl WriteStreamer {
-    /// Builds a write streamer, registering one crossbar requester per
-    /// channel.
-    ///
-    /// The extension cascade (rarely used on the write side) is applied to
-    /// the accelerator's pushed word *before* the channel split, so the
-    /// cascade's output width must equal `N_C × W_B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] under the same conditions as
-    /// [`ReadStreamer::new`](crate::ReadStreamer::new), plus a width
-    /// mismatch between the cascade output and the channel array.
-    pub fn new(
-        design: &DesignConfig,
-        runtime: &RuntimeConfig,
-        mem: &mut MemorySubsystem,
-    ) -> Result<Self, ConfigError> {
-        if design.mode() != StreamerMode::Write {
-            return Err(ConfigError::InvalidParameter {
-                parameter: "mode",
-                reason: "WriteStreamer requires a write-mode design".into(),
-            });
-        }
-        let binding = bind_pattern(design, runtime, mem.config())?;
-        let channels = (0..design.num_channels())
-            .map(|c| {
-                let id = mem.register_requester(format!("{}/ch{c}", design.name()));
-                WriteChannel::new(id, design.data_buffer_depth(), design.addr_buffer_depth())
-            })
-            .collect();
-        Ok(WriteStreamer {
-            name: design.name().to_owned(),
-            remapper: binding.remapper,
-            tagu: binding.temporal,
-            sagu: binding.spatial,
-            channels,
+impl Side for WriteSide {
+    const MODE: StreamerMode = StreamerMode::Write;
+    type Fifo = VecDeque<BankLocation>;
+
+    fn new(binding: &StreamBinding, _channels: usize) -> Self {
+        WriteSide {
             input_width: binding.chain.input_width(),
-            fine_grained: design.fine_grained_prefetch(),
-            stats: StreamerStats::default(),
-            trace: Trace::new(),
-            lost_arbitration: false,
-        })
+        }
     }
+}
 
-    /// Configures event tracing (disabled by default).
-    pub fn set_trace_mode(&mut self, mode: TraceMode) {
-        self.trace = mode.build();
-    }
+/// A write-mode DataMaestro.
+///
+/// The extension cascade (rarely used on the write side) is applied to the
+/// accelerator's pushed word *before* the channel split, so the cascade's
+/// output width must equal `N_C × W_B`.
+pub type WriteStreamer = Streamer<WriteSide>;
 
-    /// Takes the captured event trace, leaving a disabled one behind.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
-    }
-
-    /// `true` if any channel lost crossbar arbitration in the most recent
-    /// grant phase.
-    #[must_use]
-    pub fn lost_arbitration(&self) -> bool {
-        self.lost_arbitration
-    }
-
-    /// Streamer name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
+impl WriteStreamer {
     /// Width in bytes of the wide word the accelerator pushes.
     #[must_use]
     pub fn input_width(&self) -> usize {
-        self.input_width
-    }
-
-    /// Requester ids of this streamer's channels, in channel order.
-    #[must_use]
-    pub fn channel_requesters(&self) -> Vec<RequesterId> {
-        self.channels.iter().map(|c| c.requester()).collect()
+        self.side.input_width
     }
 
     /// Phase 4: run the AGU and drain channel FIFOs into the crossbar.
@@ -128,54 +60,10 @@ impl WriteStreamer {
     /// point for per-channel FIFO occupancy (the write side has no
     /// `begin_cycle` phase).
     pub fn generate_and_issue(&mut self, mem: &mut MemorySubsystem) {
-        for channel in &mut self.channels {
-            channel.sample_occupancy();
-        }
-        if !self.tagu.is_done() {
-            if self.channels.iter().all(WriteChannel::has_addr_space) {
-                if let Some(ta) = self.tagu.next_address() {
-                    self.stats.temporal_addresses.inc();
-                    for (c, channel) in self.channels.iter_mut().enumerate() {
-                        channel.push_addr(self.sagu.channel_address(ta, c));
-                    }
-                    if let Some(dim) = self.tagu.last_wrap() {
-                        self.trace
-                            .emit(mem.cycle(), &self.name, TraceEventKind::AguWrap { dim });
-                    }
-                }
-            } else if self.trace.is_enabled() {
-                let blocked = self
-                    .channels
-                    .iter()
-                    .position(|c| !c.has_addr_space())
-                    .expect("some channel lacks address space");
-                self.trace.emit(
-                    mem.cycle(),
-                    &self.name,
-                    TraceEventKind::FifoFull { channel: blocked },
-                );
-            }
-        }
-        for channel in &mut self.channels {
+        self.sample_occupancy_span(1);
+        self.generate(mem.cycle());
+        for channel in &self.channels {
             channel.submit(mem);
-        }
-    }
-
-    /// Phase 5: consume grant flags; granted writes retire.
-    pub fn handle_grants(&mut self, grants: &[bool]) {
-        self.lost_arbitration = false;
-        for channel in &mut self.channels {
-            let had_backlog = channel.backlog() > 0;
-            let flag = grants[channel.requester().index()];
-            channel.handle_grant(flag);
-            if had_backlog {
-                if flag {
-                    self.stats.granted.inc();
-                } else {
-                    self.stats.retries.inc();
-                    self.lost_arbitration = true;
-                }
-            }
         }
     }
 
@@ -186,12 +74,8 @@ impl WriteStreamer {
     /// one wide word at a time.
     #[must_use]
     pub fn can_push_wide(&self) -> bool {
-        let ready = self.channels.iter().all(WriteChannel::can_accept);
-        if self.fine_grained {
-            ready
-        } else {
-            ready && self.channels.iter().all(WriteChannel::is_quiescent)
-        }
+        self.channels.iter().all(WriteChannel::can_accept)
+            && (self.fine_grained || self.is_quiescent())
     }
 
     /// Walks the dependency chain backwards from a blocked push and names
@@ -232,13 +116,9 @@ impl WriteStreamer {
     /// is the laggard (coarse-grained mode may also block on quiescence,
     /// in which case no single channel is at fault and nothing is emitted).
     pub fn note_producer_blocked(&mut self, cycle: Cycle) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        if let Some(channel) = self.channels.iter().position(|ch| !ch.can_accept()) {
-            self.trace
-                .emit(cycle, &self.name, TraceEventKind::FifoFull { channel });
-        }
+        self.note_blocked(cycle, WriteChannel::can_accept, |channel| {
+            TraceEventKind::FifoFull { channel }
+        });
     }
 
     /// Accepts one wide word from the accelerator: every channel pairs one
@@ -257,50 +137,6 @@ impl WriteStreamer {
         }
         self.stats.wide_words.inc();
     }
-
-    /// `true` once the pattern is exhausted and every word has drained to
-    /// memory.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.tagu.is_done() && self.channels.iter().all(WriteChannel::is_drained)
-    }
-
-    /// `true` when all accepted data has drained (pattern may be unfinished).
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.channels.iter().all(WriteChannel::is_quiescent)
-    }
-
-    /// Total wide words this pattern absorbs.
-    #[must_use]
-    pub fn total_wide_words(&self) -> u64 {
-        self.tagu.total()
-    }
-
-    /// Aggregated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &StreamerStats {
-        &self.stats
-    }
-
-    /// Peak per-channel FIFO occupancy observed.
-    #[must_use]
-    pub fn fifo_high_watermark(&self) -> usize {
-        self.channels
-            .iter()
-            .map(WriteChannel::fifo_high_watermark)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Records `span` per-channel backlog samples at once — the fast-forward
-    /// replay of the sampling [`generate_and_issue`](Self::generate_and_issue)
-    /// would have done over a span in which every FIFO is provably frozen.
-    pub fn sample_occupancy_span(&mut self, span: u64) {
-        for channel in &mut self.channels {
-            channel.sample_occupancy_span(span);
-        }
-    }
 }
 
 impl NextActivity for WriteStreamer {
@@ -309,74 +145,18 @@ impl NextActivity for WriteStreamer {
     /// to submit, and with full address buffers (or an exhausted pattern)
     /// the AGU has nothing to do.
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if !self.tagu.is_done() && self.channels.iter().all(WriteChannel::has_addr_space) {
-            return Some(now);
-        }
-        if self.channels.iter().any(|c| c.backlog() > 0) {
-            return Some(now);
-        }
-        None
+        self.busy().then_some(now)
     }
 
     fn activity_digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.stats.granted.get());
-        h.write_u64(self.stats.retries.get());
-        h.write_u64(self.stats.wide_words.get());
-        h.write_u64(self.stats.temporal_addresses.get());
-        h.write_bool(self.lost_arbitration);
-        h.write_bool(self.tagu.is_done());
-        h.write_u64(self.tagu.wraps());
-        for channel in &self.channels {
-            channel.hash_state(&mut h);
-        }
-        h.finish()
-    }
-}
-
-impl Instrumented for WriteStreamer {
-    fn register_metrics(&self, registry: &mut MetricsRegistry) {
-        registry.set_counter("granted", self.stats.granted.get());
-        registry.set_counter("retries", self.stats.retries.get());
-        registry.set_counter("wide_words", self.stats.wide_words.get());
-        registry.set_counter("temporal_addresses", self.stats.temporal_addresses.get());
-        registry.set_counter("agu_wraps", self.tagu.wraps());
-        registry.set_counter("fifo_high_watermark", self.fifo_high_watermark() as u64);
-        let occupancy: Vec<_> = self
-            .channels
-            .iter()
-            .map(WriteChannel::fifo_occupancy)
-            .collect();
-        registry.set_histogram(
-            "fifo_occupancy",
-            &dm_sim::LatencyHistogram::merged(&occupancy),
-        );
-        for (c, (channel, occupancy)) in self.channels.iter().zip(&occupancy).enumerate() {
-            registry.with_scope(&format!("ch{c}"), |r| {
-                let stats = channel.stats();
-                r.set_counter("granted", stats.granted.get());
-                r.set_counter("retries", stats.retries.get());
-                r.set_counter("fifo_high_watermark", channel.fifo_high_watermark() as u64);
-                r.set_histogram("fifo_occupancy", occupancy);
-            });
-        }
-    }
-}
-
-impl std::fmt::Debug for WriteStreamer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriteStreamer")
-            .field("name", &self.name)
-            .field("channels", &self.channels.len())
-            .field("fine_grained", &self.fine_grained)
-            .field("stats", &self.stats)
-            .finish()
+        self.digest()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DesignConfig, RuntimeConfig};
     use dm_mem::{AddressingMode, MemConfig};
 
     fn mem() -> MemorySubsystem {

@@ -5,9 +5,6 @@
 //! DataMaestro evaluation system (DAC 2025):
 //!
 //! * [`Cycle`] — a strongly typed clock-cycle count;
-//! * [`Fifo`] — a bounded queue with *slot reservation*, modelling a hardware
-//!   data FIFO whose free space can be claimed by in-flight memory requests
-//!   (the paper's Outstanding Request Manager relies on this);
 //! * [`RoundRobinArbiter`] — fair single-grant arbitration, used per memory
 //!   bank by the interleaved crossbar;
 //! * [`stats`] — simple saturating counters and distribution summaries
@@ -41,12 +38,11 @@
 //! # Examples
 //!
 //! ```
-//! use dm_sim::{Cycle, Fifo};
+//! use dm_sim::{Counter, Cycle};
 //!
-//! let mut fifo: Fifo<u32> = Fifo::new(2);
-//! assert!(fifo.try_reserve(), "empty fifo has space");
-//! fifo.fill_reserved(7);
-//! assert_eq!(fifo.pop(), Some(7));
+//! let mut granted = Counter::new();
+//! granted.inc();
+//! assert_eq!(granted.get(), 1);
 //! assert_eq!(Cycle::ZERO + 3, Cycle::new(3));
 //! ```
 
@@ -56,7 +52,6 @@ pub mod arbiter;
 pub mod blame;
 pub mod critical;
 pub mod cycle;
-pub mod fifo;
 pub mod forward;
 pub mod hash;
 pub mod histogram;
@@ -74,7 +69,6 @@ pub use arbiter::RoundRobinArbiter;
 pub use blame::{BlameLeaf, BlamePhase};
 pub use critical::{CritClass, CriticalProfile, WhatIf};
 pub use cycle::Cycle;
-pub use fifo::Fifo;
 pub use forward::{FastForward, NextActivity, SpanCheck};
 pub use hash::StableHasher;
 pub use histogram::LatencyHistogram;

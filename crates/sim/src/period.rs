@@ -3,8 +3,8 @@
 //! Shared between the static performance prover (`dm-analyze`), which
 //! proves the per-step bank-signature stream of an affine AGU periodic,
 //! and the differential soundness tests, which compare that proof against
-//! the fire-cycle digest recorded by the simulator's period probe
-//! (`SystemConfig::record_fire_cycles`).
+//! the fire-cycle digest of a simulated run (the cycles of the `PeFire`
+//! events on its traced `system` track).
 //!
 //! The period returned is the *weak* (prefix) period: the smallest `p ≥ 1`
 //! with `seq[i] == seq[i + p]` for every valid `i`, computed in O(n) via

@@ -24,9 +24,9 @@
 //! and push and checks it tile by tile ([`SystemError::StreamMismatch`]).
 
 use datamaestro::{bind_pattern, ExtensionScratch, StreamBinding};
-use dm_accel::{GemmDatapath, Quantizer};
+use dm_accel::{GemmArrayConfig, GemmDatapath, Quantizer};
 use dm_compiler::{
-    CompiledPool, CompiledWorkload, CopyPlan, OperandImage, StreamPlan, WriteSource,
+    CompiledPool, CompiledWorkload, CopyPlan, OperandImage, Region, StreamPlan, WriteSource,
 };
 use dm_mem::{Addr, AddressRemapper, BankLocation, MemConfig, Scratchpad};
 
@@ -59,6 +59,29 @@ pub(crate) fn check_tile(expected: &[u64], tile: u64, got: TileDigest) -> Result
         Ok(())
     } else {
         Err(SystemError::StreamMismatch { tile })
+    }
+}
+
+/// Checks the bytes of `region` in `pad` against the golden `expected`.
+///
+/// # Errors
+///
+/// [`SystemError::OutputMismatch`] at the first differing byte; memory
+/// errors as the read reports them.
+pub(crate) fn check_output(
+    pad: &Scratchpad,
+    region: &Region,
+    expected: &[u8],
+) -> Result<(), SystemError> {
+    let remap = AddressRemapper::new(pad.config(), region.mode)?;
+    let got = pad.host_read(&remap, Addr::new(region.base), region.len as usize)?;
+    match got.iter().zip(expected).position(|(g, e)| g != e) {
+        None => Ok(()),
+        Some(first_diff) => Err(SystemError::OutputMismatch {
+            first_diff,
+            expected: expected[first_diff],
+            got: got[first_diff],
+        }),
     }
 }
 
@@ -263,7 +286,7 @@ pub(crate) fn execute(
     let mut b = Stream::new(&program.b, &config.mem)?;
     let mut c = Stream::new(&program.c, &config.mem)?;
     let mut out = Stream::new(&program.out, &config.mem)?;
-    let array = config.array;
+    let array = GemmArrayConfig::paper();
     let mut datapath = GemmDatapath::new(array, program.k_steps);
     let mut quant = Quantizer::uniform(array.m_unroll, array.n_unroll, program.rescale);
     let mut fp = Footprint::new(&config.mem);

@@ -203,21 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn non_paper_arrays_are_rejected_not_panicked() {
-        for (m, n, k) in [(4, 8, 8), (16, 16, 16), (0, 8, 8)] {
-            let cfg = SystemConfig {
-                array: dm_accel::GemmArrayConfig {
-                    m_unroll: m,
-                    n_unroll: n,
-                    k_unroll: k,
-                },
-                ..small_system()
-            };
-            assert_eq!(rejected_field(&cfg), "array", "{m}x{n}x{k}");
-        }
-    }
-
-    #[test]
     fn banks_narrower_than_the_tile_geometry_are_rejected_not_panicked() {
         let cfg = SystemConfig {
             mem: dm_mem::MemConfig::new(32, 4, 4096).unwrap(),

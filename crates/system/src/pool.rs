@@ -11,7 +11,7 @@
 use datamaestro::{ReadStreamer, WriteStreamer};
 use dm_accel::GemmArrayConfig;
 use dm_compiler::{compile_pool, BufferDepths, FeatureSet};
-use dm_mem::{Addr, AddressRemapper, MemConfig, MemorySubsystem};
+use dm_mem::{MemConfig, MemorySubsystem};
 use dm_workloads::PoolSpec;
 
 use crate::error::SystemError;
@@ -129,20 +129,8 @@ pub fn run_pool(
         }
     }
 
-    let remap = AddressRemapper::new(mem_cfg, program.output_region.mode)?;
-    let got = execution.pad.host_read(
-        &remap,
-        Addr::new(program.output_region.base),
-        program.output_region.len as usize,
-    )?;
     let expected = program.expected_output_image(input);
-    if let Some(first_diff) = got.iter().zip(&expected).position(|(g, e)| g != e) {
-        return Err(SystemError::OutputMismatch {
-            first_diff,
-            expected: expected[first_diff],
-            got: got[first_diff],
-        });
-    }
+    executor::check_output(&execution.pad, &program.output_region, &expected)?;
     let stats = mem.stats();
     Ok(PoolReport {
         spec,

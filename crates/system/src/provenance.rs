@@ -12,9 +12,10 @@
 //!
 //! The fingerprint deliberately EXCLUDES settings that cannot change
 //! simulated behaviour — output checking, trace capture, host phase timing,
-//! fast-forward elision, fire-cycle recording — so turning diagnostics on
-//! or off does not invalidate a baseline.
+//! fast-forward elision — so turning diagnostics on or off does not
+//! invalidate a baseline.
 
+use dm_accel::GemmArrayConfig;
 use dm_sim::{JsonValue, StableHasher};
 use dm_workloads::Workload;
 
@@ -43,10 +44,11 @@ impl Provenance {
         h.write_usize(config.mem.num_banks());
         h.write_usize(config.mem.bank_width_bytes());
         h.write_usize(config.mem.rows_per_bank());
-        // PE array shape.
-        h.write_usize(config.array.m_unroll);
-        h.write_usize(config.array.n_unroll);
-        h.write_usize(config.array.k_unroll);
+        // PE array shape: the paper's, the only one the compiler targets.
+        let array = GemmArrayConfig::paper();
+        h.write_usize(array.m_unroll);
+        h.write_usize(array.n_unroll);
+        h.write_usize(array.k_unroll);
         // DataMaestro feature set (the fig7 ablation axis).
         h.write_bool(config.features.fine_grained_prefetch);
         h.write_bool(config.features.transposer);
@@ -139,7 +141,6 @@ mod tests {
                 flow_events: true,
                 time_phases: true,
                 fast_forward: false,
-                record_fire_cycles: true,
                 ..SystemConfig::default()
             },
             workload(),

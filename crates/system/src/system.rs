@@ -10,7 +10,7 @@
 use datamaestro::{ReadStreamer, StreamerStats, WriteStreamer};
 use dm_accel::GemmArrayConfig;
 use dm_compiler::{compile, BufferDepths, CompiledWorkload, FeatureSet};
-use dm_mem::{Addr, AddressRemapper, MemConfig, MemorySubsystem};
+use dm_mem::{MemConfig, MemorySubsystem};
 use dm_sim::{
     BlameLeaf, BlamePhase, CausalLedger, CriticalProfile, FastForward, Instrumented,
     MetricsRegistry, NextActivity, OperandPort, Port, StallCause, Trace, TraceEventKind, TraceMode,
@@ -28,8 +28,6 @@ use crate::provenance::Provenance;
 pub struct SystemConfig {
     /// Scratchpad geometry.
     pub mem: MemConfig,
-    /// GeMM array unrolling (the compiler targets 8×8×8).
-    pub array: GemmArrayConfig,
     /// Which DataMaestro features are built in.
     pub features: FeatureSet,
     /// Streamer buffer depths.
@@ -65,15 +63,6 @@ pub struct SystemConfig {
     /// Traced runs ([`SystemConfig::trace`] ≠ [`TraceMode::Off`]) fall back
     /// to lockstep so per-cycle trace timestamps are trivially preserved.
     pub fast_forward: bool,
-    /// Record the absolute cycle of every PE fire into
-    /// [`RunReport::fire_cycles`] (off by default). This is the digest-
-    /// period probe of the static performance prover: the fire-gap sequence
-    /// is what the prover's steady-state period proof predicts. Fires only
-    /// happen in lockstep iterations (fast-forward spans are stall-only),
-    /// so the recording is exact with elision on or off, and — like
-    /// tracing — it never affects simulated behaviour or the provenance
-    /// fingerprint.
-    pub record_fire_cycles: bool,
 }
 
 impl Default for SystemConfig {
@@ -82,7 +71,6 @@ impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             mem: MemConfig::default(),
-            array: GemmArrayConfig::paper(),
             features: FeatureSet::full(),
             depths: BufferDepths::default(),
             quantized: true,
@@ -92,7 +80,6 @@ impl Default for SystemConfig {
             flow_events: false,
             time_phases: false,
             fast_forward: true,
-            record_fire_cycles: false,
         }
     }
 }
@@ -250,11 +237,6 @@ pub struct RunReport {
     /// Captured event traces, one per component track, in Perfetto track
     /// order. Empty when [`SystemConfig::trace`] is [`TraceMode::Off`].
     pub traces: Vec<(String, Trace)>,
-    /// Absolute cycle of every PE fire, in order. Empty unless
-    /// [`SystemConfig::record_fire_cycles`] was set. The consecutive-gap
-    /// sequence of this digest is what the static prover's steady-state
-    /// period proof describes.
-    pub fire_cycles: Vec<u64>,
     /// Deterministic identity of this run: fingerprint of the
     /// behaviour-relevant configuration, workload and crate version.
     pub provenance: Provenance,
@@ -416,16 +398,6 @@ pub fn run_compiled(
     data: &WorkloadData,
     program: &CompiledWorkload,
 ) -> Result<RunReport, SystemError> {
-    let array = config.array;
-    if (array.m_unroll, array.n_unroll, array.k_unroll) != (8, 8, 8) {
-        return Err(SystemError::Unsupported {
-            field: "array",
-            reason: format!(
-                "the compiler targets the paper's 8x8x8 array, not {}x{}x{}",
-                array.m_unroll, array.n_unroll, array.k_unroll
-            ),
-        });
-    }
     if config.read_latency == 0 {
         return Err(SystemError::Unsupported {
             field: "read_latency",
@@ -444,6 +416,7 @@ pub fn run_compiled(
     // The compiled streamers gather `channels × bank width` bytes per wide
     // word; a bank geometry that breaks the array's tile widths is refused
     // here rather than in the datapath.
+    let array = GemmArrayConfig::paper();
     let out_tile = if config.quantized {
         array.e_tile_bytes()
     } else {
@@ -512,7 +485,6 @@ pub fn run_compiled(
     let mut ledger = CausalLedger::new(config.mem.num_banks());
     let mut compute_cycles = 0u64;
     let mut active_cycles = 0u64;
-    let mut fire_cycles = Vec::new();
     let mut tiles_done = 0u64;
     let budget = program.total_steps() * 64 + 100_000;
 
@@ -603,9 +575,6 @@ pub fn run_compiled(
         match handshake(&readers, &out, needs_c, produces, drained) {
             None => {
                 ledger.fire(now.get());
-                if config.record_fire_cycles {
-                    fire_cycles.push(now.get());
-                }
                 sys_trace.emit(now, "pe", TraceEventKind::PeFire);
                 if needs_c {
                     digest = TileDigest::EMPTY;
@@ -679,38 +648,17 @@ pub fn run_compiled(
         "every compute cycle lies on the critical path"
     );
 
-    // Golden verification of the executor's output image.
+    // Golden verification of the executor's output image: the whole
+    // region, or each per-channel slice under private-bank placement.
     let checked = execution.is_some();
     if let Some(execution) = &execution {
-        let pad = &execution.pad;
         if program.output_slices.is_empty() {
-            let remap = AddressRemapper::new(&config.mem, program.output_region.mode)?;
-            let got = pad.host_read(
-                &remap,
-                Addr::new(program.output_region.base),
-                program.output_region.len as usize,
-            )?;
             let expected = program.expected_output_image(data);
-            if let Some(first_diff) = got.iter().zip(&expected).position(|(g, e)| g != e) {
-                return Err(SystemError::OutputMismatch {
-                    first_diff,
-                    expected: expected[first_diff],
-                    got: got[first_diff],
-                });
-            }
+            executor::check_output(&execution.pad, &program.output_region, &expected)?;
         } else {
-            // Private-bank placement: verify each per-channel slice.
             let expected_slices = program.expected_output_slice_images(data);
             for (region, expected) in program.output_slices.iter().zip(&expected_slices) {
-                let remap = AddressRemapper::new(&config.mem, region.mode)?;
-                let got = pad.host_read(&remap, Addr::new(region.base), region.len as usize)?;
-                if let Some(first_diff) = got.iter().zip(expected).position(|(g, e)| g != e) {
-                    return Err(SystemError::OutputMismatch {
-                        first_diff,
-                        expected: expected[first_diff],
-                        got: got[first_diff],
-                    });
-                }
+                executor::check_output(&execution.pad, region, expected)?;
             }
         }
     }
@@ -796,7 +744,6 @@ pub fn run_compiled(
         per_bank_accesses: mem.per_bank_accesses().to_vec(),
         metrics,
         traces,
-        fire_cycles,
         provenance: Provenance::stamp(config, program.workload),
         host,
         checked,

@@ -16,7 +16,7 @@
 use datamaestro_repro::analyze::{self, Prediction};
 use datamaestro_repro::compiler::{compile, FeatureSet};
 use datamaestro_repro::sim::{
-    is_periodic_with, minimal_period, CritClass, OperandPort, StallCause,
+    is_periodic_with, minimal_period, CritClass, OperandPort, StallCause, TraceEventKind, TraceMode,
 };
 use datamaestro_repro::system::{run_workload, RunReport, SystemConfig};
 use datamaestro_repro::workloads::{synthetic_suite, ConvSpec, GemmSpec, Workload, WorkloadData};
@@ -199,8 +199,10 @@ fn roofline_is_sound_tight_and_rank_faithful() {
 fn steady_state_period_divides_the_fire_digest() {
     let mut settled_configs = 0usize;
     for latency in [1u64, 4, 16] {
+        // Traced runs are lockstep, and fires happen only in lockstep
+        // iterations, so the PeFire events record every fire cycle.
         let cfg = SystemConfig {
-            record_fire_cycles: true,
+            trace: TraceMode::Full,
             ..config(6, latency)
         };
         for (i, workload) in zoo().into_iter().enumerate() {
@@ -210,7 +212,18 @@ fn steady_state_period_divides_the_fire_digest() {
             let period = p.period.fire_period as usize;
             assert!(period > 0, "{workload}: degenerate proven period");
 
-            let gaps: Vec<u64> = report.fire_cycles.windows(2).map(|w| w[1] - w[0]).collect();
+            let fires: Vec<u64> = report
+                .traces
+                .iter()
+                .find(|(track, _)| track == "system")
+                .expect("a traced run has a system track")
+                .1
+                .iter()
+                .filter(|e| e.kind == TraceEventKind::PeFire)
+                .map(|e| e.cycle.get())
+                .collect();
+            assert_eq!(fires.len() as u64, report.active_cycles, "{workload}");
+            let gaps: Vec<u64> = fires.windows(2).map(|w| w[1] - w[0]).collect();
             // Trim the fill transient (first quarter) and the drain ramp
             // (last eighth); what remains is the candidate steady window.
             let window = &gaps[gaps.len() / 4..gaps.len() - gaps.len() / 8];
