@@ -21,6 +21,9 @@
 //! degrades to "possible" (sound for the conflict-free direction: we never
 //! claim freedom we cannot prove).
 
+use std::iter::Sum;
+use std::ops::AddAssign;
+
 use crate::pattern::{bank_of_word, StreamSummary};
 
 /// Enumeration budget for confirming candidate collisions. Large enough
@@ -144,31 +147,36 @@ fn burst_conflict_events(s: &StreamSummary, q: i64) -> u64 {
     events + run - 1
 }
 
-/// Dual-counter walk over a temporal nest, tracking only the running word
+/// Dual-counter walk over a temporal nest, tracking only the running
 /// offset (what [`datamaestro::agu::TemporalAgu`] does, minus the address
-/// emission).
-struct NestWalker {
+/// emission). Offsets are in the strides' unit: words as `i64` for the
+/// burst verdicts here, bytes as `i128` for the period proofs, which must
+/// not overflow. A stride missing from `strides` reads as 0, and a
+/// zero-trip bound simply never steps.
+pub(crate) struct DualCounter<T> {
     bounds: Vec<u64>,
-    strides: Vec<i64>,
+    strides: Vec<T>,
     indices: Vec<u64>,
-    offsets: Vec<i64>,
+    offsets: Vec<T>,
 }
 
-impl NestWalker {
-    fn new(bounds: &[u64], strides: &[i64]) -> Self {
-        NestWalker {
+impl<T: Copy + Default + From<i64> + AddAssign + Sum> DualCounter<T> {
+    pub(crate) fn new(bounds: &[u64], strides: &[i64]) -> Self {
+        DualCounter {
             bounds: bounds.to_vec(),
-            strides: strides.to_vec(),
+            strides: (0..bounds.len())
+                .map(|d| T::from(strides.get(d).copied().unwrap_or(0)))
+                .collect(),
             indices: vec![0; bounds.len()],
-            offsets: vec![0; bounds.len()],
+            offsets: vec![T::default(); bounds.len()],
         }
     }
 
-    fn offset(&self) -> i64 {
-        self.offsets.iter().sum()
+    pub(crate) fn offset(&self) -> T {
+        self.offsets.iter().copied().sum()
     }
 
-    fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         for d in 0..self.bounds.len() {
             self.indices[d] += 1;
             if self.indices[d] < self.bounds[d] {
@@ -176,10 +184,13 @@ impl NestWalker {
                 return;
             }
             self.indices[d] = 0;
-            self.offsets[d] = 0;
+            self.offsets[d] = T::default();
         }
     }
 }
+
+/// The burst verdicts walk in words.
+type NestWalker = DualCounter<i64>;
 
 #[cfg(test)]
 mod tests {

@@ -28,6 +28,7 @@ use dm_compiler::CompiledWorkload;
 use dm_mem::MemConfig;
 use dm_sim::minimal_period;
 
+use crate::conflict::DualCounter;
 use crate::diagnostic::{Diagnostic, LintCode};
 use crate::pattern::bank_of_word;
 
@@ -163,7 +164,7 @@ pub fn prove_port(
     // a pure function of the temporal byte offset `q`, so repeated offsets
     // (stride-0 dimensions, revisiting nests) are memoized.
     let walked = steps.min(WALK_CAP);
-    let mut walker = ByteNestWalker::new(&runtime.temporal_bounds, &runtime.temporal_strides);
+    let mut walker = DualCounter::<i128>::new(&runtime.temporal_bounds, &runtime.temporal_strides);
     let mut sig_of_offset: HashMap<i128, u32> = HashMap::new();
     let mut intern: HashMap<Vec<u64>, u32> = HashMap::new();
     let mut sig_banks: Vec<Vec<u64>> = Vec::new();
@@ -268,46 +269,6 @@ fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
         (a, b) = (b, a % b);
     }
     a
-}
-
-/// Dual-counter walk over a temporal nest in *byte* space with `i128`
-/// offsets — the [`crate::conflict`] walker made total (no word conversion,
-/// no overflow, zero-trip bounds simply never step).
-struct ByteNestWalker {
-    bounds: Vec<u64>,
-    strides: Vec<i128>,
-    indices: Vec<u64>,
-    offsets: Vec<i128>,
-}
-
-impl ByteNestWalker {
-    fn new(bounds: &[u64], strides: &[i64]) -> Self {
-        let strides = (0..bounds.len())
-            .map(|d| i128::from(strides.get(d).copied().unwrap_or(0)))
-            .collect::<Vec<_>>();
-        ByteNestWalker {
-            bounds: bounds.to_vec(),
-            strides,
-            indices: vec![0; bounds.len()],
-            offsets: vec![0; bounds.len()],
-        }
-    }
-
-    fn offset(&self) -> i128 {
-        self.offsets.iter().sum()
-    }
-
-    fn step(&mut self) {
-        for d in 0..self.bounds.len() {
-            self.indices[d] += 1;
-            if self.indices[d] < self.bounds[d] {
-                self.offsets[d] += self.strides[d];
-                return;
-            }
-            self.indices[d] = 0;
-            self.offsets[d] = 0;
-        }
-    }
 }
 
 #[cfg(test)]

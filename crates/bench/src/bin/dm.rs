@@ -1,7 +1,17 @@
-//! `dm` — the one harness binary: the causal and static analysis documents
-//! plus the benchmark regression gate. Run it without arguments for the
-//! synopsis.
+//! `dm` — the one harness binary: the paper's tables and figures, the
+//! causal and static analysis documents and the benchmark regression gate.
+//! Run it without arguments for the synopsis.
 //!
+//! * `dm table1|table2|fig7|fig8|fig9|table3|fig10|sweeps` prints one table
+//!   or figure of the paper's evaluation (see the `dm_bench` crate docs).
+//!   The simulating figures run their full suite by default (`--quick`
+//!   selects a subset), fan independent runs out over `--jobs` threads
+//!   with byte-identical output, write one JSONL metrics line per run to
+//!   `--metrics-out` and a Perfetto trace of one pinned run to
+//!   `--trace-out` (`--flow-events` adds causal flows to it), lint every
+//!   configuration first with `--lint`, and run lockstep with
+//!   `--no-fast-forward`. Each figure accepts only the flags it uses;
+//!   `table1`, `table2` and `fig8` simulate nothing and take none.
 //! * `dm profile run` simulates the Fig. 7 ablation slice at one feature
 //!   step (default ⑥) and prints where the stalled cycles went: which
 //!   banks, AGUs, sync gates or the writeback flush each cycle waited on,
@@ -40,12 +50,21 @@
 //! Exit status: 0 = success, 1 = a failed gate, a refused comparison or an
 //! unreadable document, 2 = usage error.
 
-use dm_bench::cli::{self, DiffFlags, DocKind, HarnessError, Item, Pair, RunFlags};
+use dm_bench::cli::{
+    self, Capture, DiffFlags, DocKind, Figure, HarnessError, Item, Pair, RunFlags,
+};
 use dm_bench::{critical, lint, predict, profile, regress};
 use dm_sim::JsonValue;
 
 const USAGE: &str = "\
 usage:
+  dm table1|table2|fig8
+  dm fig7|table3|sweeps [--quick] [--jobs <n>] [--lint] [--no-fast-forward]
+                        [--metrics-out <path>] [--trace-out <path>] [--flow-events]
+  dm fig10              [--quick] [--no-fast-forward]
+                        [--metrics-out <path>] [--trace-out <path>] [--flow-events]
+  dm fig9               [--no-fast-forward]
+                        [--metrics-out <path>] [--trace-out <path>] [--flow-events]
   dm profile|critical run [--step <1..6>] [--full|--quick] [--jobs <n>]
                           [--latency <cycles>] [--no-fast-forward] [--json] [--out <path>]
   dm predict run          [--step <1..6>] [--full|--quick] [--jobs <n>]
@@ -110,7 +129,10 @@ fn main() {
         ["regress", "run"] => regress_run(rest),
         ["regress", "diff"] => regress_diff(rest),
         ["regress", "guard"] => regress_guard(rest),
-        _ => Err(Failure::Usage(String::new())),
+        _ => match args.first().and_then(|name| Figure::find(name)) {
+            Some(figure) => run_figure(figure, &args[1..]),
+            None => Err(Failure::Usage(String::new())),
+        },
     };
     match outcome {
         Ok(code) => std::process::exit(code),
@@ -130,6 +152,15 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// `dm <figure>`: parse its flags, open the capture, print the figure.
+fn run_figure(figure: &Figure, args: &[String]) -> Outcome {
+    let flags = figure.parse(args).map_err(Failure::Usage)?;
+    let mut capture = Capture::open(&flags).map_err(Failure::Fatal)?;
+    (figure.run)(&flags, &mut capture).map_err(Failure::Fatal)?;
+    capture.finish().map_err(Failure::Fatal)?;
+    Ok(0)
 }
 
 /// `profile|critical|predict run`: the Fig. 7 slice at one step.
@@ -208,13 +239,7 @@ fn regress_run(args: &[String]) -> Outcome {
         .parse(args, cli::REGRESS_FLAGS)
         .map_err(Failure::Usage)?;
     if flags.lint {
-        let cfg = dm_system::SystemConfig::default();
-        dm_bench::lint_gate(
-            "regress",
-            &regress::lint_items(flags.full),
-            &cfg.mem,
-            cfg.depths,
-        );
+        dm_bench::lint_gate("regress", &regress::lint_items(flags.full)).map_err(Failure::Fatal)?;
     }
     let doc = regress::bench_document(&flags, |msg| eprintln!("  {msg}"))
         .map_err(|e| Failure::Fatal(format!("benchmark run failed: {e}")))?;

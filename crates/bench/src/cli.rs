@@ -1,18 +1,22 @@
 //! The shared harness surface behind the `dm` binary.
 //!
 //! `dm profile`, `dm critical`, `dm predict`, `dm lint` and `dm regress`
-//! speak one `run`/`diff` dialect. This module holds the one copy of what
-//! they share: the run options ([`RunFlags`]) and their parser, the harness
-//! error type, the Fig. 7 item selection, the document header, document
-//! loading and emission, and the diff prologue ([`DocKind::pair`]) that
-//! refuses cross-schema and cross-latency comparisons. Parsers and loaders
-//! return `Err(message)` instead of exiting, so the binary owns every exit
-//! code and the pieces stay unit-testable.
+//! speak one `run`/`diff` dialect, and the figure subcommands ([`FIGURES`])
+//! parse the same options. This module holds the one copy of what they
+//! share: the run options ([`RunFlags`]) and their parser, the figures'
+//! metrics/trace [`Capture`], the harness error type, the Fig. 7 item
+//! selection, the document header, document loading and emission, and the
+//! diff prologue ([`DocKind::pair`]) that refuses cross-schema and
+//! cross-latency comparisons. Parsers, loaders and figures return
+//! `Err(message)` instead of exiting, so the binary owns every exit code
+//! and the pieces stay unit-testable.
 
 use std::fmt::{self, Write as _};
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 
 use dm_compiler::FeatureSet;
-use dm_sim::JsonValue;
+use dm_sim::{perfetto, JsonValue, TraceMode};
 use dm_system::{RunReport, SystemConfig, SystemError};
 use dm_workloads::{synthetic_suite, Workload};
 
@@ -28,6 +32,10 @@ pub const LINT_FLAGS: &str = "--suite --quick --json --out --deny-warnings --dem
 
 /// `regress run` flags.
 pub const REGRESS_FLAGS: &str = "--out --full --quick --no-host --no-fast-forward --lint --jobs";
+
+/// Flags of the figures that simulate suites (`fig7`, `table3`, `sweeps`).
+pub const FIGURE_FLAGS: &str =
+    "--quick --jobs --metrics-out --trace-out --flow-events --lint --no-fast-forward";
 
 fn accepts(accepted: &str, flag: &str) -> bool {
     accepted.split(' ').any(|f| f == flag)
@@ -66,6 +74,15 @@ pub struct RunFlags {
     pub demo: Option<String>,
     /// `lint`: warnings fail the gate too.
     pub deny_warnings: bool,
+    /// Figures: append one JSONL metrics snapshot per simulated run here.
+    pub metrics_out: Option<String>,
+    /// Figures: write a Perfetto `trace_event` dump of the figure's pinned
+    /// run here (see [`Capture::config`]).
+    pub trace_out: Option<String>,
+    /// Figures: stamp token-level causal flow events (AGU issue → bank
+    /// grant → response delivery) into the `--trace-out` export. Off by
+    /// default: flows add one event triple per unique memory request.
+    pub flow_events: bool,
 }
 
 impl Default for RunFlags {
@@ -83,6 +100,9 @@ impl Default for RunFlags {
             suite: "all".to_owned(),
             demo: None,
             deny_warnings: false,
+            metrics_out: None,
+            trace_out: None,
+            flow_events: false,
         }
     }
 }
@@ -95,8 +115,8 @@ fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(value: Option<&String>
 
 impl RunFlags {
     /// Applies `args` on top of `self`, accepting only the flags listed in
-    /// `accepted` ([`SIM_FLAGS`], [`PREDICT_FLAGS`], [`LINT_FLAGS`] or
-    /// [`REGRESS_FLAGS`]).
+    /// `accepted` ([`SIM_FLAGS`], [`PREDICT_FLAGS`], [`LINT_FLAGS`],
+    /// [`REGRESS_FLAGS`] or a [`Figure`]'s).
     ///
     /// # Errors
     ///
@@ -133,6 +153,15 @@ impl RunFlags {
                 "--suite" => self.suite = it.next().cloned().ok_or("--suite requires a name")?,
                 "--demo" => self.demo = Some(it.next().cloned().ok_or("--demo requires a name")?),
                 "--deny-warnings" => self.deny_warnings = true,
+                "--metrics-out" => {
+                    let path = it.next().ok_or("--metrics-out requires a path argument")?;
+                    self.metrics_out = Some(path.clone());
+                }
+                "--trace-out" => {
+                    let path = it.next().ok_or("--trace-out requires a path argument")?;
+                    self.trace_out = Some(path.clone());
+                }
+                "--flow-events" => self.flow_events = true,
                 other => unreachable!("accepted flag {other} has no parser"),
             }
         }
@@ -140,12 +169,13 @@ impl RunFlags {
     }
 
     /// The system configuration of one run: the ablation step's features,
-    /// the read latency and the fast-forward choice.
+    /// the read latency, the fast-forward choice and the flow events.
     #[must_use]
     pub fn config(&self) -> SystemConfig {
         SystemConfig {
             fast_forward: self.fast_forward,
             read_latency: self.read_latency,
+            flow_events: self.flow_events,
             ..SystemConfig::default().with_features(FeatureSet::ablation_step(self.step))
         }
     }
@@ -178,6 +208,173 @@ impl RunFlags {
             ),
             ("workloads".to_owned(), JsonValue::from(workloads)),
         ]
+    }
+}
+
+/// One figure subcommand: `dm <name>` prints a table or figure of the
+/// paper's evaluation to stdout.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// Subcommand name, e.g. `fig7`.
+    pub name: &'static str,
+    /// The space-separated flags it accepts; empty for the analytic
+    /// figures, which simulate nothing.
+    pub flags: &'static str,
+    /// Prints the figure, recording each simulated run into the capture.
+    pub run: fn(&RunFlags, &mut Capture) -> Result<(), String>,
+}
+
+/// Every figure subcommand, in the paper's order.
+pub const FIGURES: [Figure; 8] = [
+    Figure {
+        name: "table1",
+        flags: "",
+        run: |_, _| {
+            crate::table1::print();
+            Ok(())
+        },
+    },
+    Figure {
+        name: "table2",
+        flags: "",
+        run: |_, _| {
+            crate::table2::print();
+            Ok(())
+        },
+    },
+    Figure {
+        name: "fig7",
+        flags: FIGURE_FLAGS,
+        run: crate::fig7::run,
+    },
+    Figure {
+        name: "fig8",
+        flags: "",
+        run: |_, _| {
+            crate::fig8::print();
+            Ok(())
+        },
+    },
+    Figure {
+        name: "fig9",
+        flags: "--metrics-out --trace-out --flow-events --no-fast-forward",
+        run: crate::fig9::run,
+    },
+    Figure {
+        name: "table3",
+        flags: FIGURE_FLAGS,
+        run: crate::table3::run,
+    },
+    Figure {
+        name: "fig10",
+        flags: "--quick --metrics-out --trace-out --flow-events --no-fast-forward",
+        run: crate::fig10::run,
+    },
+    Figure {
+        name: "sweeps",
+        flags: FIGURE_FLAGS,
+        run: crate::sweeps::run,
+    },
+];
+
+impl Figure {
+    /// The figure subcommand called `name`, if any.
+    #[must_use]
+    pub fn find(name: &str) -> Option<&'static Figure> {
+        FIGURES.iter().find(|figure| figure.name == name)
+    }
+
+    /// Parses this figure's flags. Figures default to their full suite;
+    /// `--quick` selects the subset.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the offending flag.
+    pub fn parse(&self, args: &[String]) -> Result<RunFlags, String> {
+        let full = RunFlags {
+            full: true,
+            ..RunFlags::default()
+        };
+        full.parse(args, self.flags)
+    }
+}
+
+/// The `--metrics-out`/`--trace-out` sink of one figure: one JSONL line
+/// per recorded run, `{"label": ..., "metrics": {...}}` with the registry
+/// flattened to dotted component paths, and a Perfetto trace of the one
+/// run the figure pins, written once.
+#[derive(Debug)]
+pub struct Capture {
+    metrics: Option<(String, BufWriter<File>)>,
+    trace: Option<String>,
+}
+
+impl Capture {
+    /// Opens (truncates) the metrics log of `flags`, if any.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message when the log cannot be created.
+    pub fn open(flags: &RunFlags) -> Result<Self, String> {
+        let metrics = match &flags.metrics_out {
+            Some(path) => {
+                let file = File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+                Some((path.clone(), BufWriter::new(file)))
+            }
+            None => None,
+        };
+        Ok(Capture {
+            metrics,
+            trace: flags.trace_out.clone(),
+        })
+    }
+
+    /// `cfg`, fully traced when `pinned` marks the run to trace and no
+    /// trace was written yet. Tracing never changes a measurement, and
+    /// pinning by item index keeps the choice independent of `--jobs`.
+    #[must_use]
+    pub fn config(&self, mut cfg: SystemConfig, pinned: bool) -> SystemConfig {
+        if pinned && self.trace.is_some() {
+            cfg.trace = TraceMode::Full;
+        }
+        cfg
+    }
+
+    /// Appends the run's metrics line and, for the traced run, writes the
+    /// Perfetto file.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message when either file cannot be written.
+    pub fn record(&mut self, label: &str, report: &RunReport) -> Result<(), String> {
+        if let Some((path, out)) = &mut self.metrics {
+            let line = JsonValue::object([
+                ("label".to_owned(), JsonValue::from(label)),
+                ("metrics".to_owned(), report.metrics.to_json()),
+            ]);
+            writeln!(out, "{}", line.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+        }
+        if report.traces.is_empty() {
+            return Ok(());
+        }
+        if let Some(path) = self.trace.take() {
+            std::fs::write(&path, perfetto::chrome_trace_json(&report.traces))
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("  wrote Perfetto trace of '{label}' to {path}");
+        }
+        Ok(())
+    }
+
+    /// Flushes the metrics log.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message when the final flush fails.
+    pub fn finish(self) -> Result<(), String> {
+        if let Some((path, mut out)) = self.metrics {
+            out.flush().map_err(|e| format!("writing {path}: {e}"))?;
+        }
+        Ok(())
     }
 }
 
@@ -511,6 +708,137 @@ mod tests {
             let err = RunFlags::default().parse(&args(bad), SIM_FLAGS);
             assert!(err.is_err_and(|e| !e.contains('\n')), "{bad}");
         }
+    }
+
+    /// Every flag a figure could take, with a value where it needs one.
+    const FIGURE_UNIVERSE: [&str; 9] = [
+        "--quick",
+        "--jobs 2",
+        "--metrics-out m.jsonl",
+        "--trace-out t.json",
+        "--flow-events",
+        "--lint",
+        "--no-fast-forward",
+        "--step 3",
+        "--json",
+    ];
+
+    #[test]
+    fn figures_accept_exactly_their_flag_sets() {
+        let expected = [
+            ("table1", ""),
+            ("table2", ""),
+            ("fig7", FIGURE_FLAGS),
+            ("fig8", ""),
+            (
+                "fig9",
+                "--metrics-out --trace-out --flow-events --no-fast-forward",
+            ),
+            ("table3", FIGURE_FLAGS),
+            (
+                "fig10",
+                "--quick --metrics-out --trace-out --flow-events --no-fast-forward",
+            ),
+            ("sweeps", FIGURE_FLAGS),
+        ];
+        assert_eq!(FIGURES.map(|f| f.name), expected.map(|(name, _)| name));
+        for (name, accepted) in expected {
+            let figure = Figure::find(name).unwrap();
+            for line in FIGURE_UNIVERSE {
+                let flag = line.split(' ').next().unwrap();
+                let parsed = figure.parse(&args(line));
+                assert_eq!(parsed.is_ok(), accepts(accepted, flag), "{name} {line}");
+            }
+        }
+        let all = args(FIGURE_UNIVERSE[..7].join(" ").as_str());
+        let flags = Figure::find("fig7").unwrap().parse(&all).unwrap();
+        assert_eq!(flags.jobs, 2);
+        assert_eq!(flags.metrics_out.as_deref(), Some("m.jsonl"));
+        assert_eq!(flags.trace_out.as_deref(), Some("t.json"));
+        assert!(flags.flow_events && flags.lint && !flags.fast_forward);
+        assert!(flags.config().flow_events && !flags.config().fast_forward);
+        assert!(Figure::find("fig11").is_none());
+    }
+
+    #[test]
+    fn analytic_figures_reject_every_flag() {
+        for name in ["table1", "table2", "fig8"] {
+            let figure = Figure::find(name).unwrap();
+            assert!(figure.parse(&[]).is_ok());
+            for line in FIGURE_UNIVERSE {
+                let err = figure.parse(&args(line)).unwrap_err();
+                assert!(err.starts_with("unknown option: --"), "{name}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn quick_flips_the_full_figure_default() {
+        for figure in &FIGURES {
+            assert!(figure.parse(&[]).unwrap().full, "{}", figure.name);
+            if accepts(figure.flags, "--quick") {
+                assert!(!figure.parse(&args("--quick")).unwrap().full);
+            }
+        }
+    }
+
+    #[test]
+    fn capture_logs_every_run_and_traces_the_pinned_one_once() {
+        let dir = std::env::temp_dir().join(format!("dm-capture-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (log, trace) = (dir.join("m.jsonl"), dir.join("t.json"));
+        let flags = RunFlags {
+            metrics_out: Some(log.display().to_string()),
+            trace_out: Some(trace.display().to_string()),
+            ..RunFlags::default()
+        };
+        let mut capture = Capture::open(&flags).unwrap();
+        let cfg = flags.config();
+        assert_eq!(capture.config(cfg, false).trace, TraceMode::Off);
+        let traced = capture.config(cfg, true);
+        assert_eq!(traced.trace, TraceMode::Full);
+        let gemm = GemmSpec::new(16, 16, 16).into();
+        for (label, cfg) in [("a", traced), ("b", cfg)] {
+            let report = crate::measure(&cfg, gemm, 1).unwrap();
+            capture.record(label, &report).unwrap();
+        }
+        // Written once: a later pinned run is not traced again.
+        assert_eq!(capture.config(cfg, true).trace, TraceMode::Off);
+        capture.finish().unwrap();
+        let lines = std::fs::read_to_string(&log).unwrap();
+        let labels: Vec<String> = lines
+            .lines()
+            .map(|l| JsonValue::parse(l).unwrap().str_at(&["label"]).to_owned())
+            .collect();
+        assert_eq!(labels, ["a", "b"]);
+        assert!(std::fs::read_to_string(&trace)
+            .unwrap()
+            .contains("traceEvents"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unwritable_capture_paths_are_errors_not_panics() {
+        let missing = std::env::temp_dir()
+            .join(format!("dm-missing-{}", std::process::id()))
+            .join("out");
+        let path = missing.display().to_string();
+        for figure in FIGURES.iter().filter(|f| accepts(f.flags, "--metrics-out")) {
+            let flags = figure
+                .parse(&args(&format!("--metrics-out {path}")))
+                .unwrap();
+            let err = Capture::open(&flags).unwrap_err();
+            assert!(err.starts_with(&format!("creating {path}: ")), "{err}");
+        }
+        let flags = RunFlags {
+            trace_out: Some(path.clone()),
+            ..RunFlags::default()
+        };
+        let mut capture = Capture::open(&flags).unwrap();
+        let cfg = capture.config(flags.config(), true);
+        let report = crate::measure(&cfg, GemmSpec::new(16, 16, 16).into(), 1).unwrap();
+        let err = capture.record("gemm", &report).unwrap_err();
+        assert!(err.starts_with(&format!("writing {path}: ")), "{err}");
     }
 
     #[test]

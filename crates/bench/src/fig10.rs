@@ -1,4 +1,4 @@
-//! Regenerates Fig. 10: normalized throughput against SotA DNN
+//! Fig. 10 (`dm fig10`): normalized throughput against SotA DNN
 //! accelerators (left) and the data-movement area/power cost comparison
 //! (right).
 //!
@@ -7,55 +7,43 @@
 //! models of `dm-baselines` (see that crate's documentation). All systems
 //! are normalized to 512 PEs at 1 GHz, as in the paper.
 //!
-//! Pass `--quick` to simulate every other kernel only, `--metrics-out
-//! <path>` to dump one JSONL metrics snapshot per kernel, and `--trace-out
-//! <path>` to capture a Perfetto trace of the first kernel.
+//! `--quick` simulates every other kernel only, and the Perfetto trace
+//! (`--trace-out`) captures the first kernel.
 
 use dm_baselines::{data_movement_costs, normalized_throughput_tops, utilization, Baseline};
 use dm_cost::area::system_area;
 use dm_cost::energy::power_breakdown;
-use dm_cost::{EnergyEvents, EnergyModel, EvaluationSystemSpec, UnitAreas};
-use dm_sim::TraceMode;
+use dm_cost::{EnergyModel, EvaluationSystemSpec, UnitAreas};
 use dm_workloads::GemmSpec;
 
-fn main() {
-    let args = dm_bench::parse_args();
-    let mut metrics_log = dm_bench::MetricsLog::create(args.metrics_out.as_deref())
-        .unwrap_or_else(|e| panic!("opening metrics log: {e}"));
-    let mut trace_pending = args.trace_out.as_deref();
-    let kernels: Vec<_> = dm_bench::representative_kernels()
+use crate::cli::{Capture, RunFlags};
+
+/// Simulates each representative kernel and prints Fig. 10.
+///
+/// # Errors
+///
+/// Returns the first failed run or a capture I/O error.
+pub fn run(flags: &RunFlags, capture: &mut Capture) -> Result<(), String> {
+    let kernels: Vec<_> = crate::representative_kernels()
         .into_iter()
         .enumerate()
-        .filter(|(i, _)| !args.quick || i % 2 == 0)
+        .filter(|(i, _)| flags.full || i % 2 == 0)
         .map(|(_, k)| k)
         .collect();
-    let cfg = args.system_config();
+    let cfg = flags.config();
 
     println!("Fig. 10 (left): normalized throughput in TOPS (512 PEs @ 1 GHz)");
     println!(
         "{:<22} {:>9} {:>11} {:>11} {:>9} {:>9} {:>11}",
         "kernel", "ours", "Gemmini-OS", "Gemmini-WS", "FEATHER", "BitWave", "gain range"
     );
-    dm_bench::rule(90);
+    crate::rule(90);
     let mut min_gain = f64::MAX;
     let mut max_gain = 0.0f64;
     for (i, (name, workload)) in kernels.iter().enumerate() {
-        let mut kernel_cfg = cfg;
-        let traced = trace_pending.is_some();
-        if traced {
-            kernel_cfg.trace = TraceMode::Full;
-        }
-        let report = dm_bench::measure(&kernel_cfg, *workload, i as u64)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        if let Some(path) = trace_pending.filter(|_| traced) {
-            dm_bench::write_trace(path, &report.traces)
-                .unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
-            eprintln!("  wrote Perfetto trace of '{name}' to {path}");
-            trace_pending = None;
-        }
-        metrics_log
-            .record(name, &report)
-            .unwrap_or_else(|e| panic!("writing metrics line: {e}"));
+        let report = crate::measure(&capture.config(cfg, i == 0), *workload, i as u64)
+            .map_err(|e| format!("{name}: {e}"))?;
+        capture.record(name, &report)?;
         let ours = normalized_throughput_tops(report.utilization());
         let mut row = format!("{name:<22} {ours:>9.3}");
         let mut kernel_min = f64::MAX;
@@ -83,7 +71,7 @@ fn main() {
     // --- Fig. 10 (right): data-movement hardware cost --------------------
     println!("\nFig. 10 (right): data-movement area/power inside the whole system");
     println!("{:<14} {:>8} {:>8}", "system", "area", "power");
-    dm_bench::rule(32);
+    crate::rule(32);
     for row in data_movement_costs() {
         println!(
             "{:<14} {:>7.2}% {:>8}",
@@ -96,23 +84,10 @@ fn main() {
     // DataMaestro's own numbers come from the cost model, not the paper.
     let spec = EvaluationSystemSpec::paper();
     let areas = system_area(&spec, &UnitAreas::default());
-    let report = dm_bench::measure(&cfg, GemmSpec::new(64, 64, 64).into(), 0).expect("GeMM-64");
-    metrics_log
-        .record("GeMM-64|cost-model", &report)
-        .unwrap_or_else(|e| panic!("writing metrics line: {e}"));
-    let events = EnergyEvents {
-        sram_reads: report.mem_reads,
-        sram_writes: report.mem_writes,
-        macs: report.active_cycles * 512,
-        rescales: 64 * 64,
-        fifo_words: report.mem_reads + report.mem_writes,
-        agu_steps: report
-            .streamer_stats
-            .iter()
-            .map(|s| s.temporal_addresses.get())
-            .sum(),
-        cycles: report.total_cycles(),
-    };
+    let report = crate::measure(&cfg, GemmSpec::new(64, 64, 64).into(), 0)
+        .map_err(|e| format!("GeMM-64: {e}"))?;
+    capture.record("GeMM-64|cost-model", &report)?;
+    let events = crate::gemm64_energy_events(&report);
     let power = power_breakdown(&events, &EnergyModel::default(), 1e9);
     println!(
         "{:<14} {:>7.2}% {:>7.2}%   (paper: 6.43% / 15.06%)",
@@ -120,7 +95,5 @@ fn main() {
         areas.share_pct(areas.datamaestro_total()),
         power.share_pct(power.datamaestros_mw)
     );
-    metrics_log
-        .finish()
-        .unwrap_or_else(|e| panic!("flushing metrics log: {e}"));
+    Ok(())
 }

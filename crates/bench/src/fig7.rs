@@ -1,4 +1,4 @@
-//! Regenerates Fig. 7: the ablation study over the 260-workload synthetic
+//! Fig. 7 (`dm fig7`): the ablation study over the 260-workload synthetic
 //! suite.
 //!
 //! * Fig. 7(a): GeMM-core utilization distribution (box-plot statistics and
@@ -7,41 +7,36 @@
 //! * Fig. 7(b): data access counts per configuration, normalized to the
 //!   baseline ①, per kernel group.
 //!
-//! Pass `--quick` to run on every 5th workload for a fast smoke pass,
-//! `--jobs <n>` to fan the independent runs out over `n` threads (output is
-//! byte-identical to `--jobs 1`), `--metrics-out <path>` to dump one JSONL
-//! metrics snapshot per run, and `--trace-out <path>` to capture a Perfetto
-//! trace of the first workload's fully-featured (step ⑥) run.
+//! `--quick` runs every 5th workload for a fast smoke pass, and the Perfetto
+//! trace (`--trace-out`) captures the first workload's fully-featured
+//! (step ⑥) run.
 
 use std::collections::BTreeMap;
 
 use dm_compiler::FeatureSet;
-use dm_sim::{Distribution, OperandPort, StallAttribution, StallCause, TraceMode};
-use dm_system::SystemConfig;
-use dm_workloads::{synthetic_suite, WorkloadGroup};
+use dm_sim::{Distribution, OperandPort, StallAttribution, StallCause};
+use dm_workloads::WorkloadGroup;
 
-fn main() {
-    let args = dm_bench::parse_args();
-    let quick = args.quick;
-    let mut metrics_log = dm_bench::MetricsLog::create(args.metrics_out.as_deref())
-        .unwrap_or_else(|e| panic!("opening metrics log: {e}"));
-    let mut trace_pending = args.trace_out.as_deref();
-    let suite: Vec<_> = synthetic_suite()
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| !quick || i % 5 == 0)
-        .map(|(_, w)| w)
-        .collect();
+use crate::cli::{fig7_slice, Capture, RunFlags};
+
+/// Simulates every workload through the six ablation steps and prints
+/// Fig. 7.
+///
+/// # Errors
+///
+/// Returns the first failed run, a failed `--lint` pre-flight or a capture
+/// I/O error.
+pub fn run(flags: &RunFlags, capture: &mut Capture) -> Result<(), String> {
+    let suite: Vec<_> = fig7_slice(flags.full).into_iter().map(|(_, w)| w).collect();
     println!(
         "Fig. 7 ablation over {} synthetic workloads{}",
         suite.len(),
-        if quick { " (--quick subset)" } else { "" }
+        if flags.full { "" } else { " (--quick subset)" }
     );
-    if args.lint {
+    if flags.lint {
         // Pre-flight every (workload, step) configuration the ablation will
         // simulate; a configuration the analyzer rejects would waste the
         // whole sweep.
-        let cfg = SystemConfig::default();
         let items: Vec<_> = suite
             .iter()
             .flat_map(|w| {
@@ -54,7 +49,7 @@ fn main() {
                 })
             })
             .collect();
-        dm_bench::lint_gate("fig7", &items, &cfg.mem, cfg.depths);
+        crate::lint_gate("fig7", &items)?;
     }
 
     let groups = [
@@ -68,42 +63,28 @@ fn main() {
     let mut attribution: BTreeMap<usize, StallAttribution> = BTreeMap::new();
 
     // One work item = one workload through all six ablation steps; the
-    // simulation runs fan out over `--jobs` threads while trace capture,
-    // metrics logging and the statistics accumulation below stay on this
-    // thread, committed in suite order.
-    let reports = dm_bench::run_ordered(&suite, args.jobs, |idx, workload| {
+    // simulation runs fan out over `--jobs` threads while capture and the
+    // statistics accumulation below stay on this thread, committed in
+    // suite order.
+    let reports = crate::run_ordered(&suite, flags.jobs, |idx, workload| {
         (1..=6)
             .map(|step| {
-                let mut cfg = args
-                    .system_config()
-                    .with_features(FeatureSet::ablation_step(step));
-                // Capture the requested Perfetto trace on the first
-                // workload's fully-featured run (tracing never changes the
-                // measurement, and pinning the choice to item 0 keeps it
-                // independent of thread scheduling).
-                if args.trace_out.is_some() && idx == 0 && step == 6 {
-                    cfg.trace = TraceMode::Full;
-                }
-                dm_bench::measure(&cfg, *workload, idx as u64)
-                    .unwrap_or_else(|e| panic!("step {step} on {workload}: {e}"))
+                let features = FeatureSet::ablation_step(step);
+                let cfg = capture.config(
+                    flags.config().with_features(features),
+                    idx == 0 && step == 6,
+                );
+                crate::measure(&cfg, *workload, idx as u64)
+                    .map_err(|e| format!("step {step} on {workload}: {e}"))
             })
-            .collect::<Vec<_>>()
-    });
+            .collect::<Result<Vec<_>, _>>()
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     for (idx, (workload, step_reports)) in suite.iter().zip(&reports).enumerate() {
-        let mut baseline_accesses = 0u64;
+        let baseline_accesses = step_reports[0].accesses();
         for (report, step) in step_reports.iter().zip(1..=6) {
-            if step == 1 {
-                baseline_accesses = report.accesses();
-            }
-            if let Some(path) = trace_pending.filter(|_| idx == 0 && step == 6) {
-                dm_bench::write_trace(path, &report.traces)
-                    .unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
-                eprintln!("  wrote Perfetto trace of '{workload}' (step 6) to {path}");
-                trace_pending = None;
-            }
-            metrics_log
-                .record(&format!("{workload}|step{step}"), report)
-                .unwrap_or_else(|e| panic!("writing metrics line: {e}"));
+            capture.record(&format!("{workload}|step{step}"), report)?;
             utils
                 .entry((workload.group(), step))
                 .or_default()
@@ -121,9 +102,6 @@ fn main() {
             eprintln!("  …{}/{} workloads", idx + 1, suite.len());
         }
     }
-    metrics_log
-        .finish()
-        .unwrap_or_else(|e| panic!("flushing metrics log: {e}"));
 
     println!("\nFig. 7(a): utilization distribution per group and configuration");
     println!("(1=baseline 2=+prefetch 3=+transposer 4=+broadcaster 5=+im2col 6=+mode-switching)");
@@ -212,4 +190,5 @@ fn main() {
         "headline: max access reduction = {:.2}% (paper: up to 21.15%)",
         100.0 * (1.0 - access_min)
     );
+    Ok(())
 }

@@ -1,15 +1,11 @@
-//! Regenerates Fig. 8: FPGA resource utilization of the evaluation system
+//! Fig. 8 (`dm fig8`): FPGA resource utilization of the evaluation system
 //! (structural LUT/FF estimate standing in for the VPK180 implementation;
 //! see DESIGN.md §3 for the substitution rationale).
-//!
-//! Accepts the shared bench flags for uniformity; this binary is analytic
-//! (no simulated runs), so `--metrics-out` writes an empty log and
-//! `--trace-out` is a no-op.
 
 use dm_cost::{fpga::fpga_report, EvaluationSystemSpec};
 
-fn main() {
-    dm_bench::note_analytic_only(&dm_bench::parse_args());
+/// Prints Fig. 8 to stdout.
+pub fn print() {
     let spec = EvaluationSystemSpec::paper();
     let report = fpga_report(&spec);
     let total = report.total();
@@ -18,7 +14,7 @@ fn main() {
     println!("(paper measured on AMD Versal VPK180 at 125 MHz)");
     println!();
     println!("{:<28} {:>10} {:>10}", "component", "LUTs", "Regs");
-    dm_bench::rule(50);
+    crate::rule(50);
     let rows = [
         ("GeMM accelerator (8x8x8)", report.gemm),
         ("Quantization accelerator", report.quant),
@@ -29,7 +25,7 @@ fn main() {
     for (name, r) in rows {
         println!("{:<28} {:>10} {:>10}", name, r.luts, r.regs);
     }
-    dm_bench::rule(50);
+    crate::rule(50);
     println!("{:<28} {:>10} {:>10}", "total", total.luts, total.regs);
     println!();
     println!(

@@ -1,25 +1,25 @@
-//! Regenerates Fig. 9: system cell-area breakdown (a), the area
+//! Fig. 9 (`dm fig9`): system cell-area breakdown (a), the area
 //! composition of DataMaestro A (b), and the power breakdown while
 //! executing GeMM-64 at 1 GHz (c).
 //!
 //! Areas come from the structural model in `dm-cost`; the power breakdown
 //! multiplies per-event energies by activity counts measured by the cycle
-//! simulator on the actual GeMM-64 run.
-//!
-//! Pass `--metrics-out <path>` to dump the GeMM-64 run's metrics snapshot
-//! and `--trace-out <path>` to capture its Perfetto trace (`--quick` is
-//! accepted for uniformity; the single simulated run is already fast).
+//! simulator on the actual GeMM-64 run, which `--metrics-out` and
+//! `--trace-out` capture.
 
 use dm_cost::area::system_area;
 use dm_cost::energy::power_breakdown;
-use dm_cost::{EnergyEvents, EnergyModel, EvaluationSystemSpec, UnitAreas};
-use dm_sim::TraceMode;
+use dm_cost::{EnergyModel, EvaluationSystemSpec, UnitAreas};
 use dm_workloads::GemmSpec;
 
-fn main() {
-    let args = dm_bench::parse_args();
-    let mut metrics_log = dm_bench::MetricsLog::create(args.metrics_out.as_deref())
-        .unwrap_or_else(|e| panic!("opening metrics log: {e}"));
+use crate::cli::{Capture, RunFlags};
+
+/// Prints Fig. 9, simulating GeMM-64 for the power breakdown.
+///
+/// # Errors
+///
+/// Returns a failed run or a capture I/O error.
+pub fn run(flags: &RunFlags, capture: &mut Capture) -> Result<(), String> {
     let spec = EvaluationSystemSpec::paper();
     let areas = system_area(&spec, &UnitAreas::default());
 
@@ -27,7 +27,7 @@ fn main() {
     println!("total: {:.3} mm^2   (paper: 0.61 mm^2)", areas.total_mm2());
     println!();
     println!("{:<26} {:>12} {:>8}", "component", "area (um^2)", "share");
-    dm_bench::rule(48);
+    crate::rule(48);
     let dm_total = areas.datamaestro_total();
     for (name, a) in [
         ("GeMM accelerator", areas.gemm),
@@ -69,43 +69,20 @@ fn main() {
     }
 
     // --- Fig. 9(c): power while executing GeMM-64 at 1 GHz --------------
-    let mut cfg = args.system_config();
-    if args.trace_out.is_some() {
-        cfg.trace = TraceMode::Full;
-    }
-    let report =
-        dm_bench::measure(&cfg, GemmSpec::new(64, 64, 64).into(), 9).expect("GeMM-64 runs");
-    if let Some(path) = args.trace_out.as_deref() {
-        dm_bench::write_trace(path, &report.traces)
-            .unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
-        eprintln!("  wrote Perfetto trace of GeMM-64 to {path}");
-    }
-    metrics_log
-        .record("GeMM-64", &report)
-        .unwrap_or_else(|e| panic!("writing metrics line: {e}"));
-    metrics_log
-        .finish()
-        .unwrap_or_else(|e| panic!("flushing metrics log: {e}"));
-    let tiles = 64u64;
-    let events = EnergyEvents {
-        sram_reads: report.mem_reads,
-        sram_writes: report.mem_writes,
-        macs: report.active_cycles * 512,
-        rescales: tiles * 64,
-        fifo_words: report.mem_reads + report.mem_writes,
-        agu_steps: report
-            .streamer_stats
-            .iter()
-            .map(|s| s.temporal_addresses.get())
-            .sum(),
-        cycles: report.total_cycles(),
-    };
+    let report = crate::measure(
+        &capture.config(flags.config(), true),
+        GemmSpec::new(64, 64, 64).into(),
+        9,
+    )
+    .map_err(|e| format!("GeMM-64: {e}"))?;
+    capture.record("GeMM-64", &report)?;
+    let events = crate::gemm64_energy_events(&report);
     let power = power_breakdown(&events, &EnergyModel::default(), 1e9);
     println!("\nFig. 9(c): power breakdown executing GeMM-64 at 1 GHz");
     println!(
         "total: {:.1} mW   (paper: 329.4 mW); utilization of the run: {}",
         power.total_mw(),
-        dm_bench::pct(report.utilization())
+        crate::pct(report.utilization())
     );
     for (name, p) in [
         ("GeMM accelerator", power.gemm_mw),
@@ -125,4 +102,5 @@ fn main() {
         "system efficiency: {:.2} TOPS/W (paper: 2.57 TOPS/W)",
         power.tops_per_watt(events.macs, events.cycles, 1e9)
     );
+    Ok(())
 }

@@ -1,20 +1,20 @@
-//! Shared plumbing for the table/figure regeneration binaries.
+//! The DataMaestro evaluation harness behind the one `dm` binary.
 //!
-//! Each binary under `src/bin/` reproduces one table or figure of the
-//! paper's evaluation section:
+//! One subcommand per table or figure of the paper's evaluation section,
+//! each printing it to stdout from its own module:
 //!
-//! | binary  | reproduces |
-//! |---------|------------|
-//! | `table1` | Table I — feature matrix vs SotA |
-//! | `table2` | Table II — design-time / runtime parameters |
-//! | `fig7`   | Fig. 7 — ablation utilization box plots + access counts |
-//! | `fig8`   | Fig. 8 — FPGA resource utilization |
-//! | `fig9`   | Fig. 9 — area and power breakdowns |
-//! | `table3` | Table III — real-network GeMM-core utilization |
-//! | `fig10`  | Fig. 10 — normalized throughput + data-movement cost vs SotA |
+//! | subcommand  | reproduces |
+//! |-------------|------------|
+//! | `dm table1` | Table I — feature matrix vs SotA ([`table1`]) |
+//! | `dm table2` | Table II — design-time / runtime parameters ([`table2`]) |
+//! | `dm fig7`   | Fig. 7 — ablation utilization box plots + access counts ([`fig7`]) |
+//! | `dm fig8`   | Fig. 8 — FPGA resource utilization ([`fig8`]) |
+//! | `dm fig9`   | Fig. 9 — area and power breakdowns ([`fig9`]) |
+//! | `dm table3` | Table III — real-network GeMM-core utilization ([`table3`]) |
+//! | `dm fig10`  | Fig. 10 — normalized throughput + data-movement cost vs SotA ([`fig10`]) |
+//! | `dm sweeps` | design-choice sweeps of DESIGN.md §5 ([`sweeps`]) |
 //!
-//! Run them with `cargo run -p dm-bench --release --bin <name>`. The one
-//! harness binary `dm` rides along, with one subcommand per tool:
+//! and one per analysis tool:
 //!
 //! | subcommand    | tool |
 //! |---------------|------|
@@ -24,21 +24,28 @@
 //! | `dm lint`     | static configuration linter ([`lint`]) |
 //! | `dm regress`  | benchmark regression gate ([`regress`]) |
 //!
-//! Their shared options, document header and diff driver live in [`cli`].
+//! Run it with `cargo run -p dm-bench --release --bin dm -- <subcommand>`.
+//! The shared options, the metrics/trace capture, the document header and
+//! the diff driver live in [`cli`].
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-
-use dm_sim::{perfetto, JsonValue, Trace};
+use dm_cost::EnergyEvents;
 use dm_system::{run_workload, RunReport, SystemConfig, SystemError};
 use dm_workloads::{Workload, WorkloadData};
 
 pub mod cli;
 pub mod critical;
+pub mod fig10;
+pub mod fig7;
+pub mod fig8;
+pub mod fig9;
 pub mod lint;
 pub mod predict;
 pub mod profile;
 pub mod regress;
+pub mod sweeps;
+pub mod table1;
+pub mod table2;
+pub mod table3;
 
 /// Representative DNN kernels used by the Fig. 10 throughput comparison.
 ///
@@ -92,124 +99,26 @@ pub fn measure(
     run_workload(&cfg, &data)
 }
 
-/// Command-line options shared by the figure/table binaries.
-#[derive(Debug)]
-pub struct BenchArgs {
-    /// Run a reduced workload subset for a fast smoke pass.
-    pub quick: bool,
-    /// Worker threads for independent simulated runs (1 = sequential).
-    pub jobs: usize,
-    /// Append one JSONL metrics snapshot per simulated run to this path.
-    pub metrics_out: Option<String>,
-    /// Write a Chrome/Perfetto `trace_event` JSON dump of one traced run.
-    pub trace_out: Option<String>,
-    /// Stamp token-level causal flow events (AGU issue → bank grant →
-    /// response delivery) into the `--trace-out` export. Off by default:
-    /// flows add one event triple per unique memory request, which large
-    /// workloads notice in file size.
-    pub flow_events: bool,
-    /// Statically lint every configuration before simulating (abort on
-    /// error-severity findings).
-    pub lint: bool,
-    /// Disable idle-cycle elision and run every simulation in lockstep
-    /// (results are bit-identical either way; this is the escape hatch and
-    /// the baseline side of the perf-smoke comparison).
-    pub no_fast_forward: bool,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs {
-            quick: false,
-            jobs: 1,
-            metrics_out: None,
-            trace_out: None,
-            flow_events: false,
-            lint: false,
-            no_fast_forward: false,
-        }
-    }
-}
-
-impl BenchArgs {
-    /// The default system with the CLI's fast-forward choice applied —
-    /// simulating binaries start from this instead of
-    /// `SystemConfig::default()` so `--no-fast-forward` reaches every run.
-    #[must_use]
-    pub fn system_config(&self) -> SystemConfig {
-        SystemConfig {
-            fast_forward: !self.no_fast_forward,
-            flow_events: self.flow_events,
-            ..SystemConfig::default()
-        }
-    }
-}
-
-/// Parses the standard bench flags: `--quick`, `--jobs <n>`,
-/// `--metrics-out <path>`, `--trace-out <path>`, `--flow-events`,
-/// `--lint` and `--no-fast-forward`. Exits with status 2 on anything
-/// else.
-#[must_use]
-pub fn parse_args() -> BenchArgs {
-    let mut parsed = BenchArgs::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => parsed.quick = true,
-            "--lint" => parsed.lint = true,
-            "--no-fast-forward" => parsed.no_fast_forward = true,
-            "--flow-events" => parsed.flow_events = true,
-            "--jobs" => {
-                parsed.jobs = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage_error("--jobs requires a positive integer"));
-            }
-            "--metrics-out" => {
-                parsed.metrics_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--metrics-out requires a path argument")),
-                );
-            }
-            "--trace-out" => {
-                parsed.trace_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--trace-out requires a path argument")),
-                );
-            }
-            other => usage_error(&format!("unknown option: {other}")),
-        }
-    }
-    parsed
-}
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!(
-        "supported options: --quick, --jobs <n>, --metrics-out <path>, \
-         --trace-out <path>, --flow-events, --lint, --no-fast-forward"
-    );
-    std::process::exit(2);
-}
-
 /// Static pre-flight for `--lint`: compiles every `(features, workload)`
-/// pair onto the geometry and runs the `dm-analyze` checks before any
-/// simulation. Error-severity findings abort the binary (exit 1); warnings
-/// and notes are summarized on stderr.
+/// pair onto the evaluation geometry and runs the `dm-analyze` checks
+/// before any simulation. Warnings and notes are summarized on stderr.
+///
+/// # Errors
+///
+/// Returns a one-line message when any configuration has an
+/// error-severity finding (each is listed on stderr first).
 pub fn lint_gate(
     label: &str,
     items: &[(String, dm_compiler::FeatureSet, Workload)],
-    mem: &dm_mem::MemConfig,
-    depths: dm_compiler::BufferDepths,
-) {
+) -> Result<(), String> {
     use dm_analyze::Severity;
+    let SystemConfig { mem, depths, .. } = SystemConfig::default();
     let (mut errors, mut warnings, mut free) = (0usize, 0usize, 0usize);
     for (name, features, workload) in items {
         let data = WorkloadData::generate(*workload, 0);
-        match dm_compiler::compile(&data, features, mem, true, depths) {
+        match dm_compiler::compile(&data, features, &mem, true, depths) {
             Ok(program) => {
-                let analysis = dm_analyze::analyze_program(&program, mem);
+                let analysis = dm_analyze::analyze_program(&program, &mem);
                 free += usize::from(analysis.conflict_free);
                 for diag in &analysis.report.diagnostics {
                     match diag.severity {
@@ -234,9 +143,9 @@ pub fn lint_gate(
         items.len()
     );
     if errors > 0 {
-        eprintln!("lint({label}): aborting before simulation");
-        std::process::exit(1);
+        return Err(format!("lint({label}): aborting before simulation"));
     }
+    Ok(())
 }
 
 /// Maps `work` over `items` on up to `jobs` worker threads, returning the
@@ -290,84 +199,23 @@ where
     tagged.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Honours the shared CLI contract in analytic-only binaries (no simulated
-/// runs): `--metrics-out` still produces a (necessarily empty) JSONL file
-/// so downstream tooling sees a uniform interface, and `--trace-out` warns
-/// that there is nothing to trace.
-pub fn note_analytic_only(args: &BenchArgs) {
-    if let Some(path) = args.metrics_out.as_deref() {
-        MetricsLog::create(Some(path))
-            .and_then(MetricsLog::finish)
-            .unwrap_or_else(|e| panic!("opening metrics log: {e}"));
-        eprintln!("note: no simulated runs in this binary; wrote empty metrics log to {path}");
+/// The activity counts of a GeMM-64 run that the `dm-cost` power model
+/// multiplies by its per-event energies (Fig. 9(c), Fig. 10 right).
+#[must_use]
+pub fn gemm64_energy_events(report: &RunReport) -> EnergyEvents {
+    EnergyEvents {
+        sram_reads: report.mem_reads,
+        sram_writes: report.mem_writes,
+        macs: report.active_cycles * 512,
+        rescales: 64 * 64,
+        fifo_words: report.mem_reads + report.mem_writes,
+        agu_steps: report
+            .streamer_stats
+            .iter()
+            .map(|s| s.temporal_addresses.get())
+            .sum(),
+        cycles: report.total_cycles(),
     }
-    if args.trace_out.is_some() {
-        eprintln!("note: --trace-out ignored: no simulated runs in this binary");
-    }
-}
-
-/// Streaming JSONL sink for per-run metric snapshots.
-///
-/// Each [`record`](Self::record) call appends one line of the form
-/// `{"label": "...", "metrics": {"system.compute_cycles": ..., ...}}` with
-/// the registry flattened to dotted component paths. When constructed
-/// without a path every call is a no-op, so binaries can log
-/// unconditionally.
-pub struct MetricsLog {
-    out: Option<BufWriter<File>>,
-}
-
-impl MetricsLog {
-    /// Opens the sink, truncating any existing file; `None` disables it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file cannot be created.
-    pub fn create(path: Option<&str>) -> io::Result<Self> {
-        let out = match path {
-            Some(p) => Some(BufWriter::new(File::create(p)?)),
-            None => None,
-        };
-        Ok(Self { out })
-    }
-
-    /// Appends the report's metric snapshot as one JSONL line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error from the underlying writer.
-    pub fn record(&mut self, label: &str, report: &RunReport) -> io::Result<()> {
-        let Some(out) = &mut self.out else {
-            return Ok(());
-        };
-        let line = JsonValue::object([
-            ("label".to_owned(), JsonValue::from(label)),
-            ("metrics".to_owned(), report.metrics.to_json()),
-        ]);
-        writeln!(out, "{}", line.to_json())
-    }
-
-    /// Flushes and closes the sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error from the final flush.
-    pub fn finish(mut self) -> io::Result<()> {
-        if let Some(out) = &mut self.out {
-            out.flush()?;
-        }
-        Ok(())
-    }
-}
-
-/// Writes captured component traces as a Chrome/Perfetto `trace_event`
-/// JSON file (load it at `ui.perfetto.dev` or `chrome://tracing`).
-///
-/// # Errors
-///
-/// Propagates the I/O error if the file cannot be written.
-pub fn write_trace(path: &str, traces: &[(String, Trace)]) -> io::Result<()> {
-    std::fs::write(path, perfetto::chrome_trace_json(traces))
 }
 
 /// Formats a ratio as a percentage with two decimals.

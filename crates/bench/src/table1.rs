@@ -1,14 +1,10 @@
-//! Regenerates Table I: feature comparison of SotA data-movement solutions
+//! Table I (`dm table1`): feature comparison of SotA data-movement solutions
 //! with DataMaestro.
-//!
-//! Accepts the shared bench flags for uniformity; this binary is analytic
-//! (no simulated runs), so `--metrics-out` writes an empty log and
-//! `--trace-out` is a no-op.
 
 use dm_baselines::feature_matrix;
 
-fn main() {
-    dm_bench::note_analytic_only(&dm_bench::parse_args());
+/// Prints Table I to stdout.
+pub fn print() {
     let rows = feature_matrix();
     println!("Table I: comparison of SotA data movement solutions with DataMaestro");
     println!(
@@ -22,7 +18,7 @@ fn main() {
         "ModeSw",
         "OnTheFly"
     );
-    dm_bench::rule(98);
+    crate::rule(98);
     for row in rows {
         println!(
             "{:<18} {:<12} {:<10} {:<11} {:<12} {:<10} {:<10} {:<10}",

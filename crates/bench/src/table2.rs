@@ -1,15 +1,11 @@
-//! Regenerates Table II: design-time parameters and runtime configurations
+//! Table II (`dm table2`): design-time parameters and runtime configurations
 //! of DataMaestro, instantiated for the evaluation system's five streamers
 //! (Fig. 6 right).
-//!
-//! Accepts the shared bench flags for uniformity; this binary is analytic
-//! (no simulated runs), so `--metrics-out` writes an empty log and
-//! `--trace-out` is a no-op.
 
 use dm_compiler::{design_a, design_b, design_c, design_d, design_e, BufferDepths, FeatureSet};
 
-fn main() {
-    dm_bench::note_analytic_only(&dm_bench::parse_args());
+/// Prints Table II to stdout.
+pub fn print() {
     println!("Table II: design-time parameters and runtime configurations");
     println!();
     println!("Design-time parameters (per DataMaestro instance):");
@@ -43,7 +39,7 @@ fn main() {
         "{:<6} {:<7} {:<14} {:<5} {:<5} {:<7} {:<7} DP_ext",
         "Name", "Mode", "B_s", "D_t", "N_C", "D_ABf", "D_DBf"
     );
-    dm_bench::rule(76);
+    crate::rule(76);
     for d in &designs {
         let exts: Vec<String> = d.extensions().iter().map(ToString::to_string).collect();
         println!(

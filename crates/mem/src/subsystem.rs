@@ -258,10 +258,6 @@ pub struct MemorySubsystem {
     submitted: Vec<bool>,
     /// Read responses in flight, stamped for latency attribution.
     in_flight: VecDeque<InFlightRead>,
-    /// How many of the oldest in-flight reads were granted before the last
-    /// [`reset_stats`](Self::reset_stats): their queueing delay was
-    /// recorded, then cleared, so their delivery records service only.
-    reset_in_flight: usize,
     /// Grant flags from the last arbitration, indexed by requester.
     grants: Vec<bool>,
     /// Per-bank arbitration slots of the current cycle, valid for the
@@ -311,7 +307,6 @@ impl MemorySubsystem {
             submissions: Vec::new(),
             submitted: Vec::new(),
             in_flight: VecDeque::new(),
-            reset_in_flight: 0,
             grants: Vec::new(),
             bank_slots: vec![BankSlot::default(); banks],
             touched_banks: vec![0; banks.div_ceil(64)],
@@ -443,8 +438,7 @@ impl MemorySubsystem {
     }
 
     /// Builds the histograms of `folds`, adding the queueing delay of every
-    /// read granted since the last reset and still in flight to the table
-    /// `key` picks.
+    /// read still in flight to the table `key` picks.
     fn build_telemetry(
         &self,
         folds: &[LifetimeFold],
@@ -454,7 +448,7 @@ impl MemorySubsystem {
             .iter()
             .map(|fold| fold.telemetry(self.read_latency))
             .collect();
-        for read in self.in_flight.iter().skip(self.reset_in_flight) {
+        for read in &self.in_flight {
             tables[key(read)].queueing.record(self.queueing(read));
         }
         tables
@@ -463,15 +457,6 @@ impl MemorySubsystem {
     /// Issue → grant delay of an in-flight read.
     fn queueing(&self, read: &InFlightRead) -> u64 {
         (read.due.get() - self.read_latency).saturating_sub(read.issued.get())
-    }
-
-    /// Resets statistics (not memory contents or cycle count).
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-        self.per_bank_accesses.fill(0);
-        self.per_bank_lifetimes.fill(LifetimeFold::default());
-        self.per_requester_lifetimes.fill(LifetimeFold::default());
-        self.reset_in_flight = self.in_flight.len();
     }
 
     /// Step 1 of a cycle: deliver read responses whose latency has elapsed,
@@ -486,7 +471,7 @@ impl MemorySubsystem {
             // Delivery stamp: the response leaves the subsystem now.
             let queueing = self.queueing(&read);
             let q = queueing as usize;
-            if read.due == self.cycle && self.reset_in_flight == 0 && q < FOLDED {
+            if read.due == self.cycle && q < FOLDED {
                 self.per_bank_lifetimes[read.bank].on_time_reads[q] += 1;
                 self.per_requester_lifetimes[read.requester.0].on_time_reads[q] += 1;
             } else {
@@ -506,24 +491,16 @@ impl MemorySubsystem {
         }
     }
 
-    /// Records a delivered read's lifetime sample by sample: it came late,
-    /// queued for at least [`FOLDED`] cycles, or was granted before the
-    /// last reset (then only its service is recorded now).
+    /// Records a delivered read's lifetime sample by sample: it came late
+    /// or queued for at least [`FOLDED`] cycles.
     #[cold]
     fn record_slow_delivery(&mut self, read: &InFlightRead, queueing: u64) {
         let service = self.cycle.get() - (read.due.get() - self.read_latency);
-        let granted_before_reset = self.reset_in_flight > 0;
-        self.reset_in_flight = self.reset_in_flight.saturating_sub(1);
         for tel in [
             &mut self.per_bank_lifetimes[read.bank].slow,
             &mut self.per_requester_lifetimes[read.requester.0].slow,
         ] {
-            if granted_before_reset {
-                tel.service.record(service);
-                tel.end_to_end.record(queueing + service);
-            } else {
-                tel.record(queueing, service);
-            }
+            tel.record(queueing, service);
         }
     }
 
@@ -1028,9 +1005,6 @@ mod tests {
             mem.take_responses();
         }
         assert_eq!(mem.per_bank_accesses(), &[0, 3, 0, 0]);
-        mem.reset_stats();
-        assert_eq!(mem.stats().total_accesses(), 0);
-        assert_eq!(mem.per_bank_accesses(), &[0, 0, 0, 0]);
     }
 
     #[test]
@@ -1353,22 +1327,6 @@ mod tests {
         assert!(reg.get("bank0.latency.end_to_end.count").is_none());
     }
 
-    #[test]
-    fn reset_stats_clears_latency_telemetry() {
-        let mut mem = subsystem();
-        let r = mem.register_requester("t");
-        mem.submit(read(r, 0, 0, 0)).unwrap();
-        mem.arbitrate();
-        mem.take_responses();
-        assert!(!mem.latency_totals().is_empty());
-        mem.reset_stats();
-        assert!(mem.latency_totals().is_empty());
-        assert!(mem
-            .latency_by_requester()
-            .iter()
-            .all(LatencyTelemetry::is_empty));
-    }
-
     /// A write is a header like a read: it needs no payload, retires at
     /// its grant and delivers no response.
     #[test]
@@ -1591,29 +1549,6 @@ mod tests {
                 "snapshots must see reads in flight"
             );
         }
-    }
-
-    /// `reset_stats` with reads in flight: their queueing delay was
-    /// recorded and cleared, so only their service and end-to-end latency
-    /// appear after the reset, as with per-sample recording.
-    #[test]
-    fn reset_with_reads_in_flight_keeps_their_delivery_samples() {
-        let mut mem = subsystem();
-        mem.set_read_latency(4);
-        let r = mem.register_requester("t");
-        mem.submit(read(r, 0, 0, 0)).unwrap();
-        mem.arbitrate();
-        mem.reset_stats();
-        assert!(mem.latency_totals().queueing.is_empty());
-        for _ in 0..3 {
-            mem.arbitrate();
-        }
-        assert_eq!(mem.take_responses().len(), 1);
-        let total = mem.latency_totals();
-        assert!(total.queueing.is_empty());
-        assert_eq!(total.service.count(), 1);
-        assert_eq!(total.service.max(), 4);
-        assert_eq!(total.end_to_end.max(), 4);
     }
 
     /// Drives one subsystem with a conflict-heavy workload and returns the

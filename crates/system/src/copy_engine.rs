@@ -93,8 +93,9 @@ impl CopyEngine {
         let write_remap = AddressRemapper::new(&mem_cfg, plan.write_mode)?;
         let word = mem_cfg.bank_width_bytes();
 
-        // Which reads have delivered their response.
+        // Which reads have delivered their response, and how many.
         let mut landed = vec![false; plan.reads.len()];
+        let mut reads_landed = 0usize;
         // Per-channel pending request: Some(read index) awaiting grant.
         let mut read_pending: Vec<Option<usize>> = vec![None; self.read_ports.len()];
         // Per-channel pending write: Some(address) awaiting grant.
@@ -105,9 +106,17 @@ impl CopyEngine {
         let mut cycles = 0u64;
         let budget = (plan.reads.len() + plan.writes.len()) as u64 * 20 + 1_000;
 
-        while writes_done < plan.writes.len() || next_read < plan.reads.len() {
-            // Land responses.
-            mem.drain_responses(|resp| landed[resp.tag as usize] = true);
+        loop {
+            // Land responses. The pass ends once every write retired and
+            // every read landed: a read no write depends on must not leave
+            // a response in flight for the compute loop to receive.
+            mem.drain_responses(|resp| {
+                landed[resp.tag as usize] = true;
+                reads_landed += 1;
+            });
+            if writes_done == plan.writes.len() && reads_landed == plan.reads.len() {
+                break;
+            }
             let mut submitted_any = false;
             // Issue reads in order.
             for (ch, port) in self.read_ports.iter().enumerate() {
@@ -190,9 +199,6 @@ impl CopyEngine {
                 });
             }
         }
-        // Drain the last in-flight read responses (cheap, no extra cycles:
-        // they overlap with whatever runs next).
-        mem.drain_responses(|_| {});
         Ok(CopyStats {
             cycles,
             words_read: plan.reads.len() as u64,

@@ -65,6 +65,39 @@ mod tests {
         assert_eq!(report.prepass_cycles, 0);
     }
 
+    /// A pre-pass read that no write depends on must land inside the
+    /// pass: a response still in flight when compute starts would reach
+    /// the compute loop, which routes responses to the operand readers
+    /// only.
+    #[test]
+    fn prepass_reads_no_write_needs_land_before_compute() {
+        use dm_compiler::{CopyPlan, WriteSource};
+        use dm_mem::AddressingMode;
+        let cfg = SystemConfig {
+            read_latency: 16,
+            check_output: false,
+            ..small_system()
+        };
+        let data = WorkloadData::generate(GemmSpec::new(16, 16, 16).into(), 1);
+        let mut program =
+            dm_compiler::compile(&data, &cfg.features, &cfg.mem, cfg.quantized, cfg.depths)
+                .unwrap();
+        // Eight reads 256 B apart all hit one bank, so the last one is
+        // granted late and is still in flight when the one write (fed by
+        // read 0) retires.
+        let base = 12 << 20;
+        program.prepasses.push(CopyPlan {
+            name: "stray-reads".into(),
+            read_mode: AddressingMode::FullyInterleaved,
+            write_mode: AddressingMode::FullyInterleaved,
+            reads: (0..8).map(|i| base + 256 * i).collect(),
+            writes: vec![(base + 8, WriteSource::Word(0))],
+        });
+        let report = run_compiled(&cfg, &data, &program).unwrap();
+        // The eighth grant comes at cycle 7 and lands 16 cycles later.
+        assert!(report.prepass_cycles >= 7 + 16, "{}", report.prepass_cycles);
+    }
+
     #[test]
     fn transposed_gemm_runs_and_verifies() {
         let data = WorkloadData::generate(GemmSpec::transposed(16, 24, 16).into(), 2);

@@ -1,6 +1,6 @@
 //! Feature ablation on a handful of representative workloads: reproduces
 //! the mechanism of Fig. 7 at a glance (the full 260-workload sweep lives
-//! in `cargo run -p dm-bench --bin fig7 --release`).
+//! in `cargo run -p dm-bench --release --bin dm -- fig7`).
 //!
 //! ```text
 //! cargo run --release --example ablation
