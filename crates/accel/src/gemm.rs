@@ -189,18 +189,6 @@ impl GemmDatapath {
     pub fn macs(&self) -> u64 {
         self.macs
     }
-
-    /// Reconfigures the temporal K length and resets accumulation state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k_steps` is zero.
-    pub fn reconfigure(&mut self, k_steps: u64) {
-        assert!(k_steps > 0, "k_steps must be non-zero");
-        self.k_steps = k_steps;
-        self.k_counter = 0;
-        self.acc.fill(0);
-    }
 }
 
 /// `acc += A×B` for one tile: `acc[m][n] += Σ_k a[m][k]·b[k][n]`, reading
@@ -338,22 +326,6 @@ mod tests {
     fn missing_c_panics() {
         let mut dp = GemmDatapath::new(tiny(), 1);
         let _ = dp.step(&[0; 4], &[0; 4], None);
-    }
-
-    #[test]
-    fn reconfigure_resets_state() {
-        let mut dp = GemmDatapath::new(tiny(), 4);
-        let _ = dp.step(&[1; 4], &[1; 4], Some(&encode_i32(&[0; 4])));
-        dp.reconfigure(1);
-        assert!(dp.needs_c());
-        let d = dp
-            .step(
-                &encode_i8(&[0; 4]),
-                &encode_i8(&[0; 4]),
-                Some(&encode_i32(&[5; 4])),
-            )
-            .unwrap();
-        assert_eq!(decode_i32(d), vec![5; 4]);
     }
 
     /// Splits a row-major `m × k_total` A and `k_total × n` B into the

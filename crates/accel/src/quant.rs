@@ -109,16 +109,6 @@ impl Quantizer {
         &self.params
     }
 
-    /// Updates the per-column parameters (host CSR write between layers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the column count.
-    pub fn set_params(&mut self, params: Vec<RescaleParams>) {
-        assert_eq!(params.len(), self.cols, "one rescale parameter per column");
-        self.params = params;
-    }
-
     /// Rescales one D tile (row-major int32 bytes) into an E tile
     /// (row-major int8 bytes).
     ///
@@ -219,19 +209,6 @@ mod tests {
         let _ = q.process(&encode_i32(&[1]));
         let _ = q.process(&encode_i32(&[2]));
         assert_eq!(q.tiles_processed(), 2);
-    }
-
-    #[test]
-    fn set_params_replaces() {
-        let mut q = Quantizer::uniform(1, 2, RescaleParams::IDENTITY);
-        q.set_params(vec![
-            RescaleParams {
-                multiplier: 3,
-                shift: 0,
-            };
-            2
-        ]);
-        assert_eq!(q.rescale_tile(&encode_i32(&[2, 2])), vec![6, 6]);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use dm_mem::{AddressingMode, MemConfig};
 
+use crate::conflict::{candidate_pairs, NestWalker};
 use crate::pattern::{bank_of_word, BankSet, StreamSummary};
 
 /// Walk budget for the predicted-cycles score. Smaller than the conflict
@@ -61,15 +62,7 @@ pub fn legal_modes(num_banks: usize) -> Vec<AddressingMode> {
 pub fn score_mode(s: &StreamSummary, mode: AddressingMode, mem: &MemConfig) -> ModeScore {
     let g = mode.group_banks(mem.num_banks()) as i64;
     let span = g * mem.rows_per_bank() as i64;
-    let mut candidate_pairs = 0;
-    for i in 0..s.offsets_words.len() {
-        for j in i + 1..s.offsets_words.len() {
-            let d = s.offsets_words[j] - s.offsets_words[i];
-            if d.rem_euclid(g) == 0 && d.abs() < span {
-                candidate_pairs += 1;
-            }
-        }
-    }
+    let candidate_pairs = candidate_pairs(&s.offsets_words, g, span).len();
     let (predicted_cycles, walked_steps) = predicted_cycles(s, g as u64, mem);
     let (lo, hi) = s.word_hull;
     let banks = crate::pattern::hull_bank_set(lo, hi, g as u64, mem);
@@ -87,24 +80,15 @@ pub fn score_mode(s: &StreamSummary, mode: AddressingMode, mem: &MemConfig) -> M
 fn predicted_cycles(s: &StreamSummary, g: u64, mem: &MemConfig) -> (u64, u64) {
     let group_words = g * mem.rows_per_bank() as u64;
     let mut per_bank = vec![0u64; mem.num_banks()];
-    let mut indices = vec![0u64; s.temporal_bounds.len()];
-    let mut offsets = vec![0i64; s.temporal_bounds.len()];
+    let mut walker = NestWalker::new(&s.temporal_bounds, &s.temporal_strides_words);
     let walked = s.steps.min(SCORE_WALK_CAP);
     for _ in 0..walked {
-        let q = s.base_word as i64 + offsets.iter().sum::<i64>();
+        let q = s.base_word as i64 + walker.offset();
         for &o in &s.offsets_words {
             let bank = bank_of_word((q + o) as u64, g, group_words) as usize;
             per_bank[bank % mem.num_banks()] += 1;
         }
-        for d in 0..indices.len() {
-            indices[d] += 1;
-            if indices[d] < s.temporal_bounds[d] {
-                offsets[d] += s.temporal_strides_words[d];
-                break;
-            }
-            indices[d] = 0;
-            offsets[d] = 0;
-        }
+        walker.step();
     }
     (per_bank.into_iter().max().unwrap_or(0), walked)
 }

@@ -68,15 +68,14 @@ impl BurstVerdict {
     }
 }
 
-/// Analyzes one stream's bursts for intra-stream bank collisions.
-#[must_use]
-pub fn intra_burst(s: &StreamSummary) -> BurstVerdict {
-    let g = s.group as i64;
-    let span = s.group_words as i64;
+/// The channel pairs of a burst with word offsets `offsets` that meet both
+/// necessary collision conditions under GIMA(`g`) with a group span of
+/// `span` words, in `(i, j)` order.
+pub(crate) fn candidate_pairs(offsets: &[i64], g: i64, span: i64) -> Vec<CandidatePair> {
     let mut pairs = Vec::new();
-    for i in 0..s.offsets_words.len() {
-        for j in i + 1..s.offsets_words.len() {
-            let d = s.offsets_words[j] - s.offsets_words[i];
+    for i in 0..offsets.len() {
+        for j in i + 1..offsets.len() {
+            let d = offsets[j] - offsets[i];
             if d.rem_euclid(g) == 0 && d.abs() < span {
                 pairs.push(CandidatePair {
                     channels: (i, j),
@@ -85,6 +84,13 @@ pub fn intra_burst(s: &StreamSummary) -> BurstVerdict {
             }
         }
     }
+    pairs
+}
+
+/// Analyzes one stream's bursts for intra-stream bank collisions.
+#[must_use]
+pub fn intra_burst(s: &StreamSummary) -> BurstVerdict {
+    let pairs = candidate_pairs(&s.offsets_words, s.group as i64, s.group_words as i64);
     if pairs.is_empty() {
         return BurstVerdict::ConflictFree;
     }
@@ -189,8 +195,8 @@ impl<T: Copy + Default + From<i64> + AddAssign + Sum> DualCounter<T> {
     }
 }
 
-/// The burst verdicts walk in words.
-type NestWalker = DualCounter<i64>;
+/// The burst verdicts and mode scores walk in words.
+pub(crate) type NestWalker = DualCounter<i64>;
 
 #[cfg(test)]
 mod tests {

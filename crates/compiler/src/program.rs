@@ -58,16 +58,6 @@ impl CopyPlan {
     pub fn words_moved(&self) -> u64 {
         (self.reads.len() + self.writes.len()) as u64
     }
-
-    /// The highest read index any write depends on, or `None` if there are
-    /// no writes. Used by the copy engine's dependency scoreboard.
-    #[must_use]
-    pub fn max_dependency(&self, write_idx: usize, word_bytes: usize) -> Option<usize> {
-        match &self.writes.get(write_idx)?.1 {
-            WriteSource::Word(i) => Some(*i),
-            WriteSource::Gather(offsets) => offsets.iter().map(|&o| o / word_bytes).max(),
-        }
-    }
 }
 
 /// One stream port's lowered configuration.
@@ -171,8 +161,5 @@ mod tests {
             ],
         };
         assert_eq!(plan.words_moved(), 5);
-        assert_eq!(plan.max_dependency(0, 8), Some(2));
-        assert_eq!(plan.max_dependency(1, 8), Some(1));
-        assert_eq!(plan.max_dependency(5, 8), None);
     }
 }

@@ -284,8 +284,9 @@ impl ReadChannel {
 
     /// `true` when [`issue`](Self::issue) may start a request: no request
     /// pending, an address queued and an ORM landing slot reservable.
-    /// Read-only mirror of that gate, used by the fast-forward horizon to
-    /// prove a channel inert.
+    /// Read-only mirror of that gate, used by
+    /// [`ReadStreamer::acts_this_cycle`](crate::ReadStreamer::acts_this_cycle)
+    /// to prove a channel inert.
     #[must_use]
     pub fn can_start_request(&self) -> bool {
         !self.has_pending() && !self.addr_queue.is_empty() && self.has_free_slot()

@@ -370,12 +370,6 @@ impl RuntimeConfig {
         }
         Ok(())
     }
-
-    /// Returns whether extension `idx` is bypassed under this configuration.
-    #[must_use]
-    pub fn is_bypassed(&self, idx: usize) -> bool {
-        self.extension_bypass.get(idx).copied().unwrap_or(false)
-    }
 }
 
 /// Builder for [`RuntimeConfig`].
@@ -540,10 +534,9 @@ mod tests {
     #[test]
     fn bypass_defaults_to_false() {
         let rt = RuntimeConfig::builder().build();
-        assert!(!rt.is_bypassed(0));
+        assert!(rt.extension_bypass.is_empty());
         let rt = RuntimeConfig::builder().extension_bypass([true]).build();
-        assert!(rt.is_bypassed(0));
-        assert!(!rt.is_bypassed(1));
+        assert_eq!(rt.extension_bypass, [true]);
     }
 
     #[test]

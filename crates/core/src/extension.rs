@@ -226,12 +226,6 @@ impl ExtensionChain {
         self.output_width
     }
 
-    /// Number of stages (including bypassed ones).
-    #[must_use]
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Runs one wide word through the cascade.
     ///
     /// Allocates a fresh output; the hot path is
@@ -369,7 +363,6 @@ mod tests {
         .unwrap();
         assert_eq!(chain.input_width(), 4);
         assert_eq!(chain.output_width(), 8);
-        assert_eq!(chain.num_stages(), 2);
         // [[1,2],[3,4]] → transpose [1,3,2,4] → duplicate.
         assert_eq!(chain.process(&[1, 2, 3, 4]), vec![1, 3, 2, 4, 1, 3, 2, 4]);
     }

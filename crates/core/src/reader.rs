@@ -24,7 +24,7 @@
 //! memory round-trip and consumption (the ablation baseline ①).
 
 use dm_mem::{MemResponse, MemorySubsystem};
-use dm_sim::{BlameLeaf, Cycle, NextActivity, StableHasher, TraceEventKind};
+use dm_sim::{BlameLeaf, Cycle, StableHasher, TraceEventKind};
 
 use crate::channel::{Landing, ReadChannel};
 use crate::config::StreamerMode;
@@ -202,38 +202,30 @@ impl ReadStreamer {
         }
         self.stats.wide_words.inc();
     }
-}
 
-impl NextActivity for ReadStreamer {
-    /// A read streamer can act *this* cycle or not at all: every internal
-    /// transition is triggered either by its own queued work (AGU emission,
-    /// request start, pending resubmission, coarse-gate movement) or by an
-    /// external event — a memory response or an accelerator pop — that the
-    /// system accounts for separately. So the horizon is `Some(now)` if any
-    /// phase of the streamer's cycle would do more than sample occupancy,
-    /// and `None` otherwise.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    /// `true` if any phase of this cycle would do more than sample
+    /// occupancy: the AGU emits, a request starts or resubmits, or the
+    /// coarse gate moves. Every other transition waits on an external
+    /// event — a memory response or an accelerator pop — so a streamer
+    /// that does not act this cycle stays frozen until one arrives.
+    #[must_use]
+    pub fn acts_this_cycle(&self) -> bool {
         // Phase 4/5: the AGU emits, or a pending request resubmits.
         if self.busy() {
-            return Some(now);
+            return true;
         }
         // Phase 4: a channel may convert a queued address into a request.
         for (c, channel) in self.channels.iter().enumerate() {
             if self.side.may_start(self.fine_grained, c) && channel.can_start_request() {
-                return Some(now);
+                return true;
             }
         }
         // Phase 1: the coarse gate would open (all channels quiescent) or —
-        // conservatively — close. Either transition mutates gating state, so
-        // the cycle is not skippable.
+        // conservatively — close. Either transition mutates gating state.
         let side = &self.side;
         let opens = !side.coarse_open && self.is_quiescent();
         let closes = side.coarse_open && side.coarse_started.iter().all(|&s| s);
-        (!self.fine_grained && (opens || closes)).then_some(now)
-    }
-
-    fn activity_digest(&self) -> u64 {
-        self.digest()
+        !self.fine_grained && (opens || closes)
     }
 }
 
@@ -422,25 +414,22 @@ mod tests {
             .build()
             .unwrap();
         let mut s = ReadStreamer::new(&d, &runtime(0), &mut mem).unwrap();
-        assert!(
-            s.next_activity(mem.cycle()).is_some(),
-            "fresh streamer: AGU can emit"
-        );
+        assert!(s.acts_this_cycle(), "fresh streamer: AGU can emit");
         for _ in 0..50 {
             tick(&mut s, &mut mem);
         }
         // AGU exhausted and FIFOs full: inert until the accelerator pops.
-        assert_eq!(s.next_activity(mem.cycle()), None);
+        assert!(!s.acts_this_cycle());
         let digest = s.activity_digest();
         tick(&mut s, &mut mem);
         assert_eq!(
             s.activity_digest(),
             digest,
-            "an idle-horizon tick must not move observable state"
+            "an idle tick must not move observable state"
         );
         s.pop_wide(|_| {});
         assert!(
-            s.next_activity(mem.cycle()).is_some(),
+            s.acts_this_cycle(),
             "a pop frees an ORM slot; the channel can start a request again"
         );
     }

@@ -343,11 +343,11 @@ impl<S: Side> Streamer<S> {
         }
     }
 
-    /// Digest of every piece of state the fast-forward engine promises not
-    /// to disturb: the [`NextActivity::activity_digest`] of either side.
-    ///
-    /// [`NextActivity::activity_digest`]: dm_sim::NextActivity::activity_digest
-    pub(crate) fn digest(&self) -> u64 {
+    /// Digest of every piece of state a fast-forwarded span must leave
+    /// frozen, for the debug-build [`dm_sim::SpanCheck`]. Excludes the
+    /// occupancy histograms, which the span replay samples on purpose.
+    #[must_use]
+    pub fn activity_digest(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write_u64(self.stats.granted.get());
         h.write_u64(self.stats.retries.get());

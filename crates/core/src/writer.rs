@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 
 use dm_mem::{BankLocation, MemorySubsystem};
-use dm_sim::{BlameLeaf, Cycle, NextActivity, TraceEventKind};
+use dm_sim::{BlameLeaf, Cycle, TraceEventKind};
 
 use crate::channel::WriteChannel;
 use crate::config::StreamerMode;
@@ -137,19 +137,14 @@ impl WriteStreamer {
         }
         self.stats.wide_words.inc();
     }
-}
 
-impl NextActivity for WriteStreamer {
-    /// Like the read side, a write streamer is either active *now* or inert
-    /// until the accelerator pushes a word: with no backlog there is nothing
-    /// to submit, and with full address buffers (or an exhausted pattern)
-    /// the AGU has nothing to do.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.busy().then_some(now)
-    }
-
-    fn activity_digest(&self) -> u64 {
-        self.digest()
+    /// `true` if the streamer acts this cycle. Like the read side, a write
+    /// streamer is either active now or inert until the accelerator pushes
+    /// a word: with no backlog there is nothing to submit, and with full
+    /// address buffers (or an exhausted pattern) the AGU has nothing to do.
+    #[must_use]
+    pub fn acts_this_cycle(&self) -> bool {
+        self.busy()
     }
 }
 

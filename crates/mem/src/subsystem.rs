@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use dm_sim::{
-    Counter, Cycle, Distribution, Instrumented, LatencyHistogram, MetricsRegistry, NextActivity,
+    Counter, Cycle, Distribution, Instrumented, LatencyHistogram, MetricsRegistry,
     RoundRobinArbiter, StableHasher, Trace, TraceEventKind, TraceMode,
 };
 
@@ -364,12 +364,6 @@ impl MemorySubsystem {
         let id = RequesterId(self.requester_names.len());
         self.requester_names.push(name.into());
         id
-    }
-
-    /// Name given at registration.
-    #[must_use]
-    pub fn requester_name(&self, id: RequesterId) -> &str {
-        &self.requester_names[id.0]
     }
 
     /// Number of registered requesters.
@@ -701,6 +695,33 @@ impl MemorySubsystem {
             .map(|read| read.bank)
     }
 
+    /// Due cycle of the oldest in-flight read: the next cycle at which the
+    /// crossbar acts on its own. `None` with nothing in flight, when it is
+    /// idle until a requester submits. The `in_flight` queue is due-ordered
+    /// (grants happen in cycle order with a fixed latency), so the front is
+    /// the minimum.
+    #[must_use]
+    pub fn next_due(&self) -> Option<Cycle> {
+        self.in_flight.front().map(|read| read.due)
+    }
+
+    /// Digest over the state a skipped span must leave untouched: access
+    /// statistics and queue depths. Deliberately excludes the clock (the
+    /// replay advances it) and the latency histograms (recorded only at
+    /// grants/deliveries, which a skippable span cannot contain).
+    #[must_use]
+    pub fn activity_digest(&self) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_u64(self.stats.reads.get());
+        h.write_u64(self.stats.writes.get());
+        h.write_u64(self.stats.submissions.get());
+        h.write_u64(self.stats.resubmissions.get());
+        h.write_u64(self.stats.conflicts.get());
+        h.write_usize(self.submissions.len());
+        h.write_usize(self.in_flight.len());
+        h.finish()
+    }
+
     /// Fast-forward support: advances the clock across `span` cycles in
     /// which the subsystem provably does nothing — no submissions pending
     /// and no in-flight response due before `cycle + span`.
@@ -741,36 +762,6 @@ impl MemorySubsystem {
         self.issue_cycle = vec![None; self.requester_names.len()];
         self.pending_flow = vec![0; self.requester_names.len()];
         self.per_requester_lifetimes = vec![LifetimeFold::default(); self.requester_names.len()];
-    }
-}
-
-impl NextActivity for MemorySubsystem {
-    /// In-flight responses make the subsystem active at the earliest `due`
-    /// cycle (the `in_flight` queue is due-ordered: grants happen in cycle
-    /// order with a fixed latency, so the front is the minimum). Pending
-    /// submissions pin activity to `now`; an empty crossbar is idle until a
-    /// requester pokes it.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if !self.submissions.is_empty() {
-            return Some(now);
-        }
-        self.in_flight.front().map(|read| read.due)
-    }
-
-    /// Digest over the state a skipped span must leave untouched: access
-    /// statistics and queue depths. Deliberately excludes the clock (the
-    /// replay advances it) and the latency histograms (recorded only at
-    /// grants/deliveries, which a skippable span cannot contain).
-    fn activity_digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.stats.reads.get());
-        h.write_u64(self.stats.writes.get());
-        h.write_u64(self.stats.submissions.get());
-        h.write_u64(self.stats.resubmissions.get());
-        h.write_u64(self.stats.conflicts.get());
-        h.write_usize(self.submissions.len());
-        h.write_usize(self.in_flight.len());
-        h.finish()
     }
 }
 
@@ -1040,21 +1031,16 @@ mod tests {
         let mut mem = subsystem();
         mem.set_read_latency(4);
         let r = mem.register_requester("t");
-        assert_eq!(mem.next_activity(mem.cycle()), None, "empty crossbar idles");
+        assert_eq!(mem.next_due(), None, "empty crossbar idles");
         mem.submit(read(r, 0, 0, 0)).unwrap();
-        assert_eq!(
-            mem.next_activity(mem.cycle()),
-            Some(mem.cycle()),
-            "pending submission pins activity to now"
-        );
         mem.arbitrate(); // cycle 0 -> 1, response due at cycle 4
-        assert_eq!(mem.next_activity(mem.cycle()), Some(Cycle::new(4)));
+        assert_eq!(mem.next_due(), Some(Cycle::new(4)));
         let digest = mem.activity_digest();
         mem.advance_idle(3); // 1 -> 4, exactly up to the delivery
         assert_eq!(mem.cycle(), Cycle::new(4));
         assert_eq!(mem.activity_digest(), digest, "idle skip changes nothing");
         assert_eq!(mem.take_responses().len(), 1);
-        assert_eq!(mem.next_activity(mem.cycle()), None);
+        assert_eq!(mem.next_due(), None);
     }
 
     #[test]

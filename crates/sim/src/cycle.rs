@@ -50,12 +50,6 @@ impl Cycle {
     pub const fn saturating_sub(self, rhs: Cycle) -> Cycle {
         Cycle(self.0.saturating_sub(rhs.0))
     }
-
-    /// Converts a cycle count at a clock frequency (Hz) into seconds.
-    #[must_use]
-    pub fn as_seconds(self, frequency_hz: f64) -> f64 {
-        self.0 as f64 / frequency_hz
-    }
 }
 
 impl fmt::Display for Cycle {
@@ -156,12 +150,6 @@ mod tests {
         let c = Cycle::from(42u64);
         assert_eq!(c.to_string(), "42 cycles");
         assert_eq!(u64::from(c), 42);
-    }
-
-    #[test]
-    fn as_seconds_uses_frequency() {
-        let c = Cycle::new(1_000_000_000);
-        assert!((c.as_seconds(1e9) - 1.0).abs() < 1e-12);
     }
 
     #[test]

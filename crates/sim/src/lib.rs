@@ -25,9 +25,8 @@
 //! * [`critical`] — critical-path extraction over the token-level causal
 //!   DAG, folded into a per-resource on-path composition with validated
 //!   what-if projections;
-//! * [`forward`] — the deterministic fast-forward scheduler: conservative
-//!   [`NextActivity`] horizons, span folding, and the debug-build
-//!   [`SpanCheck`] that catches optimistic horizons;
+//! * [`forward`] — the debug-build [`SpanCheck`] that proves every
+//!   fast-forwarded span left each component's activity digest unchanged;
 //! * [`metrics`] — the hierarchical, path-keyed metrics registry every
 //!   instrumented component snapshots into;
 //! * [`json`] / [`perfetto`] — dependency-free JSON plumbing and the
@@ -69,7 +68,7 @@ pub use arbiter::RoundRobinArbiter;
 pub use blame::{BlameLeaf, BlamePhase};
 pub use critical::{CritClass, CriticalProfile, WhatIf};
 pub use cycle::Cycle;
-pub use forward::{FastForward, NextActivity, SpanCheck};
+pub use forward::SpanCheck;
 pub use hash::StableHasher;
 pub use histogram::LatencyHistogram;
 pub use json::{JsonError, JsonValue};

@@ -221,11 +221,6 @@ impl Trace {
         self.enabled = true;
     }
 
-    /// Disables event recording (events already captured are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Returns `true` while recording.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -317,7 +312,8 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
+        assert!(!t.is_enabled());
         t.emit(Cycle::ZERO, "x", "y");
         assert!(t.is_empty());
     }
@@ -328,8 +324,6 @@ mod tests {
         t.enable();
         assert!(t.is_enabled());
         t.emit(Cycle::new(1), "agu", TraceEventKind::AguWrap { dim: 2 });
-        t.disable();
-        t.emit(Cycle::new(2), "agu", "ignored");
         assert_eq!(t.len(), 1);
         let event = t.iter().next().unwrap();
         assert_eq!(event.source, "agu");

@@ -19,7 +19,6 @@
 
 use dm_compiler::{CopyPlan, WriteSource};
 use dm_mem::{Addr, AddressRemapper, MemOp, MemRequest, MemorySubsystem, RequesterId};
-use dm_sim::NextActivity;
 
 use crate::error::SystemError;
 
@@ -164,8 +163,8 @@ impl CopyEngine {
                 // stuck pass reports the same deadlock cycle count.
                 let now = mem.cycle();
                 let span = mem
-                    .next_activity(now)
-                    .map_or(u64::MAX, |at| at.get().saturating_sub(now.get()))
+                    .next_due()
+                    .map_or(u64::MAX, |due| due.saturating_sub(now).get())
                     .min(budget + 1 - cycles);
                 if span >= 1 {
                     mem.advance_idle(span);

@@ -4,19 +4,21 @@
 //! One read streamer walks the pooling windows with the N-D AGU (the same
 //! pattern family the convolution A stream uses), an elementwise-max unit
 //! reduces `k²` window tiles, and one write streamer scatters the pooled
-//! tiles back. Nothing inside the streamers changes; only the elementwise
-//! max of the functional executor and the pool lowering in `dm-compiler`
-//! are new.
+//! tiles back. Nothing inside the streamers changes, and the cycle loop is
+//! the GeMM system's ([`crate::system`]) with A as the only operand reader;
+//! only the elementwise max of the functional executor and the pool
+//! lowering in `dm-compiler` are new.
 
 use datamaestro::{ReadStreamer, WriteStreamer};
 use dm_accel::GemmArrayConfig;
 use dm_compiler::{compile_pool, BufferDepths, FeatureSet};
 use dm_mem::{MemConfig, MemorySubsystem};
+use dm_sim::Trace;
 use dm_workloads::PoolSpec;
 
 use crate::error::SystemError;
-use crate::executor::{self, TileDigest};
-use crate::system::check_tile_widths;
+use crate::executor;
+use crate::system::{check_tile_widths, run_compute, Schedule, SystemConfig};
 
 /// Outcome of a pooling run.
 #[derive(Debug, Clone)]
@@ -79,8 +81,27 @@ pub fn run_pool(
     spec: PoolSpec,
     input: &[i8],
 ) -> Result<PoolReport, SystemError> {
-    let program = compile_pool(spec, input, features, mem_cfg, BufferDepths::default())?;
+    let config = SystemConfig {
+        mem: *mem_cfg,
+        features: *features,
+        ..SystemConfig::default()
+    };
+    pool_on(&config, spec, input)
+}
+
+/// [`run_pool`] on a system build: its bank geometry, features, read
+/// latency and fast-forward switch.
+fn pool_on(config: &SystemConfig, spec: PoolSpec, input: &[i8]) -> Result<PoolReport, SystemError> {
+    let mem_cfg = &config.mem;
+    let program = compile_pool(
+        spec,
+        input,
+        &config.features,
+        mem_cfg,
+        BufferDepths::default(),
+    )?;
     let mut mem = MemorySubsystem::new(*mem_cfg);
+    mem.set_read_latency(config.read_latency);
     let mut a = ReadStreamer::new(&program.a.design, &program.a.runtime, &mut mem)?;
     let mut out = WriteStreamer::new(&program.out.design, &program.out.runtime, &mut mem)?;
     let tile = GemmArrayConfig::paper().e_tile_bytes();
@@ -92,50 +113,27 @@ pub fn run_pool(
         ],
     )?;
     let execution = executor::execute_pool(mem_cfg, &program)?;
-
-    let k_steps = program.k_steps;
-    let ideal = k_steps * program.total_output_tiles;
-    let mut fires = 0u64;
-    let mut digest = TileDigest::EMPTY;
-    let mut cycles = 0u64;
-    let budget = ideal * 64 + 100_000;
-    while !(a.is_done() && out.is_done()) {
-        a.begin_cycle();
-        mem.drain_responses(|resp| a.accept_response(resp));
-        let k_step = fires % k_steps;
-        let produces = k_step == k_steps - 1;
-        if a.can_pop_wide() && (!produces || out.can_push_wide()) {
-            if k_step == 0 {
-                digest = TileDigest::EMPTY;
-            }
-            a.pop_wide(|addr| digest.fold(addr));
-            if produces {
-                out.push_wide(|addr| digest.fold(addr));
-                executor::check_tile(&execution.tiles, fires / k_steps, digest)?;
-            }
-            fires += 1;
-        }
-        a.generate_and_issue(&mut mem);
-        out.generate_and_issue(&mut mem);
-        let grants = mem.arbitrate();
-        a.handle_grants(grants);
-        out.handle_grants(grants);
-        cycles += 1;
-        if cycles > budget {
-            return Err(SystemError::Deadlock {
-                phase: "pool",
-                cycles,
-            });
-        }
-    }
+    let schedule = Schedule {
+        k_steps: program.k_steps,
+        tiles: program.total_output_tiles,
+        expected: Some(&execution.tiles),
+    };
+    let compute = run_compute(
+        config,
+        &mut mem,
+        std::slice::from_mut(&mut a),
+        &mut out,
+        &schedule,
+        &mut Trace::new(),
+    )?;
 
     let expected = program.expected_output_image(input);
     executor::check_output(&execution.pad, &program.output_region, &expected)?;
     let stats = mem.stats();
     Ok(PoolReport {
         spec,
-        ideal_cycles: ideal,
-        cycles,
+        ideal_cycles: program.k_steps * program.total_output_tiles,
+        cycles: compute.cycles,
         accesses: stats.total_accesses(),
         conflicts: stats.conflicts.get(),
         checked: true,
@@ -181,6 +179,27 @@ mod tests {
         let input = random_input(16 * 16 * 8, 3);
         let r = run_pool(&mem(), &FeatureSet::baseline(), spec, &input).unwrap();
         assert!(r.checked);
+    }
+
+    #[test]
+    fn fast_forward_matches_lockstep_at_long_read_latency() {
+        let spec = PoolSpec::new(17, 17, 16, 3, 2);
+        let input = random_input(17 * 17 * 16, 5);
+        for features in [FeatureSet::full(), FeatureSet::baseline()] {
+            let run = |fast_forward| {
+                let config = SystemConfig {
+                    mem: mem(),
+                    features,
+                    read_latency: 16,
+                    fast_forward,
+                    ..SystemConfig::default()
+                };
+                let r = pool_on(&config, spec, &input).unwrap();
+                assert!(r.checked);
+                (r.cycles, r.accesses, r.conflicts)
+            };
+            assert_eq!(run(true), run(false), "{features:?}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ use dm_accel::GemmArrayConfig;
 use dm_compiler::{compile, BufferDepths, CompiledWorkload, FeatureSet};
 use dm_mem::{MemConfig, MemorySubsystem};
 use dm_sim::{
-    BlameLeaf, BlamePhase, CausalLedger, CriticalProfile, FastForward, Instrumented,
-    MetricsRegistry, NextActivity, OperandPort, Port, StallCause, Trace, TraceEventKind, TraceMode,
+    BlameLeaf, BlamePhase, CausalLedger, CriticalProfile, Instrumented, MetricsRegistry,
+    OperandPort, Port, StallCause, Trace, TraceEventKind, TraceMode,
 };
 use dm_workloads::{Workload, WorkloadData};
 use std::time::Instant;
@@ -116,7 +116,7 @@ pub struct HostTimings {
     /// operand pops and result push of a fire, and the stall charge. The
     /// datapath itself runs in the functional executor, outside the loop.
     pub pe_ns: u64,
-    /// Nanoseconds in the fast-forward engine: horizon evaluation (whether
+    /// Nanoseconds in the fast-forward engine: the idleness test (whether
     /// or not a skip happened) and the O(1) replay of skipped spans.
     pub fastforward_ns: u64,
     /// Nanoseconds for the whole compute loop, including bookkeeping not
@@ -269,25 +269,31 @@ impl RunReport {
 /// Perfetto track names of the operand readers, in [`OperandPort`] order.
 const READER_TRACKS: [&str; 3] = ["streamer-A", "streamer-B", "streamer-C"];
 
-/// The PE handshake: the port that blocks this cycle and the stall cause it
-/// records, or `None` if the array fires. The array fires when every
-/// operand port it needs is valid and, on tile-completing steps, the output
-/// port is ready. The lockstep iteration and the fast-forward span proof
-/// both ask this one function.
+/// The per-port fire rule: A and B feed every fire, C only the first k-step
+/// of a tile.
+fn needed(port: OperandPort, first_step: bool) -> bool {
+    port != OperandPort::C || first_step
+}
+
+/// The accelerator handshake: the port that blocks this cycle and the stall
+/// cause it records, or `None` if the accelerator fires. It fires when
+/// every operand reader it [`needed`] is valid and, on tile-completing
+/// steps, the output port is ready. The lockstep iteration and the
+/// fast-forward span proof both ask this one function.
 fn handshake(
-    readers: &[ReadStreamer; 3],
+    readers: &[ReadStreamer],
     out: &WriteStreamer,
-    needs_c: bool,
+    first_step: bool,
     produces: bool,
     drained: bool,
 ) -> Option<(Port, StallCause)> {
     let blocked = OperandPort::ALL
         .into_iter()
-        .filter(|&port| port != OperandPort::C || needs_c)
-        .find(|&port| !readers[port.index()].can_pop_wide());
+        .zip(readers)
+        .find(|(port, reader)| needed(*port, first_step) && !reader.can_pop_wide());
     let (port, cause) = match blocked {
-        Some(p) if readers[p.index()].lost_arbitration() => (p.port(), StallCause::BankConflict(p)),
-        Some(p) => (p.port(), StallCause::NoOperand(p)),
+        Some((p, reader)) if reader.lost_arbitration() => (p.port(), StallCause::BankConflict(p)),
+        Some((p, _)) => (p.port(), StallCause::NoOperand(p)),
         None if produces && !out.can_push_wide() => (Port::Out, StallCause::WritebackBackpressure),
         None => return None,
     };
@@ -303,7 +309,7 @@ fn handshake(
 /// tail flush otherwise.
 fn blame_leaf_for(
     cause: StallCause,
-    readers: &[ReadStreamer; 3],
+    readers: &[ReadStreamer],
     out: &WriteStreamer,
     mem: &MemorySubsystem,
 ) -> BlameLeaf {
@@ -324,18 +330,229 @@ fn blame_leaf_for(
 /// frozen, for the debug-build [`dm_sim::SpanCheck`].
 #[cfg(debug_assertions)]
 fn activity_digests(
-    readers: &[ReadStreamer; 3],
+    readers: &[ReadStreamer],
     out: &WriteStreamer,
     mem: &MemorySubsystem,
 ) -> Vec<(&'static str, u64)> {
     READER_TRACKS
         .into_iter()
-        .zip(readers.iter().map(NextActivity::activity_digest))
+        .zip(readers.iter().map(ReadStreamer::activity_digest))
         .chain([
             ("streamer-OUT", out.activity_digest()),
             ("mem", mem.activity_digest()),
         ])
         .collect()
+}
+
+/// The fire schedule of one compute phase.
+pub(crate) struct Schedule<'a> {
+    /// Fires per output tile: the first reads C, the last produces the
+    /// tile.
+    pub(crate) k_steps: u64,
+    /// Output tiles the phase produces.
+    pub(crate) tiles: u64,
+    /// The functional executor's per-tile stream digests, checked as each
+    /// tile is produced; `None` for a timing-only run.
+    pub(crate) expected: Option<&'a [u64]>,
+}
+
+/// What one compute phase measured.
+pub(crate) struct ComputeRun {
+    /// Compute cycles, pipeline fill and drain included.
+    pub(crate) cycles: u64,
+    /// Cycles the accelerator fired.
+    pub(crate) fires: u64,
+    /// Every cycle's fire or `(phase, cause, leaf)` stall.
+    pub(crate) ledger: CausalLedger,
+    /// Host phase timings, when [`SystemConfig::time_phases`] is set.
+    pub(crate) host: Option<HostTimings>,
+}
+
+/// The one cycle loop of every accelerator built from DataMaestros.
+///
+/// `readers` are the operand readers in [`OperandPort`] order (A, B, C for
+/// the GeMM array, only A for pooling); `out` drains the result tiles. The
+/// accelerator fires once every reader it needs is valid — A and B on every
+/// fire, C on the first k-step of a tile — and, on the tile's last k-step,
+/// the writer is ready. Provably idle spans are elided in O(1) when
+/// [`SystemConfig::fast_forward`] is set and the run is untraced.
+///
+/// # Errors
+///
+/// [`SystemError::Deadlock`] past `steps × 64 + 100 000` cycles,
+/// [`SystemError::StreamMismatch`] if a tile's consumed and produced word
+/// addresses differ from the functional executor's, and memory errors.
+pub(crate) fn run_compute(
+    config: &SystemConfig,
+    mem: &mut MemorySubsystem,
+    readers: &mut [ReadStreamer],
+    out: &mut WriteStreamer,
+    schedule: &Schedule<'_>,
+    trace: &mut Trace,
+) -> Result<ComputeRun, SystemError> {
+    // Response routing table: requester index → consuming reader.
+    let mut routes: Vec<Option<usize>> = vec![None; mem.num_requesters()];
+    for (index, reader) in readers.iter().enumerate() {
+        for id in reader.channel_requesters() {
+            routes[id.index()] = Some(index);
+        }
+    }
+    let k_steps = schedule.k_steps;
+    let steps = k_steps * schedule.tiles;
+    let budget = steps * 64 + 100_000;
+    let mut digest = TileDigest::EMPTY;
+    let mut ledger = CausalLedger::new(mem.config().num_banks());
+    let mut cycles = 0u64;
+    let mut fires = 0u64;
+
+    trace.emit_with(mem.cycle(), "system", || TraceEventKind::SpanBegin {
+        name: "compute".to_owned(),
+    });
+    let mut clock = HostPhaseClock::new(config.time_phases);
+    let loop_start = config.time_phases.then(Instant::now);
+    // Tracing needs every per-cycle timestamp, so traced runs stay lockstep.
+    let ff_active = config.fast_forward && config.trace == TraceMode::Off;
+    while !(readers.iter().all(ReadStreamer::is_done) && out.is_done()) {
+        clock.start();
+        // Once every compute step has fired, remaining cycles only flush the
+        // write path: the input FIFOs are legitimately empty, not starved.
+        let drained = fires == steps;
+        let k_step = fires % k_steps;
+        let (first, produces) = (k_step == 0, k_step == k_steps - 1);
+        // Phase segmentation: fill until the first fire, drain once every
+        // compute step has issued, steady in between. Derived from loop
+        // state only, so fast-forwarded and lockstep runs agree exactly.
+        let phase = if ledger.fired() == 0 {
+            BlamePhase::Fill
+        } else if drained {
+            BlamePhase::Drain
+        } else {
+            BlamePhase::Steady
+        };
+        // A cycle is skippable iff no streamer acts, the handshake stalls,
+        // and no memory response lands this cycle. In that state the whole
+        // iteration reduces to occupancy sampling plus one ledger charge —
+        // replayable in O(1) for the entire span up to the oldest in-flight
+        // read's due cycle, capped so a wedged system fast-forwards to the
+        // exact deadlock diagnostic lockstep would produce. A span of one
+        // saves nothing over a lockstep iteration.
+        let skip = (ff_active
+            && !readers.iter().any(ReadStreamer::acts_this_cycle)
+            && !out.acts_this_cycle())
+        .then(|| handshake(readers, out, first, produces, drained))
+        .flatten()
+        .map(|(_, cause)| {
+            let (cap, now) = (budget + 1 - cycles, mem.cycle());
+            let span = mem
+                .next_due()
+                .map_or(cap, |due| due.saturating_sub(now).get());
+            (cause, span.min(cap))
+        })
+        .filter(|&(_, span)| span >= 2);
+        if ff_active {
+            clock.lap(Phase::Fastforward);
+        }
+        if let Some((cause, span)) = skip {
+            #[cfg(debug_assertions)]
+            let check = dm_sim::SpanCheck::capture(activity_digests(readers, out, mem));
+            for reader in readers.iter_mut() {
+                reader.sample_occupancy_span(span);
+            }
+            out.sample_occupancy_span(span);
+            // The blame walk reads only state the span check proves frozen
+            // (and the due-ordered in-flight queue, untouched until after
+            // the span), so the leaf is constant across the span: one charge
+            // is bit-identical to per-cycle charging.
+            let leaf = blame_leaf_for(cause, readers, out, mem);
+            ledger.charge(phase, cause, leaf, span);
+            mem.advance_idle(span);
+            cycles += span;
+            #[cfg(debug_assertions)]
+            check.assert_unchanged(activity_digests(readers, out, mem));
+            clock.lap(Phase::Fastforward);
+        } else {
+            for reader in readers.iter_mut() {
+                reader.begin_cycle();
+            }
+            clock.lap(Phase::Streamers);
+            mem.drain_responses(|resp| match routes[resp.requester.index()] {
+                Some(index) => readers[index].accept_response(resp),
+                None => unreachable!("response for a write/copy port"),
+            });
+            clock.lap(Phase::Memory);
+            let now = mem.cycle();
+            match handshake(readers, out, first, produces, drained) {
+                None => {
+                    ledger.fire(now.get());
+                    trace.emit(now, "pe", TraceEventKind::PeFire);
+                    if first {
+                        digest = TileDigest::EMPTY;
+                    }
+                    for (port, reader) in OperandPort::ALL.into_iter().zip(readers.iter_mut()) {
+                        if needed(port, first) {
+                            reader.pop_wide(|addr| digest.fold(addr));
+                        }
+                    }
+                    if produces {
+                        out.push_wide(|addr| digest.fold(addr));
+                        if let Some(expected) = schedule.expected {
+                            executor::check_tile(expected, fires / k_steps, digest)?;
+                        }
+                    }
+                    fires += 1;
+                }
+                Some((port, cause)) => {
+                    match port.operand() {
+                        Some(p) => readers[p.index()].note_consumer_blocked(now),
+                        None => out.note_producer_blocked(now),
+                    }
+                    let leaf = blame_leaf_for(cause, readers, out, mem);
+                    ledger.charge(phase, cause, leaf, 1);
+                    trace.emit(now, "pe", TraceEventKind::PeStall { cause });
+                }
+            }
+            clock.lap(Phase::Pe);
+            for reader in readers.iter_mut() {
+                reader.generate_and_issue(mem);
+            }
+            out.generate_and_issue(mem);
+            clock.lap(Phase::Streamers);
+            let grants = mem.arbitrate();
+            clock.lap(Phase::Memory);
+            for reader in readers.iter_mut() {
+                reader.handle_grants(grants);
+            }
+            out.handle_grants(grants);
+            clock.lap(Phase::Streamers);
+            cycles += 1;
+        }
+        if cycles > budget {
+            return Err(SystemError::Deadlock {
+                phase: "compute",
+                cycles,
+            });
+        }
+    }
+    trace.emit_with(mem.cycle(), "system", || TraceEventKind::SpanEnd {
+        name: "compute".to_owned(),
+    });
+    debug_assert_eq!(fires, steps);
+    assert_eq!(
+        ledger.fired(),
+        fires,
+        "ledger fires must match active cycles"
+    );
+    assert_eq!(
+        ledger.total(),
+        cycles,
+        "fires plus charged stalls must cover every compute cycle"
+    );
+    Ok(ComputeRun {
+        cycles,
+        fires,
+        ledger,
+        host: clock.finish(loop_start, cycles),
+    })
 }
 
 /// Refuses a bank geometry under which a port's wide word is not the tile
@@ -448,14 +665,6 @@ pub fn run_compiled(
         out.set_trace_mode(config.trace);
     }
 
-    // Response routing table: requester index → consuming reader.
-    let mut routes: Vec<Option<OperandPort>> = vec![None; mem.num_requesters()];
-    for port in OperandPort::ALL {
-        for id in readers[port.index()].channel_requesters() {
-            routes[id.index()] = Some(port);
-        }
-    }
-
     // Explicit pre-passes. The operand images are host-preloaded, which
     // costs no simulated cycles: the paper's utilization metric covers
     // DataMaestro-active cycles only.
@@ -477,170 +686,24 @@ pub fn run_compiled(
         });
     }
 
-    // Compute phase. Fire `f` reads the C operand on the first of its
-    // tile's `k_steps` and produces the output tile on the last.
-    let k_steps = program.k_steps;
-    let expected_tiles = execution.as_ref().map(|e| e.tiles.as_slice());
-    let mut digest = TileDigest::EMPTY;
-    let mut ledger = CausalLedger::new(config.mem.num_banks());
-    let mut compute_cycles = 0u64;
-    let mut active_cycles = 0u64;
-    let mut tiles_done = 0u64;
-    let budget = program.total_steps() * 64 + 100_000;
-
-    sys_trace.emit_with(mem.cycle(), "system", || TraceEventKind::SpanBegin {
-        name: "compute".to_owned(),
-    });
-    let mut clock = HostPhaseClock::new(config.time_phases);
-    let loop_start = config.time_phases.then(Instant::now);
-    // Tracing needs every per-cycle timestamp, so traced runs stay lockstep.
-    let ff_active = config.fast_forward && config.trace == TraceMode::Off;
-    while !(readers.iter().all(ReadStreamer::is_done) && out.is_done()) {
-        clock.start();
-        // Once every compute step has fired, remaining cycles only flush the
-        // write path: the input FIFOs are legitimately empty, not starved.
-        let drained = active_cycles == program.total_steps();
-        let k_step = active_cycles % k_steps;
-        let (needs_c, produces) = (k_step == 0, k_step == k_steps - 1);
-        // Phase segmentation: fill until the first fire, drain once every
-        // compute step has issued, steady in between. Derived from loop
-        // state only, so fast-forwarded and lockstep runs agree exactly.
-        let phase = if ledger.fired() == 0 {
-            BlamePhase::Fill
-        } else if drained {
-            BlamePhase::Drain
-        } else {
-            BlamePhase::Steady
-        };
-        if ff_active {
-            let now = mem.cycle();
-            // A cycle is skippable iff no streamer can act on its own, the
-            // PE handshake would stall, and no memory response lands this
-            // cycle. In that state the whole iteration reduces to occupancy
-            // sampling plus one ledger charge — replayable in O(1) for the
-            // entire span up to the next response's due cycle.
-            let all_idle = readers.iter().all(|r| r.next_activity(now).is_none())
-                && out.next_activity(now).is_none();
-            if all_idle {
-                if let Some((_, cause)) = handshake(&readers, &out, needs_c, produces, drained) {
-                    // Cap so a wedged system fast-forwards to the exact
-                    // deadlock diagnostic lockstep would produce.
-                    let cap = budget + 1 - compute_cycles;
-                    let span = FastForward::span(now, [mem.next_activity(now)], cap);
-                    // A span of one saves nothing over a lockstep iteration.
-                    if span >= 2 {
-                        #[cfg(debug_assertions)]
-                        let check =
-                            dm_sim::SpanCheck::capture(activity_digests(&readers, &out, &mem));
-                        for reader in &mut readers {
-                            reader.sample_occupancy_span(span);
-                        }
-                        out.sample_occupancy_span(span);
-                        // The blame walk reads only state the span check
-                        // proves frozen (and the due-ordered in-flight
-                        // queue, untouched until after the span), so the
-                        // leaf is constant across the span: one charge is
-                        // bit-identical to per-cycle charging.
-                        let leaf = blame_leaf_for(cause, &readers, &out, &mem);
-                        ledger.charge(phase, cause, leaf, span);
-                        mem.advance_idle(span);
-                        compute_cycles += span;
-                        #[cfg(debug_assertions)]
-                        check.assert_unchanged(activity_digests(&readers, &out, &mem));
-                        clock.lap(Phase::Fastforward);
-                        if compute_cycles > budget {
-                            return Err(SystemError::Deadlock {
-                                phase: "compute",
-                                cycles: compute_cycles,
-                            });
-                        }
-                        continue;
-                    }
-                }
-            }
-            // Horizon evaluation cost on the non-skip path is fast-forward
-            // overhead, not streamer/memory/PE work.
-            clock.lap(Phase::Fastforward);
-        }
-        for reader in &mut readers {
-            reader.begin_cycle();
-        }
-        clock.lap(Phase::Streamers);
-        mem.drain_responses(|resp| match routes[resp.requester.index()] {
-            Some(port) => readers[port.index()].accept_response(resp),
-            None => unreachable!("response for a write/copy port"),
-        });
-        clock.lap(Phase::Memory);
-        let now = mem.cycle();
-        match handshake(&readers, &out, needs_c, produces, drained) {
-            None => {
-                ledger.fire(now.get());
-                sys_trace.emit(now, "pe", TraceEventKind::PeFire);
-                if needs_c {
-                    digest = TileDigest::EMPTY;
-                }
-                let [op_a, op_b, op_c] = &mut readers;
-                op_a.pop_wide(|addr| digest.fold(addr));
-                op_b.pop_wide(|addr| digest.fold(addr));
-                if needs_c {
-                    op_c.pop_wide(|addr| digest.fold(addr));
-                }
-                if produces {
-                    out.push_wide(|addr| digest.fold(addr));
-                    if let Some(expected) = expected_tiles {
-                        executor::check_tile(expected, tiles_done, digest)?;
-                    }
-                    tiles_done += 1;
-                }
-                active_cycles += 1;
-            }
-            Some((port, cause)) => {
-                match port.operand() {
-                    Some(p) => readers[p.index()].note_consumer_blocked(now),
-                    None => out.note_producer_blocked(now),
-                }
-                let leaf = blame_leaf_for(cause, &readers, &out, &mem);
-                ledger.charge(phase, cause, leaf, 1);
-                sys_trace.emit(now, "pe", TraceEventKind::PeStall { cause });
-            }
-        }
-        clock.lap(Phase::Pe);
-        for reader in &mut readers {
-            reader.generate_and_issue(&mut mem);
-        }
-        out.generate_and_issue(&mut mem);
-        clock.lap(Phase::Streamers);
-        let grants = mem.arbitrate();
-        clock.lap(Phase::Memory);
-        for reader in &mut readers {
-            reader.handle_grants(grants);
-        }
-        out.handle_grants(grants);
-        clock.lap(Phase::Streamers);
-        compute_cycles += 1;
-        if compute_cycles > budget {
-            return Err(SystemError::Deadlock {
-                phase: "compute",
-                cycles: compute_cycles,
-            });
-        }
-    }
-    sys_trace.emit_with(mem.cycle(), "system", || TraceEventKind::SpanEnd {
-        name: "compute".to_owned(),
-    });
-    let host = clock.finish(loop_start, compute_cycles);
-    debug_assert_eq!(tiles_done, program.total_output_tiles);
-    debug_assert_eq!(active_cycles, program.total_steps());
-    assert_eq!(
-        ledger.fired(),
-        active_cycles,
-        "ledger fires must match active cycles"
-    );
-    assert_eq!(
-        ledger.total(),
-        compute_cycles,
-        "fires plus charged stalls must cover every compute cycle"
-    );
+    let schedule = Schedule {
+        k_steps: program.k_steps,
+        tiles: program.total_output_tiles,
+        expected: execution.as_ref().map(|e| e.tiles.as_slice()),
+    };
+    let ComputeRun {
+        cycles: compute_cycles,
+        fires: active_cycles,
+        ledger,
+        host,
+    } = run_compute(
+        config,
+        &mut mem,
+        &mut readers,
+        &mut out,
+        &schedule,
+        &mut sys_trace,
+    )?;
     let critical = ledger.critical(config.read_latency);
     assert_eq!(
         critical.path_length(),
@@ -670,7 +733,7 @@ pub fn run_compiled(
             r.set_counter("prepass_cycles", prepass_cycles);
             r.set_counter("compute_cycles", compute_cycles);
             r.set_counter("active_cycles", active_cycles);
-            r.set_counter("tiles", tiles_done);
+            r.set_counter("tiles", active_cycles / program.k_steps);
             if total_cycles > 0 {
                 r.set_gauge(
                     "utilization",

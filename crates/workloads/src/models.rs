@@ -72,12 +72,6 @@ impl Model {
             .map(|l| l.workload.ideal_cycles() * u64::from(l.repeat))
             .sum()
     }
-
-    /// Number of distinct layer entries.
-    #[must_use]
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 /// ResNet-18 (identity-mapping variant), 224×224 input.
@@ -313,7 +307,7 @@ mod tests {
     fn ideal_cycles_match_macs() {
         for model in table3_models() {
             assert_eq!(model.macs(), model.ideal_cycles() * 512, "{}", model.name);
-            assert!(model.num_layers() > 5);
+            assert!(model.layers.len() > 5);
         }
     }
 

@@ -17,11 +17,15 @@
 //!
 //! which prints the digest table in the form of [`EXPECTED`]. A legitimate
 //! change to simulated behaviour regenerates the table the same way.
+//!
+//! [`POOL_EXPECTED`] pins the pooling system's cycles, accesses and bank
+//! conflicts the same way; the same command prints its rows.
 
 use datamaestro_repro::compiler::FeatureSet;
-use datamaestro_repro::sim::StableHasher;
-use datamaestro_repro::system::{run_workload, RunReport, SystemConfig};
-use datamaestro_repro::workloads::{ConvSpec, GemmSpec, Workload, WorkloadData};
+use datamaestro_repro::mem::MemConfig;
+use datamaestro_repro::sim::{SplitMix64, StableHasher};
+use datamaestro_repro::system::{run_pool, run_workload, RunReport, SystemConfig};
+use datamaestro_repro::workloads::{ConvSpec, GemmSpec, PoolSpec, Workload, WorkloadData};
 
 /// Plain GeMM, transposed GeMM and convolution.
 fn shapes() -> [Workload; 3] {
@@ -114,4 +118,50 @@ fn simulated_results_match_recorded_digests() {
         assert_eq!(got, want, "digest drifted (shape, step, latency, digest)");
     }
     assert_eq!(observed.len(), EXPECTED.len());
+}
+
+/// A pooling shape: `(h, w, c, window, stride)`.
+type PoolShape = (usize, usize, usize, usize, usize);
+
+/// `(shape, full features, [cycles, accesses, conflicts])` of the pooling
+/// system. The last row is the 3×3/2 ResNet-stem shape of
+/// `examples/pooling.rs`, the one shape that stalls.
+const POOL_EXPECTED: [(PoolShape, bool, [u64; 3]); 7] = [
+    ((16, 16, 16, 2, 2), true, [66, 640, 4]),
+    ((16, 16, 16, 2, 2), false, [128, 640, 0]),
+    ((10, 10, 8, 3, 1), true, [73, 640, 0]),
+    ((10, 10, 8, 3, 1), false, [144, 640, 0]),
+    ((16, 16, 8, 2, 2), true, [34, 320, 4]),
+    ((16, 16, 8, 2, 2), false, [64, 320, 0]),
+    ((113, 113, 64, 3, 2), true, [43961, 250880, 90740]),
+];
+
+#[test]
+fn pooling_results_match_recorded_counts() {
+    let mem = MemConfig::new(32, 8, 65_536).unwrap();
+    let mut observed = Vec::new();
+    for &(shape, full, _) in &POOL_EXPECTED {
+        let (h, w, c, k, s) = shape;
+        let spec = PoolSpec::new(h, w, c, k, s);
+        let mut rng = SplitMix64::new((h * w * c) as u64);
+        let input: Vec<i8> = (0..h * w * c)
+            .map(|_| rng.between(i8::MIN.into(), i8::MAX.into()) as i8)
+            .collect();
+        let features = if full {
+            FeatureSet::full()
+        } else {
+            FeatureSet::baseline()
+        };
+        let report =
+            run_pool(&mem, &features, spec, &input).unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+        assert!(report.checked, "{spec:?}: golden check");
+        let row = (
+            shape,
+            full,
+            [report.cycles, report.accesses, report.conflicts],
+        );
+        println!("    {row:?},");
+        observed.push(row);
+    }
+    assert_eq!(observed, POOL_EXPECTED, "pooling counts drifted");
 }
