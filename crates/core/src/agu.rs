@@ -110,6 +110,34 @@ impl TemporalAgu {
         Some(addr as u64)
     }
 
+    /// Advances the nest by `n` addresses in O(dims), exactly as `n`
+    /// [`next_address`](Self::next_address) calls would (fewer if the nest
+    /// runs out first): the loop indices, the wrap count and the last wrap
+    /// all land where the calls would leave them.
+    pub fn skip(&mut self, n: u64) {
+        let from = self.produced;
+        let to = from + n.min(self.total - from);
+        if to == from {
+            return;
+        }
+        // Dimension d carries once every `span` steps, the product of the
+        // bounds up to and including d; its index is the flat position's
+        // mixed-radix digit (all zero once the nest is exhausted).
+        let mut span = 1u64;
+        self.last_wrap = None;
+        for d in 0..self.bounds.len() {
+            let inner = span;
+            span *= self.bounds[d];
+            self.wraps += to / span - from / span;
+            if to.is_multiple_of(span) {
+                self.last_wrap = Some(d);
+            }
+            self.indices[d] = to / inner % self.bounds[d];
+            self.offsets[d] = self.indices[d] as i64 * self.strides[d];
+        }
+        self.produced = to;
+    }
+
     /// The outermost dimension the most recent [`next_address`](Self::next_address) call
     /// wrapped (carried past its bound), or `None` if it only stepped.
     #[must_use]
@@ -443,6 +471,33 @@ mod tests {
             assert!(seq.iter().all(|&a| a >= min && a <= max), "case {case}");
             assert_eq!(*seq.iter().min().unwrap(), min, "case {case}");
             assert_eq!(*seq.iter().max().unwrap(), max, "case {case}");
+        }
+    }
+
+    /// `skip(n)` leaves the nest exactly where `n` `next_address` calls
+    /// would, from any position, including runs past the end.
+    #[test]
+    fn skip_matches_repeated_next_address() {
+        let mut rng = SplitMix64::new(0x5c1b);
+        for case in 0..256 {
+            let (bounds, strides) = nest(&mut rng, 4, 4, (0, 31));
+            let mut stepped = TemporalAgu::new(rng.below(100), &bounds, &strides);
+            let total = stepped.total();
+            for _ in 0..rng.below(total + 1) {
+                stepped.next_address();
+            }
+            let mut skipped = stepped.clone();
+            let n = rng.below(total + 2);
+            for _ in 0..n {
+                stepped.next_address();
+            }
+            skipped.skip(n);
+            assert_eq!(skipped, stepped, "case {case}");
+            assert_eq!(
+                skipped.next_address(),
+                stepped.next_address(),
+                "case {case}"
+            );
         }
     }
 

@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use dm_mem::{BankLocation, MemRequest, MemResponse, MemorySubsystem, RequesterId};
-use dm_sim::{Counter, LatencyHistogram, MetricsRegistry, StableHasher};
+use dm_sim::{Counter, LatencyHistogram, MetricsRegistry, Periodic, StableHasher};
 
 pub use crate::fifo::{ChannelFifo, Landing};
 
@@ -37,12 +37,19 @@ pub struct ChannelStats {
     pub retries: Counter,
 }
 
+impl Periodic for ChannelStats {
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.granted.repeat_since(&earlier.granted, k);
+        self.retries.repeat_since(&earlier.retries, k);
+    }
+}
+
 /// Once-per-cycle FIFO occupancy samples, run-length encoded: consecutive
 /// samples at the same level accumulate in one open `(level, run)` pair,
 /// which is folded into the histogram when the level changes. A histogram
 /// is a commutative sum of samples, so this is bit-identical to recording
 /// every sample on its own.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct OccupancySampler {
     closed: LatencyHistogram,
     level: u64,
@@ -67,9 +74,26 @@ impl OccupancySampler {
     }
 }
 
+impl Periodic for OccupancySampler {
+    /// `k` more periods of the samples since `earlier`. If the open run
+    /// covers the whole period, every sample of the period is at its level
+    /// and the run just grows; otherwise the level changes within each
+    /// period, so each period closes its samples and ends in the open run
+    /// it ends in now.
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        let period = self.closed.count() + self.run - earlier.closed.count() - earlier.run;
+        if self.run >= period {
+            self.run += k * period;
+        } else {
+            let later = self.histogram();
+            self.closed.add_repeats(&later, &earlier.histogram(), k);
+        }
+    }
+}
+
 /// One channel's MIC: the address queue the spatial AGU fills, the data
 /// FIFO `F`, and the request it offers the crossbar.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Channel<F> {
     requester: RequesterId,
     addr_queue: VecDeque<u64>,
@@ -250,6 +274,42 @@ impl<F: ChannelFifo> Channel<F> {
         hasher.write_u64(self.stats.granted.get());
         hasher.write_u64(self.stats.retries.get());
         self.fifo.hash_state(hasher);
+    }
+
+    /// Appends the channel state that steers future cycles and does not
+    /// grow with the stream position: FIFO level, address backlog and the
+    /// FIFO's own (landed, pending) state.
+    pub(crate) fn lock_key(&self, key: &mut Vec<u64>) {
+        key.extend([self.fifo.level() as u64, self.addr_queue.len() as u64]);
+        self.fifo.lock_key(key);
+    }
+
+    /// Stream words the channel holds: committed FIFO slots plus queued
+    /// addresses, the newest words the AGU has fanned out to it.
+    pub(crate) fn live_words(&self) -> usize {
+        self.fifo.level() + self.addr_queue.len()
+    }
+
+    /// `k` more repeats of the period since `earlier`: counters, occupancy
+    /// samples and tags advance, and the live words become `words`, the
+    /// channel addresses of the [`live_words`](Self::live_words) newest
+    /// stream positions after the repeats, oldest first.
+    pub(crate) fn repeat_since(
+        &mut self,
+        earlier: &Self,
+        k: u64,
+        words: impl Iterator<Item = u64>,
+        map: impl Fn(u64) -> BankLocation,
+    ) {
+        self.stats.repeat_since(&earlier.stats, k);
+        self.occupancy.repeat_since(&earlier.occupancy, k);
+        self.fifo.repeat_since(&earlier.fifo, k);
+        let level = self.fifo.level();
+        let mut words = words.fuse();
+        self.fifo
+            .rebase(words.by_ref().take(level).map(|addr| (addr, map(addr))));
+        self.addr_queue.clear();
+        self.addr_queue.extend(words);
     }
 
     /// Registers the channel's counters, high watermark and `occupancy`

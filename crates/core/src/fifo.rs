@@ -16,11 +16,11 @@
 use std::collections::VecDeque;
 
 use dm_mem::{BankLocation, MemOp};
-use dm_sim::{MetricsRegistry, StableHasher};
+use dm_sim::{MetricsRegistry, Periodic, StableHasher};
 
 /// The direction-specific half of a channel: what its data FIFO holds and
 /// which request it offers the crossbar.
-pub trait ChannelFifo: Default + std::fmt::Debug {
+pub trait ChannelFifo: Default + Clone + PartialEq + std::fmt::Debug {
     /// The operation of the channel's requests.
     const OP: MemOp;
 
@@ -40,6 +40,18 @@ pub trait ChannelFifo: Default + std::fmt::Debug {
     /// Folds direction-specific state into `hasher`.
     fn hash_state(&self, _hasher: &mut StableHasher) {}
 
+    /// Appends the direction-specific state that steers future cycles, in
+    /// a form that does not grow with the stream position.
+    fn lock_key(&self, _key: &mut Vec<u64>) {}
+
+    /// Replaces the words behind the committed slots, oldest first, keeping
+    /// which of them have landed and whether the newest is still pending.
+    fn rebase(&mut self, words: impl Iterator<Item = (u64, BankLocation)>);
+
+    /// Advances the request tags by `k` more repeats of their change since
+    /// `earlier` (see [`dm_sim::Periodic`]).
+    fn repeat_since(&mut self, _earlier: &Self, _k: u64) {}
+
     /// Registers direction-specific per-channel metrics.
     fn register_metrics(&self, _registry: &mut MetricsRegistry) {}
 }
@@ -49,7 +61,7 @@ pub trait ChannelFifo: Default + std::fmt::Debug {
 /// A reservation ([`admit`](ChannelFifo::admit)) pushes the word's byte
 /// address, a response lands the oldest unfilled reservation and a pop
 /// takes the front, so the k-th address reserved is the k-th word popped.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Landing {
     /// Byte address of the word behind every reserved slot, in reservation
     /// order.
@@ -145,6 +157,30 @@ impl ChannelFifo for Landing {
         hasher.write_u64(self.expected_tag);
     }
 
+    fn lock_key(&self, key: &mut Vec<u64>) {
+        key.extend([self.filled as u64, u64::from(self.pending.is_some())]);
+    }
+
+    fn rebase(&mut self, words: impl Iterator<Item = (u64, BankLocation)>) {
+        self.addrs.clear();
+        let mut newest = None;
+        for (addr, loc) in words {
+            self.addrs.push_back(addr);
+            newest = Some(loc);
+        }
+        // Only the newest slot can be pending: the RSC admits a request
+        // only once the previous one was granted.
+        if self.pending.is_some() {
+            let loc = newest.expect("a pending request holds a slot");
+            self.pending = Some((loc, self.next_tag - 1));
+        }
+    }
+
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.next_tag.repeat_since(&earlier.next_tag, k);
+        self.expected_tag.repeat_since(&earlier.expected_tag, k);
+    }
+
     fn register_metrics(&self, registry: &mut MetricsRegistry) {
         registry.set_counter("responses", self.expected_tag);
     }
@@ -173,6 +209,11 @@ impl ChannelFifo for VecDeque<BankLocation> {
     #[inline]
     fn retire(&mut self) {
         self.pop_front();
+    }
+
+    fn rebase(&mut self, words: impl Iterator<Item = (u64, BankLocation)>) {
+        self.clear();
+        self.extend(words.map(|(_, loc)| loc));
     }
 }
 

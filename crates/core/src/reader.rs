@@ -31,7 +31,7 @@ use crate::config::StreamerMode;
 use crate::streamer::{map_checked, Side, StreamBinding, Streamer};
 
 /// The read side's streamer state.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadSide {
     /// Width of the accelerator-facing wide word (after extensions).
     output_width: usize,
@@ -68,6 +68,11 @@ impl Side for ReadSide {
         for &started in &self.coarse_started {
             hasher.write_bool(started);
         }
+    }
+
+    fn lock_key(&self, key: &mut Vec<u64>) {
+        key.push(u64::from(self.coarse_open));
+        key.extend(self.coarse_started.iter().map(|&s| u64::from(s)));
     }
 }
 

@@ -12,7 +12,7 @@
 
 use dm_mem::{Addr, AddressRemapper, BankLocation, MemConfig, MemorySubsystem, RequesterId};
 use dm_sim::{
-    Counter, Cycle, Instrumented, LatencyHistogram, MetricsRegistry, StableHasher, Trace,
+    Counter, Cycle, Instrumented, LatencyHistogram, MetricsRegistry, Periodic, StableHasher, Trace,
     TraceEventKind, TraceMode,
 };
 
@@ -34,6 +34,16 @@ pub struct StreamerStats {
     pub wide_words: Counter,
     /// Temporal addresses generated.
     pub temporal_addresses: Counter,
+}
+
+impl Periodic for StreamerStats {
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.granted.repeat_since(&earlier.granted, k);
+        self.retries.repeat_since(&earlier.retries, k);
+        self.wide_words.repeat_since(&earlier.wide_words, k);
+        self.temporal_addresses
+            .repeat_since(&earlier.temporal_addresses, k);
+    }
 }
 
 /// A stream pattern bound to a memory geometry: the remapper, the temporal
@@ -137,7 +147,7 @@ pub fn bind_pattern(
 }
 
 /// What one direction adds to the shared front end.
-pub trait Side: Sized {
+pub trait Side: Sized + Clone + PartialEq {
     /// The mode a design must declare to build this side.
     const MODE: StreamerMode;
     /// The channels' data FIFO.
@@ -146,9 +156,12 @@ pub trait Side: Sized {
     fn new(binding: &StreamBinding, channels: usize) -> Self;
     /// Folds the side's state into the activity digest.
     fn hash_state(&self, _hasher: &mut StableHasher) {}
+    /// Appends the side's state to a [`Streamer::lock_key`].
+    fn lock_key(&self, _key: &mut Vec<u64>) {}
 }
 
 /// One DataMaestro: the shared front end over the channels of side `S`.
+#[derive(Clone, PartialEq)]
 pub struct Streamer<S: Side> {
     name: String,
     pub(crate) remapper: AddressRemapper,
@@ -361,6 +374,217 @@ impl<S: Side> Streamer<S> {
             channel.hash_state(&mut h);
         }
         h.finish()
+    }
+}
+
+/// Period replay: the lock key, the bank-pattern check and the replay of
+/// whole periods (DESIGN §8).
+impl<S: Side> Streamer<S> {
+    /// Appends the streamer state that steers its future cycles and does
+    /// not grow with the stream position: the last grant round's outcome,
+    /// whether the pattern is exhausted, the side's gate and every
+    /// channel's FIFO and backlog levels. Two tile boundaries with equal
+    /// keys (and equal memory keys) evolve alike as long as the words the
+    /// AGU feeds in map to the same banks.
+    pub fn lock_key(&self, key: &mut Vec<u64>) {
+        key.extend([
+            u64::from(self.lost_arbitration),
+            u64::from(self.tagu.is_done()),
+        ]);
+        self.side.lock_key(key);
+        for channel in &self.channels {
+            channel.lock_key(key);
+        }
+    }
+
+    /// Stream positions the channels still hold: the most live words of
+    /// any channel.
+    fn live_window(&self) -> u64 {
+        self.channels
+            .iter()
+            .map(Channel::live_words)
+            .max()
+            .unwrap_or(0) as u64
+    }
+
+    /// A walk that checks, period by period, whether the stream keeps the
+    /// bank pattern of the period since `earlier`: every word a channel
+    /// takes into its FIFO in a further period must map to the bank of the
+    /// word one period before. Queued addresses steer nothing until they
+    /// are taken in, but the words already in the FIFOs do: they are
+    /// checked at once, against the period that ends with them.
+    #[must_use]
+    pub fn bank_walk(&self, earlier: &Self) -> BankWalk<'_> {
+        let produced = self.tagu.produced();
+        let delta = produced - earlier.tagu.produced();
+        let window = self.live_window();
+        let queued = self
+            .channels
+            .iter()
+            .map(Channel::addr_backlog)
+            .min()
+            .unwrap_or(0) as u64;
+        let at = |position: u64| {
+            let mut agu = self.tagu.clone();
+            agu.reset();
+            agu.skip(position);
+            agu
+        };
+        let mut walk = BankWalk {
+            remapper: &self.remapper,
+            sagu: &self.sagu,
+            lead: at(produced - window),
+            lag: at(produced - window - delta),
+            reference: Vec::with_capacity(delta as usize),
+            offsets: self.sagu.offset_range(),
+            delta,
+            periods: (self.tagu.total() - produced)
+                .checked_div(delta)
+                .unwrap_or(u64::MAX),
+        };
+        if !(queued..window).all(|_| walk.step_lagged().is_some()) {
+            walk.periods = 0;
+        }
+        walk
+    }
+
+    /// Replays `k` more periods like the one since `earlier`: the counters,
+    /// occupancy samples and tags advance by `k` times their change, the
+    /// AGU by `k` times its addresses, and every channel's live words
+    /// become the addresses at the AGU's new position. Nothing else about
+    /// the streamer moves within a period.
+    pub fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.stats.repeat_since(&earlier.stats, k);
+        let produced = self.tagu.produced();
+        let target = produced + k * (produced - earlier.tagu.produced());
+        let window = self.live_window();
+        self.tagu.reset();
+        self.tagu.skip(target - window);
+        let temporal: Vec<u64> = (0..window)
+            .map(|_| self.tagu.next_address().expect("replay within the pattern"))
+            .collect();
+        let (remapper, sagu) = (&self.remapper, &self.sagu);
+        for (c, (channel, then)) in self.channels.iter_mut().zip(&earlier.channels).enumerate() {
+            let live = temporal[temporal.len() - channel.live_words()..].iter();
+            channel.repeat_since(
+                then,
+                k,
+                live.map(|&ta| sagu.channel_address(ta, c)),
+                |addr| map_checked(remapper, addr),
+            );
+        }
+    }
+
+    /// The channel addresses of the stream's wide words from `position`
+    /// on: what the channels would hand out, word by word.
+    #[must_use]
+    pub fn words_from(&self, position: u64) -> WordCursor<'_> {
+        let mut tagu = self.tagu.clone();
+        tagu.reset();
+        tagu.skip(position);
+        WordCursor {
+            tagu,
+            sagu: &self.sagu,
+        }
+    }
+}
+
+/// The period-by-period bank check of [`Streamer::bank_walk`].
+///
+/// The first period is checked against the AGU one period behind, whose
+/// words become the reference every later period is checked against. A
+/// word is compared by its [`AddressRemapper::bank_key`] where that
+/// decides, channel by channel otherwise.
+#[derive(Debug)]
+pub struct BankWalk<'a> {
+    remapper: &'a AddressRemapper,
+    sagu: &'a SpatialAgu,
+    /// The AGU at the next word to check, and one period behind it.
+    lead: TemporalAgu,
+    lag: TemporalAgu,
+    /// The last period's words: temporal address and bank key.
+    reference: Vec<(u64, Option<(u64, u64)>)>,
+    /// The lowest and highest channel offsets.
+    offsets: (i64, i64),
+    /// Addresses per period.
+    delta: u64,
+    /// Further periods the AGU can supply.
+    periods: u64,
+}
+
+impl BankWalk<'_> {
+    /// The bank key of temporal address `ta`'s channel addresses.
+    fn key(&self, ta: u64) -> Option<(u64, u64)> {
+        let (lo, hi) = self.offsets;
+        self.remapper
+            .bank_key((ta as i64 + lo) as u64, (ta as i64 + hi) as u64)
+    }
+
+    /// Whether temporal addresses `now` (keyed `key`) and `then` map every
+    /// channel to the same bank.
+    fn same_banks(
+        &self,
+        (now, key): (u64, Option<(u64, u64)>),
+        (then, then_key): (u64, Option<(u64, u64)>),
+    ) -> bool {
+        (key.is_some() && key == then_key)
+            || (0..self.sagu.num_channels()).all(|c| {
+                let bank = |ta| self.remapper.bank_of(self.sagu.channel_address(ta, c));
+                bank(now) == bank(then)
+            })
+    }
+
+    /// Checks the next word against the word one period behind; returns
+    /// that earlier word if they agree.
+    fn step_lagged(&mut self) -> Option<(u64, Option<(u64, u64)>)> {
+        let now = self.lead.next_address().expect("capped by the AGU");
+        let then = self.lag.next_address().expect("behind the lead");
+        let (now, then) = ((now, self.key(now)), (then, self.key(then)));
+        self.same_banks(now, then).then_some(then)
+    }
+
+    /// `true` if the stream repeats its bank pattern for one more period,
+    /// which the AGU must be able to supply in full.
+    pub fn next_period(&mut self) -> bool {
+        if self.periods == 0 {
+            return false;
+        }
+        self.periods -= 1;
+        if self.reference.len() < self.delta as usize {
+            return (0..self.delta).all(|_| match self.step_lagged() {
+                Some(then) => {
+                    self.reference.push(then);
+                    true
+                }
+                None => false,
+            });
+        }
+        (0..self.delta as usize).all(|i| {
+            let now = self.lead.next_address().expect("capped by the AGU");
+            self.same_banks((now, self.key(now)), self.reference[i])
+        })
+    }
+}
+
+/// A walk over a stream's wide words, from [`Streamer::words_from`].
+#[derive(Debug)]
+pub struct WordCursor<'a> {
+    tagu: TemporalAgu,
+    sagu: &'a SpatialAgu,
+}
+
+impl WordCursor<'_> {
+    /// Hands the next wide word's channel addresses to `word`, in channel
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics past the end of the pattern.
+    pub fn next_word(&mut self, mut word: impl FnMut(u64)) {
+        let ta = self.tagu.next_address().expect("word within the pattern");
+        for c in 0..self.sagu.num_channels() {
+            word(self.sagu.channel_address(ta, c));
+        }
     }
 }
 

@@ -23,7 +23,7 @@ use crate::config::StreamerMode;
 use crate::streamer::{map_checked, Side, StreamBinding, Streamer};
 
 /// The write side's streamer state.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteSide {
     /// Width of the wide word the accelerator pushes (before extensions).
     input_width: usize,

@@ -249,6 +249,36 @@ impl AddressRemapper {
         }
     }
 
+    /// The bank of a byte address already known to be aligned and in
+    /// bounds: [`map_byte`](Self::map_byte)`(addr).bank` without the
+    /// checks, for walks that compare only banks.
+    #[must_use]
+    #[inline]
+    pub fn bank_of(&self, addr: u64) -> usize {
+        let word = addr >> self.word_shift;
+        debug_assert!(word < self.capacity_words() && addr & (self.word_bytes - 1) == 0);
+        ((self.group_of(word) << self.group_shift) | (word & self.group_mask)) as usize
+    }
+
+    /// A key for the banks of a set of word-aligned, in-bounds byte
+    /// addresses that lie within `[lo, hi]` and keep fixed distances from
+    /// `lo`: two such sets with equal keys map address by address to the
+    /// same banks. `None` when `lo` and `hi` fall in different interleave
+    /// groups, where a key this small cannot decide.
+    #[must_use]
+    #[inline]
+    pub fn bank_key(&self, lo: u64, hi: u64) -> Option<(u64, u64)> {
+        let (lo, hi) = (lo >> self.word_shift, hi >> self.word_shift);
+        let group = self.group_of(lo);
+        (group == self.group_of(hi)).then_some((lo & self.group_mask, group))
+    }
+
+    /// The interleave group of a word.
+    #[inline]
+    fn group_of(&self, word: u64) -> u64 {
+        word >> (self.group_shift + self.row_shift)
+    }
+
     /// Maps a word-aligned *byte* address to its physical location.
     ///
     /// # Errors

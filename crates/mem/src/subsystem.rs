@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use dm_sim::{
-    Counter, Cycle, Distribution, Instrumented, LatencyHistogram, MetricsRegistry,
+    Counter, Cycle, Distribution, Instrumented, LatencyHistogram, MetricsRegistry, Periodic,
     RoundRobinArbiter, StableHasher, Trace, TraceEventKind, TraceMode,
 };
 
@@ -128,6 +128,16 @@ pub struct MemStats {
     pub conflicts: Counter,
 }
 
+impl Periodic for MemStats {
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.reads.repeat_since(&earlier.reads, k);
+        self.writes.repeat_since(&earlier.writes, k);
+        self.submissions.repeat_since(&earlier.submissions, k);
+        self.resubmissions.repeat_since(&earlier.resubmissions, k);
+        self.conflicts.repeat_since(&earlier.conflicts, k);
+    }
+}
+
 impl MemStats {
     /// Total granted accesses (the paper's "data access count").
     #[must_use]
@@ -188,7 +198,7 @@ const FOLDED: usize = LatencyHistogram::EXACT_LIMIT as usize;
 
 /// One bank's or one requester's request lifetimes, folded (see the module
 /// docs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct LifetimeFold {
     /// Reads drained on their due cycle, by queueing delay `q`: each one is
     /// the lifetime `(q, read latency)`.
@@ -209,6 +219,11 @@ impl LifetimeFold {
         }
     }
 
+    /// Lifetimes completed so far.
+    fn completed(&self) -> u64 {
+        self.on_time_reads.iter().chain(&self.writes).sum::<u64>() + self.slow.end_to_end.count()
+    }
+
     /// The histograms this fold stands for.
     fn telemetry(&self, read_latency: u64) -> LatencyTelemetry {
         let mut tel = self.slow.clone();
@@ -223,8 +238,20 @@ impl LifetimeFold {
     }
 }
 
+impl Periodic for LifetimeFold {
+    /// `k` more periods of the lifetimes completed since `earlier`.
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.on_time_reads.repeat_since(&earlier.on_time_reads, k);
+        self.writes.repeat_since(&earlier.writes, k);
+        let slow = &mut self.slow;
+        slow.queueing.repeat_since(&earlier.slow.queueing, k);
+        slow.service.repeat_since(&earlier.slow.service, k);
+        slow.end_to_end.repeat_since(&earlier.slow.end_to_end, k);
+    }
+}
+
 /// A granted read awaiting delivery.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct InFlightRead {
     due: Cycle,
     issued: Cycle,
@@ -237,7 +264,7 @@ struct InFlightRead {
 
 /// One bank's arbitration state within a cycle: how many submissions
 /// target it and the round-robin front-runner among them so far.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BankSlot {
     contenders: u64,
     /// Round-robin distance of the front-runner from the bank's priority
@@ -248,6 +275,7 @@ struct BankSlot {
 }
 
 /// The banked scratchpad behind an interleaved crossbar.
+#[derive(Clone, PartialEq)]
 pub struct MemorySubsystem {
     config: MemConfig,
     read_latency: u64,
@@ -722,6 +750,39 @@ impl MemorySubsystem {
         h.finish()
     }
 
+    /// Appends the crossbar state that steers future cycles, relative to
+    /// the clock: every bank's round-robin pointer, each in-flight read as
+    /// `(due − now, now − issue, requester, bank)` and each pending
+    /// request's age. Two states with equal keys deliver, grant and stamp
+    /// alike, given the same submissions.
+    pub fn lock_key(&self, key: &mut Vec<u64>) {
+        let now = self.cycle;
+        key.extend(self.arbiters.iter().map(|a| a.pointer() as u64));
+        key.extend([self.submissions.len() as u64, self.in_flight.len() as u64]);
+        for read in &self.in_flight {
+            key.extend([
+                (read.due - now).get(),
+                (now - read.issued).get(),
+                read.requester.0 as u64,
+                read.bank as u64,
+            ]);
+        }
+        key.extend(
+            self.issue_cycle
+                .iter()
+                .map(|issued| issued.map_or(u64::MAX, |c| (now - c).get())),
+        );
+    }
+
+    /// `true` if every pending and in-flight request was issued at or after
+    /// `since`: a period replay from a state at `since` may then advance
+    /// their tags and flow ids by whole periods.
+    #[must_use]
+    pub fn issued_since(&self, since: Cycle) -> bool {
+        self.in_flight.iter().all(|read| read.issued >= since)
+            && self.issue_cycle.iter().flatten().all(|&c| c >= since)
+    }
+
     /// Fast-forward support: advances the clock across `span` cycles in
     /// which the subsystem provably does nothing — no submissions pending
     /// and no in-flight response due before `cycle + span`.
@@ -819,6 +880,55 @@ impl Instrumented for MemorySubsystem {
                 });
             });
         }
+    }
+}
+
+impl Periodic for MemorySubsystem {
+    /// `k` more periods like the one since `earlier`, two states with equal
+    /// [`lock_key`](MemorySubsystem::lock_key)s whose pending and in-flight
+    /// requests were all issued since `earlier`
+    /// ([`issued_since`](MemorySubsystem::issued_since)): statistics,
+    /// per-bank accesses and lifetime tables grow by `k` times their
+    /// change, and so do the clock and every request's stamps. A request's
+    /// tag and flow id advance by `k` times the tags its requester and the
+    /// flow ids the crossbar handed out in the period.
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.stats.repeat_since(&earlier.stats, k);
+        self.per_bank_accesses
+            .repeat_since(&earlier.per_bank_accesses, k);
+        self.per_bank_lifetimes
+            .repeat_since(&earlier.per_bank_lifetimes, k);
+        // A requester's reads completed in the period are the tags it used:
+        // its pending and in-flight requests are the same at both ends.
+        let tags: Vec<u64> = self
+            .per_requester_lifetimes
+            .iter()
+            .zip(&earlier.per_requester_lifetimes)
+            .map(|(now, then)| now.completed() - then.completed())
+            .collect();
+        self.per_requester_lifetimes
+            .repeat_since(&earlier.per_requester_lifetimes, k);
+        let flows = self.next_flow_id - earlier.next_flow_id;
+        assert_eq!(
+            self.in_flight.len(),
+            earlier.in_flight.len(),
+            "in-flight reads changed"
+        );
+        for (read, then) in self.in_flight.iter_mut().zip(&earlier.in_flight) {
+            read.due.repeat_since(&then.due, k);
+            read.issued.repeat_since(&then.issued, k);
+            read.tag += k * tags[read.requester.0];
+            read.flow += k * flows;
+        }
+        self.issue_cycle.repeat_since(&earlier.issue_cycle, k);
+        // A requester's last flow id moves only if it issued in the period.
+        for flow in &mut self.pending_flow {
+            if *flow >= earlier.next_flow_id {
+                *flow += k * flows;
+            }
+        }
+        self.next_flow_id.repeat_since(&earlier.next_flow_id, k);
+        self.cycle.repeat_since(&earlier.cycle, k);
     }
 }
 

@@ -20,7 +20,7 @@
 /// assert_eq!(arb.grant(&[false, true, false, true]), Some(1));
 /// assert_eq!(arb.grant(&[false, false, false, false]), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
     ports: usize,
     next: usize,
@@ -84,6 +84,13 @@ impl RoundRobinArbiter {
     pub fn commit(&mut self, port: usize) {
         debug_assert!(port < self.ports, "requester index out of range");
         self.next = if port + 1 == self.ports { 0 } else { port + 1 };
+    }
+
+    /// The priority pointer: the port that wins a tie among all ports.
+    #[inline]
+    #[must_use]
+    pub fn pointer(&self) -> usize {
+        self.next
     }
 
     /// Resets the priority pointer.

@@ -1,5 +1,5 @@
-//! Deterministic fast-forward: the debug-build check behind idle-cycle
-//! elision.
+//! Deterministic fast-forward: the debug-build checks behind idle-cycle
+//! elision and steady-state period replay.
 //!
 //! A decoupled-access-execute system spends many simulated cycles in states
 //! where *nothing can change*: every streamer is waiting on in-flight bank
@@ -14,6 +14,91 @@
 //! [`SpanCheck`] is the safety net: component digests captured before a
 //! skip must match after it, so a component that would have acted inside
 //! the span is caught immediately instead of silently corrupting the run.
+//!
+//! A busy machine is often periodic instead: the loop state relative to
+//! the clock repeats from one tile boundary to a later one. Every
+//! accumulator and every absolute stamp then grows by the same amount in
+//! each period, so `k` further periods are `x + k · (x − x_earlier)` per
+//! field. [`Periodic`] is that rule.
+
+use crate::cycle::Cycle;
+use crate::histogram::LatencyHistogram;
+use crate::stats::Counter;
+
+/// State that one period of a periodic steady state advances by the same
+/// amount every time: counters, histograms and absolute stamps.
+///
+/// `repeat_since(earlier, k)` turns `self`, the state one period after
+/// `earlier`, into the state `k` periods later. Fields that are equal in
+/// both (the state relative to the clock) stay as they are.
+pub trait Periodic {
+    /// Advances `self` by `k` more repeats of the change since `earlier`.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `earlier` is not an earlier state of `self` (a field
+    /// shrank, or the two differ in shape).
+    fn repeat_since(&mut self, earlier: &Self, k: u64);
+}
+
+impl Periodic for u64 {
+    #[inline]
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        *self += k * (*self - earlier);
+    }
+}
+
+impl Periodic for Counter {
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.add(k * (self.get() - earlier.get()));
+    }
+}
+
+impl Periodic for Cycle {
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        *self += k * (*self - *earlier).get();
+    }
+}
+
+impl Periodic for LatencyHistogram {
+    /// The samples since `earlier`, `k` more times. Their values are all
+    /// in `self` already, so its min and max stay.
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        let later = self.clone();
+        self.add_repeats(&later, earlier, k);
+    }
+}
+
+impl<T: Periodic> Periodic for Option<T> {
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        match (self, earlier) {
+            (Some(now), Some(then)) => now.repeat_since(then, k),
+            (None, None) => {}
+            _ => panic!("a periodic field appeared or vanished within the period"),
+        }
+    }
+}
+
+impl<T: Periodic> Periodic for [T] {
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        assert_eq!(self.len(), earlier.len(), "periodic state changed shape");
+        for (now, then) in self.iter_mut().zip(earlier) {
+            now.repeat_since(then, k);
+        }
+    }
+}
+
+impl<T: Periodic> Periodic for Vec<T> {
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.as_mut_slice().repeat_since(earlier, k);
+    }
+}
+
+impl<T: Periodic, const N: usize> Periodic for [T; N] {
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.as_mut_slice().repeat_since(earlier, k);
+    }
+}
 
 /// Digest snapshot taken before a skipped span, verified after it.
 ///
@@ -122,6 +207,32 @@ mod tests {
             claimed: 6,
         };
         skip_and_verify(&mut mock);
+    }
+
+    #[test]
+    fn periodic_fields_repeat_their_per_period_change() {
+        let (mut counter, earlier) = (Counter::new(), Counter::new());
+        counter.add(3);
+        counter.repeat_since(&earlier, 4);
+        assert_eq!(counter.get(), 15);
+        let mut stamps = vec![Some(Cycle::new(12)), None];
+        stamps.repeat_since(&vec![Some(Cycle::new(10)), None], 3);
+        assert_eq!(stamps, vec![Some(Cycle::new(18)), None]);
+        let mut hist = LatencyHistogram::new();
+        hist.record(5);
+        let before = hist.clone();
+        hist.record_n(2, 3);
+        hist.repeat_since(&before, 2);
+        let mut expected = LatencyHistogram::new();
+        expected.record(5);
+        expected.record_n(2, 9);
+        assert_eq!(hist, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "appeared or vanished")]
+    fn periodic_option_must_keep_its_shape() {
+        Some(1u64).repeat_since(&None, 1);
     }
 
     #[test]

@@ -237,6 +237,34 @@ impl LatencyHistogram {
         self.sum += other.sum;
     }
 
+    /// Adds `k` copies of the samples `later` holds beyond `earlier`, an
+    /// earlier state of the same histogram. The values of those samples
+    /// lie within `later`'s min and max, which are merged in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `earlier` holds a sample `later` lacks.
+    pub fn add_repeats(&mut self, later: &LatencyHistogram, earlier: &LatencyHistogram, k: u64) {
+        let count = later.count - earlier.count;
+        if count == 0 || k == 0 {
+            return;
+        }
+        if later.buckets.len() > self.buckets.len() {
+            self.buckets.resize(later.buckets.len(), 0);
+        }
+        for (i, (mine, n)) in self.buckets.iter_mut().zip(&later.buckets).enumerate() {
+            *mine += k * (n - earlier.buckets.get(i).copied().unwrap_or(0));
+        }
+        if self.count == 0 {
+            (self.min, self.max) = (later.min, later.max);
+        } else {
+            self.min = self.min.min(later.min);
+            self.max = self.max.max(later.max);
+        }
+        self.count += k * count;
+        self.sum += k * (later.sum - earlier.sum);
+    }
+
     /// Merged copy of an iterator of histograms.
     #[must_use]
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a LatencyHistogram>) -> Self {

@@ -23,6 +23,7 @@
 
 use crate::blame::{BlameLeaf, BlamePhase};
 use crate::critical::{CritClass, CriticalProfile};
+use crate::forward::Periodic;
 use crate::json::JsonValue;
 use crate::stall::{Port, StallAttribution, StallCause};
 
@@ -331,6 +332,16 @@ impl CausalLedger {
                 self.tree_json(|cause, leaf| self.leaf_total(cause, leaf)),
             ),
         ])
+    }
+}
+
+impl Periodic for CausalLedger {
+    /// `k` more periods of fires and stalls. The first fire stays; the
+    /// last moves on by `k` periods.
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.fired.repeat_since(&earlier.fired, k);
+        self.last_fire.repeat_since(&earlier.last_fire, k);
+        self.stalls.repeat_since(&earlier.stalls, k);
     }
 }
 

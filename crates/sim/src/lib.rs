@@ -68,7 +68,7 @@ pub use arbiter::RoundRobinArbiter;
 pub use blame::{BlameLeaf, BlamePhase};
 pub use critical::{CritClass, CriticalProfile, WhatIf};
 pub use cycle::Cycle;
-pub use forward::SpanCheck;
+pub use forward::{Periodic, SpanCheck};
 pub use hash::StableHasher;
 pub use histogram::LatencyHistogram;
 pub use json::{JsonError, JsonValue};

@@ -33,6 +33,7 @@
 //!
 //! [`WorkloadData`]: dm_workloads::WorkloadData
 
+mod compute;
 pub mod copy_engine;
 pub mod error;
 mod executor;
@@ -42,7 +43,7 @@ pub mod system;
 
 pub use copy_engine::{CopyEngine, CopyStats};
 pub use error::SystemError;
-pub use pool::{run_pool, PoolReport};
+pub use pool::{run_pool, run_pool_on, PoolReport};
 pub use provenance::Provenance;
 pub use system::{run_compiled, run_workload, HostTimings, RunReport, SystemConfig};
 

@@ -5,7 +5,7 @@
 //! pattern family the convolution A stream uses), an elementwise-max unit
 //! reduces `k²` window tiles, and one write streamer scatters the pooled
 //! tiles back. Nothing inside the streamers changes, and the cycle loop is
-//! the GeMM system's ([`crate::system`]) with A as the only operand reader;
+//! the GeMM system's with A as the only operand reader;
 //! only the elementwise max of the functional executor and the pool
 //! lowering in `dm-compiler` are new.
 
@@ -13,12 +13,13 @@ use datamaestro::{ReadStreamer, WriteStreamer};
 use dm_accel::GemmArrayConfig;
 use dm_compiler::{compile_pool, BufferDepths, FeatureSet};
 use dm_mem::{MemConfig, MemorySubsystem};
-use dm_sim::Trace;
+use dm_sim::{CausalLedger, Trace};
 use dm_workloads::PoolSpec;
 
+use crate::compute::{run_compute, Schedule};
 use crate::error::SystemError;
 use crate::executor;
-use crate::system::{check_tile_widths, run_compute, Schedule, SystemConfig};
+use crate::system::{check_tile_widths, HostTimings, SystemConfig};
 
 /// Outcome of a pooling run.
 #[derive(Debug, Clone)]
@@ -35,6 +36,13 @@ pub struct PoolReport {
     pub conflicts: u64,
     /// Whether the output matched the golden max-pool reference.
     pub checked: bool,
+    /// Every cycle's fire or stall, as [`RunReport::ledger`] records it.
+    ///
+    /// [`RunReport::ledger`]: crate::RunReport::ledger
+    pub ledger: CausalLedger,
+    /// Host wall-clock phase timings; `None` unless
+    /// [`SystemConfig::time_phases`] was set.
+    pub host: Option<HostTimings>,
 }
 
 impl PoolReport {
@@ -86,12 +94,20 @@ pub fn run_pool(
         features: *features,
         ..SystemConfig::default()
     };
-    pool_on(&config, spec, input)
+    run_pool_on(&config, spec, input)
 }
 
 /// [`run_pool`] on a system build: its bank geometry, features, read
-/// latency and fast-forward switch.
-fn pool_on(config: &SystemConfig, spec: PoolSpec, input: &[i8]) -> Result<PoolReport, SystemError> {
+/// latency, fast-forward switch and host timing.
+///
+/// # Errors
+///
+/// As [`run_pool`].
+pub fn run_pool_on(
+    config: &SystemConfig,
+    spec: PoolSpec,
+    input: &[i8],
+) -> Result<PoolReport, SystemError> {
     let mem_cfg = &config.mem;
     let program = compile_pool(
         spec,
@@ -137,6 +153,8 @@ fn pool_on(config: &SystemConfig, spec: PoolSpec, input: &[i8]) -> Result<PoolRe
         accesses: stats.total_accesses(),
         conflicts: stats.conflicts.get(),
         checked: true,
+        ledger: compute.ledger,
+        host: compute.host,
     })
 }
 
@@ -194,7 +212,7 @@ mod tests {
                     fast_forward,
                     ..SystemConfig::default()
                 };
-                let r = pool_on(&config, spec, &input).unwrap();
+                let r = run_pool_on(&config, spec, &input).unwrap();
                 assert!(r.checked);
                 (r.cycles, r.accesses, r.conflicts)
             };

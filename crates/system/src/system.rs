@@ -12,15 +12,15 @@ use dm_accel::GemmArrayConfig;
 use dm_compiler::{compile, BufferDepths, CompiledWorkload, FeatureSet};
 use dm_mem::{MemConfig, MemorySubsystem};
 use dm_sim::{
-    BlameLeaf, BlamePhase, CausalLedger, CriticalProfile, Instrumented, MetricsRegistry,
-    OperandPort, Port, StallCause, Trace, TraceEventKind, TraceMode,
+    CausalLedger, CriticalProfile, Instrumented, MetricsRegistry, OperandPort, StallCause, Trace,
+    TraceEventKind, TraceMode,
 };
 use dm_workloads::{Workload, WorkloadData};
-use std::time::Instant;
 
+use crate::compute::{run_compute, ComputeRun, Schedule, READER_TRACKS};
 use crate::copy_engine::CopyEngine;
 use crate::error::SystemError;
-use crate::executor::{self, TileDigest};
+use crate::executor;
 use crate::provenance::Provenance;
 
 /// Configuration of the evaluation system build.
@@ -56,9 +56,13 @@ pub struct SystemConfig {
     /// in [`RunReport::host`], never in the metrics registry, so simulated
     /// results stay bit-identical with timing on or off.
     pub time_phases: bool,
-    /// Elide provably idle spans of the compute loop in O(1) (on by
-    /// default). Every simulated result — cycles, conflicts, utilization,
-    /// latency percentiles, FIFO watermarks, stall attribution — is
+    /// Replay spans of the compute loop instead of stepping them cycle by
+    /// cycle (on by default): idle spans, in which nothing acts until the
+    /// next memory response, and steady-state periods, in which the loop
+    /// state relative to the clock recurs at a tile boundary and the AGUs
+    /// keep feeding the same banks (DESIGN §8). Every simulated result —
+    /// cycles, conflicts, utilization, latency percentiles, FIFO
+    /// watermarks, stall attribution, the stream check of every tile — is
     /// bit-identical with this on or off; only host wall-clock changes.
     /// Traced runs ([`SystemConfig::trace`] ≠ [`TraceMode::Off`]) fall back
     /// to lockstep so per-cycle trace timestamps are trivially preserved.
@@ -116,14 +120,18 @@ pub struct HostTimings {
     /// operand pops and result push of a fire, and the stall charge. The
     /// datapath itself runs in the functional executor, outside the loop.
     pub pe_ns: u64,
-    /// Nanoseconds in the fast-forward engine: the idleness test (whether
-    /// or not a skip happened) and the O(1) replay of skipped spans.
+    /// Nanoseconds in the fast-forward engine: the idleness test after a
+    /// stalled cycle, the period detector at tile boundaries (whether or
+    /// not a span followed) and the replay of idle and period spans.
     pub fastforward_ns: u64,
     /// Nanoseconds for the whole compute loop, including bookkeeping not
     /// attributed to a phase.
     pub compute_loop_ns: u64,
     /// Simulated compute cycles the loop executed.
     pub cycles: u64,
+    /// Of [`Self::cycles`], those replayed in idle or period spans rather
+    /// than stepped one by one.
+    pub replayed_cycles: u64,
 }
 
 impl HostTimings {
@@ -134,59 +142,6 @@ impl HostTimings {
             return 0.0;
         }
         self.cycles as f64 / (self.compute_loop_ns as f64 / 1e9)
-    }
-}
-
-/// Accumulates wall-clock laps into per-phase buckets; a no-op when the
-/// run was configured without host timing.
-struct HostPhaseClock {
-    last: Option<Instant>,
-    timings: HostTimings,
-}
-
-enum Phase {
-    Streamers,
-    Memory,
-    Pe,
-    Fastforward,
-}
-
-impl HostPhaseClock {
-    fn new(enabled: bool) -> Self {
-        HostPhaseClock {
-            last: enabled.then(Instant::now),
-            timings: HostTimings::default(),
-        }
-    }
-
-    /// Restarts the lap timer without attributing the elapsed interval.
-    fn start(&mut self) {
-        if self.last.is_some() {
-            self.last = Some(Instant::now());
-        }
-    }
-
-    /// Attributes the time since the previous mark to `phase`.
-    fn lap(&mut self, phase: Phase) {
-        if let Some(last) = self.last {
-            let now = Instant::now();
-            let ns = now.duration_since(last).as_nanos() as u64;
-            match phase {
-                Phase::Streamers => self.timings.streamers_ns += ns,
-                Phase::Memory => self.timings.memory_ns += ns,
-                Phase::Pe => self.timings.pe_ns += ns,
-                Phase::Fastforward => self.timings.fastforward_ns += ns,
-            }
-            self.last = Some(now);
-        }
-    }
-
-    fn finish(self, loop_start: Option<Instant>, cycles: u64) -> Option<HostTimings> {
-        let start = loop_start?;
-        let mut timings = self.timings;
-        timings.compute_loop_ns = start.elapsed().as_nanos() as u64;
-        timings.cycles = cycles;
-        Some(timings)
     }
 }
 
@@ -264,295 +219,6 @@ impl RunReport {
     pub fn accesses(&self) -> u64 {
         self.mem_reads + self.mem_writes
     }
-}
-
-/// Perfetto track names of the operand readers, in [`OperandPort`] order.
-const READER_TRACKS: [&str; 3] = ["streamer-A", "streamer-B", "streamer-C"];
-
-/// The per-port fire rule: A and B feed every fire, C only the first k-step
-/// of a tile.
-fn needed(port: OperandPort, first_step: bool) -> bool {
-    port != OperandPort::C || first_step
-}
-
-/// The accelerator handshake: the port that blocks this cycle and the stall
-/// cause it records, or `None` if the accelerator fires. It fires when
-/// every operand reader it [`needed`] is valid and, on tile-completing
-/// steps, the output port is ready. The lockstep iteration and the
-/// fast-forward span proof both ask this one function.
-fn handshake(
-    readers: &[ReadStreamer],
-    out: &WriteStreamer,
-    first_step: bool,
-    produces: bool,
-    drained: bool,
-) -> Option<(Port, StallCause)> {
-    let blocked = OperandPort::ALL
-        .into_iter()
-        .zip(readers)
-        .find(|(port, reader)| needed(*port, first_step) && !reader.can_pop_wide());
-    let (port, cause) = match blocked {
-        Some((p, reader)) if reader.lost_arbitration() => (p.port(), StallCause::BankConflict(p)),
-        Some((p, _)) => (p.port(), StallCause::NoOperand(p)),
-        None if produces && !out.can_push_wide() => (Port::Out, StallCause::WritebackBackpressure),
-        None => return None,
-    };
-    Some((port, if drained { StallCause::Drain } else { cause }))
-}
-
-/// Resolves the component-instance blame leaf for one stalled cycle by
-/// dispatching the blame-chain walk to the streamer named by `cause`.
-///
-/// Drain stalls are special: the input FIFOs are legitimately empty, so
-/// whichever port the handshake blocked on, the cycle belongs to the write
-/// path — a specific bank if one is still draining or arbitrating, the
-/// tail flush otherwise.
-fn blame_leaf_for(
-    cause: StallCause,
-    readers: &[ReadStreamer],
-    out: &WriteStreamer,
-    mem: &MemorySubsystem,
-) -> BlameLeaf {
-    match cause {
-        StallCause::NoOperand(p) | StallCause::BankConflict(p) => {
-            readers[p.index()].blame_leaf(mem)
-        }
-        StallCause::WritebackBackpressure => out.blame_leaf(),
-        StallCause::Drain if out.can_push_wide() => BlameLeaf::Flush,
-        StallCause::Drain => match out.blame_leaf() {
-            BlameLeaf::Unattributed => BlameLeaf::Flush,
-            leaf => leaf,
-        },
-    }
-}
-
-/// Activity digests of every component a fast-forward span must leave
-/// frozen, for the debug-build [`dm_sim::SpanCheck`].
-#[cfg(debug_assertions)]
-fn activity_digests(
-    readers: &[ReadStreamer],
-    out: &WriteStreamer,
-    mem: &MemorySubsystem,
-) -> Vec<(&'static str, u64)> {
-    READER_TRACKS
-        .into_iter()
-        .zip(readers.iter().map(ReadStreamer::activity_digest))
-        .chain([
-            ("streamer-OUT", out.activity_digest()),
-            ("mem", mem.activity_digest()),
-        ])
-        .collect()
-}
-
-/// The fire schedule of one compute phase.
-pub(crate) struct Schedule<'a> {
-    /// Fires per output tile: the first reads C, the last produces the
-    /// tile.
-    pub(crate) k_steps: u64,
-    /// Output tiles the phase produces.
-    pub(crate) tiles: u64,
-    /// The functional executor's per-tile stream digests, checked as each
-    /// tile is produced; `None` for a timing-only run.
-    pub(crate) expected: Option<&'a [u64]>,
-}
-
-/// What one compute phase measured.
-pub(crate) struct ComputeRun {
-    /// Compute cycles, pipeline fill and drain included.
-    pub(crate) cycles: u64,
-    /// Cycles the accelerator fired.
-    pub(crate) fires: u64,
-    /// Every cycle's fire or `(phase, cause, leaf)` stall.
-    pub(crate) ledger: CausalLedger,
-    /// Host phase timings, when [`SystemConfig::time_phases`] is set.
-    pub(crate) host: Option<HostTimings>,
-}
-
-/// The one cycle loop of every accelerator built from DataMaestros.
-///
-/// `readers` are the operand readers in [`OperandPort`] order (A, B, C for
-/// the GeMM array, only A for pooling); `out` drains the result tiles. The
-/// accelerator fires once every reader it needs is valid — A and B on every
-/// fire, C on the first k-step of a tile — and, on the tile's last k-step,
-/// the writer is ready. Provably idle spans are elided in O(1) when
-/// [`SystemConfig::fast_forward`] is set and the run is untraced.
-///
-/// # Errors
-///
-/// [`SystemError::Deadlock`] past `steps × 64 + 100 000` cycles,
-/// [`SystemError::StreamMismatch`] if a tile's consumed and produced word
-/// addresses differ from the functional executor's, and memory errors.
-pub(crate) fn run_compute(
-    config: &SystemConfig,
-    mem: &mut MemorySubsystem,
-    readers: &mut [ReadStreamer],
-    out: &mut WriteStreamer,
-    schedule: &Schedule<'_>,
-    trace: &mut Trace,
-) -> Result<ComputeRun, SystemError> {
-    // Response routing table: requester index → consuming reader.
-    let mut routes: Vec<Option<usize>> = vec![None; mem.num_requesters()];
-    for (index, reader) in readers.iter().enumerate() {
-        for id in reader.channel_requesters() {
-            routes[id.index()] = Some(index);
-        }
-    }
-    let k_steps = schedule.k_steps;
-    let steps = k_steps * schedule.tiles;
-    let budget = steps * 64 + 100_000;
-    let mut digest = TileDigest::EMPTY;
-    let mut ledger = CausalLedger::new(mem.config().num_banks());
-    let mut cycles = 0u64;
-    let mut fires = 0u64;
-
-    trace.emit_with(mem.cycle(), "system", || TraceEventKind::SpanBegin {
-        name: "compute".to_owned(),
-    });
-    let mut clock = HostPhaseClock::new(config.time_phases);
-    let loop_start = config.time_phases.then(Instant::now);
-    // Tracing needs every per-cycle timestamp, so traced runs stay lockstep.
-    let ff_active = config.fast_forward && config.trace == TraceMode::Off;
-    while !(readers.iter().all(ReadStreamer::is_done) && out.is_done()) {
-        clock.start();
-        // Once every compute step has fired, remaining cycles only flush the
-        // write path: the input FIFOs are legitimately empty, not starved.
-        let drained = fires == steps;
-        let k_step = fires % k_steps;
-        let (first, produces) = (k_step == 0, k_step == k_steps - 1);
-        // Phase segmentation: fill until the first fire, drain once every
-        // compute step has issued, steady in between. Derived from loop
-        // state only, so fast-forwarded and lockstep runs agree exactly.
-        let phase = if ledger.fired() == 0 {
-            BlamePhase::Fill
-        } else if drained {
-            BlamePhase::Drain
-        } else {
-            BlamePhase::Steady
-        };
-        // A cycle is skippable iff no streamer acts, the handshake stalls,
-        // and no memory response lands this cycle. In that state the whole
-        // iteration reduces to occupancy sampling plus one ledger charge —
-        // replayable in O(1) for the entire span up to the oldest in-flight
-        // read's due cycle, capped so a wedged system fast-forwards to the
-        // exact deadlock diagnostic lockstep would produce. A span of one
-        // saves nothing over a lockstep iteration.
-        let skip = (ff_active
-            && !readers.iter().any(ReadStreamer::acts_this_cycle)
-            && !out.acts_this_cycle())
-        .then(|| handshake(readers, out, first, produces, drained))
-        .flatten()
-        .map(|(_, cause)| {
-            let (cap, now) = (budget + 1 - cycles, mem.cycle());
-            let span = mem
-                .next_due()
-                .map_or(cap, |due| due.saturating_sub(now).get());
-            (cause, span.min(cap))
-        })
-        .filter(|&(_, span)| span >= 2);
-        if ff_active {
-            clock.lap(Phase::Fastforward);
-        }
-        if let Some((cause, span)) = skip {
-            #[cfg(debug_assertions)]
-            let check = dm_sim::SpanCheck::capture(activity_digests(readers, out, mem));
-            for reader in readers.iter_mut() {
-                reader.sample_occupancy_span(span);
-            }
-            out.sample_occupancy_span(span);
-            // The blame walk reads only state the span check proves frozen
-            // (and the due-ordered in-flight queue, untouched until after
-            // the span), so the leaf is constant across the span: one charge
-            // is bit-identical to per-cycle charging.
-            let leaf = blame_leaf_for(cause, readers, out, mem);
-            ledger.charge(phase, cause, leaf, span);
-            mem.advance_idle(span);
-            cycles += span;
-            #[cfg(debug_assertions)]
-            check.assert_unchanged(activity_digests(readers, out, mem));
-            clock.lap(Phase::Fastforward);
-        } else {
-            for reader in readers.iter_mut() {
-                reader.begin_cycle();
-            }
-            clock.lap(Phase::Streamers);
-            mem.drain_responses(|resp| match routes[resp.requester.index()] {
-                Some(index) => readers[index].accept_response(resp),
-                None => unreachable!("response for a write/copy port"),
-            });
-            clock.lap(Phase::Memory);
-            let now = mem.cycle();
-            match handshake(readers, out, first, produces, drained) {
-                None => {
-                    ledger.fire(now.get());
-                    trace.emit(now, "pe", TraceEventKind::PeFire);
-                    if first {
-                        digest = TileDigest::EMPTY;
-                    }
-                    for (port, reader) in OperandPort::ALL.into_iter().zip(readers.iter_mut()) {
-                        if needed(port, first) {
-                            reader.pop_wide(|addr| digest.fold(addr));
-                        }
-                    }
-                    if produces {
-                        out.push_wide(|addr| digest.fold(addr));
-                        if let Some(expected) = schedule.expected {
-                            executor::check_tile(expected, fires / k_steps, digest)?;
-                        }
-                    }
-                    fires += 1;
-                }
-                Some((port, cause)) => {
-                    match port.operand() {
-                        Some(p) => readers[p.index()].note_consumer_blocked(now),
-                        None => out.note_producer_blocked(now),
-                    }
-                    let leaf = blame_leaf_for(cause, readers, out, mem);
-                    ledger.charge(phase, cause, leaf, 1);
-                    trace.emit(now, "pe", TraceEventKind::PeStall { cause });
-                }
-            }
-            clock.lap(Phase::Pe);
-            for reader in readers.iter_mut() {
-                reader.generate_and_issue(mem);
-            }
-            out.generate_and_issue(mem);
-            clock.lap(Phase::Streamers);
-            let grants = mem.arbitrate();
-            clock.lap(Phase::Memory);
-            for reader in readers.iter_mut() {
-                reader.handle_grants(grants);
-            }
-            out.handle_grants(grants);
-            clock.lap(Phase::Streamers);
-            cycles += 1;
-        }
-        if cycles > budget {
-            return Err(SystemError::Deadlock {
-                phase: "compute",
-                cycles,
-            });
-        }
-    }
-    trace.emit_with(mem.cycle(), "system", || TraceEventKind::SpanEnd {
-        name: "compute".to_owned(),
-    });
-    debug_assert_eq!(fires, steps);
-    assert_eq!(
-        ledger.fired(),
-        fires,
-        "ledger fires must match active cycles"
-    );
-    assert_eq!(
-        ledger.total(),
-        cycles,
-        "fires plus charged stalls must cover every compute cycle"
-    );
-    Ok(ComputeRun {
-        cycles,
-        fires,
-        ledger,
-        host: clock.finish(loop_start, cycles),
-    })
 }
 
 /// Refuses a bank geometry under which a port's wide word is not the tile

@@ -4,8 +4,10 @@
 //! actually occur.
 
 use dm_compiler::FeatureSet;
-use dm_system::{run_workload, RunReport, SystemConfig};
-use dm_workloads::{ConvSpec, GemmSpec, WorkloadData};
+use dm_mem::MemConfig;
+use dm_sim::SplitMix64;
+use dm_system::{run_pool_on, run_workload, RunReport, SystemConfig};
+use dm_workloads::{models, ConvSpec, GemmSpec, PoolSpec, WorkloadData};
 
 /// Compares the full observable surface of two reports: cycle counts,
 /// stall taxonomy, memory traffic, per-bank heatmap, and the complete
@@ -91,4 +93,75 @@ fn traced_runs_match_untraced_fast_forwarded_runs() {
     assert_eq!(ff.ledger, traced.ledger);
     assert!(ff.traces.is_empty());
     assert!(!traced.traces.is_empty());
+}
+
+/// Runs `data` with fast-forward on and in lockstep at `read_latency`, and
+/// asserts the two reports identical and that replay covered some of the
+/// run.
+fn assert_replays_exactly(data: &WorkloadData, read_latency: u64) {
+    let config = |fast_forward| SystemConfig {
+        read_latency,
+        fast_forward,
+        time_phases: fast_forward,
+        ..SystemConfig::default()
+    };
+    let label = format!("{} at read latency {read_latency}", data.workload);
+    let ff = run_workload(&config(true), data).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let ls = run_workload(&config(false), data).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_identical(&ff, &ls, &label);
+    let host = ff.host.expect("time_phases reports host timings");
+    assert!(host.replayed_cycles > 0, "{label}: nothing was replayed");
+}
+
+#[test]
+fn period_replay_is_bit_identical_on_steady_state_kernels() {
+    let workloads = [
+        WorkloadData::generate(ConvSpec::new(18, 18, 32, 32, 3, 3, 1).into(), 50),
+        WorkloadData::generate(ConvSpec::new(34, 34, 32, 32, 3, 3, 2).into(), 51),
+        WorkloadData::generate(GemmSpec::new(64, 64, 128).into(), 52),
+        WorkloadData::generate(GemmSpec::transposed(64, 64, 128).into(), 53),
+    ];
+    for latency in [1, 16] {
+        for data in &workloads {
+            assert_replays_exactly(data, latency);
+        }
+    }
+}
+
+/// The 3×3/2 ResNet-stem pooling shape, the one pooling shape that
+/// stalls, replays exactly too.
+#[test]
+fn period_replay_is_bit_identical_on_the_stem_pool() {
+    let spec = PoolSpec::new(113, 113, 64, 3, 2);
+    let mut rng = SplitMix64::new(113 * 113 * 64);
+    let input: Vec<i8> = (0..113 * 113 * 64)
+        .map(|_| rng.between(i8::MIN.into(), i8::MAX.into()) as i8)
+        .collect();
+    let config = |fast_forward| SystemConfig {
+        mem: MemConfig::new(32, 8, 65_536).unwrap(),
+        fast_forward,
+        time_phases: fast_forward,
+        ..SystemConfig::default()
+    };
+    let ff = run_pool_on(&config(true), spec, &input).unwrap();
+    let ls = run_pool_on(&config(false), spec, &input).unwrap();
+    assert_eq!(
+        (ff.cycles, ff.accesses, ff.conflicts, ff.checked),
+        (ls.cycles, ls.accesses, ls.conflicts, ls.checked)
+    );
+    assert_eq!(ff.ledger, ls.ledger);
+    assert!(
+        ff.host.expect("timed").replayed_cycles > 0,
+        "nothing was replayed"
+    );
+}
+
+/// All 12 ResNet-18 layers of Table III; a release-build run in CI.
+#[test]
+#[ignore = "minutes in a debug build; CI runs it in release"]
+fn period_replay_is_bit_identical_on_every_resnet18_layer() {
+    for (i, layer) in models::resnet18().layers.iter().enumerate() {
+        let data = WorkloadData::generate(layer.workload, 60 + i as u64);
+        assert_replays_exactly(&data, 1);
+    }
 }
