@@ -69,16 +69,18 @@ impl PortPeriodProof {
     }
 }
 
-/// Periodicity proof for all four ports of a compiled program, with the
+/// Periodicity proof for every port of a compiled program, with the
 /// joint fire period.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramPeriodProof {
-    /// Per-port proofs in `[A, B, C, OUT]` order.
+    /// Per-port proofs in port order: the operand readers (`[A, B, C]`, or
+    /// `[A]` for pooling), then OUT.
     pub ports: Vec<PortPeriodProof>,
     /// PE fires per output-tile step (C/OUT advance once per `k_steps`).
     pub k_steps: u64,
-    /// Joint period of the four request streams, in PE fires:
-    /// `lcm(P_A, P_B, k·P_C, k·P_OUT)` (saturating at `u64::MAX`).
+    /// Joint period of the request streams, in PE fires: the lcm of each
+    /// port's period stretched by its fires per word — `lcm(P_A, P_B,
+    /// k·P_C, k·P_OUT)` for GeMM (saturating at `u64::MAX`).
     pub fire_period: u64,
     /// `true` when every port proof is exhaustive.
     pub exhaustive: bool,
@@ -214,8 +216,8 @@ pub fn prove_port(
     })
 }
 
-/// Proves all four port streams of a compiled program periodic and
-/// combines them into the joint fire period.
+/// Proves every port stream of a compiled program periodic and combines
+/// them into the joint fire period.
 ///
 /// # Errors
 ///
@@ -226,27 +228,25 @@ pub fn prove_program(
     mem: &MemConfig,
 ) -> Result<ProgramPeriodProof, Vec<Diagnostic>> {
     let mut diags = Vec::new();
-    let mut ports = Vec::with_capacity(4);
-    for plan in [&program.a, &program.b, &program.c, &program.out] {
+    let mut ports = Vec::new();
+    // A port that moves `w` words per tile of `k` fires advances one
+    // temporal step every `k / w` fires, which stretches its period: A and
+    // B not at all, C and OUT by `k`.
+    let k = program.k_steps.max(1);
+    let mut joint = 1u128;
+    for (port, plan) in program.ports() {
         match prove_port(&plan.design, &plan.runtime, mem) {
-            Ok(proof) => ports.push(proof),
+            Ok(proof) => {
+                let stretch = k / port.words_per_tile(k).max(1);
+                joint = lcm_u128(joint, u128::from(stretch) * u128::from(proof.period));
+                ports.push(proof);
+            }
             Err(d) => diags.push(d),
         }
     }
     if !diags.is_empty() {
         return Err(diags);
     }
-    // A and B advance one temporal step per PE fire; C and OUT advance
-    // once per `k_steps` fires, which stretches their periods by `k`.
-    let k = u128::from(program.k_steps.max(1));
-    let joint = [
-        u128::from(ports[0].period),
-        u128::from(ports[1].period),
-        k * u128::from(ports[2].period),
-        k * u128::from(ports[3].period),
-    ]
-    .into_iter()
-    .fold(1u128, lcm_u128);
     let fire_period = u64::try_from(joint).unwrap_or(u64::MAX);
     let exhaustive = ports.iter().all(|p| p.exhaustive);
     Ok(ProgramPeriodProof {

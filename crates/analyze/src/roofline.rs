@@ -97,7 +97,7 @@ pub fn predict(
     let ideal = program.total_steps();
     let latency = read_latency.max(1);
 
-    // Bank-conflict term: total requests per bank, all four ports summed.
+    // Bank-conflict term: total requests per bank, every port summed.
     let mut per_bank = vec![0u64; mem.num_banks()];
     for port in &period.ports {
         for (b, &count) in port.per_bank_walked.iter().enumerate() {
@@ -106,14 +106,10 @@ pub fn predict(
     }
     let bank_term = per_bank.iter().copied().max().unwrap_or(0);
 
-    // Latency chains for the three read ports (A, B advance per fire;
-    // C per tile — either way `steps` is the port's own pop count).
+    // Latency chains for the read ports (A, B advance per fire; C per
+    // tile — either way `steps` is the port's own pop count).
     let mut latency_terms = Vec::new();
-    for (plan, proof) in [
-        (&program.a, &period.ports[0]),
-        (&program.b, &period.ports[1]),
-        (&program.c, &period.ports[2]),
-    ] {
+    for (plan, proof) in program.readers.iter().zip(&period.ports) {
         let steps = proof.steps;
         let (cycles, class) = if plan.design.fine_grained_prefetch() {
             let depth = plan.design.data_buffer_depth().max(1) as u64;

@@ -3,6 +3,7 @@
 
 use dm_compiler::CompiledWorkload;
 use dm_mem::MemConfig;
+use dm_sim::Port;
 
 use crate::advisor;
 use crate::conflict::{intra_burst, BurstVerdict};
@@ -291,50 +292,36 @@ pub fn analyze_streams(streams: &[StreamInput<'_>], mem: &MemConfig, prepasses: 
     }
 }
 
-/// Analyzes a compiled workload: the four compute streams (A, B, C, OUT),
-/// the channel-graph deadlock checks, and the pre-pass accounting.
+/// Analyzes a compiled workload: its compute streams (the operand readers,
+/// then OUT), the channel-graph deadlock checks, and the pre-pass
+/// accounting.
 #[must_use]
 pub fn analyze_program(program: &CompiledWorkload, mem: &MemConfig) -> Analysis {
-    let streams = [
-        StreamInput {
-            design: &program.a.design,
-            runtime: &program.a.runtime,
-        },
-        StreamInput {
-            design: &program.b.design,
-            runtime: &program.b.runtime,
-        },
-        StreamInput {
-            design: &program.c.design,
-            runtime: &program.c.runtime,
-        },
-        StreamInput {
-            design: &program.out.design,
-            runtime: &program.out.runtime,
-        },
-    ];
+    let streams: Vec<_> = program
+        .ports()
+        .map(|(_, plan)| StreamInput {
+            design: &plan.design,
+            runtime: &plan.runtime,
+        })
+        .collect();
     let mut analysis = analyze_streams(&streams, mem, program.prepasses.len());
 
     // Channel-graph deadlock checks: FIFO capacities from the designs,
     // token supply from the runtime nests, demand from the PE's schedule
-    // (A/B once per compute step, C/OUT once per output tile).
-    let tiles = program.total_output_tiles;
-    let steps = program.total_output_tiles * program.k_steps;
-    let graph = system_graph(
-        &[
-            stream_tuple(&program.a, true),
-            stream_tuple(&program.b, true),
-            stream_tuple(&program.c, true),
-            stream_tuple(&program.out, false),
-        ],
-        &[
-            ("A".to_owned(), steps),
-            ("B".to_owned(), steps),
-            ("C".to_owned(), tiles),
-            ("OUT".to_owned(), tiles),
-        ],
-    );
-    analysis.report.extend(graph.analyze());
+    // (each port's words per tile by the fire rule, over every tile).
+    let (streams, demands): (Vec<_>, Vec<_>) = program
+        .ports()
+        .map(|(port, plan)| {
+            let words = port.words_per_tile(program.k_steps) * program.total_output_tiles;
+            (
+                stream_tuple(plan, port != Port::Out),
+                (port.label().to_owned(), words),
+            )
+        })
+        .unzip();
+    analysis
+        .report
+        .extend(system_graph(&streams, &demands).analyze());
     analysis
 }
 
@@ -433,8 +420,9 @@ mod tests {
         )
         .unwrap();
         // Starve the A port: halve its outermost bound.
-        let last = program.a.runtime.temporal_bounds.len() - 1;
-        program.a.runtime.temporal_bounds[last] /= 2;
+        let a = &mut program.readers[0].runtime;
+        let last = a.temporal_bounds.len() - 1;
+        a.temporal_bounds[last] /= 2;
         let analysis = analyze_program(&program, &mem);
         assert!(analysis.report.has_code(LintCode::Deadlock));
         assert!(analysis.report.has_errors());

@@ -65,21 +65,24 @@ impl std::fmt::Display for Baseline {
     }
 }
 
-/// Effective GeMM dimensions of a workload (convolutions via im2col).
-fn gemm_dims(workload: &Workload) -> (f64, f64, f64) {
+/// Effective GeMM dimensions of a workload (convolutions via im2col);
+/// `None` for pooling, which no baseline models.
+fn gemm_dims(workload: &Workload) -> Option<(f64, f64, f64)> {
     match workload {
-        Workload::Gemm(g) => (g.m as f64, g.n as f64, g.k as f64),
+        Workload::Gemm(g) => Some((g.m as f64, g.n as f64, g.k as f64)),
         Workload::Conv(c) => {
             let (m, n, k) = c.as_im2col_gemm();
-            (m as f64, n as f64, k as f64)
+            Some((m as f64, n as f64, k as f64))
         }
+        Workload::Pool(_) => None,
     }
 }
 
-/// PE-array utilization of a baseline on a workload (0..=1).
+/// PE-array utilization of a baseline on a workload (0..=1), or `None` for
+/// a kernel the baselines' published figures do not cover (pooling).
 #[must_use]
-pub fn utilization(baseline: Baseline, workload: &Workload) -> f64 {
-    let (m, n, k) = gemm_dims(workload);
+pub fn utilization(baseline: Baseline, workload: &Workload) -> Option<f64> {
+    let (m, n, k) = gemm_dims(workload)?;
     let group = workload.group();
     let strided = matches!(workload, Workload::Conv(c) if c.stride > 1);
     match baseline {
@@ -106,7 +109,7 @@ pub fn utilization(baseline: Baseline, workload: &Workload) -> f64 {
                 util *= 0.7;
             }
             // Partial edge tiles when M or N is not a multiple of 16.
-            util * edge_factor(m, 16.0) * edge_factor(n, 16.0)
+            Some(util * edge_factor(m, 16.0) * edge_factor(n, 16.0))
         }
         Baseline::GemminiWs => {
             // Per 16×16×16 block: 16-cycle weight reload, then M rows of
@@ -123,7 +126,7 @@ pub fn utilization(baseline: Baseline, workload: &Workload) -> f64 {
             if group == WorkloadGroup::TransposedGemm {
                 util *= 0.8;
             }
-            util * edge_factor(m, 16.0) * edge_factor(n, 16.0)
+            Some(util * edge_factor(m, 16.0) * edge_factor(n, 16.0))
         }
         Baseline::Feather => {
             // Near-ideal dataflow switching; the BIRRD reordering network
@@ -136,7 +139,7 @@ pub fn utilization(baseline: Baseline, workload: &Workload) -> f64 {
             if strided {
                 util *= 0.55;
             }
-            util
+            Some(util)
         }
         Baseline::BitWave => {
             // Strong on convolutions (bit-column sparsity exploits weight
@@ -146,13 +149,14 @@ pub fn utilization(baseline: Baseline, workload: &Workload) -> f64 {
                 WorkloadGroup::Conv => 0.82,
                 WorkloadGroup::Gemm => 0.38,
                 WorkloadGroup::TransposedGemm => 0.30,
+                WorkloadGroup::Pool => return None,
             };
             let k_tiles = k / 8.0;
             let mut util = base * k_tiles / (k_tiles + 2.0);
             if strided {
                 util *= 0.5;
             }
-            util
+            Some(util)
         }
     }
 }
@@ -214,10 +218,22 @@ pub fn data_movement_costs() -> Vec<DataMovementCost> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_workloads::{ConvSpec, GemmSpec};
+    use dm_workloads::{ConvSpec, GemmSpec, PoolSpec};
 
     fn gemm64() -> Workload {
         GemmSpec::new(64, 64, 64).into()
+    }
+
+    fn util(baseline: Baseline, workload: &Workload) -> f64 {
+        utilization(baseline, workload).expect("GeMM and convolution are modelled")
+    }
+
+    #[test]
+    fn no_baseline_models_pooling() {
+        let pool: Workload = PoolSpec::new(16, 16, 8, 2, 2).into();
+        for b in Baseline::ALL {
+            assert_eq!(utilization(b, &pool), None, "{b}");
+        }
     }
 
     #[test]
@@ -231,7 +247,7 @@ mod tests {
         ];
         for b in Baseline::ALL {
             for w in &workloads {
-                let u = utilization(b, w);
+                let u = util(b, w);
                 assert!((0.0..=1.0).contains(&u), "{b} on {w}: {u}");
             }
         }
@@ -239,22 +255,22 @@ mod tests {
 
     #[test]
     fn gemmini_os_collapses_on_gemm() {
-        let u = utilization(Baseline::GemminiOs, &gemm64());
+        let u = util(Baseline::GemminiOs, &gemm64());
         assert!(u < 0.35, "OS should be low, got {u}");
     }
 
     #[test]
     fn gemmini_ws_beats_os_on_large_m() {
         let w: Workload = GemmSpec::new(192, 64, 64).into();
-        assert!(utilization(Baseline::GemminiWs, &w) > utilization(Baseline::GemminiOs, &w));
+        assert!(util(Baseline::GemminiWs, &w) > util(Baseline::GemminiOs, &w));
     }
 
     #[test]
     fn feather_is_the_strongest_baseline_on_gemm() {
         let w = gemm64();
-        let feather = utilization(Baseline::Feather, &w);
+        let feather = util(Baseline::Feather, &w);
         for b in [Baseline::GemminiOs, Baseline::GemminiWs, Baseline::BitWave] {
-            assert!(feather > utilization(b, &w), "{b} beat FEATHER");
+            assert!(feather > util(b, &w), "{b} beat FEATHER");
         }
         assert!(feather > 0.8);
     }
@@ -262,8 +278,8 @@ mod tests {
     #[test]
     fn bitwave_prefers_conv_over_gemm() {
         let conv: Workload = ConvSpec::new(58, 58, 64, 64, 3, 3, 1).into();
-        let u_conv = utilization(Baseline::BitWave, &conv);
-        let u_gemm = utilization(Baseline::BitWave, &gemm64());
+        let u_conv = util(Baseline::BitWave, &conv);
+        let u_gemm = util(Baseline::BitWave, &gemm64());
         assert!(u_conv > 1.5 * u_gemm, "conv {u_conv} vs gemm {u_gemm}");
     }
 
@@ -272,7 +288,7 @@ mod tests {
         let s1: Workload = ConvSpec::new(58, 58, 64, 64, 3, 3, 1).into();
         let s2: Workload = ConvSpec::new(58, 58, 64, 64, 3, 3, 2).into();
         for b in Baseline::ALL {
-            assert!(utilization(b, &s2) < utilization(b, &s1), "{b}");
+            assert!(util(b, &s2) < util(b, &s1), "{b}");
         }
     }
 

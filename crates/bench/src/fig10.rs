@@ -49,7 +49,9 @@ pub fn run(flags: &RunFlags, capture: &mut Capture) -> Result<(), String> {
         let mut kernel_min = f64::MAX;
         let mut kernel_max = 0.0f64;
         for baseline in Baseline::ALL {
-            let theirs = normalized_throughput_tops(utilization(baseline, workload));
+            let modelled = utilization(baseline, workload)
+                .ok_or_else(|| format!("{name}: {baseline} has no model for {workload}"))?;
+            let theirs = normalized_throughput_tops(modelled);
             let gain = ours / theirs;
             kernel_min = kernel_min.min(gain);
             kernel_max = kernel_max.max(gain);

@@ -2,7 +2,8 @@
 //!
 //! Given a workload, the built system's [`FeatureSet`] and the memory
 //! geometry, [`compile`] produces a [`CompiledWorkload`]: design-time and
-//! runtime configurations for the A/B/C/output DataMaestros, operand
+//! runtime configurations for the operand readers (A/B/C for GeMM and
+//! convolution, A alone for max pooling) and the output DataMaestro, operand
 //! placement (disjoint bank groups under addressing-mode switching),
 //! pre-pass plans for features the system lacks (explicit transpose,
 //! explicit im2col, bias materialization), and the golden output image for
@@ -49,19 +50,20 @@ pub use error::CompileError;
 pub use features::FeatureSet;
 pub use nima::compile_gemm_private_banks;
 pub use placement::{BankWindow, Region};
-pub use pool::{compile_pool, CompiledPool};
 pub use program::{CompiledWorkload, CopyPlan, OperandImage, StreamPlan, WriteSource};
 
 /// Lowers a workload onto the evaluation system.
 ///
 /// `quantized` selects the output path: `true` routes the GeMM result
 /// through the quantization accelerator onto the E stream (int8), `false`
-/// writes raw int32 accumulators through the D stream.
+/// writes raw int32 accumulators through the D stream. Max pooling runs on
+/// the pooling system, whose max unit yields int8 tiles only.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError`] when an operand does not fit its bank-group
-/// region or the workload shape cannot be mapped onto the array.
+/// region, the workload shape cannot be mapped onto the array, or a
+/// pooling input does not match its shape or asks for int32 output.
 pub fn compile(
     data: &WorkloadData,
     features: &FeatureSet,
@@ -72,6 +74,7 @@ pub fn compile(
     match data.workload {
         Workload::Gemm(g) => lower::compile_gemm(g, data, features, mem, quantized, depths),
         Workload::Conv(c) => lower::compile_conv(c, data, features, mem, quantized, depths),
+        Workload::Pool(p) => pool::compile_pool(p, data, features, mem, quantized, depths),
     }
 }
 
@@ -105,7 +108,7 @@ mod tests {
         assert_eq!(p.total_steps(), 24);
         assert_eq!(p.images.len(), 3);
         // Runtime configurations are consistent with their designs.
-        for plan in [&p.a, &p.b, &p.c, &p.out] {
+        for (_, plan) in p.ports() {
             plan.runtime.validate(&plan.design).unwrap();
         }
     }
@@ -183,7 +186,7 @@ mod tests {
         )
         .unwrap();
         assert!(p.prepasses.is_empty());
-        assert_eq!(p.a.runtime.extension_bypass, vec![false]);
+        assert_eq!(p.readers[0].runtime.extension_bypass, vec![false]);
     }
 
     #[test]
@@ -196,7 +199,7 @@ mod tests {
             BufferDepths::default(),
         )
         .unwrap();
-        assert_eq!(p.a.runtime.extension_bypass, vec![true]);
+        assert_eq!(p.readers[0].runtime.extension_bypass, vec![true]);
     }
 
     #[test]
@@ -216,7 +219,7 @@ mod tests {
             .expect("materialized bias image");
         assert_eq!(cfull.bytes.len(), 16 * 16 * 4);
         assert!(p.prepasses.is_empty());
-        assert_eq!(p.c.design.num_channels(), 32);
+        assert_eq!(p.readers[2].design.num_channels(), 32);
     }
 
     #[test]
@@ -226,7 +229,7 @@ mod tests {
         let p = compile(&data, &features, &mem(), true, BufferDepths::default()).unwrap();
         assert!(p.prepasses.iter().any(|pp| pp.name == "explicit-im2col"));
         // 4-D temporal pattern over the materialized matrix.
-        assert_eq!(p.a.runtime.temporal_bounds.len(), 4);
+        assert_eq!(p.readers[0].runtime.temporal_bounds.len(), 4);
     }
 
     #[test]
@@ -241,7 +244,7 @@ mod tests {
         )
         .unwrap();
         assert!(p.prepasses.is_empty());
-        assert_eq!(p.a.runtime.temporal_bounds.len(), 6);
+        assert_eq!(p.readers[0].runtime.temporal_bounds.len(), 6);
         assert_eq!(p.k_steps, 9);
         assert_eq!(p.total_output_tiles, 8 * 8 / 8);
     }

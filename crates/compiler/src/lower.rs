@@ -264,22 +264,12 @@ pub(crate) fn compile_gemm(
         workload: Workload::Gemm(spec),
         features: *features,
         quantized,
-        a: StreamPlan {
-            design: a_design,
-            runtime: a_runtime,
-        },
-        b: StreamPlan {
-            design: b_design,
-            runtime: b_runtime,
-        },
-        c: StreamPlan {
-            design: c_design,
-            runtime: c_runtime,
-        },
-        out: StreamPlan {
-            design: out_design,
-            runtime: out_runtime,
-        },
+        readers: vec![
+            StreamPlan::new(a_design, a_runtime),
+            StreamPlan::new(b_design, b_runtime),
+            StreamPlan::new(c_design, c_runtime),
+        ],
+        out: StreamPlan::new(out_design, out_runtime),
         images,
         prepasses,
         k_steps: kt as u64,
@@ -555,22 +545,12 @@ pub(crate) fn compile_conv(
         workload: Workload::Conv(spec),
         features: *features,
         quantized,
-        a: StreamPlan {
-            design: a_design,
-            runtime: a_runtime,
-        },
-        b: StreamPlan {
-            design: b_design,
-            runtime: b_runtime,
-        },
-        c: StreamPlan {
-            design: c_design,
-            runtime: c_runtime,
-        },
-        out: StreamPlan {
-            design: out_design,
-            runtime: out_runtime,
-        },
+        readers: vec![
+            StreamPlan::new(a_design, a_runtime),
+            StreamPlan::new(b_design, b_runtime),
+            StreamPlan::new(c_design, c_runtime),
+        ],
+        out: StreamPlan::new(out_design, out_runtime),
         images,
         prepasses,
         k_steps,

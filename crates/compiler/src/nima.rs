@@ -181,22 +181,12 @@ pub fn compile_gemm_private_banks(
         workload: data.workload,
         features: *features,
         quantized: true,
-        a: StreamPlan {
-            design: a_design,
-            runtime: a_runtime,
-        },
-        b: StreamPlan {
-            design: b_design,
-            runtime: b_runtime,
-        },
-        c: StreamPlan {
-            design: c_design,
-            runtime: c_runtime,
-        },
-        out: StreamPlan {
-            design: out_design,
-            runtime: out_runtime,
-        },
+        readers: vec![
+            StreamPlan::new(a_design, a_runtime),
+            StreamPlan::new(b_design, b_runtime),
+            StreamPlan::new(c_design, c_runtime),
+        ],
+        out: StreamPlan::new(out_design, out_runtime),
         images,
         prepasses: Vec::new(),
         k_steps: kt as u64,
@@ -250,7 +240,7 @@ mod tests {
                 AddressingMode::GroupedInterleaved { group_banks: 1 }
             );
         }
-        for plan in [&p.a, &p.b, &p.c, &p.out] {
+        for (_, plan) in p.ports() {
             plan.runtime.validate(&plan.design).unwrap();
         }
     }

@@ -5,71 +5,51 @@
 //! / [`WriteStreamer`] building blocks as the GeMM system — one 8-channel
 //! reader walking the pooling windows with the N-D AGU (the same kind of
 //! 5-D pattern the convolution A stream uses), one 8-channel writer, and a
-//! trivial elementwise-max unit in between. Only this compiler function
-//! and the ~40-line reduction unit are pooling-specific.
+//! trivial elementwise-max unit in between. The result is the same
+//! [`CompiledWorkload`] the GeMM lowerings produce, with A as its only
+//! operand reader; only this compiler function and the functional
+//! executor's elementwise max are pooling-specific.
 //!
 //! [`ReadStreamer`]: datamaestro::ReadStreamer
 //! [`WriteStreamer`]: datamaestro::WriteStreamer
 
 use datamaestro::{DesignConfig, RuntimeConfig, StreamerMode};
+use dm_accel::RescaleParams;
 use dm_mem::MemConfig;
-use dm_workloads::{layout, PoolSpec};
+use dm_workloads::{layout, PoolSpec, Workload, WorkloadData};
 
 use crate::designs::{pixel_spatial_strides, BufferDepths};
 use crate::error::CompileError;
 use crate::features::FeatureSet;
 use crate::lower::choose_pixel_tiling;
-use crate::placement::{BankWindow, Region};
-use crate::program::{OperandImage, StreamPlan};
+use crate::placement::BankWindow;
+use crate::program::{CompiledWorkload, OperandImage, StreamPlan};
 
-/// A lowered pooling workload.
-#[derive(Debug, Clone)]
-pub struct CompiledPool {
-    /// The workload.
-    pub spec: PoolSpec,
-    /// Input stream.
-    pub a: StreamPlan,
-    /// Output stream.
-    pub out: StreamPlan,
-    /// Input image to preload.
-    pub images: Vec<OperandImage>,
-    /// Window steps per output tile (k²).
-    pub k_steps: u64,
-    /// Output tiles produced.
-    pub total_output_tiles: u64,
-    /// Where the pooled result lands.
-    pub output_region: Region,
-}
-
-impl CompiledPool {
-    /// The golden output image for verification.
-    #[must_use]
-    pub fn expected_output_image(&self, input: &[i8]) -> Vec<u8> {
-        let golden = dm_accel::maxpool2d_ref(
-            input,
-            self.spec.h,
-            self.spec.w,
-            self.spec.c,
-            self.spec.k,
-            self.spec.stride,
-        );
-        layout::pack_conv_out_i8(&golden, self.spec.oh(), self.spec.ow(), self.spec.c)
-    }
-}
-
-/// Lowers a pooling workload over the given channels-last input tensor.
+/// Lowers a pooling workload over its channels-last input tensor,
+/// `data.a`: one operand reader (A) and the writer, `k²` window steps per
+/// output tile.
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::InputLength`] if `input.len() != h·w·c`, and
-/// [`CompileError`] on placement failure or unmappable geometry.
-pub fn compile_pool(
+/// [`CompileError::Unsupported`] for an int32 output (`quantized` off):
+/// the max unit has no int32 path. [`CompileError::InputLength`] if
+/// `data.a` does not hold `h·w·c` values, and [`CompileError`] on placement
+/// failure or unmappable geometry.
+pub(crate) fn compile_pool(
     spec: PoolSpec,
-    input: &[i8],
+    data: &WorkloadData,
     features: &FeatureSet,
     mem: &MemConfig,
+    quantized: bool,
     depths: BufferDepths,
-) -> Result<CompiledPool, CompileError> {
+) -> Result<CompiledWorkload, CompileError> {
+    if !quantized {
+        return Err(CompileError::Unsupported {
+            reason: "max pooling yields int8 tiles; the max unit has no int32 output path"
+                .to_owned(),
+        });
+    }
+    let input = &data.a;
     let expected = spec.h * spec.w * spec.c;
     if input.len() != expected {
         return Err(CompileError::InputLength {
@@ -160,20 +140,19 @@ pub fn compile_pool(
         .addressing_mode(rout.mode)
         .build();
 
-    Ok(CompiledPool {
-        spec,
-        a: StreamPlan {
-            design: a_design,
-            runtime: a_runtime,
-        },
-        out: StreamPlan {
-            design: out_design,
-            runtime: out_runtime,
-        },
+    Ok(CompiledWorkload {
+        workload: Workload::Pool(spec),
+        features: *features,
+        quantized,
+        readers: vec![StreamPlan::new(a_design, a_runtime)],
+        out: StreamPlan::new(out_design, out_runtime),
         images,
+        prepasses: Vec::new(),
         k_steps: (k * k) as u64,
         total_output_tiles: (cb * ox_t * oy_t) as u64,
+        rescale: RescaleParams::IDENTITY,
         output_region: rout,
+        output_slices: Vec::new(),
     })
 }
 
@@ -181,40 +160,31 @@ pub fn compile_pool(
 mod tests {
     use super::*;
 
+    fn compile(spec: PoolSpec, value: i8) -> CompiledWorkload {
+        let mut data = WorkloadData::generate(spec.into(), 0);
+        data.a = vec![value; spec.h * spec.w * spec.c];
+        let mem = MemConfig::new(32, 8, 4096).unwrap();
+        let features = FeatureSet::full();
+        compile_pool(spec, &data, &features, &mem, true, BufferDepths::default()).unwrap()
+    }
+
     #[test]
     fn pool_lowering_shapes() {
         let spec = PoolSpec::new(16, 16, 16, 2, 2);
-        let input = vec![0i8; 16 * 16 * 16];
-        let mem = MemConfig::new(32, 8, 4096).unwrap();
-        let p = compile_pool(
-            spec,
-            &input,
-            &FeatureSet::full(),
-            &mem,
-            BufferDepths::default(),
-        )
-        .unwrap();
+        let p = compile(spec, 0);
         assert_eq!(p.k_steps, 4);
         assert_eq!(p.total_output_tiles, (2 * 8)); // cb=2, ox_t·oy_t = 8
-        p.a.runtime.validate(&p.a.design).unwrap();
-        p.out.runtime.validate(&p.out.design).unwrap();
+        assert_eq!(p.readers.len(), 1, "A is the only operand reader");
+        for (_, plan) in p.ports() {
+            plan.runtime.validate(&plan.design).unwrap();
+        }
         assert_eq!(p.images.len(), 1);
         assert_eq!(p.output_region.len, 8 * 8 * 16);
     }
 
     #[test]
     fn pool_uses_disjoint_groups_with_switching() {
-        let spec = PoolSpec::new(10, 10, 8, 3, 1);
-        let input = vec![1i8; 10 * 10 * 8];
-        let mem = MemConfig::new(32, 8, 4096).unwrap();
-        let p = compile_pool(
-            spec,
-            &input,
-            &FeatureSet::full(),
-            &mem,
-            BufferDepths::default(),
-        )
-        .unwrap();
+        let p = compile(PoolSpec::new(10, 10, 8, 3, 1), 1);
         assert_ne!(
             p.images[0].region.mode,
             dm_mem::AddressingMode::FullyInterleaved

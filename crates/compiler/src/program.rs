@@ -1,8 +1,9 @@
 //! The compiler's output: a fully lowered workload program.
 
 use datamaestro::{DesignConfig, RuntimeConfig};
-use dm_accel::RescaleParams;
+use dm_accel::{GemmArrayConfig, RescaleParams};
 use dm_mem::AddressingMode;
+use dm_sim::{OperandPort, Port};
 use dm_workloads::{layout, Workload, WorkloadData};
 
 use crate::features::FeatureSet;
@@ -69,7 +70,20 @@ pub struct StreamPlan {
     pub runtime: RuntimeConfig,
 }
 
+impl StreamPlan {
+    /// A stream port from its two configurations.
+    #[must_use]
+    pub fn new(design: DesignConfig, runtime: RuntimeConfig) -> Self {
+        StreamPlan { design, runtime }
+    }
+}
+
 /// A fully lowered workload, ready for the evaluation system to execute.
+///
+/// An accelerator is described by its ports: operand readers in
+/// [`OperandPort`] order and one writer. Each moves words by the one fire
+/// rule, [`Port::moves_on`]; `k_steps` and `total_output_tiles` complete
+/// the schedule.
 #[derive(Debug, Clone)]
 pub struct CompiledWorkload {
     /// The source workload.
@@ -79,19 +93,17 @@ pub struct CompiledWorkload {
     /// Whether the output is quantized through the E stream (int8) or
     /// written raw through the D stream (int32).
     pub quantized: bool,
-    /// A-operand stream (activations / left matrix).
-    pub a: StreamPlan,
-    /// B-operand stream (weights / right matrix).
-    pub b: StreamPlan,
-    /// C-operand stream (bias).
-    pub c: StreamPlan,
+    /// The operand read streams in [`OperandPort`] order: A (activations /
+    /// left matrix), B (weights / right matrix) and C (bias) for GeMM and
+    /// convolution; A (the pooling input) alone for pooling.
+    pub readers: Vec<StreamPlan>,
     /// Output stream (E when quantized, D otherwise).
     pub out: StreamPlan,
     /// Operand images to preload.
     pub images: Vec<OperandImage>,
     /// Pre-passes to run before the compute phase.
     pub prepasses: Vec<CopyPlan>,
-    /// Temporal K steps accumulated per output tile.
+    /// Temporal K steps (pooling window steps) per output tile.
     pub k_steps: u64,
     /// Total output tiles produced.
     pub total_output_tiles: u64,
@@ -110,6 +122,30 @@ impl CompiledWorkload {
     #[must_use]
     pub fn total_steps(&self) -> u64 {
         self.total_output_tiles * self.k_steps
+    }
+
+    /// Every stream with its port: the operand readers, then OUT.
+    pub fn ports(&self) -> impl Iterator<Item = (Port, &StreamPlan)> {
+        OperandPort::ALL
+            .into_iter()
+            .map(OperandPort::port)
+            .zip(&self.readers)
+            .chain([(Port::Out, &self.out)])
+    }
+
+    /// Bytes of the tile the accelerator exchanges on `port`: the GeMM
+    /// array's A, B and C/D tiles, and an E tile out when quantized. The
+    /// max unit takes and yields 8-pixel × 8-channel int8 tiles, which are
+    /// the A and E tile sizes.
+    #[must_use]
+    pub fn tile_bytes(&self, port: Port) -> usize {
+        let array = GemmArrayConfig::paper();
+        match port {
+            Port::A => array.a_tile_bytes(),
+            Port::B => array.b_tile_bytes(),
+            Port::Out if self.quantized => array.e_tile_bytes(),
+            Port::C | Port::Out => array.cd_tile_bytes(),
+        }
     }
 
     /// For private-bank placements: the golden bytes of each output slice.
@@ -139,6 +175,9 @@ impl CompiledWorkload {
             }
             (Workload::Conv(c), false) => {
                 layout::pack_conv_out_i32(&data.expected_d(), c.oh(), c.ow(), c.c_out)
+            }
+            (Workload::Pool(p), _) => {
+                layout::pack_conv_out_i8(&data.expected_e(), p.oh(), p.ow(), p.c)
             }
         }
     }

@@ -50,6 +50,38 @@ impl Port {
             Port::Out => "OUT",
         }
     }
+
+    /// The fire rule of every accelerator built from DataMaestros: whether
+    /// this port moves one wide word on the fire at `k_step` of a tile's
+    /// `k_steps`. A and B move on every fire, C on a tile's first k-step
+    /// (the accumulator preload) and OUT on its last (the finished tile).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dm_sim::Port;
+    ///
+    /// assert!(Port::A.moves_on(1, 4) && Port::B.moves_on(3, 4));
+    /// assert!(Port::C.moves_on(0, 4) && !Port::C.moves_on(1, 4));
+    /// assert!(Port::Out.moves_on(3, 4) && !Port::Out.moves_on(0, 4));
+    /// assert_eq!(Port::C.words_per_tile(4), 1);
+    /// ```
+    #[must_use]
+    #[inline]
+    pub fn moves_on(self, k_step: u64, k_steps: u64) -> bool {
+        match self {
+            Port::A | Port::B => true,
+            Port::C => k_step == 0,
+            Port::Out => k_step + 1 == k_steps,
+        }
+    }
+
+    /// Wide words this port moves per output tile of `k_steps` fires, by
+    /// [`Port::moves_on`].
+    #[must_use]
+    pub fn words_per_tile(self, k_steps: u64) -> u64 {
+        (0..k_steps).filter(|&k| self.moves_on(k, k_steps)).count() as u64
+    }
 }
 
 /// A *read* operand port — the only ports a `NoOperand`/`BankConflict`

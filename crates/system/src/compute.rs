@@ -88,32 +88,41 @@ impl HostPhaseClock {
     }
 }
 
-/// The per-port fire rule: A and B feed every fire, C only the first k-step
-/// of a tile.
-fn needed(port: OperandPort, first_step: bool) -> bool {
-    port != OperandPort::C || first_step
+/// Where a fire falls in its tile: the position [`Port::moves_on`] reads.
+#[derive(Clone, Copy)]
+struct Position {
+    k_step: u64,
+    k_steps: u64,
+}
+
+impl Position {
+    /// Whether `port` moves a word on this fire.
+    fn moves(self, port: Port) -> bool {
+        port.moves_on(self.k_step, self.k_steps)
+    }
 }
 
 /// The accelerator handshake: the port that blocks this cycle and the stall
 /// cause it records, or `None` if the accelerator fires. It fires when
-/// every operand reader it [`needed`] is valid and, on tile-completing
-/// steps, the output port is ready. The lockstep iteration and the
-/// idle-span proof both ask this one function.
+/// every operand reader that [`Port::moves_on`] this fire is valid and, on
+/// tile-completing steps, the output port is ready. The lockstep iteration
+/// and the idle-span proof both ask this one function.
 fn handshake(
     readers: &[ReadStreamer],
     out: &WriteStreamer,
-    first_step: bool,
-    produces: bool,
+    at: Position,
     drained: bool,
 ) -> Option<(Port, StallCause)> {
     let blocked = OperandPort::ALL
         .into_iter()
         .zip(readers)
-        .find(|(port, reader)| needed(*port, first_step) && !reader.can_pop_wide());
+        .find(|(port, reader)| at.moves(port.port()) && !reader.can_pop_wide());
     let (port, cause) = match blocked {
         Some((p, reader)) if reader.lost_arbitration() => (p.port(), StallCause::BankConflict(p)),
         Some((p, _)) => (p.port(), StallCause::NoOperand(p)),
-        None if produces && !out.can_push_wide() => (Port::Out, StallCause::WritebackBackpressure),
+        None if at.moves(Port::Out) && !out.can_push_wide() => {
+            (Port::Out, StallCause::WritebackBackpressure)
+        }
         None => return None,
     };
     Some((port, if drained { StallCause::Drain } else { cause }))
@@ -150,8 +159,8 @@ pub(crate) const READER_TRACKS: [&str; 3] = ["streamer-A", "streamer-B", "stream
 
 /// The fire schedule of one compute phase.
 pub(crate) struct Schedule<'a> {
-    /// Fires per output tile: the first reads C, the last produces the
-    /// tile.
+    /// Fires per output tile, over which each port moves words by
+    /// [`Port::moves_on`].
     pub(crate) k_steps: u64,
     /// Output tiles the phase produces.
     pub(crate) tiles: u64,
@@ -397,10 +406,14 @@ impl<'a> Compute<'a> {
         }
     }
 
-    /// `(first, produces, drained)` for the next fire after `fires`.
-    fn position(&self, fires: u64) -> (bool, bool, bool) {
-        let k_step = fires % self.k_steps;
-        (k_step == 0, k_step == self.k_steps - 1, fires == self.steps)
+    /// Where the next fire after `fires` falls in its tile, and whether
+    /// every fire has happened.
+    fn position(&self, fires: u64) -> (Position, bool) {
+        let at = Position {
+            k_step: fires % self.k_steps,
+            k_steps: self.k_steps,
+        };
+        (at, fires == self.steps)
     }
 
     /// Phase segmentation: fill until the first fire, drain once every
@@ -426,7 +439,7 @@ impl<'a> Compute<'a> {
     ) -> Result<Cycled, SystemError> {
         // Once every compute step has fired, remaining cycles only flush the
         // write path: the input FIFOs are legitimately empty, not starved.
-        let (first, produces, drained) = self.position(p.fires);
+        let (at, drained) = self.position(p.fires);
         let phase = self.phase(p);
         for reader in m.readers.iter_mut() {
             reader.begin_cycle();
@@ -440,19 +453,20 @@ impl<'a> Compute<'a> {
             });
         clock.lap(Phase::Memory);
         let now = m.mem.cycle();
-        let cycled = match handshake(m.readers, m.out, first, produces, drained) {
+        let cycled = match handshake(m.readers, m.out, at, drained) {
             None => {
                 p.ledger.fire(now.get());
                 trace.emit(now, "pe", TraceEventKind::PeFire);
-                if first {
+                if at.k_step == 0 {
                     p.digest = TileDigest::EMPTY;
                 }
                 let digest = &mut p.digest;
                 for (port, reader) in OperandPort::ALL.into_iter().zip(m.readers.iter_mut()) {
-                    if needed(port, first) {
+                    if at.moves(port.port()) {
                         reader.pop_wide(|addr| digest.fold(addr));
                     }
                 }
+                let produces = at.moves(Port::Out);
                 if produces {
                     m.out.push_wide(|addr| digest.fold(addr));
                     if let Some(expected) = self.expected {
@@ -505,8 +519,8 @@ impl<'a> Compute<'a> {
         if m.readers.iter().any(ReadStreamer::acts_this_cycle) || m.out.acts_this_cycle() {
             return None;
         }
-        let (first, produces, drained) = self.position(p.fires);
-        let (_, cause) = handshake(m.readers, m.out, first, produces, drained)?;
+        let (at, drained) = self.position(p.fires);
+        let (_, cause) = handshake(m.readers, m.out, at, drained)?;
         let (cap, now) = (self.budget + 1 - p.cycles, m.mem.cycle());
         let cycles = m
             .mem
@@ -613,16 +627,16 @@ impl<'a> Compute<'a> {
         let mut output = m.out.words_from(m.out.stats().wide_words.get());
         let mut digest = TileDigest::EMPTY;
         for fire in from..from + fires {
-            let (first, produces, _) = self.position(fire);
-            if first {
+            let (at, _) = self.position(fire);
+            if at.k_step == 0 {
                 digest = TileDigest::EMPTY;
             }
             for (port, words) in OperandPort::ALL.into_iter().zip(&mut inputs) {
-                if needed(port, first) {
+                if at.moves(port.port()) {
                     words.next_word(|addr| digest.fold(addr));
                 }
             }
-            if produces {
+            if at.moves(Port::Out) {
                 output.next_word(|addr| digest.fold(addr));
                 executor::check_tile(expected, fire / self.k_steps, digest)?;
             }
@@ -679,10 +693,11 @@ impl<'a> Compute<'a> {
 ///
 /// `readers` are the operand readers in [`OperandPort`] order (A, B, C for
 /// the GeMM array, only A for pooling); `out` drains the result tiles. The
-/// accelerator fires once every reader it needs is valid — A and B on every
-/// fire, C on the first k-step of a tile — and, on the tile's last k-step,
-/// the writer is ready. Idle and periodic spans are replayed in one step
-/// each when [`SystemConfig::fast_forward`] is set and the run is untraced.
+/// accelerator fires once every reader that [`Port::moves_on`] this fire is
+/// valid — A and B on every fire, C on the first k-step of a tile — and, on
+/// the tile's last k-step, the writer is ready. Idle and periodic spans are
+/// replayed in one step each when [`SystemConfig::fast_forward`] is set and
+/// the run is untraced.
 ///
 /// # Errors
 ///
@@ -805,9 +820,11 @@ mod tests {
         .unwrap();
         assert!(program.prepasses.is_empty(), "the bench skips pre-passes");
         let mut mem = MemorySubsystem::new(config.mem);
-        let readers = [&program.a, &program.b, &program.c]
+        let readers = program
+            .readers
+            .iter()
             .map(|plan| ReadStreamer::new(&plan.design, &plan.runtime, &mut mem).unwrap())
-            .to_vec();
+            .collect();
         let out = WriteStreamer::new(&program.out.design, &program.out.runtime, &mut mem).unwrap();
         Bench {
             mem,
@@ -815,7 +832,7 @@ mod tests {
             out,
             k_steps: program.k_steps,
             tiles: program.total_output_tiles,
-            expected: executor::execute(&config, &program).unwrap().tiles,
+            expected: executor::execute(&config.mem, &program).unwrap().tiles,
         }
     }
 

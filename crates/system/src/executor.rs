@@ -18,23 +18,24 @@
 //! when no phase writes a word it also reads, so the executor rejects a
 //! program whose exact read and write word footprints overlap
 //! ([`SystemError::FootprintOverlap`]). It also digests, fire by fire, the
-//! word addresses consumed from A, B and C and produced to OUT, folded into
-//! one digest per output tile so that the record is as small as the output.
+//! word addresses consumed from the operand ports and produced to OUT,
+//! folded into one digest per output tile so that the record is as small
+//! as the output.
 //! The cycle loop folds the same digest from the addresses its channels pop
 //! and push and checks it tile by tile ([`SystemError::StreamMismatch`]).
 
 use datamaestro::{bind_pattern, ExtensionScratch, StreamBinding};
 use dm_accel::{GemmArrayConfig, GemmDatapath, Quantizer};
-use dm_compiler::{
-    CompiledPool, CompiledWorkload, CopyPlan, OperandImage, Region, StreamPlan, WriteSource,
-};
+use dm_compiler::{CompiledWorkload, CopyPlan, OperandImage, Region, StreamPlan, WriteSource};
 use dm_mem::{Addr, AddressRemapper, BankLocation, MemConfig, Scratchpad};
+use dm_sim::{OperandPort, Port};
+use dm_workloads::Workload;
 
 use crate::error::SystemError;
-use crate::system::SystemConfig;
 
 /// Order-sensitive digest of the word addresses the fires of one output
-/// tile consume and produce: fire by fire, each in port order A, B, C, OUT.
+/// tile consume and produce: fire by fire, each in port order (the operand
+/// readers, then OUT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TileDigest(u64);
 
@@ -267,7 +268,62 @@ pub(crate) fn apply_copy(pad: &mut Scratchpad, plan: &CopyPlan) -> Result<(), Sy
     fp.check(&format!("prepass:{}", plan.name))
 }
 
-/// Runs a compiled GeMM/convolution program functionally.
+/// The compute unit between a fire's operand reads and its output write.
+enum Unit {
+    /// The GeMM array, then the quantizer when the output is int8.
+    Gemm {
+        datapath: GemmDatapath,
+        quant: Option<Quantizer>,
+    },
+    /// The pooling system's elementwise max over a tile's window tiles.
+    Max { acc: Vec<u8> },
+}
+
+impl Unit {
+    fn new(program: &CompiledWorkload) -> Self {
+        if let Workload::Pool(_) = program.workload {
+            return Unit::Max { acc: Vec::new() };
+        }
+        let array = GemmArrayConfig::paper();
+        Unit::Gemm {
+            datapath: GemmDatapath::new(array, program.k_steps),
+            quant: program
+                .quantized
+                .then(|| Quantizer::uniform(array.m_unroll, array.n_unroll, program.rescale)),
+        }
+    }
+
+    /// One fire on the operand tiles read this fire, in [`OperandPort`]
+    /// order; the finished output tile on a tile's last k-step.
+    fn fire(&mut self, operands: [Option<&[u8]>; 3], first: bool, last: bool) -> Option<&[u8]> {
+        match self {
+            Unit::Gemm { datapath, quant } => {
+                let [a, b, c] = operands;
+                let both = "A and B move on every fire";
+                let d_tile = datapath.step(a.expect(both), b.expect(both), c)?;
+                Some(match quant {
+                    Some(quant) => quant.process(d_tile),
+                    None => d_tile,
+                })
+            }
+            Unit::Max { acc } => {
+                let tile = operands[0].expect("A moves on every fire");
+                if first {
+                    acc.clear();
+                    acc.resize(tile.len(), i8::MIN as u8);
+                }
+                for (acc, &b) in acc.iter_mut().zip(tile) {
+                    *acc = (*acc as i8).max(b as i8) as u8;
+                }
+                last.then_some(acc.as_slice())
+            }
+        }
+    }
+}
+
+/// Runs a compiled program functionally: every fire reads the operand
+/// words its ports move, runs the compute unit and, on a tile's last
+/// k-step, writes the output tile.
 ///
 /// # Errors
 ///
@@ -275,37 +331,38 @@ pub(crate) fn apply_copy(pad: &mut Scratchpad, plan: &CopyPlan) -> Result<(), Sy
 /// writes a word it also reads; configuration and memory errors as
 /// [`run_compiled`](crate::run_compiled) reports them.
 pub(crate) fn execute(
-    config: &SystemConfig,
+    mem: &MemConfig,
     program: &CompiledWorkload,
 ) -> Result<Execution, SystemError> {
-    let mut pad = preloaded(&config.mem, &program.images)?;
+    let mut pad = preloaded(mem, &program.images)?;
     for plan in &program.prepasses {
         apply_copy(&mut pad, plan)?;
     }
-    let mut a = Stream::new(&program.a, &config.mem)?;
-    let mut b = Stream::new(&program.b, &config.mem)?;
-    let mut c = Stream::new(&program.c, &config.mem)?;
-    let mut out = Stream::new(&program.out, &config.mem)?;
-    let array = GemmArrayConfig::paper();
-    let mut datapath = GemmDatapath::new(array, program.k_steps);
-    let mut quant = Quantizer::uniform(array.m_unroll, array.n_unroll, program.rescale);
-    let mut fp = Footprint::new(&config.mem);
+    let mut readers = program
+        .readers
+        .iter()
+        .map(|plan| Stream::new(plan, mem))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut out = Stream::new(&program.out, mem)?;
+    let mut unit = Unit::new(program);
+    let mut fp = Footprint::new(mem);
+    let k = program.k_steps;
     let mut tiles = Vec::with_capacity(program.total_output_tiles as usize);
     let mut digest = TileDigest::EMPTY;
-    for _ in 0..program.total_steps() {
-        let needs_c = datapath.needs_c();
-        if needs_c {
+    for fire in 0..program.total_steps() {
+        let k_step = fire % k;
+        if k_step == 0 {
             digest = TileDigest::EMPTY;
         }
-        let a_tile = a.read(&pad, &mut fp, &mut digest);
-        let b_tile = b.read(&pad, &mut fp, &mut digest);
-        let c_tile = needs_c.then(|| c.read(&pad, &mut fp, &mut digest));
-        if let Some(d_tile) = datapath.step(a_tile, b_tile, c_tile) {
-            let tile = if config.quantized {
-                quant.process(d_tile)
-            } else {
-                d_tile
-            };
+        let mut operands = [None; 3];
+        for ((port, stream), operand) in
+            OperandPort::ALL.iter().zip(&mut readers).zip(&mut operands)
+        {
+            if port.port().moves_on(k_step, k) {
+                *operand = Some(stream.read(&pad, &mut fp, &mut digest));
+            }
+        }
+        if let Some(tile) = unit.fire(operands, k_step == 0, Port::Out.moves_on(k_step, k)) {
             out.write(&mut pad, tile, &mut fp, &mut digest);
             tiles.push(digest.0);
         }
@@ -314,49 +371,10 @@ pub(crate) fn execute(
     Ok(Execution { pad, tiles })
 }
 
-/// Runs a compiled pooling program functionally: each output tile is the
-/// elementwise max of `k_steps` input tiles.
-///
-/// # Errors
-///
-/// As [`execute`].
-pub(crate) fn execute_pool(
-    mem: &MemConfig,
-    program: &CompiledPool,
-) -> Result<Execution, SystemError> {
-    let mut pad = preloaded(mem, &program.images)?;
-    let mut a = Stream::new(&program.a, mem)?;
-    let mut out = Stream::new(&program.out, mem)?;
-    let mut fp = Footprint::new(mem);
-    let steps = program.k_steps * program.total_output_tiles;
-    let mut tiles = Vec::with_capacity(program.total_output_tiles as usize);
-    let mut digest = TileDigest::EMPTY;
-    let mut acc = Vec::new();
-    for fire in 0..steps {
-        let k_step = fire % program.k_steps;
-        if k_step == 0 {
-            digest = TileDigest::EMPTY;
-        }
-        let tile = a.read(&pad, &mut fp, &mut digest);
-        if k_step == 0 {
-            acc.clear();
-            acc.resize(tile.len(), i8::MIN as u8);
-        }
-        for (acc, &b) in acc.iter_mut().zip(tile) {
-            *acc = (*acc as i8).max(b as i8) as u8;
-        }
-        if k_step == program.k_steps - 1 {
-            out.write(&mut pad, &acc, &mut fp, &mut digest);
-            tiles.push(digest.0);
-        }
-    }
-    fp.check("pool")?;
-    Ok(Execution { pad, tiles })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::SystemConfig;
     use dm_compiler::compile;
     use dm_workloads::{GemmSpec, WorkloadData};
 
@@ -384,8 +402,13 @@ mod tests {
         mem: &MemConfig,
         swap: (u64, u64),
     ) -> Vec<TileDigest> {
-        let [a, b, c, out] =
-            [&program.a, &program.b, &program.c, &program.out].map(|p| words(p, mem));
+        let [a, b, c, out] = [
+            &program.readers[0],
+            &program.readers[1],
+            &program.readers[2],
+            &program.out,
+        ]
+        .map(|p| words(p, mem));
         let k = program.k_steps;
         let mut tiles = Vec::new();
         let mut digest = TileDigest::EMPTY;
@@ -425,7 +448,7 @@ mod tests {
         let data = WorkloadData::generate(GemmSpec::new(16, 16, 32).into(), 5);
         let program = compile(&data, &config.features, &config.mem, true, config.depths).unwrap();
         assert_eq!(program.k_steps, 4);
-        let execution = execute(&config, &program).unwrap();
+        let execution = execute(&config.mem, &program).unwrap();
         assert_eq!(execution.tiles.len() as u64, program.total_output_tiles);
         let in_order = loop_digests(&program, &config.mem, (0, 0));
         assert_eq!(first_rejected(&execution.tiles, &in_order), None);

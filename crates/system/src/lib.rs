@@ -5,16 +5,19 @@
 //! streamers ([`datamaestro`]), the Tensor-Core-like GeMM accelerator and
 //! quantization accelerator ([`dm_accel`]), plus a DMA-style
 //! [`CopyEngine`] for the explicit pre-passes that stand in for missing
-//! on-the-fly features during the ablation study.
+//! on-the-fly features during the ablation study. The same streamers also
+//! build a max-pooling system — one operand reader and one writer around
+//! an elementwise-max unit — the paper's reusable-design claim, executed.
 //!
 //! The main entry point is [`run_workload`]: compile a [`WorkloadData`]
 //! onto the configured system, time it cycle by cycle, verify the output
 //! against the golden reference and return a [`RunReport`] with the
 //! utilization, stall and memory-access statistics the paper's figures are
-//! built from. The cycle loop carries header tokens only; with
-//! [`SystemConfig::check_output`] set, a functional executor walks the
-//! program in program order to produce the output image the golden check
-//! reads.
+//! built from. GeMM, convolution and pooling share that one program type
+//! ([`dm_compiler::CompiledWorkload`]), one run and one report. The cycle
+//! loop carries header tokens only; with [`SystemConfig::check_output`]
+//! set, a functional executor walks the program in program order to
+//! produce the output image the golden check reads.
 //!
 //! # Examples
 //!
@@ -37,13 +40,11 @@ mod compute;
 pub mod copy_engine;
 pub mod error;
 mod executor;
-pub mod pool;
 pub mod provenance;
 pub mod system;
 
 pub use copy_engine::{CopyEngine, CopyStats};
 pub use error::SystemError;
-pub use pool::{run_pool, run_pool_on, PoolReport};
 pub use provenance::Provenance;
 pub use system::{run_compiled, run_workload, HostTimings, RunReport, SystemConfig};
 
@@ -252,5 +253,70 @@ mod tests {
             ..small_system()
         };
         assert_eq!(rejected_field(&cfg), "read_latency");
+    }
+}
+
+/// Max pooling on the streamer-built pooling system, through the same
+/// [`run_workload`] as GeMM and convolution.
+#[cfg(test)]
+mod pool {
+    mod tests {
+        use crate::{run_workload, RunReport, SystemConfig};
+        use dm_compiler::FeatureSet;
+        use dm_mem::MemConfig;
+        use dm_sim::SplitMix64;
+        use dm_workloads::{PoolSpec, WorkloadData};
+
+        fn random_input(len: usize, seed: u64) -> Vec<i8> {
+            let mut rng = SplitMix64::new(seed);
+            (0..len)
+                .map(|_| rng.between(i8::MIN.into(), i8::MAX.into()) as i8)
+                .collect()
+        }
+
+        fn mem() -> MemConfig {
+            MemConfig::new(32, 8, 4096).unwrap()
+        }
+
+        /// Pools a random input of `spec`'s shape, drawn from `seed`, on
+        /// the pooling system with `features`.
+        fn run(features: FeatureSet, spec: PoolSpec, seed: u64) -> RunReport {
+            let config = SystemConfig {
+                mem: mem(),
+                features,
+                ..SystemConfig::default()
+            };
+            let mut data = WorkloadData::generate(spec.into(), seed);
+            data.a = random_input(spec.h * spec.w * spec.c, seed);
+            run_workload(&config, &data).unwrap()
+        }
+
+        #[test]
+        fn pool_2x2_stride2_verifies() {
+            let r = run(FeatureSet::full(), PoolSpec::new(16, 16, 16, 2, 2), 1);
+            assert!(r.checked);
+            assert!(r.utilization() > 0.9, "{:.3}", r.utilization());
+        }
+
+        #[test]
+        fn pool_3x3_stride1_verifies() {
+            let r = run(FeatureSet::full(), PoolSpec::new(10, 10, 8, 3, 1), 2);
+            assert!(r.checked);
+        }
+
+        #[test]
+        fn pool_without_mode_switching_still_verifies() {
+            let r = run(FeatureSet::baseline(), PoolSpec::new(16, 16, 8, 2, 2), 3);
+            assert!(r.checked);
+        }
+
+        #[test]
+        fn pool_counts_window_reads() {
+            // Non-overlapping 2×2 pooling reads each input word exactly once.
+            let r = run(FeatureSet::full(), PoolSpec::new(16, 16, 8, 2, 2), 4);
+            let input_words = (16 * 16 * 8 / 8) as u64;
+            let output_words = (8 * 8 * 8 / 8) as u64;
+            assert_eq!(r.accesses(), input_words + output_words);
+        }
     }
 }

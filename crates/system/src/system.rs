@@ -1,6 +1,7 @@
 //! The full evaluation system (Fig. 6): five DataMaestros, the GeMM and
 //! quantization accelerators, and the banked scratchpad, ticked cycle by
-//! cycle.
+//! cycle — or, for max pooling, the same streamers as one operand reader
+//! and one writer around a max unit.
 //!
 //! The cycle loop is a timing model: streamers, crossbar and copy engine
 //! move header tokens, and a PE fire only pops and pushes word addresses.
@@ -8,12 +9,11 @@
 //! [`SystemConfig::check_output`] is set.
 
 use datamaestro::{ReadStreamer, StreamerStats, WriteStreamer};
-use dm_accel::GemmArrayConfig;
 use dm_compiler::{compile, BufferDepths, CompiledWorkload, FeatureSet};
 use dm_mem::{MemConfig, MemorySubsystem};
 use dm_sim::{
-    CausalLedger, CriticalProfile, Instrumented, MetricsRegistry, OperandPort, StallCause, Trace,
-    TraceEventKind, TraceMode,
+    CausalLedger, CriticalProfile, Instrumented, MetricsRegistry, OperandPort, Port, StallCause,
+    Trace, TraceEventKind, TraceMode,
 };
 use dm_workloads::{Workload, WorkloadData};
 
@@ -112,7 +112,7 @@ impl SystemConfig {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HostTimings {
     /// Nanoseconds in streamer phases (`begin_cycle`, address generation
-    /// and issue, grant handling) across all four streamers.
+    /// and issue, grant handling) across every streamer of the run.
     pub streamers_ns: u64,
     /// Nanoseconds in the memory subsystem (response routing, arbitration).
     pub memory_ns: u64,
@@ -166,8 +166,9 @@ pub struct RunReport {
     pub mem_writes: u64,
     /// Bank-conflict events.
     pub conflicts: u64,
-    /// Per-streamer statistics: A, B, C, OUT.
-    pub streamer_stats: [StreamerStats; 4],
+    /// Per-streamer statistics in port order: the operand readers (A, B,
+    /// C, or A alone for pooling), then OUT.
+    pub streamer_stats: Vec<StreamerStats>,
     /// Granted word accesses per physical bank (load-balance heatmap).
     pub per_bank_accesses: Vec<u64>,
     /// Whether the output was verified against the golden reference.
@@ -218,26 +219,6 @@ impl RunReport {
     #[must_use]
     pub fn accesses(&self) -> u64 {
         self.mem_reads + self.mem_writes
-    }
-}
-
-/// Refuses a bank geometry under which a port's wide word is not the tile
-/// the accelerator exchanges: `ports` lists `(port, streamer width, tile
-/// width)`.
-pub(crate) fn check_tile_widths(
-    mem: &MemConfig,
-    ports: impl IntoIterator<Item = (&'static str, usize, usize)>,
-) -> Result<(), SystemError> {
-    match ports.into_iter().find(|(_, width, tile)| width != tile) {
-        None => Ok(()),
-        Some((port, width, tile)) => Err(SystemError::Unsupported {
-            field: "mem",
-            reason: format!(
-                "{}-byte banks give the {port} streamer {width}-byte words, \
-                 but the array exchanges {tile}-byte tiles",
-                mem.bank_width_bytes()
-            ),
-        }),
     }
 }
 
@@ -292,32 +273,34 @@ pub fn run_compiled(
     let mut copier = CopyEngine::new(&mut mem, 4);
     copier.set_fast_forward(config.fast_forward);
     // The operand readers, indexed by `OperandPort`, plus the one writer.
-    let [plan_a, plan_b, plan_c] = [&program.a, &program.b, &program.c]
-        .map(|plan| ReadStreamer::new(&plan.design, &plan.runtime, &mut mem));
-    let mut readers = [plan_a?, plan_b?, plan_c?];
+    let mut readers = program
+        .readers
+        .iter()
+        .map(|plan| ReadStreamer::new(&plan.design, &plan.runtime, &mut mem))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut out = WriteStreamer::new(&program.out.design, &program.out.runtime, &mut mem)?;
     // The compiled streamers gather `channels × bank width` bytes per wide
-    // word; a bank geometry that breaks the array's tile widths is refused
-    // here rather than in the datapath.
-    let array = GemmArrayConfig::paper();
-    let out_tile = if config.quantized {
-        array.e_tile_bytes()
-    } else {
-        array.cd_tile_bytes()
-    };
-    check_tile_widths(
-        &config.mem,
-        [
-            ("A", readers[0].output_width(), array.a_tile_bytes()),
-            ("B", readers[1].output_width(), array.b_tile_bytes()),
-            ("C", readers[2].output_width(), array.cd_tile_bytes()),
-            ("OUT", out.input_width(), out_tile),
-        ],
-    )?;
+    // word; a bank geometry that breaks the accelerator's tile widths is
+    // refused here rather than in the datapath.
+    let widths = readers.iter().map(ReadStreamer::output_width);
+    for ((port, _), width) in program.ports().zip(widths.chain([out.input_width()])) {
+        let tile = program.tile_bytes(port);
+        if width != tile {
+            return Err(SystemError::Unsupported {
+                field: "mem",
+                reason: format!(
+                    "{}-byte banks give the {} streamer {width}-byte words, \
+                     but the array exchanges {tile}-byte tiles",
+                    config.mem.bank_width_bytes(),
+                    port.label(),
+                ),
+            });
+        }
+    }
     // The data half of the run, in program order. It rejects a program
     // whose read and write footprints overlap before any cycle is timed.
     let execution = if config.check_output {
-        Some(executor::execute(config, program)?)
+        Some(executor::execute(&config.mem, program)?)
     } else {
         None
     };
@@ -416,10 +399,10 @@ pub fn run_compiled(
         });
         registry.with_scope("mem", |r| mem.register_metrics(r));
         registry.with_scope("streamer", |r| {
-            for port in OperandPort::ALL {
-                r.with_scope(port.label(), |r| readers[port.index()].register_metrics(r));
+            for (port, reader) in OperandPort::ALL.into_iter().zip(&readers) {
+                r.with_scope(port.label(), |r| reader.register_metrics(r));
             }
-            r.with_scope("OUT", |r| out.register_metrics(r));
+            r.with_scope(Port::Out.label(), |r| out.register_metrics(r));
         });
     };
     let mut metrics = MetricsRegistry::new();
@@ -456,7 +439,6 @@ pub fn run_compiled(
         stats.reads.get() + stats.writes.get(),
         "every unique submission must retire exactly once by drain"
     );
-    let [stats_a, stats_b, stats_c] = readers.each_ref().map(|r| *r.stats());
     Ok(RunReport {
         workload: program.workload,
         features: program.features,
@@ -469,7 +451,11 @@ pub fn run_compiled(
         mem_reads: stats.reads.get(),
         mem_writes: stats.writes.get(),
         conflicts: stats.conflicts.get(),
-        streamer_stats: [stats_a, stats_b, stats_c, *out.stats()],
+        streamer_stats: readers
+            .iter()
+            .map(|r| *r.stats())
+            .chain([*out.stats()])
+            .collect(),
         per_bank_accesses: mem.per_bank_accesses().to_vec(),
         metrics,
         traces,

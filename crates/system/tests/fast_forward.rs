@@ -6,7 +6,7 @@
 use dm_compiler::FeatureSet;
 use dm_mem::MemConfig;
 use dm_sim::SplitMix64;
-use dm_system::{run_pool_on, run_workload, RunReport, SystemConfig};
+use dm_system::{run_workload, RunReport, SystemConfig};
 use dm_workloads::{models, ConvSpec, GemmSpec, PoolSpec, WorkloadData};
 
 /// Compares the full observable surface of two reports: cycle counts,
@@ -128,32 +128,58 @@ fn period_replay_is_bit_identical_on_steady_state_kernels() {
     }
 }
 
+/// A max-pooling workload of `spec` over a full-range random input drawn
+/// from `seed`.
+fn pool_data(spec: PoolSpec, seed: u64) -> WorkloadData {
+    let mut rng = SplitMix64::new(seed);
+    let mut data = WorkloadData::generate(spec.into(), seed);
+    data.a = (0..spec.h * spec.w * spec.c)
+        .map(|_| rng.between(i8::MIN.into(), i8::MAX.into()) as i8)
+        .collect();
+    data
+}
+
 /// The 3×3/2 ResNet-stem pooling shape, the one pooling shape that
 /// stalls, replays exactly too.
 #[test]
 fn period_replay_is_bit_identical_on_the_stem_pool() {
-    let spec = PoolSpec::new(113, 113, 64, 3, 2);
-    let mut rng = SplitMix64::new(113 * 113 * 64);
-    let input: Vec<i8> = (0..113 * 113 * 64)
-        .map(|_| rng.between(i8::MIN.into(), i8::MAX.into()) as i8)
-        .collect();
+    let data = pool_data(PoolSpec::new(113, 113, 64, 3, 2), 113 * 113 * 64);
     let config = |fast_forward| SystemConfig {
         mem: MemConfig::new(32, 8, 65_536).unwrap(),
         fast_forward,
         time_phases: fast_forward,
         ..SystemConfig::default()
     };
-    let ff = run_pool_on(&config(true), spec, &input).unwrap();
-    let ls = run_pool_on(&config(false), spec, &input).unwrap();
-    assert_eq!(
-        (ff.cycles, ff.accesses, ff.conflicts, ff.checked),
-        (ls.cycles, ls.accesses, ls.conflicts, ls.checked)
-    );
-    assert_eq!(ff.ledger, ls.ledger);
+    let ff = run_workload(&config(true), &data).unwrap();
+    let ls = run_workload(&config(false), &data).unwrap();
+    assert!(ff.checked, "golden check");
+    assert_identical(&ff, &ls, "stem pool");
     assert!(
         ff.host.expect("timed").replayed_cycles > 0,
         "nothing was replayed"
     );
+}
+
+/// A strided pool at read latency 16, where idle spans are long, with and
+/// without addressing-mode switching.
+#[test]
+fn fast_forward_matches_lockstep_at_long_read_latency() {
+    let data = pool_data(PoolSpec::new(17, 17, 16, 3, 2), 5);
+    for features in [FeatureSet::full(), FeatureSet::baseline()] {
+        let run = |fast_forward| {
+            let config = SystemConfig {
+                mem: MemConfig::new(32, 8, 4096).unwrap(),
+                features,
+                read_latency: 16,
+                fast_forward,
+                ..SystemConfig::default()
+            };
+            let r = run_workload(&config, &data).unwrap();
+            assert!(r.checked);
+            r
+        };
+        assert_identical(&run(true), &run(false), &format!("{features:?}"));
+    }
 }
 
 /// All 12 ResNet-18 layers of Table III; a release-build run in CI.

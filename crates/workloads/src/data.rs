@@ -1,6 +1,6 @@
 //! Deterministic operand generation and golden outputs per workload.
 
-use dm_accel::reference::{conv2d_ref, gemm_bias_ref, quantize_ref};
+use dm_accel::reference::{conv2d_ref, gemm_bias_ref, maxpool2d_ref, quantize_ref};
 use dm_accel::RescaleParams;
 use dm_sim::SplitMix64;
 
@@ -13,6 +13,9 @@ use crate::spec::Workload;
 /// B matrix; for convolutions `a` is the `h×w×c_in` channels-last input and
 /// `b` the `c_out×kh×kw×c_in` weights. `bias` has one int32 per output
 /// column / channel, and `rescale` is the uniform quantization parameter.
+/// Max pooling has only its `h×w×c` channels-last input in `a`: no
+/// weights, no bias and the identity rescale, which its max unit never
+/// applies.
 ///
 /// # Examples
 ///
@@ -29,7 +32,7 @@ use crate::spec::Workload;
 pub struct WorkloadData {
     /// The workload these operands belong to.
     pub workload: Workload,
-    /// A operand (GeMM A matrix or convolution input).
+    /// A operand (GeMM A matrix, convolution or pooling input).
     pub a: Vec<i8>,
     /// B operand (GeMM B matrix or convolution weights).
     pub b: Vec<i8>,
@@ -52,6 +55,7 @@ impl WorkloadData {
                 c.c_out,
                 c.c_in * c.kh * c.kw,
             ),
+            Workload::Pool(p) => (p.h * p.w * p.c, 0, 0, 0),
         };
         let a: Vec<i8> = (0..a_len).map(|_| rng.between(-16, 16) as i8).collect();
         let b: Vec<i8> = (0..b_len).map(|_| rng.between(-16, 16) as i8).collect();
@@ -60,10 +64,12 @@ impl WorkloadData {
             .collect();
         // Shift sized so typical accumulators land inside int8 without
         // saturating everything: |acc| ~ k_depth · 16²/3.
-        let shift = (64 - (k_depth as u64).leading_zeros()) + 3;
-        let rescale = RescaleParams {
-            multiplier: 1,
-            shift,
+        let rescale = match k_depth {
+            0 => RescaleParams::IDENTITY,
+            _ => RescaleParams {
+                multiplier: 1,
+                shift: (64 - (k_depth as u64).leading_zeros()) + 3,
+            },
         };
         WorkloadData {
             workload,
@@ -75,7 +81,8 @@ impl WorkloadData {
     }
 
     /// Golden int32 output: `m×n` row-major for GeMM, `oh×ow×c_out`
-    /// channels-last for convolutions.
+    /// channels-last for convolutions, and for pooling the
+    /// [`expected_e`](Self::expected_e) maxima widened.
     #[must_use]
     pub fn expected_d(&self) -> Vec<i32> {
         match self.workload {
@@ -83,19 +90,26 @@ impl WorkloadData {
             Workload::Conv(c) => conv2d_ref(
                 &self.a, &self.b, &self.bias, c.h, c.w, c.c_in, c.c_out, c.kh, c.kw, c.stride,
             ),
+            Workload::Pool(_) => self.expected_e().into_iter().map(i32::from).collect(),
         }
     }
 
     /// Golden quantized int8 output (same shape conventions as
-    /// [`expected_d`](Self::expected_d)).
+    /// [`expected_d`](Self::expected_d)); for pooling, the `oh×ow×c`
+    /// channels-last window maxima.
     #[must_use]
     pub fn expected_e(&self) -> Vec<i8> {
-        let d = self.expected_d();
         match self.workload {
-            Workload::Gemm(g) => quantize_ref(&d, &vec![self.rescale; g.n], g.m, g.n),
-            Workload::Conv(c) => {
-                quantize_ref(&d, &vec![self.rescale; c.c_out], c.oh() * c.ow(), c.c_out)
+            Workload::Gemm(g) => {
+                quantize_ref(&self.expected_d(), &vec![self.rescale; g.n], g.m, g.n)
             }
+            Workload::Conv(c) => quantize_ref(
+                &self.expected_d(),
+                &vec![self.rescale; c.c_out],
+                c.oh() * c.ow(),
+                c.c_out,
+            ),
+            Workload::Pool(p) => maxpool2d_ref(&self.a, p.h, p.w, p.c, p.k, p.stride),
         }
     }
 }
@@ -103,7 +117,7 @@ impl WorkloadData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ConvSpec, GemmSpec};
+    use crate::spec::{ConvSpec, GemmSpec, PoolSpec};
 
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {
@@ -162,6 +176,21 @@ mod tests {
         assert_eq!(d.b.len(), 16 * 9 * 8);
         assert_eq!(d.bias.len(), 16);
         assert_eq!(d.expected_d().len(), 8 * 8 * 16);
+    }
+
+    #[test]
+    fn pool_shapes() {
+        let p = PoolSpec::new(10, 10, 8, 3, 1);
+        let d = WorkloadData::generate(p.into(), 7);
+        assert_eq!(d.a.len(), 10 * 10 * 8);
+        assert!(d.b.is_empty() && d.bias.is_empty());
+        assert_eq!(d.rescale, RescaleParams::IDENTITY);
+        let e = d.expected_e();
+        assert_eq!(e.len(), 8 * 8 * 8);
+        assert_eq!(
+            d.expected_d(),
+            e.iter().map(|&v| i32::from(v)).collect::<Vec<_>>()
+        );
     }
 
     #[test]

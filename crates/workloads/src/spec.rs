@@ -236,7 +236,7 @@ impl fmt::Display for ConvSpec {
 }
 
 /// A 2-D max-pooling workload (runs on the streamer-built pooling system,
-/// not the GeMM core — see `dm_system::pool`).
+/// whose max unit replaces the GeMM core — see [`Workload::Pool`]).
 ///
 /// Same geometry conventions as [`ConvSpec`]: `h`/`w` include padding,
 /// channels are tile multiples, output uses flooring division.
@@ -316,9 +316,13 @@ pub enum Workload {
     Gemm(GemmSpec),
     /// 2-D convolution.
     Conv(ConvSpec),
+    /// 2-D max pooling, on the pooling system: one operand reader (A) and
+    /// the writer around an elementwise-max unit.
+    Pool(PoolSpec),
 }
 
-/// The three kernel groups of the paper's ablation study (Fig. 7).
+/// The three kernel groups of the paper's ablation study (Fig. 7), and
+/// pooling, which the study does not cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadGroup {
     /// Plain GeMM.
@@ -327,6 +331,8 @@ pub enum WorkloadGroup {
     TransposedGemm,
     /// Convolution.
     Conv,
+    /// Max pooling.
+    Pool,
 }
 
 impl fmt::Display for WorkloadGroup {
@@ -335,6 +341,7 @@ impl fmt::Display for WorkloadGroup {
             WorkloadGroup::Gemm => write!(f, "GeMM"),
             WorkloadGroup::TransposedGemm => write!(f, "Transposed GeMM"),
             WorkloadGroup::Conv => write!(f, "Convolution"),
+            WorkloadGroup::Pool => write!(f, "Pooling"),
         }
     }
 }
@@ -347,24 +354,28 @@ impl Workload {
             Workload::Gemm(g) if g.transposed_a => WorkloadGroup::TransposedGemm,
             Workload::Gemm(_) => WorkloadGroup::Gemm,
             Workload::Conv(_) => WorkloadGroup::Conv,
+            Workload::Pool(_) => WorkloadGroup::Pool,
         }
     }
 
-    /// Multiply-accumulate operations.
+    /// Multiply-accumulate operations; none for pooling, which compares.
     #[must_use]
     pub fn macs(&self) -> u64 {
         match self {
             Workload::Gemm(g) => g.macs(),
             Workload::Conv(c) => c.macs(),
+            Workload::Pool(_) => 0,
         }
     }
 
-    /// Stall-free cycles on the 8×8×8 array.
+    /// Stall-free cycles on the 8×8×8 array (on the pooling unit for
+    /// pooling).
     #[must_use]
     pub fn ideal_cycles(&self) -> u64 {
         match self {
             Workload::Gemm(g) => g.ideal_cycles(),
             Workload::Conv(c) => c.ideal_cycles(),
+            Workload::Pool(p) => p.ideal_cycles(),
         }
     }
 }
@@ -374,6 +385,7 @@ impl fmt::Display for Workload {
         match self {
             Workload::Gemm(g) => g.fmt(f),
             Workload::Conv(c) => c.fmt(f),
+            Workload::Pool(p) => p.fmt(f),
         }
     }
 }
@@ -387,6 +399,12 @@ impl From<GemmSpec> for Workload {
 impl From<ConvSpec> for Workload {
     fn from(c: ConvSpec) -> Self {
         Workload::Conv(c)
+    }
+}
+
+impl From<PoolSpec> for Workload {
+    fn from(p: PoolSpec) -> Self {
+        Workload::Pool(p)
     }
 }
 

@@ -1,7 +1,9 @@
 //! Reusability scenario 2: a complete max-pooling accelerator assembled
 //! from the same DataMaestro streamers as the GeMM system — nothing inside
-//! the streaming engine changes, only the ~40-line reduction unit and a
-//! small compiler function are pooling-specific.
+//! the streaming engine changes, only the elementwise-max unit and a small
+//! compiler function are pooling-specific. A pooling layer is one more
+//! `Workload`: it compiles to the same program type and runs through the
+//! same `run_workload` as GeMM and convolution.
 //!
 //! ```text
 //! cargo run --release --example pooling
@@ -10,11 +12,15 @@
 use datamaestro_repro::compiler::FeatureSet;
 use datamaestro_repro::mem::MemConfig;
 use datamaestro_repro::sim::SplitMix64;
-use datamaestro_repro::system::run_pool;
-use datamaestro_repro::workloads::PoolSpec;
+use datamaestro_repro::system::{run_workload, SystemConfig};
+use datamaestro_repro::workloads::{PoolSpec, WorkloadData};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mem = MemConfig::new(32, 8, 65_536)?;
+    let config = SystemConfig {
+        mem: MemConfig::new(32, 8, 65_536)?,
+        features: FeatureSet::full(),
+        ..SystemConfig::default()
+    };
     let mut rng = SplitMix64::new(7);
     let pools = [
         ("2x2/2 (VGG-style)", PoolSpec::new(56, 56, 64, 2, 2)),
@@ -26,17 +32,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "pooling layer", "util", "cycles", "ideal", "accesses"
     );
     for (name, spec) in pools {
-        let input: Vec<i8> = (0..spec.h * spec.w * spec.c)
+        let mut data = WorkloadData::generate(spec.into(), 0);
+        data.a = (0..spec.h * spec.w * spec.c)
             .map(|_| rng.between(i8::MIN.into(), i8::MAX.into()) as i8)
             .collect();
-        let report = run_pool(&mem, &FeatureSet::full(), spec, &input)?;
+        let report = run_workload(&config, &data)?;
         println!(
             "{:<22} {:>7.1}% {:>10} {:>10} {:>10}",
             name,
             100.0 * report.utilization(),
-            report.cycles,
+            report.total_cycles(),
             report.ideal_cycles,
-            report.accesses
+            report.accesses()
         );
         assert!(report.checked);
     }

@@ -26,7 +26,7 @@ use datamaestro_repro::mem::{
     BankLocation, MemConfig, MemOp, MemRequest, MemResponse, MemorySubsystem,
 };
 use datamaestro_repro::sim::SplitMix64;
-use datamaestro_repro::system::{run_compiled, run_pool, run_workload, SystemConfig, SystemError};
+use datamaestro_repro::system::{run_compiled, run_workload, SystemConfig, SystemError};
 use datamaestro_repro::workloads::{
     synthetic_suite, table3_models, ConvSpec, GemmSpec, PoolSpec, Workload, WorkloadData,
 };
@@ -115,6 +115,22 @@ fn random_input(len: usize, rng: &mut SplitMix64) -> Vec<i8> {
     (0..len).map(|_| rng.between(-128, 127) as i8).collect()
 }
 
+/// A pooling workload over `input`.
+fn pool_data(spec: PoolSpec, input: Vec<i8>) -> WorkloadData {
+    let mut data = WorkloadData::generate(spec.into(), 0);
+    data.a = input;
+    data
+}
+
+/// The pooling system on `mem` with `features`.
+fn pool_system(mem: MemConfig, features: FeatureSet) -> SystemConfig {
+    SystemConfig {
+        mem,
+        features,
+        ..SystemConfig::default()
+    }
+}
+
 #[test]
 fn pooling_verifies() {
     let mut rng = SplitMix64::new(17);
@@ -123,12 +139,31 @@ fn pooling_verifies() {
         PoolSpec::new(16, 16, 16, 2, 2),
         PoolSpec::new(10, 10, 8, 3, 1),
     ] {
-        let input = random_input(spec.h * spec.w * spec.c, &mut rng);
+        let data = pool_data(spec, random_input(spec.h * spec.w * spec.c, &mut rng));
         for features in [FeatureSet::full(), FeatureSet::baseline()] {
-            let report = run_pool(&mem, &features, spec, &input).unwrap();
+            let report = run_workload(&pool_system(mem, features), &data).unwrap();
             assert!(report.checked);
         }
     }
+}
+
+/// A timing-only pooling run (`check_output` off) times exactly what the
+/// checked run times.
+#[test]
+fn pooling_timing_does_not_depend_on_the_check() {
+    let mut rng = SplitMix64::new(18);
+    let spec = PoolSpec::new(17, 17, 16, 3, 2);
+    let data = pool_data(spec, random_input(spec.h * spec.w * spec.c, &mut rng));
+    let run = |check_output| {
+        let cfg = SystemConfig {
+            check_output,
+            ..SystemConfig::default()
+        };
+        let report = run_workload(&cfg, &data).unwrap();
+        assert_eq!(report.checked, check_output);
+        (report.total_cycles(), report.accesses(), report.conflicts)
+    };
+    assert_eq!(run(false), run(true));
 }
 
 /// Pool satellites: a bank width that splits the 64-byte pooling tile is a
@@ -136,16 +171,37 @@ fn pooling_verifies() {
 #[test]
 fn pooling_rejects_bank_widths_that_split_the_tile() {
     let spec = PoolSpec::new(16, 16, 8, 2, 2);
-    let input = vec![0; 16 * 16 * 8];
+    let data = pool_data(spec, vec![0; 16 * 16 * 8]);
     for mem in [
         MemConfig::new(32, 4, 4096).unwrap(),
         MemConfig::new(32, 2, 8192).unwrap(),
     ] {
-        match run_pool(&mem, &FeatureSet::full(), spec, &input) {
+        match run_workload(&pool_system(mem, FeatureSet::full()), &data) {
             Err(SystemError::Unsupported { field: "mem", .. }) => {}
             other => panic!("{}-byte banks: {other:?}", mem.bank_width_bytes()),
         }
     }
+}
+
+/// Pool satellites: the max unit has no int32 path, so an unquantized
+/// pooling build is a typed compile error.
+#[test]
+fn pooling_rejects_int32_output() {
+    let spec = PoolSpec::new(16, 16, 8, 2, 2);
+    let data = pool_data(spec, vec![0; 16 * 16 * 8]);
+    let cfg = SystemConfig::default();
+    match compile(&data, &cfg.features, &cfg.mem, false, cfg.depths) {
+        Err(CompileError::Unsupported { .. }) => {}
+        other => panic!("expected an unsupported-output rejection, got {other:?}"),
+    }
+    let cfg = SystemConfig {
+        quantized: false,
+        ..cfg
+    };
+    assert!(matches!(
+        run_workload(&cfg, &data),
+        Err(SystemError::Compile(CompileError::Unsupported { .. }))
+    ));
 }
 
 /// Pool satellites: an input of the wrong length is a typed compile error,
@@ -154,7 +210,8 @@ fn pooling_rejects_bank_widths_that_split_the_tile() {
 fn pooling_rejects_a_short_input() {
     let spec = PoolSpec::new(16, 16, 8, 2, 2);
     let mem = MemConfig::new(32, 8, 4096).unwrap();
-    let err = run_pool(&mem, &FeatureSet::full(), spec, &[0; 100]).unwrap_err();
+    let data = pool_data(spec, vec![0; 100]);
+    let err = run_workload(&pool_system(mem, FeatureSet::full()), &data).unwrap_err();
     assert_eq!(
         err,
         SystemError::Compile(CompileError::InputLength {
@@ -181,8 +238,7 @@ fn network_chain_verifies() {
         assert!(report.checked);
         acts = data.expected_e();
     }
-    let pool = PoolSpec::new(8, 8, 8, 2, 2);
-    let report = run_pool(&cfg.mem, &cfg.features, pool, &acts).unwrap();
+    let report = run_workload(&cfg, &pool_data(PoolSpec::new(8, 8, 8, 2, 2), acts)).unwrap();
     assert!(report.checked);
 }
 
@@ -193,8 +249,8 @@ fn overlapping_footprints_are_rejected() {
     let cfg = SystemConfig::default();
     let data = WorkloadData::generate(GemmSpec::new(16, 16, 16).into(), 3);
     let mut program = compile(&data, &cfg.features, &cfg.mem, true, cfg.depths).unwrap();
-    program.out.runtime.base = program.a.runtime.base;
-    program.out.runtime.addressing_mode = program.a.runtime.addressing_mode;
+    program.out.runtime.base = program.readers[0].runtime.base;
+    program.out.runtime.addressing_mode = program.readers[0].runtime.addressing_mode;
     match run_compiled(&cfg, &data, &program) {
         Err(SystemError::FootprintOverlap { phase, .. }) => assert_eq!(phase, "compute"),
         other => panic!("expected a footprint rejection, got {other:?}"),

@@ -21,10 +21,11 @@
 //! [`POOL_EXPECTED`] pins the pooling system's cycles, accesses and bank
 //! conflicts the same way; the same command prints its rows.
 
-use datamaestro_repro::compiler::FeatureSet;
+use datamaestro_repro::analyze::{analyze_program, LintCode};
+use datamaestro_repro::compiler::{compile, FeatureSet};
 use datamaestro_repro::mem::MemConfig;
 use datamaestro_repro::sim::{SplitMix64, StableHasher};
-use datamaestro_repro::system::{run_pool, run_workload, RunReport, SystemConfig};
+use datamaestro_repro::system::{run_workload, RunReport, SystemConfig};
 use datamaestro_repro::workloads::{ConvSpec, GemmSpec, PoolSpec, Workload, WorkloadData};
 
 /// Plain GeMM, transposed GeMM and convolution.
@@ -136,29 +137,65 @@ const POOL_EXPECTED: [(PoolShape, bool, [u64; 3]); 7] = [
     ((113, 113, 64, 3, 2), true, [43961, 250880, 90740]),
 ];
 
+/// A pooling workload of `shape` over its pinned random input.
+fn pool_data(shape: PoolShape) -> WorkloadData {
+    let (h, w, c, k, s) = shape;
+    let mut rng = SplitMix64::new((h * w * c) as u64);
+    let mut data = WorkloadData::generate(PoolSpec::new(h, w, c, k, s).into(), 0);
+    data.a = (0..h * w * c)
+        .map(|_| rng.between(i8::MIN.into(), i8::MAX.into()) as i8)
+        .collect();
+    data
+}
+
+/// The analyzer on the full-featured pooling pins: every stride-2 shape
+/// collides inside the input stream's bank group (`DM-BANK-CONFLICT` on
+/// `pool-in`), and the stride-1 shape, which observes no conflict, is
+/// proven conflict-free.
+#[test]
+fn pooling_conflicts_are_explained_by_the_analyzer() {
+    let mem = MemConfig::new(32, 8, 65_536).unwrap();
+    let cfg = SystemConfig::default();
+    for &(shape, _, [_, _, conflicts]) in POOL_EXPECTED.iter().filter(|(_, full, _)| *full) {
+        let program = compile(&pool_data(shape), &cfg.features, &mem, true, cfg.depths).unwrap();
+        let analysis = analyze_program(&program, &mem);
+        let on_input = analysis
+            .report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == LintCode::BankConflict && d.component == "pool-in");
+        let stride = shape.4;
+        assert_eq!(on_input, stride == 2, "{shape:?}: {:?}", analysis.report);
+        assert_eq!(analysis.conflict_free, stride == 1, "{shape:?}");
+        if analysis.conflict_free {
+            assert_eq!(conflicts, 0, "{shape:?}: proven free, pinned {conflicts}");
+        }
+    }
+}
+
 #[test]
 fn pooling_results_match_recorded_counts() {
     let mem = MemConfig::new(32, 8, 65_536).unwrap();
     let mut observed = Vec::new();
     for &(shape, full, _) in &POOL_EXPECTED {
-        let (h, w, c, k, s) = shape;
-        let spec = PoolSpec::new(h, w, c, k, s);
-        let mut rng = SplitMix64::new((h * w * c) as u64);
-        let input: Vec<i8> = (0..h * w * c)
-            .map(|_| rng.between(i8::MIN.into(), i8::MAX.into()) as i8)
-            .collect();
+        let data = pool_data(shape);
+        let spec = data.workload;
         let features = if full {
             FeatureSet::full()
         } else {
             FeatureSet::baseline()
         };
-        let report =
-            run_pool(&mem, &features, spec, &input).unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+        let config = SystemConfig {
+            mem,
+            features,
+            ..SystemConfig::default()
+        };
+        let report = run_workload(&config, &data).unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         assert!(report.checked, "{spec:?}: golden check");
         let row = (
             shape,
             full,
-            [report.cycles, report.accesses, report.conflicts],
+            [report.total_cycles(), report.accesses(), report.conflicts],
         );
         println!("    {row:?},");
         observed.push(row);

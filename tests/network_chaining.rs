@@ -8,9 +8,8 @@
 use datamaestro_repro::accel::reference::{conv2d_ref, maxpool2d_ref, quantize_ref};
 use datamaestro_repro::accel::RescaleParams;
 use datamaestro_repro::compiler::FeatureSet;
-use datamaestro_repro::mem::MemConfig;
 use datamaestro_repro::sim::SplitMix64;
-use datamaestro_repro::system::{run_pool, run_workload, SystemConfig};
+use datamaestro_repro::system::{run_workload, SystemConfig};
 use datamaestro_repro::workloads::{ConvSpec, PoolSpec, WorkloadData};
 
 /// Runs one conv layer through the simulator using explicit input/weight
@@ -82,7 +81,6 @@ fn three_layer_conv_chain_matches_chained_golden() {
 fn conv_then_pool_chain() {
     // conv 3×3 → maxpool 2×2/2, both through the streamer-built systems.
     let cfg = SystemConfig::default();
-    let mem = MemConfig::default();
     let mut rng = SplitMix64::new(7);
     let conv = ConvSpec::new(18, 18, 8, 8, 3, 3, 1); // → 16×16×8
     let pool = PoolSpec::new(16, 16, 8, 2, 2); // → 8×8×8
@@ -91,7 +89,9 @@ fn conv_then_pool_chain() {
         .map(|_| rng.between(-16, 16) as i8)
         .collect();
     let conv_out = simulate_conv(&cfg, conv, &input, 4);
-    let report = run_pool(&mem, &FeatureSet::full(), pool, &conv_out).expect("pool runs");
+    let mut pool_data = WorkloadData::generate(pool.into(), 0);
+    pool_data.a = conv_out.clone();
+    let report = run_workload(&cfg, &pool_data).expect("pool runs");
     assert!(report.checked);
     // Independent golden: conv ref → quantize → maxpool ref.
     let data = {
@@ -100,7 +100,7 @@ fn conv_then_pool_chain() {
         d
     };
     let pooled_golden = maxpool2d_ref(&data.expected_e(), 16, 16, 8, 2, 2);
-    // `run_pool` already verified its memory image against this reference
+    // `run_workload` already verified its memory image against this reference
     // internally; re-derive here to pin the chain end to end.
     let expected = maxpool2d_ref(&conv_out, 16, 16, 8, 2, 2);
     assert_eq!(pooled_golden, expected);

@@ -134,7 +134,7 @@ fn fig10_gains_in_paper_regime() {
     for (name, w) in kernels {
         let ours = run(FeatureSet::full(), w, 7).utilization();
         for b in Baseline::ALL {
-            let gain = ours / utilization(b, &w);
+            let gain = ours / utilization(b, &w).expect("GeMM and convolution are modelled");
             assert!(gain > 1.0, "{name} vs {b}: {gain:.2}");
             min_gain = min_gain.min(gain);
             max_gain = max_gain.max(gain);

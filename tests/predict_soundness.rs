@@ -19,11 +19,13 @@ use datamaestro_repro::sim::{
     is_periodic_with, minimal_period, CritClass, OperandPort, StallCause, TraceEventKind, TraceMode,
 };
 use datamaestro_repro::system::{run_workload, RunReport, SystemConfig};
-use datamaestro_repro::workloads::{synthetic_suite, ConvSpec, GemmSpec, Workload, WorkloadData};
+use datamaestro_repro::workloads::{
+    synthetic_suite, ConvSpec, GemmSpec, PoolSpec, Workload, WorkloadData,
+};
 
-/// Plain GeMM, a larger GeMM, transposed GeMM, and two convolutions
-/// (stride 1 and stride 2) — one representative per workload family,
-/// sized large enough for a steady state to exist.
+/// Plain GeMM, a larger GeMM, transposed GeMM, two convolutions (stride 1
+/// and stride 2) and a strided max pool — one representative per workload
+/// family, sized large enough for a steady state to exist.
 fn zoo() -> Vec<Workload> {
     vec![
         GemmSpec::new(24, 16, 32).into(),
@@ -31,6 +33,7 @@ fn zoo() -> Vec<Workload> {
         GemmSpec::transposed(32, 32, 32).into(),
         ConvSpec::new(26, 26, 8, 8, 3, 3, 1).into(),
         ConvSpec::new(18, 18, 8, 16, 3, 3, 2).into(),
+        PoolSpec::new(17, 17, 16, 3, 2).into(),
     ]
 }
 
