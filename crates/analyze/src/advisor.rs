@@ -14,14 +14,15 @@
 
 use dm_mem::{AddressingMode, MemConfig};
 
-use crate::conflict::{candidate_pairs, NestWalker};
-use crate::pattern::{bank_of_word, BankSet, StreamSummary};
+use crate::conflict::candidate_pairs;
+use crate::pattern::{BankSet, StreamSummary};
+use crate::walk::{Signatures, Space};
 
 /// Walk budget for the predicted-cycles score. Smaller than the conflict
 /// analyzer's cap (the advisor scores every legal mode of every stream);
 /// all modes of one stream walk the same step count, so the ranking stays
 /// an apples-to-apples comparison even when capped.
-const SCORE_WALK_CAP: u64 = 1 << 16;
+pub(crate) const SCORE_WALK_CAP: u64 = 1 << 16;
 
 /// One ranked addressing mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,18 +79,11 @@ pub fn score_mode(s: &StreamSummary, mode: AddressingMode, mem: &MemConfig) -> M
 /// The roofline bank term of the stream's nest reinterpreted under
 /// GIMA(g): hottest-bank request count over the walked (capped) prefix.
 fn predicted_cycles(s: &StreamSummary, g: u64, mem: &MemConfig) -> (u64, u64) {
-    let group_words = g * mem.rows_per_bank() as u64;
-    let mut per_bank = vec![0u64; mem.num_banks()];
-    let mut walker = NestWalker::new(&s.temporal_bounds, &s.temporal_strides_words);
     let walked = s.steps.min(SCORE_WALK_CAP);
-    for _ in 0..walked {
-        let q = s.base_word as i64 + walker.offset();
-        for &o in &s.offsets_words {
-            let bank = bank_of_word((q + o) as u64, g, group_words) as usize;
-            per_bank[bank % mem.num_banks()] += 1;
-        }
-        walker.step();
-    }
+    let space = Space::new(1, s.capacity_words, g, g * mem.rows_per_bank() as u64);
+    let mut sigs = Signatures::new(space, &s.offsets_words);
+    let ids = sigs.ids(&s.nest(), walked);
+    let per_bank = sigs.per_bank(&ids, mem.num_banks());
     (per_bank.into_iter().max().unwrap_or(0), walked)
 }
 

@@ -21,15 +21,15 @@
 //! degrades to "possible" (sound for the conflict-free direction: we never
 //! claim freedom we cannot prove).
 
-use std::iter::Sum;
-use std::ops::AddAssign;
+use std::ops::ControlFlow;
 
-use crate::pattern::{bank_of_word, StreamSummary};
+use crate::pattern::StreamSummary;
+use crate::walk::{Signatures, Space};
 
 /// Enumeration budget for confirming candidate collisions. Large enough
 /// for every fig7/table3 nest (≤ ~1 M steps); beyond it the verdict is
 /// conservative.
-const STEP_CAP: u64 = 1 << 22;
+pub(crate) const STEP_CAP: u64 = 1 << 22;
 
 /// A channel pair that *can* collide on a bank (necessary conditions (1)
 /// and (2) hold).
@@ -97,110 +97,51 @@ pub fn intra_burst(s: &StreamSummary) -> BurstVerdict {
 
     // Candidates exist: walk the nest to find the first burst that really
     // collides (candidates with `d ≠ 0` still need the two words to land
-    // in the same group, which depends on the temporal address).
-    let mut walker = NestWalker::new(&s.temporal_bounds, &s.temporal_strides_words);
-    let steps = s.steps.min(STEP_CAP);
-    for step in 0..steps {
-        let q = s.base_word as i64 + walker.offset();
-        let collides = pairs.iter().any(|p| {
-            let (i, j) = p.channels;
-            let wi = (q + s.offsets_words[i]) as u64;
-            let wj = (q + s.offsets_words[j]) as u64;
-            bank_of_word(wi, s.group, s.group_words) == bank_of_word(wj, s.group, s.group_words)
-        });
-        if collides {
-            let events = burst_conflict_events(s, q);
-            return BurstVerdict::Conflicting {
-                pairs,
-                first_step: Some(step),
-                events_at_first: events,
-            };
+    // in the same group, which depends on the temporal address). Two
+    // channels share a bank only as a candidate pair, so a burst collides
+    // exactly when its signature repeats a bank; that test runs once per
+    // distinct signature.
+    let space = Space::new(1, s.capacity_words, s.group, s.group_words);
+    let mut sigs = Signatures::new(space, &s.offsets_words);
+    let mut events: Vec<u64> = Vec::new();
+    let first = sigs.walk(&s.nest(), s.steps.min(STEP_CAP), |step, id, banks| {
+        if id as usize == events.len() {
+            events.push(conflict_events(banks));
         }
-        walker.step();
-    }
-    if s.steps <= STEP_CAP {
+        match events[id as usize] {
+            0 => ControlFlow::Continue(()),
+            n => ControlFlow::Break((step, n)),
+        }
+    });
+    match first {
+        ControlFlow::Break((step, events_at_first)) => BurstVerdict::Conflicting {
+            pairs,
+            first_step: Some(step),
+            events_at_first,
+        },
         // Exhaustively walked: the candidates never share a group.
-        BurstVerdict::ConflictFree
-    } else {
-        BurstVerdict::Conflicting {
+        ControlFlow::Continue(()) if s.steps <= STEP_CAP => BurstVerdict::ConflictFree,
+        ControlFlow::Continue(()) => BurstVerdict::Conflicting {
             pairs,
             first_step: None,
             events_at_first: 0,
-        }
+        },
     }
 }
 
-/// `Σ (k−1)` over banks contended by `k > 1` channels of the burst at
-/// temporal word address `q` — the arbitration losses of one lock-step
-/// issue of this burst.
-fn burst_conflict_events(s: &StreamSummary, q: i64) -> u64 {
-    let mut banks: Vec<u64> = s
-        .offsets_words
-        .iter()
-        .map(|&o| bank_of_word((q + o) as u64, s.group, s.group_words))
-        .collect();
-    banks.sort_unstable();
-    let mut events = 0;
-    let mut run = 1;
-    for w in banks.windows(2) {
-        if w[0] == w[1] {
-            run += 1;
-        } else {
-            events += run - 1;
-            run = 1;
-        }
-    }
-    events + run - 1
+/// `Σ (k−1)` over banks contended by `k > 1` channels of a burst with
+/// these banks — the arbitration losses of one lock-step issue of it.
+fn conflict_events(banks: &[usize]) -> u64 {
+    let mut distinct = banks.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    (banks.len() - distinct.len()) as u64
 }
-
-/// Dual-counter walk over a temporal nest, tracking only the running
-/// offset (what [`datamaestro::agu::TemporalAgu`] does, minus the address
-/// emission). Offsets are in the strides' unit: words as `i64` for the
-/// burst verdicts here, bytes as `i128` for the period proofs, which must
-/// not overflow. A stride missing from `strides` reads as 0, and a
-/// zero-trip bound simply never steps.
-pub(crate) struct DualCounter<T> {
-    bounds: Vec<u64>,
-    strides: Vec<T>,
-    indices: Vec<u64>,
-    offsets: Vec<T>,
-}
-
-impl<T: Copy + Default + From<i64> + AddAssign + Sum> DualCounter<T> {
-    pub(crate) fn new(bounds: &[u64], strides: &[i64]) -> Self {
-        DualCounter {
-            bounds: bounds.to_vec(),
-            strides: (0..bounds.len())
-                .map(|d| T::from(strides.get(d).copied().unwrap_or(0)))
-                .collect(),
-            indices: vec![0; bounds.len()],
-            offsets: vec![T::default(); bounds.len()],
-        }
-    }
-
-    pub(crate) fn offset(&self) -> T {
-        self.offsets.iter().copied().sum()
-    }
-
-    pub(crate) fn step(&mut self) {
-        for d in 0..self.bounds.len() {
-            self.indices[d] += 1;
-            if self.indices[d] < self.bounds[d] {
-                self.offsets[d] += self.strides[d];
-                return;
-            }
-            self.indices[d] = 0;
-            self.offsets[d] = T::default();
-        }
-    }
-}
-
-/// The burst verdicts and mode scores walk in words.
-pub(crate) type NestWalker = DualCounter<i64>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{bank_of_word, temporal_offsets};
     use crate::pattern::summarize;
     use datamaestro::{DesignConfig, RuntimeConfig, StreamerMode};
     use dm_mem::{AddressingMode, MemConfig};
@@ -303,17 +244,15 @@ mod tests {
         ] {
             let s = summary(mode, strides);
             let mut any_collision = false;
-            let mut walker = NestWalker::new(&s.temporal_bounds, &s.temporal_strides_words);
-            for _ in 0..s.steps {
-                let q = s.base_word as i64 + walker.offset();
+            for t in temporal_offsets(&s.temporal_bounds, &s.temporal_strides_words, s.steps) {
+                let q = s.base_word as i128 + t;
                 let mut banks: Vec<u64> = s
                     .offsets_words
                     .iter()
-                    .map(|&o| bank_of_word((q + o) as u64, s.group, s.group_words))
+                    .map(|&o| bank_of_word((q + i128::from(o)) as u64, s.group, s.group_words))
                     .collect();
                 banks.sort_unstable();
                 any_collision |= banks.windows(2).any(|w| w[0] == w[1]);
-                walker.step();
             }
             assert_eq!(
                 !intra_burst(&s).is_conflict_free(),

@@ -45,10 +45,13 @@ pub mod conflict;
 pub mod diagnostic;
 pub mod fixtures;
 pub mod graph;
+#[cfg(test)]
+mod oracle;
 pub mod pattern;
 pub mod period;
 pub mod roofline;
 pub mod system;
+mod walk;
 
 pub use advisor::{legal_modes, rank_modes, score_mode, ModeScore};
 pub use conflict::{intra_burst, BurstVerdict, CandidatePair};

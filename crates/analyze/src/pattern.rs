@@ -14,6 +14,7 @@ use datamaestro::{DesignConfig, RuntimeConfig};
 use dm_mem::{AddressingMode, MemConfig};
 
 use crate::diagnostic::{Diagnostic, LintCode};
+use crate::walk::Nest;
 
 /// A set of physical banks, stored as a bitset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,6 +120,8 @@ pub struct StreamSummary {
     pub temporal_strides_words: Vec<i64>,
     /// Base address, in words.
     pub base_word: u64,
+    /// Scratchpad capacity, in words.
+    pub capacity_words: u64,
     /// Total temporal steps (bursts) of the nest.
     pub steps: u64,
     /// Inclusive word-index hull `[min, max]` the pattern can touch.
@@ -127,6 +130,17 @@ pub struct StreamSummary {
     pub banks: BankSet,
     /// Inclusive physical row hull `[min, max]` over all touched banks.
     pub row_hull: (u64, u64),
+}
+
+impl StreamSummary {
+    /// The temporal nest in words, for the bank-signature walk.
+    pub(crate) fn nest(&self) -> Nest<'_> {
+        Nest {
+            base: self.base_word,
+            bounds: &self.temporal_bounds,
+            strides: &self.temporal_strides_words,
+        }
+    }
 }
 
 /// Summarizes one stream, performing the checked structural / alignment /
@@ -263,6 +277,7 @@ pub fn summarize(
             .map(|&s| s / word as i64)
             .collect(),
         base_word: runtime.base / word,
+        capacity_words: mem.capacity_bytes() / word,
         steps,
         word_hull: (min_word, max_word),
         banks,
@@ -315,18 +330,51 @@ fn hull_banks_and_rows(
 
 /// The physical bank of a word index under GIMA(g) — the analyzer's model
 /// of the remapper's bit permutation (`AddressRemapper::map_word`), checked
-/// against the remapper itself by the exhaustive round-trip tests in
-/// `dm-mem`.
+/// against the remapper itself by `bank_model_matches_remapper_for_every_mode`.
+/// `g` and `group_words` are powers of two, as on every validated geometry.
 #[must_use]
 pub fn bank_of_word(word: u64, g: u64, group_words: u64) -> u64 {
-    (word / group_words) * g + word % g
+    BankMap::new(g, group_words).bank(word)
+}
+
+/// GIMA(g) as shift/mask on a power-of-two geometry, the way
+/// `AddressRemapper` computes it:
+///
+/// ```text
+/// word = [ group | row-within-group | bank-in-group ]
+/// bank = [ group | bank-in-group ]
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BankMap {
+    group_shift: u32,
+    span_shift: u32,
+}
+
+impl BankMap {
+    /// The map of GIMA(`g`) with `group_words` words per group.
+    pub(crate) fn new(g: u64, group_words: u64) -> Self {
+        debug_assert!(
+            g.is_power_of_two() && group_words.is_power_of_two(),
+            "GIMA({g}) over {group_words}-word groups is not a bit permutation"
+        );
+        BankMap {
+            group_shift: g.trailing_zeros(),
+            span_shift: group_words.trailing_zeros(),
+        }
+    }
+
+    /// The bank of word index `word`.
+    #[inline]
+    pub(crate) fn bank(self, word: u64) -> u64 {
+        ((word >> self.span_shift) << self.group_shift) | (word & ((1 << self.group_shift) - 1))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use datamaestro::StreamerMode;
-    use dm_mem::{AddressRemapper, AddressingMode};
+    use dm_mem::AddressRemapper;
 
     fn mem() -> MemConfig {
         MemConfig::new(8, 8, 64).unwrap()
@@ -342,22 +390,28 @@ mod tests {
 
     #[test]
     fn bank_model_matches_remapper_for_every_mode() {
-        let mem = mem();
-        for mode in [
-            AddressingMode::FullyInterleaved,
-            AddressingMode::NonInterleaved,
-            AddressingMode::GroupedInterleaved { group_banks: 2 },
-            AddressingMode::GroupedInterleaved { group_banks: 4 },
-        ] {
-            let remapper = AddressRemapper::new(&mem, mode).unwrap();
-            let g = mode.group_banks(mem.num_banks()) as u64;
-            let group_words = g * mem.rows_per_bank() as u64;
-            for w in 0..remapper.capacity_words() {
-                assert_eq!(
-                    bank_of_word(w, g, group_words),
-                    remapper.map_word(w).bank as u64,
-                    "mode {mode} word {w}"
-                );
+        // Every legal mode of an 8-bank and a 32-bank geometry, up to
+        // GIMA(16), plus GIMA over all banks (FIMA spelled as a group),
+        // over every in-range word.
+        for mem in [mem(), MemConfig::new(32, 8, 64).unwrap()] {
+            let all = AddressingMode::GroupedInterleaved {
+                group_banks: mem.num_banks(),
+            };
+            for mode in crate::advisor::legal_modes(mem.num_banks())
+                .into_iter()
+                .chain([all])
+            {
+                let remapper = AddressRemapper::new(&mem, mode).unwrap();
+                let g = mode.group_banks(mem.num_banks()) as u64;
+                let group_words = g * mem.rows_per_bank() as u64;
+                for w in 0..remapper.capacity_words() {
+                    assert_eq!(
+                        bank_of_word(w, g, group_words),
+                        remapper.map_word(w).bank as u64,
+                        "{} banks, mode {mode}, word {w}",
+                        mem.num_banks()
+                    );
+                }
             }
         }
     }

@@ -6,9 +6,10 @@
 //! the nest. The *bank signature* of a step — the per-channel vector of
 //! physical banks its words map to under the stream's addressing mode —
 //! therefore traces out an eventually-exactly-periodic sequence. This
-//! module walks the nest (capped, like [`crate::conflict`]), interns each
-//! step's bank signature, and extracts the minimal weak period of the
-//! signature stream with [`dm_sim::minimal_period`]. When the whole nest
+//! module walks the nest (capped, like [`crate::conflict`]) with the
+//! crate's one bank-signature walk, which interns each step's signature as
+//! an id, and extracts the minimal weak period of the id stream with
+//! [`dm_sim::minimal_period`]. When the whole nest
 //! fits under the cap the period is exact by exhaustion; otherwise the
 //! proof is marked non-exhaustive and all per-bank counts under-approximate
 //! the full nest (which keeps every downstream bound sound — see
@@ -16,25 +17,21 @@
 //!
 //! Unlike [`crate::pattern::summarize`], the prover is *total*: zero-trip
 //! nests, stride-0 dimensions, sub-word strides and out-of-range addresses
-//! all yield a (trivially) periodic proof instead of a refusal — the
-//! address arithmetic runs in `i128` and wraps into the scratchpad word
-//! space with `rem_euclid`, mirroring how a hardware remapper would treat
-//! the low address bits.
-
-use std::collections::HashMap;
+//! all yield a (trivially) periodic proof instead of a refusal — addresses
+//! wrap into the scratchpad modulo its power-of-two capacity, mirroring
+//! how a hardware remapper would treat the high address bits.
 
 use datamaestro::{DesignConfig, RuntimeConfig};
 use dm_compiler::CompiledWorkload;
 use dm_mem::MemConfig;
 use dm_sim::minimal_period;
 
-use crate::conflict::DualCounter;
 use crate::diagnostic::{Diagnostic, LintCode};
-use crate::pattern::bank_of_word;
+use crate::walk::{Nest, Signatures, Space};
 
 /// Enumeration budget for the signature walk; matches the conflict
 /// analyzer's cap so both analyses degrade together on huge nests.
-const WALK_CAP: u64 = 1 << 22;
+pub(crate) const WALK_CAP: u64 = 1 << 22;
 
 /// Proof that one port's request stream is periodic, with its exact
 /// per-period accounting.
@@ -123,31 +120,26 @@ pub fn prove_port(
     };
 
     let g = group as u64;
-    let rows = mem.rows_per_bank() as u64;
-    let group_words = g * rows;
-    let word = mem.bank_width_bytes() as u64;
-    let capacity_words = i128::from(mem.capacity_bytes() / word);
-
     // Per-channel byte offsets: the spatial mixed-radix enumeration of
     // `SpatialAgu`, made total (missing strides read as 0, zero bounds
-    // yield zero channels).
+    // yield zero channels). Addresses wrap into the scratchpad, so the
+    // offsets may wrap too.
     let bounds = design.spatial_bounds();
     let channels: usize = bounds.iter().product();
-    let offsets: Vec<i128> = (0..channels)
+    let offsets: Vec<i64> = (0..channels)
         .map(|c| {
             let mut rem = c;
-            let mut offset = 0i128;
+            let mut offset = 0i64;
             for (d, &bound) in bounds.iter().enumerate() {
-                let digit = (rem % bound) as i128;
+                let digit = (rem % bound) as i64;
                 rem /= bound;
-                offset += digit * i128::from(runtime.spatial_strides.get(d).copied().unwrap_or(0));
+                let stride = runtime.spatial_strides.get(d).copied().unwrap_or(0);
+                offset = offset.wrapping_add(digit.wrapping_mul(stride));
             }
             offset
         })
         .collect();
 
-    let mut per_bank_walked = vec![0u64; mem.num_banks()];
-    let per_bank_per_period = vec![0u64; mem.num_banks()];
     if steps == 0 || channels == 0 {
         // Zero-trip nest: the empty stream is trivially 1-periodic.
         return Ok(PortPeriodProof {
@@ -157,52 +149,25 @@ pub fn prove_port(
             exhaustive: true,
             walked: steps.min(WALK_CAP),
             channels: channels as u64,
-            per_bank_walked,
-            per_bank_per_period,
+            per_bank_walked: vec![0; mem.num_banks()],
+            per_bank_per_period: vec![0; mem.num_banks()],
         });
     }
 
-    // Walk the nest, interning each step's bank signature. The signature is
-    // a pure function of the temporal byte offset `q`, so repeated offsets
-    // (stride-0 dimensions, revisiting nests) are memoized.
+    // Walk the nest as bank-signature ids; the period of the id sequence
+    // is the period of the signatures, and the per-bank counts fold the
+    // histogram of ids over the walk and over its first period.
     let walked = steps.min(WALK_CAP);
-    let mut walker = DualCounter::<i128>::new(&runtime.temporal_bounds, &runtime.temporal_strides);
-    let mut sig_of_offset: HashMap<i128, u32> = HashMap::new();
-    let mut intern: HashMap<Vec<u64>, u32> = HashMap::new();
-    let mut sig_banks: Vec<Vec<u64>> = Vec::new();
-    let mut ids: Vec<u32> = Vec::with_capacity(walked as usize);
-    let base = i128::from(runtime.base);
-    for _ in 0..walked {
-        let q = base + walker.offset();
-        let id = *sig_of_offset.entry(q).or_insert_with(|| {
-            let sig: Vec<u64> = offsets
-                .iter()
-                .map(|&o| {
-                    let w = (q + o)
-                        .div_euclid(i128::from(word))
-                        .rem_euclid(capacity_words);
-                    bank_of_word(w as u64, g, group_words)
-                })
-                .collect();
-            *intern.entry(sig.clone()).or_insert_with(|| {
-                sig_banks.push(sig);
-                (sig_banks.len() - 1) as u32
-            })
-        });
-        ids.push(id);
-        walker.step();
-    }
-
+    let nest = Nest {
+        base: runtime.base,
+        bounds: &runtime.temporal_bounds,
+        strides: &runtime.temporal_strides,
+    };
+    let mut sigs = Signatures::new(Space::bytes(mem, g), &offsets);
+    let ids = sigs.ids(&nest, walked);
     let period = minimal_period(&ids);
-    let mut per_bank_per_period = per_bank_per_period;
-    for (i, &id) in ids.iter().enumerate() {
-        for &b in &sig_banks[id as usize] {
-            per_bank_walked[b as usize] += 1;
-            if (i as u64) < period {
-                per_bank_per_period[b as usize] += 1;
-            }
-        }
-    }
+    let per_bank_walked = sigs.per_bank(&ids, mem.num_banks());
+    let per_bank_per_period = sigs.per_bank(&ids[..period as usize], mem.num_banks());
 
     Ok(PortPeriodProof {
         name,

@@ -43,8 +43,8 @@ use dm_mem::MemConfig;
 use dm_sim::CritClass;
 
 use crate::diagnostic::{Diagnostic, LintCode};
-use crate::pattern::bank_of_word;
 use crate::period::{prove_program, ProgramPeriodProof};
+use crate::walk::Space;
 
 /// Proven-utilization threshold below which `DM-PERF-BOUND` is emitted.
 const NEAR_PEAK: f64 = 0.99;
@@ -176,14 +176,11 @@ pub fn predict(
 /// doc for the argument).
 #[must_use]
 pub fn prepass_lower_bound(plan: &CopyPlan, mem: &MemConfig) -> u64 {
-    let word = mem.bank_width_bytes() as u64;
-    let rows = mem.rows_per_bank() as u64;
-    let capacity_words = mem.capacity_bytes() / word;
     let load = |addrs: &mut dyn Iterator<Item = u64>, g: u64| -> u64 {
+        let space = Space::bytes(mem, g);
         let mut per_bank = vec![0u64; mem.num_banks()];
         for addr in addrs {
-            let w = (addr / word) % capacity_words.max(1);
-            per_bank[bank_of_word(w, g, g * rows) as usize] += 1;
+            per_bank[space.bank_of(addr)] += 1;
         }
         per_bank.into_iter().max().unwrap_or(0)
     };

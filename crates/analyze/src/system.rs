@@ -200,16 +200,22 @@ pub fn analyze_streams(streams: &[StreamInput<'_>], mem: &MemConfig, prepasses: 
                 ),
             ));
         } else {
+            let tried: Vec<String> = ranked.iter().map(|m| m.mode.to_string()).collect();
             report.push(Diagnostic::info(
                 LintCode::BankConflict,
                 &summary.name,
                 format!(
                     "{} channel pairs {certainty} on a bank per burst under \
-                     {}; no placement-compatible addressing mode predicts a \
-                     lower cycle bound — conflicts are unavoidable for this \
-                     pattern",
+                     {} (e.g. channels {:?} at word delta {}, a multiple of \
+                     the group size {}); no placement-compatible addressing \
+                     mode tried over the compiled layout ({}) predicts a \
+                     lower cycle bound, and other layouts were not searched",
                     pairs.len(),
-                    summary.mode
+                    summary.mode,
+                    pairs[0].channels,
+                    pairs[0].delta_words,
+                    summary.group,
+                    tried.join(", "),
                 ),
             ));
         }
