@@ -320,8 +320,9 @@ fn hull_banks_and_rows(
                 banks.insert((group_idx * g + b) as usize);
             }
         } else {
+            let map = BankMap::new(g, group_words);
             for w in lo..=hi {
-                banks.insert((group_idx * g + w % g) as usize);
+                banks.insert(map.bank(group_idx * group_words + w) as usize);
             }
         }
     }
