@@ -17,7 +17,7 @@
 //! a group boundary (or whose temporal word sits outside the group of its
 //! channels' words) computes its full signature, which the same interner
 //! maps to the same id. This is the argument of the simulator's
-//! `AddressRemapper::bank_key`, made static.
+//! `AddressRemapper::keeps_banks`, made static.
 //!
 //! Ids are interned by value, so two steps share an id exactly when their
 //! signatures are equal: the id sequence has the same minimal period as

@@ -184,19 +184,111 @@ impl TemporalAgu {
     /// for affine patterns).
     #[must_use]
     pub fn address_range(&self) -> (u64, u64) {
-        let mut min = self.base;
-        let mut max = self.base;
-        for (bound, stride) in self.bounds.iter().zip(&self.strides) {
-            let reach = *stride * (*bound as i64 - 1);
-            if reach < 0 {
-                min += reach;
-            } else {
-                max += reach;
-            }
-        }
+        let (min, max) = self.address_hull(0, self.total);
         assert!(min >= 0, "pattern reaches a negative address");
         (min as u64, max as u64)
     }
+
+    /// The address at flat position `x` of the nest, in O(dims).
+    fn address_at(&self, mut x: u64) -> i64 {
+        let mut addr = self.base;
+        for (&bound, &stride) in self.bounds.iter().zip(&self.strides) {
+            addr += (x % bound) as i64 * stride;
+            x /= bound;
+        }
+        addr
+    }
+
+    /// Bounds on the addresses of positions `[start, end)` (`start < end`),
+    /// in O(dims): the extremes over the smallest box of the nest's digits
+    /// that holds both ends. They are the range's own extremes when the
+    /// range is such a box.
+    #[must_use]
+    pub(crate) fn address_hull(&self, start: u64, end: u64) -> (i64, i64) {
+        debug_assert!(start < end && end <= self.total);
+        // The dimensions below the highest one in which the ends' digits
+        // differ sweep their whole bound; from that one up, the digits
+        // sweep between the ends' (the same digit above it).
+        let (mut swept, mut span) = (1u64, 1u64);
+        let (mut first, mut last) = (start, end - 1);
+        for &bound in &self.bounds {
+            if first == last {
+                break;
+            }
+            (swept, span) = (span, span * bound);
+            (first, last) = (first / bound, last / bound);
+        }
+        let (mut first, mut last) = (start / swept * swept, (end - 1) / swept * swept + swept - 1);
+        let (mut min, mut max) = (self.base, self.base);
+        for (&bound, &stride) in self.bounds.iter().zip(&self.strides) {
+            let (a, b) = (
+                (first % bound) as i64 * stride,
+                (last % bound) as i64 * stride,
+            );
+            min += a.min(b);
+            max += a.max(b);
+            (first, last) = (first / bound, last / bound);
+        }
+        (min, max)
+    }
+
+    /// Splits positions `[from, to)` into runs over which every address
+    /// lies one fixed distance from the address `delta` positions earlier
+    /// (`from ≥ delta`). The address steps from `x` to `x + 1` and from
+    /// `x − delta` to `x + 1 − delta` agree unless one of them carries into
+    /// the lowest dimension whose block `delta` does not fill a whole
+    /// number of times, so runs break only at two positions per such
+    /// block: each run costs O(dims).
+    pub(crate) fn lag_runs(
+        &self,
+        delta: u64,
+        from: u64,
+        to: u64,
+    ) -> impl Iterator<Item = LagRun> + '_ {
+        debug_assert!(from >= delta || from >= to);
+        // `block` is the span of the lowest dimension whose span `delta` is
+        // not a multiple of; a nest whose every span divides `delta` (so
+        // `delta == 0`) has one run.
+        let mut block = 1u64;
+        for &bound in &self.bounds {
+            block *= bound;
+            if !delta.is_multiple_of(block) {
+                break;
+            }
+        }
+        let phase = delta % block;
+        let mut start = from;
+        std::iter::from_fn(move || {
+            if start >= to {
+                return None;
+            }
+            let origin = start - start % block;
+            let end = match origin + phase {
+                split if split > start => split,
+                _ => origin + block,
+            };
+            let run = LagRun {
+                start,
+                end: end.min(to),
+                shift: self.address_at(start) - self.address_at(start - delta),
+            };
+            start = run.end;
+            Some(run)
+        })
+    }
+}
+
+/// Positions `[start, end)` of a nest over which every address lies
+/// `shift` bytes from the address a fixed number of positions earlier
+/// ([`TemporalAgu::lag_runs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LagRun {
+    /// The first position.
+    pub(crate) start: u64,
+    /// One past the last position.
+    pub(crate) end: u64,
+    /// The distance in bytes.
+    pub(crate) shift: i64,
 }
 
 /// The spatial half of the AGU: a fixed set of per-channel offsets derived
@@ -496,6 +588,50 @@ mod tests {
             assert_eq!(
                 skipped.next_address(),
                 stepped.next_address(),
+                "case {case}"
+            );
+        }
+    }
+
+    /// `lag_runs` tiles its range with runs whose every position lies the
+    /// run's shift from the position `delta` before it, and
+    /// `address_hull` bounds every run, exactly on the nest's digit boxes.
+    #[test]
+    fn lag_runs_and_hulls_match_the_addresses() {
+        let mut rng = SplitMix64::new(0x1a6);
+        for case in 0..512 {
+            let (bounds, strides) = nest(&mut rng, 5, 4, (-32, 32));
+            let base = 1 << 20;
+            let agu = TemporalAgu::new(base, &bounds, &strides);
+            let addrs: Vec<i64> = naive_temporal_addresses(base, &bounds, &strides)
+                .into_iter()
+                .map(|a| a as i64)
+                .collect();
+            let total = agu.total();
+            let delta = rng.below(total);
+            let from = delta + rng.below(total - delta);
+            let to = from + rng.below(total - from + 1);
+            let mut next = from;
+            for run in agu.lag_runs(delta, from, to) {
+                assert!(run.start == next && run.start < run.end, "case {case}");
+                let span = &addrs[run.start as usize..run.end as usize];
+                let (lo, hi) = agu.address_hull(run.start, run.end);
+                for (x, &a) in (run.start..).zip(span) {
+                    assert_eq!(a - addrs[(x - delta) as usize], run.shift, "case {case}");
+                    assert!(lo <= a && a <= hi, "case {case}");
+                }
+                next = run.end;
+            }
+            assert_eq!(next, to, "case {case}");
+            let inner: u64 = bounds[..rng.below(bounds.len() as u64 + 1) as usize]
+                .iter()
+                .product();
+            let start = rng.below(total / inner) * inner;
+            let boxed = &addrs[start as usize..(start + inner) as usize];
+            let extremes = (*boxed.iter().min().unwrap(), *boxed.iter().max().unwrap());
+            assert_eq!(
+                agu.address_hull(start, start + inner),
+                extremes,
                 "case {case}"
             );
         }

@@ -107,7 +107,5 @@ pub use csr::{decode_runtime, encode_runtime, CsrMap};
 pub use error::ConfigError;
 pub use extension::{ExtensionChain, ExtensionKind, ExtensionScratch};
 pub use reader::{ReadSide, ReadStreamer};
-pub use streamer::{
-    bind_pattern, BankWalk, Side, StreamBinding, Streamer, StreamerStats, WordCursor,
-};
+pub use streamer::{bind_pattern, Side, StreamBinding, Streamer, StreamerStats, WordCursor};
 pub use writer::{WriteSide, WriteStreamer};

@@ -16,7 +16,7 @@ use dm_sim::{
     TraceEventKind, TraceMode,
 };
 
-use crate::agu::{SpatialAgu, TemporalAgu};
+use crate::agu::{LagRun, SpatialAgu, TemporalAgu};
 use crate::channel::{Channel, ChannelFifo};
 use crate::config::{DesignConfig, RuntimeConfig, StreamerMode};
 use crate::error::ConfigError;
@@ -377,7 +377,7 @@ impl<S: Side> Streamer<S> {
     }
 }
 
-/// Period replay: the lock key, the bank-pattern check and the replay of
+/// Period replay: the lock key, the bank horizon and the replay of
 /// whole periods (DESIGN §8).
 impl<S: Side> Streamer<S> {
     /// Appends the streamer state that steers its future cycles and does
@@ -407,45 +407,28 @@ impl<S: Side> Streamer<S> {
             .unwrap_or(0) as u64
     }
 
-    /// A walk that checks, period by period, whether the stream keeps the
-    /// bank pattern of the period since `earlier`: every word a channel
-    /// takes into its FIFO in a further period must map to the bank of the
-    /// word one period before. Queued addresses steer nothing until they
-    /// are taken in, but the words already in the FIFOs do: they are
-    /// checked at once, against the period that ends with them.
+    /// How many more periods like the one since `earlier` the stream keeps
+    /// its bank pattern for, at most `cap`: every word a channel takes into
+    /// its FIFO in a further period must map to the bank of the word one
+    /// period before. Queued addresses steer nothing until they are taken
+    /// in, but the words already in the FIFOs do: they are checked too,
+    /// against the period that ends with them. The count is capped so
+    /// that the AGU can supply every period in full.
     #[must_use]
-    pub fn bank_walk(&self, earlier: &Self) -> BankWalk<'_> {
-        let produced = self.tagu.produced();
-        let delta = produced - earlier.tagu.produced();
-        let window = self.live_window();
+    pub fn repeatable_periods(&self, earlier: &Self, cap: u64) -> u64 {
         let queued = self
             .channels
             .iter()
             .map(Channel::addr_backlog)
             .min()
             .unwrap_or(0) as u64;
-        let at = |position: u64| {
-            let mut agu = self.tagu.clone();
-            agu.reset();
-            agu.skip(position);
-            agu
-        };
-        let mut walk = BankWalk {
+        let horizon = BankHorizon {
             remapper: &self.remapper,
+            tagu: &self.tagu,
             sagu: &self.sagu,
-            lead: at(produced - window),
-            lag: at(produced - window - delta),
-            reference: Vec::with_capacity(delta as usize),
-            offsets: self.sagu.offset_range(),
-            delta,
-            periods: (self.tagu.total() - produced)
-                .checked_div(delta)
-                .unwrap_or(u64::MAX),
+            delta: self.tagu.produced() - earlier.tagu.produced(),
         };
-        if !(queued..window).all(|_| walk.step_lagged().is_some()) {
-            walk.periods = 0;
-        }
-        walk
+        horizon.periods(self.live_window(), queued, cap)
     }
 
     /// Replays `k` more periods like the one since `earlier`: the counters,
@@ -489,80 +472,74 @@ impl<S: Side> Streamer<S> {
     }
 }
 
-/// The period-by-period bank check of [`Streamer::bank_walk`].
+/// How far a stream keeps the bank pattern of its last `delta` positions
+/// (DESIGN §8.2): position `x` keeps it when every channel word of `x`
+/// maps to the bank of the same channel's word at `x − delta`.
 ///
-/// The first period is checked against the AGU one period behind, whose
-/// words become the reference every later period is checked against. A
-/// word is compared by its [`AddressRemapper::bank_key`] where that
-/// decides, channel by channel otherwise.
-#[derive(Debug)]
-pub struct BankWalk<'a> {
+/// Over a [`LagRun`] each word lies one fixed `shift` from its counterpart,
+/// so a whole run is settled at once: a shift that is not a whole number
+/// of interleave rounds moves every word to another bank, and a shift that
+/// is keeps every bank if no channel's words and their counterparts
+/// straddle an interleave group. A run whose footprint does straddle is
+/// split in two, down to single positions, where the footprint test is the
+/// bank comparison itself.
+struct BankHorizon<'a> {
     remapper: &'a AddressRemapper,
+    tagu: &'a TemporalAgu,
     sagu: &'a SpatialAgu,
-    /// The AGU at the next word to check, and one period behind it.
-    lead: TemporalAgu,
-    lag: TemporalAgu,
-    /// The last period's words: temporal address and bank key.
-    reference: Vec<(u64, Option<(u64, u64)>)>,
-    /// The lowest and highest channel offsets.
-    offsets: (i64, i64),
-    /// Addresses per period.
     delta: u64,
-    /// Further periods the AGU can supply.
-    periods: u64,
 }
 
-impl BankWalk<'_> {
-    /// The bank key of temporal address `ta`'s channel addresses.
-    fn key(&self, ta: u64) -> Option<(u64, u64)> {
-        let (lo, hi) = self.offsets;
-        self.remapper
-            .bank_key((ta as i64 + lo) as u64, (ta as i64 + hi) as u64)
-    }
-
-    /// Whether temporal addresses `now` (keyed `key`) and `then` map every
-    /// channel to the same bank.
-    fn same_banks(
-        &self,
-        (now, key): (u64, Option<(u64, u64)>),
-        (then, then_key): (u64, Option<(u64, u64)>),
-    ) -> bool {
-        (key.is_some() && key == then_key)
-            || (0..self.sagu.num_channels()).all(|c| {
-                let bank = |ta| self.remapper.bank_of(self.sagu.channel_address(ta, c));
-                bank(now) == bank(then)
-            })
-    }
-
-    /// Checks the next word against the word one period behind; returns
-    /// that earlier word if they agree.
-    fn step_lagged(&mut self) -> Option<(u64, Option<(u64, u64)>)> {
-        let now = self.lead.next_address().expect("capped by the AGU");
-        let then = self.lag.next_address().expect("behind the lead");
-        let (now, then) = ((now, self.key(now)), (then, self.key(then)));
-        self.same_banks(now, then).then_some(then)
-    }
-
-    /// `true` if the stream repeats its bank pattern for one more period,
-    /// which the AGU must be able to supply in full.
-    pub fn next_period(&mut self) -> bool {
-        if self.periods == 0 {
-            return false;
+impl BankHorizon<'_> {
+    /// The periods of `delta` positions, at most `cap`, that follow the
+    /// last position the channels took in (`queued` short of the AGU's)
+    /// and keep the bank pattern, provided the `window` positions before
+    /// the AGU's keep it too.
+    fn periods(&self, window: u64, queued: u64, cap: u64) -> u64 {
+        let (produced, delta) = (self.tagu.produced(), self.delta);
+        if delta == 0 {
+            return cap;
         }
-        self.periods -= 1;
-        if self.reference.len() < self.delta as usize {
-            return (0..self.delta).all(|_| match self.step_lagged() {
-                Some(then) => {
-                    self.reference.push(then);
-                    true
-                }
-                None => false,
-            });
+        let cap = cap.min((self.tagu.total() - produced) / delta);
+        let (from, start) = (produced - window, produced - queued);
+        if cap == 0 || from < delta {
+            return 0;
         }
-        (0..self.delta as usize).all(|i| {
-            let now = self.lead.next_address().expect("capped by the AGU");
-            self.same_banks((now, self.key(now)), self.reference[i])
-        })
+        let to = start + cap * delta;
+        match self
+            .tagu
+            .lag_runs(delta, from, to)
+            .find_map(|run| self.break_in(run))
+        {
+            Some(x) => x.saturating_sub(start) / delta,
+            None => cap,
+        }
+    }
+
+    /// The first position of `run` whose words leave their banks.
+    fn break_in(&self, run: LagRun) -> Option<u64> {
+        let LagRun { start, end, shift } = run;
+        if shift == 0 {
+            return None;
+        }
+        if shift % self.remapper.interleave_bytes() as i64 != 0 {
+            return Some(start);
+        }
+        let (lo, hi) = self.tagu.address_hull(start, end);
+        let kept = self
+            .sagu
+            .offsets()
+            .iter()
+            .all(|&offset| self.remapper.keeps_banks(lo + offset, hi + offset, shift));
+        if kept {
+            None
+        } else if end - start == 1 {
+            Some(start)
+        } else {
+            let mid = start + (end - start) / 2;
+            self.break_in(LagRun { end: mid, ..run })
+                .or_else(|| self.break_in(LagRun { start: mid, ..run }))
+        }
     }
 }
 
@@ -626,4 +603,141 @@ pub(crate) fn map_checked(remapper: &AddressRemapper, addr: u64) -> BankLocation
     remapper
         .map_byte(Addr::new(addr))
         .expect("pattern address validated at configuration time")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dm_mem::AddressingMode;
+    use dm_sim::SplitMix64;
+
+    /// The word-by-word bank walk the horizon replaced, kept as its oracle:
+    /// the words already taken in are checked against the words `delta`
+    /// positions earlier, then period after period every word against the
+    /// word one period earlier, channel by channel, until a word leaves its
+    /// bank, `cap` periods pass or the AGU cannot supply another whole
+    /// period.
+    fn walked_periods(h: &BankHorizon<'_>, window: u64, queued: u64, cap: u64) -> u64 {
+        let produced = h.tagu.produced();
+        let at = |position: u64| {
+            let mut agu = h.tagu.clone();
+            agu.reset();
+            agu.skip(position);
+            agu
+        };
+        let (mut lead, mut lag) = (at(produced - window), at(produced - window - h.delta));
+        let mut keeps = || {
+            let now = lead.next_address().expect("capped by the AGU");
+            let then = lag.next_address().expect("behind the lead");
+            (0..h.sagu.num_channels()).all(|c| {
+                let bank = |ta| h.remapper.bank_of(h.sagu.channel_address(ta, c));
+                bank(now) == bank(then)
+            })
+        };
+        if !(queued..window).all(|_| keeps()) {
+            return 0;
+        }
+        let periods = (h.tagu.total() - produced)
+            .checked_div(h.delta)
+            .unwrap_or(u64::MAX);
+        let mut k = 0;
+        while k < cap.min(periods) && (0..h.delta).all(|_| keeps()) {
+            k += 1;
+        }
+        k
+    }
+
+    /// A stride of a random number of words: zero, small, or whole
+    /// interleave rounds of any of the tested modes, of either sign.
+    fn stride(rng: &mut SplitMix64, round: i64) -> i64 {
+        let words = match rng.below(4) {
+            0 => 0,
+            1 => rng.between(-6, 6),
+            _ => rng.between(-3, 3) * round,
+        };
+        words * 8
+    }
+
+    /// The horizon's `k` equals the word walk's on random nests: caps of
+    /// zero and one period and beyond the nest, one-trip dimensions, zero
+    /// and negative strides, lags that are and are not a product of inner
+    /// bounds (and zero), footprints that straddle interleave groups, under
+    /// FIMA, GIMA(8) and GIMA(1).
+    #[test]
+    fn the_horizon_matches_the_word_walk_on_random_nests() {
+        let mem = MemConfig::new(32, 8, 16).unwrap();
+        let modes = [
+            AddressingMode::FullyInterleaved,
+            AddressingMode::GroupedInterleaved { group_banks: 8 },
+            AddressingMode::GroupedInterleaved { group_banks: 1 },
+        ];
+        let capacity = mem.capacity_bytes() as i64;
+        let mut rng = SplitMix64::new(0xb0a2d);
+        let (mut cases, mut kept, mut broken, mut straddled) = (0, 0, 0, 0);
+        while cases < 10_000 {
+            let mode = modes[rng.below(3) as usize];
+            let remapper = AddressRemapper::new(&mem, mode).unwrap();
+            let round = [32, 8, 1][rng.below(3) as usize];
+            let dims = 1 + rng.below(5) as usize;
+            let bounds: Vec<u64> = (0..dims).map(|_| 1 + rng.below(6)).collect();
+            let strides: Vec<i64> = (0..dims).map(|_| stride(&mut rng, round)).collect();
+            let channels = [vec![1], vec![4], vec![2, 2]][rng.below(3) as usize].clone();
+            let spatial: Vec<i64> = channels.iter().map(|_| stride(&mut rng, round)).collect();
+            let sagu = SpatialAgu::new(&channels, &spatial);
+            let probe = TemporalAgu::new(0, &bounds, &strides);
+            let (t_lo, t_hi) = probe.address_hull(0, probe.total());
+            let (s_lo, s_hi) = sagu.offset_range();
+            let (lo, hi) = (t_lo + s_lo, t_hi + s_hi);
+            if hi - lo >= capacity {
+                continue;
+            }
+            let base = (-lo + 8 * rng.between(0, (capacity - 8 - (hi - lo)) / 8)) as u64;
+            let mut tagu = TemporalAgu::new(base, &bounds, &strides);
+            let total = tagu.total();
+            let window = rng.below(6);
+            let queued = rng.below(window + 1);
+            let inner: u64 = bounds[..rng.below(dims as u64 + 1) as usize]
+                .iter()
+                .product();
+            let delta = match rng.below(6) {
+                0 => 0,
+                1 | 2 => inner * (1 + rng.below(3)),
+                3 => 1 + rng.below(8),
+                _ => 1 + rng.below(total),
+            };
+            if delta + window > total {
+                continue;
+            }
+            let produced = delta + window + rng.below(total - delta - window + 1);
+            tagu.skip(produced);
+            let cap = match rng.below(4) {
+                0 => rng.below(2),
+                1 if delta > 0 => u64::MAX,
+                _ => rng.below(40),
+            };
+            let horizon = BankHorizon {
+                remapper: &remapper,
+                tagu: &tagu,
+                sagu: &sagu,
+                delta,
+            };
+            let k = horizon.periods(window, queued, cap);
+            let label = format!(
+                "{mode} base {base} bounds {bounds:?} strides {strides:?} spatial \
+                 {channels:?}/{spatial:?} at {produced}, delta {delta}, window \
+                 {window}, queued {queued}, cap {cap}"
+            );
+            assert_eq!(k, walked_periods(&horizon, window, queued, cap), "{label}");
+            cases += 1;
+            let reach = cap.min((total - produced).checked_div(delta).unwrap_or(cap));
+            kept += u64::from(k > 0);
+            broken += u64::from(0 < k && k < reach);
+            let group = |addr: i64| remapper.bank_of(addr as u64) / mode.group_banks(32);
+            let straddles = group(base as i64 + lo) != group(base as i64 + hi);
+            straddled += u64::from(k > 0 && straddles);
+        }
+        assert!(kept > 2000, "{kept} cases keep their banks for a period");
+        assert!(broken > 200, "{broken} cases break after a period");
+        assert!(straddled > 400, "{straddled} kept cases straddle a group");
+    }
 }

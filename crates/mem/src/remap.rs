@@ -216,6 +216,13 @@ impl AddressRemapper {
         self.word_bytes
     }
 
+    /// Bytes of one interleave round: `N_BG` consecutive words, one per
+    /// bank of a group.
+    #[must_use]
+    pub fn interleave_bytes(&self) -> u64 {
+        self.group_banks as u64 * self.word_bytes
+    }
+
     /// Total capacity in words.
     #[must_use]
     #[inline]
@@ -260,17 +267,20 @@ impl AddressRemapper {
         ((self.group_of(word) << self.group_shift) | (word & self.group_mask)) as usize
     }
 
-    /// A key for the banks of a set of word-aligned, in-bounds byte
-    /// addresses that lie within `[lo, hi]` and keep fixed distances from
-    /// `lo`: two such sets with equal keys map address by address to the
-    /// same banks. `None` when `lo` and `hi` fall in different interleave
-    /// groups, where a key this small cannot decide.
+    /// Whether every word-aligned byte address `a` in `[lo, hi]` maps to
+    /// the bank of `a − shift`. It does when `shift` is a whole number of
+    /// interleave rounds (`N_BG` words) and the addresses and their moved
+    /// counterparts all lie in one interleave group; for `lo == hi` that is
+    /// exactly `bank_of(lo) == bank_of(lo − shift)`, for a wider span it is
+    /// sufficient only.
     #[must_use]
     #[inline]
-    pub fn bank_key(&self, lo: u64, hi: u64) -> Option<(u64, u64)> {
-        let (lo, hi) = (lo >> self.word_shift, hi >> self.word_shift);
-        let group = self.group_of(lo);
-        (group == self.group_of(hi)).then_some((lo & self.group_mask, group))
+    pub fn keeps_banks(&self, lo: i64, hi: i64, shift: i64) -> bool {
+        let word = |addr: i64| addr >> self.word_shift;
+        let (first, last) = (word(lo.min(lo - shift)), word(hi.max(hi - shift)));
+        word(shift) as u64 & self.group_mask == 0
+            && first >= 0
+            && self.group_of(first as u64) == self.group_of(last as u64)
     }
 
     /// The interleave group of a word.
@@ -588,6 +598,36 @@ mod tests {
                     let banks: std::collections::HashSet<usize> =
                         (start..start + g).map(|w| r.map_word(w).bank).collect();
                     assert_eq!(banks.len() as u64, g, "start={start} mode={mode}");
+                }
+            }
+        }
+    }
+
+    /// `keeps_banks` on one address is the bank comparison itself, and on
+    /// a span it holds only where every address of the span keeps its bank.
+    #[test]
+    fn keeps_banks_is_the_bank_comparison_and_sound_on_spans() {
+        for cfg in small_geometries() {
+            if cfg.num_banks() * cfg.rows_per_bank() > 256 {
+                continue;
+            }
+            for mode in all_legal_modes(cfg.num_banks()) {
+                let r = AddressRemapper::new(&cfg, mode).unwrap();
+                let bytes = (r.capacity_words() * r.word_bytes()) as i64;
+                let word = r.word_bytes() as i64;
+                for shift in (-bytes..=bytes).step_by(word as usize) {
+                    for lo in (0..bytes).step_by(word as usize) {
+                        let moved = lo - shift;
+                        let same = (0..bytes).contains(&moved)
+                            && r.bank_of(lo as u64) == r.bank_of(moved as u64);
+                        assert_eq!(r.keeps_banks(lo, lo, shift), same, "{mode} {lo} {shift}");
+                        let hi = (lo + 5 * word).min(bytes - word);
+                        if r.keeps_banks(lo, hi, shift) {
+                            assert!((lo..=hi)
+                                .step_by(word as usize)
+                                .all(|a| { r.bank_of(a as u64) == r.bank_of((a - shift) as u64) }));
+                        }
+                    }
                 }
             }
         }

@@ -16,26 +16,31 @@
 /// The minimal (weak) period of `seq`: the smallest `p ≥ 1` such that
 /// `seq[i] == seq[i + p]` whenever both indices are in range. Sequences of
 /// length ≤ 1 are trivially `1`-periodic.
+///
+/// # Panics
+///
+/// If `seq` is longer than `u32::MAX`: the failure function is kept as
+/// `u32`, four bytes per element.
 #[must_use]
 pub fn minimal_period<T: Eq>(seq: &[T]) -> u64 {
-    let n = seq.len();
+    let n = u32::try_from(seq.len()).expect("sequence length fits the u32 failure function");
     if n <= 1 {
         return 1;
     }
     // KMP failure function: border[i] = length of the longest proper
     // border (prefix that is also a suffix) of seq[..=i].
-    let mut border = vec![0usize; n];
-    let mut k = 0usize;
-    for i in 1..n {
-        while k > 0 && seq[i] != seq[k] {
-            k = border[k - 1];
+    let mut border = vec![0u32; seq.len()];
+    let mut k = 0u32;
+    for i in 1..seq.len() {
+        while k > 0 && seq[i] != seq[k as usize] {
+            k = border[k as usize - 1];
         }
-        if seq[i] == seq[k] {
+        if seq[i] == seq[k as usize] {
             k += 1;
         }
         border[i] = k;
     }
-    (n - border[n - 1]) as u64
+    u64::from(n - border[seq.len() - 1])
 }
 
 /// `true` when `p` is a (weak) period of `seq`: `seq[i] == seq[i + p]`

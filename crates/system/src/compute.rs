@@ -17,7 +17,7 @@
 //! Debug builds check every idle span with [`dm_sim::SpanCheck`] and every
 //! period span against a lockstep shadow run of the same cycles.
 
-use datamaestro::{BankWalk, ReadStreamer, WriteStreamer};
+use datamaestro::{ReadStreamer, WriteStreamer};
 use dm_mem::MemorySubsystem;
 use dm_sim::{
     BlameLeaf, BlamePhase, CausalLedger, OperandPort, Periodic, Port, StableHasher, StallCause,
@@ -273,23 +273,25 @@ enum Cycled {
 }
 
 /// A span the loop replays instead of running it cycle by cycle.
-enum Span {
+enum Span<'a> {
     /// `cycles` stalled cycles in which nothing acts.
     Idle { cause: StallCause, cycles: u64 },
     /// `k` more periods like the one since `anchor`.
-    Periods { k: u64, anchor: Box<Snapshot> },
+    Periods { k: u64, anchor: &'a Snapshot },
 }
 
-/// Longest candidate period, in cycles: an anchor that has not recurred
-/// within it is dropped.
-const MAX_PERIOD: u64 = 4096;
+/// Longest candidate period, in cycles: an anchor older than this is
+/// dropped. It spans a conv row and the longest bank cycle of the
+/// ResNet-18 layers: four output rows of `layer4 3x3x512` (147 456
+/// cycles), over which A's row stride adds up to whole interleave rounds.
+const MAX_PERIOD: u64 = 1 << 18;
 
 /// Boundary keys the detector remembers.
 const RING: usize = 32;
 
-/// Anchors the detector keeps at once: enough for a machine that cycles
-/// through a few boundary states within one period.
-const ANCHORS: usize = 4;
+/// Anchors the detector keeps at once: enough for the boundaries of a few
+/// bank cycles of different lengths. A snapshot is tens of kilobytes.
+const ANCHORS: usize = 8;
 
 /// One remembered tile boundary: its lock key and that key's hash.
 struct Boundary {
@@ -322,39 +324,53 @@ struct Detector {
 
 impl Detector {
     /// Called at every tile boundary; returns the span to replay from
-    /// here, if any, which consumes every anchor.
-    fn at_boundary(&mut self, run: &Compute<'_>, m: &Machine<'_>, p: &Progress) -> Option<Span> {
+    /// here, if any. Every anchor with this boundary's key is tried and the
+    /// one whose periods cover the most cycles wins. Anchors outlive the
+    /// replays: a replay is exact, so each stays a true earlier state.
+    fn at_boundary(
+        &mut self,
+        run: &Compute<'_>,
+        m: &Machine<'_>,
+        p: &Progress,
+    ) -> Option<Span<'_>> {
         if p.fires == run.steps {
             return None;
         }
         self.key.clear();
         m.lock_key(&mut self.key);
-        let matched = self.anchors.iter().position(|a| a.key == self.key);
-        if let Some(i) = matched {
-            let k = run.repeatable_periods(&self.anchors[i].state, m, p);
-            if k > 0 {
-                let anchor = self.anchors.swap_remove(i).state;
-                self.anchors.clear();
+        self.anchors
+            .retain(|a| p.cycles - a.state.progress.cycles <= MAX_PERIOD);
+        let best = self
+            .anchors
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.key == self.key)
+            .map(|(i, a)| {
+                let k = run.repeatable_periods(&a.state, m, p);
+                (k * (p.cycles - a.state.progress.cycles), k, i)
+            })
+            .max_by_key(|&(cycles, ..)| cycles);
+        if let Some((cycles, k, i)) = best {
+            if cycles > 0 {
+                let anchor = &self.anchors[i].state;
                 return Some(Span::Periods { k, anchor });
             }
         }
-        self.anchors
-            .retain(|a| p.cycles - a.state.progress.cycles <= MAX_PERIOD);
         let mut hasher = StableHasher::new();
         for &word in &self.key {
             hasher.write_u64(word);
         }
         let hash = hasher.finish();
-        // A key that recurs marks a boundary the machine may return to. An
-        // anchor with that key stays, as it may yet recur after a longer
-        // period.
+        // A key that recurs marks a boundary the machine may return to, so
+        // it takes an anchor, also where anchors with its key just failed:
+        // the fresh one closes other periods than theirs.
         let recurs = self
             .ring
             .iter()
             .any(|seen| seen.hash == hash && seen.key == self.key);
-        if recurs && matched.is_none() {
+        if recurs {
             if self.anchors.len() == ANCHORS {
-                self.anchors.remove(0);
+                self.evict();
             }
             self.anchors.push(Anchor {
                 key: self.key.clone(),
@@ -373,6 +389,17 @@ impl Detector {
         }
         self.next = (self.next + 1) % RING;
         None
+    }
+
+    /// Makes room for an anchor by dropping the one taken closest after
+    /// the anchor before it: crowded anchors thin out and the rest keep
+    /// their spread of ages. The oldest and the newest stay.
+    fn evict(&mut self) {
+        let taken = |i: usize| self.anchors[i].state.progress.cycles;
+        let crowded = (1..self.anchors.len() - 1)
+            .min_by_key(|&i| taken(i) - taken(i - 1))
+            .unwrap_or(0);
+        self.anchors.remove(crowded);
     }
 }
 
@@ -515,7 +542,7 @@ impl<'a> Compute<'a> {
     /// due cycle, capped so a wedged system fast-forwards to the exact
     /// deadlock diagnostic lockstep would produce. A span of one saves
     /// nothing over a lockstep iteration.
-    fn idle_span(&self, m: &Machine<'_>, p: &Progress) -> Option<Span> {
+    fn idle_span(&self, m: &Machine<'_>, p: &Progress) -> Option<Span<'static>> {
         if m.readers.iter().any(ReadStreamer::acts_this_cycle) || m.out.acts_this_cycle() {
             return None;
         }
@@ -534,8 +561,8 @@ impl<'a> Compute<'a> {
     /// repeats exactly: the lock keys are equal, so it is as many as every
     /// streamer keeps its bank pattern for, capped so that no AGU runs out,
     /// no more than the remaining fires fire and the deadlock budget holds.
-    /// The streamers are walked together, one period at a time, so the walk
-    /// stops one period past the replay.
+    /// Each streamer's horizon is sought only as far as the ones before it
+    /// reach.
     fn repeatable_periods(&self, anchor: &Snapshot, m: &Machine<'_>, p: &Progress) -> u64 {
         if !m.mem.issued_since(anchor.mem.cycle()) {
             return 0;
@@ -544,24 +571,20 @@ impl<'a> Compute<'a> {
         let period = p.cycles - then.cycles;
         let fires = p.fires - then.fires;
         let max = ((self.budget - p.cycles) / period).min((self.steps - p.fires) / fires);
-        let mut walks: Vec<_> = m
+        let k = m
             .readers
             .iter()
             .zip(&anchor.readers)
-            .map(|(reader, earlier)| reader.bank_walk(earlier))
-            .chain([m.out.bank_walk(&anchor.out)])
-            .collect();
-        let mut k = 0;
-        while k < max && walks.iter_mut().all(BankWalk::next_period) {
-            k += 1;
-        }
-        k
+            .fold(max, |cap, (reader, earlier)| {
+                reader.repeatable_periods(earlier, cap)
+            });
+        m.out.repeatable_periods(&anchor.out, k)
     }
 
     /// Replays `span` and returns the cycles it covered.
     fn replay(
         &self,
-        span: Span,
+        span: Span<'_>,
         m: &mut Machine<'_>,
         p: &mut Progress,
     ) -> Result<u64, SystemError> {
@@ -838,7 +861,7 @@ mod tests {
 
     /// Steps `bench` in lockstep, without tile checks, to the first tile
     /// boundary at which the detector finds a period span.
-    fn first_period(bench: &mut Bench) -> (Progress, u64, Box<Snapshot>) {
+    fn first_period(bench: &mut Bench) -> (Progress, u64, Snapshot) {
         let schedule = Schedule {
             k_steps: bench.k_steps,
             tiles: bench.tiles,
@@ -861,7 +884,7 @@ mod tests {
         while !m.is_done() {
             if run.step(&mut m, &mut p, &mut trace, &mut clock).unwrap() == Cycled::Produced {
                 if let Some(Span::Periods { k, anchor }) = detector.at_boundary(&run, &m, &p) {
-                    return (p, k, anchor);
+                    return (p, k, anchor.clone());
                 }
             }
         }
@@ -874,7 +897,7 @@ mod tests {
         bench: &mut Bench,
         mut p: Progress,
         k: u64,
-        anchor: Box<Snapshot>,
+        anchor: Snapshot,
         expected: &[u64],
     ) -> Result<u64, SystemError> {
         let schedule = Schedule {
@@ -888,7 +911,7 @@ mod tests {
             readers: &mut bench.readers,
             out: &mut bench.out,
         };
-        run.replay(Span::Periods { k, anchor }, &mut m, &mut p)
+        run.replay(Span::Periods { k, anchor: &anchor }, &mut m, &mut p)
     }
 
     #[test]

@@ -95,10 +95,10 @@ fn traced_runs_match_untraced_fast_forwarded_runs() {
     assert!(!traced.traces.is_empty());
 }
 
-/// Runs `data` with fast-forward on and in lockstep at `read_latency`, and
+/// Runs `data` with fast-forward on and in lockstep at `read_latency`,
 /// asserts the two reports identical and that replay covered some of the
-/// run.
-fn assert_replays_exactly(data: &WorkloadData, read_latency: u64) {
+/// run, and returns the share of compute cycles replayed.
+fn assert_replays_exactly(data: &WorkloadData, read_latency: u64) -> f64 {
     let config = |fast_forward| SystemConfig {
         read_latency,
         fast_forward,
@@ -111,6 +111,7 @@ fn assert_replays_exactly(data: &WorkloadData, read_latency: u64) {
     assert_identical(&ff, &ls, &label);
     let host = ff.host.expect("time_phases reports host timings");
     assert!(host.replayed_cycles > 0, "{label}: nothing was replayed");
+    host.replayed_cycles as f64 / ff.compute_cycles as f64
 }
 
 #[test]
@@ -125,6 +126,27 @@ fn period_replay_is_bit_identical_on_steady_state_kernels() {
         for data in &workloads {
             assert_replays_exactly(data, latency);
         }
+    }
+}
+
+/// A conv whose pixel step rotates banks inside their interleave group:
+/// the `layer2 3x3x128` geometry (28-pixel output rows, an x-step of 16 B =
+/// 2 words under GIMA(8), 16 output-channel blocks per pixel step) with 8
+/// input channels. A's banks repeat only every 4 pixel steps and the lock
+/// key every 8, so the replays it needs outlive other replays and span
+/// many tiles. The first two output rows carry no long enough period yet;
+/// the same conv on 44 rows spreads them thinner.
+#[test]
+fn period_replay_covers_a_pixel_step_that_rotates_banks() {
+    for (h, floor) in [(30, 0.80), (46, 0.85)] {
+        let data = WorkloadData::generate(ConvSpec::new(h, 30, 8, 128, 3, 3, 1).into(), 54);
+        let replayed = assert_replays_exactly(&data, 1);
+        assert!(
+            replayed >= floor,
+            "{}: {:.1} % replayed",
+            data.workload,
+            replayed * 100.0
+        );
     }
 }
 
