@@ -12,6 +12,9 @@
 //! concurrently active streams — a mode switch rewires the bit
 //! permutation, it does not move the data.
 
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+
 use dm_mem::{AddressingMode, MemConfig};
 
 use crate::conflict::candidate_pairs;
@@ -32,7 +35,7 @@ pub struct ModeScore {
     /// Hottest-bank request count over the walked nest prefix — a sound
     /// cycle lower bound for serving the stream under this mode.
     pub predicted_cycles: u64,
-    /// Temporal steps the prediction walked (`min(steps, cap)`).
+    /// Temporal steps the prediction covers (`min(steps, cap)`).
     pub walked_steps: u64,
     /// Channel pairs that could collide per burst under this mode.
     pub candidate_pairs: usize,
@@ -64,7 +67,7 @@ pub fn score_mode(s: &StreamSummary, mode: AddressingMode, mem: &MemConfig) -> M
     let g = mode.group_banks(mem.num_banks()) as i64;
     let span = g * mem.rows_per_bank() as i64;
     let candidate_pairs = candidate_pairs(&s.offsets_words, g, span).len();
-    let (predicted_cycles, walked_steps) = predicted_cycles(s, g as u64, mem);
+    let (predicted_cycles, walked_steps) = predicted_cycles(s, g as u64, mem, SCORE_WALK_CAP);
     let (lo, hi) = s.word_hull;
     let banks = crate::pattern::hull_bank_set(lo, hi, g as u64, mem);
     ModeScore {
@@ -77,13 +80,15 @@ pub fn score_mode(s: &StreamSummary, mode: AddressingMode, mem: &MemConfig) -> M
 }
 
 /// The roofline bank term of the stream's nest reinterpreted under
-/// GIMA(g): hottest-bank request count over the walked (capped) prefix.
-fn predicted_cycles(s: &StreamSummary, g: u64, mem: &MemConfig) -> (u64, u64) {
-    let walked = s.steps.min(SCORE_WALK_CAP);
+/// GIMA(g): the hottest bank's request count over the first
+/// `min(steps, cap)` steps, folded from the walk's proven period.
+pub(crate) fn predicted_cycles(s: &StreamSummary, g: u64, mem: &MemConfig, cap: u64) -> (u64, u64) {
+    let walked = s.steps.min(cap);
     let space = Space::new(1, s.capacity_words, g, g * mem.rows_per_bank() as u64);
     let mut sigs = Signatures::new(space, &s.offsets_words);
-    let ids = sigs.ids(&s.nest(), walked);
-    let per_bank = sigs.per_bank(&ids, mem.num_banks());
+    let ControlFlow::Continue(walk) =
+        sigs.walk::<Infallible>(&s.nest(), walked, |_, _, _| ControlFlow::Continue(()));
+    let per_bank = sigs.per_bank(&walk, walked, mem.num_banks());
     (per_bank.into_iter().max().unwrap_or(0), walked)
 }
 

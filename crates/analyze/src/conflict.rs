@@ -15,9 +15,10 @@
 //! offsets that are distinct mod `g`, so no pair ever satisfies (1).
 //!
 //! For candidate pairs the analyzer walks the temporal nest (dual-counter
-//! walk, capped) to find the first burst where a candidate pair actually
-//! shares a bank. If the whole nest is walked without a collision the
-//! stream is conflict-free by exhaustion; if the cap is hit the verdict
+//! walk, capped, period-first) to find the first burst where a candidate
+//! pair actually shares a bank. If the whole nest is covered without a
+//! collision — enumerated, or its first period enumerated and the period
+//! proven — the stream is conflict-free; if the cap is hit the verdict
 //! degrades to "possible" (sound for the conflict-free direction: we never
 //! claim freedom we cannot prove).
 
@@ -100,7 +101,10 @@ pub fn intra_burst(s: &StreamSummary) -> BurstVerdict {
     // in the same group, which depends on the temporal address). Two
     // channels share a bank only as a candidate pair, so a burst collides
     // exactly when its signature repeats a bank; that test runs once per
-    // distinct signature.
+    // distinct signature. The walk is period-first: every step after the
+    // first period repeats a signature of it, so a collision, if any,
+    // first shows there, and a proven period whose first period is
+    // collision-free clears every covered step without visiting it.
     let space = Space::new(1, s.capacity_words, s.group, s.group_words);
     let mut sigs = Signatures::new(space, &s.offsets_words);
     let mut events: Vec<u64> = Vec::new();
@@ -119,9 +123,9 @@ pub fn intra_burst(s: &StreamSummary) -> BurstVerdict {
             first_step: Some(step),
             events_at_first,
         },
-        // Exhaustively walked: the candidates never share a group.
-        ControlFlow::Continue(()) if s.steps <= STEP_CAP => BurstVerdict::ConflictFree,
-        ControlFlow::Continue(()) => BurstVerdict::Conflicting {
+        // The whole nest covered: the candidates never share a group.
+        ControlFlow::Continue(_) if s.steps <= STEP_CAP => BurstVerdict::ConflictFree,
+        ControlFlow::Continue(_) => BurstVerdict::Conflicting {
             pairs,
             first_step: None,
             events_at_first: 0,

@@ -215,10 +215,13 @@ pub(crate) fn intra_burst(s: &StreamSummary) -> BurstVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::advisor::{legal_modes, score_mode, ModeScore, SCORE_WALK_CAP};
+    use std::ops::ControlFlow;
+
+    use crate::advisor::{self, legal_modes, score_mode, ModeScore, SCORE_WALK_CAP};
     use crate::conflict;
     use crate::pattern::{hull_bank_set, summarize};
     use crate::period;
+    use crate::walk::{Signatures, Space};
     use datamaestro::StreamerMode;
     use dm_sim::SplitMix64;
 
@@ -368,5 +371,178 @@ mod tests {
             conflicting >= 100 && free >= 100,
             "{conflicting} conflicting, {free} free"
         );
+    }
+
+    /// Nests whose bank period the period-first walk has to prove or refute.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Family {
+        /// A short period under a walk many times longer.
+        Long,
+        /// A short prefix period that the outer dimension's stride breaks.
+        LateStrideBreak,
+        /// A short prefix period that ends where the footprint crosses into
+        /// the next group of some interleave.
+        LateStraddle,
+        /// A short prefix period that ends where the footprint wraps past
+        /// capacity.
+        LateWrap,
+    }
+
+    /// A three-deep nest of `family` on `mem`: a short inner loop, a
+    /// middle loop advancing whole interleave rounds of every mode, and an
+    /// outer loop; up to 8192 steps. The late families place the base so
+    /// that only the last steps' footprint crosses a group boundary or
+    /// capacity.
+    fn family_stream(
+        rng: &mut SplitMix64,
+        mem: &MemConfig,
+        family: Family,
+    ) -> (DesignConfig, RuntimeConfig) {
+        let word = mem.bank_width_bytes() as i64;
+        let round = mem.num_banks() as i64 * word;
+        let capacity = mem.capacity_bytes() as i64;
+        let channels = pick(rng, &[1usize, 2, 4, 8]);
+        let spatial_stride = word * pick(rng, &[1, 1, 2, 3]);
+        let bounds = [
+            pick(rng, &[2u64, 3, 4, 8, 16]),
+            pick(rng, &[16u64, 33, 64, 128]),
+            pick(rng, &[2u64, 3, 4]),
+        ];
+        let inner_stride = word * pick(rng, &[1, 1, 2, 3, 5]);
+        let middle_stride = round * pick(rng, &[1, 1, 2]);
+        let outer_stride = match family {
+            Family::Long => round * pick(rng, &[0, 1, 4]),
+            Family::LateStrideBreak => pick(rng, &[word, 3 * word, -word, round + word]),
+            Family::LateStraddle | Family::LateWrap => round * pick(rng, &[0, 1]),
+        };
+        let strides = [inner_stride, middle_stride, outer_stride];
+        let footprint = bounds
+            .iter()
+            .zip(strides)
+            .map(|(&b, s)| (b as i64 - 1) * s.max(0))
+            .sum::<i64>()
+            + (channels as i64 - 1) * spatial_stride
+            + word;
+        let boundary = match family {
+            Family::Long | Family::LateStrideBreak => 0,
+            Family::LateStraddle => {
+                let g = 1i64 << rng.below(u64::from(mem.num_banks().trailing_zeros()));
+                g * mem.rows_per_bank() as i64 * word * (1 + rng.below(2) as i64)
+            }
+            Family::LateWrap => capacity * (1 + rng.below(2) as i64),
+        };
+        let base = if boundary == 0 {
+            rng.below((capacity / word) as u64 / 4) * word as u64
+        } else {
+            // Only the last few words of the footprint cross the boundary.
+            (boundary - footprint + word * (1 + rng.below(4) as i64)).rem_euclid(4 * capacity)
+                as u64
+        };
+        let design = DesignConfig::builder("F", StreamerMode::Read)
+            .spatial_bounds([channels])
+            .temporal_dims(3)
+            .build()
+            .unwrap();
+        let runtime = RuntimeConfig {
+            base,
+            temporal_bounds: bounds.to_vec(),
+            temporal_strides: strides.to_vec(),
+            spatial_strides: vec![spatial_stride],
+            ..RuntimeConfig::builder().build()
+        };
+        (design, runtime)
+    }
+
+    /// The steps the period-first walk enumerates over a summary's whole
+    /// nest under GIMA(`g`), with its period and the minimal period of its
+    /// first 16 enumerated steps.
+    fn enumeration(s: &StreamSummary, g: u64, mem: &MemConfig) -> (u64, u64, u64) {
+        let space = Space::new(1, s.capacity_words, g, g * mem.rows_per_bank() as u64);
+        let mut sigs = Signatures::new(space, &s.offsets_words);
+        let mut ids = Vec::new();
+        let ControlFlow::Continue(walk) = sigs.walk::<()>(&s.nest(), s.steps, |_, id, _| {
+            ids.push(id);
+            ControlFlow::Continue(())
+        }) else {
+            unreachable!("the visit never breaks")
+        };
+        let prefix = minimal_period(&ids[..ids.len().min(16)]);
+        (ids.len() as u64, walk.period, prefix)
+    }
+
+    #[test]
+    fn the_period_first_fold_matches_the_oracle_on_long_and_late_breaking_nests() {
+        let mut rng = SplitMix64::new(0x9e71_0d5a);
+        let (mut proven_short, mut refuted) = (0, 0);
+        for mem in [
+            MemConfig::new(32, 8, 4096).unwrap(),
+            MemConfig::new(8, 8, 64).unwrap(),
+        ] {
+            let modes = legal_modes(mem.num_banks());
+            for family in [
+                Family::Long,
+                Family::LateStrideBreak,
+                Family::LateStraddle,
+                Family::LateWrap,
+            ] {
+                for case in 0..16 {
+                    let (design, mut runtime) = family_stream(&mut rng, &mem, family);
+                    let mut scored = false;
+                    for &mode in &modes {
+                        runtime.addressing_mode = mode;
+                        let context = format!("{family:?} case {case} {mode} {runtime:?}");
+                        assert_eq!(
+                            period::prove_port(&design, &runtime, &mem),
+                            prove_port(&design, &runtime, &mem),
+                            "{context}"
+                        );
+                        let Ok(s) = summarize(&design, &runtime, &mem) else {
+                            continue;
+                        };
+                        assert_eq!(conflict::intra_burst(&s), intra_burst(&s), "{context}");
+                        let (enumerated, period, prefix) = enumeration(&s, s.group, &mem);
+                        proven_short += u64::from(enumerated * 4 <= s.steps);
+                        refuted += u64::from(prefix < period && 16 < enumerated);
+                        if scored {
+                            continue;
+                        }
+                        // Scores do not depend on the stream's own mode:
+                        // one summary checks every mode, at the advisor's
+                        // cap and at caps that cut a period short.
+                        scored = true;
+                        for &other in &modes {
+                            let g = other.group_banks(mem.num_banks()) as u64;
+                            let span = g as i64 * mem.rows_per_bank() as i64;
+                            let (predicted_cycles, walked_steps) =
+                                predicted_cycles(&s, g, &mem, SCORE_WALK_CAP);
+                            let expected = ModeScore {
+                                mode: other,
+                                predicted_cycles,
+                                walked_steps,
+                                candidate_pairs: candidate_pairs(&s.offsets_words, g as i64, span)
+                                    .len(),
+                                banks: hull_bank_set(s.word_hull.0, s.word_hull.1, g, &mem),
+                            };
+                            assert_eq!(
+                                score_mode(&s, other, &mem),
+                                expected,
+                                "{context} as {other}"
+                            );
+                            for cap in [37, s.steps / 3 + 1] {
+                                assert_eq!(
+                                    advisor::predicted_cycles(&s, g, &mem, cap),
+                                    super::predicted_cycles(&s, g, &mem, cap),
+                                    "{context} as {other} capped at {cap}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Both directions of the proof must be exercised: short periods
+        // proven over long walks, and prefix periods the walk refutes.
+        assert!(proven_short >= 100, "only {proven_short} short proofs");
+        assert!(refuted >= 50, "only {refuted} refuted prefix periods");
     }
 }

@@ -6,14 +6,16 @@
 //! the nest. The *bank signature* of a step — the per-channel vector of
 //! physical banks its words map to under the stream's addressing mode —
 //! therefore traces out an eventually-exactly-periodic sequence. This
-//! module walks the nest (capped, like [`crate::conflict`]) with the
+//! module covers the nest (capped, like [`crate::conflict`]) with the
 //! crate's one bank-signature walk, which interns each step's signature as
-//! an id, and extracts the minimal weak period of the id stream with
-//! [`dm_sim::minimal_period`]. When the whole nest
-//! fits under the cap the period is exact by exhaustion; otherwise the
-//! proof is marked non-exhaustive and all per-bank counts under-approximate
-//! the full nest (which keeps every downstream bound sound — see
-//! [`crate::roofline`]).
+//! an id. The walk is period-first: it takes the minimal weak period of a
+//! short prefix of the id stream ([`dm_sim::Borders`]) as the candidate,
+//! proves it a period of every covered step from the nest's strides, and
+//! folds the per-bank counts from that one period; what it cannot prove
+//! it enumerates. When the whole nest fits under the cap the period is
+//! exact for the whole nest; otherwise the proof is marked non-exhaustive
+//! and all per-bank counts under-approximate the full nest (which keeps
+//! every downstream bound sound — see [`crate::roofline`]).
 //!
 //! Unlike [`crate::pattern::summarize`], the prover is *total*: zero-trip
 //! nests, stride-0 dimensions, sub-word strides and out-of-range addresses
@@ -21,10 +23,12 @@
 //! wrap into the scratchpad modulo its power-of-two capacity, mirroring
 //! how a hardware remapper would treat the high address bits.
 
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+
 use datamaestro::{DesignConfig, RuntimeConfig};
 use dm_compiler::CompiledWorkload;
 use dm_mem::MemConfig;
-use dm_sim::minimal_period;
 
 use crate::diagnostic::{Diagnostic, LintCode};
 use crate::walk::{Nest, Signatures, Space};
@@ -42,16 +46,18 @@ pub struct PortPeriodProof {
     /// Total temporal steps of the nest (may exceed `walked`).
     pub steps: u64,
     /// Minimal weak period of the bank-signature stream, in temporal
-    /// steps. Exact for the walked prefix; exact for the whole nest when
+    /// steps. Exact for the covered prefix; exact for the whole nest when
     /// `exhaustive`.
     pub period: u64,
-    /// `true` when the whole nest was enumerated (`walked == steps`).
+    /// `true` when the proof covers the whole nest (`walked == steps`).
     pub exhaustive: bool,
-    /// Temporal steps actually enumerated (`min(steps, WALK_CAP)`).
+    /// Temporal steps the proof covers (`min(steps, WALK_CAP)`). Only a
+    /// prefix of them is enumerated when the period is proven from the
+    /// nest's strides; the rest repeat the first period.
     pub walked: u64,
     /// Words requested per temporal step (the channel count).
     pub channels: u64,
-    /// Requests per bank over the walked prefix (length = bank count).
+    /// Requests per bank over the covered prefix (length = bank count).
     pub per_bank_walked: Vec<u64>,
     /// Requests per bank within the first period (length = bank count).
     pub per_bank_per_period: Vec<u64>,
@@ -154,9 +160,9 @@ pub fn prove_port(
         });
     }
 
-    // Walk the nest as bank-signature ids; the period of the id sequence
-    // is the period of the signatures, and the per-bank counts fold the
-    // histogram of ids over the walk and over its first period.
+    // Walk the nest as bank-signature ids, period-first; the period of the
+    // id sequence is the period of the signatures, and the per-bank counts
+    // fold the histogram of ids over its first period (and the remainder).
     let walked = steps.min(WALK_CAP);
     let nest = Nest {
         base: runtime.base,
@@ -164,15 +170,15 @@ pub fn prove_port(
         strides: &runtime.temporal_strides,
     };
     let mut sigs = Signatures::new(Space::bytes(mem, g), &offsets);
-    let ids = sigs.ids(&nest, walked);
-    let period = minimal_period(&ids);
-    let per_bank_walked = sigs.per_bank(&ids, mem.num_banks());
-    let per_bank_per_period = sigs.per_bank(&ids[..period as usize], mem.num_banks());
+    let ControlFlow::Continue(walk) =
+        sigs.walk::<Infallible>(&nest, walked, |_, _, _| ControlFlow::Continue(()));
+    let per_bank_walked = sigs.per_bank(&walk, walked, mem.num_banks());
+    let per_bank_per_period = sigs.per_bank(&walk, walk.period, mem.num_banks());
 
     Ok(PortPeriodProof {
         name,
         steps,
-        period,
+        period: walk.period,
         exhaustive: walked == steps,
         walked,
         channels: channels as u64,

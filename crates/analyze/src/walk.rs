@@ -27,16 +27,36 @@
 //! Addresses wrap into the scratchpad modulo its (power-of-two) capacity.
 //! The nest's running offset is kept modulo 2^64, which the capacity
 //! divides, so the wrapped address equals the exact one's residue.
+//!
+//! The walk is *period-first*: it enumerates a short prefix, doubling it
+//! while extending one online KMP failure function ([`Borders`]), and
+//! takes the prefix's minimal weak period `p` as the candidate. A
+//! prefix's minimal period never exceeds the whole stream's, so once `p`
+//! is proven a period of every covered step it is the stream's minimal
+//! period, and the per-bank counts of `n` steps fold from one period:
+//! `⌊n/p⌋·per_bank(period) + per_bank(first n mod p steps)`. The proof
+//! ([`Lemma`]) never enumerates: the shift `a(x) − a(x − p)` takes one
+//! value per borrow pattern of the mixed-radix subtraction `x − p`, and a
+//! step keeps its signature when that shift is a whole number of
+//! capacities, or a whole number of interleave rounds while every
+//! channel's covered address hull stays inside one group. What the lemma
+//! cannot decide walks on, up to every covered step, which is exact by
+//! enumeration.
 
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use dm_mem::MemConfig;
+use dm_sim::Borders;
 
 use crate::pattern::BankMap;
 
 /// Marks a dense-table cell not yet visited.
 const UNSEEN: u32 = u32::MAX;
+
+/// Steps of the first prefix a walk enumerates before it tries to prove
+/// the prefix's period; each failed try doubles the prefix.
+const FIRST_PREFIX: u64 = 16;
 
 /// Where a walk's addresses live: units per word (bytes for the prover, 1
 /// for word-granular summaries), the power-of-two address space they wrap
@@ -49,6 +69,8 @@ pub(crate) struct Space {
     addr_mask: u64,
     /// Words per interleave group minus one.
     local_mask: u64,
+    /// `log2` of the banks per interleave group (`g`).
+    group_shift: u32,
     /// Banks of the whole space.
     banks: u64,
     map: BankMap,
@@ -71,6 +93,7 @@ impl Space {
             word_shift: word_units.trailing_zeros(),
             addr_mask: (capacity_words * word_units).wrapping_sub(1),
             local_mask: group_words - 1,
+            group_shift: g.trailing_zeros(),
             banks: capacity_words / group_words * g,
             map: BankMap::new(g, group_words),
         }
@@ -168,39 +191,50 @@ impl Signatures {
         &self.banks[id as usize * n..(id as usize + 1) * n]
     }
 
-    /// Walks the first `steps` steps of `nest`, calling
-    /// `visit(step, id, banks)` per step; stops at the first `Break`.
+    /// Walks the first `steps` steps of `nest` period-first (module doc),
+    /// calling `visit(step, id, banks)` on every step it enumerates, in
+    /// order; stops at the first `Break`. The steps a proven period covers
+    /// are never visited: each repeats a signature of the first period.
     pub(crate) fn walk<B>(
         &mut self,
         nest: &Nest<'_>,
         steps: u64,
         mut visit: impl FnMut(u64, u32, &[usize]) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
+    ) -> ControlFlow<B, Walk> {
+        let lemma = Lemma::new(&self.space, &self.offsets, nest, steps);
         let mut counter = DualCounter::new(nest);
-        for step in 0..steps {
-            let id = self.id_at(counter.offset());
-            visit(step, id, self.banks(id))?;
-            counter.step();
+        let mut ids: Vec<u32> = Vec::new();
+        let mut borders = Borders::default();
+        let mut refuted = None;
+        let mut len = steps.min(FIRST_PREFIX);
+        loop {
+            for step in ids.len() as u64..len {
+                let id = self.id_at(counter.offset());
+                visit(step, id, self.banks(id))?;
+                ids.push(id);
+                counter.step();
+            }
+            borders.extend(&ids);
+            let period = borders.period();
+            if len == steps || (refuted != Some(period) && lemma.proves(period)) {
+                return ControlFlow::Continue(Walk { ids, steps, period });
+            }
+            refuted = Some(period);
+            len = len.saturating_mul(2).min(steps);
         }
-        ControlFlow::Continue(())
     }
 
-    /// The signature ids of the first `steps` steps of `nest`.
-    pub(crate) fn ids(&mut self, nest: &Nest<'_>, steps: u64) -> Vec<u32> {
-        let mut ids = Vec::with_capacity(steps as usize);
-        let _ = self.walk::<()>(nest, steps, |_, id, _| {
-            ids.push(id);
-            ControlFlow::Continue(())
-        });
-        ids
-    }
-
-    /// Requests per bank over the steps `ids`: a histogram over ids,
-    /// folded into banks once per distinct signature.
-    pub(crate) fn per_bank(&self, ids: &[u32], num_banks: usize) -> Vec<u64> {
+    /// Requests per bank over the first `n ≤ walk.steps` steps of `walk`,
+    /// folded from its period: whole periods from the first period's id
+    /// histogram, the rest from its first `n mod p` steps, each folded into
+    /// banks once per distinct signature.
+    pub(crate) fn per_bank(&self, walk: &Walk, n: u64, num_banks: usize) -> Vec<u64> {
+        debug_assert!(n <= walk.steps, "a fold covers only walked steps");
+        let (reps, rest) = (n / walk.period, (n % walk.period) as usize);
         let mut counts = vec![0u64; self.intern.len()];
-        for &id in ids {
-            counts[id as usize] += 1;
+        let period = &walk.ids[..walk.period.min(n) as usize];
+        for (i, &id) in period.iter().enumerate() {
+            counts[id as usize] += reps + u64::from(i < rest);
         }
         let mut per_bank = vec![0u64; num_banks];
         for (id, &count) in counts.iter().enumerate() {
@@ -242,6 +276,122 @@ impl Signatures {
         self.banks.extend_from_slice(&self.scratch);
         self.intern.insert(self.scratch.clone(), id);
         id
+    }
+}
+
+/// What a walk established about the first `steps` steps of a nest.
+pub(crate) struct Walk {
+    /// Signature ids of the enumerated prefix: at least one period.
+    ids: Vec<u32>,
+    /// Steps the walk covers, enumerated or proven.
+    steps: u64,
+    /// Minimal weak period of the signatures of the covered steps.
+    pub(crate) period: u64,
+}
+
+/// The period lemma over the first `steps` steps of a nest (module doc):
+/// a candidate `p` is a weak period when every shift `a(x) − a(x − p)`,
+/// one per feasible borrow pattern of `x − p`, is a whole number of
+/// capacities, or of interleave rounds while every channel's covered
+/// address hull lies inside one group window (no straddle, no wrap).
+struct Lemma {
+    steps: u64,
+    bounds: Vec<u64>,
+    /// Strides, two's complement: only shifts modulo powers of two matter.
+    strides: Vec<u64>,
+    /// Per dimension, the largest index a covered step reaches.
+    reach: Vec<u64>,
+    /// Every channel's covered hull stays inside one group window.
+    in_group: bool,
+    /// Units per capacity and per interleave round, minus one.
+    capacity_mask: u64,
+    round_mask: u64,
+}
+
+impl Lemma {
+    fn new(space: &Space, offsets: &[u64], nest: &Nest<'_>, steps: u64) -> Self {
+        let dims = nest.bounds.len();
+        let strides: Vec<u64> = (0..dims)
+            .map(|d| nest.strides.get(d).copied().unwrap_or(0) as u64)
+            .collect();
+        // The covered steps are `0..steps`: below the highest non-zero
+        // digit of `steps − 1` every index runs its whole bound, that digit
+        // reaches its own value, and the dimensions above stay at 0.
+        let mut reach = vec![0; dims];
+        let mut rem = steps.saturating_sub(1);
+        for (d, &bound) in nest.bounds.iter().enumerate() {
+            if rem == 0 {
+                break;
+            }
+            reach[d] = if rem >= bound { bound - 1 } else { rem };
+            rem /= bound;
+        }
+        // The hull of the temporal address, exact in i128; an overflowing
+        // nest decides nothing by hull.
+        let hull = reach.iter().zip(&strides).try_fold(
+            (i128::from(nest.base), i128::from(nest.base)),
+            |(lo, hi), (&r, &s)| {
+                let v = i128::from(r).checked_mul(i128::from(s as i64))?;
+                Some((lo.checked_add(v.min(0))?, hi.checked_add(v.max(0))?))
+            },
+        );
+        let group_units = i128::from(space.local_mask + 1) << space.word_shift;
+        let in_group = hull.is_some_and(|(lo, hi)| {
+            offsets.iter().all(|&o| {
+                let o = i128::from(o as i64);
+                let window = |a: i128| a.checked_add(o).map(|a| a.div_euclid(group_units));
+                window(lo).is_some() && window(lo) == window(hi)
+            })
+        });
+        Lemma {
+            steps,
+            bounds: nest.bounds.to_vec(),
+            strides,
+            reach,
+            in_group,
+            capacity_mask: space.addr_mask,
+            round_mask: (1u64 << (space.group_shift + space.word_shift)) - 1,
+        }
+    }
+
+    /// `true` when `p` is provably a weak period of the covered steps'
+    /// signatures.
+    fn proves(&self, p: u64) -> bool {
+        if p >= self.steps {
+            return true;
+        }
+        let mut digits = Vec::with_capacity(self.bounds.len());
+        let mut rem = p;
+        for &bound in &self.bounds {
+            digits.push(rem % bound);
+            rem /= bound;
+        }
+        self.shifts_keep_banks(&digits, 0, 0, 0)
+    }
+
+    /// Whether every shift of the borrow patterns that agree with the
+    /// choices below dimension `d` (carrying `borrow` into it, with the
+    /// partial shift `shift`) keeps every channel's bank.
+    fn shifts_keep_banks(&self, digits: &[u64], d: usize, borrow: u64, shift: u64) -> bool {
+        let Some(&bound) = self.bounds.get(d) else {
+            // `x ≥ p`: a pattern borrowing past the top never occurs.
+            return borrow == 1
+                || shift & self.capacity_mask == 0
+                || (self.in_group && shift & self.round_mask == 0);
+        };
+        // Index `x_d` lowers by `t` unless it is below `t`, which borrows
+        // and raises it by `bound − t` instead.
+        let t = digits[d] + borrow;
+        let stride = self.strides[d];
+        (t > self.reach[d]
+            || self.shifts_keep_banks(digits, d + 1, 0, shift.wrapping_add(t.wrapping_mul(stride))))
+            && (t == 0
+                || self.shifts_keep_banks(
+                    digits,
+                    d + 1,
+                    1,
+                    shift.wrapping_add(t.wrapping_sub(bound).wrapping_mul(stride)),
+                ))
     }
 }
 
@@ -326,10 +476,14 @@ mod tests {
             strides: &[1],
         };
         let mut seen = Vec::new();
-        let _ = sigs.walk::<()>(&nest, 16, |_, id, banks| {
+        let ControlFlow::Continue(walk) = sigs.walk::<()>(&nest, 16, |_, id, banks| {
             seen.push((id, banks.to_vec()));
             ControlFlow::Continue(())
-        });
+        }) else {
+            unreachable!("the visit never breaks")
+        };
+        // The burst straddles a group, so no shorter period is provable.
+        assert_eq!(seen.len(), 16);
         for (w, (_, banks)) in seen.iter().enumerate() {
             let w = w as u64;
             let expected: Vec<usize> = [w, (w + 1) % 16]
@@ -343,7 +497,6 @@ mod tests {
                 assert_eq!(a.0 == b.0, a.1 == b.1, "ids are equal iff signatures are");
             }
         }
-        let ids = sigs.ids(&nest, 16);
-        assert_eq!(sigs.per_bank(&ids, 4).iter().sum::<u64>(), 32);
+        assert_eq!(sigs.per_bank(&walk, 16, 4).iter().sum::<u64>(), 32);
     }
 }

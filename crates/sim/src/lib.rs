@@ -74,7 +74,7 @@ pub use histogram::LatencyHistogram;
 pub use json::{JsonError, JsonValue};
 pub use ledger::CausalLedger;
 pub use metrics::{Instrumented, MetricValue, MetricsRegistry};
-pub use period::{is_periodic_with, minimal_period};
+pub use period::{is_periodic_with, minimal_period, Borders};
 pub use rng::SplitMix64;
 pub use stall::{OperandPort, Port, StallAttribution, StallCause};
 pub use stats::{Counter, Distribution, Summary};

@@ -12,10 +12,67 @@
 //! a whole number of repetitions this coincides with the strong period;
 //! either way, any longer sequence extending `seq` periodically has `p`
 //! among its periods, which is the direction the soundness argument needs.
+//! Conversely, every period of a sequence is a period of each of its
+//! prefixes, so a prefix's minimal period never exceeds the whole
+//! sequence's. The prover relies on that: it runs the failure function
+//! over a growing prefix ([`Borders`]) and takes the prefix's period as
+//! the candidate it then proves for the whole stream.
+
+/// The KMP failure function of a sequence that grows at its end, so that
+/// the minimal weak period of every prefix costs only the new elements.
+///
+/// Kept as `u32`, four bytes per element.
+#[derive(Debug, Clone, Default)]
+pub struct Borders {
+    /// `border[i]`: length of the longest proper border (prefix that is
+    /// also a suffix) of `seq[..=i]`.
+    border: Vec<u32>,
+}
+
+impl Borders {
+    /// Extends the failure function over `seq`, whose first elements are
+    /// the ones it was extended over before (a sequence only grows).
+    ///
+    /// # Panics
+    ///
+    /// If `seq` is longer than `u32::MAX`.
+    pub fn extend<T: Eq>(&mut self, seq: &[T]) {
+        assert!(
+            u32::try_from(seq.len()).is_ok(),
+            "sequence length fits the u32 failure function"
+        );
+        debug_assert!(self.border.len() <= seq.len(), "a sequence only grows");
+        self.border
+            .reserve(seq.len().saturating_sub(self.border.len()));
+        let mut k = self.border.last().copied().unwrap_or(0);
+        for i in self.border.len()..seq.len() {
+            if i > 0 {
+                while k > 0 && seq[i] != seq[k as usize] {
+                    k = self.border[k as usize - 1];
+                }
+                if seq[i] == seq[k as usize] {
+                    k += 1;
+                }
+            }
+            self.border.push(k);
+        }
+    }
+
+    /// The minimal weak period of the sequence extended over so far;
+    /// sequences of length ≤ 1 are trivially `1`-periodic.
+    #[must_use]
+    pub fn period(&self) -> u64 {
+        match self.border.last() {
+            Some(&b) => (self.border.len() - b as usize) as u64,
+            None => 1,
+        }
+    }
+}
 
 /// The minimal (weak) period of `seq`: the smallest `p ≥ 1` such that
 /// `seq[i] == seq[i + p]` whenever both indices are in range. Sequences of
-/// length ≤ 1 are trivially `1`-periodic.
+/// length ≤ 1 are trivially `1`-periodic. [`Borders`] gives the same for
+/// each prefix of a growing sequence.
 ///
 /// # Panics
 ///
@@ -23,24 +80,9 @@
 /// `u32`, four bytes per element.
 #[must_use]
 pub fn minimal_period<T: Eq>(seq: &[T]) -> u64 {
-    let n = u32::try_from(seq.len()).expect("sequence length fits the u32 failure function");
-    if n <= 1 {
-        return 1;
-    }
-    // KMP failure function: border[i] = length of the longest proper
-    // border (prefix that is also a suffix) of seq[..=i].
-    let mut border = vec![0u32; seq.len()];
-    let mut k = 0u32;
-    for i in 1..seq.len() {
-        while k > 0 && seq[i] != seq[k as usize] {
-            k = border[k as usize - 1];
-        }
-        if seq[i] == seq[k as usize] {
-            k += 1;
-        }
-        border[i] = k;
-    }
-    u64::from(n - border[seq.len() - 1])
+    let mut borders = Borders::default();
+    borders.extend(seq);
+    borders.period()
 }
 
 /// `true` when `p` is a (weak) period of `seq`: `seq[i] == seq[i + p]`
@@ -102,6 +144,24 @@ mod tests {
         }
         assert!(!is_periodic_with(&seq, 3));
         assert!(!is_periodic_with(&seq, 0));
+    }
+
+    #[test]
+    fn growing_borders_give_every_prefix_period() {
+        let seq = b"abaabaabaabbabaab";
+        let mut borders = Borders::default();
+        assert_eq!(borders.period(), 1);
+        for len in [1, 2, 3, 5, 8, 11, 12, 17] {
+            borders.extend(&seq[..len]);
+            assert_eq!(
+                borders.period(),
+                minimal_period(&seq[..len]),
+                "prefix {len}"
+            );
+        }
+        // A prefix's period never exceeds the whole sequence's.
+        let whole = minimal_period(seq);
+        assert!((1..=seq.len()).all(|n| minimal_period(&seq[..n]) <= whole));
     }
 
     #[test]
