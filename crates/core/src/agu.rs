@@ -21,6 +21,8 @@
 //! fast. A naive reference ([`naive_temporal_addresses`]) is retained for
 //! differential testing and the ablation bench.
 
+use std::sync::Arc;
+
 /// The temporal half of the AGU: walks the runtime loop nest and emits one
 /// temporal address (byte address) per step.
 ///
@@ -35,11 +37,12 @@
 /// let addrs: Vec<u64> = std::iter::from_fn(|| agu.next_address()).collect();
 /// assert_eq!(addrs, vec![0, 64, 0, 64, 128, 192, 128, 192]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TemporalAgu {
     base: i64,
-    bounds: Vec<u64>,
-    strides: Vec<i64>,
+    /// The loop nest, fixed at construction and shared by clones.
+    bounds: Arc<[u64]>,
+    strides: Arc<[i64]>,
     /// Bound counters (loop indices), innermost first.
     indices: Vec<u64>,
     /// Stride counters (running offsets), innermost first.
@@ -52,6 +55,18 @@ pub struct TemporalAgu {
     /// Total dimension wraps since construction or reset.
     wraps: u64,
 }
+
+dm_sim::clone_fields!(TemporalAgu {
+    base,
+    bounds,
+    strides,
+    indices,
+    offsets,
+    produced,
+    total,
+    last_wrap,
+    wraps
+});
 
 impl TemporalAgu {
     /// Creates a temporal AGU over the given loop nest (innermost first).
@@ -74,8 +89,8 @@ impl TemporalAgu {
             .expect("temporal bound product overflows u64");
         TemporalAgu {
             base: base as i64,
-            bounds: bounds.to_vec(),
-            strides: strides.to_vec(),
+            bounds: bounds.into(),
+            strides: strides.into(),
             indices: vec![0; bounds.len()],
             offsets: vec![0; bounds.len()],
             produced: 0,
@@ -192,7 +207,7 @@ impl TemporalAgu {
     /// The address at flat position `x` of the nest, in O(dims).
     fn address_at(&self, mut x: u64) -> i64 {
         let mut addr = self.base;
-        for (&bound, &stride) in self.bounds.iter().zip(&self.strides) {
+        for (&bound, &stride) in self.bounds.iter().zip(self.strides.iter()) {
             addr += (x % bound) as i64 * stride;
             x /= bound;
         }
@@ -211,7 +226,7 @@ impl TemporalAgu {
         // sweep between the ends' (the same digit above it).
         let (mut swept, mut span) = (1u64, 1u64);
         let (mut first, mut last) = (start, end - 1);
-        for &bound in &self.bounds {
+        for &bound in self.bounds.iter() {
             if first == last {
                 break;
             }
@@ -220,7 +235,7 @@ impl TemporalAgu {
         }
         let (mut first, mut last) = (start / swept * swept, (end - 1) / swept * swept + swept - 1);
         let (mut min, mut max) = (self.base, self.base);
-        for (&bound, &stride) in self.bounds.iter().zip(&self.strides) {
+        for (&bound, &stride) in self.bounds.iter().zip(self.strides.iter()) {
             let (a, b) = (
                 (first % bound) as i64 * stride,
                 (last % bound) as i64 * stride,
@@ -250,7 +265,7 @@ impl TemporalAgu {
         // not a multiple of; a nest whose every span divides `delta` (so
         // `delta == 0`) has one run.
         let mut block = 1u64;
-        for &bound in &self.bounds {
+        for &bound in self.bounds.iter() {
             block *= bound;
             if !delta.is_multiple_of(block) {
                 break;
@@ -309,7 +324,8 @@ pub(crate) struct LagRun {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpatialAgu {
-    offsets: Vec<i64>,
+    /// Fixed at construction and shared by clones.
+    offsets: Arc<[i64]>,
 }
 
 impl SpatialAgu {
@@ -323,17 +339,18 @@ impl SpatialAgu {
         assert_eq!(bounds.len(), strides.len(), "bounds/strides mismatch");
         assert!(!bounds.contains(&0), "zero spatial bound");
         let channels: usize = bounds.iter().product();
-        let mut offsets = Vec::with_capacity(channels);
-        for c in 0..channels {
-            let mut rem = c;
-            let mut offset = 0i64;
-            for (bound, stride) in bounds.iter().zip(strides) {
-                let digit = (rem % bound) as i64;
-                rem /= bound;
-                offset += digit * stride;
-            }
-            offsets.push(offset);
-        }
+        let offsets = (0..channels)
+            .map(|c| {
+                let mut rem = c;
+                let mut offset = 0i64;
+                for (bound, stride) in bounds.iter().zip(strides) {
+                    let digit = (rem % bound) as i64;
+                    rem /= bound;
+                    offset += digit * stride;
+                }
+                offset
+            })
+            .collect();
         SpatialAgu { offsets }
     }
 

@@ -49,12 +49,14 @@ impl Periodic for ChannelStats {
 /// which is folded into the histogram when the level changes. A histogram
 /// is a commutative sum of samples, so this is bit-identical to recording
 /// every sample on its own.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct OccupancySampler {
     closed: LatencyHistogram,
     level: u64,
     run: u64,
 }
+
+dm_sim::clone_fields!(OccupancySampler { closed, level, run });
 
 impl OccupancySampler {
     #[inline]
@@ -93,7 +95,7 @@ impl Periodic for OccupancySampler {
 
 /// One channel's MIC: the address queue the spatial AGU fills, the data
 /// FIFO `F`, and the request it offers the crossbar.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Channel<F> {
     requester: RequesterId,
     addr_queue: VecDeque<u64>,
@@ -106,6 +108,17 @@ pub struct Channel<F> {
     /// Once-per-cycle samples of the FIFO level (in words).
     occupancy: OccupancySampler,
 }
+
+dm_sim::clone_fields!(impl[F: Clone] Channel<F> {
+    requester,
+    addr_queue,
+    addr_capacity,
+    depth,
+    fifo,
+    high_watermark,
+    stats,
+    occupancy
+});
 
 /// A read channel: MIC with Outstanding Request Manager.
 pub type ReadChannel = Channel<Landing>;

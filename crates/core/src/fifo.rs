@@ -61,7 +61,7 @@ pub trait ChannelFifo: Default + Clone + PartialEq + std::fmt::Debug {
 /// A reservation ([`admit`](ChannelFifo::admit)) pushes the word's byte
 /// address, a response lands the oldest unfilled reservation and a pop
 /// takes the front, so the k-th address reserved is the k-th word popped.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Landing {
     /// Byte address of the word behind every reserved slot, in reservation
     /// order.
@@ -76,6 +76,14 @@ pub struct Landing {
     /// Tag the next response must echo; also the responses received.
     expected_tag: u64,
 }
+
+dm_sim::clone_fields!(Landing {
+    addrs,
+    filled,
+    pending,
+    next_tag,
+    expected_tag
+});
 
 impl Landing {
     /// Reserved slots whose response has not landed.

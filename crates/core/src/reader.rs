@@ -31,7 +31,7 @@ use crate::config::StreamerMode;
 use crate::streamer::{map_checked, Side, StreamBinding, Streamer};
 
 /// The read side's streamer state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ReadSide {
     /// Width of the accelerator-facing wide word (after extensions).
     output_width: usize,
@@ -42,6 +42,12 @@ pub struct ReadSide {
     /// opened.
     coarse_started: Vec<bool>,
 }
+
+dm_sim::clone_fields!(ReadSide {
+    output_width,
+    coarse_open,
+    coarse_started
+});
 
 impl ReadSide {
     /// `true` if channel `c` may start a request: always with fine-grained

@@ -10,6 +10,8 @@
 //! direction-specific halves live in [`reader`](crate::reader) and
 //! [`writer`](crate::writer). Nothing here branches on the direction.
 
+use std::sync::Arc;
+
 use dm_mem::{Addr, AddressRemapper, BankLocation, MemConfig, MemorySubsystem, RequesterId};
 use dm_sim::{
     Counter, Cycle, Instrumented, LatencyHistogram, MetricsRegistry, Periodic, StableHasher, Trace,
@@ -161,9 +163,10 @@ pub trait Side: Sized + Clone + PartialEq {
 }
 
 /// One DataMaestro: the shared front end over the channels of side `S`.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Streamer<S: Side> {
-    name: String,
+    /// Fixed at construction and shared by clones.
+    name: Arc<str>,
     pub(crate) remapper: AddressRemapper,
     tagu: TemporalAgu,
     sagu: SpatialAgu,
@@ -177,6 +180,20 @@ pub struct Streamer<S: Side> {
     pub(crate) lost_arbitration: bool,
     pub(crate) side: S,
 }
+
+// A period anchor refills an earlier anchor's streamer in place.
+dm_sim::clone_fields!(impl[S: Side] Streamer<S> {
+    name,
+    remapper,
+    tagu,
+    sagu,
+    channels,
+    fine_grained,
+    stats,
+    trace,
+    lost_arbitration,
+    side
+});
 
 impl<S: Side> Streamer<S> {
     /// Builds a streamer, registering one crossbar requester per channel.
@@ -204,7 +221,7 @@ impl<S: Side> Streamer<S> {
             })
             .collect();
         Ok(Streamer {
-            name: design.name().to_owned(),
+            name: design.name().into(),
             side: S::new(&binding, channels.len()),
             remapper: binding.remapper,
             tagu: binding.temporal,

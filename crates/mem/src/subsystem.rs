@@ -39,6 +39,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use dm_sim::{
     Counter, Cycle, Distribution, Instrumented, LatencyHistogram, MetricsRegistry, Periodic,
@@ -151,7 +152,7 @@ impl MemStats {
 /// Per request, `queueing + service == end_to_end` exactly: all three are
 /// stamped from the same cycle counter, and the histograms' `sum`/`count`
 /// fields are exact even though individual samples are log-bucketed.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct LatencyTelemetry {
     /// Issue (first submit) → arbitration grant. Retries after a lost
     /// arbitration do not re-stamp the issue cycle.
@@ -162,6 +163,12 @@ pub struct LatencyTelemetry {
     /// Issue → delivery (grant, for writes).
     pub end_to_end: LatencyHistogram,
 }
+
+dm_sim::clone_fields!(LatencyTelemetry {
+    queueing,
+    service,
+    end_to_end
+});
 
 impl LatencyTelemetry {
     /// Merges another telemetry block into this one.
@@ -198,7 +205,7 @@ const FOLDED: usize = LatencyHistogram::EXACT_LIMIT as usize;
 
 /// One bank's or one requester's request lifetimes, folded (see the module
 /// docs).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct LifetimeFold {
     /// Reads drained on their due cycle, by queueing delay `q`: each one is
     /// the lifetime `(q, read latency)`.
@@ -208,6 +215,12 @@ struct LifetimeFold {
     /// Every other completed lifetime, recorded sample by sample.
     slow: LatencyTelemetry,
 }
+
+dm_sim::clone_fields!(LifetimeFold {
+    on_time_reads,
+    writes,
+    slow
+});
 
 impl LifetimeFold {
     /// Folds a write granted after `queueing` cycles.
@@ -275,12 +288,13 @@ struct BankSlot {
 }
 
 /// The banked scratchpad behind an interleaved crossbar.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct MemorySubsystem {
     config: MemConfig,
     read_latency: u64,
     arbiters: Vec<RoundRobinArbiter>,
-    requester_names: Vec<String>,
+    /// Fixed once traffic starts, so clones share it.
+    requester_names: Arc<Vec<String>>,
     /// Requests submitted in the current cycle.
     submissions: Vec<MemRequest>,
     submitted: Vec<bool>,
@@ -319,6 +333,31 @@ pub struct MemorySubsystem {
     trace: Trace,
 }
 
+// A period anchor refills an earlier anchor's tables in place.
+dm_sim::clone_fields!(MemorySubsystem {
+    config,
+    read_latency,
+    arbiters,
+    requester_names,
+    submissions,
+    submitted,
+    in_flight,
+    grants,
+    bank_slots,
+    touched_banks,
+    per_bank_accesses,
+    issue_cycle,
+    pending_flow,
+    next_flow_id,
+    flow_events,
+    per_bank_lifetimes,
+    per_requester_lifetimes,
+    stats,
+    cycle,
+    traffic_started,
+    trace
+});
+
 impl MemorySubsystem {
     /// Default single-cycle bank read latency.
     pub const DEFAULT_READ_LATENCY: u64 = 1;
@@ -331,7 +370,7 @@ impl MemorySubsystem {
             config,
             read_latency: Self::DEFAULT_READ_LATENCY,
             arbiters: vec![RoundRobinArbiter::new(1); banks],
-            requester_names: Vec::new(),
+            requester_names: Arc::default(),
             submissions: Vec::new(),
             submitted: Vec::new(),
             in_flight: VecDeque::new(),
@@ -390,7 +429,7 @@ impl MemorySubsystem {
             "requesters must be registered before any traffic"
         );
         let id = RequesterId(self.requester_names.len());
-        self.requester_names.push(name.into());
+        Arc::make_mut(&mut self.requester_names).push(name.into());
         id
     }
 

@@ -20,6 +20,11 @@
 //! accumulator and every absolute stamp then grows by the same amount in
 //! each period, so `k` further periods are `x + k · (x − x_earlier)` per
 //! field. [`Periodic`] is that rule.
+//!
+//! Such a period starts at a snapshot of the whole machine (an anchor).
+//! [`clone_fields!`](crate::clone_fields) gives the component types a
+//! `clone_from` that refills an old snapshot in place instead of
+//! allocating a new one.
 
 use crate::cycle::Cycle;
 use crate::histogram::LatencyHistogram;
@@ -98,6 +103,52 @@ impl<T: Periodic, const N: usize> Periodic for [T; N] {
     fn repeat_since(&mut self, earlier: &Self, k: u64) {
         self.as_mut_slice().repeat_since(earlier, k);
     }
+}
+
+/// Implements [`Clone`] field by field, with a `clone_from` that clones
+/// every field into the existing one. `#[derive(Clone)]` keeps the default
+/// `clone_from`, which builds a whole new value; this one lets a `Vec` or
+/// `VecDeque` field keep its allocation, so refilling a snapshot of a
+/// machine allocates nothing once its shape is settled. A field left out
+/// or named twice does not compile.
+///
+/// Generic types put their parameters in brackets after `impl`.
+///
+/// # Examples
+///
+/// ```
+/// struct Fifo<T> {
+///     depth: usize,
+///     words: Vec<T>,
+/// }
+/// dm_sim::clone_fields!(impl[T: Clone] Fifo<T> { depth, words });
+///
+/// let full = Fifo { depth: 4, words: vec![1u64, 2, 3] };
+/// let mut old = Fifo { depth: 4, words: Vec::with_capacity(8) };
+/// let storage = old.words.as_ptr();
+/// old.clone_from(&full);
+/// assert_eq!(old.words, [1, 2, 3]);
+/// assert_eq!(old.words.as_ptr(), storage, "the old allocation is reused");
+/// ```
+#[macro_export]
+macro_rules! clone_fields {
+    (impl[$($generics:tt)*] $ty:ty { $($field:ident),+ $(,)? }) => {
+        impl<$($generics)*> ::core::clone::Clone for $ty {
+            fn clone(&self) -> Self {
+                Self {
+                    $($field: ::core::clone::Clone::clone(&self.$field)),+
+                }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let Self { $($field),+ } = self;
+                $(::core::clone::Clone::clone_from($field, &source.$field);)+
+            }
+        }
+    };
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::clone_fields!(impl[] $ty { $($field),+ });
+    };
 }
 
 /// Digest snapshot taken before a skipped span, verified after it.

@@ -43,7 +43,7 @@ use crate::json::JsonValue;
 
 /// A mergeable, JSON-serializable histogram of `u64` samples with
 /// logarithmic buckets (see the module docs for the bucketing rule).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// Bucket counts, grown lazily to the highest occupied index.
     buckets: Vec<u64>,
@@ -52,6 +52,14 @@ pub struct LatencyHistogram {
     min: u64,
     max: u64,
 }
+
+crate::clone_fields!(LatencyHistogram {
+    buckets,
+    count,
+    sum,
+    min,
+    max
+});
 
 impl LatencyHistogram {
     /// log2 of [`SUB_BUCKETS`](Self::SUB_BUCKETS).

@@ -48,7 +48,7 @@ const FIXED_LEAVES: usize = 4;
 /// assert_eq!(ledger.attribution().stalled(), 3);
 /// assert_eq!(ledger.critical(1).on_path(CritClass::MemLatency), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct CausalLedger {
     banks: usize,
     fired: u64,
@@ -56,6 +56,14 @@ pub struct CausalLedger {
     last_fire: Option<u64>,
     stalls: Vec<u64>,
 }
+
+crate::clone_fields!(CausalLedger {
+    banks,
+    fired,
+    first_fire,
+    last_fire,
+    stalls
+});
 
 impl CausalLedger {
     /// An empty ledger for a machine with `banks` scratchpad banks.

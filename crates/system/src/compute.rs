@@ -20,8 +20,8 @@
 use datamaestro::{ReadStreamer, WriteStreamer};
 use dm_mem::MemorySubsystem;
 use dm_sim::{
-    BlameLeaf, BlamePhase, CausalLedger, OperandPort, Periodic, Port, StableHasher, StallCause,
-    Trace, TraceEventKind, TraceMode,
+    BlameLeaf, BlamePhase, CausalLedger, OperandPort, Periodic, Port, StallCause, Trace,
+    TraceEventKind, TraceMode,
 };
 use std::time::Instant;
 
@@ -220,7 +220,6 @@ impl Machine<'_> {
 }
 
 /// What the loop has done so far, besides the components' own state.
-#[derive(Clone)]
 struct Progress {
     cycles: u64,
     fires: u64,
@@ -228,6 +227,13 @@ struct Progress {
     /// The stream digest of the tile in progress.
     digest: TileDigest,
 }
+
+dm_sim::clone_fields!(Progress {
+    cycles,
+    fires,
+    ledger,
+    digest
+});
 
 /// An owned copy of a machine and the loop's progress: a period anchor,
 /// or in debug builds the lockstep shadow of a replayed span.
@@ -247,6 +253,16 @@ impl Snapshot {
             out: m.out.clone(),
             progress: progress.clone(),
         }
+    }
+
+    /// [`Snapshot::capture`] into this snapshot's storage: an earlier
+    /// snapshot of the same run has every table and queue at about the
+    /// size the new one needs, so refilling it allocates next to nothing.
+    fn recapture(&mut self, m: &Machine<'_>, progress: &Progress) {
+        self.mem.clone_from(m.mem);
+        m.readers.clone_into(&mut self.readers);
+        self.out.clone_from(m.out);
+        self.progress.clone_from(progress);
     }
 
     #[cfg(debug_assertions)]
@@ -293,12 +309,6 @@ const RING: usize = 32;
 /// bank cycles of different lengths. A snapshot is tens of kilobytes.
 const ANCHORS: usize = 8;
 
-/// One remembered tile boundary: its lock key and that key's hash.
-struct Boundary {
-    hash: u64,
-    key: Vec<u64>,
-}
-
 /// The anchor of a candidate period: the machine at a tile boundary whose
 /// lock key had already occurred at an earlier boundary.
 struct Anchor {
@@ -313,11 +323,16 @@ struct Anchor {
 /// and the span replays if the AGUs keep feeding the same banks.
 #[derive(Default)]
 struct Detector {
-    ring: Vec<Boundary>,
+    /// The lock keys of the last boundaries, compared word by word: a
+    /// compare stops at the first differing word, which costs less than
+    /// hashing every key.
+    ring: Vec<Vec<u64>>,
     /// The next ring slot to overwrite.
     next: usize,
     /// Anchors, oldest first.
     anchors: Vec<Anchor>,
+    /// Dropped anchors, whose storage the next anchors take over.
+    spare: Vec<Anchor>,
     /// The current boundary's key.
     key: Vec<u64>,
 }
@@ -338,8 +353,11 @@ impl Detector {
         }
         self.key.clear();
         m.lock_key(&mut self.key);
-        self.anchors
-            .retain(|a| p.cycles - a.state.progress.cycles <= MAX_PERIOD);
+        // Anchors are oldest first, so the expired ones are a prefix.
+        let expired = self
+            .anchors
+            .partition_point(|a| p.cycles - a.state.progress.cycles > MAX_PERIOD);
+        self.spare.extend(self.anchors.drain(..expired));
         let best = self
             .anchors
             .iter()
@@ -356,36 +374,29 @@ impl Detector {
                 return Some(Span::Periods { k, anchor });
             }
         }
-        let mut hasher = StableHasher::new();
-        for &word in &self.key {
-            hasher.write_u64(word);
-        }
-        let hash = hasher.finish();
         // A key that recurs marks a boundary the machine may return to, so
         // it takes an anchor, also where anchors with its key just failed:
         // the fresh one closes other periods than theirs.
-        let recurs = self
-            .ring
-            .iter()
-            .any(|seen| seen.hash == hash && seen.key == self.key);
-        if recurs {
+        if self.ring.contains(&self.key) {
             if self.anchors.len() == ANCHORS {
                 self.evict();
             }
-            self.anchors.push(Anchor {
-                key: self.key.clone(),
-                state: Box::new(Snapshot::capture(m, p)),
-            });
+            let anchor = match self.spare.pop() {
+                Some(mut anchor) => {
+                    anchor.key.clone_from(&self.key);
+                    anchor.state.recapture(m, p);
+                    anchor
+                }
+                None => Anchor {
+                    key: self.key.clone(),
+                    state: Box::new(Snapshot::capture(m, p)),
+                },
+            };
+            self.anchors.push(anchor);
         }
         match self.ring.get_mut(self.next) {
-            Some(slot) => {
-                slot.hash = hash;
-                slot.key.clone_from(&self.key);
-            }
-            None => self.ring.push(Boundary {
-                hash,
-                key: self.key.clone(),
-            }),
+            Some(slot) => slot.clone_from(&self.key),
+            None => self.ring.push(self.key.clone()),
         }
         self.next = (self.next + 1) % RING;
         None
@@ -399,7 +410,8 @@ impl Detector {
         let crowded = (1..self.anchors.len() - 1)
             .min_by_key(|&i| taken(i) - taken(i - 1))
             .unwrap_or(0);
-        self.anchors.remove(crowded);
+        let evicted = self.anchors.remove(crowded);
+        self.spare.push(evicted);
     }
 }
 

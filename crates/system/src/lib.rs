@@ -46,7 +46,7 @@ pub mod system;
 pub use copy_engine::{CopyEngine, CopyStats};
 pub use error::SystemError;
 pub use provenance::Provenance;
-pub use system::{run_compiled, run_workload, HostTimings, RunReport, SystemConfig};
+pub use system::{run_compiled, run_workload, HostTimings, RunMetrics, RunReport, SystemConfig};
 
 #[cfg(test)]
 mod tests {

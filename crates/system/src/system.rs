@@ -12,10 +12,13 @@ use datamaestro::{ReadStreamer, StreamerStats, WriteStreamer};
 use dm_compiler::{compile, BufferDepths, CompiledWorkload, FeatureSet};
 use dm_mem::{MemConfig, MemorySubsystem};
 use dm_sim::{
-    CausalLedger, CriticalProfile, Instrumented, MetricsRegistry, OperandPort, Port, StallCause,
-    Trace, TraceEventKind, TraceMode,
+    CausalLedger, CriticalProfile, Instrumented, MetricsRegistry, OperandPort, Port,
+    StallAttribution, StallCause, Trace, TraceEventKind, TraceMode,
 };
 use dm_workloads::{Workload, WorkloadData};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::compute::{run_compute, ComputeRun, Schedule, READER_TRACKS};
 use crate::copy_engine::CopyEngine;
@@ -188,8 +191,12 @@ pub struct RunReport {
     /// [`Self::compute_cycles`].
     pub critical: CriticalProfile,
     /// Snapshot of every instrumented component's metrics, keyed by dotted
-    /// component path (`mem.conflicts`, `streamer.A.ch0.granted`, …).
-    pub metrics: MetricsRegistry,
+    /// component path (`mem.conflicts`, `streamer.A.ch0.granted`, …). It
+    /// derefs to a [`MetricsRegistry`] that is built on first read from the
+    /// run's quiesced components, so a run whose metrics nobody reads never
+    /// pays for them; every read, on the report or on a clone, sees the
+    /// same registry.
+    pub metrics: RunMetrics,
     /// Captured event traces, one per component track, in Perfetto track
     /// order. Empty when [`SystemConfig::trace`] is [`TraceMode::Off`].
     pub traces: Vec<(String, Trace)>,
@@ -219,6 +226,113 @@ impl RunReport {
     #[must_use]
     pub fn accesses(&self) -> u64 {
         self.mem_reads + self.mem_writes
+    }
+}
+
+/// The metrics of a finished run: the quiesced memory system, operand
+/// readers and writer, from which the [`MetricsRegistry`] is built on first
+/// read. The build frees the components; clones share the one build.
+#[derive(Clone)]
+pub struct RunMetrics(Arc<LazyRegistry>);
+
+struct LazyRegistry {
+    registry: OnceLock<MetricsRegistry>,
+    /// What the registry is built from, until it is built.
+    source: Mutex<Option<Quiesced>>,
+}
+
+/// A run's components after their last cycle, and the loop totals the
+/// `system` scope reports.
+struct Quiesced {
+    mem: MemorySubsystem,
+    readers: Vec<ReadStreamer>,
+    out: WriteStreamer,
+    ideal_cycles: u64,
+    prepass_cycles: u64,
+    compute_cycles: u64,
+    active_cycles: u64,
+    k_steps: u64,
+    attribution: StallAttribution,
+}
+
+impl Quiesced {
+    fn collect(&self, registry: &mut MetricsRegistry) {
+        let total_cycles = self.prepass_cycles + self.compute_cycles;
+        registry.with_scope("system", |r| {
+            r.set_counter("ideal_cycles", self.ideal_cycles);
+            r.set_counter("prepass_cycles", self.prepass_cycles);
+            r.set_counter("compute_cycles", self.compute_cycles);
+            r.set_counter("active_cycles", self.active_cycles);
+            r.set_counter("tiles", self.active_cycles / self.k_steps);
+            if total_cycles > 0 {
+                r.set_gauge(
+                    "utilization",
+                    self.ideal_cycles as f64 / total_cycles as f64,
+                );
+            }
+            r.with_scope("stall", |r| {
+                r.set_counter("fired", self.attribution.fired());
+                for cause in StallCause::ALL {
+                    r.set_counter(cause.label(), self.attribution.count(cause));
+                }
+            });
+        });
+        registry.with_scope("mem", |r| self.mem.register_metrics(r));
+        registry.with_scope("streamer", |r| {
+            for (port, reader) in OperandPort::ALL.into_iter().zip(&self.readers) {
+                r.with_scope(port.label(), |r| reader.register_metrics(r));
+            }
+            r.with_scope(Port::Out.label(), |r| self.out.register_metrics(r));
+        });
+    }
+
+    fn into_registry(self) -> MetricsRegistry {
+        let mut metrics = MetricsRegistry::new();
+        self.collect(&mut metrics);
+        #[cfg(debug_assertions)]
+        {
+            // Collecting a snapshot must be a pure read: a second pass over
+            // the same quiesced system yields an identical registry.
+            let mut second = MetricsRegistry::new();
+            self.collect(&mut second);
+            assert_eq!(
+                metrics, second,
+                "metric snapshots must be deterministic and side-effect free"
+            );
+        }
+        metrics
+    }
+}
+
+impl Deref for RunMetrics {
+    type Target = MetricsRegistry;
+
+    fn deref(&self) -> &MetricsRegistry {
+        let lazy = &*self.0;
+        lazy.registry.get_or_init(|| {
+            // Taking the source cannot panic, so a poisoned lock still
+            // holds a valid `Option`.
+            let source = lazy
+                .source
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            source
+                .expect("a metrics registry whose build panicked is not built again")
+                .into_registry()
+        })
+    }
+}
+
+impl PartialEq for RunMetrics {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for RunMetrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -375,50 +489,6 @@ pub fn run_compiled(
         }
     }
 
-    let total_cycles = prepass_cycles + compute_cycles;
-    let collect = |registry: &mut MetricsRegistry| {
-        registry.with_scope("system", |r| {
-            r.set_counter("ideal_cycles", program.total_steps());
-            r.set_counter("prepass_cycles", prepass_cycles);
-            r.set_counter("compute_cycles", compute_cycles);
-            r.set_counter("active_cycles", active_cycles);
-            r.set_counter("tiles", active_cycles / program.k_steps);
-            if total_cycles > 0 {
-                r.set_gauge(
-                    "utilization",
-                    program.total_steps() as f64 / total_cycles as f64,
-                );
-            }
-            r.with_scope("stall", |r| {
-                let attribution = ledger.attribution();
-                r.set_counter("fired", attribution.fired());
-                for cause in StallCause::ALL {
-                    r.set_counter(cause.label(), attribution.count(cause));
-                }
-            });
-        });
-        registry.with_scope("mem", |r| mem.register_metrics(r));
-        registry.with_scope("streamer", |r| {
-            for (port, reader) in OperandPort::ALL.into_iter().zip(&readers) {
-                r.with_scope(port.label(), |r| reader.register_metrics(r));
-            }
-            r.with_scope(Port::Out.label(), |r| out.register_metrics(r));
-        });
-    };
-    let mut metrics = MetricsRegistry::new();
-    collect(&mut metrics);
-    #[cfg(debug_assertions)]
-    {
-        // Collecting a snapshot must be a pure read: a second pass over the
-        // same quiesced system yields an identical registry.
-        let mut second = MetricsRegistry::new();
-        collect(&mut second);
-        assert_eq!(
-            metrics, second,
-            "metric snapshots must be deterministic and side-effect free"
-        );
-    }
-
     let traces = if config.trace == TraceMode::Off {
         Vec::new()
     } else {
@@ -446,7 +516,6 @@ pub fn run_compiled(
         prepass_cycles,
         compute_cycles,
         active_cycles,
-        ledger,
         critical,
         mem_reads: stats.reads.get(),
         mem_writes: stats.writes.get(),
@@ -457,7 +526,21 @@ pub fn run_compiled(
             .chain([*out.stats()])
             .collect(),
         per_bank_accesses: mem.per_bank_accesses().to_vec(),
-        metrics,
+        metrics: RunMetrics(Arc::new(LazyRegistry {
+            registry: OnceLock::new(),
+            source: Mutex::new(Some(Quiesced {
+                attribution: ledger.attribution(),
+                mem,
+                readers,
+                out,
+                ideal_cycles: program.total_steps(),
+                prepass_cycles,
+                compute_cycles,
+                active_cycles,
+                k_steps: program.k_steps,
+            })),
+        })),
+        ledger,
         traces,
         provenance: Provenance::stamp(config, program.workload),
         host,

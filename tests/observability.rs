@@ -201,6 +201,19 @@ fn instrumentation_is_deterministic_and_nonperturbing() {
     assert_eq!(off.compute_cycles, r1.compute_cycles);
     assert_eq!(off.ledger, r1.ledger);
     assert_eq!(off.metrics, r1.metrics);
+    // The registry is built on its first read, and that read is a pure one:
+    // a second read, a clone taken before or after it, and the report
+    // after it moved to another thread all see one registry.
+    let unread = run(&plain, workload, 11);
+    let early = unread.clone();
+    let first: MetricsRegistry = (*unread.metrics).clone();
+    assert_eq!(*unread.metrics, first);
+    let late = unread.clone();
+    let moved = std::thread::spawn(move || unread).join().unwrap();
+    for registry in [&*early.metrics, &*late.metrics, &*moved.metrics] {
+        assert_eq!(*registry, first);
+    }
+    assert_eq!(first, *off.metrics);
     assert!(off.traces.is_empty());
     assert!(r1.traces.iter().any(|(_, t)| !t.is_empty()));
 }
