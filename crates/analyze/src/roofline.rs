@@ -195,7 +195,11 @@ pub fn prepass_lower_bound(plan: &CopyPlan, mem: &MemConfig) -> u64 {
     let reads = plan.reads.len() as u64;
     let writes = plan.writes.len() as u64;
     let read_bank = load(&mut plan.reads.iter().copied(), g_read);
-    let write_bank = load(&mut plan.writes.iter().map(|(a, _)| *a), g_write);
+    let word = mem.bank_width_bytes();
+    let write_bank = load(
+        &mut (0..plan.writes.len()).map(|i| plan.write_addr(i, word)),
+        g_write,
+    );
     reads
         .div_ceil(4)
         .max(writes.div_ceil(4))
@@ -316,9 +320,9 @@ mod tests {
             write_mode: AddressingMode::FullyInterleaved,
             // 8 reads, all in bank 0 under NIMA (first rows of bank 0).
             reads: (0..8u64).map(|i| i * 8).collect(),
-            writes: (0..4)
-                .map(|i| (4096 + i * 8, WriteSource::Word(i as usize)))
-                .collect(),
+            write_base: 4096,
+            writes: (0..4).map(WriteSource::Word).collect(),
+            gathers: Vec::new(),
         };
         let lb = prepass_lower_bound(&plan, &mem());
         assert_eq!(lb, 8, "bank-serial reads dominate ⌈8/4⌉ and ⌈4/4⌉");

@@ -65,43 +65,51 @@ pub fn run(flags: &RunFlags, capture: &mut Capture) -> Result<(), String> {
     // One work item = one workload through all six ablation steps; the
     // simulation runs fan out over `--jobs` threads while capture and the
     // statistics accumulation below stay on this thread, committed in
-    // suite order.
-    let reports = crate::run_ordered(&suite, flags.jobs, |idx, workload| {
-        (1..=6)
-            .map(|step| {
-                let features = FeatureSet::ablation_step(step);
-                let cfg = capture.config(
-                    flags.config().with_features(features),
-                    idx == 0 && step == 6,
-                );
-                crate::measure(&cfg, *workload, idx as u64)
-                    .map_err(|e| format!("step {step} on {workload}: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    for (idx, (workload, step_reports)) in suite.iter().zip(&reports).enumerate() {
-        let baseline_accesses = step_reports[0].accesses();
-        for (report, step) in step_reports.iter().zip(1..=6) {
-            capture.record(&format!("{workload}|step{step}"), report)?;
-            utils
-                .entry((workload.group(), step))
-                .or_default()
-                .record(report.utilization());
-            access_ratio
-                .entry((workload.group(), step))
-                .or_default()
-                .record(report.accesses() as f64 / baseline_accesses as f64);
-            attribution
-                .entry(step)
-                .or_default()
-                .merge(&report.ledger.attribution());
-        }
-        if (idx + 1) % 20 == 0 {
-            eprintln!("  …{}/{} workloads", idx + 1, suite.len());
-        }
-    }
+    // suite order. Each workload's reports are dropped once committed.
+    // The traced run's config is fixed before the first commit writes the
+    // trace.
+    let traced = capture.config(flags.config(), true);
+    crate::for_each_ordered(
+        &suite,
+        flags.jobs,
+        |idx, workload| {
+            (1..=6)
+                .map(|step| {
+                    let base = if idx == 0 && step == 6 {
+                        traced
+                    } else {
+                        flags.config()
+                    };
+                    let cfg = base.with_features(FeatureSet::ablation_step(step));
+                    crate::measure(&cfg, *workload, idx as u64)
+                        .map_err(|e| format!("step {step} on {workload}: {e}"))
+                })
+                .collect::<Result<Vec<_>, _>>()
+        },
+        |idx, step_reports| {
+            let (workload, step_reports) = (suite[idx], step_reports?);
+            let baseline_accesses = step_reports[0].accesses();
+            for (report, step) in step_reports.iter().zip(1..=6) {
+                capture.record(&format!("{workload}|step{step}"), report)?;
+                utils
+                    .entry((workload.group(), step))
+                    .or_default()
+                    .record(report.utilization());
+                access_ratio
+                    .entry((workload.group(), step))
+                    .or_default()
+                    .record(report.accesses() as f64 / baseline_accesses as f64);
+                attribution
+                    .entry(step)
+                    .or_default()
+                    .merge(&report.ledger.attribution());
+            }
+            if (idx + 1) % 20 == 0 {
+                eprintln!("  …{}/{} workloads", idx + 1, suite.len());
+            }
+            Ok::<(), String>(())
+        },
+    )?;
 
     println!("\nFig. 7(a): utilization distribution per group and configuration");
     println!("(1=baseline 2=+prefetch 3=+transposer 4=+broadcaster 5=+im2col 6=+mode-switching)");

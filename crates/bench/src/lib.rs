@@ -149,13 +149,7 @@ pub fn lint_gate(
 }
 
 /// Maps `work` over `items` on up to `jobs` worker threads, returning the
-/// results **in input order**.
-///
-/// Workers claim items through a shared atomic cursor, so scheduling is
-/// dynamic, but each result is tagged with its input index and the final
-/// vector is committed in that order — the output is identical to `jobs: 1`
-/// regardless of thread interleaving (every simulated run owns its whole
-/// `MemorySubsystem`, so runs are independent by construction).
+/// results **in input order** (see [`for_each_ordered`]).
 ///
 /// # Panics
 ///
@@ -166,37 +160,85 @@ where
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
+    let mut results = Vec::with_capacity(items.len());
+    let committed = for_each_ordered(items, jobs, work, |_, result| {
+        results.push(result);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    let Ok(()) = committed;
+    results
+}
+
+/// Maps `work` over `items` on up to `jobs` worker threads and hands each
+/// result to `commit` **in input order**, as soon as it and every earlier
+/// result are done, so a caller holds only the results that finished
+/// ahead of a slower earlier item.
+///
+/// Workers claim items through a shared atomic cursor, so scheduling is
+/// dynamic, but each result is tagged with its input index and committed
+/// in that order — the commits are identical to `jobs: 1` regardless of
+/// thread interleaving (every simulated run owns its whole
+/// `MemorySubsystem`, so runs are independent by construction).
+///
+/// # Errors
+///
+/// The first error `commit` returns; no later result is committed, and
+/// workers claim no further item.
+///
+/// # Panics
+///
+/// Re-raises a panic from any worker.
+pub fn for_each_ordered<I, T, E, F, C>(
+    items: &[I],
+    jobs: usize,
+    work: F,
+    mut commit: C,
+) -> Result<(), E>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(usize, &I) -> T + Sync,
+    C: FnMut(usize, T) -> Result<(), E>,
+{
+    use std::sync::atomic::{AtomicUsize, Ordering};
     let jobs = jobs.clamp(1, items.len().max(1));
     if jobs == 1 {
         return items
             .iter()
             .enumerate()
-            .map(|(i, item)| work(i, item))
-            .collect();
+            .try_for_each(|(i, item)| commit(i, work(i, item)));
     }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, T)> = Vec::with_capacity(items.len());
+    let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            return local;
-                        };
-                        local.push((i, work(i, item)));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            tagged.extend(handle.join().expect("bench worker panicked"));
+        let (done, finished) = std::sync::mpsc::channel();
+        for _ in 0..jobs {
+            let done = done.clone();
+            let (cursor, work) = (&cursor, &work);
+            scope.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return;
+                };
+                if done.send((i, work(i, item))).is_err() {
+                    return;
+                }
+            });
         }
-    });
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, result)| result).collect()
+        drop(done);
+        let mut ahead = std::collections::BTreeMap::new();
+        let mut next = 0;
+        for (i, result) in finished {
+            ahead.insert(i, result);
+            while let Some(result) = ahead.remove(&next) {
+                if let Err(e) = commit(next, result) {
+                    cursor.store(items.len(), Ordering::Relaxed);
+                    return Err(e);
+                }
+                next += 1;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// The activity counts of a GeMM-64 run that the `dm-cost` power model
@@ -281,6 +323,28 @@ mod tests {
             assert_eq!(run_ordered(&items, jobs, square), sequential, "jobs={jobs}");
         }
         assert!(run_ordered(&[] as &[usize], 4, square).is_empty());
+    }
+
+    #[test]
+    fn for_each_ordered_commits_in_order_and_stops_at_an_error() {
+        let items: Vec<usize> = (0..50).collect();
+        for jobs in [1, 2, 4] {
+            let mut seen = Vec::new();
+            let result = for_each_ordered(
+                &items,
+                jobs,
+                |_, &x| x * 2,
+                |i, doubled| {
+                    if i == 30 {
+                        return Err(format!("item {i}"));
+                    }
+                    seen.push(doubled);
+                    Ok(())
+                },
+            );
+            assert_eq!(result, Err("item 30".to_owned()), "jobs={jobs}");
+            assert_eq!(seen, (0..30).map(|x| x * 2).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -30,6 +30,12 @@ pub enum CompileError {
         /// Values given.
         got: usize,
     },
+    /// A pre-pass plan needs a read or gather index beyond its 32-bit
+    /// index tables.
+    PlanIndex {
+        /// The index that does not fit.
+        index: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -40,6 +46,12 @@ impl fmt::Display for CompileError {
             CompileError::Config(e) => write!(f, "configuration rejected: {e}"),
             CompileError::InputLength { expected, got } => {
                 write!(f, "input holds {got} values, the shape needs {expected}")
+            }
+            CompileError::PlanIndex { index } => {
+                write!(
+                    f,
+                    "pre-pass plan index {index} exceeds the 32-bit plan tables"
+                )
             }
         }
     }

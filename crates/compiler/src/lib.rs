@@ -6,8 +6,12 @@
 //! convolution, A alone for max pooling) and the output DataMaestro, operand
 //! placement (disjoint bank groups under addressing-mode switching),
 //! pre-pass plans for features the system lacks (explicit transpose,
-//! explicit im2col, bias materialization), and the golden output image for
-//! verification.
+//! explicit im2col), and the golden output image for verification.
+//!
+//! A program describes shapes, not values. Its operand images are layout
+//! recipes that a functional run packs from the [`WorkloadData`]
+//! ([`ImageLayout::pack`]); compiling reads only the workload, the
+//! operand lengths and the rescale parameter.
 //!
 //! # Examples
 //!
@@ -50,7 +54,7 @@ pub use error::CompileError;
 pub use features::FeatureSet;
 pub use nima::compile_gemm_private_banks;
 pub use placement::{BankWindow, Region};
-pub use program::{CompiledWorkload, CopyPlan, OperandImage, StreamPlan, WriteSource};
+pub use program::{CompiledWorkload, CopyPlan, ImageLayout, OperandImage, StreamPlan, WriteSource};
 
 /// Lowers a workload onto the evaluation system.
 ///
@@ -61,9 +65,10 @@ pub use program::{CompiledWorkload, CopyPlan, OperandImage, StreamPlan, WriteSou
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] when an operand does not fit its bank-group
-/// region, the workload shape cannot be mapped onto the array, or a
-/// pooling input does not match its shape or asks for int32 output.
+/// Returns [`CompileError`] when an operand does not hold the values its
+/// shape needs ([`CompileError::InputLength`]) or does not fit its
+/// bank-group region, the workload shape cannot be mapped onto the array,
+/// or a pooling workload asks for int32 output.
 pub fn compile(
     data: &WorkloadData,
     features: &FeatureSet,
@@ -71,11 +76,37 @@ pub fn compile(
     quantized: bool,
     depths: BufferDepths,
 ) -> Result<CompiledWorkload, CompileError> {
+    check_operands(data.workload, data)?;
     match data.workload {
         Workload::Gemm(g) => lower::compile_gemm(g, data, features, mem, quantized, depths),
         Workload::Conv(c) => lower::compile_conv(c, data, features, mem, quantized, depths),
-        Workload::Pool(p) => pool::compile_pool(p, data, features, mem, quantized, depths),
+        Workload::Pool(p) => pool::compile_pool(p, features, mem, quantized, depths),
     }
+}
+
+/// Checks that `data`'s A, B and bias operands hold the values
+/// `workload`'s shape needs, so that every [`OperandImage`] of a program
+/// compiled for `workload` packs from `data`.
+///
+/// # Errors
+///
+/// [`CompileError::InputLength`] for the first operand that does not.
+pub fn check_operands(workload: Workload, data: &WorkloadData) -> Result<(), CompileError> {
+    let (a, b, bias) = match workload {
+        Workload::Gemm(g) => (g.m * g.k, g.k * g.n, g.n),
+        Workload::Conv(c) => (c.h * c.w * c.c_in, c.c_out * c.kh * c.kw * c.c_in, c.c_out),
+        Workload::Pool(p) => (p.h * p.w * p.c, 0, 0),
+    };
+    for (expected, got) in [
+        (a, data.a.len()),
+        (b, data.b.len()),
+        (bias, data.bias.len()),
+    ] {
+        if got != expected {
+            return Err(CompileError::InputLength { expected, got });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -128,7 +159,7 @@ mod tests {
         let mut bank_sets: Vec<std::collections::HashSet<usize>> = Vec::new();
         for img in &p.images {
             let remap = AddressRemapper::new(&mem, img.region.mode).unwrap();
-            let banks = (0..img.bytes.len() as u64 / 8)
+            let banks = (0..img.region.len / 8)
                 .map(|w| remap.map_word((img.region.base + w * 8) / 8).bank)
                 .collect();
             bank_sets.push(banks);
@@ -217,7 +248,8 @@ mod tests {
             .iter()
             .find(|img| img.name == "C-materialized")
             .expect("materialized bias image");
-        assert_eq!(cfull.bytes.len(), 16 * 16 * 4);
+        assert_eq!(cfull.region.len, 16 * 16 * 4);
+        assert_eq!(cfull.layout.pack(&data).len(), 16 * 16 * 4);
         assert!(p.prepasses.is_empty());
         assert_eq!(p.readers[2].design.num_channels(), 32);
     }
@@ -274,6 +306,45 @@ mod tests {
                 input.region.mode,
                 AddressingMode::GroupedInterleaved { group_banks: 8 }
             );
+        }
+    }
+
+    #[test]
+    fn operands_of_the_wrong_length_are_typed_errors() {
+        use dm_workloads::PoolSpec;
+        let workloads: [Workload; 3] = [
+            GemmSpec::new(16, 24, 8).into(),
+            ConvSpec::new(10, 10, 8, 16, 3, 3, 1).into(),
+            PoolSpec::new(10, 10, 8, 3, 1).into(),
+        ];
+        for workload in workloads {
+            let data = WorkloadData::generate(workload, 1);
+            let (a, b, bias) = (data.a.len(), data.b.len(), data.bias.len());
+            let mut short_a = data.clone();
+            short_a.a.pop();
+            let mut long_b = data.clone();
+            long_b.b.push(0);
+            let mut long_bias = data.clone();
+            long_bias.bias.push(0);
+            for (expected, got, bad) in [
+                (a, a - 1, short_a),
+                (b, b + 1, long_b),
+                (bias, bias + 1, long_bias),
+            ] {
+                let err = compile(
+                    &bad,
+                    &FeatureSet::full(),
+                    &mem(),
+                    true,
+                    BufferDepths::default(),
+                )
+                .unwrap_err();
+                assert_eq!(
+                    err,
+                    CompileError::InputLength { expected, got },
+                    "{workload}"
+                );
+            }
         }
     }
 

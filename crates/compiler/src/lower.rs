@@ -8,7 +8,7 @@
 
 use datamaestro::RuntimeConfig;
 use dm_mem::MemConfig;
-use dm_workloads::{layout, ConvSpec, GemmSpec, Workload, WorkloadData};
+use dm_workloads::{ConvSpec, GemmSpec, Workload, WorkloadData};
 
 use crate::designs::{
     design_a, design_b, design_c, design_d, design_e, pixel_spatial_strides, BufferDepths,
@@ -16,7 +16,9 @@ use crate::designs::{
 use crate::error::CompileError;
 use crate::features::FeatureSet;
 use crate::placement::{BankWindow, Region};
-use crate::program::{CompiledWorkload, CopyPlan, OperandImage, StreamPlan, WriteSource};
+use crate::program::{
+    plan_index, CompiledWorkload, CopyPlan, ImageLayout, OperandImage, StreamPlan, WriteSource,
+};
 
 /// Tile edge (the array's unrolling in every dimension).
 const T: usize = 8;
@@ -133,16 +135,15 @@ pub(crate) fn compile_gemm(
     let mut prepasses = Vec::new();
 
     // --- A operand -------------------------------------------------------
-    let a_bytes = if spec.transposed_a {
-        layout::pack_gemm_a_transposed(&data.a, m, k)
-    } else {
-        layout::pack_gemm_a(&data.a, m, k)
-    };
-    let ra = w.window(w.a).alloc("A", a_bytes.len() as u64)?;
+    let ra = w.window(w.a).alloc("A", (m * k) as u64)?;
     images.push(OperandImage {
         name: "A".into(),
         region: ra,
-        bytes: a_bytes,
+        layout: if spec.transposed_a {
+            ImageLayout::GemmATransposed { m, k }
+        } else {
+            ImageLayout::GemmA { m, k }
+        },
     });
     let a_design = design_a(features, depths)?;
     let a_bypass: Vec<bool> = if features.transposer {
@@ -166,7 +167,7 @@ pub(crate) fn compile_gemm(
             let ra2 = w
                 .window(w.a)
                 .alloc("A-transposed-scratch", (m * k) as u64)?;
-            prepasses.push(transpose_plan(ra, ra2, m, k));
+            prepasses.push(transpose_plan(ra, ra2, m, k)?);
             plain_a_runtime(ra2.base, ra2.mode, mt, nt, kt, &a_bypass)
         }
     } else {
@@ -174,12 +175,11 @@ pub(crate) fn compile_gemm(
     };
 
     // --- B operand -------------------------------------------------------
-    let b_bytes = layout::pack_gemm_b(&data.b, k, n);
-    let rb = w.window(w.b).alloc("B", b_bytes.len() as u64)?;
+    let rb = w.window(w.b).alloc("B", (k * n) as u64)?;
     images.push(OperandImage {
         name: "B".into(),
         region: rb,
-        bytes: b_bytes,
+        layout: ImageLayout::GemmB { k, n },
     });
     let b_design = design_b(features, depths)?;
     let b_runtime = RuntimeConfig::builder()
@@ -190,12 +190,11 @@ pub(crate) fn compile_gemm(
         .build();
 
     // --- C operand (bias) ------------------------------------------------
-    let bias_bytes = layout::pack_bias(&data.bias);
-    let rbias = w.window(w.c).alloc("bias", bias_bytes.len() as u64)?;
+    let rbias = w.window(w.c).alloc("bias", (n * 4) as u64)?;
     images.push(OperandImage {
         name: "bias".into(),
         region: rbias,
-        bytes: bias_bytes,
+        layout: ImageLayout::Bias,
     });
     let c_design = design_c(features, depths)?;
     let c_runtime = if features.broadcaster {
@@ -212,11 +211,10 @@ pub(crate) fn compile_gemm(
         // host replicates it at load time (no runtime pass) — the cost is
         // the 8× memory footprint and the 8× read traffic during compute.
         let rcfull = w.window(w.c).alloc("C-materialized", (m * n * 4) as u64)?;
-        let full: Vec<i32> = (0..m * n).map(|i| data.bias[i % n]).collect();
         images.push(OperandImage {
             name: "C-materialized".into(),
             region: rcfull,
-            bytes: layout::pack_gemm_cd(&full, m, n),
+            layout: ImageLayout::GemmBiasRows { m, n },
         });
         RuntimeConfig::builder()
             .base(rcfull.base)
@@ -299,31 +297,34 @@ fn plain_a_runtime(
 
 /// Builds the explicit-transpose pre-pass: reads the blocked Aᵀ image and
 /// writes the blocked A image (byte-level tile transposition).
-fn transpose_plan(src: Region, dst: Region, m: usize, k: usize) -> CopyPlan {
-    let words = (m * k / T) as u64;
-    let reads: Vec<u64> = (0..words).map(|i| src.base + i * 8).collect();
+///
+/// Destination row `r` of A tile `(mt, kt)` is the next sequential write;
+/// its byte `c` is Aᵀ image byte `(kt·Mtiles + mt)·64 + c·8 + r`.
+fn transpose_plan(src: Region, dst: Region, m: usize, k: usize) -> Result<CopyPlan, CompileError> {
+    let words = m * k / T;
     let (mtiles, ktiles) = (m / T, k / T);
-    let mut writes = Vec::with_capacity(words as usize);
+    let mut writes = Vec::with_capacity(words);
+    let mut gathers = Vec::with_capacity(words * T);
     for mt_i in 0..mtiles {
         for kt_i in 0..ktiles {
             for r in 0..T {
-                let dst_addr = dst.base + ((mt_i * ktiles + kt_i) * T * T + r * T) as u64;
-                // Byte c of this A row is Aᵀ image byte
-                // (kt·Mtiles + mt)·64 + c·8 + r.
-                let gather: Vec<usize> = (0..T)
-                    .map(|c| (kt_i * mtiles + mt_i) * T * T + c * T + r)
-                    .collect();
-                writes.push((dst_addr, WriteSource::Gather(gather)));
+                writes.push(WriteSource::Gather(plan_index(gathers.len())?));
+                let row = (kt_i * mtiles + mt_i) * T * T + r;
+                for c in 0..T {
+                    gathers.push(plan_index(row + c * T)?);
+                }
             }
         }
     }
-    CopyPlan {
+    Ok(CopyPlan {
         name: "explicit-transpose".into(),
         read_mode: src.mode,
         write_mode: dst.mode,
-        reads,
+        reads: (0..words as u64).map(|i| src.base + i * 8).collect(),
+        write_base: dst.base,
         writes,
-    }
+        gathers,
+    })
 }
 
 /// Lowers a convolution workload.
@@ -361,12 +362,17 @@ pub(crate) fn compile_conv(
     let mut prepasses = Vec::new();
 
     // --- A operand (input activations) -----------------------------------
-    let in_bytes = layout::pack_conv_input(&data.a, h, w_in, spec.c_in);
-    let rin = w.window(w.a).alloc("input", in_bytes.len() as u64)?;
+    let rin = w
+        .window(w.a)
+        .alloc("input", (h * w_in * spec.c_in) as u64)?;
     images.push(OperandImage {
         name: "input".into(),
         region: rin,
-        bytes: in_bytes,
+        layout: ImageLayout::ConvInput {
+            h,
+            w: w_in,
+            c: spec.c_in,
+        },
     });
     let a_design = design_a(features, depths)?;
     let a_bypass: Vec<bool> = if features.transposer {
@@ -409,7 +415,7 @@ pub(crate) fn compile_conv(
         // Explicit im2col pre-pass into a stream-ordered tile image.
         let im2col_len = (oh * ow * spec.c_in * kh * kw) as u64;
         let rim = w.window(w.a).alloc("im2col-scratch", im2col_len)?;
-        prepasses.push(im2col_plan(&spec, rin, rim, sx, sy));
+        prepasses.push(im2col_plan(&spec, rin, rim, sx, sy)?);
         let kappa_t = k_steps;
         RuntimeConfig::builder()
             .base(rim.base)
@@ -429,12 +435,18 @@ pub(crate) fn compile_conv(
     };
 
     // --- B operand (weights) ----------------------------------------------
-    let b_bytes = layout::pack_conv_weights(&data.b, spec.c_out, kh, kw, spec.c_in);
-    let rb = w.window(w.b).alloc("weights", b_bytes.len() as u64)?;
+    let rb = w
+        .window(w.b)
+        .alloc("weights", (spec.c_out * kh * kw * spec.c_in) as u64)?;
     images.push(OperandImage {
         name: "weights".into(),
         region: rb,
-        bytes: b_bytes,
+        layout: ImageLayout::ConvWeights {
+            c_out: spec.c_out,
+            kh,
+            kw,
+            c_in: spec.c_in,
+        },
     });
     let b_design = design_b(features, depths)?;
     let b_runtime = RuntimeConfig::builder()
@@ -462,12 +474,11 @@ pub(crate) fn compile_conv(
         .build();
 
     // --- C operand (bias) --------------------------------------------------
-    let bias_bytes = layout::pack_bias(&data.bias);
-    let rbias = w.window(w.c).alloc("bias", bias_bytes.len() as u64)?;
+    let rbias = w.window(w.c).alloc("bias", (spec.c_out * 4) as u64)?;
     images.push(OperandImage {
         name: "bias".into(),
         region: rbias,
-        bytes: bias_bytes,
+        layout: ImageLayout::Bias,
     });
     let c_design = design_c(features, depths)?;
     let c_runtime = if features.broadcaster {
@@ -484,13 +495,14 @@ pub(crate) fn compile_conv(
         let rcfull = w
             .window(w.c)
             .alloc("C-materialized", (oh * ow * spec.c_out * 4) as u64)?;
-        let full: Vec<i32> = (0..oh * ow * spec.c_out)
-            .map(|i| data.bias[i % spec.c_out])
-            .collect();
         images.push(OperandImage {
             name: "C-materialized".into(),
             region: rcfull,
-            bytes: layout::pack_conv_out_i32(&full, oh, ow, spec.c_out),
+            layout: ImageLayout::ConvBiasPixels {
+                oh,
+                ow,
+                c_out: spec.c_out,
+            },
         });
         let mut spatial = vec![8, 16];
         spatial.extend(pixel_spatial_strides(sx, 32, ow as i64 * 32));
@@ -561,21 +573,61 @@ pub(crate) fn compile_conv(
     })
 }
 
+/// The DMA's reuse window: the last [`ReuseWindow::WORDS`] words it read,
+/// with their read numbers, evicted first in first out.
+struct ReuseWindow {
+    /// `(address, read number)` slots; `u64::MAX` marks an empty slot (no
+    /// word address reaches it).
+    slots: [(u64, u32); ReuseWindow::WORDS],
+    /// The slot the next read replaces: the oldest once the window is full.
+    next: usize,
+}
+
+impl ReuseWindow {
+    /// A line buffer, not a cache: it captures the heavy kx-overlap
+    /// between adjacent kernel columns but none of the ky / channel-block
+    /// reuse, so explicit im2col still pays most of its kh-fold read
+    /// amplification.
+    const WORDS: usize = 16;
+
+    fn new() -> Self {
+        ReuseWindow {
+            slots: [(u64::MAX, 0); Self::WORDS],
+            next: 0,
+        }
+    }
+
+    /// The read number of `addr` if the window holds it.
+    fn find(&self, addr: u64) -> Option<u32> {
+        self.slots
+            .iter()
+            .find(|&&(slot, _)| slot == addr)
+            .map(|&(_, idx)| idx)
+    }
+
+    /// Records read `idx` of `addr`, evicting the oldest word when full.
+    fn push(&mut self, addr: u64, idx: u32) {
+        self.slots[self.next] = (addr, idx);
+        self.next = (self.next + 1) % Self::WORDS;
+    }
+}
+
 /// Builds the explicit-im2col pre-pass: gathers input pixel blocks into a
 /// stream-ordered tile image (tile `(oy_t, ox_t, κ)` at
-/// `((oy_t·oxT + ox_t)·κT + κ)·64`, κ = kx + kw·(ky + kh·cin_t)).
-fn im2col_plan(spec: &ConvSpec, input: Region, dst: Region, sx: usize, sy: usize) -> CopyPlan {
+/// `((oy_t·oxT + ox_t)·κT + κ)·64`, κ = kx + kw·(ky + kh·cin_t)), one
+/// sequential write per pixel block.
+fn im2col_plan(
+    spec: &ConvSpec,
+    input: Region,
+    dst: Region,
+    sx: usize,
+    sy: usize,
+) -> Result<CopyPlan, CompileError> {
     let (oh, ow) = (spec.oh(), spec.ow());
     let (ox_tiles, oy_tiles) = (ow / sx, oh / sy);
     let (cin_t, kh, kw, s, h, w) = (spec.c_in / T, spec.kh, spec.kw, spec.stride, spec.h, spec.w);
     let kappa_total = cin_t * kh * kw;
-    // The DMA carries a small (16-word) reuse window — a line buffer, not a
-    // cache: it captures the heavy kx-overlap between adjacent kernel
-    // columns but none of the ky / channel-block reuse, so explicit im2col
-    // still pays most of its kh-fold read amplification.
-    const REUSE_WINDOW: usize = 16;
-    let mut window: std::collections::VecDeque<(u64, usize)> =
-        std::collections::VecDeque::with_capacity(REUSE_WINDOW);
+    let mut window = ReuseWindow::new();
     let mut reads = Vec::with_capacity(oy_tiles * ox_tiles * kappa_total * T);
     let mut writes = Vec::with_capacity(oy_tiles * ox_tiles * kappa_total * T);
     for oy_i in 0..oy_tiles {
@@ -583,41 +635,246 @@ fn im2col_plan(spec: &ConvSpec, input: Region, dst: Region, sx: usize, sy: usize
             for ci in 0..cin_t {
                 for ky in 0..kh {
                     for kx in 0..kw {
-                        let kappa = kx + kw * (ky + kh * ci);
-                        let tile = (oy_i * ox_tiles + ox_i) * kappa_total + kappa;
                         for p in 0..T {
                             let dx = p % sx;
                             let dy = p / sx;
                             let iy = (oy_i * sy + dy) * s + ky;
                             let ix = (ox_i * sx + dx) * s + kx;
                             let src = input.base + (((ci * h + iy) * w + ix) * T) as u64;
-                            let idx = match window.iter().find(|(a, _)| *a == src) {
-                                Some(&(_, idx)) => idx,
+                            let idx = match window.find(src) {
+                                Some(idx) => idx,
                                 None => {
-                                    let idx = reads.len();
+                                    let idx = plan_index(reads.len())?;
                                     reads.push(src);
-                                    if window.len() == REUSE_WINDOW {
-                                        window.pop_front();
-                                    }
-                                    window.push_back((src, idx));
+                                    window.push(src, idx);
                                     idx
                                 }
                             };
-                            writes.push((
-                                dst.base + (tile * T * T + p * T) as u64,
-                                WriteSource::Word(idx),
-                            ));
+                            writes.push(WriteSource::Word(idx));
                         }
                     }
                 }
             }
         }
     }
-    CopyPlan {
+    // The window leaves fewer reads than writes: keep only what is used.
+    reads.shrink_to_fit();
+    Ok(CopyPlan {
         name: "explicit-im2col".into(),
         read_mode: input.mode,
         write_mode: dst.mode,
         reads,
+        write_base: dst.base,
         writes,
+        gathers: Vec::new(),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile;
+    use dm_mem::AddressingMode;
+    use dm_sim::SplitMix64;
+    use dm_workloads::synthetic_suite;
+    use std::collections::VecDeque;
+
+    /// A pre-pass as one word list: per write, its address and the offset
+    /// into the concatenated read words of each of its bytes.
+    type WordList = (Vec<u64>, Vec<(u64, Vec<usize>)>);
+
+    /// The word list a compact plan stands for.
+    fn expand(plan: &CopyPlan) -> WordList {
+        let writes = (0..)
+            .zip(&plan.writes)
+            .map(|(i, &source)| {
+                (
+                    plan.write_addr(i, T),
+                    plan.source_bytes(source, T).collect(),
+                )
+            })
+            .collect();
+        (plan.reads.clone(), writes)
+    }
+
+    /// Reference explicit transpose: every write listed with its address
+    /// and its own gather vector.
+    fn transpose_oracle(src: Region, dst: Region, m: usize, k: usize) -> WordList {
+        let words = (m * k / T) as u64;
+        let reads: Vec<u64> = (0..words).map(|i| src.base + i * 8).collect();
+        let (mtiles, ktiles) = (m / T, k / T);
+        let mut writes = Vec::new();
+        for mt_i in 0..mtiles {
+            for kt_i in 0..ktiles {
+                for r in 0..T {
+                    let dst_addr = dst.base + ((mt_i * ktiles + kt_i) * T * T + r * T) as u64;
+                    let gather: Vec<usize> = (0..T)
+                        .map(|c| (kt_i * mtiles + mt_i) * T * T + c * T + r)
+                        .collect();
+                    writes.push((dst_addr, gather));
+                }
+            }
+        }
+        (reads, writes)
+    }
+
+    /// Reference explicit im2col: the 16-word reuse window as a
+    /// `VecDeque` scanned front to back, every write listed with its
+    /// address.
+    fn im2col_oracle(
+        spec: &ConvSpec,
+        input: Region,
+        dst: Region,
+        sx: usize,
+        sy: usize,
+    ) -> WordList {
+        let (oh, ow) = (spec.oh(), spec.ow());
+        let (ox_tiles, oy_tiles) = (ow / sx, oh / sy);
+        let (cin_t, kh, kw, s, h, w) =
+            (spec.c_in / T, spec.kh, spec.kw, spec.stride, spec.h, spec.w);
+        let kappa_total = cin_t * kh * kw;
+        let mut window: VecDeque<(u64, usize)> = VecDeque::with_capacity(16);
+        let mut reads = Vec::new();
+        let mut writes = Vec::new();
+        for oy_i in 0..oy_tiles {
+            for ox_i in 0..ox_tiles {
+                for ci in 0..cin_t {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let kappa = kx + kw * (ky + kh * ci);
+                            let tile = (oy_i * ox_tiles + ox_i) * kappa_total + kappa;
+                            for p in 0..T {
+                                let iy = (oy_i * sy + p / sx) * s + ky;
+                                let ix = (ox_i * sx + p % sx) * s + kx;
+                                let src = input.base + (((ci * h + iy) * w + ix) * T) as u64;
+                                let idx = match window.iter().find(|(a, _)| *a == src) {
+                                    Some(&(_, idx)) => idx,
+                                    None => {
+                                        let idx = reads.len();
+                                        reads.push(src);
+                                        if window.len() == 16 {
+                                            window.pop_front();
+                                        }
+                                        window.push_back((src, idx));
+                                        idx
+                                    }
+                                };
+                                let addr = dst.base + (tile * T * T + p * T) as u64;
+                                writes.push((addr, (idx * T..(idx + 1) * T).collect()));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (reads, writes)
+    }
+
+    /// The destination region a compiled plan writes.
+    fn destination(plan: &CopyPlan) -> Region {
+        Region {
+            base: plan.write_base,
+            len: (plan.writes.len() * T) as u64,
+            mode: plan.write_mode,
+        }
+    }
+
+    #[test]
+    fn compact_plans_expand_to_the_fig7_word_lists() {
+        let mem = MemConfig::default();
+        let mut checked = [0usize; 2];
+        for (seed, workload) in synthetic_suite().into_iter().enumerate().step_by(5) {
+            let data = WorkloadData::generate(workload, seed as u64);
+            for step in 1..=4 {
+                let features = FeatureSet::ablation_step(step);
+                let program = compile(&data, &features, &mem, true, BufferDepths::default())
+                    .expect("the fig7 slice compiles");
+                let src = program.images[0].region;
+                for plan in &program.prepasses {
+                    let oracle = match workload {
+                        Workload::Gemm(g) => {
+                            checked[0] += 1;
+                            transpose_oracle(src, destination(plan), g.m, g.k)
+                        }
+                        Workload::Conv(c) => {
+                            checked[1] += 1;
+                            // Steps ①–④ lack mode switching: one linear space.
+                            let (sx, sy) = choose_pixel_tiling(&c, mem.num_banks())
+                                .expect("compiled, so tiled");
+                            im2col_oracle(&c, src, destination(plan), sx, sy)
+                        }
+                        Workload::Pool(_) => unreachable!("pooling needs no pre-pass"),
+                    };
+                    assert!(
+                        expand(plan) == oracle,
+                        "{workload} step {step}: {}",
+                        plan.name
+                    );
+                }
+            }
+        }
+        assert!(
+            checked.iter().all(|&n| n > 0),
+            "both passes covered: {checked:?}"
+        );
+    }
+
+    #[test]
+    fn compact_plans_expand_to_seeded_word_lists() {
+        let mut rng = SplitMix64::new(0x1a2c);
+        let mut draw = |lo: i64, hi: i64| rng.between(lo, hi) as usize;
+        let region = |base: usize, mode| Region {
+            base: base as u64 * 8,
+            len: 0,
+            mode,
+        };
+        let grouped = AddressingMode::GroupedInterleaved { group_banks: 8 };
+        for case in 0..48 {
+            let (m, k) = (8 * draw(1, 8), 8 * draw(1, 8));
+            let (src, dst) = (region(draw(0, 64), grouped), region(draw(64, 128), grouped));
+            let plan = transpose_plan(src, dst, m, k).unwrap();
+            assert!(
+                expand(&plan) == transpose_oracle(src, dst, m, k),
+                "case {case}: transpose {m}x{k}"
+            );
+
+            let (sx, s, kh, kw) = (1 << draw(0, 3), draw(1, 2), draw(1, 5), draw(1, 5));
+            let sy = T / sx;
+            let (oh, ow) = (sy * draw(1, 3), sx * draw(1, 3));
+            let spec = ConvSpec::new(
+                (oh - 1) * s + kh,
+                (ow - 1) * s + kw,
+                8 * draw(1, 3),
+                8 * draw(1, 2),
+                kh,
+                kw,
+                s,
+            );
+            let (input, dst) = (
+                region(draw(0, 64), grouped),
+                region(draw(4096, 8192), grouped),
+            );
+            let plan = im2col_plan(&spec, input, dst, sx, sy).unwrap();
+            assert!(
+                expand(&plan) == im2col_oracle(&spec, input, dst, sx, sy),
+                "case {case}: im2col {spec} at {sx}x{sy}"
+            );
+        }
+    }
+
+    #[test]
+    fn writes_are_plain_data() {
+        assert!(std::mem::size_of::<WriteSource>() <= 8);
+        // A `Copy` type owns no heap allocation, so no write allocates.
+        fn plain<S: Copy>() {}
+        plain::<WriteSource>();
+    }
+
+    #[test]
+    fn plan_indices_beyond_32_bits_are_a_typed_error() {
+        let max = usize::try_from(u32::MAX).expect("a 64-bit host");
+        assert_eq!(plan_index(max), Ok(u32::MAX));
+        let index = max + 1;
+        assert_eq!(plan_index(index), Err(CompileError::PlanIndex { index }));
     }
 }

@@ -22,7 +22,7 @@ use crate::designs::{design_a, design_b, design_c, design_e, BufferDepths};
 use crate::error::CompileError;
 use crate::features::FeatureSet;
 use crate::placement::{BankWindow, Region};
-use crate::program::{CompiledWorkload, OperandImage, StreamPlan};
+use crate::program::{CompiledWorkload, ImageLayout, OperandImage, StreamPlan};
 
 const T: usize = 8;
 
@@ -50,7 +50,8 @@ fn slice_regions(
 /// Returns [`CompileError::Unsupported`] for transposed GeMM (the slice
 /// transform composes poorly with the Transposer demo) or when the memory
 /// has fewer than 28 banks; [`CompileError::Placement`] when a slice
-/// exceeds its private bank — the NIMA tiling constraint.
+/// exceeds its private bank — the NIMA tiling constraint;
+/// [`CompileError::InputLength`] when an operand does not match the shape.
 pub fn compile_gemm_private_banks(
     data: &WorkloadData,
     features: &FeatureSet,
@@ -62,6 +63,7 @@ pub fn compile_gemm_private_banks(
             reason: "private-bank placement is implemented for GeMM".into(),
         });
     };
+    crate::check_operands(data.workload, data)?;
     if spec.transposed_a {
         return Err(CompileError::Unsupported {
             reason: "private-bank placement does not support transposed A".into(),
@@ -84,18 +86,10 @@ pub fn compile_gemm_private_banks(
     // --- A: bank r holds tile-row r of every tile, ordered (mt, kt) -----
     let a_regions = slice_regions(mem, 0, T, (m * k / T) as u64, "A")?;
     for (r, region) in a_regions.iter().enumerate() {
-        let mut bytes = Vec::with_capacity(m * k / T);
-        for mt_i in 0..mt {
-            for kt_i in 0..kt {
-                for col in 0..T {
-                    bytes.push(data.a[(mt_i * T + r) * k + kt_i * T + col] as u8);
-                }
-            }
-        }
         images.push(OperandImage {
             name: format!("A[{r}]"),
             region: *region,
-            bytes,
+            layout: ImageLayout::ATileRow { r, m, k },
         });
     }
     let a_design = design_a(features, depths)?;
@@ -115,18 +109,10 @@ pub fn compile_gemm_private_banks(
     // --- B: bank 8+r holds B's tile-row r, ordered (kt, nt) -------------
     let b_regions = slice_regions(mem, 8, T, (k * n / T) as u64, "B")?;
     for (r, region) in b_regions.iter().enumerate() {
-        let mut bytes = Vec::with_capacity(k * n / T);
-        for kt_i in 0..kt {
-            for nt_i in 0..nt {
-                for col in 0..T {
-                    bytes.push(data.b[(kt_i * T + r) * n + nt_i * T + col] as u8);
-                }
-            }
-        }
         images.push(OperandImage {
             name: format!("B[{r}]"),
             region: *region,
-            bytes,
+            layout: ImageLayout::BTileRow { r, k, n },
         });
     }
     let b_design = design_b(features, depths)?;
@@ -145,17 +131,10 @@ pub fn compile_gemm_private_banks(
     }
     let c_regions = slice_regions(mem, 16, 4, (nt * T) as u64, "bias")?;
     for (j, region) in c_regions.iter().enumerate() {
-        let mut bytes = Vec::with_capacity(nt * T);
-        for nt_i in 0..nt {
-            for half in 0..2 {
-                let value = data.bias[nt_i * T + j * 2 + half];
-                bytes.extend_from_slice(&value.to_le_bytes());
-            }
-        }
         images.push(OperandImage {
             name: format!("bias[{j}]"),
             region: *region,
-            bytes,
+            layout: ImageLayout::BiasLane { j, n },
         });
     }
     let c_design = design_c(features, depths)?;
@@ -254,7 +233,7 @@ mod tests {
             .unwrap();
         for (i, img) in p.images.iter().enumerate() {
             let remap = AddressRemapper::new(&m, img.region.mode).unwrap();
-            let banks: std::collections::HashSet<usize> = (0..img.bytes.len() as u64 / 8)
+            let banks: std::collections::HashSet<usize> = (0..img.region.len / 8)
                 .map(|w| remap.map_word((img.region.base + w * 8) / 8).bank)
                 .collect();
             assert_eq!(banks.len(), 1, "image {i} spans multiple banks");

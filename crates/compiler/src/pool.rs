@@ -16,28 +16,25 @@
 use datamaestro::{DesignConfig, RuntimeConfig, StreamerMode};
 use dm_accel::RescaleParams;
 use dm_mem::MemConfig;
-use dm_workloads::{layout, PoolSpec, Workload, WorkloadData};
+use dm_workloads::{PoolSpec, Workload};
 
 use crate::designs::{pixel_spatial_strides, BufferDepths};
 use crate::error::CompileError;
 use crate::features::FeatureSet;
 use crate::lower::choose_pixel_tiling;
 use crate::placement::BankWindow;
-use crate::program::{CompiledWorkload, OperandImage, StreamPlan};
+use crate::program::{CompiledWorkload, ImageLayout, OperandImage, StreamPlan};
 
-/// Lowers a pooling workload over its channels-last input tensor,
-/// `data.a`: one operand reader (A) and the writer, `k²` window steps per
-/// output tile.
+/// Lowers a pooling workload over its channels-last input tensor: one
+/// operand reader (A) and the writer, `k²` window steps per output tile.
 ///
 /// # Errors
 ///
 /// [`CompileError::Unsupported`] for an int32 output (`quantized` off):
-/// the max unit has no int32 path. [`CompileError::InputLength`] if
-/// `data.a` does not hold `h·w·c` values, and [`CompileError`] on placement
+/// the max unit has no int32 path, and [`CompileError`] on placement
 /// failure or unmappable geometry.
 pub(crate) fn compile_pool(
     spec: PoolSpec,
-    data: &WorkloadData,
     features: &FeatureSet,
     mem: &MemConfig,
     quantized: bool,
@@ -47,14 +44,6 @@ pub(crate) fn compile_pool(
         return Err(CompileError::Unsupported {
             reason: "max pooling yields int8 tiles; the max unit has no int32 output path"
                 .to_owned(),
-        });
-    }
-    let input = &data.a;
-    let expected = spec.h * spec.w * spec.c;
-    if input.len() != expected {
-        return Err(CompileError::InputLength {
-            expected,
-            got: input.len(),
         });
     }
     let group_banks = if features.addr_mode_switching {
@@ -78,26 +67,26 @@ pub(crate) fn compile_pool(
 
     // Placement: input in the first bank group, output in the second (or
     // both in one linear space without mode switching).
-    let in_bytes = layout::pack_conv_input(input, h, w, spec.c);
+    let in_len = (h * w * spec.c) as u64;
     let (rin, rout) = if features.addr_mode_switching {
         let quarter = (mem.num_banks() / 4).max(1);
         let mut win_a = BankWindow::grouped(mem, 0, quarter)?;
         let mut win_out = BankWindow::grouped(mem, quarter, quarter)?;
         (
-            win_a.alloc("pool-input", in_bytes.len() as u64)?,
+            win_a.alloc("pool-input", in_len)?,
             win_out.alloc("pool-output", (oh * ow * spec.c) as u64)?,
         )
     } else {
         let mut linear = BankWindow::linear(mem);
         (
-            linear.alloc("pool-input", in_bytes.len() as u64)?,
+            linear.alloc("pool-input", in_len)?,
             linear.alloc("pool-output", (oh * ow * spec.c) as u64)?,
         )
     };
     let images = vec![OperandImage {
         name: "pool-input".into(),
         region: rin,
-        bytes: in_bytes,
+        layout: ImageLayout::ConvInput { h, w, c: spec.c },
     }];
 
     let a_design = DesignConfig::builder("pool-in", StreamerMode::Read)
@@ -160,18 +149,16 @@ pub(crate) fn compile_pool(
 mod tests {
     use super::*;
 
-    fn compile(spec: PoolSpec, value: i8) -> CompiledWorkload {
-        let mut data = WorkloadData::generate(spec.into(), 0);
-        data.a = vec![value; spec.h * spec.w * spec.c];
+    fn compile(spec: PoolSpec) -> CompiledWorkload {
         let mem = MemConfig::new(32, 8, 4096).unwrap();
         let features = FeatureSet::full();
-        compile_pool(spec, &data, &features, &mem, true, BufferDepths::default()).unwrap()
+        compile_pool(spec, &features, &mem, true, BufferDepths::default()).unwrap()
     }
 
     #[test]
     fn pool_lowering_shapes() {
         let spec = PoolSpec::new(16, 16, 16, 2, 2);
-        let p = compile(spec, 0);
+        let p = compile(spec);
         assert_eq!(p.k_steps, 4);
         assert_eq!(p.total_output_tiles, (2 * 8)); // cb=2, ox_t·oy_t = 8
         assert_eq!(p.readers.len(), 1, "A is the only operand reader");
@@ -184,7 +171,7 @@ mod tests {
 
     #[test]
     fn pool_uses_disjoint_groups_with_switching() {
-        let p = compile(PoolSpec::new(10, 10, 8, 3, 1), 1);
+        let p = compile(PoolSpec::new(10, 10, 8, 3, 1));
         assert_ne!(
             p.images[0].region.mode,
             dm_mem::AddressingMode::FullyInterleaved

@@ -867,7 +867,9 @@ mod tests {
             out,
             k_steps: program.k_steps,
             tiles: program.total_output_tiles,
-            expected: executor::execute(&config.mem, &program).unwrap().tiles,
+            expected: executor::execute(&config.mem, &program, &data)
+                .unwrap()
+                .tiles,
         }
     }
 

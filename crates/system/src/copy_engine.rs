@@ -137,9 +137,9 @@ impl CopyEngine {
             // Issue writes whose dependencies have landed.
             for (ch, port) in self.write_ports.iter().enumerate() {
                 if write_pending[ch].is_none() && next_write < plan.writes.len() {
-                    let (addr, source) = &plan.writes[next_write];
-                    if sources_landed(source, &landed, word) {
-                        write_pending[ch] = Some(*addr);
+                    let source = plan.writes[next_write];
+                    if sources_landed(plan, source, &landed, word) {
+                        write_pending[ch] = Some(plan.write_addr(next_write, word));
                         next_write += 1;
                     }
                 }
@@ -207,10 +207,12 @@ impl CopyEngine {
 }
 
 /// `true` once every read a write word is built from has landed.
-fn sources_landed(source: &WriteSource, landed: &[bool], word: usize) -> bool {
+fn sources_landed(plan: &CopyPlan, source: WriteSource, landed: &[bool], word: usize) -> bool {
     match source {
-        WriteSource::Word(i) => landed[*i],
-        WriteSource::Gather(offsets) => offsets.iter().all(|&off| landed[off / word]),
+        WriteSource::Word(i) => landed[i as usize],
+        WriteSource::Gather(_) => plan
+            .source_bytes(source, word)
+            .all(|off| landed[off / word]),
     }
 }
 
@@ -254,9 +256,9 @@ mod tests {
             read_mode: fima(),
             write_mode: fima(),
             reads: vec![0, 8, 16, 24],
-            writes: (0..4)
-                .map(|i| (1024 + i * 8, WriteSource::Word(i as usize)))
-                .collect(),
+            write_base: 1024,
+            writes: (0..4).map(WriteSource::Word).collect(),
+            gathers: Vec::new(),
         };
         let stats = run(&mut mem, &mut engine, &mut pad, &plan);
         assert_eq!(stats.words_read, 4);
@@ -277,13 +279,14 @@ mod tests {
         )
         .unwrap();
         // Interleave bytes of the two source words.
-        let gather: Vec<usize> = vec![0, 8, 1, 9, 2, 10, 3, 11];
         let plan = CopyPlan {
             name: "shuffle".into(),
             read_mode: fima(),
             write_mode: fima(),
             reads: vec![0, 8],
-            writes: vec![(512, WriteSource::Gather(gather))],
+            write_base: 512,
+            writes: vec![WriteSource::Gather(0)],
+            gathers: vec![0, 8, 1, 9, 2, 10, 3, 11],
         };
         run(&mut mem, &mut engine, &mut pad, &plan);
         let out = pad.host_read(&remap, Addr::new(512), 8).unwrap();
@@ -300,9 +303,9 @@ mod tests {
             read_mode: fima(),
             write_mode: fima(),
             reads: vec![0],
-            writes: (0..16)
-                .map(|i| (256 + i * 8, WriteSource::Word(0)))
-                .collect(),
+            write_base: 256,
+            writes: vec![WriteSource::Word(0); 16],
+            gathers: Vec::new(),
         };
         let stats = run(&mut mem, &mut engine, &mut pad, &plan);
         assert_eq!(stats.words_read, 1);
@@ -323,7 +326,9 @@ mod tests {
             read_mode: fima(),
             write_mode: nima,
             reads: vec![0],
-            writes: vec![(2048, WriteSource::Word(0))],
+            write_base: 2048,
+            writes: vec![WriteSource::Word(0)],
+            gathers: Vec::new(),
         };
         run(&mut mem, &mut engine, &mut pad, &plan);
         let out = pad.host_read(&remap_nima, Addr::new(2048), 8).unwrap();
@@ -338,7 +343,9 @@ mod tests {
             read_mode: fima(),
             write_mode: fima(),
             reads: vec![],
+            write_base: 0,
             writes: vec![],
+            gathers: Vec::new(),
         };
         let stats = engine.run(&mut mem, &plan).unwrap();
         assert_eq!(stats.cycles, 0);
@@ -359,9 +366,9 @@ mod tests {
                 read_mode: fima(),
                 write_mode: fima(),
                 reads: vec![0, 8, 16, 24],
-                writes: (0..4)
-                    .map(|i| (1024 + i * 8, WriteSource::Word(i as usize)))
-                    .collect(),
+                write_base: 1024,
+                writes: (0..4).map(WriteSource::Word).collect(),
+                gathers: Vec::new(),
             };
             let stats = engine.run(&mut mem, &plan).unwrap();
             (stats, mem.cycle(), *mem.stats())
@@ -384,9 +391,9 @@ mod tests {
             read_mode: nima,
             write_mode: nima,
             reads: (0..8u64).map(|i| i * 8).collect(),
-            writes: (0..8)
-                .map(|i| (256 + i * 8, WriteSource::Word(i as usize)))
-                .collect(),
+            write_base: 256,
+            writes: (0..8).map(WriteSource::Word).collect(),
+            gathers: Vec::new(),
         };
         let stats = engine.run(&mut mem, &plan).unwrap();
         // 16 single-bank operations need at least 16 cycles.

@@ -4,8 +4,9 @@
 //! arbitration depends only on those addresses, and no operand value steers
 //! control — the paper's decoupled access/execute split. So the cycle loop
 //! carries header tokens only, and this module produces the bytes: it walks
-//! the compiled program in program order over a [`Scratchpad`]. It preloads
-//! the operand images, applies the prepass [`CopyPlan`]s, then for every PE
+//! the compiled program in program order over a [`Scratchpad`]. It packs
+//! the operand images from the run's [`WorkloadData`] and preloads them,
+//! applies the prepass [`CopyPlan`]s, then for every PE
 //! fire reads the operand words and writes the result words through each
 //! [`StreamPlan`]'s own [`bind_pattern`] binding — its AGUs, its
 //! [`AddressRemapper`] and its extension cascade — around
@@ -26,10 +27,10 @@
 
 use datamaestro::{bind_pattern, ExtensionScratch, StreamBinding};
 use dm_accel::{GemmArrayConfig, GemmDatapath, Quantizer};
-use dm_compiler::{CompiledWorkload, CopyPlan, OperandImage, Region, StreamPlan, WriteSource};
+use dm_compiler::{check_operands, CompiledWorkload, CopyPlan, Region, StreamPlan};
 use dm_mem::{Addr, AddressRemapper, BankLocation, MemConfig, Scratchpad};
 use dm_sim::{OperandPort, Port};
-use dm_workloads::Workload;
+use dm_workloads::{Workload, WorkloadData};
 
 use crate::error::SystemError;
 
@@ -227,12 +228,22 @@ pub(crate) struct Execution {
     pub(crate) tiles: Vec<u64>,
 }
 
-/// A scratchpad holding the host-preloaded operand images.
-fn preloaded(mem: &MemConfig, images: &[OperandImage]) -> Result<Scratchpad, SystemError> {
+/// A scratchpad holding `program`'s operand images, packed from `data`
+/// and host-preloaded.
+fn preloaded(
+    mem: &MemConfig,
+    program: &CompiledWorkload,
+    data: &WorkloadData,
+) -> Result<Scratchpad, SystemError> {
+    check_operands(program.workload, data)?;
     let mut pad = Scratchpad::new(*mem);
-    for image in images {
+    for image in &program.images {
         let remap = AddressRemapper::new(mem, image.region.mode)?;
-        pad.host_write(&remap, Addr::new(image.region.base), &image.bytes)?;
+        pad.host_write(
+            &remap,
+            Addr::new(image.region.base),
+            &image.layout.pack(data),
+        )?;
     }
     Ok(pad)
 }
@@ -252,16 +263,11 @@ pub(crate) fn apply_copy(pad: &mut Scratchpad, plan: &CopyPlan) -> Result<(), Sy
         words.extend_from_slice(pad.read_row(loc));
     }
     let mut word = vec![0; width];
-    for (addr, source) in &plan.writes {
-        match source {
-            WriteSource::Word(i) => word.copy_from_slice(&words[i * width..][..width]),
-            WriteSource::Gather(offsets) => {
-                for (byte, &off) in word.iter_mut().zip(offsets) {
-                    *byte = words[off];
-                }
-            }
+    for (i, &source) in plan.writes.iter().enumerate() {
+        for (byte, off) in word.iter_mut().zip(plan.source_bytes(source, width)) {
+            *byte = words[off];
         }
-        let loc = write_remap.map_byte(Addr::new(*addr))?;
+        let loc = write_remap.map_byte(Addr::new(plan.write_addr(i, width)))?;
         fp.write(loc);
         pad.write_row_full(loc, &word);
     }
@@ -328,13 +334,15 @@ impl Unit {
 /// # Errors
 ///
 /// [`SystemError::FootprintOverlap`] if a prepass or the compute phase
-/// writes a word it also reads; configuration and memory errors as
-/// [`run_compiled`](crate::run_compiled) reports them.
+/// writes a word it also reads; [`SystemError::Compile`] if an operand of
+/// `data` does not match the program's shape; configuration and memory
+/// errors as [`run_compiled`](crate::run_compiled) reports them.
 pub(crate) fn execute(
     mem: &MemConfig,
     program: &CompiledWorkload,
+    data: &WorkloadData,
 ) -> Result<Execution, SystemError> {
-    let mut pad = preloaded(mem, &program.images)?;
+    let mut pad = preloaded(mem, program, data)?;
     for plan in &program.prepasses {
         apply_copy(&mut pad, plan)?;
     }
@@ -375,8 +383,8 @@ pub(crate) fn execute(
 mod tests {
     use super::*;
     use crate::system::SystemConfig;
-    use dm_compiler::compile;
-    use dm_workloads::{GemmSpec, WorkloadData};
+    use dm_compiler::{compile, CompileError};
+    use dm_workloads::GemmSpec;
 
     /// The word addresses of every wide word `plan` moves, in order.
     fn words(plan: &StreamPlan, mem: &MemConfig) -> Vec<Vec<u64>> {
@@ -448,7 +456,7 @@ mod tests {
         let data = WorkloadData::generate(GemmSpec::new(16, 16, 32).into(), 5);
         let program = compile(&data, &config.features, &config.mem, true, config.depths).unwrap();
         assert_eq!(program.k_steps, 4);
-        let execution = execute(&config.mem, &program).unwrap();
+        let execution = execute(&config.mem, &program, &data).unwrap();
         assert_eq!(execution.tiles.len() as u64, program.total_output_tiles);
         let in_order = loop_digests(&program, &config.mem, (0, 0));
         assert_eq!(first_rejected(&execution.tiles, &in_order), None);
@@ -461,6 +469,121 @@ mod tests {
                 "swap {swap:?}"
             );
         }
+    }
+
+    /// The bytes the `dm_workloads::layout` packers give the operand image
+    /// `name` of a program compiled for `data`.
+    fn packed(name: &str, data: &WorkloadData) -> Vec<u8> {
+        use dm_workloads::layout;
+        let tile_rows = |bytes: Vec<u8>, r: usize| -> Vec<u8> {
+            bytes
+                .chunks_exact(64)
+                .flat_map(|t| t[r * 8..][..8].to_vec())
+                .collect()
+        };
+        let lane = |j: usize| -> Vec<u8> {
+            let bias = layout::pack_bias(&data.bias);
+            bias.chunks_exact(32)
+                .flat_map(|g| g[j * 8..][..8].to_vec())
+                .collect()
+        };
+        match (data.workload, name) {
+            (Workload::Gemm(g), "A") if g.transposed_a => {
+                layout::pack_gemm_a_transposed(&data.a, g.m, g.k)
+            }
+            (Workload::Gemm(g), "A") => layout::pack_gemm_a(&data.a, g.m, g.k),
+            (Workload::Gemm(g), "B") => layout::pack_gemm_b(&data.b, g.k, g.n),
+            (Workload::Gemm(g), "C-materialized") => {
+                let rows: Vec<i32> = (0..g.m).flat_map(|_| data.bias.clone()).collect();
+                layout::pack_gemm_cd(&rows, g.m, g.n)
+            }
+            (Workload::Conv(c), "input") => layout::pack_conv_input(&data.a, c.h, c.w, c.c_in),
+            (Workload::Conv(c), "weights") => {
+                layout::pack_conv_weights(&data.b, c.c_out, c.kh, c.kw, c.c_in)
+            }
+            (Workload::Conv(c), "C-materialized") => {
+                let pixels = c.oh() * c.ow();
+                let full: Vec<i32> = (0..pixels).flat_map(|_| data.bias.clone()).collect();
+                layout::pack_conv_out_i32(&full, c.oh(), c.ow(), c.c_out)
+            }
+            (Workload::Pool(p), "pool-input") => layout::pack_conv_input(&data.a, p.h, p.w, p.c),
+            (_, "bias") => layout::pack_bias(&data.bias),
+            (Workload::Gemm(g), slice) => {
+                let (operand, index) = slice.trim_end_matches(']').split_once('[').unwrap();
+                let index: usize = index.parse().unwrap();
+                match operand {
+                    "A" => tile_rows(layout::pack_gemm_a(&data.a, g.m, g.k), index),
+                    "B" => tile_rows(layout::pack_gemm_b(&data.b, g.k, g.n), index),
+                    "bias" => lane(index),
+                    other => panic!("no operand {other}"),
+                }
+            }
+            other => panic!("no packer for {other:?}"),
+        }
+    }
+
+    /// Programs describe shapes: two seeds of one workload compile to
+    /// equal programs at every ablation step, and the images the executor
+    /// preloads are the layout packers' bytes of the run's own operands.
+    #[test]
+    fn programs_are_value_free_and_pack_at_execution() {
+        use dm_compiler::{compile_gemm_private_banks, FeatureSet};
+        use dm_workloads::{ConvSpec, PoolSpec};
+        let mem = SystemConfig::default().mem;
+        let workloads: [Workload; 5] = [
+            GemmSpec::new(16, 24, 32).into(),
+            GemmSpec::transposed(24, 16, 16).into(),
+            ConvSpec::new(10, 10, 16, 8, 3, 3, 1).into(),
+            ConvSpec::new(9, 9, 8, 16, 3, 3, 2).into(),
+            PoolSpec::new(10, 10, 8, 3, 1).into(),
+        ];
+        for step in 1..=6 {
+            let features = FeatureSet::ablation_step(step);
+            let depths = SystemConfig::default().depths;
+            let nima =
+                |data: &WorkloadData| compile_gemm_private_banks(data, &features, &mem, depths);
+            let compiled = |data: &WorkloadData| compile(data, &features, &mem, true, depths);
+            type Compiler<'a> = &'a dyn Fn(&WorkloadData) -> Result<CompiledWorkload, CompileError>;
+            let cases = workloads
+                .iter()
+                .map(|&w| (w, &compiled as Compiler<'_>))
+                // The NIMA placement needs the Broadcaster C port.
+                .chain(
+                    features
+                        .broadcaster
+                        .then_some((workloads[0], &nima as Compiler<'_>)),
+                );
+            for (workload, compiler) in cases {
+                let [data, other] = [1, 2].map(|seed| WorkloadData::generate(workload, seed));
+                let program = compiler(&data).unwrap();
+                assert_eq!(compiler(&other).unwrap(), program, "{workload} step {step}");
+                let pad = preloaded(&mem, &program, &data).unwrap();
+                for image in &program.images {
+                    let remap = AddressRemapper::new(&mem, image.region.mode).unwrap();
+                    let len = image.region.len as usize;
+                    let got = pad.host_read(&remap, Addr::new(image.region.base), len);
+                    assert_eq!(
+                        got.unwrap(),
+                        packed(&image.name, &data),
+                        "{workload} step {step}: {}",
+                        image.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// The run's operands must match the program's shape.
+    #[test]
+    fn operands_of_another_shape_are_rejected() {
+        let config = SystemConfig::default();
+        let data = WorkloadData::generate(GemmSpec::new(16, 16, 16).into(), 1);
+        let program = compile(&data, &config.features, &config.mem, true, config.depths).unwrap();
+        let other = WorkloadData::generate(GemmSpec::new(16, 16, 8).into(), 1);
+        assert!(matches!(
+            execute(&config.mem, &program, &other),
+            Err(SystemError::Compile(CompileError::InputLength { .. }))
+        ));
     }
 
     #[test]

@@ -93,7 +93,9 @@ mod tests {
             read_mode: AddressingMode::FullyInterleaved,
             write_mode: AddressingMode::FullyInterleaved,
             reads: (0..8).map(|i| base + 256 * i).collect(),
-            writes: vec![(base + 8, WriteSource::Word(0))],
+            write_base: base + 8,
+            writes: vec![WriteSource::Word(0)],
+            gathers: Vec::new(),
         });
         let report = run_compiled(&cfg, &data, &program).unwrap();
         // The eighth grant comes at cycle 7 and lands 16 cycles later.

@@ -414,7 +414,7 @@ pub fn run_compiled(
     // The data half of the run, in program order. It rejects a program
     // whose read and write footprints overlap before any cycle is timed.
     let execution = if config.check_output {
-        Some(executor::execute(&config.mem, program)?)
+        Some(executor::execute(&config.mem, program, data)?)
     } else {
         None
     };

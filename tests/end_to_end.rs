@@ -123,28 +123,37 @@ fn determinism_same_seed_same_report() {
 
 #[test]
 fn golden_checker_detects_wrong_outputs() {
-    // Negative test of the checker itself: compile a program from one
-    // data set but verify against another — the byte comparison must fail
-    // with OutputMismatch, proving the pass results are not vacuous.
-    use datamaestro_repro::compiler::{compile, BufferDepths};
+    // Negative test of the checker itself: a program whose A image is laid
+    // out as Aᵀ while its streams read plain A computes a wrong product —
+    // the byte comparison must fail with OutputMismatch, proving the pass
+    // results are not vacuous.
+    use datamaestro_repro::compiler::{compile, BufferDepths, ImageLayout};
     use datamaestro_repro::system::run_compiled;
 
     let cfg = SystemConfig::default();
     let data = WorkloadData::generate(GemmSpec::new(8, 8, 8).into(), 9);
     let other = WorkloadData::generate(GemmSpec::new(8, 8, 8).into(), 10);
-    let program = compile(
-        &data,
-        &cfg.features,
-        &cfg.mem,
-        cfg.quantized,
-        BufferDepths::default(),
-    )
-    .expect("compiles");
+    let compile = |data: &WorkloadData| {
+        compile(
+            data,
+            &cfg.features,
+            &cfg.mem,
+            cfg.quantized,
+            BufferDepths::default(),
+        )
+        .expect("compiles")
+    };
+    let program = compile(&data);
+    // Programs hold no operand values: any seed of the workload verifies.
+    assert_eq!(compile(&other), program);
+    assert!(run_compiled(&cfg, &other, &program).expect("runs").checked);
+    let mut wrong = program.clone();
+    wrong.images[0].layout = ImageLayout::GemmATransposed { m: 8, k: 8 };
     assert!(matches!(
-        run_compiled(&cfg, &other, &program),
+        run_compiled(&cfg, &data, &wrong),
         Err(SystemError::OutputMismatch { .. })
     ));
-    // …while the matching data verifies.
+    // …while the matching layout verifies.
     assert!(run_compiled(&cfg, &data, &program).expect("runs").checked);
 }
 

@@ -275,7 +275,7 @@ fn overlapping_prepass_footprints_are_rejected() {
         .first_mut()
         .expect("step 1 transposes explicitly");
     plan.write_mode = plan.read_mode;
-    plan.writes[0].0 = plan.reads[0];
+    plan.write_base = plan.reads[0];
     let name = format!("prepass:{}", plan.name);
     match run_compiled(&cfg, &data, &program) {
         Err(SystemError::FootprintOverlap { phase, .. }) => assert_eq!(phase, name),
