@@ -15,11 +15,11 @@
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
-use dm_mem::{AddressingMode, MemConfig};
+use dm_mem::{AddressingMode, BankMap, MemConfig};
 
 use crate::conflict::candidate_pairs;
 use crate::pattern::{BankSet, StreamSummary};
-use crate::walk::{Signatures, Space};
+use crate::walk::Signatures;
 
 /// Walk budget for the predicted-cycles score. Smaller than the conflict
 /// analyzer's cap (the advisor scores every legal mode of every stream);
@@ -84,8 +84,7 @@ pub fn score_mode(s: &StreamSummary, mode: AddressingMode, mem: &MemConfig) -> M
 /// `min(steps, cap)` steps, folded from the walk's proven period.
 pub(crate) fn predicted_cycles(s: &StreamSummary, g: u64, mem: &MemConfig, cap: u64) -> (u64, u64) {
     let walked = s.steps.min(cap);
-    let space = Space::new(1, s.capacity_words, g, g * mem.rows_per_bank() as u64);
-    let mut sigs = Signatures::new(space, &s.offsets_words);
+    let mut sigs = Signatures::new(BankMap::words(mem, g), &s.offsets_words);
     let ControlFlow::Continue(walk) =
         sigs.walk::<Infallible>(&s.nest(), walked, |_, _, _| ControlFlow::Continue(()));
     let per_bank = sigs.per_bank(&walk, walked, mem.num_banks());

@@ -1,7 +1,7 @@
 //! Bank-conflict prediction from the loop nest and the bit permutation.
 //!
 //! Under GIMA(g) the bank of word `w` is `(w / (g·rows))·g + (w mod g)`
-//! (see [`crate::pattern::bank_of_word`]). Two channels of one burst with
+//! ([`dm_mem::BankMap`]). Two channels of one burst with
 //! word-offset delta `d` can therefore collide only when
 //!
 //! 1. `d ≡ 0 (mod g)` — same bank *within* a group (independent of the
@@ -24,8 +24,10 @@
 
 use std::ops::ControlFlow;
 
+use dm_mem::BankMap;
+
 use crate::pattern::StreamSummary;
-use crate::walk::{Signatures, Space};
+use crate::walk::Signatures;
 
 /// Enumeration budget for confirming candidate collisions. Large enough
 /// for every fig7/table3 nest (≤ ~1 M steps); beyond it the verdict is
@@ -105,8 +107,8 @@ pub fn intra_burst(s: &StreamSummary) -> BurstVerdict {
     // first period repeats a signature of it, so a collision, if any,
     // first shows there, and a proven period whose first period is
     // collision-free clears every covered step without visiting it.
-    let space = Space::new(1, s.capacity_words, s.group, s.group_words);
-    let mut sigs = Signatures::new(space, &s.offsets_words);
+    let map = BankMap::new(1, s.capacity_words, s.group, s.group_words);
+    let mut sigs = Signatures::new(map, &s.offsets_words);
     let mut events: Vec<u64> = Vec::new();
     let first = sigs.walk(&s.nest(), s.steps.min(STEP_CAP), |step, id, banks| {
         if id as usize == events.len() {

@@ -221,8 +221,9 @@ mod tests {
     use crate::conflict;
     use crate::pattern::{hull_bank_set, summarize};
     use crate::period;
-    use crate::walk::{Signatures, Space};
+    use crate::walk::Signatures;
     use datamaestro::StreamerMode;
+    use dm_mem::BankMap;
     use dm_sim::SplitMix64;
 
     fn pick<T: Copy>(rng: &mut SplitMix64, items: &[T]) -> T {
@@ -457,8 +458,7 @@ mod tests {
     /// nest under GIMA(`g`), with its period and the minimal period of its
     /// first 16 enumerated steps.
     fn enumeration(s: &StreamSummary, g: u64, mem: &MemConfig) -> (u64, u64, u64) {
-        let space = Space::new(1, s.capacity_words, g, g * mem.rows_per_bank() as u64);
-        let mut sigs = Signatures::new(space, &s.offsets_words);
+        let mut sigs = Signatures::new(BankMap::words(mem, g), &s.offsets_words);
         let mut ids = Vec::new();
         let ControlFlow::Continue(walk) = sigs.walk::<()>(&s.nest(), s.steps, |_, id, _| {
             ids.push(id);

@@ -4,17 +4,17 @@
 //! advisor) works on a [`StreamSummary`]: the stream's loop nest reduced to
 //! word-granular quantities plus its *exact* byte footprint hull and the
 //! exact set of banks the hull can touch under the stream's addressing
-//! mode. All arithmetic is checked (`i128` accumulation), mirroring the
-//! `PatternTooLarge` / `PatternOutOfBounds` machinery of the dynamic
-//! binder but without constructing an AGU (which asserts instead of
-//! reporting).
+//! mode. The footprint is the dynamic binder's own
+//! ([`datamaestro::agu::footprint`], the nest's checked `i128` hull), built
+//! only after the runtime validation that keeps the AGUs from asserting,
+//! so a pathological stride reports instead of panicking.
 
-use datamaestro::agu::SpatialAgu;
+use datamaestro::agu::{footprint, SpatialAgu, TemporalAgu};
 use datamaestro::{DesignConfig, RuntimeConfig};
-use dm_mem::{AddressingMode, MemConfig};
+use dm_mem::{AddressingMode, BankMap, MemConfig};
+use dm_sim::AffineNest;
 
 use crate::diagnostic::{Diagnostic, LintCode};
-use crate::walk::Nest;
 
 /// A set of physical banks, stored as a bitset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,12 +134,12 @@ pub struct StreamSummary {
 
 impl StreamSummary {
     /// The temporal nest in words, for the bank-signature walk.
-    pub(crate) fn nest(&self) -> Nest<'_> {
-        Nest {
-            base: self.base_word,
-            bounds: &self.temporal_bounds,
-            strides: &self.temporal_strides_words,
-        }
+    pub(crate) fn nest(&self) -> AffineNest {
+        AffineNest::new(
+            self.base_word,
+            &self.temporal_bounds,
+            &self.temporal_strides_words,
+        )
     }
 }
 
@@ -217,52 +217,32 @@ pub fn summarize(
         return Err(diags);
     }
 
-    let Some(steps) = runtime.checked_total_temporal_steps() else {
-        return Err(vec![Diagnostic::error(
-            LintCode::Config,
-            name,
-            "temporal bound product overflows u64 (pattern too large)".to_owned(),
-        )]);
-    };
-
-    // Checked footprint hull: per-dimension extremes are independent for
-    // affine patterns (same math as `TemporalAgu::address_range`, but in
-    // i128 so pathological strides report instead of asserting).
-    let mut min = i128::from(runtime.base);
-    let mut max = i128::from(runtime.base);
-    for (&bound, &stride) in runtime
-        .temporal_bounds
-        .iter()
-        .zip(&runtime.temporal_strides)
-    {
-        let reach = i128::from(stride) * (i128::from(bound) - 1);
-        if reach < 0 {
-            min += reach;
-        } else {
-            max += reach;
-        }
-    }
-    let s_min = spatial.offsets().iter().copied().min().unwrap_or(0);
-    let s_max = spatial.offsets().iter().copied().max().unwrap_or(0);
-    min += i128::from(s_min);
-    max += i128::from(s_max) + i128::from(word) - 1;
+    // Validated above: the AGUs cannot assert.
+    let temporal = TemporalAgu::new(
+        runtime.base,
+        &runtime.temporal_bounds,
+        &runtime.temporal_strides,
+    );
     let capacity = i128::from(mem.capacity_bytes());
-    if min < 0 || max >= capacity {
-        return Err(vec![Diagnostic::error(
-            LintCode::Oob,
-            name,
-            format!(
-                "pattern footprint [{min}, {max}] leaves the scratchpad \
-                 address space [0, {capacity})"
-            ),
-        )]);
-    }
+    let (min, max) = match footprint(&temporal, &spatial, word) {
+        Some((min, max)) if min >= 0 && max < capacity => (min, max),
+        hull => {
+            let (min, max) = hull.unwrap_or((i128::MIN, i128::MAX));
+            return Err(vec![Diagnostic::error(
+                LintCode::Oob,
+                name,
+                format!(
+                    "pattern footprint [{min}, {max}] leaves the scratchpad \
+                     address space [0, {capacity})"
+                ),
+            )]);
+        }
+    };
 
     let min_word = (min as u64) / word;
     let max_word = (max as u64) / word;
-    let rows = mem.rows_per_bank() as u64;
-    let group_words = group as u64 * rows;
-    let (banks, row_hull) = hull_banks_and_rows(min_word, max_word, group as u64, rows, mem);
+    let group_words = group as u64 * mem.rows_per_bank() as u64;
+    let (banks, row_hull) = hull_banks_and_rows(min_word, max_word, group as u64, mem);
 
     Ok(StreamSummary {
         name,
@@ -278,7 +258,7 @@ pub fn summarize(
             .collect(),
         base_word: runtime.base / word,
         capacity_words: mem.capacity_bytes() / word,
-        steps,
+        steps: temporal.total(),
         word_hull: (min_word, max_word),
         banks,
         row_hull,
@@ -288,94 +268,39 @@ pub fn summarize(
 /// The exact bank set of an inclusive word-index interval under GIMA(g).
 #[must_use]
 pub fn hull_bank_set(min_word: u64, max_word: u64, g: u64, mem: &MemConfig) -> BankSet {
-    hull_banks_and_rows(min_word, max_word, g, mem.rows_per_bank() as u64, mem).0
+    hull_banks_and_rows(min_word, max_word, g, mem).0
 }
 
 /// The exact bank set and row hull of a word-index interval under GIMA(g).
 ///
 /// Inside one group, consecutive words round-robin over the group's `g`
-/// banks, so an interval piece of length `≥ g` covers the whole group and a
-/// shorter piece covers `len` specific banks starting at `start mod g`.
+/// banks, so the first `g` words of the interval's piece in a group cover
+/// every bank the piece touches.
 fn hull_banks_and_rows(
     min_word: u64,
     max_word: u64,
     g: u64,
-    rows: u64,
     mem: &MemConfig,
 ) -> (BankSet, (u64, u64)) {
-    let group_words = g * rows;
+    let map = BankMap::words(mem, g);
     let mut banks = BankSet::empty(mem.num_banks());
-    let mut row_min = u64::MAX;
-    let mut row_max = 0u64;
-    let first_group = min_word / group_words;
-    let last_group = max_word / group_words;
-    for group_idx in first_group..=last_group {
-        let lo = (group_idx * group_words).max(min_word) - group_idx * group_words;
-        let hi = ((group_idx + 1) * group_words - 1).min(max_word) - group_idx * group_words;
-        row_min = row_min.min(lo / g);
-        row_max = row_max.max(hi / g);
-        let len = hi - lo + 1;
-        if len >= g {
-            for b in 0..g {
-                banks.insert((group_idx * g + b) as usize);
-            }
-        } else {
-            let map = BankMap::new(g, group_words);
-            for w in lo..=hi {
-                banks.insert(map.bank(group_idx * group_words + w) as usize);
-            }
+    let (mut rows, mut first) = ((u64::MAX, 0), min_word);
+    while first <= max_word {
+        let last = (first | (map.group_words() - 1)).min(max_word);
+        for w in first..=last.min(first + g - 1) {
+            banks.insert(map.bank(w) as usize);
         }
+        rows = (rows.0.min(map.row(first)), rows.1.max(map.row(last)));
+        first = last + 1;
     }
-    (banks, (row_min, row_max))
-}
-
-/// The physical bank of a word index under GIMA(g) — the analyzer's model
-/// of the remapper's bit permutation (`AddressRemapper::map_word`), checked
-/// against the remapper itself by `bank_model_matches_remapper_for_every_mode`.
-/// `g` and `group_words` are powers of two, as on every validated geometry.
-#[must_use]
-pub fn bank_of_word(word: u64, g: u64, group_words: u64) -> u64 {
-    BankMap::new(g, group_words).bank(word)
-}
-
-/// GIMA(g) as shift/mask on a power-of-two geometry, the way
-/// `AddressRemapper` computes it:
-///
-/// ```text
-/// word = [ group | row-within-group | bank-in-group ]
-/// bank = [ group | bank-in-group ]
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BankMap {
-    group_shift: u32,
-    span_shift: u32,
-}
-
-impl BankMap {
-    /// The map of GIMA(`g`) with `group_words` words per group.
-    pub(crate) fn new(g: u64, group_words: u64) -> Self {
-        debug_assert!(
-            g.is_power_of_two() && group_words.is_power_of_two(),
-            "GIMA({g}) over {group_words}-word groups is not a bit permutation"
-        );
-        BankMap {
-            group_shift: g.trailing_zeros(),
-            span_shift: group_words.trailing_zeros(),
-        }
-    }
-
-    /// The bank of word index `word`.
-    #[inline]
-    pub(crate) fn bank(self, word: u64) -> u64 {
-        ((word >> self.span_shift) << self.group_shift) | (word & ((1 << self.group_shift) - 1))
-    }
+    (banks, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::bank_of_word;
     use datamaestro::StreamerMode;
-    use dm_mem::AddressRemapper;
 
     fn mem() -> MemConfig {
         MemConfig::new(8, 8, 64).unwrap()
@@ -389,6 +314,8 @@ mod tests {
             .unwrap()
     }
 
+    /// The shared bank map is the division formula
+    /// `(w / (g·rows))·g + w mod g` of DESIGN §7.
     #[test]
     fn bank_model_matches_remapper_for_every_mode() {
         // Every legal mode of an 8-bank and a 32-bank geometry, up to
@@ -402,13 +329,13 @@ mod tests {
                 .into_iter()
                 .chain([all])
             {
-                let remapper = AddressRemapper::new(&mem, mode).unwrap();
                 let g = mode.group_banks(mem.num_banks()) as u64;
+                let map = BankMap::words(&mem, g);
                 let group_words = g * mem.rows_per_bank() as u64;
-                for w in 0..remapper.capacity_words() {
+                for w in 0..mem.capacity_bytes() / mem.bank_width_bytes() as u64 {
                     assert_eq!(
+                        map.bank(w),
                         bank_of_word(w, g, group_words),
-                        remapper.map_word(w).bank as u64,
                         "{} banks, mode {mode}, word {w}",
                         mem.num_banks()
                     );
@@ -475,7 +402,7 @@ mod tests {
     fn bank_set_matches_brute_force() {
         let mem = mem();
         for (lo, hi, g) in [(0u64, 3u64, 2u64), (60, 200, 4), (100, 101, 8), (5, 511, 1)] {
-            let (banks, rows) = hull_banks_and_rows(lo, hi, g, 64, &mem);
+            let (banks, rows) = hull_banks_and_rows(lo, hi, g, &mem);
             let mut expected = BankSet::empty(8);
             let mut rmin = u64::MAX;
             let mut rmax = 0;

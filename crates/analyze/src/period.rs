@@ -28,10 +28,11 @@ use std::ops::ControlFlow;
 
 use datamaestro::{DesignConfig, RuntimeConfig};
 use dm_compiler::CompiledWorkload;
-use dm_mem::MemConfig;
+use dm_mem::{BankMap, MemConfig};
+use dm_sim::AffineNest;
 
 use crate::diagnostic::{Diagnostic, LintCode};
-use crate::walk::{Nest, Signatures, Space};
+use crate::walk::Signatures;
 
 /// Enumeration budget for the signature walk; matches the conflict
 /// analyzer's cap so both analyses degrade together on huge nests.
@@ -125,26 +126,11 @@ pub fn prove_port(
         ));
     };
 
-    let g = group as u64;
-    // Per-channel byte offsets: the spatial mixed-radix enumeration of
-    // `SpatialAgu`, made total (missing strides read as 0, zero bounds
-    // yield zero channels). Addresses wrap into the scratchpad, so the
-    // offsets may wrap too.
-    let bounds = design.spatial_bounds();
-    let channels: usize = bounds.iter().product();
-    let offsets: Vec<i64> = (0..channels)
-        .map(|c| {
-            let mut rem = c;
-            let mut offset = 0i64;
-            for (d, &bound) in bounds.iter().enumerate() {
-                let digit = (rem % bound) as i64;
-                rem /= bound;
-                let stride = runtime.spatial_strides.get(d).copied().unwrap_or(0);
-                offset = offset.wrapping_add(digit.wrapping_mul(stride));
-            }
-            offset
-        })
-        .collect();
+    // Per-channel byte offsets, as the spatial AGU enumerates them but
+    // total: missing strides read as 0, zero bounds yield zero channels,
+    // and the offsets wrap with the addresses.
+    let offsets = AffineNest::spatial_offsets(design.spatial_bounds(), &runtime.spatial_strides);
+    let channels = offsets.len();
 
     if steps == 0 || channels == 0 {
         // Zero-trip nest: the empty stream is trivially 1-periodic.
@@ -164,12 +150,12 @@ pub fn prove_port(
     // id sequence is the period of the signatures, and the per-bank counts
     // fold the histogram of ids over its first period (and the remainder).
     let walked = steps.min(WALK_CAP);
-    let nest = Nest {
-        base: runtime.base,
-        bounds: &runtime.temporal_bounds,
-        strides: &runtime.temporal_strides,
-    };
-    let mut sigs = Signatures::new(Space::bytes(mem, g), &offsets);
+    let nest = AffineNest::new(
+        runtime.base,
+        &runtime.temporal_bounds,
+        &runtime.temporal_strides,
+    );
+    let mut sigs = Signatures::new(BankMap::bytes(mem, group as u64), &offsets);
     let ControlFlow::Continue(walk) =
         sigs.walk::<Infallible>(&nest, walked, |_, _, _| ControlFlow::Continue(()));
     let per_bank_walked = sigs.per_bank(&walk, walked, mem.num_banks());

@@ -39,12 +39,11 @@
 //! how the dynamic profilers fold overlapping causes.
 
 use dm_compiler::{CompiledWorkload, CopyPlan};
-use dm_mem::MemConfig;
+use dm_mem::{BankMap, MemConfig};
 use dm_sim::CritClass;
 
 use crate::diagnostic::{Diagnostic, LintCode};
 use crate::period::{prove_program, ProgramPeriodProof};
-use crate::walk::Space;
 
 /// Proven-utilization threshold below which `DM-PERF-BOUND` is emitted.
 const NEAR_PEAK: f64 = 0.99;
@@ -177,10 +176,10 @@ pub fn predict(
 #[must_use]
 pub fn prepass_lower_bound(plan: &CopyPlan, mem: &MemConfig) -> u64 {
     let load = |addrs: &mut dyn Iterator<Item = u64>, g: u64| -> u64 {
-        let space = Space::bytes(mem, g);
+        let map = BankMap::bytes(mem, g);
         let mut per_bank = vec![0u64; mem.num_banks()];
         for addr in addrs {
-            per_bank[space.bank_of(addr)] += 1;
+            per_bank[map.bank_of(addr)] += 1;
         }
         per_bank.into_iter().max().unwrap_or(0)
     };

@@ -28,6 +28,9 @@
 //! The shared options, the metrics/trace capture, the document header and
 //! the diff driver live in [`cli`].
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Mutex};
+
 use dm_cost::EnergyEvents;
 use dm_system::{run_workload, RunReport, SystemConfig, SystemError};
 use dm_workloads::{Workload, WorkloadData};
@@ -171,14 +174,15 @@ where
 
 /// Maps `work` over `items` on up to `jobs` worker threads and hands each
 /// result to `commit` **in input order**, as soon as it and every earlier
-/// result are done, so a caller holds only the results that finished
-/// ahead of a slower earlier item.
+/// result are done.
 ///
-/// Workers claim items through a shared atomic cursor, so scheduling is
-/// dynamic, but each result is tagged with its input index and committed
-/// in that order — the commits are identical to `jobs: 1` regardless of
-/// thread interleaving (every simulated run owns its whole
-/// `MemorySubsystem`, so runs are independent by construction).
+/// Workers claim items in order, so scheduling is dynamic, but each result
+/// is tagged with its input index and committed in that order — the
+/// commits are identical to `jobs: 1` regardless of thread interleaving
+/// (every simulated run owns its whole `MemorySubsystem`, so runs are
+/// independent by construction). A worker claims item `i` only while `i <
+/// committed + jobs`, so at most `jobs` results are ever held, however slow
+/// an earlier item is.
 ///
 /// # Errors
 ///
@@ -187,7 +191,7 @@ where
 ///
 /// # Panics
 ///
-/// Re-raises a panic from any worker.
+/// Re-raises a panic from `work` when its item's turn to commit comes.
 pub fn for_each_ordered<I, T, E, F, C>(
     items: &[I],
     jobs: usize,
@@ -200,7 +204,6 @@ where
     F: Fn(usize, &I) -> T + Sync,
     C: FnMut(usize, T) -> Result<(), E>,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
     let jobs = jobs.clamp(1, items.len().max(1));
     if jobs == 1 {
         return items
@@ -208,33 +211,41 @@ where
             .enumerate()
             .try_for_each(|(i, item)| commit(i, work(i, item)));
     }
-    let cursor = AtomicUsize::new(0);
+    // Item `i` is handed out only once item `i − jobs` is committed.
+    let (ticket, tickets) = mpsc::channel();
+    (0..jobs).for_each(|i| ticket.send(i).expect("the tickets are open"));
+    let tickets = Mutex::new(tickets);
     std::thread::scope(|scope| {
-        let (done, finished) = std::sync::mpsc::channel();
+        // Dropped on every exit, which stops the workers.
+        let ticket = ticket;
+        let (done, finished) = mpsc::channel();
         for _ in 0..jobs {
             let done = done.clone();
-            let (cursor, work) = (&cursor, &work);
+            let (tickets, work) = (&tickets, &work);
             scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else {
+                let claim = tickets.lock().expect("no panic holds the lock").recv();
+                let Ok(i) = claim else {
                     return;
                 };
-                if done.send((i, work(i, item))).is_err() {
+                let result = catch_unwind(AssertUnwindSafe(|| work(i, &items[i])));
+                if done.send((i, result)).is_err() {
                     return;
                 }
             });
         }
         drop(done);
         let mut ahead = std::collections::BTreeMap::new();
-        let mut next = 0;
-        for (i, result) in finished {
-            ahead.insert(i, result);
-            while let Some(result) = ahead.remove(&next) {
-                if let Err(e) = commit(next, result) {
-                    cursor.store(items.len(), Ordering::Relaxed);
-                    return Err(e);
+        for next in 0..items.len() {
+            let result = loop {
+                if let Some(result) = ahead.remove(&next) {
+                    break result;
                 }
-                next += 1;
+                let (i, result) = finished.recv().expect("a worker holds each ticket");
+                ahead.insert(i, result);
+            };
+            commit(next, result.unwrap_or_else(|panic| resume_unwind(panic)))?;
+            if next + jobs < items.len() {
+                ticket.send(next + jobs).expect("the workers are alive");
             }
         }
         Ok(())
@@ -325,26 +336,49 @@ mod tests {
         assert!(run_ordered(&[] as &[usize], 4, square).is_empty());
     }
 
+    /// Commits come in order, stop at the first error, and no worker
+    /// claims an item `jobs` or more past the commit point, however slow
+    /// an earlier item is.
     #[test]
     fn for_each_ordered_commits_in_order_and_stops_at_an_error() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let items: Vec<usize> = (0..50).collect();
         for jobs in [1, 2, 4] {
-            let mut seen = Vec::new();
+            let (mut seen, committed) = (Vec::new(), AtomicUsize::new(0));
             let result = for_each_ordered(
                 &items,
                 jobs,
-                |_, &x| x * 2,
+                |i, &x| {
+                    assert!(i < committed.load(Ordering::SeqCst) + jobs, "item {i}");
+                    if i % 10 == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                    }
+                    x * 2
+                },
                 |i, doubled| {
                     if i == 30 {
                         return Err(format!("item {i}"));
                     }
                     seen.push(doubled);
+                    committed.store(i + 1, Ordering::SeqCst);
                     Ok(())
                 },
             );
             assert_eq!(result, Err("item 30".to_owned()), "jobs={jobs}");
             assert_eq!(seen, (0..30).map(|x| x * 2).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "worker failed")]
+    fn for_each_ordered_re_raises_a_worker_panic_instead_of_waiting() {
+        let items: Vec<usize> = (0..20).collect();
+        let _ = for_each_ordered(
+            &items,
+            2,
+            |i, _| assert!(i != 0, "worker failed"),
+            |_, ()| Ok::<(), ()>(()),
+        );
     }
 
     #[test]

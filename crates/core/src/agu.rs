@@ -16,12 +16,22 @@
 //! uses the paper's *dual-counter* structure per dimension: a bound counter
 //! holding the loop index and a stride counter accumulating the running
 //! offset (incremented by `S_t[d]` on step, cleared on wrap). The software
-//! model mirrors this — producing the next temporal address is O(1)
-//! amortized with only additions, which is also what makes the simulator
-//! fast. A naive reference ([`naive_temporal_addresses`]) is retained for
-//! differential testing and the ablation bench.
+//! model keeps the bound counters and folds the stride counters into one
+//! running sum — producing the next temporal address is O(1) amortized,
+//! one add per step and one multiply-subtract per wrap, which is also what
+//! makes the simulator fast. A naive divide/multiply reference is kept in this module's tests
+//! as the dual counter's differential oracle; the host benchmark's
+//! `agu_ns_per_addr` times [`TemporalAgu`] alone.
+//!
+//! Both halves are callers of the one nest module, [`dm_sim::nest`]: the
+//! temporal AGU walks an [`AffineNest`] with its [`DualCounter`] (whose
+//! hull, lag runs and skip the period replay reads through
+//! [`TemporalAgu::nest`]), and the spatial offsets are the addresses of a
+//! base-0 nest ([`AffineNest::spatial_offsets`]).
 
 use std::sync::Arc;
+
+use dm_sim::{AffineNest, DualCounter};
 
 /// The temporal half of the AGU: walks the runtime loop nest and emits one
 /// temporal address (byte address) per step.
@@ -39,14 +49,9 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, PartialEq, Eq)]
 pub struct TemporalAgu {
-    base: i64,
-    /// The loop nest, fixed at construction and shared by clones.
-    bounds: Arc<[u64]>,
-    strides: Arc<[i64]>,
-    /// Bound counters (loop indices), innermost first.
-    indices: Vec<u64>,
-    /// Stride counters (running offsets), innermost first.
-    offsets: Vec<i64>,
+    /// The loop nest's dual counter; the nest's bounds and strides are
+    /// shared by clones.
+    counter: DualCounter,
     produced: u64,
     total: u64,
     /// Outermost dimension wrapped by the most recent
@@ -57,11 +62,7 @@ pub struct TemporalAgu {
 }
 
 dm_sim::clone_fields!(TemporalAgu {
-    base,
-    bounds,
-    strides,
-    indices,
-    offsets,
+    counter,
     produced,
     total,
     last_wrap,
@@ -83,21 +84,23 @@ impl TemporalAgu {
     pub fn new(base: u64, bounds: &[u64], strides: &[i64]) -> Self {
         assert_eq!(bounds.len(), strides.len(), "bounds/strides mismatch");
         assert!(!bounds.contains(&0), "zero temporal bound");
-        let total = bounds
-            .iter()
-            .try_fold(1u64, |acc, &bound| acc.checked_mul(bound))
+        let nest = AffineNest::new(base, bounds, strides);
+        let total = nest
+            .checked_len()
             .expect("temporal bound product overflows u64");
         TemporalAgu {
-            base: base as i64,
-            bounds: bounds.into(),
-            strides: strides.into(),
-            indices: vec![0; bounds.len()],
-            offsets: vec![0; bounds.len()],
+            counter: DualCounter::new(nest),
             produced: 0,
             total,
             last_wrap: None,
             wraps: 0,
         }
+    }
+
+    /// The loop nest this AGU walks.
+    #[must_use]
+    pub fn nest(&self) -> &AffineNest {
+        self.counter.nest()
     }
 
     /// Emits the next temporal address, or `None` when the loop nest is
@@ -106,23 +109,13 @@ impl TemporalAgu {
         if self.produced == self.total {
             return None;
         }
-        let addr = self.base + self.offsets.iter().sum::<i64>();
-        debug_assert!(addr >= 0, "negative temporal address generated");
+        let addr = self.counter.address();
+        debug_assert!(addr as i64 >= 0, "negative temporal address generated");
         self.produced += 1;
-        // Dual-counter increment with carry, innermost dimension first.
-        self.last_wrap = None;
-        for d in 0..self.bounds.len() {
-            self.indices[d] += 1;
-            if self.indices[d] < self.bounds[d] {
-                self.offsets[d] += self.strides[d];
-                break;
-            }
-            self.indices[d] = 0;
-            self.offsets[d] = 0;
-            self.last_wrap = Some(d);
-            self.wraps += 1;
-        }
-        Some(addr as u64)
+        let wrapped = self.counter.step();
+        self.last_wrap = wrapped.checked_sub(1);
+        self.wraps += wrapped as u64;
+        Some(addr)
     }
 
     /// Advances the nest by `n` addresses in O(dims), exactly as `n`
@@ -135,21 +128,9 @@ impl TemporalAgu {
         if to == from {
             return;
         }
-        // Dimension d carries once every `span` steps, the product of the
-        // bounds up to and including d; its index is the flat position's
-        // mixed-radix digit (all zero once the nest is exhausted).
-        let mut span = 1u64;
-        self.last_wrap = None;
-        for d in 0..self.bounds.len() {
-            let inner = span;
-            span *= self.bounds[d];
-            self.wraps += to / span - from / span;
-            if to.is_multiple_of(span) {
-                self.last_wrap = Some(d);
-            }
-            self.indices[d] = to / inner % self.bounds[d];
-            self.offsets[d] = self.indices[d] as i64 * self.strides[d];
-        }
+        let (wraps, wrapped) = self.counter.skip(from, to);
+        self.wraps += wraps;
+        self.last_wrap = wrapped.checked_sub(1);
         self.produced = to;
     }
 
@@ -187,123 +168,28 @@ impl TemporalAgu {
 
     /// Restarts the loop nest from the beginning.
     pub fn reset(&mut self) {
-        self.indices.fill(0);
-        self.offsets.fill(0);
+        self.counter.reset();
         self.produced = 0;
         self.last_wrap = None;
         self.wraps = 0;
     }
-
-    /// The smallest and largest byte addresses this pattern will emit,
-    /// computed without iterating (per-dimension extremes are independent
-    /// for affine patterns).
-    #[must_use]
-    pub fn address_range(&self) -> (u64, u64) {
-        let (min, max) = self.address_hull(0, self.total);
-        assert!(min >= 0, "pattern reaches a negative address");
-        (min as u64, max as u64)
-    }
-
-    /// The address at flat position `x` of the nest, in O(dims).
-    fn address_at(&self, mut x: u64) -> i64 {
-        let mut addr = self.base;
-        for (&bound, &stride) in self.bounds.iter().zip(self.strides.iter()) {
-            addr += (x % bound) as i64 * stride;
-            x /= bound;
-        }
-        addr
-    }
-
-    /// Bounds on the addresses of positions `[start, end)` (`start < end`),
-    /// in O(dims): the extremes over the smallest box of the nest's digits
-    /// that holds both ends. They are the range's own extremes when the
-    /// range is such a box.
-    #[must_use]
-    pub(crate) fn address_hull(&self, start: u64, end: u64) -> (i64, i64) {
-        debug_assert!(start < end && end <= self.total);
-        // The dimensions below the highest one in which the ends' digits
-        // differ sweep their whole bound; from that one up, the digits
-        // sweep between the ends' (the same digit above it).
-        let (mut swept, mut span) = (1u64, 1u64);
-        let (mut first, mut last) = (start, end - 1);
-        for &bound in self.bounds.iter() {
-            if first == last {
-                break;
-            }
-            (swept, span) = (span, span * bound);
-            (first, last) = (first / bound, last / bound);
-        }
-        let (mut first, mut last) = (start / swept * swept, (end - 1) / swept * swept + swept - 1);
-        let (mut min, mut max) = (self.base, self.base);
-        for (&bound, &stride) in self.bounds.iter().zip(self.strides.iter()) {
-            let (a, b) = (
-                (first % bound) as i64 * stride,
-                (last % bound) as i64 * stride,
-            );
-            min += a.min(b);
-            max += a.max(b);
-            (first, last) = (first / bound, last / bound);
-        }
-        (min, max)
-    }
-
-    /// Splits positions `[from, to)` into runs over which every address
-    /// lies one fixed distance from the address `delta` positions earlier
-    /// (`from ≥ delta`). The address steps from `x` to `x + 1` and from
-    /// `x − delta` to `x + 1 − delta` agree unless one of them carries into
-    /// the lowest dimension whose block `delta` does not fill a whole
-    /// number of times, so runs break only at two positions per such
-    /// block: each run costs O(dims).
-    pub(crate) fn lag_runs(
-        &self,
-        delta: u64,
-        from: u64,
-        to: u64,
-    ) -> impl Iterator<Item = LagRun> + '_ {
-        debug_assert!(from >= delta || from >= to);
-        // `block` is the span of the lowest dimension whose span `delta` is
-        // not a multiple of; a nest whose every span divides `delta` (so
-        // `delta == 0`) has one run.
-        let mut block = 1u64;
-        for &bound in self.bounds.iter() {
-            block *= bound;
-            if !delta.is_multiple_of(block) {
-                break;
-            }
-        }
-        let phase = delta % block;
-        let mut start = from;
-        std::iter::from_fn(move || {
-            if start >= to {
-                return None;
-            }
-            let origin = start - start % block;
-            let end = match origin + phase {
-                split if split > start => split,
-                _ => origin + block,
-            };
-            let run = LagRun {
-                start,
-                end: end.min(to),
-                shift: self.address_at(start) - self.address_at(start - delta),
-            };
-            start = run.end;
-            Some(run)
-        })
-    }
 }
 
-/// Positions `[start, end)` of a nest over which every address lies
-/// `shift` bytes from the address a fixed number of positions earlier
-/// ([`TemporalAgu::lag_runs`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LagRun {
-    /// The first position.
-    pub(crate) start: u64,
-    /// One past the last position.
-    pub(crate) end: u64,
-    /// The distance in bytes.
-    pub(crate) shift: i64,
+/// The inclusive byte footprint `[min, max]` of a pattern, exact in `i128`
+/// (`None` if it overflows): the temporal nest's hull widened by the
+/// spatial offsets and by the bytes of the last word.
+#[must_use]
+pub fn footprint(
+    temporal: &TemporalAgu,
+    spatial: &SpatialAgu,
+    word_bytes: u64,
+) -> Option<(i128, i128)> {
+    let (lo, hi) = temporal.nest().hull(0, temporal.total())?;
+    let (s_lo, s_hi) = spatial.offset_range();
+    Some((
+        lo.checked_add(s_lo.into())?,
+        hi.checked_add(i128::from(s_hi) + i128::from(word_bytes) - 1)?,
+    ))
 }
 
 /// The spatial half of the AGU: a fixed set of per-channel offsets derived
@@ -338,20 +224,9 @@ impl SpatialAgu {
     pub fn new(bounds: &[usize], strides: &[i64]) -> Self {
         assert_eq!(bounds.len(), strides.len(), "bounds/strides mismatch");
         assert!(!bounds.contains(&0), "zero spatial bound");
-        let channels: usize = bounds.iter().product();
-        let offsets = (0..channels)
-            .map(|c| {
-                let mut rem = c;
-                let mut offset = 0i64;
-                for (bound, stride) in bounds.iter().zip(strides) {
-                    let digit = (rem % bound) as i64;
-                    rem /= bound;
-                    offset += digit * stride;
-                }
-                offset
-            })
-            .collect();
-        SpatialAgu { offsets }
+        SpatialAgu {
+            offsets: AffineNest::spatial_offsets(bounds, strides).into(),
+        }
     }
 
     /// Number of channels (product of the spatial bounds).
@@ -387,36 +262,33 @@ impl SpatialAgu {
     }
 }
 
-/// Reference implementation: materializes the full temporal address sequence
-/// with explicit index arithmetic (divide/multiply), as a naive AGU would.
-///
-/// Used for differential testing of [`TemporalAgu`] and as the baseline in
-/// the AGU micro-benchmark (the paper's argument for the dual-counter
-/// structure).
-#[must_use]
-pub fn naive_temporal_addresses(base: u64, bounds: &[u64], strides: &[i64]) -> Vec<u64> {
-    let total = bounds
-        .iter()
-        .try_fold(1u64, |acc, &bound| acc.checked_mul(bound))
-        .expect("temporal bound product overflows u64");
-    let mut out = Vec::with_capacity(total as usize);
-    for flat in 0..total {
-        let mut rem = flat;
-        let mut addr = base as i64;
-        for (bound, stride) in bounds.iter().zip(strides) {
-            let idx = rem % bound;
-            rem /= bound;
-            addr += idx as i64 * stride;
-        }
-        out.push(addr as u64);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dm_sim::SplitMix64;
+
+    /// Reference implementation: materializes the full temporal address sequence
+    /// with explicit index arithmetic (divide/multiply), as a naive AGU would.
+    ///
+    /// The differential oracle of [`TemporalAgu`].
+    fn naive_temporal_addresses(base: u64, bounds: &[u64], strides: &[i64]) -> Vec<u64> {
+        let total = bounds
+            .iter()
+            .try_fold(1u64, |acc, &bound| acc.checked_mul(bound))
+            .expect("temporal bound product overflows u64");
+        let mut out = Vec::with_capacity(total as usize);
+        for flat in 0..total {
+            let mut rem = flat;
+            let mut addr = base as i64;
+            for (bound, stride) in bounds.iter().zip(strides) {
+                let idx = rem % bound;
+                rem /= bound;
+                addr += idx as i64 * stride;
+            }
+            out.push(addr as u64);
+        }
+        out
+    }
 
     /// A random loop nest of 1..=`max_dims` dimensions with bounds in
     /// 1..=`max_bound` and strides in `lo..=hi`.
@@ -429,6 +301,12 @@ mod tests {
         (0..1 + rng.below(max_dims))
             .map(|_| (1 + rng.below(max_bound), rng.between(lo, hi)))
             .unzip()
+    }
+
+    /// The inclusive range of the addresses the AGU will emit.
+    fn range(agu: &TemporalAgu) -> (u64, u64) {
+        let (min, max) = agu.nest().hull(0, agu.total()).unwrap();
+        (min as u64, max as u64)
     }
 
     #[test]
@@ -456,7 +334,7 @@ mod tests {
         let mut agu = TemporalAgu::new(24, &[4], &[-8]);
         let seq: Vec<u64> = std::iter::from_fn(|| agu.next_address()).collect();
         assert_eq!(seq, vec![24, 16, 8, 0]);
-        assert_eq!(agu.address_range(), (0, 24));
+        assert_eq!(range(&agu), (0, 24));
     }
 
     #[test]
@@ -503,7 +381,7 @@ mod tests {
     fn address_range_mixed_signs() {
         let agu = TemporalAgu::new(1000, &[4, 3], &[-8, 100]);
         // min = 1000 - 8*3 = 976; max = 1000 + 100*2 = 1200.
-        assert_eq!(agu.address_range(), (976, 1200));
+        assert_eq!(range(&agu), (976, 1200));
     }
 
     #[test]
@@ -567,7 +445,7 @@ mod tests {
         }
     }
 
-    /// Every emitted address falls inside `address_range`, and the extremes
+    /// Every emitted address falls inside the nest's hull, and the extremes
     /// are actually achieved.
     #[test]
     fn range_is_tight() {
@@ -575,82 +453,11 @@ mod tests {
         for case in 0..256 {
             let (bounds, strides) = nest(&mut rng, 3, 4, (0, 31));
             let mut agu = TemporalAgu::new(rng.below(100), &bounds, &strides);
-            let (min, max) = agu.address_range();
+            let (min, max) = range(&agu);
             let seq: Vec<u64> = std::iter::from_fn(|| agu.next_address()).collect();
             assert!(seq.iter().all(|&a| a >= min && a <= max), "case {case}");
             assert_eq!(*seq.iter().min().unwrap(), min, "case {case}");
             assert_eq!(*seq.iter().max().unwrap(), max, "case {case}");
-        }
-    }
-
-    /// `skip(n)` leaves the nest exactly where `n` `next_address` calls
-    /// would, from any position, including runs past the end.
-    #[test]
-    fn skip_matches_repeated_next_address() {
-        let mut rng = SplitMix64::new(0x5c1b);
-        for case in 0..256 {
-            let (bounds, strides) = nest(&mut rng, 4, 4, (0, 31));
-            let mut stepped = TemporalAgu::new(rng.below(100), &bounds, &strides);
-            let total = stepped.total();
-            for _ in 0..rng.below(total + 1) {
-                stepped.next_address();
-            }
-            let mut skipped = stepped.clone();
-            let n = rng.below(total + 2);
-            for _ in 0..n {
-                stepped.next_address();
-            }
-            skipped.skip(n);
-            assert_eq!(skipped, stepped, "case {case}");
-            assert_eq!(
-                skipped.next_address(),
-                stepped.next_address(),
-                "case {case}"
-            );
-        }
-    }
-
-    /// `lag_runs` tiles its range with runs whose every position lies the
-    /// run's shift from the position `delta` before it, and
-    /// `address_hull` bounds every run, exactly on the nest's digit boxes.
-    #[test]
-    fn lag_runs_and_hulls_match_the_addresses() {
-        let mut rng = SplitMix64::new(0x1a6);
-        for case in 0..512 {
-            let (bounds, strides) = nest(&mut rng, 5, 4, (-32, 32));
-            let base = 1 << 20;
-            let agu = TemporalAgu::new(base, &bounds, &strides);
-            let addrs: Vec<i64> = naive_temporal_addresses(base, &bounds, &strides)
-                .into_iter()
-                .map(|a| a as i64)
-                .collect();
-            let total = agu.total();
-            let delta = rng.below(total);
-            let from = delta + rng.below(total - delta);
-            let to = from + rng.below(total - from + 1);
-            let mut next = from;
-            for run in agu.lag_runs(delta, from, to) {
-                assert!(run.start == next && run.start < run.end, "case {case}");
-                let span = &addrs[run.start as usize..run.end as usize];
-                let (lo, hi) = agu.address_hull(run.start, run.end);
-                for (x, &a) in (run.start..).zip(span) {
-                    assert_eq!(a - addrs[(x - delta) as usize], run.shift, "case {case}");
-                    assert!(lo <= a && a <= hi, "case {case}");
-                }
-                next = run.end;
-            }
-            assert_eq!(next, to, "case {case}");
-            let inner: u64 = bounds[..rng.below(bounds.len() as u64 + 1) as usize]
-                .iter()
-                .product();
-            let start = rng.below(total / inner) * inner;
-            let boxed = &addrs[start as usize..(start + inner) as usize];
-            let extremes = (*boxed.iter().min().unwrap(), *boxed.iter().max().unwrap());
-            assert_eq!(
-                agu.address_hull(start, start + inner),
-                extremes,
-                "case {case}"
-            );
         }
     }
 

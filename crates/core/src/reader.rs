@@ -384,6 +384,23 @@ mod tests {
         assert!(matches!(err, ConfigError::PatternOutOfBounds { .. }));
     }
 
+    /// A reach below address 0 or past `i64` is refused, not a panic.
+    #[test]
+    fn rejects_negative_and_overflowing_reaches_as_out_of_bounds() {
+        for (stride, (min, max)) in [(-8, (0, 31)), (1 << 62, (0, (1 << 63) + 31))] {
+            let rt = RuntimeConfig::builder()
+                .temporal([3], [stride])
+                .spatial_strides([8])
+                .build();
+            let err = ReadStreamer::new(&design(), &rt, &mut mem()).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::PatternOutOfBounds { min_addr, max_addr, .. }
+                    if (min_addr, max_addr) == (min, max)),
+                "{err}"
+            );
+        }
+    }
+
     #[test]
     fn trace_and_metrics_capture_streaming() {
         use dm_sim::{TraceEventKind, TraceMode};

@@ -14,11 +14,11 @@ use std::sync::Arc;
 
 use dm_mem::{Addr, AddressRemapper, BankLocation, MemConfig, MemorySubsystem, RequesterId};
 use dm_sim::{
-    Counter, Cycle, Instrumented, LatencyHistogram, MetricsRegistry, Periodic, StableHasher, Trace,
-    TraceEventKind, TraceMode,
+    Counter, Cycle, Instrumented, LagRun, LatencyHistogram, MetricsRegistry, Periodic,
+    StableHasher, Trace, TraceEventKind, TraceMode,
 };
 
-use crate::agu::{LagRun, SpatialAgu, TemporalAgu};
+use crate::agu::{footprint, SpatialAgu, TemporalAgu};
 use crate::channel::{Channel, ChannelFifo};
 use crate::config::{DesignConfig, RuntimeConfig, StreamerMode};
 use crate::error::ConfigError;
@@ -101,17 +101,18 @@ pub fn bind_pattern(
         &runtime.temporal_strides,
     );
     let sagu = SpatialAgu::new(design.spatial_bounds(), &runtime.spatial_strides);
-    let (t_min, t_max) = tagu.address_range();
-    let (s_min, s_max) = sagu.offset_range();
-    let min = t_min as i64 + s_min;
-    let max = t_max as i64 + s_max + word as i64 - 1;
     let capacity = mem.capacity_bytes();
-    if min < 0 || max as u64 >= capacity {
-        return Err(ConfigError::PatternOutOfBounds {
-            min_addr: min.max(0) as u64,
-            max_addr: max as u64,
-            capacity,
-        });
+    match footprint(&tagu, &sagu, word) {
+        Some((min, max)) if min >= 0 && max < i128::from(capacity) => {}
+        hull => {
+            let (min, max) = hull.unwrap_or((0, i128::MAX));
+            let clamp = |v: i128| v.clamp(0, u64::MAX.into()) as u64;
+            return Err(ConfigError::PatternOutOfBounds {
+                min_addr: clamp(min),
+                max_addr: clamp(max),
+                capacity,
+            });
+        }
     }
     let split_width = design.num_channels() * mem.bank_width_bytes();
     let chain = match design.mode() {
@@ -493,13 +494,12 @@ impl<S: Side> Streamer<S> {
 /// (DESIGN §8.2): position `x` keeps it when every channel word of `x`
 /// maps to the bank of the same channel's word at `x − delta`.
 ///
-/// Over a [`LagRun`] each word lies one fixed `shift` from its counterpart,
-/// so a whole run is settled at once: a shift that is not a whole number
-/// of interleave rounds moves every word to another bank, and a shift that
-/// is keeps every bank if no channel's words and their counterparts
-/// straddle an interleave group. A run whose footprint does straddle is
-/// split in two, down to single positions, where the footprint test is the
-/// bank comparison itself.
+/// Over a [`LagRun`] of the AGU's nest each word lies one fixed `shift`
+/// from its counterpart, so a whole run is settled at once by the one
+/// bank-keeping predicate, [`BankMap::keeps_banks`](dm_mem::BankMap::keeps_banks),
+/// over the hull of the run's words and their counterparts. A run it does
+/// not keep is split in two, down to single positions, where the predicate
+/// is the bank comparison itself.
 struct BankHorizon<'a> {
     remapper: &'a AddressRemapper,
     tagu: &'a TemporalAgu,
@@ -525,6 +525,7 @@ impl BankHorizon<'_> {
         let to = start + cap * delta;
         match self
             .tagu
+            .nest()
             .lag_runs(delta, from, to)
             .find_map(|run| self.break_in(run))
         {
@@ -536,19 +537,20 @@ impl BankHorizon<'_> {
     /// The first position of `run` whose words leave their banks.
     fn break_in(&self, run: LagRun) -> Option<u64> {
         let LagRun { start, end, shift } = run;
-        if shift == 0 {
-            return None;
-        }
-        if shift % self.remapper.interleave_bytes() as i64 != 0 {
-            return Some(start);
-        }
-        let (lo, hi) = self.tagu.address_hull(start, end);
-        let kept = self
-            .sagu
-            .offsets()
-            .iter()
-            .all(|&offset| self.remapper.keeps_banks(lo + offset, hi + offset, shift));
-        if kept {
+        let map = self.remapper.map();
+        let in_group = || {
+            let moved = |(lo, hi): (i128, i128)| {
+                (
+                    lo.min(lo - i128::from(shift)),
+                    hi.max(hi - i128::from(shift)),
+                )
+            };
+            map.in_one_group(
+                self.tagu.nest().hull(start, end).map(moved),
+                self.sagu.offsets(),
+            )
+        };
+        if map.keeps_banks(shift, in_group) {
             None
         } else if end - start == 1 {
             Some(start)
@@ -647,7 +649,7 @@ mod tests {
             let now = lead.next_address().expect("capped by the AGU");
             let then = lag.next_address().expect("behind the lead");
             (0..h.sagu.num_channels()).all(|c| {
-                let bank = |ta| h.remapper.bank_of(h.sagu.channel_address(ta, c));
+                let bank = |ta| h.remapper.map().bank_of(h.sagu.channel_address(ta, c));
                 bank(now) == bank(then)
             })
         };
@@ -702,9 +704,9 @@ mod tests {
             let spatial: Vec<i64> = channels.iter().map(|_| stride(&mut rng, round)).collect();
             let sagu = SpatialAgu::new(&channels, &spatial);
             let probe = TemporalAgu::new(0, &bounds, &strides);
-            let (t_lo, t_hi) = probe.address_hull(0, probe.total());
+            let (t_lo, t_hi) = probe.nest().hull(0, probe.total()).unwrap();
             let (s_lo, s_hi) = sagu.offset_range();
-            let (lo, hi) = (t_lo + s_lo, t_hi + s_hi);
+            let (lo, hi) = (t_lo as i64 + s_lo, t_hi as i64 + s_hi);
             if hi - lo >= capacity {
                 continue;
             }
@@ -749,7 +751,7 @@ mod tests {
             let reach = cap.min((total - produced).checked_div(delta).unwrap_or(cap));
             kept += u64::from(k > 0);
             broken += u64::from(0 < k && k < reach);
-            let group = |addr: i64| remapper.bank_of(addr as u64) / mode.group_banks(32);
+            let group = |addr: i64| remapper.map().bank_of(addr as u64) / mode.group_banks(32);
             let straddles = group(base as i64 + lo) != group(base as i64 + hi);
             straddled += u64::from(k > 0 && straddles);
         }

@@ -36,7 +36,7 @@ pub mod subsystem;
 
 pub use addr::{Addr, BankLocation};
 pub use error::MemError;
-pub use remap::{AddressRemapper, AddressingMode};
+pub use remap::{AddressRemapper, AddressingMode, BankMap};
 pub use scratchpad::{MemConfig, Scratchpad};
 pub use subsystem::{
     LatencyTelemetry, MemOp, MemRequest, MemResponse, MemStats, MemorySubsystem, RequesterId,

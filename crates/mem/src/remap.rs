@@ -10,8 +10,10 @@
 //!
 //! When every size is a power of two, the mapping is a pure bit permutation
 //! of the word address — which is why the hardware remapper of the paper
-//! costs only a multiplexer of permuted wires. This module implements the
-//! same permutation arithmetically and verifies the power-of-two
+//! costs only a multiplexer of permuted wires. [`BankMap`] implements the
+//! same permutation with shifts and masks, together with the one predicate
+//! by which the period replay and the period prover decide that a shifted
+//! footprint keeps its banks; [`AddressRemapper`] verifies the power-of-two
 //! preconditions at construction time.
 
 use crate::addr::{Addr, BankLocation};
@@ -119,6 +121,166 @@ impl std::fmt::Display for AddressingMode {
     }
 }
 
+/// GIMA(g) on a power-of-two geometry, as the bit permutation of the word
+/// index the hardware remapper wires up (a mux of permuted address bits):
+///
+/// ```text
+/// word = [ group | row-within-group | bank-in-group ]
+/// bank = [ group | bank-in-group ]
+/// row  = [ row-within-group ]
+/// ```
+///
+/// The map covers an address space of `capacity_words` words of
+/// `word_units` units each (bytes for the remapper and the period prover,
+/// 1 for word-granular summaries), into which addresses wrap. It is the
+/// workspace's one bank formula, and [`keeps_banks`](Self::keeps_banks) is
+/// its one argument that a footprint keeps its banks under a shift.
+///
+/// # Examples
+///
+/// ```
+/// // 8 banks of 64 rows under GIMA(4): groups of 256 words.
+/// let map = dm_mem::BankMap::words(&dm_mem::MemConfig::new(8, 8, 64)?, 4);
+/// assert_eq!((map.bank(5), map.bank(256)), (1, 4));
+/// // Two rounds of 4 words keep every bank inside a group, not across one.
+/// assert!(map.keeps_banks(8, || map.in_one_group(Some((0, 15)), &[0])));
+/// assert!(!map.keeps_banks(8, || map.in_one_group(Some((250, 265)), &[0])));
+/// # Ok::<(), dm_mem::MemError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankMap {
+    /// `log2` of units per word.
+    word_shift: u32,
+    /// `log2` of banks per group (`g`).
+    group_shift: u32,
+    /// `log2` of words per group.
+    span_shift: u32,
+    /// Units of the space minus one.
+    addr_mask: u64,
+    /// Banks of the space.
+    banks: u64,
+}
+
+impl BankMap {
+    /// The map of a space of `capacity_words` words of `word_units` units
+    /// each under GIMA(`g`) with `group_words` words per group. Every
+    /// argument is a power of two, `g ≤ group_words ≤ capacity_words`.
+    #[must_use]
+    pub fn new(word_units: u64, capacity_words: u64, g: u64, group_words: u64) -> Self {
+        debug_assert!(
+            [word_units, capacity_words, g, group_words]
+                .iter()
+                .all(|v| v.is_power_of_two())
+                && g <= group_words
+                && group_words <= capacity_words,
+            "GIMA({g}) over {group_words}-word groups is not a bit permutation"
+        );
+        BankMap {
+            word_shift: word_units.trailing_zeros(),
+            group_shift: g.trailing_zeros(),
+            span_shift: group_words.trailing_zeros(),
+            addr_mask: (capacity_words * word_units).wrapping_sub(1),
+            banks: capacity_words / group_words * g,
+        }
+    }
+
+    /// The byte addresses of `mem` under GIMA(`g`).
+    #[must_use]
+    pub fn bytes(mem: &MemConfig, g: u64) -> Self {
+        let word = mem.bank_width_bytes() as u64;
+        let group_words = g * mem.rows_per_bank() as u64;
+        BankMap::new(word, mem.capacity_bytes() / word, g, group_words)
+    }
+
+    /// The word indices of `mem` under GIMA(`g`).
+    #[must_use]
+    pub fn words(mem: &MemConfig, g: u64) -> Self {
+        let bytes = BankMap::bytes(mem, g);
+        BankMap {
+            word_shift: 0,
+            addr_mask: bytes.addr_mask >> bytes.word_shift,
+            ..bytes
+        }
+    }
+
+    /// `log2` of the units per word.
+    #[must_use]
+    pub fn word_shift(self) -> u32 {
+        self.word_shift
+    }
+
+    /// Words per interleave group.
+    #[must_use]
+    pub fn group_words(self) -> u64 {
+        1 << self.span_shift
+    }
+
+    /// Units of the space minus one: addresses wrap by this mask.
+    #[must_use]
+    pub fn addr_mask(self) -> u64 {
+        self.addr_mask
+    }
+
+    /// Banks of the space.
+    #[must_use]
+    pub fn banks(self) -> u64 {
+        self.banks
+    }
+
+    /// The bank of word index `word`.
+    #[must_use]
+    #[inline]
+    pub fn bank(self, word: u64) -> u64 {
+        ((word >> self.span_shift) << self.group_shift) | (word & ((1 << self.group_shift) - 1))
+    }
+
+    /// The row of word index `word` inside its bank.
+    #[must_use]
+    #[inline]
+    pub fn row(self, word: u64) -> u64 {
+        (word & (self.group_words() - 1)) >> self.group_shift
+    }
+
+    /// The bank of an address, wrapped into the space.
+    #[must_use]
+    #[inline]
+    pub fn bank_of(self, addr: u64) -> usize {
+        self.bank((addr & self.addr_mask) >> self.word_shift) as usize
+    }
+
+    /// Whether no channel's footprint straddles an interleave group: for
+    /// every channel offset `o`, the addresses `[lo + o, hi + o]` of `hull`
+    /// lie in one group window (a group-sized, group-aligned span of the
+    /// unwrapped addresses, so one group once wrapped). An overflowing
+    /// hull (`None`) straddles.
+    #[must_use]
+    pub fn in_one_group(self, hull: Option<(i128, i128)>, offsets: &[i64]) -> bool {
+        let shift = self.span_shift + self.word_shift;
+        hull.is_some_and(|(lo, hi)| {
+            offsets.iter().all(|&o| {
+                let window = |a: i128| a.checked_add(i128::from(o)).map(|a| a >> shift);
+                window(lo).is_some() && window(lo) == window(hi)
+            })
+        })
+    }
+
+    /// The bank-keeping predicate: every address `a` of a footprint maps to
+    /// the bank of `a − shift` (addresses wrapping into the space) when
+    /// `shift` is a whole number of capacities, or a whole number of
+    /// interleave rounds (`g` words) while the footprint, the moved
+    /// addresses included, lies in one group (`in_group`, evaluated only
+    /// then; see [`in_one_group`](Self::in_one_group)). For one word and
+    /// its counterpart inside the space that is exactly the bank
+    /// comparison; for a wider footprint it is sufficient only.
+    #[must_use]
+    #[inline]
+    pub fn keeps_banks(self, shift: i64, in_group: impl FnOnce() -> bool) -> bool {
+        let shift = shift as u64;
+        let round_mask = (1 << (self.group_shift + self.word_shift)) - 1;
+        shift & self.addr_mask == 0 || (shift & round_mask == 0 && in_group())
+    }
+}
+
 /// Maps linear word addresses to physical `(bank, row)` locations under a
 /// given [`AddressingMode`].
 ///
@@ -143,26 +305,11 @@ pub struct AddressRemapper {
     num_banks: usize,
     rows_per_bank: usize,
     word_bytes: u64,
-    group_banks: usize,
-    /// Precomputed bit-permutation table, built once at construction. Every
-    /// geometry parameter is a validated power of two, so the mapping
-    ///
-    /// ```text
-    /// word = [ group | row-within-group | bank-in-group ]
-    /// bank = [ group | bank-in-group ]
-    /// row  = [ row-within-group ]
-    /// ```
-    ///
-    /// reduces to shifts and masks — the software equivalent of the paper's
-    /// mux-of-rewired-wires remapper. This keeps per-access division off the
-    /// hottest address path; the original div/mod arithmetic survives under
-    /// `#[cfg(test)]` as the equivalence oracle.
-    group_shift: u32,
-    row_shift: u32,
-    group_mask: u64,
-    row_mask: u64,
-    /// `log2(word_bytes)`: byte addresses become word indices by a shift.
-    word_shift: u32,
+    /// The byte space's [`BankMap`], built once at construction: shifts
+    /// and masks keep per-access division off the hottest address path.
+    /// The original div/mod arithmetic survives under `#[cfg(test)]` as
+    /// the equivalence oracle.
+    map: BankMap,
 }
 
 impl AddressRemapper {
@@ -195,12 +342,7 @@ impl AddressRemapper {
             num_banks: config.num_banks(),
             rows_per_bank: config.rows_per_bank(),
             word_bytes: config.bank_width_bytes() as u64,
-            group_banks,
-            group_shift: group_banks.trailing_zeros(),
-            row_shift: config.rows_per_bank().trailing_zeros(),
-            group_mask: group_banks as u64 - 1,
-            row_mask: config.rows_per_bank() as u64 - 1,
-            word_shift: config.bank_width_bytes().trailing_zeros(),
+            map: BankMap::bytes(config, group_banks as u64),
         })
     }
 
@@ -210,17 +352,16 @@ impl AddressRemapper {
         self.mode
     }
 
+    /// The bank map of the byte space.
+    #[must_use]
+    pub fn map(&self) -> BankMap {
+        self.map
+    }
+
     /// Word size in bytes.
     #[must_use]
     pub fn word_bytes(&self) -> u64 {
         self.word_bytes
-    }
-
-    /// Bytes of one interleave round: `N_BG` consecutive words, one per
-    /// bank of a group.
-    #[must_use]
-    pub fn interleave_bytes(&self) -> u64 {
-        self.group_banks as u64 * self.word_bytes
     }
 
     /// Total capacity in words.
@@ -245,48 +386,10 @@ impl AddressRemapper {
             "word index {word} beyond scratchpad capacity {}",
             self.capacity_words()
         );
-        // Pure bit permutation via the precomputed shift/mask table; the
-        // group index needs no mask because the bounds assert above caps it.
-        let bank_in_group = word & self.group_mask;
-        let row = (word >> self.group_shift) & self.row_mask;
-        let group_idx = word >> (self.group_shift + self.row_shift);
         BankLocation {
-            bank: ((group_idx << self.group_shift) | bank_in_group) as usize,
-            row: row as usize,
+            bank: self.map.bank(word) as usize,
+            row: self.map.row(word) as usize,
         }
-    }
-
-    /// The bank of a byte address already known to be aligned and in
-    /// bounds: [`map_byte`](Self::map_byte)`(addr).bank` without the
-    /// checks, for walks that compare only banks.
-    #[must_use]
-    #[inline]
-    pub fn bank_of(&self, addr: u64) -> usize {
-        let word = addr >> self.word_shift;
-        debug_assert!(word < self.capacity_words() && addr & (self.word_bytes - 1) == 0);
-        ((self.group_of(word) << self.group_shift) | (word & self.group_mask)) as usize
-    }
-
-    /// Whether every word-aligned byte address `a` in `[lo, hi]` maps to
-    /// the bank of `a − shift`. It does when `shift` is a whole number of
-    /// interleave rounds (`N_BG` words) and the addresses and their moved
-    /// counterparts all lie in one interleave group; for `lo == hi` that is
-    /// exactly `bank_of(lo) == bank_of(lo − shift)`, for a wider span it is
-    /// sufficient only.
-    #[must_use]
-    #[inline]
-    pub fn keeps_banks(&self, lo: i64, hi: i64, shift: i64) -> bool {
-        let word = |addr: i64| addr >> self.word_shift;
-        let (first, last) = (word(lo.min(lo - shift)), word(hi.max(hi - shift)));
-        word(shift) as u64 & self.group_mask == 0
-            && first >= 0
-            && self.group_of(first as u64) == self.group_of(last as u64)
-    }
-
-    /// The interleave group of a word.
-    #[inline]
-    fn group_of(&self, word: u64) -> u64 {
-        word >> (self.group_shift + self.row_shift)
     }
 
     /// Maps a word-aligned *byte* address to its physical location.
@@ -303,7 +406,7 @@ impl AddressRemapper {
                 alignment: self.word_bytes,
             });
         }
-        let word = addr.get() >> self.word_shift;
+        let word = addr.get() >> self.map.word_shift();
         if word >= self.capacity_words() {
             return Err(MemError::OutOfBounds {
                 addr: addr.get(),
@@ -311,23 +414,6 @@ impl AddressRemapper {
             });
         }
         Ok(self.map_word(word))
-    }
-
-    /// Inverse mapping: physical location back to the linear word index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the location is outside the memory geometry.
-    #[must_use]
-    #[inline]
-    pub fn unmap(&self, loc: BankLocation) -> u64 {
-        assert!(loc.bank < self.num_banks && loc.row < self.rows_per_bank);
-        let bank = loc.bank as u64;
-        let group_idx = bank >> self.group_shift;
-        let bank_in_group = bank & self.group_mask;
-        (group_idx << (self.group_shift + self.row_shift))
-            | ((loc.row as u64) << self.group_shift)
-            | bank_in_group
     }
 }
 
@@ -339,7 +425,7 @@ impl AddressRemapper {
 impl AddressRemapper {
     fn map_word_arith(&self, word: u64) -> BankLocation {
         assert!(word < self.capacity_words());
-        let g = self.group_banks as u64;
+        let g = self.mode.group_banks(self.num_banks) as u64;
         let rows = self.rows_per_bank as u64;
         let group_capacity = g * rows;
         let group = word / group_capacity;
@@ -350,15 +436,6 @@ impl AddressRemapper {
             bank: (group * g + bank_in_group) as usize,
             row: row as usize,
         }
-    }
-
-    fn unmap_arith(&self, loc: BankLocation) -> u64 {
-        assert!(loc.bank < self.num_banks && loc.row < self.rows_per_bank);
-        let g = self.group_banks as u64;
-        let rows = self.rows_per_bank as u64;
-        let group = loc.bank as u64 / g;
-        let bank_in_group = loc.bank as u64 % g;
-        group * g * rows + loc.row as u64 * g + bank_in_group
     }
 }
 
@@ -540,23 +617,17 @@ mod tests {
 
     #[test]
     fn table_path_matches_the_arithmetic_oracle_for_every_legal_mode() {
-        // The precomputed shift/mask tables reproduce the original div/mod
-        // bit gathering exhaustively: every word of every legal mode on
-        // every small power-of-two geometry, in both directions.
+        // The shift/mask bank map reproduces the original div/mod bit
+        // gathering exhaustively: every word of every legal mode on every
+        // small power-of-two geometry.
         for cfg in small_geometries() {
             for mode in all_legal_modes(cfg.num_banks()) {
                 let r = AddressRemapper::new(&cfg, mode).unwrap();
                 for w in 0..r.capacity_words() {
-                    let loc = r.map_word(w);
                     assert_eq!(
-                        loc,
+                        r.map_word(w),
                         r.map_word_arith(w),
                         "map_word diverges from oracle: {mode} word {w}"
-                    );
-                    assert_eq!(
-                        r.unmap(loc),
-                        r.unmap_arith(loc),
-                        "unmap diverges from oracle: {mode} loc {loc:?}"
                     );
                 }
             }
@@ -565,8 +636,8 @@ mod tests {
 
     #[test]
     fn mapping_is_bijective_for_every_legal_mode() {
-        // Every mode is a bijection word ↔ (bank, row): unmap(map(w)) == w
-        // and all mapped locations are distinct.
+        // Every mode is a bijection word ↔ (bank, row): the mapped
+        // locations are distinct and fill the geometry.
         for cfg in small_geometries() {
             for mode in all_legal_modes(cfg.num_banks()) {
                 let r = AddressRemapper::new(&cfg, mode).unwrap();
@@ -578,7 +649,6 @@ mod tests {
                         seen.insert(loc),
                         "duplicate location for word {w} under {mode}"
                     );
-                    assert_eq!(r.unmap(loc), w, "round trip of word {w} under {mode}");
                 }
                 assert_eq!(seen.len() as u64, r.capacity_words());
             }
@@ -603,8 +673,9 @@ mod tests {
         }
     }
 
-    /// `keeps_banks` on one address is the bank comparison itself, and on
-    /// a span it holds only where every address of the span keeps its bank.
+    /// `keeps_banks` on one address whose counterpart lies in the space is
+    /// the bank comparison itself, and on a span it holds only where every
+    /// address keeps its bank, counterparts wrapping into the space.
     #[test]
     fn keeps_banks_is_the_bank_comparison_and_sound_on_spans() {
         for cfg in small_geometries() {
@@ -613,19 +684,26 @@ mod tests {
             }
             for mode in all_legal_modes(cfg.num_banks()) {
                 let r = AddressRemapper::new(&cfg, mode).unwrap();
+                let map = r.map();
                 let bytes = (r.capacity_words() * r.word_bytes()) as i64;
                 let word = r.word_bytes() as i64;
+                // The footprint `[lo, hi]` together with its counterpart.
+                let keeps = |lo: i64, hi: i64, shift: i64| {
+                    let hull = (lo.min(lo - shift).into(), hi.max(hi - shift).into());
+                    map.keeps_banks(shift, || map.in_one_group(Some(hull), &[0]))
+                };
+                let bank = |a: i64| map.bank_of(a.rem_euclid(bytes) as u64);
                 for shift in (-bytes..=bytes).step_by(word as usize) {
                     for lo in (0..bytes).step_by(word as usize) {
-                        let moved = lo - shift;
-                        let same = (0..bytes).contains(&moved)
-                            && r.bank_of(lo as u64) == r.bank_of(moved as u64);
-                        assert_eq!(r.keeps_banks(lo, lo, shift), same, "{mode} {lo} {shift}");
+                        if (0..bytes).contains(&(lo - shift)) {
+                            let same = bank(lo) == bank(lo - shift);
+                            assert_eq!(keeps(lo, lo, shift), same, "{mode} {lo} {shift}");
+                        }
                         let hi = (lo + 5 * word).min(bytes - word);
-                        if r.keeps_banks(lo, hi, shift) {
+                        if keeps(lo, hi, shift) {
                             assert!((lo..=hi)
                                 .step_by(word as usize)
-                                .all(|a| { r.bank_of(a as u64) == r.bank_of((a - shift) as u64) }));
+                                .all(|a| bank(a) == bank(a - shift)));
                         }
                     }
                 }

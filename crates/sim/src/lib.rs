@@ -25,6 +25,9 @@
 //! * [`critical`] — critical-path extraction over the token-level causal
 //!   DAG, folded into a per-resource on-path composition with validated
 //!   what-if projections;
+//! * [`nest`] — the AGU's affine loop nest ([`AffineNest`]), its
+//!   [`DualCounter`] walk and the hull and lag algebra the period replay
+//!   and the period prover share;
 //! * [`forward`] — the debug-build [`SpanCheck`] that proves every
 //!   fast-forwarded span left each component's activity digest unchanged;
 //! * [`metrics`] — the hierarchical, path-keyed metrics registry every
@@ -57,6 +60,7 @@ pub mod histogram;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
+pub mod nest;
 pub mod perfetto;
 pub mod period;
 pub mod rng;
@@ -74,6 +78,7 @@ pub use histogram::LatencyHistogram;
 pub use json::{JsonError, JsonValue};
 pub use ledger::CausalLedger;
 pub use metrics::{Instrumented, MetricValue, MetricsRegistry};
+pub use nest::{AffineNest, DualCounter, LagRun};
 pub use period::{is_periodic_with, minimal_period, Borders};
 pub use rng::SplitMix64;
 pub use stall::{OperandPort, Port, StallAttribution, StallCause};
