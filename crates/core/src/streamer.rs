@@ -431,7 +431,9 @@ impl<S: Side> Streamer<S> {
     /// period before. Queued addresses steer nothing until they are taken
     /// in, but the words already in the FIFOs do: they are checked too,
     /// against the period that ends with them. The count is capped so
-    /// that the AGU can supply every period in full.
+    /// that every channel can take in every period in full: a channel
+    /// takes in from its address queue, so the replay may run past the
+    /// AGU's last address by up to the shortest backlog.
     #[must_use]
     pub fn repeatable_periods(&self, earlier: &Self, cap: u64) -> u64 {
         let queued = self
@@ -453,20 +455,27 @@ impl<S: Side> Streamer<S> {
     /// occupancy samples and tags advance by `k` times their change, the
     /// AGU by `k` times its addresses, and every channel's live words
     /// become the addresses at the AGU's new position. Nothing else about
-    /// the streamer moves within a period.
+    /// the streamer moves within a period, except where the AGU runs out
+    /// first: it stops at its last address, and every channel's queue
+    /// holds as many fewer addresses as the AGU fell short.
     pub fn repeat_since(&mut self, earlier: &Self, k: u64) {
         self.stats.repeat_since(&earlier.stats, k);
         let produced = self.tagu.produced();
         let target = produced + k * (produced - earlier.tagu.produced());
-        let window = self.live_window();
+        let land = target.min(self.tagu.total());
+        let short = target - land;
+        // The AGU counts the addresses it produced: up to its last.
+        self.stats.temporal_addresses.reset();
+        self.stats.temporal_addresses.add(land);
+        let window = self.live_window() - short;
         self.tagu.reset();
-        self.tagu.skip(target - window);
+        self.tagu.skip(land - window);
         let temporal: Vec<u64> = (0..window)
             .map(|_| self.tagu.next_address().expect("replay within the pattern"))
             .collect();
         let (remapper, sagu) = (&self.remapper, &self.sagu);
         for (c, (channel, then)) in self.channels.iter_mut().zip(&earlier.channels).enumerate() {
-            let live = temporal[temporal.len() - channel.live_words()..].iter();
+            let live = temporal[temporal.len() - (channel.live_words() - short as usize)..].iter();
             channel.repeat_since(
                 then,
                 k,
@@ -511,14 +520,15 @@ impl BankHorizon<'_> {
     /// The periods of `delta` positions, at most `cap`, that follow the
     /// last position the channels took in (`queued` short of the AGU's)
     /// and keep the bank pattern, provided the `window` positions before
-    /// the AGU's keep it too.
+    /// the AGU's keep it too. The channels take in at most the positions
+    /// the AGU has left plus the `queued` ones.
     fn periods(&self, window: u64, queued: u64, cap: u64) -> u64 {
         let (produced, delta) = (self.tagu.produced(), self.delta);
         if delta == 0 {
             return cap;
         }
-        let cap = cap.min((self.tagu.total() - produced) / delta);
         let (from, start) = (produced - window, produced - queued);
+        let cap = cap.min((self.tagu.total() - start) / delta);
         if cap == 0 || from < delta {
             return 0;
         }
@@ -634,8 +644,8 @@ mod tests {
     /// the words already taken in are checked against the words `delta`
     /// positions earlier, then period after period every word against the
     /// word one period earlier, channel by channel, until a word leaves its
-    /// bank, `cap` periods pass or the AGU cannot supply another whole
-    /// period.
+    /// bank, `cap` periods pass or the channels cannot take in another
+    /// whole period: they take in the `queued` words and the AGU's rest.
     fn walked_periods(h: &BankHorizon<'_>, window: u64, queued: u64, cap: u64) -> u64 {
         let produced = h.tagu.produced();
         let at = |position: u64| {
@@ -646,7 +656,7 @@ mod tests {
         };
         let (mut lead, mut lag) = (at(produced - window), at(produced - window - h.delta));
         let mut keeps = || {
-            let now = lead.next_address().expect("capped by the AGU");
+            let now = lead.next_address().expect("capped by the pattern");
             let then = lag.next_address().expect("behind the lead");
             (0..h.sagu.num_channels()).all(|c| {
                 let bank = |ta| h.remapper.map().bank_of(h.sagu.channel_address(ta, c));
@@ -656,7 +666,7 @@ mod tests {
         if !(queued..window).all(|_| keeps()) {
             return 0;
         }
-        let periods = (h.tagu.total() - produced)
+        let periods = (h.tagu.total() - (produced - queued))
             .checked_div(h.delta)
             .unwrap_or(u64::MAX);
         let mut k = 0;
@@ -678,7 +688,8 @@ mod tests {
     }
 
     /// The horizon's `k` equals the word walk's on random nests: caps of
-    /// zero and one period and beyond the nest, one-trip dimensions, zero
+    /// zero and one period and beyond the nest, replays that run past the
+    /// AGU's end into the queued positions, one-trip dimensions, zero
     /// and negative strides, lags that are and are not a product of inner
     /// bounds (and zero), footprints that straddle interleave groups, under
     /// FIMA, GIMA(8) and GIMA(1).
@@ -692,7 +703,7 @@ mod tests {
         ];
         let capacity = mem.capacity_bytes() as i64;
         let mut rng = SplitMix64::new(0xb0a2d);
-        let (mut cases, mut kept, mut broken, mut straddled) = (0, 0, 0, 0);
+        let (mut cases, mut kept, mut broken, mut straddled, mut outlast) = (0, 0, 0, 0, 0);
         while cases < 10_000 {
             let mode = modes[rng.below(3) as usize];
             let remapper = AddressRemapper::new(&mem, mode).unwrap();
@@ -748,9 +759,11 @@ mod tests {
             );
             assert_eq!(k, walked_periods(&horizon, window, queued, cap), "{label}");
             cases += 1;
-            let reach = cap.min((total - produced).checked_div(delta).unwrap_or(cap));
+            let supply = total - (produced - queued);
+            let reach = cap.min(supply.checked_div(delta).unwrap_or(cap));
             kept += u64::from(k > 0);
             broken += u64::from(0 < k && k < reach);
+            outlast += u64::from(produced + k * delta > total);
             let group = |addr: i64| remapper.map().bank_of(addr as u64) / mode.group_banks(32);
             let straddles = group(base as i64 + lo) != group(base as i64 + hi);
             straddled += u64::from(k > 0 && straddles);
@@ -758,5 +771,6 @@ mod tests {
         assert!(kept > 2000, "{kept} cases keep their banks for a period");
         assert!(broken > 200, "{broken} cases break after a period");
         assert!(straddled > 400, "{straddled} kept cases straddle a group");
+        assert!(outlast >= 200, "{outlast} cases reach past the AGU's end");
     }
 }

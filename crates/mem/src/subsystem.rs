@@ -39,6 +39,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use dm_sim::{
@@ -203,63 +204,207 @@ impl Instrumented for LatencyTelemetry {
 /// Queueing delays below this are folded into counters.
 const FOLDED: usize = LatencyHistogram::EXACT_LIMIT as usize;
 
-/// One bank's or one requester's request lifetimes, folded (see the module
-/// docs).
-#[derive(Debug, Default, PartialEq, Eq)]
-struct LifetimeFold {
-    /// Reads drained on their due cycle, by queueing delay `q`: each one is
-    /// the lifetime `(q, read latency)`.
+/// One bank's or one requester's lifetimes completed on the fast path,
+/// by queueing delay `q`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct FoldCounts {
+    /// Reads drained on their due cycle: each one is the lifetime
+    /// `(q, read latency)`.
     on_time_reads: [u64; FOLDED],
-    /// Writes, by queueing delay `q`: each one is the lifetime `(q, 0)`.
+    /// Writes: each one is the lifetime `(q, 0)`.
     writes: [u64; FOLDED],
-    /// Every other completed lifetime, recorded sample by sample.
-    slow: LatencyTelemetry,
 }
 
-dm_sim::clone_fields!(LifetimeFold {
-    on_time_reads,
-    writes,
-    slow
-});
-
-impl LifetimeFold {
-    /// Folds a write granted after `queueing` cycles.
-    #[inline]
-    fn write(&mut self, queueing: u64) {
-        match self.writes.get_mut(queueing as usize) {
-            Some(n) => *n += 1,
-            None => self.slow.record(queueing, 0),
-        }
-    }
-
-    /// Lifetimes completed so far.
+impl FoldCounts {
     fn completed(&self) -> u64 {
-        self.on_time_reads.iter().chain(&self.writes).sum::<u64>() + self.slow.end_to_end.count()
-    }
-
-    /// The histograms this fold stands for.
-    fn telemetry(&self, read_latency: u64) -> LatencyTelemetry {
-        let mut tel = self.slow.clone();
-        for (q, (&reads, &writes)) in (0u64..).zip(self.on_time_reads.iter().zip(&self.writes)) {
-            tel.queueing.record_n(q, reads + writes);
-            tel.service.record_n(read_latency, reads);
-            tel.service.record_n(0, writes);
-            tel.end_to_end.record_n(q + read_latency, reads);
-            tel.end_to_end.record_n(q, writes);
-        }
-        tel
+        self.on_time_reads.iter().chain(&self.writes).sum()
     }
 }
 
-impl Periodic for LifetimeFold {
-    /// `k` more periods of the lifetimes completed since `earlier`.
+impl Periodic for FoldCounts {
     fn repeat_since(&mut self, earlier: &Self, k: u64) {
         self.on_time_reads.repeat_since(&earlier.on_time_reads, k);
         self.writes.repeat_since(&earlier.writes, k);
-        let slow = &mut self.slow;
-        slow.queueing.repeat_since(&earlier.slow.queueing, k);
-        slow.service.repeat_since(&earlier.slow.service, k);
-        slow.end_to_end.repeat_since(&earlier.slow.end_to_end, k);
+    }
+}
+
+/// Every bank's and every requester's request lifetimes, folded (see the
+/// module docs): one row per bank, then one per requester. The fast-path
+/// counts are one flat table, which a snapshot copies in one go; the
+/// rarely used per-sample histograms sit in a side table.
+#[derive(Debug, PartialEq, Eq)]
+struct Lifetimes {
+    banks: usize,
+    counts: Vec<FoldCounts>,
+    /// Every other completed lifetime, recorded sample by sample: the rows
+    /// that have any, in row order.
+    slow: Vec<(usize, LatencyTelemetry)>,
+}
+
+dm_sim::clone_fields!(Lifetimes {
+    banks,
+    counts,
+    slow
+});
+
+impl Lifetimes {
+    fn new(banks: usize) -> Self {
+        Lifetimes {
+            banks,
+            counts: vec![FoldCounts::default(); banks],
+            slow: Vec::new(),
+        }
+    }
+
+    /// Adds a row for each of `requesters`.
+    fn add_requesters(&mut self, requesters: usize) {
+        self.counts
+            .resize(self.banks + requesters, FoldCounts::default());
+    }
+
+    /// The requesters' rows.
+    fn requester_rows(&self) -> Range<usize> {
+        self.banks..self.counts.len()
+    }
+
+    /// The rows of `bank` and `requester`.
+    fn rows(&self, bank: usize, requester: RequesterId) -> [usize; 2] {
+        [bank, self.banks + requester.0]
+    }
+
+    /// Folds a read drained on its due cycle after `queueing < FOLDED`
+    /// cycles in arbitration.
+    #[inline]
+    fn on_time_read(&mut self, bank: usize, requester: RequesterId, queueing: usize) {
+        for row in self.rows(bank, requester) {
+            self.counts[row].on_time_reads[queueing] += 1;
+        }
+    }
+
+    /// Folds a write granted after `queueing` cycles.
+    #[inline]
+    fn write(&mut self, bank: usize, requester: RequesterId, queueing: u64) {
+        for row in self.rows(bank, requester) {
+            match self.counts[row].writes.get_mut(queueing as usize) {
+                Some(n) => *n += 1,
+                None => self.slow_row(row).record(queueing, 0),
+            }
+        }
+    }
+
+    /// Records a lifetime sample by sample.
+    #[cold]
+    fn record_slow(&mut self, bank: usize, requester: RequesterId, queueing: u64, service: u64) {
+        for row in self.rows(bank, requester) {
+            self.slow_row(row).record(queueing, service);
+        }
+    }
+
+    fn slow_row(&mut self, row: usize) -> &mut LatencyTelemetry {
+        let at = match self.slow.binary_search_by_key(&row, |&(r, _)| r) {
+            Ok(at) => at,
+            Err(at) => {
+                self.slow.insert(at, (row, LatencyTelemetry::default()));
+                at
+            }
+        };
+        &mut self.slow[at].1
+    }
+
+    /// The per-sample histograms of `row`, if it has any.
+    fn slow_of(&self, row: usize) -> Option<&LatencyTelemetry> {
+        let at = self.slow.binary_search_by_key(&row, |&(r, _)| r).ok()?;
+        Some(&self.slow[at].1)
+    }
+
+    /// Lifetimes `row` completed so far.
+    fn completed(&self, row: usize) -> u64 {
+        self.counts[row].completed() + self.slow_of(row).map_or(0, |tel| tel.end_to_end.count())
+    }
+
+    /// The histograms of rows `rows`.
+    fn telemetry(&self, rows: Range<usize>, read_latency: u64) -> Vec<LatencyTelemetry> {
+        rows.map(|row| {
+            let mut tel = self.slow_of(row).cloned().unwrap_or_default();
+            let fold = &self.counts[row];
+            for (q, (&reads, &writes)) in (0u64..).zip(fold.on_time_reads.iter().zip(&fold.writes))
+            {
+                tel.queueing.record_n(q, reads + writes);
+                tel.service.record_n(read_latency, reads);
+                tel.service.record_n(0, writes);
+                tel.end_to_end.record_n(q + read_latency, reads);
+                tel.end_to_end.record_n(q, writes);
+            }
+            tel
+        })
+        .collect()
+    }
+}
+
+impl Periodic for Lifetimes {
+    /// `k` more periods of the lifetimes completed since `earlier`.
+    fn repeat_since(&mut self, earlier: &Self, k: u64) {
+        self.counts.repeat_since(&earlier.counts, k);
+        let none = LatencyTelemetry::default();
+        for (row, tel) in &mut self.slow {
+            let then = earlier.slow_of(*row).unwrap_or(&none);
+            tel.queueing.repeat_since(&then.queueing, k);
+            tel.service.repeat_since(&then.service, k);
+            tel.end_to_end.repeat_since(&then.end_to_end, k);
+        }
+    }
+}
+
+/// The crossbar's per-cycle arbitration scratch. It is empty between
+/// cycles, where every snapshot of a crossbar is taken, so a clone starts
+/// it afresh and crossbars compare equal whatever it holds.
+#[derive(Debug)]
+struct Arbitration {
+    /// Requests submitted in the current cycle.
+    submissions: Vec<MemRequest>,
+    submitted: Vec<bool>,
+    /// Grant flags from the last arbitration, indexed by requester.
+    grants: Vec<bool>,
+    /// Per-bank arbitration slots of the current cycle, valid for the
+    /// banks set in `touched_banks`.
+    bank_slots: Vec<BankSlot>,
+    /// Bitset of banks with at least one submission this cycle; walked in
+    /// ascending bank order by arbitration, which also clears it.
+    touched_banks: Vec<u64>,
+}
+
+impl Arbitration {
+    fn new(banks: usize, requesters: usize) -> Self {
+        Arbitration {
+            submissions: Vec::new(),
+            submitted: vec![false; requesters],
+            grants: vec![false; requesters],
+            bank_slots: vec![BankSlot::default(); banks],
+            touched_banks: vec![0; banks.div_ceil(64)],
+        }
+    }
+}
+
+impl Clone for Arbitration {
+    fn clone(&self) -> Self {
+        debug_assert!(
+            self.submissions.is_empty(),
+            "a crossbar is copied between cycles"
+        );
+        Arbitration::new(self.bank_slots.len(), self.grants.len())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let shape = |a: &Self| (a.bank_slots.len(), a.grants.len());
+        if shape(self) != shape(source) {
+            *self = source.clone();
+        }
+    }
+}
+
+impl PartialEq for Arbitration {
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
 }
 
@@ -295,19 +440,9 @@ pub struct MemorySubsystem {
     arbiters: Vec<RoundRobinArbiter>,
     /// Fixed once traffic starts, so clones share it.
     requester_names: Arc<Vec<String>>,
-    /// Requests submitted in the current cycle.
-    submissions: Vec<MemRequest>,
-    submitted: Vec<bool>,
+    arbitration: Arbitration,
     /// Read responses in flight, stamped for latency attribution.
     in_flight: VecDeque<InFlightRead>,
-    /// Grant flags from the last arbitration, indexed by requester.
-    grants: Vec<bool>,
-    /// Per-bank arbitration slots of the current cycle, valid for the
-    /// banks set in `touched_banks`.
-    bank_slots: Vec<BankSlot>,
-    /// Bitset of banks with at least one submission this cycle; walked in
-    /// ascending bank order by arbitration, which also clears it.
-    touched_banks: Vec<u64>,
     per_bank_accesses: Vec<u64>,
     /// Issue cycle of each requester's currently pending request. Set on
     /// the first submit, cleared at the grant; retries keep the original
@@ -325,8 +460,7 @@ pub struct MemorySubsystem {
     /// Emit `FlowIssue`/`FlowGrant`/`FlowDeliver` trace stamps (opt-in on
     /// top of tracing: flow events inflate traces).
     flow_events: bool,
-    per_bank_lifetimes: Vec<LifetimeFold>,
-    per_requester_lifetimes: Vec<LifetimeFold>,
+    lifetimes: Lifetimes,
     stats: MemStats,
     cycle: Cycle,
     traffic_started: bool,
@@ -339,19 +473,14 @@ dm_sim::clone_fields!(MemorySubsystem {
     read_latency,
     arbiters,
     requester_names,
-    submissions,
-    submitted,
+    arbitration,
     in_flight,
-    grants,
-    bank_slots,
-    touched_banks,
     per_bank_accesses,
     issue_cycle,
     pending_flow,
     next_flow_id,
     flow_events,
-    per_bank_lifetimes,
-    per_requester_lifetimes,
+    lifetimes,
     stats,
     cycle,
     traffic_started,
@@ -371,19 +500,14 @@ impl MemorySubsystem {
             read_latency: Self::DEFAULT_READ_LATENCY,
             arbiters: vec![RoundRobinArbiter::new(1); banks],
             requester_names: Arc::default(),
-            submissions: Vec::new(),
-            submitted: Vec::new(),
+            arbitration: Arbitration::new(banks, 0),
             in_flight: VecDeque::new(),
-            grants: Vec::new(),
-            bank_slots: vec![BankSlot::default(); banks],
-            touched_banks: vec![0; banks.div_ceil(64)],
             per_bank_accesses: vec![0; banks],
             issue_cycle: Vec::new(),
             pending_flow: Vec::new(),
             next_flow_id: 0,
             flow_events: false,
-            per_bank_lifetimes: vec![LifetimeFold::default(); banks],
-            per_requester_lifetimes: Vec::new(),
+            lifetimes: Lifetimes::new(banks),
             stats: MemStats::default(),
             cycle: Cycle::ZERO,
             traffic_started: false,
@@ -482,14 +606,16 @@ impl MemorySubsystem {
     /// stamped at the grant.
     #[must_use]
     pub fn latency_by_bank(&self) -> Vec<LatencyTelemetry> {
-        self.build_telemetry(&self.per_bank_lifetimes, |read| read.bank)
+        self.build_telemetry(0..self.lifetimes.banks, |read| read.bank)
     }
 
     /// Request-lifetime histograms per requester (indexed by
     /// [`RequesterId::index`]). Empty until traffic starts.
     #[must_use]
     pub fn latency_by_requester(&self) -> Vec<LatencyTelemetry> {
-        self.build_telemetry(&self.per_requester_lifetimes, |read| read.requester.index())
+        self.build_telemetry(self.lifetimes.requester_rows(), |read| {
+            read.requester.index()
+        })
     }
 
     /// Request-lifetime histograms merged over all banks.
@@ -498,17 +624,15 @@ impl MemorySubsystem {
         merged(&self.latency_by_bank())
     }
 
-    /// Builds the histograms of `folds`, adding the queueing delay of every
-    /// read still in flight to the table `key` picks.
+    /// Builds the histograms of the lifetime rows `rows`, adding the
+    /// queueing delay of every read still in flight to the table `key`
+    /// picks.
     fn build_telemetry(
         &self,
-        folds: &[LifetimeFold],
+        rows: Range<usize>,
         key: impl Fn(&InFlightRead) -> usize,
     ) -> Vec<LatencyTelemetry> {
-        let mut tables: Vec<LatencyTelemetry> = folds
-            .iter()
-            .map(|fold| fold.telemetry(self.read_latency))
-            .collect();
+        let mut tables = self.lifetimes.telemetry(rows, self.read_latency);
         for read in &self.in_flight {
             tables[key(read)].queueing.record(self.queueing(read));
         }
@@ -533,8 +657,7 @@ impl MemorySubsystem {
             let queueing = self.queueing(&read);
             let q = queueing as usize;
             if read.due == self.cycle && q < FOLDED {
-                self.per_bank_lifetimes[read.bank].on_time_reads[q] += 1;
-                self.per_requester_lifetimes[read.requester.0].on_time_reads[q] += 1;
+                self.lifetimes.on_time_read(read.bank, read.requester, q);
             } else {
                 self.record_slow_delivery(&read, queueing);
             }
@@ -557,12 +680,8 @@ impl MemorySubsystem {
     #[cold]
     fn record_slow_delivery(&mut self, read: &InFlightRead, queueing: u64) {
         let service = self.cycle.get() - (read.due.get() - self.read_latency);
-        for tel in [
-            &mut self.per_bank_lifetimes[read.bank].slow,
-            &mut self.per_requester_lifetimes[read.requester.0].slow,
-        ] {
-            tel.record(queueing, service);
-        }
+        self.lifetimes
+            .record_slow(read.bank, read.requester, queueing, service);
     }
 
     /// Step 1 of a cycle: collect the read responses whose latency has
@@ -589,7 +708,8 @@ impl MemorySubsystem {
             return Err(MemError::UnknownRequester { requester: idx });
         }
         self.ensure_traffic_started();
-        if self.submitted[idx] {
+        let arbitration = &mut self.arbitration;
+        if arbitration.submitted[idx] {
             return Err(MemError::DuplicateRequest { requester: idx });
         }
         debug_assert!(
@@ -597,7 +717,7 @@ impl MemorySubsystem {
                 && request.loc.row < self.config.rows_per_bank(),
             "request target outside memory geometry"
         );
-        self.submitted[idx] = true;
+        arbitration.submitted[idx] = true;
         // Issue stamp: only the first submit of a request counts; a retry
         // after a lost arbitration resubmits the same request and keeps
         // accruing queueing latency against the original issue cycle. The
@@ -616,7 +736,7 @@ impl MemorySubsystem {
         } else {
             self.stats.resubmissions.inc();
         }
-        self.submissions.push(request);
+        self.arbitration.submissions.push(request);
         Ok(())
     }
 
@@ -640,18 +760,19 @@ impl MemorySubsystem {
     /// retry next cycle.
     pub fn arbitrate(&mut self) -> &[bool] {
         self.ensure_traffic_started();
-        self.grants.fill(false);
+        let arbitration = &mut self.arbitration;
+        arbitration.grants.fill(false);
         // One pass over the submissions picks every bank's round-robin
         // winner: each bank's slot keeps the contender count and the
         // smallest priority distance seen so far. Nothing is sorted and
         // nothing is allocated.
-        for (i, req) in self.submissions.iter().enumerate() {
+        for (i, req) in arbitration.submissions.iter().enumerate() {
             let bank = req.loc.bank;
             let distance = self.arbiters[bank].distance(req.requester.0);
-            let slot = &mut self.bank_slots[bank];
+            let slot = &mut arbitration.bank_slots[bank];
             let (word, bit) = (bank >> 6, 1u64 << (bank & 63));
-            if self.touched_banks[word] & bit == 0 {
-                self.touched_banks[word] |= bit;
+            if arbitration.touched_banks[word] & bit == 0 {
+                arbitration.touched_banks[word] |= bit;
                 *slot = BankSlot {
                     contenders: 1,
                     best_distance: distance,
@@ -667,18 +788,18 @@ impl MemorySubsystem {
         }
         // Ascending bank order, matching the hardware's fixed port scan and
         // keeping response issue order (and traces) deterministic.
-        for word in 0..self.touched_banks.len() {
-            let mut bits = std::mem::take(&mut self.touched_banks[word]);
+        for word in 0..self.arbitration.touched_banks.len() {
+            let mut bits = std::mem::take(&mut self.arbitration.touched_banks[word]);
             while bits != 0 {
                 let bank = (word << 6) | bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 self.grant_winner(bank);
             }
         }
-        self.submissions.clear();
-        self.submitted.fill(false);
+        self.arbitration.submissions.clear();
+        self.arbitration.submitted.fill(false);
         self.cycle.advance();
-        &self.grants
+        &self.arbitration.grants
     }
 
     /// Grants `bank`'s arbitration winner and performs its operation.
@@ -687,7 +808,7 @@ impl MemorySubsystem {
             contenders,
             submission,
             ..
-        } = self.bank_slots[bank];
+        } = self.arbitration.bank_slots[bank];
         if contenders > 1 {
             self.stats.conflicts.add(contenders - 1);
             self.trace.emit(
@@ -696,10 +817,10 @@ impl MemorySubsystem {
                 TraceEventKind::BankConflict { bank, contenders },
             );
         }
-        let request = self.submissions[submission];
+        let request = self.arbitration.submissions[submission];
         let winner = request.requester.0;
         self.arbiters[bank].commit(winner);
-        self.grants[winner] = true;
+        self.arbitration.grants[winner] = true;
         self.per_bank_accesses[bank] += 1;
         // Grant stamp: the pending request leaves the arbitration phase.
         let issued = self.issue_cycle[winner]
@@ -737,8 +858,7 @@ impl MemorySubsystem {
                 // Writes commit at the grant: service is zero and the
                 // request's whole lifetime is its queueing delay.
                 let queueing = self.cycle.saturating_sub(issued).get();
-                self.per_bank_lifetimes[bank].write(queueing);
-                self.per_requester_lifetimes[winner].write(queueing);
+                self.lifetimes.write(bank, request.requester, queueing);
             }
         }
     }
@@ -746,7 +866,7 @@ impl MemorySubsystem {
     /// Returns `true` when no read response is still in flight.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.in_flight.is_empty() && self.submissions.is_empty()
+        self.in_flight.is_empty() && self.arbitration.submissions.is_empty()
     }
 
     /// The bank serving `requester`'s oldest in-flight (granted,
@@ -784,7 +904,7 @@ impl MemorySubsystem {
         h.write_u64(self.stats.submissions.get());
         h.write_u64(self.stats.resubmissions.get());
         h.write_u64(self.stats.conflicts.get());
-        h.write_usize(self.submissions.len());
+        h.write_usize(self.arbitration.submissions.len());
         h.write_usize(self.in_flight.len());
         h.finish()
     }
@@ -797,7 +917,10 @@ impl MemorySubsystem {
     pub fn lock_key(&self, key: &mut Vec<u64>) {
         let now = self.cycle;
         key.extend(self.arbiters.iter().map(|a| a.pointer() as u64));
-        key.extend([self.submissions.len() as u64, self.in_flight.len() as u64]);
+        key.extend([
+            self.arbitration.submissions.len() as u64,
+            self.in_flight.len() as u64,
+        ]);
         for read in &self.in_flight {
             key.extend([
                 (read.due - now).get(),
@@ -832,7 +955,7 @@ impl MemorySubsystem {
     /// and histogram.
     pub fn advance_idle(&mut self, span: u64) {
         debug_assert!(
-            self.submissions.is_empty(),
+            self.arbitration.submissions.is_empty(),
             "advance_idle with submissions pending would drop arbitration"
         );
         debug_assert!(
@@ -857,11 +980,11 @@ impl MemorySubsystem {
         self.traffic_started = true;
         let n = self.requester_names.len().max(1);
         self.arbiters = vec![RoundRobinArbiter::new(n); self.config.num_banks()];
-        self.submitted = vec![false; self.requester_names.len()];
-        self.grants = vec![false; self.requester_names.len()];
-        self.issue_cycle = vec![None; self.requester_names.len()];
-        self.pending_flow = vec![0; self.requester_names.len()];
-        self.per_requester_lifetimes = vec![LifetimeFold::default(); self.requester_names.len()];
+        let requesters = self.requester_names.len();
+        self.arbitration = Arbitration::new(self.config.num_banks(), requesters);
+        self.issue_cycle = vec![None; requesters];
+        self.pending_flow = vec![0; requesters];
+        self.lifetimes.add_requesters(requesters);
     }
 }
 
@@ -935,18 +1058,14 @@ impl Periodic for MemorySubsystem {
         self.stats.repeat_since(&earlier.stats, k);
         self.per_bank_accesses
             .repeat_since(&earlier.per_bank_accesses, k);
-        self.per_bank_lifetimes
-            .repeat_since(&earlier.per_bank_lifetimes, k);
         // A requester's reads completed in the period are the tags it used:
         // its pending and in-flight requests are the same at both ends.
         let tags: Vec<u64> = self
-            .per_requester_lifetimes
-            .iter()
-            .zip(&earlier.per_requester_lifetimes)
-            .map(|(now, then)| now.completed() - then.completed())
+            .lifetimes
+            .requester_rows()
+            .map(|row| self.lifetimes.completed(row) - earlier.lifetimes.completed(row))
             .collect();
-        self.per_requester_lifetimes
-            .repeat_since(&earlier.per_requester_lifetimes, k);
+        self.lifetimes.repeat_since(&earlier.lifetimes, k);
         let flows = self.next_flow_id - earlier.next_flow_id;
         assert_eq!(
             self.in_flight.len(),

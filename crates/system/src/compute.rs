@@ -302,33 +302,24 @@ enum Span<'a> {
 /// cycles), over which A's row stride adds up to whole interleave rounds.
 const MAX_PERIOD: u64 = 1 << 18;
 
-/// Boundary keys the detector remembers.
-const RING: usize = 32;
-
 /// Anchors the detector keeps at once: enough for the boundaries of a few
 /// bank cycles of different lengths. A snapshot is tens of kilobytes.
 const ANCHORS: usize = 8;
 
-/// The anchor of a candidate period: the machine at a tile boundary whose
-/// lock key had already occurred at an earlier boundary.
+/// The anchor of a candidate period: the machine at a tile boundary and
+/// its lock key.
 struct Anchor {
     key: Vec<u64>,
     state: Box<Snapshot>,
 }
 
-/// Finds periods at tile boundaries. It remembers the lock keys of the
-/// last [`RING`] boundaries; a key that recurs suggests the machine has
-/// settled into a period, so that boundary takes a snapshot (an anchor).
-/// A later boundary whose key equals an anchor's ends a candidate period,
-/// and the span replays if the AGUs keep feeding the same banks.
+/// Finds periods at tile boundaries. Every boundary that replays nothing
+/// takes a snapshot (an anchor); a later boundary whose key equals an
+/// anchor's ends a candidate period, and the span replays if the AGUs keep
+/// feeding the same banks. A period thus replays one period after the
+/// machine settles into it.
 #[derive(Default)]
 struct Detector {
-    /// The lock keys of the last boundaries, compared word by word: a
-    /// compare stops at the first differing word, which costs less than
-    /// hashing every key.
-    ring: Vec<Vec<u64>>,
-    /// The next ring slot to overwrite.
-    next: usize,
     /// Anchors, oldest first.
     anchors: Vec<Anchor>,
     /// Dropped anchors, whose storage the next anchors take over.
@@ -374,31 +365,23 @@ impl Detector {
                 return Some(Span::Periods { k, anchor });
             }
         }
-        // A key that recurs marks a boundary the machine may return to, so
-        // it takes an anchor, also where anchors with its key just failed:
-        // the fresh one closes other periods than theirs.
-        if self.ring.contains(&self.key) {
-            if self.anchors.len() == ANCHORS {
-                self.evict();
+        // The boundary takes an anchor, also where anchors with its key
+        // just failed: the fresh one closes other periods than theirs.
+        if self.anchors.len() == ANCHORS {
+            self.evict();
+        }
+        let anchor = match self.spare.pop() {
+            Some(mut anchor) => {
+                anchor.key.clone_from(&self.key);
+                anchor.state.recapture(m, p);
+                anchor
             }
-            let anchor = match self.spare.pop() {
-                Some(mut anchor) => {
-                    anchor.key.clone_from(&self.key);
-                    anchor.state.recapture(m, p);
-                    anchor
-                }
-                None => Anchor {
-                    key: self.key.clone(),
-                    state: Box::new(Snapshot::capture(m, p)),
-                },
-            };
-            self.anchors.push(anchor);
-        }
-        match self.ring.get_mut(self.next) {
-            Some(slot) => slot.clone_from(&self.key),
-            None => self.ring.push(self.key.clone()),
-        }
-        self.next = (self.next + 1) % RING;
+            None => Anchor {
+                key: self.key.clone(),
+                state: Box::new(Snapshot::capture(m, p)),
+            },
+        };
+        self.anchors.push(anchor);
         None
     }
 
@@ -496,20 +479,27 @@ impl<'a> Compute<'a> {
             None => {
                 p.ledger.fire(now.get());
                 trace.emit(now, "pe", TraceEventKind::PeFire);
+                // A timing-only run has no digests to check, so it folds none.
+                let checked = self.expected.is_some();
                 if at.k_step == 0 {
                     p.digest = TileDigest::EMPTY;
                 }
                 let digest = &mut p.digest;
+                let mut fold = |addr| {
+                    if checked {
+                        digest.fold(addr);
+                    }
+                };
                 for (port, reader) in OperandPort::ALL.into_iter().zip(m.readers.iter_mut()) {
                     if at.moves(port.port()) {
-                        reader.pop_wide(|addr| digest.fold(addr));
+                        reader.pop_wide(&mut fold);
                     }
                 }
                 let produces = at.moves(Port::Out);
                 if produces {
-                    m.out.push_wide(|addr| digest.fold(addr));
+                    m.out.push_wide(&mut fold);
                     if let Some(expected) = self.expected {
-                        executor::check_tile(expected, p.fires / self.k_steps, *digest)?;
+                        executor::check_tile(expected, p.fires / self.k_steps, p.digest)?;
                     }
                 }
                 p.fires += 1;
