@@ -16,9 +16,19 @@ use crate::diagnostic::{Diagnostic, LintCode};
 use crate::pattern::StreamSummary;
 use crate::period::{PortPeriodProof, WALK_CAP};
 
-/// The bank of word `word` under GIMA(`g`), by division.
+/// The bank and row of word `word` under GIMA(`g`) with `group_words`
+/// words per group, by division (DESIGN §7): `(w / (g·rows))·g + w mod g`
+/// and `(w mod g·rows) / g`. The workspace's one bank-map oracle.
+pub(crate) fn location_of_word(word: u64, g: u64, group_words: u64) -> (u64, u64) {
+    (
+        (word / group_words) * g + word % g,
+        (word % group_words) / g,
+    )
+}
+
+/// The bank of word `word`: [`location_of_word`]'s bank.
 pub(crate) fn bank_of_word(word: u64, g: u64, group_words: u64) -> u64 {
-    (word / group_words) * g + word % g
+    location_of_word(word, g, group_words).0
 }
 
 /// The temporal offsets of the first `steps` steps of a nest, each summed

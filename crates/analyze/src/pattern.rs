@@ -299,8 +299,9 @@ fn hull_banks_and_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::bank_of_word;
+    use crate::oracle::{bank_of_word, location_of_word};
     use datamaestro::StreamerMode;
+    use dm_mem::AddressRemapper;
 
     fn mem() -> MemConfig {
         MemConfig::new(8, 8, 64).unwrap()
@@ -314,31 +315,36 @@ mod tests {
             .unwrap()
     }
 
-    /// The shared bank map is the division formula
-    /// `(w / (g·rows))·g + w mod g` of DESIGN §7.
+    /// The remapper and the shared bank map both follow the division
+    /// formula of [`location_of_word`] (DESIGN §7): every word of every
+    /// mode — NIMA, FIMA and GIMA(g) for every power of two `g` up to the
+    /// bank count — on every geometry of 1 to 16 banks at 4 and 64 rows,
+    /// and on 32 banks at 64 rows.
     #[test]
     fn bank_model_matches_remapper_for_every_mode() {
-        // Every legal mode of an 8-bank and a 32-bank geometry, up to
-        // GIMA(16), plus GIMA over all banks (FIMA spelled as a group),
-        // over every in-range word.
-        for mem in [mem(), MemConfig::new(32, 8, 64).unwrap()] {
-            let all = AddressingMode::GroupedInterleaved {
-                group_banks: mem.num_banks(),
-            };
-            for mode in crate::advisor::legal_modes(mem.num_banks())
-                .into_iter()
-                .chain([all])
-            {
-                let g = mode.group_banks(mem.num_banks()) as u64;
+        let geometries = [1usize, 2, 4, 8, 16]
+            .into_iter()
+            .flat_map(|banks| [(banks, 4), (banks, 64)])
+            .chain([(32, 64)]);
+        for (banks, rows) in geometries {
+            let mem = MemConfig::new(banks, 8, rows).unwrap();
+            let groups = std::iter::successors(Some(1), |g| Some(g * 2))
+                .take_while(|&g| g <= banks)
+                .map(|group_banks| AddressingMode::GroupedInterleaved { group_banks });
+            let modes = [
+                AddressingMode::NonInterleaved,
+                AddressingMode::FullyInterleaved,
+            ];
+            for mode in modes.into_iter().chain(groups) {
+                let remapper = AddressRemapper::new(&mem, mode).unwrap();
+                let g = mode.group_banks(banks) as u64;
                 let map = BankMap::words(&mem, g);
-                let group_words = g * mem.rows_per_bank() as u64;
-                for w in 0..mem.capacity_bytes() / mem.bank_width_bytes() as u64 {
-                    assert_eq!(
-                        map.bank(w),
-                        bank_of_word(w, g, group_words),
-                        "{} banks, mode {mode}, word {w}",
-                        mem.num_banks()
-                    );
+                for w in 0..remapper.capacity_words() {
+                    let (bank, row) = location_of_word(w, g, g * rows as u64);
+                    let label = format!("{banks} banks, {rows} rows, mode {mode}, word {w}");
+                    assert_eq!((map.bank(w), map.row(w)), (bank, row), "{label}");
+                    let loc = remapper.map_word(w);
+                    assert_eq!((loc.bank as u64, loc.row as u64), (bank, row), "{label}");
                 }
             }
         }

@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 
-use dm_mem::{BankLocation, MemRequest, MemResponse, MemorySubsystem, RequesterId};
+use dm_mem::{BankLocation, MemResponse, RequesterId};
 use dm_sim::{Counter, LatencyHistogram, MetricsRegistry, Periodic, StableHasher};
 
 pub use crate::fifo::{ChannelFifo, Landing};
@@ -216,23 +216,13 @@ impl<F: ChannelFifo> Channel<F> {
         self.fifo.request().is_some()
     }
 
-    /// Submits the request awaiting a grant, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics on subsystem protocol violations (unknown requester, double
-    /// submission), which indicate simulator bugs.
+    /// The request awaiting a grant, if any: its location and tag. The
+    /// owning streamer submits every channel's in one
+    /// [`MemorySubsystem::submit_batch`](dm_mem::MemorySubsystem::submit_batch) call.
     #[inline]
-    pub fn submit(&self, mem: &mut MemorySubsystem) {
-        if let Some((loc, tag)) = self.fifo.request() {
-            mem.submit(MemRequest {
-                requester: self.requester,
-                loc,
-                tag,
-                op: F::OP,
-            })
-            .expect("channel submission accepted");
-        }
+    #[must_use]
+    pub fn request(&self) -> Option<(BankLocation, u64)> {
+        self.fifo.request()
     }
 
     /// Consumes the grant flag for this channel after arbitration: a
@@ -355,7 +345,7 @@ impl ReadChannel {
         self.fifo.pending_bank()
     }
 
-    /// `true` when [`issue`](Self::issue) may start a request: no request
+    /// `true` when [`start`](Self::start) may start a request: no request
     /// pending, an address queued and an ORM landing slot reservable.
     /// Read-only mirror of that gate, used by
     /// [`ReadStreamer::acts_this_cycle`](crate::ReadStreamer::acts_this_cycle)
@@ -368,24 +358,15 @@ impl ReadChannel {
     /// RSC step: if `may_start` and
     /// [`can_start_request`](Self::can_start_request), convert the next
     /// queued address into a pending request, reserving a FIFO slot through
-    /// the ORM; then submit the pending request (new or retried) to the
-    /// crossbar. Returns `true` if a new request was started.
-    ///
-    /// # Panics
-    ///
-    /// Panics on subsystem protocol violations (simulator bugs).
+    /// the ORM. The pending [`request`](Self::request), new or retried, is
+    /// then the channel's submission. Returns `true` if a new request was
+    /// started.
     #[inline]
-    pub fn issue(
-        &mut self,
-        mem: &mut MemorySubsystem,
-        may_start: bool,
-        map: impl FnOnce(u64) -> BankLocation,
-    ) -> bool {
+    pub fn start(&mut self, may_start: bool, map: impl FnOnce(u64) -> BankLocation) -> bool {
         let started = may_start && self.can_start_request();
         if started {
             self.admit(map);
         }
-        self.submit(mem);
         started
     }
 
@@ -399,7 +380,18 @@ impl ReadChannel {
     #[inline]
     pub fn handle_response(&mut self, response: MemResponse) {
         assert_eq!(response.requester, self.requester, "misrouted response");
-        self.fifo.land(response.tag);
+        self.land(response.tag);
+    }
+
+    /// Lands the response echoing `tag`, routed here by its requester.
+    ///
+    /// # Panics
+    ///
+    /// As [`handle_response`](Self::handle_response), on a response out of
+    /// order or without an outstanding request.
+    #[inline]
+    pub fn land(&mut self, tag: u64) {
+        self.fifo.land(tag);
     }
 
     /// `true` if a word is ready at the FIFO head.
@@ -455,8 +447,30 @@ impl WriteChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_mem::MemConfig;
+    use dm_mem::{MemConfig, MemorySubsystem};
     use dm_sim::SplitMix64;
+
+    impl<F: ChannelFifo> Channel<F> {
+        /// Submits the pending request on its own: a one-channel batch.
+        pub(crate) fn submit(&self, mem: &mut MemorySubsystem) {
+            mem.submit_batch(self.requester, F::OP, std::iter::once(self.request()))
+                .unwrap();
+        }
+    }
+
+    impl ReadChannel {
+        /// [`Channel::start`], then [`Channel::submit`].
+        pub(crate) fn issue(
+            &mut self,
+            mem: &mut MemorySubsystem,
+            may_start: bool,
+            map: impl FnOnce(u64) -> BankLocation,
+        ) -> bool {
+            let started = self.start(may_start, map);
+            self.submit(mem);
+            started
+        }
+    }
 
     fn mem_with(n: usize) -> (MemorySubsystem, Vec<RequesterId>) {
         let mut mem = MemorySubsystem::new(MemConfig::new(4, 8, 64).unwrap());

@@ -59,7 +59,7 @@
 //!     if streamer.can_pop_wide() {
 //!         streamer.pop_wide(|addr| popped.push(addr));
 //!     }
-//!     streamer.generate_and_issue(&mut mem);
+//!     streamer.generate_and_issue(&mut mem)?;
 //!     let grants = mem.arbitrate();
 //!     streamer.handle_grants(grants);
 //! }

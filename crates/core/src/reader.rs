@@ -23,7 +23,7 @@
 //! data-movement unit: one wide request at a time and no overlap between the
 //! memory round-trip and consumption (the ablation baseline ①).
 
-use dm_mem::{MemResponse, MemorySubsystem};
+use dm_mem::{MemError, MemOp, MemResponse, MemorySubsystem};
 use dm_sim::{BlameLeaf, Cycle, StableHasher, TraceEventKind};
 
 use crate::channel::{Landing, ReadChannel};
@@ -106,11 +106,17 @@ impl ReadStreamer {
     }
 
     /// Phase 2: deliver a memory response belonging to one of this
-    /// streamer's channels.
+    /// streamer's channels, for a driver whose crossbar serves this reader
+    /// alone. A crossbar shared by several readers routes each response by
+    /// its requester ([`channel_requesters`](Self::channel_requesters)) to
+    /// [`land`](Self::land) instead, as the system's cycle loop does.
     ///
     /// # Panics
     ///
-    /// Panics if the response belongs to no channel of this streamer.
+    /// Panics if the response belongs to no channel of this streamer. That
+    /// cannot happen on a crossbar where no other requester reads: every
+    /// read response names the requester that submitted it, and this
+    /// streamer's channels are then the only requesters that submit reads.
     #[inline]
     pub fn accept_response(&mut self, response: MemResponse) {
         // Channels register contiguously, so a response's channel is its
@@ -125,21 +131,46 @@ impl ReadStreamer {
         channel.handle_response(response);
     }
 
+    /// Phase 2: lands the response echoing `tag` on channel `channel`, the
+    /// channel whose requester the response names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is not a channel of this streamer, or as
+    /// [`ReadChannel::land`] does.
+    #[inline]
+    pub fn land(&mut self, channel: usize, tag: u64) {
+        self.channels[channel].land(tag);
+    }
+
     /// Phase 4: run the AGU (one temporal address per cycle), start channel
-    /// requests where the gate allows, and submit pending ones.
-    pub fn generate_and_issue(&mut self, mem: &mut MemorySubsystem) {
+    /// requests where the gate allows, and submit the pending ones.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError`] if `mem` is not the crossbar the streamer registered its
+    /// channels on, or they already submitted this cycle.
+    pub fn generate_and_issue(&mut self, mem: &mut MemorySubsystem) -> Result<(), MemError> {
         self.generate(mem.cycle());
-        let (remapper, side) = (&self.remapper, &mut self.side);
-        for (c, channel) in self.channels.iter_mut().enumerate() {
-            let may_start = side.may_start(self.fine_grained, c);
-            let started = channel.issue(mem, may_start, |addr| map_checked(remapper, addr));
-            if started && !self.fine_grained {
+        let Some(first) = self.channels.first().map(ReadChannel::requester) else {
+            return Ok(());
+        };
+        let (remapper, side, fine_grained) = (&self.remapper, &mut self.side, self.fine_grained);
+        // One pass: each channel starts a request where the gate allows and
+        // offers its pending one.
+        let requests = self.channels.iter_mut().enumerate().map(|(c, channel)| {
+            let may_start = side.may_start(fine_grained, c);
+            let started = channel.start(may_start, |addr| map_checked(remapper, addr));
+            if started && !fine_grained {
                 side.coarse_started[c] = true;
             }
-        }
-        if !self.fine_grained && side.coarse_open && side.coarse_started.iter().all(|&s| s) {
+            channel.request()
+        });
+        let submitted = mem.submit_batch(first, MemOp::Read, requests);
+        if !fine_grained && side.coarse_open && side.coarse_started.iter().all(|&s| s) {
             side.coarse_open = false;
         }
+        submitted
     }
 
     /// `true` when a full wide word is ready for the accelerator.
@@ -272,7 +303,7 @@ mod tests {
     fn tick(streamer: &mut ReadStreamer, mem: &mut MemorySubsystem) {
         streamer.begin_cycle();
         mem.drain_responses(|resp| streamer.accept_response(resp));
-        streamer.generate_and_issue(mem);
+        streamer.generate_and_issue(mem).unwrap();
         let grants = mem.arbitrate().to_vec();
         streamer.handle_grants(&grants);
     }

@@ -197,7 +197,8 @@ dm_sim::clone_fields!(impl[S: Side] Streamer<S> {
 });
 
 impl<S: Side> Streamer<S> {
-    /// Builds a streamer, registering one crossbar requester per channel.
+    /// Builds a streamer, registering one crossbar requester per channel:
+    /// contiguous requesters, in channel order.
     ///
     /// # Errors
     ///
@@ -315,19 +316,27 @@ impl<S: Side> Streamer<S> {
     }
 
     /// Phase 5: consume the grant flags after crossbar arbitration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grants` does not cover this streamer's requesters: pass
+    /// the flags of the crossbar it was built against.
     pub fn handle_grants(&mut self, grants: &[bool]) {
-        self.lost_arbitration = false;
-        for channel in &mut self.channels {
-            let flag = grants[channel.requester().index()];
+        let first = self.channels.first().map_or(0, |c| c.requester().index());
+        let flags = &grants[first..first + self.channels.len()];
+        let (mut granted, mut retries) = (0, 0);
+        for (channel, &flag) in self.channels.iter_mut().zip(flags) {
             if channel.handle_grant(flag) {
                 if flag {
-                    self.stats.granted.inc();
+                    granted += 1;
                 } else {
-                    self.stats.retries.inc();
-                    self.lost_arbitration = true;
+                    retries += 1;
                 }
             }
         }
+        self.stats.granted.add(granted);
+        self.stats.retries.add(retries);
+        self.lost_arbitration = retries > 0;
     }
 
     /// `true` once the pattern is exhausted and every channel has drained.

@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use dm_mem::{BankLocation, MemorySubsystem};
+use dm_mem::{BankLocation, MemError, MemOp, MemorySubsystem};
 use dm_sim::{BlameLeaf, Cycle, TraceEventKind};
 
 use crate::channel::WriteChannel;
@@ -59,12 +59,19 @@ impl WriteStreamer {
     /// Runs exactly once per simulated cycle, so it doubles as the sampling
     /// point for per-channel FIFO occupancy (the write side has no
     /// `begin_cycle` phase).
-    pub fn generate_and_issue(&mut self, mem: &mut MemorySubsystem) {
+    ///
+    /// # Errors
+    ///
+    /// [`MemError`] if `mem` is not the crossbar the streamer registered its
+    /// channels on, or they already submitted this cycle.
+    pub fn generate_and_issue(&mut self, mem: &mut MemorySubsystem) -> Result<(), MemError> {
         self.sample_occupancy_span(1);
         self.generate(mem.cycle());
-        for channel in &self.channels {
-            channel.submit(mem);
-        }
+        let Some(first) = self.channels.first().map(WriteChannel::requester) else {
+            return Ok(());
+        };
+        let requests = self.channels.iter().map(WriteChannel::request);
+        mem.submit_batch(first, MemOp::Write, requests)
     }
 
     /// `true` when the accelerator may push one wide word this cycle.
@@ -176,7 +183,7 @@ mod tests {
     }
 
     fn tick(s: &mut WriteStreamer, mem: &mut MemorySubsystem) {
-        s.generate_and_issue(mem);
+        s.generate_and_issue(mem).unwrap();
         let grants = mem.arbitrate().to_vec();
         s.handle_grants(&grants);
     }

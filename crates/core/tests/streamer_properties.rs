@@ -117,7 +117,7 @@ fn read_stream_matches_reference() {
                 streamer.pop_wide(|addr| word.push(addr));
                 got.push(word);
             }
-            streamer.generate_and_issue(&mut mem);
+            streamer.generate_and_issue(&mut mem).unwrap();
             let grants = mem.arbitrate();
             streamer.handle_grants(grants);
             guard += 1;
@@ -174,7 +174,7 @@ fn write_stream_matches_reference() {
                 streamer.push_wide(|addr| word.push(addr));
                 pushed.push(word);
             }
-            streamer.generate_and_issue(&mut mem);
+            streamer.generate_and_issue(&mut mem).unwrap();
             let grants = mem.arbitrate();
             streamer.handle_grants(grants);
             guard += 1;

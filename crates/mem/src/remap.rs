@@ -417,28 +417,6 @@ impl AddressRemapper {
     }
 }
 
-/// The pre-table per-access arithmetic, kept only as the test oracle: the
-/// div/mod bit gathering the precomputed shift/mask path replaced. Dead on
-/// the hot path by construction — the equivalence test below proves the
-/// table path reproduces it exhaustively.
-#[cfg(test)]
-impl AddressRemapper {
-    fn map_word_arith(&self, word: u64) -> BankLocation {
-        assert!(word < self.capacity_words());
-        let g = self.mode.group_banks(self.num_banks) as u64;
-        let rows = self.rows_per_bank as u64;
-        let group_capacity = g * rows;
-        let group = word / group_capacity;
-        let local = word % group_capacity;
-        let bank_in_group = local % g;
-        let row = local / g;
-        BankLocation {
-            bank: (group * g + bank_in_group) as usize,
-            row: row as usize,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,29 +537,6 @@ mod tests {
         assert_eq!(AddressingMode::NonInterleaved.to_string(), "NIMA");
     }
 
-    /// Reference implementation of §III-D's insight: for power-of-two
-    /// geometry, the (bank, row) mapping is a pure permutation of the word
-    /// address bits. GIMA(g) with `b` bank bits and group bits `gb =
-    /// log2(g)`: the row is formed from the address bits *above* the group
-    /// bits with the inter-group bits moved below the intra-group row bits:
-    ///
-    /// ```text
-    /// word = [ group | row-within-group | bank-in-group ]
-    /// bank = [ group | bank-in-group ]
-    /// row  = [ row-within-group ]
-    /// ```
-    fn bit_permuted(word: u64, num_banks: u64, group: u64, rows: u64) -> BankLocation {
-        let gb = group.trailing_zeros();
-        let rb = rows.trailing_zeros();
-        let bank_in_group = word & (group - 1);
-        let row = (word >> gb) & (rows - 1);
-        let group_idx = (word >> (gb + rb)) & (num_banks / group - 1);
-        BankLocation {
-            bank: ((group_idx << gb) | bank_in_group) as usize,
-            row: row as usize,
-        }
-    }
-
     /// Small power-of-two geometries exercised exhaustively below: every
     /// bank count from 1 to 16 with a couple of row depths each.
     fn small_geometries() -> Vec<MemConfig> {
@@ -592,46 +547,6 @@ mod tests {
             }
         }
         cfgs
-    }
-
-    #[test]
-    fn remapper_is_a_bit_permutation_for_every_legal_mode() {
-        // The arithmetic remapper equals the explicit bit permutation for
-        // every legal grouping of every small geometry — the property that
-        // makes the hardware remapper a mux of rewired address bits.
-        for cfg in small_geometries() {
-            let (banks, rows) = (cfg.num_banks() as u64, cfg.rows_per_bank() as u64);
-            for mode in all_legal_modes(cfg.num_banks()) {
-                let r = AddressRemapper::new(&cfg, mode).unwrap();
-                let g = mode.group_banks(cfg.num_banks()) as u64;
-                for w in 0..r.capacity_words() {
-                    assert_eq!(
-                        r.map_word(w),
-                        bit_permuted(w, banks, g, rows),
-                        "banks={banks} rows={rows} mode={mode} word={w}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn table_path_matches_the_arithmetic_oracle_for_every_legal_mode() {
-        // The shift/mask bank map reproduces the original div/mod bit
-        // gathering exhaustively: every word of every legal mode on every
-        // small power-of-two geometry.
-        for cfg in small_geometries() {
-            for mode in all_legal_modes(cfg.num_banks()) {
-                let r = AddressRemapper::new(&cfg, mode).unwrap();
-                for w in 0..r.capacity_words() {
-                    assert_eq!(
-                        r.map_word(w),
-                        r.map_word_arith(w),
-                        "map_word diverges from oracle: {mode} word {w}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

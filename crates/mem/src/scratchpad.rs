@@ -103,26 +103,70 @@ impl Default for MemConfig {
 /// physical `(bank, row)` locations. Linear views are provided by pairing it
 /// with an [`AddressRemapper`], which is how the simulated host preloads
 /// operands and reads back results.
+///
+/// A bank is stored in pages of [`Scratchpad::PAGE_BYTES`] (or one row,
+/// if wider), each allocated at its first write; a page never written
+/// reads as zeros. A run writes its operand and output regions only, a
+/// small part of the default 16 MiB, so that is all it allocates and
+/// touches.
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
     config: MemConfig,
-    banks: Vec<Vec<u8>>,
+    /// `log2` of the rows per page.
+    page_shift: u32,
+    /// `log2` of the pages per bank.
+    bank_shift: u32,
+    /// Every bank's pages, bank by bank; `None` until written.
+    pages: Vec<Option<Box<[u8]>>>,
+    /// One row of zeros: what a row of an unwritten page reads as.
+    zeros: Box<[u8]>,
 }
 
 impl Scratchpad {
-    /// Allocates a zero-initialized scratchpad.
+    /// Bytes per page of a bank, unless a row is wider.
+    pub const PAGE_BYTES: usize = 4096;
+
+    /// Creates a zero-initialized scratchpad.
     #[must_use]
     pub fn new(config: MemConfig) -> Self {
-        let bank_bytes = config.bank_width_bytes * config.rows_per_bank;
-        // Allocate each bank with `vec![0; n]` individually: that form hits
-        // the zeroed-allocation fast path (lazy zero pages), whereas
-        // `vec![inner; num_banks]` would clone the first bank with an eager
-        // memcpy per copy — at the default 16 MiB geometry that one-time
-        // memset costs more host time than simulating a small workload.
+        // Widths and row counts are powers of two, so pages split banks
+        // exactly.
+        let width = config.bank_width_bytes;
+        let page_rows = (Self::PAGE_BYTES / width).clamp(1, config.rows_per_bank);
+        let pages_per_bank = config.rows_per_bank / page_rows;
         Scratchpad {
             config,
-            banks: (0..config.num_banks).map(|_| vec![0; bank_bytes]).collect(),
+            page_shift: page_rows.trailing_zeros(),
+            bank_shift: pages_per_bank.trailing_zeros(),
+            pages: vec![None; config.num_banks * pages_per_bank],
+            zeros: vec![0; width].into_boxed_slice(),
         }
+    }
+
+    /// The page holding `loc` and the byte offset of its row in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-geometry location (simulator-internal bug).
+    #[inline]
+    fn page_of(&self, loc: BankLocation) -> (usize, usize) {
+        assert!(
+            loc.bank < self.config.num_banks && loc.row < self.config.rows_per_bank,
+            "location outside the scratchpad geometry"
+        );
+        let page = (loc.bank << self.bank_shift) | (loc.row >> self.page_shift);
+        let row_in_page = loc.row & ((1 << self.page_shift) - 1);
+        (page, row_in_page * self.config.bank_width_bytes)
+    }
+
+    /// The row at `loc`, for writing: its page is allocated on the first
+    /// write to it.
+    fn row_mut(&mut self, loc: BankLocation) -> &mut [u8] {
+        let (page, offset) = self.page_of(loc);
+        let width = self.config.bank_width_bytes;
+        let page_bytes = width << self.page_shift;
+        let data = self.pages[page].get_or_insert_with(|| vec![0; page_bytes].into_boxed_slice());
+        &mut data[offset..offset + width]
     }
 
     /// The geometry.
@@ -138,16 +182,21 @@ impl Scratchpad {
     /// Panics on an out-of-geometry location (simulator-internal bug).
     #[must_use]
     pub fn read_row(&self, loc: BankLocation) -> &[u8] {
-        let w = self.config.bank_width_bytes;
-        &self.banks[loc.bank][loc.row * w..(loc.row + 1) * w]
+        let (page, offset) = self.page_of(loc);
+        match &self.pages[page] {
+            Some(data) => &data[offset..offset + self.config.bank_width_bytes],
+            None => &self.zeros,
+        }
     }
 
     /// Writes a full word (all bytes) at a physical location.
     pub fn write_row_full(&mut self, loc: BankLocation, data: &[u8]) {
-        let w = self.config.bank_width_bytes;
-        assert_eq!(data.len(), w, "write data must be one full word");
-        let row = &mut self.banks[loc.bank][loc.row * w..(loc.row + 1) * w];
-        row.copy_from_slice(data);
+        assert_eq!(
+            data.len(),
+            self.config.bank_width_bytes,
+            "write data must be one full word"
+        );
+        self.row_mut(loc).copy_from_slice(data);
     }
 
     /// Host-side (non-simulated) linear write through a remapper view.
@@ -181,7 +230,7 @@ impl Scratchpad {
             let byte_addr = addr + i as u64;
             let loc = remapper.map_word(byte_addr.word_index(w));
             let offset = byte_addr.word_offset(w) as usize;
-            self.banks[loc.bank][loc.row * w as usize + offset] = byte;
+            self.row_mut(loc)[offset] = byte;
         }
         Ok(())
     }
@@ -213,16 +262,14 @@ impl Scratchpad {
             let byte_addr = addr + i as u64;
             let loc = remapper.map_word(byte_addr.word_index(w));
             let offset = byte_addr.word_offset(w) as usize;
-            out.push(self.banks[loc.bank][loc.row * w as usize + offset]);
+            out.push(self.read_row(loc)[offset]);
         }
         Ok(out)
     }
 
     /// Zeroes the whole scratchpad.
     pub fn clear(&mut self) {
-        for bank in &mut self.banks {
-            bank.fill(0);
-        }
+        self.pages.fill(None);
     }
 }
 
@@ -302,6 +349,26 @@ mod tests {
             .host_write(&remap, Addr::new(capacity - 1), &[0, 0])
             .is_err());
         assert!(sp.host_read(&remap, Addr::new(capacity), 1).is_err());
+    }
+
+    /// A page is allocated at its first write; every other row reads as
+    /// zeros without one.
+    #[test]
+    fn pages_are_allocated_on_first_write() {
+        let cfg = MemConfig::new(4, 8, 2048).unwrap();
+        let mut sp = Scratchpad::new(cfg);
+        let pages = |sp: &Scratchpad| sp.pages.iter().filter(|p| p.is_some()).count();
+        assert_eq!(sp.pages.len(), 4 * 4, "512 rows of 8 bytes a page");
+        assert_eq!(pages(&sp), 0);
+        sp.write_row_full(BankLocation { bank: 2, row: 700 }, &[5; 8]);
+        sp.write_row_full(BankLocation { bank: 2, row: 1000 }, &[6; 8]);
+        assert_eq!(pages(&sp), 1, "rows 512..1024 share a page");
+        assert_eq!(sp.read_row(BankLocation { bank: 2, row: 700 }), &[5; 8]);
+        assert_eq!(sp.read_row(BankLocation { bank: 2, row: 701 }), &[0; 8]);
+        assert_eq!(sp.read_row(BankLocation { bank: 3, row: 700 }), &[0; 8]);
+        sp.write_row_full(BankLocation { bank: 3, row: 2047 }, &[7; 8]);
+        assert_eq!(pages(&sp), 2);
+        assert_eq!(sp.read_row(BankLocation { bank: 3, row: 2047 }), &[7; 8]);
     }
 
     #[test]

@@ -358,44 +358,65 @@ impl Periodic for Lifetimes {
 /// The crossbar's per-cycle arbitration scratch. It is empty between
 /// cycles, where every snapshot of a crossbar is taken, so a clone starts
 /// it afresh and crossbars compare equal whatever it holds.
+///
+/// Requester sets are bitmasks of `words` 64-bit words each: bit `r % 64`
+/// of word `r / 64` stands for requester `r`.
 #[derive(Debug)]
 struct Arbitration {
-    /// Requests submitted in the current cycle.
-    submissions: Vec<MemRequest>,
-    submitted: Vec<bool>,
-    /// Grant flags from the last arbitration, indexed by requester.
-    grants: Vec<bool>,
-    /// Per-bank arbitration slots of the current cycle, valid for the
-    /// banks set in `touched_banks`.
-    bank_slots: Vec<BankSlot>,
+    banks: usize,
+    /// Mask words per requester set.
+    words: usize,
+    /// Per bank, the requesters submitting to it this cycle: `words` words
+    /// for each bank. Arbitration clears the banks it grants.
+    contenders: Vec<u64>,
     /// Bitset of banks with at least one submission this cycle; walked in
     /// ascending bank order by arbitration, which also clears it.
     touched_banks: Vec<u64>,
+    /// The requesters that submitted this cycle.
+    submitted: Vec<u64>,
+    /// Per requester, its submission of this cycle, valid where
+    /// `submitted` is set.
+    slots: Vec<Slot>,
+    /// Grant flags from the last arbitration, indexed by requester.
+    grants: Vec<bool>,
+}
+
+/// A requester's submission of the current cycle: the target bank is its
+/// bit in that bank's contender set.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    tag: u64,
+    write: bool,
 }
 
 impl Arbitration {
     fn new(banks: usize, requesters: usize) -> Self {
+        let words = requesters.div_ceil(64);
         Arbitration {
-            submissions: Vec::new(),
-            submitted: vec![false; requesters],
-            grants: vec![false; requesters],
-            bank_slots: vec![BankSlot::default(); banks],
+            banks,
+            words,
+            contenders: vec![0; banks * words],
             touched_banks: vec![0; banks.div_ceil(64)],
+            submitted: vec![0; words],
+            slots: vec![Slot::default(); requesters],
+            grants: vec![false; requesters],
         }
+    }
+
+    /// Requests submitted this cycle.
+    fn pending(&self) -> usize {
+        self.submitted.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
 impl Clone for Arbitration {
     fn clone(&self) -> Self {
-        debug_assert!(
-            self.submissions.is_empty(),
-            "a crossbar is copied between cycles"
-        );
-        Arbitration::new(self.bank_slots.len(), self.grants.len())
+        debug_assert!(self.pending() == 0, "a crossbar is copied between cycles");
+        Arbitration::new(self.banks, self.grants.len())
     }
 
     fn clone_from(&mut self, source: &Self) {
-        let shape = |a: &Self| (a.bank_slots.len(), a.grants.len());
+        let shape = |a: &Self| (a.banks, a.grants.len());
         if shape(self) != shape(source) {
             *self = source.clone();
         }
@@ -408,28 +429,50 @@ impl PartialEq for Arbitration {
     }
 }
 
-/// A granted read awaiting delivery.
+/// A granted read awaiting delivery. Every read granted in one cycle is
+/// due in the same later one, so the due cycle is kept once per grant
+/// cycle, in [`InFlight::due`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct InFlightRead {
-    due: Cycle,
-    issued: Cycle,
-    requester: RequesterId,
-    bank: usize,
     tag: u64,
     /// Causal flow token id stamped at the request's first submit.
     flow: u64,
+    /// Issue → grant delay.
+    queueing: u64,
+    requester: RequesterId,
+    bank: usize,
 }
 
-/// One bank's arbitration state within a cycle: how many submissions
-/// target it and the round-robin front-runner among them so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct BankSlot {
-    contenders: u64,
-    /// Round-robin distance of the front-runner from the bank's priority
-    /// pointer (smaller wins; distinct requesters never tie).
-    best_distance: usize,
-    /// Index of the front-runner in `submissions`.
-    submission: usize,
+/// The granted reads in flight, in grant order: a ring of compact reads
+/// and, per grant cycle that granted any, its due cycle and read count.
+/// Grants happen in cycle order with one fixed latency, so both rings are
+/// due-ordered.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct InFlight {
+    reads: VecDeque<InFlightRead>,
+    due: VecDeque<(Cycle, usize)>,
+}
+
+dm_sim::clone_fields!(InFlight { reads, due });
+
+impl InFlight {
+    /// Every read with its due cycle, oldest first.
+    fn iter(&self) -> impl Iterator<Item = (Cycle, &InFlightRead)> {
+        self.due
+            .iter()
+            .flat_map(|&(due, n)| std::iter::repeat_n(due, n))
+            .zip(&self.reads)
+    }
+
+    /// Adds the reads granted this cycle since `before` reads were in
+    /// flight, due at `due`, and returns how many there are.
+    fn close_cycle(&mut self, before: usize, due: Cycle) -> u64 {
+        let granted = self.reads.len() - before;
+        if granted > 0 {
+            self.due.push_back((due, granted));
+        }
+        granted as u64
+    }
 }
 
 /// The banked scratchpad behind an interleaved crossbar.
@@ -442,7 +485,7 @@ pub struct MemorySubsystem {
     requester_names: Arc<Vec<String>>,
     arbitration: Arbitration,
     /// Read responses in flight, stamped for latency attribution.
-    in_flight: VecDeque<InFlightRead>,
+    in_flight: InFlight,
     per_bank_accesses: Vec<u64>,
     /// Issue cycle of each requester's currently pending request. Set on
     /// the first submit, cleared at the grant; retries keep the original
@@ -501,7 +544,7 @@ impl MemorySubsystem {
             arbiters: vec![RoundRobinArbiter::new(1); banks],
             requester_names: Arc::default(),
             arbitration: Arbitration::new(banks, 0),
-            in_flight: VecDeque::new(),
+            in_flight: InFlight::default(),
             per_bank_accesses: vec![0; banks],
             issue_cycle: Vec::new(),
             pending_flow: Vec::new(),
@@ -633,55 +676,55 @@ impl MemorySubsystem {
         key: impl Fn(&InFlightRead) -> usize,
     ) -> Vec<LatencyTelemetry> {
         let mut tables = self.lifetimes.telemetry(rows, self.read_latency);
-        for read in &self.in_flight {
-            tables[key(read)].queueing.record(self.queueing(read));
+        for (_, read) in self.in_flight.iter() {
+            tables[key(read)].queueing.record(read.queueing);
         }
         tables
     }
 
-    /// Issue → grant delay of an in-flight read.
-    fn queueing(&self, read: &InFlightRead) -> u64 {
-        (read.due.get() - self.read_latency).saturating_sub(read.issued.get())
+    /// Issue cycle of a read in flight due at `due`.
+    fn issued(&self, due: Cycle, read: &InFlightRead) -> Cycle {
+        Cycle::new(due.get() - self.read_latency - read.queueing)
     }
 
     /// Step 1 of a cycle: deliver read responses whose latency has elapsed,
     /// in issue order, to `deliver` — the allocation-free drain used by the
     /// tick kernel.
     pub fn drain_responses(&mut self, mut deliver: impl FnMut(MemResponse)) {
-        while let Some(front) = self.in_flight.front() {
-            if front.due > self.cycle {
+        let now = self.cycle;
+        while let Some(&(due, n)) = self.in_flight.due.front() {
+            if due > now {
                 break;
             }
-            let read = self.in_flight.pop_front().expect("front exists");
-            // Delivery stamp: the response leaves the subsystem now.
-            let queueing = self.queueing(&read);
-            let q = queueing as usize;
-            if read.due == self.cycle && q < FOLDED {
-                self.lifetimes.on_time_read(read.bank, read.requester, q);
-            } else {
-                self.record_slow_delivery(&read, queueing);
+            self.in_flight.due.pop_front();
+            let granted = Cycle::new(due.get() - self.read_latency);
+            let (on_time, flow_events) = (due == now, self.flow_events);
+            for _ in 0..n {
+                let Some(read) = self.in_flight.reads.pop_front() else {
+                    break;
+                };
+                // Delivery stamp: the response leaves the subsystem now.
+                let q = read.queueing as usize;
+                if on_time && q < FOLDED {
+                    self.lifetimes.on_time_read(read.bank, read.requester, q);
+                } else {
+                    self.lifetimes.record_slow(
+                        read.bank,
+                        read.requester,
+                        read.queueing,
+                        (now - granted).get(),
+                    );
+                }
+                if flow_events {
+                    self.trace
+                        .emit(now, "xbar", TraceEventKind::FlowDeliver { id: read.flow });
+                }
+                deliver(MemResponse {
+                    requester: read.requester,
+                    tag: read.tag,
+                });
             }
-            if self.flow_events {
-                self.trace.emit(
-                    self.cycle,
-                    "xbar",
-                    TraceEventKind::FlowDeliver { id: read.flow },
-                );
-            }
-            deliver(MemResponse {
-                requester: read.requester,
-                tag: read.tag,
-            });
         }
-    }
-
-    /// Records a delivered read's lifetime sample by sample: it came late
-    /// or queued for at least [`FOLDED`] cycles.
-    #[cold]
-    fn record_slow_delivery(&mut self, read: &InFlightRead, queueing: u64) {
-        let service = self.cycle.get() - (read.due.get() - self.read_latency);
-        self.lifetimes
-            .record_slow(read.bank, read.requester, queueing, service);
     }
 
     /// Step 1 of a cycle: collect the read responses whose latency has
@@ -694,7 +737,8 @@ impl MemorySubsystem {
         out
     }
 
-    /// Step 2 of a cycle: submit one request for a requester.
+    /// Step 2 of a cycle: submit one request for a requester — the
+    /// one-request case of [`submit_batch`](Self::submit_batch).
     ///
     /// # Errors
     ///
@@ -703,41 +747,81 @@ impl MemorySubsystem {
     /// the current cycle.
     #[inline]
     pub fn submit(&mut self, request: MemRequest) -> Result<(), MemError> {
-        let idx = request.requester.0;
-        if idx >= self.requester_names.len() {
-            return Err(MemError::UnknownRequester { requester: idx });
+        self.submit_batch(
+            request.requester,
+            request.op,
+            std::iter::once(Some((request.loc, request.tag))),
+        )
+    }
+
+    /// Step 2 of a cycle: submit the requests of the contiguous requesters
+    /// from `first` on, one entry each — `None` for a requester with
+    /// nothing to submit, else its target location and tag. Every request
+    /// is an `op`. A streamer submits all its channels in one call.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::UnknownRequester`] if the range reaches past the
+    /// registered requesters (nothing is submitted),
+    /// [`MemError::DuplicateRequest`] for a requester that already
+    /// submitted in the current cycle (the requests before it stay
+    /// submitted).
+    #[inline]
+    pub fn submit_batch(
+        &mut self,
+        first: RequesterId,
+        op: MemOp,
+        requests: impl ExactSizeIterator<Item = Option<(BankLocation, u64)>>,
+    ) -> Result<(), MemError> {
+        let registered = self.requester_names.len();
+        if first.0 + requests.len() > registered {
+            return Err(unknown_requester(first.0.max(registered)));
         }
         self.ensure_traffic_started();
-        let arbitration = &mut self.arbitration;
-        if arbitration.submitted[idx] {
-            return Err(MemError::DuplicateRequest { requester: idx });
-        }
-        debug_assert!(
-            request.loc.bank < self.config.num_banks()
-                && request.loc.row < self.config.rows_per_bank(),
-            "request target outside memory geometry"
-        );
-        arbitration.submitted[idx] = true;
-        // Issue stamp: only the first submit of a request counts; a retry
-        // after a lost arbitration resubmits the same request and keeps
-        // accruing queueing latency against the original issue cycle. The
-        // same distinction drives the stats split: `submissions` counts
-        // unique requests, `resubmissions` the retries.
-        if self.issue_cycle[idx].is_none() {
-            self.issue_cycle[idx] = Some(self.cycle);
-            // Flow token birth: one id per unique request, assigned in
-            // submit order. Retries keep the stamp, like the issue cycle.
-            self.pending_flow[idx] = self.next_flow_id;
-            self.next_flow_id += 1;
-            self.stats.submissions.inc();
-            if self.flow_events {
-                self.emit_flow_issue(idx, request.loc.bank);
+        let write = !op.is_read();
+        let (mut unique, mut retries) = (0, 0);
+        let mut duplicate = None;
+        for (idx, request) in (first.0..).zip(requests) {
+            let Some((loc, tag)) = request else {
+                continue;
+            };
+            let arbitration = &mut self.arbitration;
+            let (word, bit) = (idx >> 6, 1u64 << (idx & 63));
+            if arbitration.submitted[word] & bit != 0 {
+                duplicate = Some(idx);
+                break;
             }
-        } else {
-            self.stats.resubmissions.inc();
+            debug_assert!(
+                loc.bank < self.config.num_banks() && loc.row < self.config.rows_per_bank(),
+                "request target outside memory geometry"
+            );
+            arbitration.submitted[word] |= bit;
+            arbitration.slots[idx] = Slot { tag, write };
+            arbitration.contenders[loc.bank * arbitration.words + word] |= bit;
+            arbitration.touched_banks[loc.bank >> 6] |= 1 << (loc.bank & 63);
+            // Issue stamp: only the first submit of a request counts; a
+            // retry after a lost arbitration resubmits the same request and
+            // keeps accruing queueing latency against the original issue
+            // cycle. The same distinction drives the stats split:
+            // `submissions` counts unique requests, `resubmissions` the
+            // retries.
+            if self.issue_cycle[idx].is_none() {
+                self.issue_cycle[idx] = Some(self.cycle);
+                // Flow token birth: one id per unique request, assigned in
+                // submit order. Retries keep the stamp, like the issue cycle.
+                self.pending_flow[idx] = self.next_flow_id + unique;
+                unique += 1;
+                if self.flow_events {
+                    self.emit_flow_issue(idx, loc.bank);
+                }
+            } else {
+                retries += 1;
+            }
         }
-        self.arbitration.submissions.push(request);
-        Ok(())
+        self.next_flow_id += unique;
+        self.stats.submissions.add(unique);
+        self.stats.resubmissions.add(retries);
+        duplicate.map_or(Ok(()), |idx| Err(duplicate_request(idx)))
     }
 
     #[cold]
@@ -760,34 +844,11 @@ impl MemorySubsystem {
     /// retry next cycle.
     pub fn arbitrate(&mut self) -> &[bool] {
         self.ensure_traffic_started();
-        let arbitration = &mut self.arbitration;
-        arbitration.grants.fill(false);
-        // One pass over the submissions picks every bank's round-robin
-        // winner: each bank's slot keeps the contender count and the
-        // smallest priority distance seen so far. Nothing is sorted and
-        // nothing is allocated.
-        for (i, req) in arbitration.submissions.iter().enumerate() {
-            let bank = req.loc.bank;
-            let distance = self.arbiters[bank].distance(req.requester.0);
-            let slot = &mut arbitration.bank_slots[bank];
-            let (word, bit) = (bank >> 6, 1u64 << (bank & 63));
-            if arbitration.touched_banks[word] & bit == 0 {
-                arbitration.touched_banks[word] |= bit;
-                *slot = BankSlot {
-                    contenders: 1,
-                    best_distance: distance,
-                    submission: i,
-                };
-            } else {
-                slot.contenders += 1;
-                if distance < slot.best_distance {
-                    slot.best_distance = distance;
-                    slot.submission = i;
-                }
-            }
-        }
+        self.arbitration.grants.fill(false);
+        let before = self.in_flight.reads.len();
         // Ascending bank order, matching the hardware's fixed port scan and
-        // keeping response issue order (and traces) deterministic.
+        // keeping response issue order (and traces) deterministic. Each
+        // bank's contender set is already complete: submission built it.
         for word in 0..self.arbitration.touched_banks.len() {
             let mut bits = std::mem::take(&mut self.arbitration.touched_banks[word]);
             while bits != 0 {
@@ -796,36 +857,48 @@ impl MemorySubsystem {
                 self.grant_winner(bank);
             }
         }
-        self.arbitration.submissions.clear();
-        self.arbitration.submitted.fill(false);
+        self.arbitration.submitted.fill(0);
+        let reads = self
+            .in_flight
+            .close_cycle(before, self.cycle + self.read_latency);
+        self.stats.reads.add(reads);
         self.cycle.advance();
         &self.arbitration.grants
     }
 
-    /// Grants `bank`'s arbitration winner and performs its operation.
+    /// Grants `bank`'s round-robin winner among its contenders, performs
+    /// its operation and clears the bank's contender set.
+    #[inline]
     fn grant_winner(&mut self, bank: usize) {
-        let BankSlot {
-            contenders,
-            submission,
-            ..
-        } = self.arbitration.bank_slots[bank];
-        if contenders > 1 {
-            self.stats.conflicts.add(contenders - 1);
+        let words = self.arbitration.words;
+        let set = &mut self.arbitration.contenders[bank * words..][..words];
+        let Some(winner) = self.arbiters[bank].grant_mask(set) else {
+            return;
+        };
+        // Whoever else is in the set lost to the winner.
+        let losers = take_losers(set, winner);
+        if losers > 0 {
+            self.stats.conflicts.add(losers);
             self.trace.emit(
                 self.cycle,
                 "xbar",
-                TraceEventKind::BankConflict { bank, contenders },
+                TraceEventKind::BankConflict {
+                    bank,
+                    contenders: losers + 1,
+                },
             );
         }
-        let request = self.arbitration.submissions[submission];
-        let winner = request.requester.0;
-        self.arbiters[bank].commit(winner);
+        let Slot { tag, write } = self.arbitration.slots[winner];
         self.arbitration.grants[winner] = true;
         self.per_bank_accesses[bank] += 1;
         // Grant stamp: the pending request leaves the arbitration phase.
+        // Only a submission sets a contender bit, and every submission
+        // stamps its requester's issue cycle, so the stamp is there.
         let issued = self.issue_cycle[winner]
             .take()
             .expect("granted request was submitted, so it was stamped");
+        let queueing = self.cycle.saturating_sub(issued).get();
+        let requester = RequesterId(winner);
         let flow = self.pending_flow[winner];
         if self.flow_events {
             self.trace.emit(
@@ -834,39 +907,34 @@ impl MemorySubsystem {
                 TraceEventKind::FlowGrant { id: flow, bank },
             );
         }
-        match request.op {
-            MemOp::Read => {
-                self.stats.reads.inc();
-                // The lifetime is recorded at the delivery.
-                self.in_flight.push_back(InFlightRead {
-                    due: self.cycle + self.read_latency,
-                    issued,
-                    requester: request.requester,
-                    bank,
-                    tag: request.tag,
-                    flow,
-                });
+        if write {
+            self.stats.writes.inc();
+            // A write's token retires at its grant: the commit *is* the
+            // delivery, so the flow closes here.
+            if self.flow_events {
+                self.trace
+                    .emit(self.cycle, "xbar", TraceEventKind::FlowDeliver { id: flow });
             }
-            MemOp::Write => {
-                self.stats.writes.inc();
-                // A write's token retires at its grant: the commit *is*
-                // the delivery, so the flow closes here.
-                if self.flow_events {
-                    self.trace
-                        .emit(self.cycle, "xbar", TraceEventKind::FlowDeliver { id: flow });
-                }
-                // Writes commit at the grant: service is zero and the
-                // request's whole lifetime is its queueing delay.
-                let queueing = self.cycle.saturating_sub(issued).get();
-                self.lifetimes.write(bank, request.requester, queueing);
-            }
+            // Writes commit at the grant: service is zero and the request's
+            // whole lifetime is its queueing delay.
+            self.lifetimes.write(bank, requester, queueing);
+        } else {
+            // Counted with the cycle's other reads; the lifetime is
+            // recorded at the delivery.
+            self.in_flight.reads.push_back(InFlightRead {
+                tag,
+                flow,
+                queueing,
+                requester,
+                bank,
+            });
         }
     }
 
     /// Returns `true` when no read response is still in flight.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.in_flight.is_empty() && self.arbitration.submissions.is_empty()
+        self.in_flight.reads.is_empty() && self.arbitration.pending() == 0
     }
 
     /// The bank serving `requester`'s oldest in-flight (granted,
@@ -877,6 +945,7 @@ impl MemorySubsystem {
     #[must_use]
     pub fn oldest_inflight_bank(&self, requester: RequesterId) -> Option<usize> {
         self.in_flight
+            .reads
             .iter()
             .find(|read| read.requester == requester)
             .map(|read| read.bank)
@@ -889,7 +958,7 @@ impl MemorySubsystem {
     /// the minimum.
     #[must_use]
     pub fn next_due(&self) -> Option<Cycle> {
-        self.in_flight.front().map(|read| read.due)
+        self.in_flight.due.front().map(|&(due, _)| due)
     }
 
     /// Digest over the state a skipped span must leave untouched: access
@@ -904,8 +973,8 @@ impl MemorySubsystem {
         h.write_u64(self.stats.submissions.get());
         h.write_u64(self.stats.resubmissions.get());
         h.write_u64(self.stats.conflicts.get());
-        h.write_usize(self.arbitration.submissions.len());
-        h.write_usize(self.in_flight.len());
+        h.write_usize(self.arbitration.pending());
+        h.write_usize(self.in_flight.reads.len());
         h.finish()
     }
 
@@ -918,13 +987,13 @@ impl MemorySubsystem {
         let now = self.cycle;
         key.extend(self.arbiters.iter().map(|a| a.pointer() as u64));
         key.extend([
-            self.arbitration.submissions.len() as u64,
-            self.in_flight.len() as u64,
+            self.arbitration.pending() as u64,
+            self.in_flight.reads.len() as u64,
         ]);
-        for read in &self.in_flight {
+        for (due, read) in self.in_flight.iter() {
             key.extend([
-                (read.due - now).get(),
-                (now - read.issued).get(),
+                (due - now).get(),
+                (now - self.issued(due, read)).get(),
                 read.requester.0 as u64,
                 read.bank as u64,
             ]);
@@ -941,7 +1010,9 @@ impl MemorySubsystem {
     /// their tags and flow ids by whole periods.
     #[must_use]
     pub fn issued_since(&self, since: Cycle) -> bool {
-        self.in_flight.iter().all(|read| read.issued >= since)
+        self.in_flight
+            .iter()
+            .all(|(due, read)| self.issued(due, read) >= since)
             && self.issue_cycle.iter().flatten().all(|&c| c >= since)
     }
 
@@ -955,13 +1026,11 @@ impl MemorySubsystem {
     /// and histogram.
     pub fn advance_idle(&mut self, span: u64) {
         debug_assert!(
-            self.arbitration.submissions.is_empty(),
+            self.arbitration.pending() == 0,
             "advance_idle with submissions pending would drop arbitration"
         );
         debug_assert!(
-            self.in_flight
-                .front()
-                .is_none_or(|read| read.due >= self.cycle + span),
+            self.next_due().is_none_or(|due| due >= self.cycle + span),
             "advance_idle span crosses an in-flight response delivery"
         );
         self.cycle += span;
@@ -1067,14 +1136,17 @@ impl Periodic for MemorySubsystem {
             .collect();
         self.lifetimes.repeat_since(&earlier.lifetimes, k);
         let flows = self.next_flow_id - earlier.next_flow_id;
+        // Equal lock keys give both ends the same reads in flight, due
+        // and queued alike, so a read's stamps advance with its due cycle.
         assert_eq!(
-            self.in_flight.len(),
-            earlier.in_flight.len(),
+            (self.in_flight.reads.len(), self.in_flight.due.len()),
+            (earlier.in_flight.reads.len(), earlier.in_flight.due.len()),
             "in-flight reads changed"
         );
-        for (read, then) in self.in_flight.iter_mut().zip(&earlier.in_flight) {
-            read.due.repeat_since(&then.due, k);
-            read.issued.repeat_since(&then.issued, k);
+        for ((due, _), (then, _)) in self.in_flight.due.iter_mut().zip(&earlier.in_flight.due) {
+            due.repeat_since(then, k);
+        }
+        for read in &mut self.in_flight.reads {
             read.tag += k * tags[read.requester.0];
             read.flow += k * flows;
         }
@@ -1088,6 +1160,34 @@ impl Periodic for MemorySubsystem {
         self.next_flow_id.repeat_since(&earlier.next_flow_id, k);
         self.cycle.repeat_since(&earlier.cycle, k);
     }
+}
+
+/// Empties the requester set `set` and counts its members other than
+/// `winner`.
+#[inline]
+fn take_losers(set: &mut [u64], winner: usize) -> u64 {
+    let ones = |bits: u64| u64::from(bits.count_ones());
+    if let [bits] = set {
+        let rest = std::mem::take(bits) & !(1 << winner);
+        return if rest == 0 { 0 } else { ones(rest) };
+    }
+    set[winner >> 6] ^= 1 << (winner & 63);
+    if set.iter().all(|&bits| bits == 0) {
+        return 0;
+    }
+    let losers = set.iter().map(|&bits| ones(bits)).sum();
+    set.fill(0);
+    losers
+}
+
+#[cold]
+fn unknown_requester(requester: usize) -> MemError {
+    MemError::UnknownRequester { requester }
+}
+
+#[cold]
+fn duplicate_request(requester: usize) -> MemError {
+    MemError::DuplicateRequest { requester }
 }
 
 /// `tables` merged into one.
@@ -1896,47 +1996,79 @@ mod tests {
         assert_eq!(mem.stats().reads.get(), 16);
     }
 
-    /// One-pass arbitration against the dense round-robin oracle (one
+    /// Mask arbitration against the dense round-robin oracle (one
     /// [`RoundRobinArbiter::grant`] per bank over the full request vector)
-    /// on random submission patterns over 32 banks, with 16 and 32
-    /// requesters: same winners, same conflict count, and read responses
-    /// in ascending bank order.
+    /// on random traffic: 16 to 130 requesters (one to three mask words)
+    /// over 32 to 128 banks, submitted in contiguous batches of eight as
+    /// streamers submit, every third batch writing, and every loser
+    /// retrying its request. Same winners, conflict count, read responses
+    /// in ascending bank order, unique and retried submissions and
+    /// per-bank accesses.
     #[test]
     fn one_pass_arbitration_matches_dense_oracle() {
-        const BANKS: usize = 32;
-        for requesters in [16usize, 32] {
-            let mut rng = dm_sim::SplitMix64::new(requesters as u64);
-            let mut mem = MemorySubsystem::new(MemConfig::new(BANKS, 8, 16).unwrap());
+        // Miri runs a cycle thousands of times slower.
+        const CYCLES: u64 = if cfg!(miri) { 4 } else { 400 };
+        const BATCH: usize = 8;
+        for (requesters, banks) in [
+            (16usize, 32usize),
+            (32, 32),
+            (65, 64),
+            (88, 64),
+            (88, 128),
+            (130, 128),
+        ] {
+            let mut rng = dm_sim::SplitMix64::new((requesters * banks) as u64);
+            let mut mem = MemorySubsystem::new(MemConfig::new(banks, 8, 16).unwrap());
             let ids: Vec<RequesterId> = (0..requesters)
                 .map(|i| mem.register_requester(format!("r{i}")))
                 .collect();
-            let mut oracle = vec![RoundRobinArbiter::new(requesters); BANKS];
-            let mut conflicts = 0;
-            for cycle in 0..500u64 {
-                // Most requesters submit; half of them crowd four hot banks.
-                let mut target = vec![None; requesters];
-                for (r, &id) in ids.iter().enumerate() {
-                    if rng.below(4) == 0 {
-                        continue;
+            let op = |r: usize| match (r / BATCH) % 3 {
+                2 => MemOp::Write,
+                _ => MemOp::Read,
+            };
+            let mut oracle = vec![RoundRobinArbiter::new(requesters); banks];
+            let mut pending: Vec<Option<(BankLocation, u64)>> = vec![None; requesters];
+            let (mut conflicts, mut unique, mut retries) = (0, 0, 0);
+            let mut accesses = vec![0u64; banks];
+            for cycle in 0..CYCLES {
+                // Most idle requesters issue; half of them crowd four hot
+                // banks.
+                for (r, slot) in pending.iter_mut().enumerate() {
+                    if slot.is_some() {
+                        retries += 1;
+                    } else if rng.below(4) != 0 {
+                        let span = if rng.below(2) == 0 { 4 } else { banks as u64 };
+                        let loc = BankLocation {
+                            bank: rng.below(span) as usize,
+                            row: r % 8,
+                        };
+                        *slot = Some((loc, cycle));
+                        unique += 1;
                     }
-                    let span = if rng.below(2) == 0 { 4 } else { BANKS as u64 };
-                    let bank = rng.below(span) as usize;
-                    target[r] = Some(bank);
-                    mem.submit(read(id, bank, r % 16, cycle)).unwrap();
+                }
+                for (first, batch) in (0..).step_by(BATCH).zip(pending.chunks(BATCH)) {
+                    mem.submit_batch(ids[first], op(first), batch.iter().copied())
+                        .unwrap();
                 }
                 let grants = mem.arbitrate().to_vec();
                 let mut expected_grants = vec![false; requesters];
                 let mut expected_order = Vec::new();
                 for (bank, arbiter) in oracle.iter_mut().enumerate() {
-                    let requests: Vec<bool> = target.iter().map(|&t| t == Some(bank)).collect();
+                    let requests: Vec<bool> = pending
+                        .iter()
+                        .map(|p| p.is_some_and(|(loc, _)| loc.bank == bank))
+                        .collect();
                     let contenders = requests.iter().filter(|&&r| r).count() as u64;
                     conflicts += contenders.saturating_sub(1);
                     if let Some(winner) = arbiter.grant(&requests) {
                         expected_grants[winner] = true;
-                        expected_order.push(winner);
+                        accesses[bank] += 1;
+                        if op(winner).is_read() {
+                            expected_order.push(winner);
+                        }
                     }
                 }
-                let label = format!("{requesters} requesters, cycle {cycle}");
+                let label = format!("{requesters} requesters, {banks} banks, cycle {cycle}");
                 assert_eq!(grants, expected_grants, "{label}: winners");
                 assert_eq!(mem.stats().conflicts.get(), conflicts, "{label}: conflicts");
                 let order: Vec<usize> = mem
@@ -1945,7 +2077,61 @@ mod tests {
                     .map(|resp| resp.requester.index())
                     .collect();
                 assert_eq!(order, expected_order, "{label}: response order");
+                assert_eq!(
+                    mem.stats().submissions.get(),
+                    unique,
+                    "{label}: submissions"
+                );
+                assert_eq!(
+                    mem.stats().resubmissions.get(),
+                    retries,
+                    "{label}: resubmissions"
+                );
+                assert_eq!(mem.per_bank_accesses(), accesses, "{label}: accesses");
+                for (slot, &granted) in pending.iter_mut().zip(&grants) {
+                    if granted {
+                        *slot = None;
+                    }
+                }
             }
+            assert!(
+                cfg!(miri) || conflicts > 1_000,
+                "{requesters} requesters: traffic must conflict"
+            );
         }
+    }
+
+    /// A batch reaching past the registered requesters submits nothing and
+    /// names the first unregistered one; a requester submitting twice in a
+    /// cycle is refused, whether alone or in a batch.
+    #[test]
+    fn batch_submission_errors_are_typed() {
+        let mut mem = subsystem();
+        let ids: Vec<_> = (0..3)
+            .map(|i| mem.register_requester(format!("r{i}")))
+            .collect();
+        let at = |bank| Some((BankLocation { bank, row: 0 }, 0));
+        assert_eq!(
+            mem.submit_batch(ids[1], MemOp::Read, [at(0), at(1), at(2)].into_iter()),
+            Err(MemError::UnknownRequester { requester: 3 })
+        );
+        assert!(mem.is_idle(), "a refused batch submits nothing");
+        mem.submit_batch(ids[0], MemOp::Read, [at(0), None].into_iter())
+            .unwrap();
+        mem.submit_batch(ids[1], MemOp::Write, [at(1), at(2)].into_iter())
+            .unwrap();
+        assert_eq!(
+            mem.submit_batch(ids[0], MemOp::Read, [None, at(3)].into_iter()),
+            Err(MemError::DuplicateRequest { requester: 1 })
+        );
+        assert_eq!(
+            mem.submit(read(ids[2], 3, 0, 0)),
+            Err(MemError::DuplicateRequest { requester: 2 })
+        );
+        assert!(mem.arbitrate().iter().all(|&g| g));
+        assert_eq!(
+            (mem.stats().submissions.get(), mem.stats().reads.get()),
+            (3, 1)
+        );
     }
 }

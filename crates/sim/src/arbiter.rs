@@ -63,20 +63,22 @@ impl RoundRobinArbiter {
         None
     }
 
-    /// Round-robin distance of `port` from the priority pointer. Among
-    /// simultaneous requesters the one with the smallest distance is the
-    /// one [`grant`](Self::grant) picks, so a caller scanning sparse
-    /// requests can find the winner in one pass and then
-    /// [`commit`](Self::commit) it.
+    /// Grants the port of `mask` (bit `p % 64` of word `p / 64` stands for
+    /// port `p`) that [`grant`](Self::grant) would pick from the same
+    /// requests, and advances the priority pointer past it: the lowest set
+    /// bit at or above the pointer, else the lowest set bit overall.
     #[inline]
-    #[must_use]
-    pub fn distance(&self, port: usize) -> usize {
-        debug_assert!(port < self.ports, "requester index out of range");
-        if port >= self.next {
-            port - self.next
-        } else {
-            port + self.ports - self.next
-        }
+    pub fn grant_mask(&mut self, mask: &[u64]) -> Option<usize> {
+        let port = match *mask {
+            // Up to 64 ports: the pointer is a bit of the one word.
+            [bits] if bits != 0 => {
+                let above = bits & (u64::MAX << (self.next & 63));
+                (if above != 0 { above } else { bits }).trailing_zeros() as usize
+            }
+            _ => first_set_from(mask, self.next).or_else(|| first_set_from(mask, 0))?,
+        };
+        self.commit(port);
+        Some(port)
     }
 
     /// Records a grant to `port`: the priority pointer moves past it.
@@ -97,6 +99,18 @@ impl RoundRobinArbiter {
     pub fn reset(&mut self) {
         self.next = 0;
     }
+}
+
+/// The lowest set bit of `mask` at or above bit `from`.
+#[inline]
+fn first_set_from(mask: &[u64], from: usize) -> Option<usize> {
+    let mut word = from >> 6;
+    let mut bits = *mask.get(word)? & (u64::MAX << (from & 63));
+    while bits == 0 {
+        word += 1;
+        bits = *mask.get(word)?;
+    }
+    Some((word << 6) | bits.trailing_zeros() as usize)
 }
 
 #[cfg(test)]
@@ -150,24 +164,26 @@ mod tests {
         }
     }
 
-    /// The smallest-distance requester, committed, is the dense winner and
-    /// leaves the pointer where the dense grant leaves it.
+    /// The mask grant picks the dense winner and leaves the pointer where
+    /// the dense grant leaves it, for port counts on both sides of a mask
+    /// word boundary.
     #[test]
-    fn min_distance_commit_matches_dense_grant() {
+    fn mask_grant_matches_dense_grant() {
         let mut rng = crate::SplitMix64::new(0xa4b);
-        for ports in [1usize, 2, 7, 8, 16, 32] {
+        for ports in [1usize, 2, 7, 8, 16, 32, 63, 64, 65, 88, 128, 130] {
             let mut dense = RoundRobinArbiter::new(ports);
-            let mut sparse = RoundRobinArbiter::new(ports);
+            let mut masked = RoundRobinArbiter::new(ports);
+            let mut mask = vec![0u64; ports.div_ceil(64)];
             for _ in 0..500 {
-                let requests: Vec<bool> = (0..ports).map(|_| rng.below(3) == 0).collect();
-                let winner = (0..ports)
-                    .filter(|&p| requests[p])
-                    .min_by_key(|&p| sparse.distance(p));
-                if let Some(w) = winner {
-                    sparse.commit(w);
+                // Sparse, dense and single-request rounds.
+                let odds = [2, 3, 16][rng.below(3) as usize];
+                let requests: Vec<bool> = (0..ports).map(|_| rng.below(odds) == 0).collect();
+                mask.fill(0);
+                for p in (0..ports).filter(|&p| requests[p]) {
+                    mask[p >> 6] |= 1 << (p & 63);
                 }
-                assert_eq!(dense.grant(&requests), winner);
-                assert_eq!(dense.next, sparse.next);
+                assert_eq!(masked.grant_mask(&mask), dense.grant(&requests));
+                assert_eq!(dense.next, masked.next);
             }
         }
     }

@@ -401,8 +401,9 @@ impl Detector {
 /// One compute phase's fixed context.
 #[derive(Clone)]
 struct Compute<'a> {
-    /// Response routing table: requester index → consuming reader.
-    routes: Vec<Option<usize>>,
+    /// Response routing table: requester index → the consuming reader and
+    /// its channel.
+    routes: Vec<Option<(usize, usize)>>,
     k_steps: u64,
     steps: u64,
     /// Cycles after which the run is declared deadlocked.
@@ -414,8 +415,8 @@ impl<'a> Compute<'a> {
     fn new(mem: &MemorySubsystem, readers: &[ReadStreamer], schedule: &Schedule<'a>) -> Self {
         let mut routes = vec![None; mem.num_requesters()];
         for (index, reader) in readers.iter().enumerate() {
-            for id in reader.channel_requesters() {
-                routes[id.index()] = Some(index);
+            for (channel, id) in reader.channel_requesters().into_iter().enumerate() {
+                routes[id.index()] = Some((index, channel));
             }
         }
         let steps = schedule.k_steps * schedule.tiles;
@@ -470,7 +471,11 @@ impl<'a> Compute<'a> {
         let readers = &mut *m.readers;
         m.mem
             .drain_responses(|resp| match self.routes[resp.requester.index()] {
-                Some(index) => readers[index].accept_response(resp),
+                Some((reader, channel)) => readers[reader].land(channel, resp.tag),
+                // Only granted reads respond. The writer submits writes, and
+                // the copy engine returns only once every read it issued has
+                // landed, so every read in flight here is an operand
+                // reader's.
                 None => unreachable!("response for a write/copy port"),
             });
         clock.lap(Phase::Memory);
@@ -522,9 +527,9 @@ impl<'a> Compute<'a> {
         };
         clock.lap(Phase::Pe);
         for reader in m.readers.iter_mut() {
-            reader.generate_and_issue(m.mem);
+            reader.generate_and_issue(m.mem)?;
         }
-        m.out.generate_and_issue(m.mem);
+        m.out.generate_and_issue(m.mem)?;
         clock.lap(Phase::Streamers);
         let grants = m.mem.arbitrate();
         clock.lap(Phase::Memory);

@@ -18,7 +18,7 @@
 //! applies the plan in program order.
 
 use dm_compiler::{CopyPlan, WriteSource};
-use dm_mem::{Addr, AddressRemapper, MemOp, MemRequest, MemorySubsystem, RequesterId};
+use dm_mem::{Addr, AddressRemapper, BankLocation, MemOp, MemorySubsystem, RequesterId};
 
 use crate::error::SystemError;
 
@@ -37,8 +37,11 @@ pub struct CopyStats {
 /// time (design-time port count, like everything else on the crossbar).
 #[derive(Debug)]
 pub struct CopyEngine {
-    read_ports: Vec<RequesterId>,
-    write_ports: Vec<RequesterId>,
+    channels: usize,
+    /// The first of `channels` contiguous read requesters.
+    read_port: RequesterId,
+    /// The first of `channels` contiguous write requesters.
+    write_port: RequesterId,
     /// Fold memory-round-trip idle cycles into one `advance_idle` jump
     /// (bit-identical stats; see the fast-forward engine in `dm-sim`).
     fast_forward: bool,
@@ -53,13 +56,16 @@ impl CopyEngine {
     #[must_use]
     pub fn new(mem: &mut MemorySubsystem, channels: usize) -> Self {
         assert!(channels > 0, "copy engine needs at least one channel");
+        let mut register = |kind: &str| {
+            let ports: Vec<_> = (0..channels)
+                .map(|i| mem.register_requester(format!("copy/{kind}{i}")))
+                .collect();
+            ports[0]
+        };
         CopyEngine {
-            read_ports: (0..channels)
-                .map(|i| mem.register_requester(format!("copy/rd{i}")))
-                .collect(),
-            write_ports: (0..channels)
-                .map(|i| mem.register_requester(format!("copy/wr{i}")))
-                .collect(),
+            channels,
+            read_port: register("rd"),
+            write_port: register("wr"),
             fast_forward: true,
         }
     }
@@ -72,7 +78,7 @@ impl CopyEngine {
     /// Number of read (= write) channels.
     #[must_use]
     pub fn channels(&self) -> usize {
-        self.read_ports.len()
+        self.channels
     }
 
     /// Executes one plan to completion.
@@ -95,10 +101,10 @@ impl CopyEngine {
         // Which reads have delivered their response, and how many.
         let mut landed = vec![false; plan.reads.len()];
         let mut reads_landed = 0usize;
-        // Per-channel pending request: Some(read index) awaiting grant.
-        let mut read_pending: Vec<Option<usize>> = vec![None; self.read_ports.len()];
-        // Per-channel pending write: Some(address) awaiting grant.
-        let mut write_pending: Vec<Option<u64>> = vec![None; self.write_ports.len()];
+        // Per-channel pending request awaiting a grant: its location and
+        // tag (the read's index; writes echo nothing).
+        let mut read_pending: Vec<Option<(BankLocation, u64)>> = vec![None; self.channels];
+        let mut write_pending: Vec<Option<(BankLocation, u64)>> = vec![None; self.channels];
         let mut next_read = 0usize;
         let mut next_write = 0usize;
         let mut writes_done = 0usize;
@@ -116,44 +122,31 @@ impl CopyEngine {
             if writes_done == plan.writes.len() && reads_landed == plan.reads.len() {
                 break;
             }
-            let mut submitted_any = false;
             // Issue reads in order.
-            for (ch, port) in self.read_ports.iter().enumerate() {
-                if read_pending[ch].is_none() && next_read < plan.reads.len() {
-                    read_pending[ch] = Some(next_read);
+            for slot in &mut read_pending {
+                if slot.is_none() && next_read < plan.reads.len() {
+                    let loc = read_remap.map_byte(Addr::new(plan.reads[next_read]))?;
+                    *slot = Some((loc, next_read as u64));
                     next_read += 1;
-                }
-                if let Some(idx) = read_pending[ch] {
-                    let loc = read_remap.map_byte(Addr::new(plan.reads[idx]))?;
-                    mem.submit(MemRequest {
-                        requester: *port,
-                        loc,
-                        tag: idx as u64,
-                        op: MemOp::Read,
-                    })?;
-                    submitted_any = true;
                 }
             }
             // Issue writes whose dependencies have landed.
-            for (ch, port) in self.write_ports.iter().enumerate() {
-                if write_pending[ch].is_none() && next_write < plan.writes.len() {
+            for slot in &mut write_pending {
+                if slot.is_none() && next_write < plan.writes.len() {
                     let source = plan.writes[next_write];
                     if sources_landed(plan, source, &landed, word) {
-                        write_pending[ch] = Some(plan.write_addr(next_write, word));
+                        let addr = plan.write_addr(next_write, word);
+                        *slot = Some((write_remap.map_byte(Addr::new(addr))?, 0));
                         next_write += 1;
                     }
                 }
-                if let Some(addr) = write_pending[ch] {
-                    let loc = write_remap.map_byte(Addr::new(addr))?;
-                    mem.submit(MemRequest {
-                        requester: *port,
-                        loc,
-                        tag: 0,
-                        op: MemOp::Write,
-                    })?;
-                    submitted_any = true;
-                }
             }
+            let submitted_any = read_pending
+                .iter()
+                .chain(&write_pending)
+                .any(Option::is_some);
+            mem.submit_batch(self.read_port, MemOp::Read, read_pending.iter().copied())?;
+            mem.submit_batch(self.write_port, MemOp::Write, write_pending.iter().copied())?;
             if self.fast_forward && !submitted_any {
                 // Nothing to arbitrate: the engine is waiting for the next
                 // in-flight response (or, with nothing in flight, would spin
@@ -178,15 +171,18 @@ impl CopyEngine {
                     continue;
                 }
             }
+            // A grant retires the request it was for: only a pending
+            // request was submitted.
             let grants = mem.arbitrate();
-            for (ch, port) in self.read_ports.iter().enumerate() {
-                if read_pending[ch].is_some() && grants[port.index()] {
-                    read_pending[ch] = None;
+            let granted = |port: RequesterId| &grants[port.index()..][..self.channels];
+            for (slot, &granted) in read_pending.iter_mut().zip(granted(self.read_port)) {
+                if granted {
+                    *slot = None;
                 }
             }
-            for (ch, port) in self.write_ports.iter().enumerate() {
-                if write_pending[ch].is_some() && grants[port.index()] {
-                    write_pending[ch] = None;
+            for (slot, &granted) in write_pending.iter_mut().zip(granted(self.write_port)) {
+                if granted {
+                    *slot = None;
                     writes_done += 1;
                 }
             }

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             streamer.pop_wide(|addr| word.push(addr));
             popped.push(word);
         }
-        streamer.generate_and_issue(&mut mem);
+        streamer.generate_and_issue(&mut mem)?;
         let grants = mem.arbitrate();
         streamer.handle_grants(grants);
         cycles += 1;
