@@ -307,8 +307,6 @@ pub struct AddressRemapper {
     word_bytes: u64,
     /// The byte space's [`BankMap`], built once at construction: shifts
     /// and masks keep per-access division off the hottest address path.
-    /// The original div/mod arithmetic survives under `#[cfg(test)]` as
-    /// the equivalence oracle.
     map: BankMap,
 }
 
@@ -547,6 +545,80 @@ mod tests {
             }
         }
         cfgs
+    }
+
+    #[test]
+    fn remapper_is_a_bit_permutation_for_every_legal_mode() {
+        // §III-D's insight, checked as a property rather than against a
+        // second formula: read as the code `bank · rows + row`, a word's
+        // location is a permutation of its address bits. Each address bit
+        // lands on a code bit of its own, and a word's code is the OR of
+        // its bits' codes — what makes the hardware remapper a mux of
+        // rewired address bits.
+        for cfg in small_geometries() {
+            let (banks, rows) = (cfg.num_banks(), cfg.rows_per_bank() as u64);
+            for mode in all_legal_modes(banks) {
+                let r = AddressRemapper::new(&cfg, mode).unwrap();
+                let code = |w: u64| {
+                    let loc = r.map_word(w);
+                    loc.bank as u64 * rows + loc.row as u64
+                };
+                let bits = r.capacity_words().trailing_zeros();
+                let images: Vec<u64> = (0..bits).map(|i| code(1 << i)).collect();
+                assert!(
+                    images.iter().all(|c| c.is_power_of_two()),
+                    "banks={banks} rows={rows} mode={mode}: {images:?}"
+                );
+                assert_eq!(
+                    images.iter().fold(0, |acc, c| acc | c),
+                    r.capacity_words() - 1,
+                    "banks={banks} rows={rows} mode={mode}: {images:?}"
+                );
+                for w in 0..r.capacity_words() {
+                    let permuted = (0..bits)
+                        .filter(|i| (w >> i) & 1 == 1)
+                        .fold(0, |acc, i| acc | images[i as usize]);
+                    assert_eq!(
+                        code(w),
+                        permuted,
+                        "banks={banks} rows={rows} mode={mode} word={w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_path_matches_the_arithmetic_oracle_for_every_legal_mode() {
+        // The shift/mask path lays every word out in GIMA's mixed radix:
+        // its digits are in range (bank-in-group < g, row < rows) and
+        // multiply-add back to the word, `(bank / g)·g·rows + row·g +
+        // bank mod g`. Mixed-radix digits are unique, so this pins the
+        // division formula without restating it. The byte path —
+        // `map_byte` and the wrapped `BankMap::bank_of` — agrees.
+        for cfg in small_geometries() {
+            let rows = cfg.rows_per_bank() as u64;
+            for mode in all_legal_modes(cfg.num_banks()) {
+                let r = AddressRemapper::new(&cfg, mode).unwrap();
+                let g = mode.group_banks(cfg.num_banks()) as u64;
+                let capacity_bytes = r.capacity_words() * r.word_bytes();
+                for w in 0..r.capacity_words() {
+                    let loc = r.map_word(w);
+                    let (bank, row) = (loc.bank as u64, loc.row as u64);
+                    assert!(row < rows, "row out of range: {mode} word {w}");
+                    assert_eq!(
+                        (bank / g) * g * rows + row * g + bank % g,
+                        w,
+                        "map_word diverges from oracle: {mode} word {w}"
+                    );
+                    let byte = w * r.word_bytes();
+                    assert_eq!(r.map_byte(Addr::new(byte)), Ok(loc), "{mode} word {w}");
+                    for addr in [byte, byte + capacity_bytes] {
+                        assert_eq!(r.map().bank_of(addr), loc.bank, "{mode} byte {addr}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
